@@ -27,11 +27,6 @@ def _writes(workload: str, args: dict) -> dict:
     """Key -> value writes a request's contract call performs."""
     if workload == "kv":
         return {args["key"]: args["value"]}
-    if workload == "trades":
-        writes = {args["key"]: args["value"]}
-        if args["confidential"]:
-            writes["trade-price"] = args["price"]
-        return writes
     if workload == "loc":
         return {args["loc_id"]: {"stage": args["stage"], "amount": args["amount"]}}
     raise ValueError(f"unknown workload {workload!r}")
@@ -41,11 +36,6 @@ def _corda_data(workload: str, args: dict) -> dict:
     """The ``data`` of the output state a Corda flow records."""
     if workload == "kv":
         return {"key": args["key"], "value": args["value"]}
-    if workload == "trades":
-        data = {"key": args["key"], "value": args["value"]}
-        if args["confidential"]:
-            data["trade-price"] = args["price"]
-        return data
     return {
         "loc_id": args["loc_id"], "stage": args["stage"], "amount": args["amount"],
     }
