@@ -22,6 +22,8 @@ def test_self_scan_throughput(benchmark):
 
     assert report.files_analyzed == len(files)
     assert not report.parse_errors
+    if not benchmark.enabled:
+        return  # --benchmark-disable: one untimed run, no stats to report
     # The analyzer stays usable as an every-edit check.
     mean = benchmark.stats.stats.mean
     files_per_sec = len(files) / mean

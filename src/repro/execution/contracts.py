@@ -15,6 +15,7 @@ from typing import Any, Callable
 
 from repro.common.errors import ContractError
 from repro.crypto.hashing import hash_hex
+from repro.ledger.state import WorldState
 
 ContractFunction = Callable[["StateView", dict], Any]
 
@@ -45,24 +46,25 @@ class SourceLocation:
 class StateView:
     """The read/write interface contract code sees during execution.
 
-    Collects a read set and write set for MVCC validation instead of
-    mutating state directly.
+    Reads go through to the live :class:`WorldState` and are recorded
+    with their committed versions; writes and deletes are buffered in the
+    view (a read set and write set for MVCC validation), so executing a
+    contract never mutates committed state.
     """
 
-    def __init__(self, backing: dict[str, Any], versions: dict[str, int]) -> None:
-        self._backing = dict(backing)
-        self._versions = dict(versions)
+    def __init__(self, state: WorldState) -> None:
+        self._state = state
         self.reads: dict[str, int] = {}
         self.writes: dict[str, Any] = {}
         self.deletes: set[str] = set()
 
     def get(self, key: str, default: Any = None) -> Any:
-        self.reads[key] = self._versions.get(key, 0)
+        self.reads[key] = self._state.version(key)
         if key in self.writes:
             return self.writes[key]
         if key in self.deletes:
             return default
-        return self._backing.get(key, default)
+        return self._state.get_or(key, default)
 
     def put(self, key: str, value: Any) -> None:
         self.deletes.discard(key)
@@ -78,7 +80,7 @@ class StateView:
         Mirrors Fabric's GetStateByRange: results reflect committed state
         plus this invocation's own writes and deletes.
         """
-        keys = set(self._backing) | set(self.writes)
+        keys = set(self._state.keys()) | set(self.writes)
         out: dict[str, Any] = {}
         for key in sorted(keys):
             if start <= key < end and key not in self.deletes:

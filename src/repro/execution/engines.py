@@ -35,6 +35,7 @@ from repro.execution.contracts import (
     SmartContract,
     StateView,
 )
+from repro.ledger.state import WorldState
 from repro.network.messages import Exposure
 from repro.network.simnet import Observer
 from repro.telemetry import Telemetry
@@ -89,8 +90,7 @@ class ExecutionEngine:
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         raise NotImplementedError
 
@@ -143,12 +143,11 @@ class LedgerEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         contract = self.registry.lookup(node, contract_id)
         self._count_invocation(contract_id)
-        view = StateView(state, versions)
+        view = StateView(state)
         value = contract.invoke(function, view, args)
         # The node admin sees the code identity and all cleartext keys.
         self._admin_observer(node).observe_exposure(
@@ -207,12 +206,11 @@ class OffChainEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         contract = self.registry.lookup(node, contract_id)
         self._count_invocation(contract_id)
-        view = StateView(state, versions)
+        view = StateView(state)
         value = contract.invoke(function, view, args)
         self._admin_observer(node).observe_exposure(
             Exposure.of(
@@ -275,7 +273,11 @@ class TEEEngine(ExecutionEngine):
         enclave = self.manufacturer.provision()
 
         def enclave_program(payload: dict) -> dict:
-            view = StateView(payload["state"], payload["versions"])
+            versions = payload["versions"]
+            view = StateView(WorldState.from_dump({
+                key: {"value": value, "version": versions[key]}
+                for key, value in payload["state"].items()
+            }))
             value = contract.invoke(payload["function"], view, payload["args"])
             return {
                 "return_value": value,
@@ -303,8 +305,7 @@ class TEEEngine(ExecutionEngine):
         contract_id: str,
         function: str,
         args: dict,
-        state: dict[str, Any],
-        versions: dict[str, int],
+        state: WorldState,
     ) -> ExecutionResult:
         key = (node, contract_id)
         if key not in self._enclaves:
@@ -319,12 +320,13 @@ class TEEEngine(ExecutionEngine):
         session = enclave.establish_session_key(self._rng.fork(f"s{self._nonce_counter}"))
         self._nonce_counter += 1
         nonce = self._rng.randbytes(16)
+        dump = state.dump()
         payload = canonical_bytes(
             {
                 "function": function,
                 "args": args,
-                "state": state,
-                "versions": versions,
+                "state": {key: entry["value"] for key, entry in dump.items()},
+                "versions": {key: entry["version"] for key, entry in dump.items()},
             }
         )
         encrypted = session.encrypt(payload, self._rng)

@@ -113,7 +113,7 @@ class OrderingService:
         when = self.clock.now if now is None else now
         return not self.fault_plan.orderer_down(self.name, when)
 
-    def _require_available(self) -> None:
+    def require_available(self) -> None:
         if not self.available():
             raise OrderingError(f"ordering service {self.name!r} is down")
 
@@ -150,7 +150,7 @@ class OrderingService:
 
     def submit(self, tx: Transaction) -> None:
         """Accept a transaction for ordering on its channel."""
-        self._require_available()
+        self.require_available()
         self._record_visibility(tx)
         arrival = self.clock.now
         self._pending.setdefault(tx.channel, []).append((tx, arrival))
@@ -191,7 +191,7 @@ class OrderingService:
         immediately regardless (an explicit operator flush, used by the
         platform simulations' synchronous submit paths).
         """
-        self._require_available()
+        self.require_available()
         queue = self._pending.get(channel, [])
         if not queue:
             raise OrderingError(f"no pending transactions on channel {channel!r}")

@@ -33,6 +33,7 @@ from repro.crypto.hashing import tagged_hash
 from repro.crypto.pki import Certificate, CertificateAuthority, MembershipService
 from repro.crypto.signatures import PrivateKey, SignatureScheme
 from repro.core.mechanisms import Mechanism
+from repro.network.messages import Exposure
 from repro.network.simnet import SimNetwork
 from repro.telemetry import Telemetry
 
@@ -149,7 +150,9 @@ class Platform:
     platform_name = "abstract"
     open_source = True
 
-    def __init__(self, seed: str = "platform") -> None:
+    def __init__(
+        self, seed: str = "platform", resilient_delivery: bool = False
+    ) -> None:
         self.clock = SimClock()
         self.rng = DeterministicRNG(seed)
         self.scheme = SignatureScheme()
@@ -167,6 +170,11 @@ class Platform:
         self.membership = MembershipService()
         self.membership.register_authority(self.ca)
         self.parties: dict[str, Party] = {}
+        self.resilient_delivery = resilient_delivery
+        # The ordering principal: Fabric's orderer, Corda's notary or
+        # Quorum's sequencer, set by each subclass.  Fault injection and
+        # ordering crash/recover act on it.
+        self.ordering = None
         # Durable checkpoint storage: lives outside the nodes (disk
         # survives the process), so it is *not* wiped by crash().
         from repro.recovery.checkpoint import CheckpointStore
@@ -298,12 +306,32 @@ class Platform:
     # -- fault injection
 
     def inject_faults(self, plan) -> None:
-        """Attach a :class:`repro.faults.FaultPlan` to the substrate.
-
-        Platform subclasses override this to also wire the plan into their
-        ordering principal (orderer, notary, sequencer).
-        """
+        """Attach a :class:`repro.faults.FaultPlan` to the substrate and
+        the ordering principal (orderer, notary, sequencer)."""
         self.network.fault_plan = plan
+        self.ordering.fault_plan = plan
+
+    def crash_ordering(self) -> None:
+        """Take the ordering principal down (its durable state survives)."""
+        self.ordering.crash()
+
+    def recover_ordering(self) -> None:
+        self.ordering.recover()
+
+    def _send_critical(
+        self, sender: str, recipient: str, kind: str, payload, exposure: Exposure
+    ) -> None:
+        """Send on a hop the flow cannot proceed without.
+
+        With ``resilient_delivery`` the hop retries through transient
+        faults; otherwise it is a plain send.
+        """
+        send = (
+            self.network.send_with_retry
+            if self.resilient_delivery
+            else self.network.send
+        )
+        send(sender, recipient, kind, payload, exposure=exposure)
 
     # -- crash recovery
     #

@@ -22,7 +22,6 @@ from typing import Callable
 from repro.common.errors import (
     ContractError,
     MembershipError,
-    OrderingError,
     PlatformError,
     ValidationError,
 )
@@ -85,8 +84,7 @@ class CordaNetwork(Platform):
         notary_operator: str = "third-party",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(NOTARY_NODE)
         self.notary = Notary(
             NOTARY_NODE,
@@ -97,6 +95,7 @@ class CordaNetwork(Platform):
             contract_verifier=self._verify_contracts,
             telemetry=self.telemetry,
         )
+        self.ordering = self.notary
         self.vaults: dict[str, Vault] = {}
         self.verifiers: dict[str, ContractVerifier] = {}
         self.verifier_language: dict[str, str] = {}
@@ -121,19 +120,6 @@ class CordaNetwork(Platform):
         if name not in self.vaults:
             raise PlatformError(f"unknown party {name!r}")
         return self.vaults[name]
-
-    # -- fault injection
-
-    def inject_faults(self, plan) -> None:
-        super().inject_faults(plan)
-        self.notary.fault_plan = plan
-
-    def crash_ordering(self) -> None:
-        """Take the notary down (its spent-ref map is durable)."""
-        self.notary.crash()
-
-    def recover_ordering(self) -> None:
-        self.notary.recover()
 
     # -- CorDapps: contracts travel with the states that reference them
 
@@ -239,10 +225,9 @@ class CordaNetwork(Platform):
         if initiator not in self.parties:
             raise MembershipError(f"initiator {initiator!r} is not onboarded")
         self.authenticate(initiator)
-        if not self.notary.available():
-            # Fail before proposals go out or vaults change so the flow
-            # can be re-run cleanly after the notary recovers.
-            raise OrderingError(f"notary {NOTARY_NODE!r} is down")
+        # Fail before proposals go out or vaults change so the flow can be
+        # re-run cleanly after the notary recovers.
+        self.notary.require_available()
 
         exposure = Exposure.of(
             identities=participants | legal_signers,
@@ -291,16 +276,11 @@ class CordaNetwork(Platform):
             # 4. Notarise.  Non-validating notaries get a tear-off only.  The
             # notarise hop is the flow's critical round-trip, so it is the one
             # that opts into resilient delivery.
-            notarise_hop = (
-                self.network.send_with_retry
-                if self.resilient_delivery
-                else self.network.send
-            )
             with self.telemetry.span(
                 "corda.notarise", validating=self.notary.validating
             ):
                 if self.notary.validating:
-                    notarise_hop(
+                    self._send_critical(
                         initiator, NOTARY_NODE, "notarise-full",
                         {"tx_id": wire.tx_id}, exposure=exposure,
                     )
@@ -312,7 +292,7 @@ class CordaNetwork(Platform):
                     self.telemetry.metrics.counter(
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
-                    notarise_hop(
+                    self._send_critical(
                         initiator, NOTARY_NODE, "notarise-filtered",
                         {"tx_id": wire.tx_id}, exposure=Exposure(),
                     )

@@ -85,7 +85,7 @@ class Notary:
         when = self.clock.now if now is None else now
         return not self.fault_plan.orderer_down(self.name, when)
 
-    def _require_available(self) -> None:
+    def require_available(self) -> None:
         if not self.available():
             raise OrderingError(f"notary {self.name!r} is down")
 
@@ -116,7 +116,7 @@ class Notary:
 
     def notarise_full(self, stx: SignedTransaction) -> NotarisationReceipt:
         """Validating path: full visibility, contract re-verification."""
-        self._require_available()
+        self.require_available()
         if not self.validating:
             raise ValidationError(
                 f"notary {self.name!r} is non-validating; send a filtered tx"
@@ -150,7 +150,7 @@ class Notary:
 
     def notarise_filtered(self, ftx: FilteredTransaction) -> NotarisationReceipt:
         """Non-validating path: only input refs and notary name visible."""
-        self._require_available()
+        self.require_available()
         if self.validating:
             raise ValidationError(
                 f"notary {self.name!r} is validating; send the full tx"

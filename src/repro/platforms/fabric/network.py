@@ -18,7 +18,6 @@ from repro.common.errors import (
     ContractError,
     EndorsementError,
     MembershipError,
-    OrderingError,
     PlatformError,
     ReproError,
     ValidationError,
@@ -46,7 +45,11 @@ from repro.ledger.transaction import (
     WriteEntry,
 )
 from repro.ledger.state import WorldState
-from repro.ledger.validation import EndorsementPolicy, verify_endorsements
+from repro.ledger.validation import (
+    EndorsementPolicy,
+    apply_writes,
+    verify_endorsements,
+)
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
@@ -103,8 +106,7 @@ class FabricNetwork(Platform):
         orderer_operator: str = "third-party",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(ORDERER_NODE)
         self.orderer = OrderingService(
             ORDERER_NODE,
@@ -113,6 +115,7 @@ class FabricNetwork(Platform):
             operator=orderer_operator,
             telemetry=self.telemetry,
         )
+        self.ordering = self.orderer
         self.channels: dict[str, Channel] = {}
         # contract id -> channel it is committed on; lets the pipeline
         # infer the channel when TxRequest.scope is omitted.
@@ -148,19 +151,6 @@ class FabricNetwork(Platform):
         if name not in self.channels:
             raise PlatformError(f"unknown channel {name!r}")
         return self.channels[name]
-
-    # -- fault injection
-
-    def inject_faults(self, plan) -> None:
-        super().inject_faults(plan)
-        self.orderer.fault_plan = plan
-
-    def crash_ordering(self) -> None:
-        """Take the ordering service down (queues survive per durability)."""
-        self.orderer.crash()
-
-    def recover_ordering(self) -> None:
-        self.orderer.recover()
 
     # -- chaincode lifecycle
 
@@ -220,12 +210,7 @@ class FabricNetwork(Platform):
                     exposure=proposal_exposure,
                 )
                 result = self.engine.execute(
-                    endorser,
-                    contract_id,
-                    function,
-                    args,
-                    reference.snapshot(),
-                    {k: reference.version(k) for k in reference.keys()},
+                    endorser, contract_id, function, args, reference
                 )
                 results.append((endorser, result))
         first = results[0][1]
@@ -314,6 +299,11 @@ class FabricNetwork(Platform):
                 disclosures.append(collection.disclosure())
             metadata["collections"] = disclosures
 
+        # The participant list the orderer will see (paper Section 5) is
+        # part of the content every endorser signs.
+        metadata["participants"] = sorted(
+            visible_identities if not anonymous else set(endorsers)
+        )
         tx = Transaction(
             channel=channel_name,
             submitter=submitter_label,
@@ -341,13 +331,6 @@ class FabricNetwork(Platform):
                 exposure=Exposure.of(identities={endorser}),
             )
         tx = tx.with_endorsements(endorsements)
-
-        # Stamp the participant list the orderer will see (paper Section 5)
-        # and re-sign over the final canonical content.
-        tx_metadata = dict(tx.metadata)
-        participants = visible_identities if not anonymous else set(endorsers)
-        tx = Transaction(**{**tx.__dict__, "metadata": {**tx_metadata, "participants": sorted(participants)}})
-        tx = tx.with_endorsements(endorsements_resign(self, tx, endorsers))
         return ProposedTransaction(
             channel_name=channel_name,
             tx=tx,
@@ -411,22 +394,16 @@ class FabricNetwork(Platform):
         drip-feeding client actually experiences.
         """
         channel = self.channel(channel_name)
-        if not self.orderer.available():
-            # Fail before any state or queue mutation so a caller can
-            # retry the whole batch after recovery without double-apply.
-            raise OrderingError(f"ordering service {ORDERER_NODE!r} is down")
+        # Fail before any state or queue mutation so a caller can retry the
+        # whole batch after recovery without double-apply.
+        self.orderer.require_available()
         with self.telemetry.span(
             "fabric.order", channel=channel_name, batch_size=len(proposals)
         ):
             for proposal in proposals:
                 if proposal.channel_name != channel_name:
                     raise PlatformError("proposal belongs to a different channel")
-                submit_hop = (
-                    self.network.send_with_retry
-                    if self.resilient_delivery
-                    else self.network.send
-                )
-                submit_hop(
+                self._send_critical(
                     proposal.tx.submitter
                     if proposal.tx.submitter in self.parties
                     else sorted(channel.members)[0],
@@ -518,14 +495,8 @@ class FabricNetwork(Platform):
             ):
                 if code is ValidationCode.VALID:
                     for member, state in channel.states.items():
-                        if member in crashed:
-                            continue
-                        for write in tx.writes:
-                            if write.is_delete:
-                                if state.exists(write.key):
-                                    state.delete(write.key)
-                            else:
-                                state.put(write.key, write.value)
+                        if member not in crashed:
+                            apply_writes(tx, state)
                 block_txs.append(tx)
                 channel.record_commit(tx, code is ValidationCode.VALID)
             results.append(InvokeResult(
@@ -773,12 +744,7 @@ class FabricNetwork(Platform):
                     items += 1
                     if tx.tx_id not in committed:
                         continue  # invalid txs are on-chain but never applied
-                    for write in tx.writes:
-                        if write.is_delete:
-                            if state.exists(write.key):
-                                state.delete(write.key)
-                        else:
-                            state.put(write.key, write.value)
+                    apply_writes(tx, state)
         self.telemetry.metrics.counter("recovery.catchup.items").inc(items)
         return {"items": items, "blocks_behind": blocks_behind}
 
@@ -958,7 +924,7 @@ class FabricNetwork(Platform):
         )
         engine.install("external-host", contract)
         result = engine.execute("external-host", "probe-external", "run",
-                                {"x": 21}, {}, {})
+                                {"x": 21}, WorldState())
         return self._result(
             Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
             SupportLevel.IMPLEMENTABLE if result.return_value == 42 else SupportLevel.REWRITE,
@@ -980,7 +946,7 @@ class FabricNetwork(Platform):
             functions={"noop": noop},
         )
         engine.install("peer-tee", contract)
-        standalone = engine.execute("peer-tee", "probe-tee", "noop", {}, {}, {})
+        standalone = engine.execute("peer-tee", "probe-tee", "noop", {}, WorldState())
         endorsement_flow_integrates_tee = isinstance(self.engine, TEEEngine)
         level = (
             SupportLevel.NATIVE if endorsement_flow_integrates_tee
@@ -1003,21 +969,3 @@ class FabricNetwork(Platform):
             "containing its full visibility within the member set",
         )
 
-
-def endorsements_resign(
-    network: FabricNetwork, tx: Transaction, endorsers: list[str]
-) -> list[Endorsement]:
-    """Re-sign a transaction whose metadata changed after endorsement.
-
-    Fabric's real flow signs the proposal response payload; our simplified
-    model re-signs the final canonical content so validation stays honest.
-    """
-    return [
-        Endorsement(
-            endorser=endorser,
-            signature=network.scheme.sign(
-                network.parties[endorser].key, tx.signing_bytes()
-            ),
-        )
-        for endorser in endorsers
-    ]

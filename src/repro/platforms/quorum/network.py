@@ -24,7 +24,6 @@ from repro.common.errors import (
     DeliveryError,
     DoubleSpendError,
     MembershipError,
-    OrderingError,
     PlatformError,
     PrivacyError,
     ValidationError,
@@ -37,6 +36,7 @@ from repro.ledger.block import Chain
 from repro.ledger.ordering import OrdererVisibility, OrderingService
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction, WriteEntry
+from repro.ledger.validation import apply_writes
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
@@ -83,8 +83,7 @@ class QuorumNetwork(Platform):
         consensus_operator: str = "member",
         resilient_delivery: bool = False,
     ) -> None:
-        super().__init__(seed=seed)
-        self.resilient_delivery = resilient_delivery
+        super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(SEQUENCER_NODE)
         self.chain = Chain("quorum-public")
         self.public_states: dict[str, WorldState] = {}
@@ -107,6 +106,7 @@ class QuorumNetwork(Platform):
             operator=consensus_operator,
             telemetry=self.telemetry,
         )
+        self.ordering = self.sequencer
 
     # -- membership
 
@@ -123,25 +123,6 @@ class QuorumNetwork(Platform):
             # First onboarded member operates consensus in this deployment.
             self.sequencer.operator = name
         return party
-
-    # -- fault injection
-
-    def inject_faults(self, plan) -> None:
-        super().inject_faults(plan)
-        self.sequencer.fault_plan = plan
-
-    def crash_ordering(self) -> None:
-        """Take the consensus/sequencing layer down."""
-        self.sequencer.crash()
-
-    def recover_ordering(self) -> None:
-        self.sequencer.recover()
-
-    def _require_sequencer(self) -> None:
-        # Checked before any state mutation so a failed transaction can be
-        # retried after recovery without double-applying its writes.
-        if not self.sequencer.available():
-            raise OrderingError(f"consensus layer {SEQUENCER_NODE!r} is down")
 
     # -- contract deployment
 
@@ -239,13 +220,16 @@ class QuorumNetwork(Platform):
         args: dict,
         state: WorldState,
     ):
-        contract = self.contracts[contract_id]
         if node not in self.contract_hosts[contract_id]:
             raise PrivacyError(f"{node!r} has no code for {contract_id!r}")
-        view = StateView(
-            state.snapshot(), {k: state.version(k) for k in state.keys()}
-        )
-        value = contract.invoke(function, view, args)
+        return self._run_contract(contract_id, function, args, state)
+
+    def _run_contract(
+        self, contract_id: str, function: str, args: dict, state: WorldState
+    ):
+        """Run a contract over *state*, then apply its writes and deletes."""
+        view = StateView(state)
+        value = self.contracts[contract_id].invoke(function, view, args)
         for key, val in view.writes.items():
             state.put(key, val)
         for key in view.deletes:
@@ -262,7 +246,9 @@ class QuorumNetwork(Platform):
         self.authenticate(sender)
         if self.network.is_crashed(sender):
             raise DeliveryError(f"node {sender!r} is down")
-        self._require_sequencer()
+        # Checked before any state mutation so a failed transaction can be
+        # retried after recovery without double-applying its writes.
+        self.sequencer.require_available()
         with self.telemetry.span(
             "quorum.public_tx", sender=sender, contract=contract_id
         ):
@@ -333,7 +319,7 @@ class QuorumNetwork(Platform):
         self.authenticate(sender)
         if self.network.is_crashed(sender):
             raise DeliveryError(f"node {sender!r} is down")
-        self._require_sequencer()
+        self.sequencer.require_available()
         participants = sorted(set(private_for) | {sender})
         recipients = [p for p in participants if p != sender]
         unavailable = [
@@ -362,14 +348,9 @@ class QuorumNetwork(Platform):
                 self.telemetry.metrics.counter(
                     "crypto.ops", mechanism="private-payload-encryption"
                 ).inc(len(participants) - 1 - len(unavailable))
-                payload_hop = (
-                    self.network.send_with_retry
-                    if self.resilient_delivery
-                    else self.network.send
-                )
                 for participant in recipients:
                     if participant not in unavailable:
-                        payload_hop(
+                        self._send_critical(
                             sender, participant, "private-payload",
                             {"hash": payload_hash}, exposure=Exposure(),
                         )
@@ -669,12 +650,7 @@ class QuorumNetwork(Platform):
                             "quorum", "public", name, block.height
                         ),
                     )
-                    for write in tx.writes:
-                        if write.is_delete:
-                            if state.exists(write.key):
-                                state.delete(write.key)
-                        else:
-                            state.put(write.key, write.value)
+                    apply_writes(tx, state)
                     items += 1
                 elif kind == "private":
                     ship(
@@ -796,17 +772,10 @@ class QuorumNetwork(Platform):
                 continue
             payload_hash = tx.private_hashes["payload"]
             resolved = manager.resolve(payload_hash)  # raises if deleted
-            contract = self.contracts[resolved["contract"]]
-            view = StateView(
-                rebuilt.snapshot(),
-                {k: rebuilt.version(k) for k in rebuilt.keys()},
+            self._run_contract(
+                resolved["contract"], resolved["function"], resolved["args"],
+                rebuilt,
             )
-            contract.invoke(resolved["function"], view, resolved["args"])
-            for key, value in view.writes.items():
-                rebuilt.put(key, value)
-            for key in view.deletes:
-                if rebuilt.exists(key):
-                    rebuilt.delete(key)
         return rebuilt
 
     def verify_private_state(self, node: str) -> bool:

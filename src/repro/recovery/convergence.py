@@ -99,16 +99,6 @@ def _audit_fabric(platform, report: ConvergenceReport) -> None:
             )
 
 
-def _corda_entitled(platform, stx) -> set[str]:
-    wire = stx.wire
-    entitled: set[str] = set()
-    for state in wire.outputs:
-        entitled |= set(state.participants)
-    for command in wire.commands:
-        entitled |= set(command.signers)
-    return entitled & set(platform.parties)
-
-
 def _audit_corda(platform, report: ConvergenceReport) -> None:
     live = [
         name for name in sorted(platform.parties)
@@ -123,7 +113,7 @@ def _audit_corda(platform, report: ConvergenceReport) -> None:
         all_txs.update(platform.vaults[name].transactions)
     for tx_id in sorted(all_txs):
         stx = all_txs[tx_id]
-        entitled = _corda_entitled(platform, stx)
+        entitled = platform._entitled_parties(stx) & set(platform.parties)
         missing = tuple(
             name for name in sorted(entitled)
             if name in live and not platform.vaults[name].knows_transaction(tx_id)

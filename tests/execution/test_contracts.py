@@ -10,6 +10,7 @@ from repro.execution.contracts import (
     SmartContract,
     StateView,
 )
+from repro.ledger.state import WorldState
 
 
 def put_fn(view, args):
@@ -27,49 +28,50 @@ def contract():
 
 class TestStateView:
     def test_reads_recorded_with_versions(self):
-        view = StateView({"k": 5}, {"k": 3})
+        view = StateView(WorldState.from_dump({"k": {"value": 5, "version": 3}}))
         assert view.get("k") == 5
         assert view.reads == {"k": 3}
 
     def test_read_of_missing_key_records_version_zero(self):
-        view = StateView({}, {})
+        view = StateView(WorldState())
         assert view.get("k", "default") == "default"
         assert view.reads == {"k": 0}
 
     def test_read_your_writes(self):
-        view = StateView({"k": 1}, {"k": 1})
+        view = StateView(WorldState.from_dump({"k": {"value": 1, "version": 1}}))
         view.put("k", 2)
         assert view.get("k") == 2
 
     def test_delete_then_read(self):
-        view = StateView({"k": 1}, {"k": 1})
+        view = StateView(WorldState.from_dump({"k": {"value": 1, "version": 1}}))
         view.delete("k")
         assert view.get("k", "gone") == "gone"
         assert "k" in view.deletes
 
     def test_put_after_delete_clears_delete(self):
-        view = StateView({}, {})
+        view = StateView(WorldState())
         view.delete("k")
         view.put("k", 9)
         assert "k" not in view.deletes
         assert view.writes == {"k": 9}
 
     def test_backing_state_not_mutated(self):
-        backing = {"k": 1}
-        view = StateView(backing, {"k": 1})
+        backing = WorldState.from_dump({"k": {"value": 1, "version": 1}})
+        view = StateView(backing)
         view.put("k", 2)
-        assert backing == {"k": 1}
+        view.delete("k")
+        assert backing.dump() == {"k": {"value": 1, "version": 1}}
 
 
 class TestSmartContract:
     def test_invoke(self, contract):
-        view = StateView({}, {})
+        view = StateView(WorldState())
         assert contract.invoke("put", view, {"key": "k", "value": 7}) == 7
         assert view.writes == {"k": 7}
 
     def test_unknown_function_rejected(self, contract):
         with pytest.raises(ContractError, match="no function"):
-            contract.invoke("missing", StateView({}, {}), {})
+            contract.invoke("missing", StateView(WorldState()), {})
 
     def test_code_measurement_stable(self, contract):
         assert contract.code_measurement() == contract.code_measurement()
@@ -128,16 +130,23 @@ class TestRegistry:
 
 class TestRangeQueries:
     def test_range_returns_sorted_window(self):
-        view = StateView({"a1": 1, "a2": 2, "b1": 3}, {"a1": 1, "a2": 1, "b1": 1})
+        view = StateView(WorldState.from_dump({
+            "a1": {"value": 1, "version": 1},
+            "a2": {"value": 2, "version": 1},
+            "b1": {"value": 3, "version": 1},
+        }))
         assert view.get_range("a", "b") == {"a1": 1, "a2": 2}
 
     def test_range_sees_own_writes_and_deletes(self):
-        view = StateView({"a1": 1, "a2": 2}, {"a1": 1, "a2": 1})
+        view = StateView(WorldState.from_dump({
+            "a1": {"value": 1, "version": 1},
+            "a2": {"value": 2, "version": 1},
+        }))
         view.put("a3", 3)
         view.delete("a1")
         assert view.get_range("a", "b") == {"a2": 2, "a3": 3}
 
     def test_range_records_reads_for_mvcc(self):
-        view = StateView({"a1": 1}, {"a1": 7})
+        view = StateView(WorldState.from_dump({"a1": {"value": 1, "version": 7}}))
         view.get_range("a", "b")
         assert view.reads == {"a1": 7}

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ContractError
 from repro.execution.contracts import SmartContract
 from repro.execution.engines import LedgerEngine, OffChainEngine, TEEEngine
+from repro.ledger.state import WorldState
 
 
 def transfer(view, args):
@@ -26,8 +27,8 @@ class TestLedgerEngine:
     def test_execute(self):
         engine = LedgerEngine()
         engine.install("peer1", make_contract())
-        result = engine.execute("peer1", "cc", "transfer", {"amount": 5},
-                                {"balance": 10}, {"balance": 1})
+        state = WorldState.from_dump({"balance": {"value": 10, "version": 1}})
+        result = engine.execute("peer1", "cc", "transfer", {"amount": 5}, state)
         assert result.return_value == 15
         assert result.writes == {"balance": 15}
         assert result.reads == {"balance": 1}
@@ -42,7 +43,7 @@ class TestLedgerEngine:
         """Criterion 3 fails: the node admin observes keys and code ids."""
         engine = LedgerEngine()
         engine.install("peer1", make_contract())
-        engine.execute("peer1", "cc", "transfer", {"amount": 1}, {}, {})
+        engine.execute("peer1", "cc", "transfer", {"amount": 1}, WorldState())
         admin = engine.admin_observers["peer1"]
         assert "cc" in admin.seen_code_ids
         assert "balance" in admin.seen_data_keys
@@ -58,7 +59,7 @@ class TestLedgerEngine:
         engine = LedgerEngine()
         engine.install("peer1", make_contract())
         with pytest.raises(ContractError):
-            engine.execute("peer2", "cc", "transfer", {"amount": 1}, {}, {})
+            engine.execute("peer2", "cc", "transfer", {"amount": 1}, WorldState())
 
 
 class TestOffChainEngine:
@@ -66,8 +67,8 @@ class TestOffChainEngine:
         """Criterion 4 holds: DSLs and anything else are fine."""
         engine = OffChainEngine()
         engine.install("host1", make_contract(language="cobol"))
-        result = engine.execute("host1", "cc", "transfer", {"amount": 2},
-                                {"balance": 40}, {})
+        state = WorldState.from_dump({"balance": {"value": 40, "version": 1}})
+        result = engine.execute("host1", "cc", "transfer", {"amount": 2}, state)
         assert result.return_value == 42
 
     def test_version_drift_is_observable_not_prevented(self):
@@ -82,7 +83,7 @@ class TestOffChainEngine:
         """Criterion 3 fails: the engine host's admin sees cleartext."""
         engine = OffChainEngine()
         engine.install("host1", make_contract())
-        engine.execute("host1", "cc", "transfer", {"amount": 1}, {}, {})
+        engine.execute("host1", "cc", "transfer", {"amount": 1}, WorldState())
         assert "balance" in engine.admin_observers["host1"].seen_data_keys
 
     def test_properties(self):
@@ -97,8 +98,8 @@ class TestTEEEngine:
     def test_execute_with_attestation(self):
         engine = TEEEngine()
         engine.install("peer1", make_contract())
-        result = engine.execute("peer1", "cc", "transfer", {"amount": 7},
-                                {"balance": 0}, {})
+        state = WorldState.from_dump({"balance": {"value": 0, "version": 1}})
+        result = engine.execute("peer1", "cc", "transfer", {"amount": 7}, state)
         assert result.return_value == 7
         assert result.writes == {"balance": 7}
 
@@ -106,8 +107,8 @@ class TestTEEEngine:
         """Criterion 3 holds: the host log contains sizes, never keys."""
         engine = TEEEngine()
         engine.install("peer1", make_contract())
-        engine.execute("peer1", "cc", "transfer", {"amount": 7},
-                       {"balance": 0}, {})
+        state = WorldState.from_dump({"balance": {"value": 0, "version": 1}})
+        engine.execute("peer1", "cc", "transfer", {"amount": 7}, state)
         for entry in engine.admin_view("peer1", "cc"):
             assert set(entry) == {"operation", "bytes"}
             assert isinstance(entry["bytes"], int)
@@ -115,7 +116,7 @@ class TestTEEEngine:
     def test_no_enclave_rejected(self):
         engine = TEEEngine()
         with pytest.raises(ContractError, match="no enclave"):
-            engine.execute("peer1", "cc", "transfer", {}, {}, {})
+            engine.execute("peer1", "cc", "transfer", {}, WorldState())
 
     def test_properties(self):
         props = TEEEngine().properties()
@@ -132,8 +133,8 @@ class TestTEEEngine:
         engine = TEEEngine()
         contract = SmartContract("cc2", 1, "python-chaincode", {"erase": erase})
         engine.install("peer1", contract)
-        result = engine.execute("peer1", "cc2", "erase", {"key": "k"},
-                                {"k": 1}, {"k": 1})
+        state = WorldState.from_dump({"k": {"value": 1, "version": 1}})
+        result = engine.execute("peer1", "cc2", "erase", {"key": "k"}, state)
         assert result.deletes == {"k"}
 
 
@@ -150,7 +151,7 @@ class TestEngineComparison:
 
     def test_all_results_agree_across_engines(self):
         """The same contract computes the same result everywhere."""
-        state, versions = {"balance": 10}, {"balance": 1}
+        state = WorldState.from_dump({"balance": {"value": 10, "version": 1}})
         ledger = LedgerEngine()
         ledger.install("n", make_contract())
         offchain = OffChainEngine()
@@ -158,7 +159,7 @@ class TestEngineComparison:
         tee = TEEEngine()
         tee.install("n", make_contract())
         results = [
-            engine.execute("n", "cc", "transfer", {"amount": 5}, state, versions)
+            engine.execute("n", "cc", "transfer", {"amount": 5}, state)
             for engine in (ledger, offchain, tee)
         ]
         assert len({r.return_value for r in results}) == 1

@@ -16,6 +16,7 @@ import pytest
 
 from repro.execution.contracts import SmartContract
 from repro.execution.engines import LedgerEngine, TEEEngine
+from repro.ledger.state import WorldState
 
 
 def make_contract():
@@ -30,8 +31,7 @@ def make_contract():
     )
 
 
-STATE = {"trade/0": {"price": 99, "status": "open"}}
-VERSIONS = {"trade/0": 1}
+STATE = {"trade/0": {"value": {"price": 99, "status": "open"}, "version": 1}}
 ARGS = {"id": 1, "price": 101}
 
 
@@ -42,9 +42,9 @@ class TestRewriteCounterfactual:
         tee = TEEEngine()
         tee.install("peer", make_contract())
         before = ledger.execute("peer", "settlement", "settle", ARGS,
-                                dict(STATE), dict(VERSIONS))
+                                WorldState.from_dump(STATE))
         after = tee.execute("peer", "settlement", "settle", ARGS,
-                            dict(STATE), dict(VERSIONS))
+                            WorldState.from_dump(STATE))
         assert before.return_value == after.return_value == "settled"
         assert before.writes == after.writes
 
@@ -52,7 +52,7 @@ class TestRewriteCounterfactual:
         ledger = LedgerEngine()
         ledger.install("peer", make_contract())
         ledger.execute("peer", "settlement", "settle", ARGS,
-                       dict(STATE), dict(VERSIONS))
+                       WorldState.from_dump(STATE))
         admin_before = ledger.admin_observers["peer"]
         assert "settlement" in admin_before.seen_code_ids
         assert any(k.startswith("trade/") for k in admin_before.seen_data_keys)
@@ -60,7 +60,7 @@ class TestRewriteCounterfactual:
         tee = TEEEngine()
         tee.install("peer", make_contract())
         tee.execute("peer", "settlement", "settle", ARGS,
-                    dict(STATE), dict(VERSIONS))
+                    WorldState.from_dump(STATE))
         admin_after = tee.admin_view("peer", "settlement")
         # Nothing but operation names and byte counts.
         assert all(set(entry) == {"operation", "bytes"} for entry in admin_after)

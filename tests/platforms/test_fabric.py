@@ -122,6 +122,17 @@ class TestInvoke:
         result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
         assert result.tx.tx_id in channel.committed_tx_ids
 
+    def test_endorsement_acks_name_the_committed_tx(self, net, channel):
+        result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
+        net.network.run()
+        acks = [
+            message
+            for node in net.network.nodes()
+            for message in net.network.node(node).drain("endorsement")
+        ]
+        assert len(acks) == 2
+        assert {ack.payload["tx_id"] for ack in acks} == {result.tx.tx_id}
+
 
 class TestPrivacyProperties:
     def test_non_members_receive_nothing(self, net, channel):
