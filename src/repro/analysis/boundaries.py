@@ -20,32 +20,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES
+from repro.analysis.findings import Finding, report
 from repro.analysis.scopes import ModuleIndex, call_name
-
-
-def _report(
-    index: ModuleIndex,
-    findings: list[Finding],
-    rule_id: str,
-    node: ast.AST,
-    detail: str,
-) -> None:
-    rule = RULES[rule_id]
-    findings.append(
-        Finding(
-            rule_id=rule.rule_id,
-            code=rule.code,
-            severity=rule.severity,
-            path=index.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=f"{rule.summary}: {detail}",
-            hint=rule.hint,
-            context=index.context_of(node),
-        )
-    )
 
 
 def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
@@ -55,13 +31,13 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
             continue
         name = call_name(node)
         if name == "send_private_transaction":
-            _report(
+            report(
                 index, findings, "quorum-participant-broadcast", node,
                 "the private_for list travels in the clear on the public "
                 "chain",
             )
         elif name == "create_collection":
-            _report(
+            report(
                 index, findings, "pdc-member-disclosure", node,
                 "collection membership appears in every referencing "
                 "transaction's metadata",
@@ -70,7 +46,7 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
             if kw.arg == "collection_writes" and not (
                 isinstance(kw.value, ast.Constant) and kw.value.value is None
             ):
-                _report(
+                report(
                     index, findings, "pdc-member-disclosure", node,
                     "collection_writes anchors hashes on-chain and lists "
                     "collection members in the transaction",
@@ -78,7 +54,7 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
             elif kw.arg == "validating_notary" and (
                 isinstance(kw.value, ast.Constant) and kw.value.value is True
             ):
-                _report(
+                report(
                     index, findings, "ordering-full-visibility", node,
                     "validating_notary=True gives the notary full "
                     "transaction contents",
@@ -86,7 +62,7 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
             elif kw.arg == "visibility" and (
                 isinstance(kw.value, ast.Attribute) and kw.value.attr == "FULL"
             ):
-                _report(
+                report(
                     index, findings, "ordering-full-visibility", node,
                     "OrdererVisibility.FULL exposes submitted transactions "
                     "to the ordering operator",

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES
+from repro.analysis.findings import Finding, report
 from repro.analysis.scopes import ModuleIndex, call_name
 
 _MODULE_RULES = {
@@ -42,29 +41,6 @@ _MODULE_RULES = {
 
 _BUILTIN_ENV_CALLS = frozenset({"open", "input"})
 _UNSTABLE_BUILTINS = frozenset({"hash", "id"})
-
-
-def _report(
-    index: ModuleIndex,
-    findings: list[Finding],
-    rule_id: str,
-    node: ast.AST,
-    detail: str,
-) -> None:
-    rule = RULES[rule_id]
-    findings.append(
-        Finding(
-            rule_id=rule.rule_id,
-            code=rule.code,
-            severity=rule.severity,
-            path=index.path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            message=f"{rule.summary}: {detail}",
-            hint=rule.hint,
-            context=index.context_of(node),
-        )
-    )
 
 
 def _module_of_name(index: ModuleIndex, name: str) -> str | None:
@@ -104,7 +80,7 @@ def _check_contract_node(
             module = _module_of_name(index, node.id)
             rule_id = _MODULE_RULES.get(module or "")
             if rule_id:
-                _report(
+                report(
                     index, findings, rule_id, node,
                     f"use of {node.id!r} (module {module!r})",
                 )
@@ -112,24 +88,24 @@ def _check_contract_node(
             name = call_name(node)
             if isinstance(node.func, ast.Name):
                 if name in _BUILTIN_ENV_CALLS:
-                    _report(
+                    report(
                         index, findings, "nondet-env", node,
                         f"call to builtin {name}()",
                     )
                 elif name in _UNSTABLE_BUILTINS:
-                    _report(
+                    report(
                         index, findings, "unstable-hash", node,
                         f"call to builtin {name}()",
                     )
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             if _is_set_expression(node.iter):
-                _report(
+                report(
                     index, findings, "unordered-iter", node.iter,
                     "for-loop over a set expression",
                 )
         elif isinstance(node, ast.comprehension):
             if _is_set_expression(node.iter):
-                _report(
+                report(
                     index, findings, "unordered-iter", node.iter,
                     "comprehension over a set expression",
                 )

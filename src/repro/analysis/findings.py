@@ -11,10 +11,15 @@ still see what the analyzer knew.
 
 from __future__ import annotations
 
+import ast
 import enum
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.scopes import ModuleIndex
 
 
 class Severity(enum.Enum):
@@ -70,6 +75,33 @@ class Finding:
         data = asdict(self)
         data["severity"] = self.severity.value
         return data
+
+
+def report(
+    index: ModuleIndex,
+    findings: list[Finding],
+    rule_id: str,
+    node: ast.AST,
+    detail: str,
+) -> None:
+    """Append a finding of rule *rule_id* at *node* to *findings*."""
+    # Imported here: the rule catalogue imports Severity from this module.
+    from repro.analysis.rules import RULES
+
+    rule = RULES[rule_id]
+    findings.append(
+        Finding(
+            rule_id=rule.rule_id,
+            code=rule.code,
+            severity=rule.severity,
+            path=index.path,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            message=f"{rule.summary}: {detail}",
+            hint=rule.hint,
+            context=index.context_of(node),
+        )
+    )
 
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 ScopeNode = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -85,16 +84,6 @@ class ModuleIndex:
     def parent(self, node: ast.AST) -> ast.AST | None:
         return self.parents.get(id(node))
 
-    def enclosing_functions(self, node: ast.AST) -> list[ast.AST]:
-        """Innermost-first chain of enclosing function nodes."""
-        chain = []
-        current = self.parent(node)
-        while current is not None:
-            if isinstance(current, FunctionNode):
-                chain.append(current)
-            current = self.parent(current)
-        return chain
-
     def context_of(self, node: ast.AST) -> str:
         """Dotted outer-to-inner names of enclosing functions/classes."""
         names = []
@@ -106,14 +95,6 @@ class ModuleIndex:
                 names.append("<lambda>")
             current = self.parent(current)
         return ".".join(reversed(names))
-
-    def in_contract_context(self, node: ast.AST) -> bool:
-        if id(node) in self.contract_nodes:
-            return True
-        return any(
-            id(fn) in self.contract_nodes
-            for fn in self.enclosing_functions(node)
-        )
 
     # -- imports -------------------------------------------------------
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.findings import Finding
-from repro.analysis.rules import RULES
+from repro.analysis.findings import Finding, report
 from repro.analysis.scopes import ModuleIndex, call_name, receiver_name
 
 #: Name fragments that mark a value as confidential by convention.
@@ -176,62 +175,46 @@ class _ScopeTaint:
 
     # -- findings ------------------------------------------------------
 
-    def _report(self, rule_id: str, node: ast.AST, detail: str) -> None:
-        rule = RULES[rule_id]
-        self.findings.append(
-            Finding(
-                rule_id=rule.rule_id,
-                code=rule.code,
-                severity=rule.severity,
-                path=self.index.path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                message=f"{rule.summary}: {detail}",
-                hint=rule.hint,
-                context=self.index.context_of(node),
-            )
-        )
-
     def _check_call(self, call: ast.Call) -> None:
         name = call_name(call)
         receiver = receiver_name(call)
         arguments = list(call.args) + [kw.value for kw in call.keywords]
         tainted_args = [a for a in arguments if self.is_tainted(a, consts=True)]
 
+        sink = None
         if (
             name == "put"
             and _contains(receiver, _STATE_TOKENS)
             and not _contains(receiver, _OFFCHAIN_TOKENS)
-            and tainted_args
         ):
-            self._report("flow-to-state", call, _snippet(tainted_args[0]))
-        elif name == "print" and isinstance(call.func, ast.Name) and tainted_args:
-            self._report("flow-to-log", call, _snippet(tainted_args[0]))
-        elif (
-            name in _LOG_METHODS
-            and _contains(receiver, _LOG_RECEIVERS)
-            and tainted_args
-        ):
-            self._report("flow-to-log", call, _snippet(tainted_args[0]))
-        elif name == "send" and isinstance(call.func, ast.Attribute) and tainted_args:
-            self._report("flow-to-message", call, _snippet(tainted_args[0]))
-        elif (
-            name == "broadcast"
-            and isinstance(call.func, ast.Attribute)
-            and tainted_args
-        ):
-            self._report("plaintext-broadcast", call, _snippet(tainted_args[0]))
+            sink = "flow-to-state"
+        elif name == "print" and isinstance(call.func, ast.Name):
+            sink = "flow-to-log"
+        elif name in _LOG_METHODS and _contains(receiver, _LOG_RECEIVERS):
+            sink = "flow-to-log"
+        elif name == "send" and isinstance(call.func, ast.Attribute):
+            sink = "flow-to-message"
+        elif name == "broadcast" and isinstance(call.func, ast.Attribute):
+            sink = "plaintext-broadcast"
+        if sink and tainted_args:
+            report(self.index, self.findings, sink, call, _snippet(tainted_args[0]))
 
         # Exposure declarations and transaction metadata.
         exposure_call = name == "Exposure" or (
             name == "of" and receiver == "exposure"
         )
         if exposure_call and tainted_args:
-            self._report("flow-to-metadata", call, _snippet(tainted_args[0]))
+            report(
+                self.index, self.findings, "flow-to-metadata", call,
+                _snippet(tainted_args[0]),
+            )
         else:
             for kw in call.keywords:
                 if kw.arg == "metadata" and self.is_tainted(kw.value, consts=True):
-                    self._report("flow-to-metadata", call, _snippet(kw.value))
+                    report(
+                        self.index, self.findings, "flow-to-metadata", call,
+                        _snippet(kw.value),
+                    )
 
     def check_expr(self, node: ast.AST | None) -> None:
         if node is None:

@@ -101,10 +101,6 @@ class RequirementsError(GuideError):
     """A requirements specification was inconsistent or incomplete."""
 
 
-class DecisionError(GuideError):
-    """The decision engine could not map requirements to a mechanism."""
-
-
 class OffChainError(ReproError):
     """Base class for off-chain store failures."""
 

@@ -59,15 +59,6 @@ def _record_chaincode(contract_id: str) -> SmartContract:
 
 
 @dataclass
-class EncryptedRecord:
-    """What lands on-chain for an encrypted data class."""
-
-    nonce_hex: str
-    body_hex: str
-    tag_hex: str
-
-
-@dataclass
 class Deployment:
     """A built, design-conforming Fabric deployment.
 

@@ -9,9 +9,11 @@ batches release at service time — the backpressure the S1-S3 benchmarks
 measure, now reachable from one knob.
 
 Every run emits ``driver.*`` metrics into the platform's telemetry
-registry: ``driver.submitted`` / ``driver.committed`` / ``driver.failed``
-counters, a ``driver.batch_size`` histogram, and a ``driver.latency``
-histogram of per-transaction submit-to-commit simulated time.
+registry: a ``driver.batch_size`` histogram, a ``driver.latency``
+histogram of per-transaction submit-to-commit simulated time, and a
+``driver.last_throughput_tps`` gauge.  Outcome counts are the
+platform's own ``pipeline.submitted`` / ``pipeline.committed`` /
+``pipeline.failed`` counters, which every receipt already feeds.
 """
 
 from __future__ import annotations
@@ -170,11 +172,6 @@ class Driver:
                     chunk, force_cut=self.config.force_cut
                 )
                 for receipt in batch_receipts:
-                    metrics.counter("driver.submitted").inc()
-                    if receipt.committed:
-                        metrics.counter("driver.committed").inc()
-                    else:
-                        metrics.counter("driver.failed").inc()
                     if receipt.latency is not None:
                         metrics.histogram(
                             "driver.latency", bounds=LATENCY_BOUNDS

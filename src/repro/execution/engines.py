@@ -78,7 +78,7 @@ class ExecutionEngine:
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self.telemetry = telemetry or Telemetry()
 
-    def _count_invocation(self, contract_id: str) -> None:
+    def _count_invocation(self) -> None:
         self.telemetry.metrics.counter("exec.invocations", engine=self.name).inc()
 
     def properties(self) -> EngineProperties:
@@ -95,7 +95,55 @@ class ExecutionEngine:
         raise NotImplementedError
 
 
-class LedgerEngine(ExecutionEngine):
+class CleartextEngine(ExecutionEngine):
+    """Shared body of the ledger and off-chain engines.
+
+    The contract comes from a per-host :class:`ContractRegistry` and runs
+    in cleartext, so the host's administrator sees the code identity and
+    every key the invocation touched (criterion 3 fails for both).
+    """
+
+    def __init__(
+        self, registry: ContractRegistry, telemetry: Telemetry | None = None
+    ) -> None:
+        super().__init__(telemetry=telemetry)
+        self.registry = registry
+        self.admin_observers: dict[str, Observer] = {}
+
+    def _admin_observer(self, node: str) -> Observer:
+        if node not in self.admin_observers:
+            self.admin_observers[node] = Observer(f"admin@{node}")
+        return self.admin_observers[node]
+
+    def execute(
+        self,
+        node: str,
+        contract_id: str,
+        function: str,
+        args: dict,
+        state: WorldState,
+    ) -> ExecutionResult:
+        contract = self.registry.lookup(node, contract_id)
+        self._count_invocation()
+        view = StateView(state)
+        value = contract.invoke(function, view, args)
+        self._admin_observer(node).observe_exposure(
+            Exposure.of(
+                data_keys=set(view.reads) | set(view.writes),
+                code_ids={contract_id},
+            )
+        )
+        return ExecutionResult(
+            contract_id=contract_id,
+            version=contract.version,
+            return_value=value,
+            reads=view.reads,
+            writes=view.writes,
+            deletes=view.deletes,
+        )
+
+
+class LedgerEngine(CleartextEngine):
     """Contracts installed per node; execution happens on the peer.
 
     The node's administrator can read both the code and the cleartext data
@@ -113,9 +161,9 @@ class LedgerEngine(ExecutionEngine):
         registry: ContractRegistry | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        super().__init__(telemetry=telemetry)
-        self.registry = registry or ContractRegistry(enforce_consistency=True)
-        self.admin_observers: dict[str, Observer] = {}
+        super().__init__(
+            registry or ContractRegistry(enforce_consistency=True), telemetry
+        )
 
     def properties(self) -> EngineProperties:
         return EngineProperties(
@@ -132,41 +180,8 @@ class LedgerEngine(ExecutionEngine):
             )
         self.registry.install(node, contract)
 
-    def _admin_observer(self, node: str) -> Observer:
-        if node not in self.admin_observers:
-            self.admin_observers[node] = Observer(f"admin@{node}")
-        return self.admin_observers[node]
 
-    def execute(
-        self,
-        node: str,
-        contract_id: str,
-        function: str,
-        args: dict,
-        state: WorldState,
-    ) -> ExecutionResult:
-        contract = self.registry.lookup(node, contract_id)
-        self._count_invocation(contract_id)
-        view = StateView(state)
-        value = contract.invoke(function, view, args)
-        # The node admin sees the code identity and all cleartext keys.
-        self._admin_observer(node).observe_exposure(
-            Exposure.of(
-                data_keys=set(view.reads) | set(view.writes),
-                code_ids={contract_id},
-            )
-        )
-        return ExecutionResult(
-            contract_id=contract_id,
-            version=contract.version,
-            return_value=value,
-            reads=view.reads,
-            writes=view.writes,
-            deletes=view.deletes,
-        )
-
-
-class OffChainEngine(ExecutionEngine):
+class OffChainEngine(CleartextEngine):
     """Business logic runs outside the DLT layer (paper ref [1]).
 
     The ledger only sees read/write stubs.  Any language is accepted;
@@ -179,9 +194,7 @@ class OffChainEngine(ExecutionEngine):
     name = "offchain"
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        super().__init__(telemetry=telemetry)
-        self.registry = ContractRegistry(enforce_consistency=False)
-        self.admin_observers: dict[str, Observer] = {}
+        super().__init__(ContractRegistry(enforce_consistency=False), telemetry)
 
     def properties(self) -> EngineProperties:
         return EngineProperties(
@@ -194,38 +207,6 @@ class OffChainEngine(ExecutionEngine):
     def install(self, host: str, contract: SmartContract) -> None:
         """Any language is fine — that is the engine's selling point."""
         self.registry.install(host, contract)
-
-    def _admin_observer(self, host: str) -> Observer:
-        if host not in self.admin_observers:
-            self.admin_observers[host] = Observer(f"admin@{host}")
-        return self.admin_observers[host]
-
-    def execute(
-        self,
-        node: str,
-        contract_id: str,
-        function: str,
-        args: dict,
-        state: WorldState,
-    ) -> ExecutionResult:
-        contract = self.registry.lookup(node, contract_id)
-        self._count_invocation(contract_id)
-        view = StateView(state)
-        value = contract.invoke(function, view, args)
-        self._admin_observer(node).observe_exposure(
-            Exposure.of(
-                data_keys=set(view.reads) | set(view.writes),
-                code_ids={contract_id},
-            )
-        )
-        return ExecutionResult(
-            contract_id=contract_id,
-            version=contract.version,
-            return_value=value,
-            reads=view.reads,
-            writes=view.writes,
-            deletes=view.deletes,
-        )
 
     def detect_drift(self, hosts: list[str], contract_id: str) -> dict[str, int]:
         """Report per-host versions; the caller decides what to do.
@@ -296,9 +277,6 @@ class TEEEngine(ExecutionEngine):
     def measurement_of(self, node: str, contract_id: str) -> bytes:
         return self._measurements[(node, contract_id)]
 
-    def enclave_of(self, node: str, contract_id: str) -> Enclave:
-        return self._enclaves[(node, contract_id)]
-
     def execute(
         self,
         node: str,
@@ -312,7 +290,7 @@ class TEEEngine(ExecutionEngine):
             raise ContractError(
                 f"no enclave for contract {contract_id!r} on node {node!r}"
             )
-        self._count_invocation(contract_id)
+        self._count_invocation()
         crypto = self.telemetry.metrics
         crypto.counter("crypto.ops", mechanism="tee-session-key").inc()
         crypto.counter("crypto.ops", mechanism="tee-attestation").inc()

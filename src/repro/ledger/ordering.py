@@ -68,7 +68,57 @@ class OrderedBatch:
     sequence: int
 
 
-class OrderingService:
+class OrderingPrincipal:
+    """The Section 3.4 principal that "sees all DLT events" it orders.
+
+    Shared by the Fabric/Quorum :class:`OrderingService` and the Corda
+    notary: an observer of what it saw, the operator who runs it, and
+    availability (a crash, or an outage scheduled on the attached
+    :class:`repro.faults.FaultPlan` under the principal's name).
+    Subclasses set :attr:`kind`, the noun in the "is down" error, and
+    own their crash/recover events and durability rule.
+    """
+
+    kind = "ordering service"
+
+    def __init__(
+        self,
+        name: str,
+        clock: SimClock,
+        operator: str,
+        fault_plan: FaultPlan | None = None,
+    ) -> None:
+        self.name = name
+        self.clock = clock
+        self.operator = operator
+        self.fault_plan = fault_plan
+        self.crashed = False
+        self.observer = Observer(name)
+
+    def available(self, now: float | None = None) -> bool:
+        """Whether the service accepts work at *now* (default: clock time)."""
+        if self.crashed:
+            return False
+        if self.fault_plan is None:
+            return True
+        when = self.clock.now if now is None else now
+        return not self.fault_plan.orderer_down(self.name, when)
+
+    def require_available(self) -> None:
+        if not self.available():
+            raise OrderingError(f"{self.kind} {self.name!r} is down")
+
+    def is_member_operated(self, members: set[str]) -> bool:
+        """True if a transacting organization runs this service itself —
+        the paper's mitigation for ordering-service visibility."""
+        return self.operator in members
+
+    def knowledge(self) -> dict:
+        """What this principal has learned (for the L1 leakage audit)."""
+        return self.observer.knowledge()
+
+
+class OrderingService(OrderingPrincipal):
     """A single logical ordering service (possibly multi-channel).
 
     Fabric deployments share one ordering service across channels, which is
@@ -87,35 +137,17 @@ class OrderingService:
         fault_plan: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self.name = name
-        self.clock = clock
+        super().__init__(name, clock, operator, fault_plan)
         self.visibility = visibility
-        self.operator = operator
         self.profile = profile or OrdererProfile()
         self.durable = durable
-        self.fault_plan = fault_plan
         self.telemetry = telemetry or Telemetry(clock=clock)
-        self.crashed = False
-        self.observer = Observer(name)
         self._pending: dict[str, list[tuple[Transaction, float]]] = {}
         self._sequence = 0
         self._busy_until = 0.0
         self.total_ordered = 0
 
     # -- crash / recovery
-
-    def available(self, now: float | None = None) -> bool:
-        """Whether the service accepts work at *now* (default: clock time)."""
-        if self.crashed:
-            return False
-        if self.fault_plan is None:
-            return True
-        when = self.clock.now if now is None else now
-        return not self.fault_plan.orderer_down(self.name, when)
-
-    def require_available(self) -> None:
-        if not self.available():
-            raise OrderingError(f"ordering service {self.name!r} is down")
 
     def crash(self) -> None:
         """Take the service down.  Non-durable services lose their queues."""
@@ -247,15 +279,6 @@ class OrderingService:
         while self.pending_count(channel):
             batches.append(self.cut_batch(channel, force=force))
         return batches
-
-    def is_member_operated(self, members: set[str]) -> bool:
-        """True if a transacting organization runs this service itself —
-        the paper's mitigation for ordering-service visibility."""
-        return self.operator in members
-
-    def knowledge(self) -> dict:
-        """What this orderer has learned (for the L1 leakage audit)."""
-        return self.observer.knowledge()
 
 
 def make_private_orderer(

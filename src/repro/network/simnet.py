@@ -216,14 +216,12 @@ class SimNetwork:
         clock: SimClock | None = None,
         rng: DeterministicRNG | None = None,
         latency: LatencyModel | None = None,
-        drop_probability: float = 0.0,
         fault_plan: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.clock = clock or SimClock()
         self.rng = (rng or DeterministicRNG("simnet")).fork("net")
         self.latency = latency or LatencyModel()
-        self.drop_probability = drop_probability
         self.fault_plan = fault_plan
         self.telemetry = telemetry or Telemetry(clock=self.clock)
         self.stats = NetworkStats(self.telemetry.metrics)
@@ -356,13 +354,10 @@ class SimNetwork:
                 raise DeliveryError(f"node {endpoint!r} is down")
 
     def _loss_probability(self, sender: str, recipient: str) -> float:
-        """Combined silent-loss probability of the global and link models."""
-        link_loss = (
-            self.fault_plan.loss_probability(sender, recipient)
-            if self.fault_plan is not None
-            else 0.0
-        )
-        return 1.0 - (1.0 - self.drop_probability) * (1.0 - link_loss)
+        """Silent-loss probability of the link under the fault plan."""
+        if self.fault_plan is None:
+            return 0.0
+        return self.fault_plan.loss_probability(sender, recipient)
 
     def _record_drop(self, message: Message, cause: str, at: float) -> None:
         """Account one dropped message: counters, event log, trace span."""

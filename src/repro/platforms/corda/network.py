@@ -580,7 +580,6 @@ class CordaNetwork(Platform):
         # Corda flows are addressed to legal identities on the network map;
         # there is no credential-presentation hook, so anonymous-credential
         # identity requires rewriting the flow framework (paper: '-').
-        has_anonymous_membership = hasattr(self, "idemix_issuer")
         try:
             self.run_flow(
                 "unknown-anonymous-party",
@@ -589,13 +588,10 @@ class CordaNetwork(Platform):
             flow_accepts_anonymous = True
         except MembershipError:
             flow_accepts_anonymous = False
-        level = (
-            SupportLevel.NATIVE
-            if has_anonymous_membership or flow_accepts_anonymous
-            else SupportLevel.REWRITE
-        )
         return self._result(
-            Mechanism.ZKP_OF_IDENTITY, level,
+            Mechanism.ZKP_OF_IDENTITY,
+            SupportLevel.NATIVE if flow_accepts_anonymous
+            else SupportLevel.REWRITE,
             "flows require onboarded legal identities; no ZKP credential "
             "hook exists in the session layer",
         )
@@ -631,12 +627,9 @@ class CordaNetwork(Platform):
         )
         self.run_flow(alice, wire)
         verified = store.verify_anchor("kyc-file", anchor, alice)
-        native_api = hasattr(self, "create_collection")
         return self._result(
             Mechanism.OFF_CHAIN_PEER_DATA,
-            SupportLevel.NATIVE if native_api
-            else SupportLevel.IMPLEMENTABLE if verified
-            else SupportLevel.REWRITE,
+            SupportLevel.IMPLEMENTABLE if verified else SupportLevel.REWRITE,
             "no native private-data collections; applications anchor "
             "hashes in states and host payloads themselves",
         )
@@ -713,10 +706,9 @@ class CordaNetwork(Platform):
     def _probe_trusted_execution_environment(self) -> ProbeResult:
         # R3's SGX integration is a design document (paper ref [17]); the
         # released platform has no enclave path.
-        flow_uses_enclave = False
         return self._result(
             Mechanism.TRUSTED_EXECUTION_ENVIRONMENT,
-            SupportLevel.NATIVE if flow_uses_enclave else SupportLevel.REWRITE,
+            SupportLevel.REWRITE,
             "SGX integration exists only as a design doc (ref [17]); "
             "verification inside enclaves requires rewriting the node",
             exercised=False,

@@ -14,19 +14,14 @@ events" *for validating notaries*):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.clock import SimClock
-from repro.common.errors import (
-    DoubleSpendError,
-    OrderingError,
-    ProofError,
-    ValidationError,
-)
-from repro.crypto.signatures import PrivateKey, Signature, SignatureScheme
+from repro.common.errors import DoubleSpendError, ProofError, ValidationError
+from repro.crypto.signatures import Signature, SignatureScheme
+from repro.ledger.ordering import OrderingPrincipal
 from repro.network.messages import Exposure
-from repro.network.simnet import Observer
 from repro.platforms.corda.states import StateRef
 from repro.platforms.corda.transactions import (
     ComponentGroup,
@@ -45,8 +40,10 @@ class NotarisationReceipt:
     signature: Signature
 
 
-class Notary:
+class Notary(OrderingPrincipal):
     """A (cluster of) uniqueness service(s) with a spent-ref map."""
+
+    kind = "notary"
 
     def __init__(
         self,
@@ -59,35 +56,18 @@ class Notary:
         capacity_tps: float = 500.0,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self.name = name
+        super().__init__(name, clock, operator)
         self.scheme = scheme
-        self.clock = clock
         self.telemetry = telemetry or Telemetry(clock=clock)
         self.validating = validating
-        self.operator = operator
         self.contract_verifier = contract_verifier
         self.capacity_tps = capacity_tps
-        self.crashed = False
-        self.fault_plan = None
-        self.observer = Observer(name)
         self.key = scheme.keygen_from_seed("notary:" + name)
         self._spent: dict[StateRef, str] = {}
         self._busy_until = 0.0
         self.total_notarised = 0
 
-    # -- crash / recovery (mirrors OrderingService)
-
-    def available(self, now: float | None = None) -> bool:
-        if self.crashed:
-            return False
-        if self.fault_plan is None:
-            return True
-        when = self.clock.now if now is None else now
-        return not self.fault_plan.orderer_down(self.name, when)
-
-    def require_available(self) -> None:
-        if not self.available():
-            raise OrderingError(f"notary {self.name!r} is down")
+    # -- crash / recovery
 
     def crash(self) -> None:
         """Take the notary down.  The spent-ref map is durable: losing it
@@ -109,10 +89,23 @@ class Notary:
         for ref in refs:
             self._spent[ref] = tx_id
 
-    def _service_delay(self) -> float:
-        start = max(self._busy_until, self.clock.now)
-        self._busy_until = start + 1.0 / self.capacity_tps
-        return self._busy_until
+    def _release(
+        self, mode: str, tx_id: str, inputs: int, payload: bytes
+    ) -> NotarisationReceipt:
+        """Count, charge service time and sign: the tail of both paths."""
+        self.total_notarised += 1
+        started = self.clock.now
+        self._busy_until = max(self._busy_until, started) + 1.0 / self.capacity_tps
+        self.telemetry.metrics.counter("notary.notarised", mode=mode).inc()
+        self.telemetry.tracer.record_span(
+            "notary.notarise", start=started, end=self._busy_until,
+            mode=mode, inputs=inputs,
+        )
+        return NotarisationReceipt(
+            tx_id=tx_id,
+            notary=self.name,
+            signature=self.scheme.sign(self.key, payload),
+        )
 
     def notarise_full(self, stx: SignedTransaction) -> NotarisationReceipt:
         """Validating path: full visibility, contract re-verification."""
@@ -134,18 +127,8 @@ class Notary:
         if self.contract_verifier is not None:
             self.contract_verifier(wire)
         self._consume(list(wire.inputs), wire.tx_id)
-        self.total_notarised += 1
-        started = self.clock.now
-        released = self._service_delay()
-        self.telemetry.metrics.counter("notary.notarised", mode="full").inc()
-        self.telemetry.tracer.record_span(
-            "notary.notarise", start=started, end=released,
-            mode="full", inputs=len(wire.inputs),
-        )
-        return NotarisationReceipt(
-            tx_id=wire.tx_id,
-            notary=self.name,
-            signature=self.scheme.sign(self.key, wire.signing_payload()),
+        return self._release(
+            "full", wire.tx_id, len(wire.inputs), wire.signing_payload()
         )
 
     def notarise_filtered(self, ftx: FilteredTransaction) -> NotarisationReceipt:
@@ -162,26 +145,9 @@ class Notary:
         # The notary learns only opaque references — no identities, no data.
         self.observer.observe_exposure(Exposure())
         self._consume(refs, ftx.tx_id)
-        self.total_notarised += 1
-        started = self.clock.now
-        released = self._service_delay()
-        self.telemetry.metrics.counter("notary.notarised", mode="filtered").inc()
-        self.telemetry.tracer.record_span(
-            "notary.notarise", start=started, end=released,
-            mode="filtered", inputs=len(refs),
-        )
-        return NotarisationReceipt(
-            tx_id=ftx.tx_id,
-            notary=self.name,
-            signature=self.scheme.sign(self.key, ftx.signing_payload()),
+        return self._release(
+            "filtered", ftx.tx_id, len(refs), ftx.signing_payload()
         )
 
     def is_spent(self, ref: StateRef) -> bool:
         return ref in self._spent
-
-    def is_member_operated(self, members: set[str]) -> bool:
-        """Whether a transacting party runs this notary (private sequencing)."""
-        return self.operator in members
-
-    def knowledge(self) -> dict:
-        return self.observer.knowledge()

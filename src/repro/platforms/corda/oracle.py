@@ -87,7 +87,3 @@ class Oracle:
             fact_name=fact_name,
             signature=self.scheme.sign(self.key, ftx.signing_payload()),
         )
-
-    def saw_component_count(self) -> int:
-        """How many events the oracle handled (for disclosure assertions)."""
-        return self.observer.messages_observed

@@ -9,9 +9,6 @@ transaction; the notary tracks which refs are spent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
-from repro.common.ids import content_id
 
 
 @dataclass(frozen=True)
@@ -38,14 +35,6 @@ class ContractState:
     participants: tuple[str, ...]
     data: dict = field(default_factory=dict)
     owner_key_y: int | None = None
-
-    def state_id(self) -> str:
-        return content_id("state", {
-            "contract_id": self.contract_id,
-            "participants": list(self.participants),
-            "data": self.data,
-            "owner_key_y": self.owner_key_y,
-        })
 
 
 @dataclass(frozen=True)

@@ -52,17 +52,6 @@ class Vault:
                 if self.owner in state.participants and ref not in consumed:
                     self.unconsumed[ref] = state
 
-    def states_of_contract(self, contract_id: str) -> list[tuple[StateRef, ContractState]]:
-        """Unconsumed states for one contract, sorted for determinism."""
-        return sorted(
-            (
-                (ref, state)
-                for ref, state in self.unconsumed.items()
-                if state.contract_id == contract_id
-            ),
-            key=lambda pair: (pair[0].tx_id, pair[0].index),
-        )
-
     def state_at(self, ref: StateRef) -> ContractState:
         if ref not in self.unconsumed:
             raise StateError(f"{self.owner!r} holds no unconsumed state {ref}")

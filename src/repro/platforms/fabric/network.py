@@ -889,14 +889,10 @@ class FabricNetwork(Platform):
         tree = MerkleTree(["amount:100", "price:42", "secret-margin:7"])
         tear_off = tree.tear_off({0, 1})
         works_in_library = tear_off.verify(tree.root)
-        native_api = hasattr(self, "filtered_transaction")
-        level = (
-            SupportLevel.NATIVE if native_api
-            else SupportLevel.IMPLEMENTABLE if works_in_library
-            else SupportLevel.REWRITE
-        )
         return self._result(
-            Mechanism.MERKLE_TEAR_OFFS, level,
+            Mechanism.MERKLE_TEAR_OFFS,
+            SupportLevel.IMPLEMENTABLE if works_in_library
+            else SupportLevel.REWRITE,
             "no native filtered-transaction API; applications can embed "
             "library Merkle roots in values and share tear-offs off-band",
         )

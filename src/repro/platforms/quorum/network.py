@@ -237,18 +237,34 @@ class QuorumNetwork(Platform):
                 state.delete(key)
         return value, view
 
-    def send_public_transaction(
-        self, sender: str, contract_id: str, function: str, args: dict
-    ) -> QuorumTxResult:
-        """A normal Ethereum-style transaction: everyone sees everything."""
+    def _check_sender(self, sender: str) -> None:
+        """Refuse a transaction before any state mutation, so a failed one
+        can be retried after recovery without double-applying its writes."""
         if sender not in self.parties:
             raise MembershipError(f"{sender!r} is not onboarded")
         self.authenticate(sender)
         if self.network.is_crashed(sender):
             raise DeliveryError(f"node {sender!r} is down")
-        # Checked before any state mutation so a failed transaction can be
-        # retried after recovery without double-applying its writes.
         self.sequencer.require_available()
+
+    def _order(self, sender: str, tx: Transaction, exposure: Exposure) -> None:
+        """Gossip *tx*, order it in a batch of its own, and append it to
+        the public chain; every live party has then applied that height."""
+        with self.telemetry.span("quorum.order"):
+            self.network.broadcast(
+                sender, f"{tx.metadata['kind']}-tx", {"tx_id": tx.tx_id},
+                exposure=exposure, recipients=self._broadcast_targets(sender),
+            )
+            self.sequencer.submit(tx)
+            self.sequencer.cut_batch("quorum-public", force=True)
+            self.chain.append([tx], self.clock.now)
+        self._mark_applied(self._live_parties(), self.chain.height)
+
+    def send_public_transaction(
+        self, sender: str, contract_id: str, function: str, args: dict
+    ) -> QuorumTxResult:
+        """A normal Ethereum-style transaction: everyone sees everything."""
+        self._check_sender(sender)
         with self.telemetry.span(
             "quorum.public_tx", sender=sender, contract=contract_id
         ):
@@ -279,15 +295,7 @@ class QuorumNetwork(Platform):
                 data_keys=set(view.writes) | set(view.reads),
                 code_ids={contract_id},
             )
-            with self.telemetry.span("quorum.order"):
-                self.network.broadcast(
-                    sender, "public-tx", {"tx_id": tx.tx_id}, exposure=exposure,
-                    recipients=self._broadcast_targets(sender),
-                )
-                self.sequencer.submit(tx)
-                self.sequencer.cut_batch("quorum-public", force=True)
-                self.chain.append([tx], self.clock.now)
-            self._mark_applied(live, self.chain.height)
+            self._order(sender, tx, exposure)
         return QuorumTxResult(
             tx=tx, payload_hash=None,
             participants=sorted(self.parties), return_values=return_values,
@@ -314,12 +322,7 @@ class QuorumNetwork(Platform):
         fast with a typed refusal *before* any state mutation, so a
         retry after heal cannot double-apply.
         """
-        if sender not in self.parties:
-            raise MembershipError(f"{sender!r} is not onboarded")
-        self.authenticate(sender)
-        if self.network.is_crashed(sender):
-            raise DeliveryError(f"node {sender!r} is down")
-        self.sequencer.require_available()
+        self._check_sender(sender)
         participants = sorted(set(private_for) | {sender})
         recipients = [p for p in participants if p != sender]
         unavailable = [
@@ -377,17 +380,7 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "private", "participants": participants},
                 timestamp=self.clock.now,
             )
-            leak_exposure = Exposure.of(identities=set(participants))
-            with self.telemetry.span("quorum.order"):
-                self.network.broadcast(
-                    sender, "private-tx", {"tx_id": tx.tx_id},
-                    exposure=leak_exposure,
-                    recipients=self._broadcast_targets(sender),
-                )
-                self.sequencer.submit(tx)
-                self.sequencer.cut_batch("quorum-public", force=True)
-                self.chain.append([tx], self.clock.now)
-            self._mark_applied(self._live_parties(), self.chain.height)
+            self._order(sender, tx, Exposure.of(identities=set(participants)))
             for participant in unavailable:
                 self._redelivery_queue.append(
                     PendingRedelivery(
@@ -873,10 +866,9 @@ class QuorumNetwork(Platform):
     def _probe_zkp_of_identity(self) -> ProbeResult:
         # Node-level permissioning with known identities; no anonymous
         # credential layer exists in the protocol: '-'.
-        has_credential_hook = hasattr(self, "idemix_issuer")
         return self._result(
             Mechanism.ZKP_OF_IDENTITY,
-            SupportLevel.NATIVE if has_credential_hook else SupportLevel.REWRITE,
+            SupportLevel.REWRITE,
             "the permissioned node list is identity-based; anonymous "
             "credentials would require rewriting the membership layer",
             exercised=False,
@@ -949,14 +941,10 @@ class QuorumNetwork(Platform):
         )
         resolved = self.managers["probe-n2"].resolve(result.payload_hash)
         all_or_nothing = set(resolved) == {"contract", "function", "args"}
-        has_filtered_api = hasattr(result.tx, "filtered")
-        level = (
-            SupportLevel.NATIVE if has_filtered_api
-            else SupportLevel.REWRITE if all_or_nothing
-            else SupportLevel.IMPLEMENTABLE
-        )
         return self._result(
-            Mechanism.MERKLE_TEAR_OFFS, level,
+            Mechanism.MERKLE_TEAR_OFFS,
+            SupportLevel.REWRITE if all_or_nothing
+            else SupportLevel.IMPLEMENTABLE,
             "payload recipients receive the full transaction payload; no "
             "partial-visibility structure exists to tear off",
         )
@@ -982,10 +970,9 @@ class QuorumNetwork(Platform):
     def _probe_off_chain_execution_engine(self) -> ProbeResult:
         # EVM execution is the state-transition function of the chain
         # itself; moving it off-chain breaks consensus: '-'.
-        execution_separable = False
         return self._result(
             Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
-            SupportLevel.NATIVE if execution_separable else SupportLevel.REWRITE,
+            SupportLevel.REWRITE,
             "EVM execution *is* the consensus state-transition function; "
             "an external engine would fork every node's state",
             exercised=False,

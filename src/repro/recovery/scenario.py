@@ -134,8 +134,8 @@ def _run_fabric(seed: str) -> RecoveryScenarioResult:
     wf.issue(LOC_ID)
     wf.ship(LOC_ID)
 
-    wf.checkpoint("SellerCo")
-    wf.crash("SellerCo")
+    net.checkpoint_node("SellerCo")
+    net.crash("SellerCo")
 
     # A side channel the crashed party is not a member of: its traffic and
     # state must stay invisible to SellerCo through recovery.
@@ -158,7 +158,7 @@ def _run_fabric(seed: str) -> RecoveryScenarioResult:
     # Business continues: the two live endorsers satisfy the 2-of-3 policy.
     wf.pay(LOC_ID)
 
-    checkpoint = wf.recover("SellerCo")
+    checkpoint = net.recover("SellerCo")
     net.network.run()
 
     report = audit_convergence(net)
@@ -203,8 +203,8 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
     wf.apply_for_credit(LOC_ID, amount=100_000, buyer_passport="P-R-43")
     wf.advance("IssuingBank", LOC_ID)  # -> issued
 
-    wf.checkpoint("BuyerCo")
-    wf.crash("BuyerCo")
+    net.checkpoint_node("BuyerCo")
+    net.crash("BuyerCo")
 
     # A two-party trade the crashed node is not entitled to: catch-up must
     # not re-ship this chain to BuyerCo.
@@ -223,7 +223,7 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
     )
     net.run_flow("SellerCo", side_wire)
 
-    checkpoint = wf.recover("BuyerCo")
+    checkpoint = net.recover("BuyerCo")
 
     wf.advance("SellerCo", LOC_ID)      # -> shipped
     wf.advance("IssuingBank", LOC_ID)   # -> paid
@@ -269,8 +269,8 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
 
     wf.apply_for_credit(LOC_ID, amount=100_000)  # applied
 
-    wf.checkpoint("SellerCo")
-    wf.crash("SellerCo")
+    net.checkpoint_node("SellerCo")
+    net.crash("SellerCo")
 
     # Advance while SellerCo is down: the resilient txmanager queues the
     # payload for redelivery instead of failing the whole transaction.
@@ -293,8 +293,8 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
         private_for=["IssuingBank"],
     )
 
-    checkpoint = wf.recover("SellerCo")
-    wf.redeliver_pending()
+    checkpoint = net.recover("SellerCo")
+    net.redeliver_pending()
 
     wf.advance("SellerCo", LOC_ID)      # -> shipped
     wf.advance("IssuingBank", LOC_ID)   # -> paid

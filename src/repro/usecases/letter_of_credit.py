@@ -182,8 +182,6 @@ class LetterOfCreditWorkflow:
         if not self._initialized:
             raise RuntimeError("call setup() first")
 
-    # -- crash recovery passthroughs
-
     def live_endorsers(self) -> list[str]:
         """Channel members whose peers are currently up."""
         channel = self.network.channel(self.channel_name)
@@ -191,15 +189,6 @@ class LetterOfCreditWorkflow:
             m for m in sorted(channel.members)
             if not self.network.network.is_crashed(m)
         ]
-
-    def checkpoint(self, org: str):
-        return self.network.checkpoint_node(org)
-
-    def crash(self, org: str) -> None:
-        self.network.crash(org)
-
-    def recover(self, org: str):
-        return self.network.recover(org)
 
     def apply_for_credit(
         self, loc_id: str, amount: int, buyer_passport: str

@@ -106,17 +106,6 @@ class CordaLetterOfCredit:
         self._tips[loc_id] = result.output_refs[0]
         return TRANSITIONS[status]
 
-    # -- crash recovery passthroughs
-
-    def checkpoint(self, org: str):
-        return self.network.checkpoint_node(org)
-
-    def crash(self, org: str) -> None:
-        self.network.crash(org)
-
-    def recover(self, org: str):
-        return self.network.recover(org)
-
     def run_full_lifecycle(self, loc_id: str = "LC-C-001") -> str:
         self.apply_for_credit(loc_id, amount=250_000, buyer_passport="P-C-1")
         self.advance("IssuingBank", loc_id)
@@ -186,25 +175,17 @@ class QuorumLetterOfCredit:
         )
 
     def advance(self, actor: str, loc_id: str):
+        """Move the letter one stage on; refused before anything is sent
+        once *actor*'s private state shows it terminal."""
         self._require_setup()
+        state = self.network.private_states.get(actor)
+        loc = None if state is None else state.get_or(f"loc/{loc_id}")
+        if loc is not None and loc["status"] not in TRANSITIONS:
+            raise PlatformError(f"letter of credit already {loc['status']!r}")
         return self.network.send_private_transaction(
             actor, "loc-evm", "advance", {"loc_id": loc_id},
             private_for=[p for p in PARTIES if p != actor],
         )
-
-    # -- crash recovery passthroughs
-
-    def checkpoint(self, org: str):
-        return self.network.checkpoint_node(org)
-
-    def crash(self, org: str) -> None:
-        self.network.crash(org)
-
-    def recover(self, org: str):
-        return self.network.recover(org)
-
-    def redeliver_pending(self) -> int:
-        return self.network.redeliver_pending()
 
     def run_full_lifecycle(self, loc_id: str = "LC-Q-001") -> str:
         self.apply_for_credit(loc_id, amount=250_000)

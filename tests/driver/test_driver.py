@@ -54,8 +54,8 @@ class TestRun:
             scenario.requests
         )
         snapshot = scenario.platform.telemetry.metrics.snapshot()
-        assert snapshot["counters"]["driver.submitted"] == 5
-        assert snapshot["counters"]["driver.committed"] == 5
+        assert snapshot["counters"]["pipeline.submitted{platform=corda}"] == 5
+        assert snapshot["counters"]["pipeline.committed{platform=corda}"] == 5
         assert snapshot["histograms"]["driver.batch_size"]["count"] == 3
         assert snapshot["histograms"]["driver.latency"]["count"] == 5
         assert snapshot["gauges"]["driver.last_throughput_tps"] > 0

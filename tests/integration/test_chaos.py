@@ -176,7 +176,7 @@ class TestQuorumChaos:
 
     def test_silent_loss_does_not_corrupt_lifecycle(self):
         wf = quorum_workflow()
-        wf.network.network.drop_probability = 0.5
+        wf.network.inject_faults(FaultPlan().set_default_loss(0.5))
         assert wf.run_full_lifecycle("LC-Q3") == "paid"
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q3", party) == "paid"

@@ -150,7 +150,10 @@ class TestFaults:
         assert len(net.node("B").inbox) == 1
 
     def test_message_drops(self):
-        net = SimNetwork(rng=DeterministicRNG("drops"), drop_probability=1.0)
+        net = SimNetwork(
+            rng=DeterministicRNG("drops"),
+            fault_plan=FaultPlan().set_default_loss(1.0),
+        )
         net.add_node("A")
         net.add_node("B")
         net.send("A", "B", "ping", {})
@@ -159,7 +162,10 @@ class TestFaults:
         assert net.stats.messages_dropped == 1
 
     def test_partial_drop_rate(self):
-        net = SimNetwork(rng=DeterministicRNG("drops2"), drop_probability=0.5)
+        net = SimNetwork(
+            rng=DeterministicRNG("drops2"),
+            fault_plan=FaultPlan().set_default_loss(0.5),
+        )
         net.add_node("A")
         net.add_node("B")
         for __ in range(200):
@@ -198,11 +204,14 @@ class TestPartitionTiming:
         assert len(net.node("B").inbox) == 1
 
     def test_drop_vs_partition_stats_are_distinct(self):
-        net = SimNetwork(rng=DeterministicRNG("attrib"), drop_probability=1.0)
+        net = SimNetwork(
+            rng=DeterministicRNG("attrib"),
+            fault_plan=FaultPlan().set_default_loss(1.0),
+        )
         net.add_node("A")
         net.add_node("B")
         net.send("A", "B", "lost", {})  # probabilistic loss at send time
-        net.drop_probability = 0.0
+        net.fault_plan.set_default_loss(0.0)
         net.send("A", "B", "cut", {})
         net.partition("A", "B")  # partition drop at delivery time
         net.run()
@@ -299,7 +308,10 @@ class TestResilientDelivery:
         assert net.stats.retries == 2
 
     def test_silent_loss_surfaces_as_timeout(self):
-        net = SimNetwork(rng=DeterministicRNG("lossy"), drop_probability=1.0)
+        net = SimNetwork(
+            rng=DeterministicRNG("lossy"),
+            fault_plan=FaultPlan().set_default_loss(1.0),
+        )
         net.add_node("A")
         net.add_node("B")
         with pytest.raises(DeliveryTimeout):

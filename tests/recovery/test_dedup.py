@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.common.rng import DeterministicRNG
+from repro.faults.plan import FaultPlan
 from repro.network.simnet import SimNetwork
 from repro.recovery.catchup import catchup_dedup_key, pick_provider
 
@@ -46,7 +47,7 @@ class TestMessageDedup:
 
     def test_retry_attempts_share_one_key(self, net):
         """send_with_retry retransmissions deduplicate at the recipient."""
-        net.drop_probability = 0.4
+        net.fault_plan = FaultPlan().set_default_loss(0.4)
         net.node("B").on(
             "ack-me",
             lambda m: net.send("B", "A", "ack", {}, dedup_key=None),

@@ -114,6 +114,16 @@ class TestQuorumVariant:
         for party in PARTIES:
             assert quorum_loc.network.verify_private_state(party)
 
+    def test_terminal_state_refused_before_any_send(self, quorum_loc):
+        quorum_loc.run_full_lifecycle("LC-Q-105")
+        stats = quorum_loc.network.network.stats
+        sent = stats.messages_sent
+        height = quorum_loc.network.chain.height
+        with pytest.raises(PlatformError, match="already 'paid'"):
+            quorum_loc.advance("IssuingBank", "LC-Q-105")
+        assert stats.messages_sent == sent
+        assert quorum_loc.network.chain.height == height
+
 
 class TestCrossPlatformAgreement:
     def test_same_terminal_status_everywhere(self, corda_loc, quorum_loc):
