@@ -1,4 +1,4 @@
-"""Experiment R1 — recovery cost: checkpoint writes and catch-up depth.
+"""Experiment RC1 — recovery cost: checkpoint writes and catch-up depth.
 
 Two measurements on the Fabric simulation (the platform with the richest
 per-channel state), mirroring FI1's zero-overhead discipline:
@@ -59,9 +59,9 @@ def counters(net: FabricNetwork) -> dict:
     return net.telemetry.metrics.snapshot()["counters"]
 
 
-def test_r1_recovery_overhead():
-    lines = ["R1: recovery overhead — checkpoint cost and catch-up depth"]
-    data: dict = {"experiment": "r1_recovery"}
+def test_rc1_recovery_overhead():
+    lines = ["RC1: recovery overhead — checkpoint cost and catch-up depth"]
+    data: dict = {"experiment": "rc1_recovery"}
 
     # -- 1. checkpoint cost vs state size
     lines.append("\n  checkpoint cost vs channel state size (one node):")
@@ -116,7 +116,7 @@ def test_r1_recovery_overhead():
     assert catchup_rows[-1]["shipped"] > catchup_rows[0]["shipped"]
 
     write_result(
-        "r1_recovery",
+        "rc1_recovery",
         "\n".join(lines),
         data=data,
     )

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, then the strict self-lint.
+# Repo health gate: tier-1 tests, the chaos suite, the perf-harness smoke run,
+# then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -32,6 +33,19 @@ python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /de
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null
 python -m repro lint --strict src/repro/driver
+
+echo
+echo "== perf harness smoke (perfbench oracle correct, no failed operations) =="
+for workload in kv loc; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 \
+        | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read().splitlines()[-1])
+print("perfbench {}: correct={} failed={}".format(
+    sys.argv[1], result["correct"], result["failed"]))
+sys.exit(0 if result["correct"] and result["failed"] == 0 else 1)
+' "$workload"
+done
 
 echo
 echo "== strict self-lint (src/repro + examples) =="

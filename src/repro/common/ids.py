@@ -15,9 +15,12 @@ from repro.common.serialization import canonical_bytes
 
 def content_id(kind: str, value: Any, length: int = 16) -> str:
     """Return ``kind:hex`` where hex digests the canonical form of *value*."""
-    digest = hashlib.sha256(
-        kind.encode("utf-8") + b"\x00" + canonical_bytes(value)
-    ).hexdigest()
+    return encoded_id(kind, canonical_bytes(value), length)
+
+
+def encoded_id(kind: str, encoded: bytes, length: int = 16) -> str:
+    """:func:`content_id` of a value whose canonical bytes are *encoded*."""
+    digest = hashlib.sha256(kind.encode("utf-8") + b"\x00" + encoded).hexdigest()
     return f"{kind}:{digest[:length]}"
 
 

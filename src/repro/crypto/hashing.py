@@ -8,6 +8,7 @@ separation practice of production ledger codebases.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from typing import Any
@@ -16,16 +17,29 @@ from repro.common.serialization import canonical_bytes
 
 DIGEST_SIZE = 32
 
+#: How many distinct tags keep a precomputed prefix state.  The library
+#: uses a few dozen literal tags; the bound keeps callers that invent
+#: tags at run time from growing the cache without limit.
+TAG_PREFIX_CACHE_SIZE = 256
+
 
 def sha256(data: bytes) -> bytes:
     """Plain SHA-256 of *data*."""
     return hashlib.sha256(data).digest()
 
 
+@functools.lru_cache(maxsize=TAG_PREFIX_CACHE_SIZE)
+def _tag_prefix(tag: str):
+    """SHA-256 state that has absorbed ``H(tag)||H(tag)``; copy before use."""
+    tag_digest = hashlib.sha256(tag.encode("utf-8")).digest()
+    return hashlib.sha256(tag_digest + tag_digest)
+
+
 def tagged_hash(tag: str, data: bytes) -> bytes:
     """SHA-256 with BIP-340-style tag separation: H(H(tag)||H(tag)||data)."""
-    tag_digest = hashlib.sha256(tag.encode("utf-8")).digest()
-    return hashlib.sha256(tag_digest + tag_digest + data).digest()
+    state = _tag_prefix(tag).copy()
+    state.update(data)
+    return state.digest()
 
 
 def hash_value(tag: str, value: Any) -> bytes:

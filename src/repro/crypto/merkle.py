@@ -39,21 +39,20 @@ def _node_digest(left: bytes, right: bytes) -> bytes:
     return tagged_hash(_NODE_TAG, left + right)
 
 
-def _empty_digest() -> bytes:
-    return tagged_hash(_EMPTY_TAG, b"")
+_EMPTY_DIGEST = tagged_hash(_EMPTY_TAG, b"")
 
 
 def _build_levels(leaves: list[bytes]) -> list[list[bytes]]:
     """All levels bottom-up; odd nodes are paired with the empty digest."""
     if not leaves:
-        return [[_empty_digest()]]
+        return [[_EMPTY_DIGEST]]
     levels = [list(leaves)]
     while len(levels[-1]) > 1:
         current = levels[-1]
         parents = []
         for i in range(0, len(current), 2):
             left = current[i]
-            right = current[i + 1] if i + 1 < len(current) else _empty_digest()
+            right = current[i + 1] if i + 1 < len(current) else _EMPTY_DIGEST
             parents.append(_node_digest(left, right))
         levels.append(parents)
     return levels
@@ -167,7 +166,7 @@ class MerkleTree:
             if sibling_index < len(level):
                 path.append(level[sibling_index])
             else:
-                path.append(_empty_digest())
+                path.append(_EMPTY_DIGEST)
             position //= 2
         return InclusionProof(
             leaf_index=index, leaf_count=len(self._values), path=tuple(path)

@@ -11,9 +11,10 @@ measure, now reachable from one knob.
 Every run emits ``driver.*`` metrics into the platform's telemetry
 registry: a ``driver.batch_size`` histogram, a ``driver.latency``
 histogram of per-transaction submit-to-commit simulated time, and a
-``driver.last_throughput_tps`` gauge.  Outcome counts are the
-platform's own ``pipeline.submitted`` / ``pipeline.committed`` /
-``pipeline.failed`` counters, which every receipt already feeds.
+``driver.last_throughput_tps`` gauge, left unset by a run that took no
+simulated time.  Outcome counts are the platform's own
+``pipeline.submitted`` / ``pipeline.committed`` / ``pipeline.failed``
+counters, which every receipt already feeds.
 """
 
 from __future__ import annotations
@@ -74,10 +75,13 @@ class DriverReport:
         return self.finished_at - self.started_at
 
     @property
-    def throughput_tps(self) -> float:
-        """Committed transactions per simulated second."""
+    def throughput_tps(self) -> float | None:
+        """Committed transactions per simulated second.
+
+        ``None`` when no simulated time passed: there is no rate to report.
+        """
         if self.duration <= 0.0:
-            return float(self.committed)
+            return None
         return self.committed / self.duration
 
     @property
@@ -99,6 +103,7 @@ class DriverReport:
 
     def to_dict(self) -> dict:
         """JSON shape for ``repro bench --json`` and benchmark results."""
+        tps = self.throughput_tps
         return {
             "platform": self.platform,
             "batch_size": self.config.batch_size,
@@ -107,13 +112,14 @@ class DriverReport:
             "committed": self.committed,
             "failed": self.failed,
             "duration_s": round(self.duration, 6),
-            "throughput_tps": round(self.throughput_tps, 3),
+            "throughput_tps": None if tps is None else round(tps, 3),
             "mean_latency_s": round(self.mean_latency, 6),
             "statuses": self.status_counts(),
             "cache_stats": self.cache_stats,
         }
 
     def render_text(self) -> str:
+        tps = self.throughput_tps
         lines = [
             f"driver run on {self.platform} "
             f"(batch={self.config.batch_size}, "
@@ -122,7 +128,8 @@ class DriverReport:
             f"  committed     {self.committed}",
             f"  failed        {self.failed}",
             f"  sim duration  {self.duration:.3f}s",
-            f"  throughput    {self.throughput_tps:.1f} tx/s",
+            "  throughput    "
+            + ("n/a" if tps is None else f"{tps:.1f} tx/s"),
             f"  mean latency  {self.mean_latency * 1000.0:.1f} ms",
         ]
         for status, count in self.status_counts().items():
@@ -186,7 +193,7 @@ class Driver:
             finished_at=finished_at,
             cache_stats=self.platform.crypto_cache_stats(),
         )
-        metrics.gauge("driver.last_throughput_tps").set(
-            round(report.throughput_tps, 3)
-        )
+        tps = report.throughput_tps
+        if tps is not None:
+            metrics.gauge("driver.last_throughput_tps").set(round(tps, 3))
         return report

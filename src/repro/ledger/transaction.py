@@ -9,12 +9,13 @@ this with their own semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
-from repro.common.ids import content_id
+from repro.common.ids import encoded_id
 from repro.common.serialization import canonical_bytes
-from repro.crypto.hashing import hash_hex
+from repro.crypto.hashing import tagged_hash
 from repro.crypto.signatures import Signature
 
 
@@ -53,6 +54,14 @@ class Transaction:
     torn-off data.  ``metadata`` carries platform extensions (e.g. the
     Quorum participant list — which is itself a privacy leak the paper
     calls out, so it lives in plain sight here deliberately).
+
+    A transaction is immutable once built: nothing changes its fields, or
+    the dicts they hold, after construction.  Its canonical core bytes
+    are therefore encoded once per object, and ``signing_bytes()``,
+    ``tx_id`` and ``content_hash()`` all derive from them.  Derived
+    copies go through :func:`dataclasses.replace` (which encodes afresh)
+    or :meth:`with_endorsements` (which reuses the bytes, because
+    endorsements are not part of the core content).
     """
 
     channel: str
@@ -76,27 +85,29 @@ class Transaction:
             "timestamp": self.timestamp,
         }
 
-    def signing_bytes(self) -> bytes:
-        """Canonical bytes an endorser signs."""
+    @cached_property
+    def _core_bytes(self) -> bytes:
         return canonical_bytes(self.core_content())
 
-    @property
+    def signing_bytes(self) -> bytes:
+        """Canonical bytes an endorser signs."""
+        return self._core_bytes
+
+    @cached_property
     def tx_id(self) -> str:
-        return content_id("tx", self.core_content())
+        return encoded_id("tx", self._core_bytes)
 
     def with_endorsements(self, endorsements: list[Endorsement]) -> "Transaction":
         """Return a copy carrying the given endorsements."""
-        return Transaction(
-            channel=self.channel,
-            submitter=self.submitter,
-            reads=self.reads,
-            writes=self.writes,
+        endorsed = replace(
+            self,
             endorsements=tuple(endorsements),
             private_hashes=dict(self.private_hashes),
             metadata=dict(self.metadata),
-            timestamp=self.timestamp,
         )
+        vars(endorsed)["_core_bytes"] = self._core_bytes
+        return endorsed
 
     def content_hash(self) -> str:
         """Hex digest of the endorsed content (used for hash-only records)."""
-        return hash_hex("repro/tx", self.core_content())
+        return tagged_hash("repro/tx", self._core_bytes).hex()

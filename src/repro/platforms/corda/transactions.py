@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.common.errors import ProofError, ValidationError
@@ -33,7 +34,13 @@ class ComponentGroup(enum.Enum):
 
 @dataclass(frozen=True)
 class WireTransaction:
-    """A full Corda transaction as built by the initiating flow."""
+    """A full Corda transaction as built by the initiating flow.
+
+    Immutable once built: nothing changes its components, or the dicts
+    in its states and commands, after construction.  Its Merkle tree is
+    therefore built once per object, and ``tx_id``, ``signing_payload()``
+    and ``filtered()`` all read that one tree.
+    """
 
     inputs: tuple[StateRef, ...]
     outputs: tuple[ContractState, ...]
@@ -68,13 +75,17 @@ class WireTransaction:
         leaves.append({"group": "time_window", "at": self.time_window})
         return leaves
 
-    def merkle_tree(self) -> MerkleTree:
+    @cached_property
+    def _tree(self) -> MerkleTree:
         return MerkleTree(self._components())
 
-    @property
+    def merkle_tree(self) -> MerkleTree:
+        return self._tree
+
+    @cached_property
     def tx_id(self) -> str:
         """The transaction id IS the Merkle root (as in Corda)."""
-        return "corda:" + self.merkle_tree().root.hex()[:32]
+        return "corda:" + self._tree.root.hex()[:32]
 
     def component_indices(self, group: ComponentGroup) -> list[int]:
         """Leaf indices belonging to one component group."""
@@ -94,17 +105,16 @@ class WireTransaction:
         reveal: set[int] = set()
         for group in reveal_groups:
             reveal |= set(self.component_indices(group))
-        tree = self.merkle_tree()
         return FilteredTransaction(
             tx_id=self.tx_id,
-            root=tree.root,
-            tear_off=tree.tear_off(reveal),
+            root=self._tree.root,
+            tear_off=self._tree.tear_off(reveal),
             revealed_groups=tuple(g.name for g in reveal_groups),
         )
 
     def signing_payload(self) -> bytes:
         """What every signer signs: the Merkle root."""
-        return self.merkle_tree().root
+        return self._tree.root
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ PAYLOAD_KEYS = ("payload", "args", "value")
 
 REDACTION_TAG = "telemetry-redaction"
 
+#: Most keys one filter remembers a classification for.  A run records
+#: a dozen or so distinct keys; past the bound, keys are classified on
+#: every call without being stored, so memory stays flat.
+CLASSIFICATION_CACHE_SIZE = 1024
+
 
 def redacted_digest(value: Any) -> str:
     """The stable, non-invertible form a confidential value is recorded as."""
@@ -62,12 +67,22 @@ class RedactionFilter:
 
     def __init__(self, extra_keys: set[str] | None = None) -> None:
         self._marked: set[str] = set(extra_keys or ())
+        self._classified: dict[str, bool] = {}
 
     def mark(self, key: str) -> None:
         """Tag *key* confidential regardless of its name."""
         self._marked.add(key.lower())
+        self._classified.clear()
 
     def is_confidential_key(self, key: str) -> bool:
+        confidential = self._classified.get(key)
+        if confidential is None:
+            confidential = self._classify(key)
+            if len(self._classified) < CLASSIFICATION_CACHE_SIZE:
+                self._classified[key] = confidential
+        return confidential
+
+    def _classify(self, key: str) -> bool:
         normalized = key.lower().replace("-", "_").replace("/", "_")
         if normalized in self._marked or key.lower() in self._marked:
             return True

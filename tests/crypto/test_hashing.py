@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,16 @@ class TestTaggedHash:
 
     def test_digest_size(self):
         assert len(tagged_hash("t", b"")) == 32
+
+    @pytest.mark.parametrize(
+        "tag", ["t", "repro/tx", "repro/merkle/leaf", "", "tag/\u00e9"]
+    )
+    def test_known_answer(self, tag):
+        tag_digest = hashlib.sha256(tag.encode("utf-8")).digest()
+        # Repeated calls under one tag must not share hash state.
+        for data in (b"", b"data", b"data", b"x" * 200):
+            expected = hashlib.sha256(tag_digest * 2 + data).digest()
+            assert tagged_hash(tag, data) == expected
 
     @given(st.binary(max_size=256), st.binary(max_size=256))
     def test_no_cross_tag_collisions_observed(self, a, b):

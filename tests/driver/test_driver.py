@@ -50,7 +50,7 @@ class TestRun:
 
     def test_emits_driver_metrics(self):
         scenario = kv_scenario("corda", 5, seed="driver-metrics")
-        Driver(scenario.platform, DriverConfig(batch_size=2)).run(
+        report = Driver(scenario.platform, DriverConfig(batch_size=2)).run(
             scenario.requests
         )
         snapshot = scenario.platform.telemetry.metrics.snapshot()
@@ -58,7 +58,21 @@ class TestRun:
         assert snapshot["counters"]["pipeline.committed{platform=corda}"] == 5
         assert snapshot["histograms"]["driver.batch_size"]["count"] == 3
         assert snapshot["histograms"]["driver.latency"]["count"] == 5
-        assert snapshot["gauges"]["driver.last_throughput_tps"] > 0
+        # The Corda pipeline takes no simulated time, so there is no rate.
+        assert report.duration == 0.0
+        assert report.throughput_tps is None
+        assert "driver.last_throughput_tps" not in snapshot["gauges"]
+
+    def test_throughput_gauge_is_committed_over_duration(self):
+        scenario = kv_scenario("fabric", 6, seed="driver-metrics")
+        report = Driver(scenario.platform, DriverConfig(batch_size=3)).run(
+            scenario.requests
+        )
+        assert report.duration > 0.0
+        gauges = scenario.platform.telemetry.metrics.snapshot()["gauges"]
+        assert gauges["driver.last_throughput_tps"] == round(
+            report.committed / report.duration, 3
+        )
 
     def test_run_span_wraps_submissions(self):
         scenario = kv_scenario("fabric", 2, seed="driver-span")
@@ -110,6 +124,14 @@ class TestReport:
         assert set(payload["cache_stats"]) == {
             "signature_verify", "certificate_chain",
         }
+
+    def test_zero_duration_reports_no_rate(self):
+        scenario = kv_scenario("corda", 3, seed="driver-report")
+        report = Driver(scenario.platform, DriverConfig(batch_size=2)).run(
+            scenario.requests
+        )
+        assert report.to_dict()["throughput_tps"] is None
+        assert "  throughput    n/a" in report.render_text().splitlines()
 
     def test_render_text_mentions_caches_and_throughput(self):
         scenario = loc_scenario("fabric", 4, seed="driver-render")

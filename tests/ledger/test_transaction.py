@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from repro.common.ids import content_id
+from repro.common.serialization import canonical_bytes
+from repro.crypto.hashing import hash_hex
 from repro.ledger.transaction import (
     Endorsement,
     ReadEntry,
@@ -46,22 +52,48 @@ class TestIdentity:
         assert tx.content_hash() != tx.tx_id
 
 
+class TestComputedOnce:
+    def test_identity_matches_fresh_recomputation(self, tx):
+        content = tx.core_content()
+        encoded = canonical_bytes(content)
+        assert tx.signing_bytes() == encoded
+        assert tx.tx_id == content_id("tx", content)
+        assert tx.tx_id == (
+            "tx:" + hashlib.sha256(b"tx\x00" + encoded).hexdigest()[:16]
+        )
+        assert tx.content_hash() == hash_hex("repro/tx", content)
+
+    def test_bytes_encoded_once_per_object(self, tx):
+        assert tx.signing_bytes() is tx.signing_bytes()
+
+    def test_endorsed_copy_reuses_bytes(self, tx, scheme):
+        key = scheme.keygen_from_seed("endorser")
+        sig = scheme.sign(key, tx.signing_bytes())
+        endorsed = tx.with_endorsements([Endorsement("e1", sig)])
+        assert endorsed.signing_bytes() is tx.signing_bytes()
+        assert endorsed.signing_bytes() == canonical_bytes(endorsed.core_content())
+
+    def test_replaced_copy_encodes_afresh(self, tx):
+        tx.signing_bytes()  # fill the original's cache first
+        other = replace(tx, metadata={"participants": ["alice"]})
+        assert other.signing_bytes() == canonical_bytes(other.core_content())
+        assert other.tx_id != tx.tx_id
+
+
 class TestSigningBytes:
     def test_deterministic(self, tx):
         assert tx.signing_bytes() == tx.signing_bytes()
 
     def test_covers_writes(self, tx):
-        other = Transaction(
-            **{**tx.__dict__, "writes": (WriteEntry(key="k", value=3),)}
-        )
+        other = replace(tx, writes=(WriteEntry(key="k", value=3),))
         assert tx.signing_bytes() != other.signing_bytes()
 
     def test_covers_private_hashes(self, tx):
-        other = Transaction(**{**tx.__dict__, "private_hashes": {}})
+        other = replace(tx, private_hashes={})
         assert tx.signing_bytes() != other.signing_bytes()
 
     def test_covers_metadata(self, tx):
-        other = Transaction(**{**tx.__dict__, "metadata": {}})
+        other = replace(tx, metadata={})
         assert tx.signing_bytes() != other.signing_bytes()
 
 

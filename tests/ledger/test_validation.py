@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import EndorsementError, ValidationError
@@ -93,9 +95,9 @@ class TestVerifyEndorsements:
     def test_signature_over_stale_content_rejected(self, scheme, keys):
         tx = Transaction(channel="ch", submitter="a")
         endorsed = endorse(scheme, keys, tx, ["a"])
-        mutated = Transaction(
-            **{**tx.__dict__, "metadata": {"late": "edit"}}
-        ).with_endorsements(list(endorsed.endorsements))
+        mutated = replace(tx, metadata={"late": "edit"}).with_endorsements(
+            list(endorsed.endorsements)
+        )
         with pytest.raises(EndorsementError):
             verify_endorsements(
                 mutated, EndorsementPolicy.any_of(["a"]), scheme,

@@ -5,6 +5,7 @@ import json
 from repro.common.clock import SimClock
 from repro.telemetry.events import EventLog
 from repro.telemetry.redaction import (
+    CLASSIFICATION_CACHE_SIZE,
     RedactionFilter,
     redacted_digest,
 )
@@ -53,6 +54,28 @@ def test_custom_marks_extend_the_confidential_set():
     assert str(redactor.redact_attributes({"margin": 7})["margin"]).startswith(
         "[REDACTED:"
     )
+
+
+def test_mark_overrides_a_cached_classification():
+    redactor = RedactionFilter()
+    assert redactor.redact_attributes({"margin": 7}) == {"margin": 7}
+    redactor.mark("margin")
+    assert redactor.redact_attributes({"margin": 7}) == {
+        "margin": redacted_digest(7)
+    }
+
+
+def test_classification_cache_stops_growing_at_its_bound():
+    redactor = RedactionFilter()
+    extra = 50
+    for index in range(CLASSIFICATION_CACHE_SIZE + extra):
+        redactor.is_confidential_key(f"field-{index}")
+    assert len(redactor._classified) == CLASSIFICATION_CACHE_SIZE
+    # Keys past the bound are still classified, just not remembered.
+    late = f"secret-{CLASSIFICATION_CACHE_SIZE + extra}"
+    assert redactor.is_confidential_key(late)
+    assert not redactor.is_confidential_key(f"field-{CLASSIFICATION_CACHE_SIZE}")
+    assert len(redactor._classified) == CLASSIFICATION_CACHE_SIZE
 
 
 def test_event_log_redacts_and_serializes():
