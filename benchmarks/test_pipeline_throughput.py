@@ -77,9 +77,10 @@ def test_pipeline_series(benchmark):
         f"{'batch':>6s} {'throughput tx/s':>16s} {'mean latency ms':>16s}",
     ]
     for batch, report in ladder.items():
+        latency = report.mean_latency
         lines.append(
             f"{batch:>6d} {report.throughput_tps:>16.1f} "
-            f"{report.mean_latency * 1000.0:>16.1f}"
+            + (f"{'n/a':>16s}" if latency is None else f"{latency * 1000.0:>16.1f}")
         )
     lines.append("")
     lines.append("P1: crypto cache hit rates on the LoC stage mix (fabric)")

@@ -179,7 +179,6 @@ def test_participant_leak_scales_with_network(benchmark):
         net.send_private_transaction(
             "N0", "store", "put", {"key": "k", "value": 1}, private_for=["N1"]
         )
-        net.network.run()
         return sum(
             1 for node in net.parties
             if {"N0", "N1"} <= net.network.node(node).observer.seen_identities

@@ -107,7 +107,6 @@ def test_letter_of_credit_span_volume(benchmark):
         )
         workflow.setup()
         workflow.run_full_lifecycle("LC-T1")
-        workflow.network.network.run()
         return workflow
 
     workflow = benchmark(lifecycle)

@@ -47,7 +47,6 @@ def main() -> None:
     workflow.erase_pii(loc.loc_id)
     print(f"erased from every peer store: {workflow.pii_is_erased(loc.loc_id)}")
 
-    workflow.network.network.run()
     outsider = workflow.network.network.node("UninvolvedBank").observer
     print()
     print("Privacy check for the uninvolved network member:")

@@ -35,15 +35,20 @@ python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/
 python -m repro lint --strict src/repro/driver
 
 echo
-echo "== perf harness smoke (perfbench oracle correct, no failed operations) =="
+echo "== perf harness smoke (oracle correct, no failed operations, nothing left undelivered) =="
 for workload in kv loc; do
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 \
         | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read().splitlines()[-1])
-print("perfbench {}: correct={} failed={}".format(
-    sys.argv[1], result["correct"], result["failed"]))
-sys.exit(0 if result["correct"] and result["failed"] == 0 else 1)
+undelivered = {
+    platform: result["metrics"][platform + ".undelivered_per_tx"]["value"]
+    for platform in ("fabric", "corda", "quorum")
+}
+print("perfbench {}: correct={} failed={} undelivered_per_tx={}".format(
+    sys.argv[1], result["correct"], result["failed"], undelivered))
+sys.exit(0 if result["correct"] and result["failed"] == 0
+         and not any(undelivered.values()) else 1)
 ' "$workload"
 done
 

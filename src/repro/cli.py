@@ -179,7 +179,6 @@ def _traced_lifecycle(platform: str):
         workflow = QuorumLetterOfCredit()
     workflow.setup()
     workflow.run_full_lifecycle()
-    workflow.network.network.run()  # drain in-flight messages -> transit spans
     return workflow.network.telemetry
 
 

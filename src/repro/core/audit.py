@@ -96,6 +96,12 @@ def _knowledge_of(name: str, observer) -> PrincipalKnowledge:
     )
 
 
+def _uninvolved_knowledge(net) -> list[PrincipalKnowledge]:
+    return [
+        _knowledge_of(org, net.network.node(org).observer) for org in UNINVOLVED
+    ]
+
+
 def audit_fabric(seed: str = "audit-fabric", fault_plan=None) -> AuditReport:
     """Scenario on Fabric: a two-member channel inside a five-org network.
 
@@ -122,13 +128,8 @@ def audit_fabric(seed: str = "audit-fabric", fault_plan=None) -> AuditReport:
     )
     net.deploy_chaincode("trade-ab", contract, list(TRADING_PARTIES))
     net.invoke("trade-ab", "OrgA", "trade-cc", "record", {"price": 1234})
-    net.network.run()
 
-    report = AuditReport(platform="fabric")
-    for org in UNINVOLVED:
-        report.uninvolved.append(
-            _knowledge_of(org, net.network.node(org).observer)
-        )
+    report = AuditReport(platform="fabric", uninvolved=_uninvolved_knowledge(net))
     report.ordering_principal = _knowledge_of("orderer", net.orderer.observer)
     report.participant_list_broadcast = False
     # Fabric channels validate reads against shared channel state: a
@@ -160,7 +161,6 @@ def audit_corda(seed: str = "audit-corda", fault_plan=None) -> AuditReport:
         commands=[Command(name="Trade", signers=TRADING_PARTIES)],
     )
     issue = net.run_flow("OrgA", wire)
-    net.network.run()
 
     # Double-spend attempt through the notary: consume the same state twice.
     spend_wire_1 = net.build_transaction(
@@ -179,13 +179,8 @@ def audit_corda(seed: str = "audit-corda", fault_plan=None) -> AuditReport:
         rejected = False
     except DoubleSpendError:
         rejected = True
-    net.network.run()
 
-    report = AuditReport(platform="corda")
-    for org in UNINVOLVED:
-        report.uninvolved.append(
-            _knowledge_of(org, net.network.node(org).observer)
-        )
+    report = AuditReport(platform="corda", uninvolved=_uninvolved_knowledge(net))
     report.ordering_principal = _knowledge_of("notary", net.notary.observer)
     report.participant_list_broadcast = False
     report.validated_double_spend_rejected = rejected
@@ -217,19 +212,14 @@ def audit_quorum(seed: str = "audit-quorum", fault_plan=None) -> AuditReport:
         "OrgA", "trade-evm", "record", {"price": 1234},
         private_for=["OrgB"],
     )
-    net.network.run()
 
-    report = AuditReport(platform="quorum")
-    broadcast_leak = False
-    for org in UNINVOLVED:
-        knowledge = _knowledge_of(org, net.network.node(org).observer)
-        report.uninvolved.append(knowledge)
-        if knowledge.learned_trading_identities:
-            broadcast_leak = True
+    report = AuditReport(platform="quorum", uninvolved=_uninvolved_knowledge(net))
     report.ordering_principal = _knowledge_of(
         "consensus", net.sequencer.observer
     )
-    report.participant_list_broadcast = broadcast_leak
+    report.participant_list_broadcast = any(
+        knowledge.learned_trading_identities for knowledge in report.uninvolved
+    )
 
     # The documented flaw: double spend on private state succeeds.
     views = net.demonstrate_private_double_spend(

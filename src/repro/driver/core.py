@@ -85,14 +85,15 @@ class DriverReport:
         return self.committed / self.duration
 
     @property
-    def mean_latency(self) -> float:
+    def mean_latency(self) -> float | None:
+        """Mean simulated latency of committed receipts; ``None`` if none."""
         latencies = [
             receipt.latency
             for receipt in self.receipts
             if receipt.latency is not None
         ]
         if not latencies:
-            return 0.0
+            return None
         return sum(latencies) / len(latencies)
 
     def status_counts(self) -> dict[str, int]:
@@ -104,6 +105,7 @@ class DriverReport:
     def to_dict(self) -> dict:
         """JSON shape for ``repro bench --json`` and benchmark results."""
         tps = self.throughput_tps
+        latency = self.mean_latency
         return {
             "platform": self.platform,
             "batch_size": self.config.batch_size,
@@ -113,13 +115,14 @@ class DriverReport:
             "failed": self.failed,
             "duration_s": round(self.duration, 6),
             "throughput_tps": None if tps is None else round(tps, 3),
-            "mean_latency_s": round(self.mean_latency, 6),
+            "mean_latency_s": None if latency is None else round(latency, 6),
             "statuses": self.status_counts(),
             "cache_stats": self.cache_stats,
         }
 
     def render_text(self) -> str:
         tps = self.throughput_tps
+        latency = self.mean_latency
         lines = [
             f"driver run on {self.platform} "
             f"(batch={self.config.batch_size}, "
@@ -130,7 +133,8 @@ class DriverReport:
             f"  sim duration  {self.duration:.3f}s",
             "  throughput    "
             + ("n/a" if tps is None else f"{tps:.1f} tx/s"),
-            f"  mean latency  {self.mean_latency * 1000.0:.1f} ms",
+            "  mean latency  "
+            + ("n/a" if latency is None else f"{latency * 1000.0:.1f} ms"),
         ]
         for status, count in self.status_counts().items():
             lines.append(f"  status {status:24s} {count}")

@@ -2,8 +2,10 @@
 
 The substrate every platform simulation runs on.  Provides:
 
-- registered nodes with inboxes and message handlers,
-- point-to-point sends and broadcasts with configurable latency models,
+- registered nodes with per-kind message handlers: a delivery handler is
+  the only way a message changes a recipient's state,
+- point-to-point sends and broadcasts with configurable latency models;
+  each link delivers in send order, like a TCP stream,
 - message loss, network partitions, and scheduled fault plans
   (:class:`repro.faults.FaultPlan`) consulted at both send *and* delivery
   time, so a partition created after ``send()`` still cuts in-flight
@@ -107,12 +109,15 @@ class NetworkStats:
 
 @dataclass(frozen=True)
 class DeliveryReceipt:
-    """Ack-tracking outcome of one resilient send."""
+    """Outcome of one acknowledged resilient send.
+
+    A send that is never acknowledged raises :class:`DeliveryTimeout`
+    instead, so a receipt always names the delivered copy and its time.
+    """
 
     message: Message
     attempts: int
-    delivered: bool
-    delivered_at: float | None = None
+    delivered_at: float
 
 
 class Observer:
@@ -151,16 +156,17 @@ class Observer:
 
 
 class Node:
-    """A network endpoint with an inbox and optional message handlers.
+    """A network endpoint: per-kind delivery handlers and an observer.
 
-    Each node is also an :class:`Observer` of its own inbound traffic, so
-    "what did this peer learn" falls out of the same accounting as the
-    passive taps.
+    A delivered message is observed, then handed to the handler for its
+    kind; nothing else keeps it.  The node's :class:`Observer` makes
+    "what did this peer learn" the same accounting as the passive taps.
+    ``seen_dedup_keys`` is volatile: a crash wipes it, which is why
+    recovery re-applies from a durable checkpoint.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.inbox: list[Message] = []
         self.observer = Observer(name)
         self.seen_dedup_keys: set[str] = set()
         self._handlers: dict[str, Callable[[Message], None]] = {}
@@ -169,30 +175,11 @@ class Node:
         """Register a handler invoked when a message of *kind* arrives."""
         self._handlers[kind] = handler
 
-    def has_applied(self, dedup_key: str) -> bool:
-        """Whether a message carrying *dedup_key* was already applied.
-
-        The set is volatile — a crash wipes it along with the inbox —
-        which is exactly why recovery re-applies from a durable
-        checkpoint instead of trusting in-memory dedup state.
-        """
-        return dedup_key in self.seen_dedup_keys
-
     def deliver(self, message: Message) -> None:
-        self.inbox.append(message)
         self.observer.observe(message)
         handler = self._handlers.get(message.kind)
         if handler is not None:
             handler(message)
-
-    def drain(self, kind: str | None = None) -> list[Message]:
-        """Remove and return inbox messages (optionally of one kind)."""
-        if kind is None:
-            out, self.inbox = self.inbox, []
-            return out
-        matched = [m for m in self.inbox if m.kind == kind]
-        self.inbox = [m for m in self.inbox if m.kind != kind]
-        return matched
 
 
 @dataclass(order=True)
@@ -205,7 +192,10 @@ class _ScheduledDelivery:
 class SimNetwork:
     """The event loop: schedule sends, run until quiescent.
 
-    Messages are delivered in timestamp order.  Partitions are symmetric
+    Messages are delivered in timestamp order, and each directed link
+    delivers in send order: a message never overtakes an earlier one on
+    the same link, so a replica applies one sender's stream in the order
+    it was sent.  Partitions are symmetric
     sets of node pairs that cannot communicate; sends across a partition
     raise immediately (TCP connection refusal analogue), while probabilistic
     drop models silent loss.
@@ -230,9 +220,11 @@ class SimNetwork:
         self._queue: list[_ScheduledDelivery] = []
         self._order = itertools.count()
         self._partitions: set[frozenset[str]] = set()
-        self._delivered_at: dict[int, float] = {}
+        # Due time of the last message queued on each directed link.
+        self._link_due: dict[tuple[str, str], float] = {}
         self._down: set[str] = set()
         self._dedup_sequence = itertools.count(1)
+        self._in_flow = False
 
     # -- topology
 
@@ -306,14 +298,13 @@ class SimNetwork:
         Unlike a fault-plan crash window this is explicit and open-ended:
         the recovery subsystem uses it to model a node that stays dead
         until someone brings it back.  Volatile per-node state — the
-        inbox and the dedup-key set — is lost, exactly like process
-        memory on a real crash.
+        dedup-key set — is lost, exactly like process memory on a real
+        crash.
         """
         node = self.node(name)
         if name in self._down:
             return
         self._down.add(name)
-        node.inbox.clear()
         node.seen_dedup_keys.clear()
         self.telemetry.events.emit("net.node_crashed", node=name)
 
@@ -428,7 +419,9 @@ class SimNetwork:
             delay *= self.fault_plan.latency_multiplier(
                 sender, recipient, self.clock.now
             )
-        due = self.clock.now + delay
+        link = (sender, recipient)
+        due = max(self.clock.now + delay, self._link_due.get(link, 0.0))
+        self._link_due[link] = due
         heapq.heappush(
             self._queue, _ScheduledDelivery(due=due, order=next(self._order), message=message)
         )
@@ -461,10 +454,6 @@ class SimNetwork:
         ]
 
     # -- resilient delivery
-
-    def was_delivered(self, message: Message) -> bool:
-        """Ack tracking: whether *message* reached its recipient."""
-        return message.message_id in self._delivered_at
 
     def send_with_retry(
         self,
@@ -515,14 +504,7 @@ class SimNetwork:
         ) as span:
             wait = timeout
             last_refusal: DeliveryError | None = None
-            copies: list[Message] = []
-
-            def acked() -> Message | None:
-                for copy in copies:
-                    if copy.message_id in self._delivered_at:
-                        return copy
-                return None
-
+            copies: set[int] = set()
             for attempt in range(1, max_attempts + 1):
                 if attempt > 1:
                     self._count("net.retries")
@@ -535,7 +517,7 @@ class SimNetwork:
                         attempt=attempt,
                     )
                 try:
-                    copies.append(
+                    copies.add(
                         self.send(
                             sender,
                             recipient,
@@ -543,28 +525,21 @@ class SimNetwork:
                             payload,
                             exposure=exposure,
                             dedup_key=dedup_key,
-                        )
+                        ).message_id
                     )
                 except DeliveryError as refusal:
                     last_refusal = refusal
                     tracer.add_event(span, "refused", attempt=attempt)
                 deadline = self.clock.now + wait
-                if copies:
-                    while (
-                        self._queue
-                        and self._queue[0].due <= deadline
-                        and acked() is None
-                    ):
-                        self.step()
-                    delivered = acked()
-                    if delivered is not None:
+                while copies and self._queue and self._queue[0].due <= deadline:
+                    event = heapq.heappop(self._queue)
+                    if self._process(event) and event.message.message_id in copies:
                         tracer.set_attribute(span, "attempts", attempt)
                         tracer.set_attribute(span, "outcome", "delivered")
                         return DeliveryReceipt(
-                            message=delivered,
+                            message=event.message,
                             attempts=attempt,
-                            delivered=True,
-                            delivered_at=self._delivered_at[delivered.message_id],
+                            delivered_at=event.due,
                         )
                 # Wait out the ack timeout before the next attempt.
                 self.clock.advance_to(deadline)
@@ -588,15 +563,23 @@ class SimNetwork:
         """
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
+        self._process(heapq.heappop(self._queue))
+        return True
+
+    def _process(self, event: _ScheduledDelivery) -> bool:
+        """Deliver or drop one dequeued event; returns whether it arrived.
+
+        A duplicate of an already-applied dedup key arrives (and so
+        acknowledges its send) but reaches no handler.
+        """
         self.clock.advance_to(event.due)
         message = event.message
         if self.is_partitioned(message.sender, message.recipient, now=event.due):
             self._record_drop(message, "partition", at=event.due)
-            return True
+            return False
         if self.is_crashed(message.recipient, now=event.due):
             self._record_drop(message, "crash", at=event.due)
-            return True
+            return False
         for tap in self._taps:
             tap.observe(message)
         self._count("net.messages_delivered")
@@ -616,7 +599,6 @@ class SimNetwork:
                 recipient=message.recipient,
                 size_bytes=message.size_bytes,
             )
-        self._delivered_at[message.message_id] = event.due
         node = self._nodes[message.recipient]
         if message.dedup_key is not None:
             if message.dedup_key in node.seen_dedup_keys:
@@ -636,6 +618,23 @@ class SimNetwork:
         node.deliver(message)
         return True
 
+    def deliver_after(self, flow: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Call *flow*, then deliver everything it sent before returning.
+
+        A flow called from inside another leaves delivery to the
+        outermost one, so a whole flow's traffic is in flight together.
+        Delivery runs even when the flow raises: what was sent still
+        travels.
+        """
+        if self._in_flow:
+            return flow(*args, **kwargs)
+        self._in_flow = True
+        try:
+            return flow(*args, **kwargs)
+        finally:
+            self._in_flow = False
+            self.run()
+
     def run(self, max_steps: int = 1_000_000) -> int:
         """Process events until quiescent; returns the number processed."""
         steps = 0
@@ -643,19 +642,4 @@ class SimNetwork:
             steps += 1
         if steps >= max_steps and self._queue:
             raise DeliveryError("network did not quiesce (message storm?)")
-        return steps
-
-    def run_until(self, deadline: float, max_steps: int = 1_000_000) -> int:
-        """Process events due by *deadline*, then advance the clock to it."""
-        steps = 0
-        while (
-            steps < max_steps
-            and self._queue
-            and self._queue[0].due <= deadline
-            and self.step()
-        ):
-            steps += 1
-        if steps >= max_steps and self._queue and self._queue[0].due <= deadline:
-            raise DeliveryError("network did not quiesce (message storm?)")
-        self.clock.advance_to(deadline)
         return steps

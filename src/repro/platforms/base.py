@@ -23,10 +23,11 @@ deletable private payloads) rather than silently approximating them.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from repro.common.clock import SimClock
-from repro.common.errors import PlatformError, ReproError
+from repro.common.errors import DeliveryTimeout, PlatformError, ReproError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import tagged_hash
@@ -142,6 +143,20 @@ def rejection_receipt(
         submitted_at=submitted_at,
         info={"error": str(error)},
     )
+
+
+def delivers(flow):
+    """Decorate a public platform call that sends: it returns only once
+    its messages are delivered or dropped.  Replicas other than the
+    sender's change only in delivery handlers, so the call's effects
+    are then applied exactly where its messages arrived.  Nested calls
+    deliver once, at the outermost (:meth:`SimNetwork.deliver_after`)."""
+
+    @functools.wraps(flow)
+    def run_and_deliver(self, *args, **kwargs):
+        return self.network.deliver_after(flow, self, *args, **kwargs)
+
+    return run_and_deliver
 
 
 class Platform:
@@ -333,6 +348,26 @@ class Platform:
         )
         send(sender, recipient, kind, payload, exposure=exposure)
 
+    def _fan_out(
+        self, sender: str, recipients: list[str], kind: str, payload, exposure
+    ) -> None:
+        """Send one state-carrying message to each of *recipients*.
+
+        Without ``resilient_delivery`` this is one atomic broadcast.  With
+        it, each copy retries through transient faults; a recipient still
+        unreachable lags until catch-up (the timeout is on its span).
+        """
+        if not self.resilient_delivery:
+            self.network.broadcast(
+                sender, kind, payload, exposure=exposure, recipients=recipients
+            )
+            return
+        for recipient in recipients:
+            try:
+                self._send_critical(sender, recipient, kind, payload, exposure)
+            except DeliveryTimeout:
+                continue
+
     # -- crash recovery
     #
     # The template methods below are platform-independent; subclasses
@@ -379,6 +414,7 @@ class Platform:
             "recovery.crash", node=name, platform=self.platform_name
         )
 
+    @delivers
     def recover(self, name: str):
         """Bring *name* back: restore its checkpoint, then catch up.
 
@@ -392,14 +428,21 @@ class Platform:
         if not self.network.recover_node(name):
             return self.checkpoints.latest(name)
         checkpoint = self.checkpoints.latest(name)
+        metrics = self.telemetry.metrics
+        shipped = metrics.counter("recovery.catchup.shipped")
         with self.telemetry.span(
             "recovery.catchup", node=name, platform=self.platform_name
         ) as span:
             self._restore_checkpoint(name, checkpoint)
-            summary = self._catch_up(name, checkpoint) or {}
-            for key in sorted(summary):
-                self.telemetry.tracer.set_attribute(span, key, summary[key])
-        self.telemetry.metrics.counter("recovery.recoveries").inc()
+            before = shipped.value
+            blocks_behind = self._catch_up(name, checkpoint)
+            # Items apply in the recipient's delivery handlers, so the
+            # items received are exactly the acknowledged shipments.
+            items = int(shipped.value - before)
+            metrics.counter("recovery.catchup.items").inc(items)
+            self.telemetry.tracer.set_attribute(span, "blocks_behind", blocks_behind)
+            self.telemetry.tracer.set_attribute(span, "items", items)
+        metrics.counter("recovery.recoveries").inc()
         self.telemetry.events.emit(
             "recovery.recover",
             node=name,
@@ -423,11 +466,12 @@ class Platform:
             f"{self.platform_name} does not support node recovery"
         )
 
-    def _catch_up(self, name: str, checkpoint) -> dict:
+    def _catch_up(self, name: str, checkpoint) -> int:
         """Subclass hook: visibility-filtered re-sync since *checkpoint*.
 
-        Returns a summary dict recorded as span attributes
-        (e.g. ``{"items": 3, "blocks_behind": 2}``).
+        Ships each item with :func:`repro.recovery.catchup.ship`, so the
+        recipient's delivery handlers apply it; returns how many blocks
+        (or, on Corda, transactions) *name* was behind.
         """
         raise PlatformError(
             f"{self.platform_name} does not support node recovery"

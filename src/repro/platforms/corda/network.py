@@ -35,6 +35,7 @@ from repro.offchain.stores import Hosting, OffChainStore
 from repro.platforms.base import (
     Party,
     Platform,
+    delivers,
     ProbeResult,
     SupportLevel,
     TxReceipt,
@@ -50,7 +51,7 @@ from repro.platforms.corda.transactions import (
     WireTransaction,
 )
 from repro.platforms.corda.vault import Vault
-from repro.recovery.catchup import catchup_dedup_key, ship
+from repro.recovery.catchup import catchup_dedup_key, live_providers, ship
 
 NOTARY_NODE = "corda-notary"
 
@@ -114,6 +115,10 @@ class CordaNetwork(Platform):
             scheme=self.scheme,
             rng=self.rng.fork("onetime:" + name),
         )
+        node = self.network.node(name)
+        node.on("finalise", self._on_finalise)
+        node.on("backchain-tx", self._on_backchain_tx)
+        node.on("catchup-tx", self._on_backchain_tx)
         return party
 
     def vault(self, name: str) -> Vault:
@@ -207,6 +212,7 @@ class CordaNetwork(Platform):
             time_window=self.clock.now,
         )
 
+    @delivers
     def run_flow(
         self,
         initiator: str,
@@ -298,20 +304,20 @@ class CordaNetwork(Platform):
                     )
                     receipt = self.notary.notarise_filtered(filtered)
 
-            # 5. Finalise: record in every involved party's vault, shipping the
-            # backchain of every consumed input first (transaction resolution)
-            # — new counterparties must be able to verify provenance, which is
+            # 5. Finalise: record in the initiator's vault and ship to every
+            # other involved party (recorded on delivery), preceded by the
+            # backchain of every consumed input (transaction resolution) —
+            # new counterparties must be able to verify provenance, which is
             # the mechanism's inherent history disclosure.
             with self.telemetry.span("corda.finalise"):
-                for counterparty in sorted(counterparties):
-                    if counterparty != initiator:
-                        for ref in wire.inputs:
-                            self.resolve_backchain(initiator, counterparty, ref)
-                        self.network.send(
-                            initiator, counterparty, "finalise",
-                            {"tx_id": wire.tx_id}, exposure=exposure,
-                        )
-                    self.vaults[counterparty].record(stx)
+                self.vaults[initiator].record(stx)
+                for counterparty in sorted(counterparties - {initiator}):
+                    for ref in wire.inputs:
+                        self.resolve_backchain(initiator, counterparty, ref)
+                    self._fan_out(
+                        initiator, [counterparty], "finalise",
+                        {"tx_id": wire.tx_id}, exposure,
+                    )
         output_refs = [
             StateRef(tx_id=wire.tx_id, index=i) for i in range(len(wire.outputs))
         ]
@@ -377,16 +383,30 @@ class CordaNetwork(Platform):
             }
         return {"platform": self.platform_name, "vaults": vaults}
 
+    # -- delivery handlers: the recipient's vault takes the stx its
+    #    message names from the sender's vault
+
+    def _on_finalise(self, message) -> None:
+        stx = self.vaults[message.sender].transactions[message.payload["tx_id"]]
+        self.vaults[message.recipient].record(stx)
+
+    def _on_backchain_tx(self, message) -> None:
+        """``backchain-tx`` and ``catchup-tx``: store the shipped history."""
+        tx_id = message.payload["tx_id"]
+        stx = self.vaults[message.sender].transactions[tx_id]
+        self.vaults[message.recipient].transactions.setdefault(tx_id, stx)
+
     # -- transaction resolution (backchain)
 
+    @delivers
     def resolve_backchain(
         self, provider: str, requester: str, ref: StateRef
     ):
         """Ship a state's full lineage from *provider* to *requester*.
 
         The requester verifies the chain structurally and records every
-        ancestor in its vault — and, unavoidably, learns everything those
-        ancestors disclose.  Returns the
+        ancestor in its vault on delivery — and, unavoidably, learns
+        everything those ancestors disclose.  Returns the
         :class:`~repro.platforms.corda.backchain.BackchainDisclosure`
         accounting for that leak (see the S2 backchain ablation).
         """
@@ -404,15 +424,14 @@ class CordaNetwork(Platform):
             raise ValidationError("backchain failed structural verification")
         disclosure = disclosure_of(backchain)
         for stx in backchain:
-            self.network.send(
-                provider, requester, "backchain-tx",
+            self._fan_out(
+                provider, [requester], "backchain-tx",
                 {"tx_id": stx.wire.tx_id},
-                exposure=Exposure.of(
+                Exposure.of(
                     identities=disclosure.identities,
                     data_keys=disclosure.data_keys,
                 ),
             )
-            self.vaults[requester].transactions.setdefault(stx.wire.tx_id, stx)
         return disclosure
 
     # ------------------------------------------------------------------
@@ -443,7 +462,6 @@ class CordaNetwork(Platform):
             "state_hashes": {
                 "vault": hash_hex("repro/recovery/corda-vault", refs)
             },
-            "pending": {},
             "snapshots": {"tx_ids": sorted(vault.transactions)},
         }
 
@@ -456,21 +474,14 @@ class CordaNetwork(Platform):
         # catch-up); the store is repopulated by entitled re-shipping.
         return None
 
-    def _catch_up(self, name: str, checkpoint) -> dict:
+    def _catch_up(self, name: str, checkpoint) -> int:
         vault = self.vaults[name]
         known_before = (
             set(checkpoint.snapshots.get("tx_ids", []))
             if checkpoint is not None
             else set()
         )
-        items = 0
-        for provider in sorted(self.parties):
-            if provider == name:
-                continue
-            if self.network.is_crashed(provider) or self.network.is_partitioned(
-                provider, name
-            ):
-                continue
+        for provider in live_providers(self.network, self.parties, name):
             provider_vault = self.vaults[provider]
             for tx_id in sorted(provider_vault.transactions):
                 if vault.knows_transaction(tx_id):
@@ -481,9 +492,7 @@ class CordaNetwork(Platform):
                     # The privacy filter: a peer never re-serves a
                     # transaction the rejoining node was not party to.
                     continue
-                dedup = catchup_dedup_key("corda", "vault", name, tx_id)
-                fresh = not self.network.node(name).has_applied(dedup)
-                delivered = ship(
+                ship(
                     self.network,
                     provider,
                     name,
@@ -500,17 +509,12 @@ class CordaNetwork(Platform):
                             state.contract_id for state in stx.wire.outputs
                         },
                     ),
-                    dedup_key=dedup,
+                    dedup_key=catchup_dedup_key("corda", "vault", name, tx_id),
                 )
-                if delivered and fresh:
-                    vault.transactions[tx_id] = stx
-                    items += 1
         vault.rebuild_unconsumed()
-        self.telemetry.metrics.counter("recovery.catchup.items").inc(items)
         # "Behind" for Corda is transaction-granular: how many entitled
         # transactions were re-shipped beyond the checkpointed store.
-        behind = len([t for t in vault.transactions if t not in known_before])
-        return {"items": items, "blocks_behind": behind}
+        return len([t for t in vault.transactions if t not in known_before])
 
     # ------------------------------------------------------------------
     # Table 1 capability probes (Corda column)
@@ -545,7 +549,6 @@ class CordaNetwork(Platform):
         if "probe-carol" not in self.parties:
             self.onboard("probe-carol")
         self._issue_probe_state(alice, bob)
-        self.network.run()
         carol = self.network.node("probe-carol").observer
         leaked = carol.seen_identities & {alice, bob}
         return self._result(
@@ -601,7 +604,6 @@ class CordaNetwork(Platform):
         if "probe-carol" not in self.parties:
             self.onboard("probe-carol")
         self._issue_probe_state(alice, bob, amount=77)
-        self.network.run()
         carol = self.network.node("probe-carol").observer
         leaked = "amount" in carol.seen_data_keys
         return self._result(

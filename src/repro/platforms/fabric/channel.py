@@ -7,7 +7,7 @@ the wider network and transactions are only shared between channel
 members."
 
 A channel bundles: a member set, a hash-linked chain, per-member world
-state replicas (all kept identical by the commit path), an endorsement
+state replicas (each applies blocks as they arrive), an endorsement
 policy, committed chaincode definitions, and any private data collections.
 """
 
@@ -24,7 +24,7 @@ from repro.common.errors import (
 from repro.ledger.block import Chain
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction
-from repro.ledger.validation import EndorsementPolicy
+from repro.ledger.validation import EndorsementPolicy, apply_writes
 from repro.platforms.fabric.pdc import PrivateDataCollection
 
 
@@ -48,13 +48,18 @@ class Channel:
         self.name = name
         self.members: frozenset[str] = frozenset(members)
         self.chain = Chain(name)
-        # Per-member state replicas; the commit path applies every write to
-        # every replica, and tests assert the replicas never diverge.
+        # Per-member state replicas, each with how many ordered
+        # transactions it has applied; a member that misses a block lags.
         self.states: dict[str, WorldState] = {m: WorldState() for m in members}
+        self.applied: dict[str, int] = {m: 0 for m in members}
         self.definitions: dict[str, ChaincodeDefinition] = {}
         self.collections: dict[str, PrivateDataCollection] = {}
-        self.committed_tx_ids: list[str] = []
-        self.invalid_tx_ids: list[str] = []
+        # Every ordered transaction, whether it was valid, and its
+        # position in commit order, by id.
+        self.outcomes: dict[str, tuple[Transaction, bool, int]] = {}
+        # The committed version of each key: what MVCC validation checks
+        # reads against, since any one replica may lag.
+        self.versions: dict[str, int] = {}
 
     def require_member(self, org: str) -> None:
         if org not in self.members:
@@ -119,10 +124,12 @@ class Channel:
         return self.states[org]
 
     def reference_state(self, skip: frozenset[str] | set[str] = frozenset()) -> WorldState:
-        """A live replica (they are identical); used for validation reads.
+        """The first live member's replica; endorsement reads from it.
 
         *skip* excludes members whose replicas cannot be trusted right
-        now — crashed peers whose state lags until they catch up.
+        now — crashed peers whose state lags until they catch up.  A live
+        member that lost a block in flight lags too; a read it serves is
+        then stale, and validation against :attr:`versions` rejects it.
         """
         for member, state in self.states.items():
             if member not in skip:
@@ -138,6 +145,28 @@ class Channel:
 
     def record_commit(self, tx: Transaction, valid: bool) -> None:
         if valid:
-            self.committed_tx_ids.append(tx.tx_id)
-        else:
-            self.invalid_tx_ids.append(tx.tx_id)
+            for write in tx.writes:
+                self.versions[write.key] = (
+                    0 if write.is_delete else self.versions.get(write.key, 0) + 1
+                )
+        self.outcomes[tx.tx_id] = (tx, valid, len(self.outcomes))
+
+    def apply(self, member: str, tx_id: str) -> None:
+        """Apply one ordered transaction to *member*'s replica, in commit
+        order only: one past a gap (an earlier block lost in flight) or
+        one already applied changes nothing, so the member stays behind
+        until catch-up."""
+        tx, valid, position = self.outcomes[tx_id]
+        if position != self.applied[member]:
+            return
+        if valid:
+            apply_writes(tx, self.states[member])
+        self.applied[member] = position + 1
+
+    @property
+    def committed_tx_ids(self) -> list[str]:
+        return [tx_id for tx_id, (__, valid, __) in self.outcomes.items() if valid]
+
+    @property
+    def invalid_tx_ids(self) -> list[str]:
+        return [tx_id for tx_id, (__, valid, __) in self.outcomes.items() if not valid]

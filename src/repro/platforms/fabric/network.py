@@ -45,14 +45,11 @@ from repro.ledger.transaction import (
     WriteEntry,
 )
 from repro.ledger.state import WorldState
-from repro.ledger.validation import (
-    EndorsementPolicy,
-    apply_writes,
-    verify_endorsements,
-)
+from repro.ledger.validation import EndorsementPolicy, verify_endorsements
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
+    delivers,
     ProbeResult,
     SupportLevel,
     TxReceipt,
@@ -134,6 +131,9 @@ class FabricNetwork(Platform):
         self._idemix_holders[name] = CredentialHolder(
             name, self.idemix_issuer, rng=self.rng.fork("holder:" + name)
         )
+        node = self.network.node(name)
+        node.on("block", self._on_block)
+        node.on("catchup-block", self._on_block)
         return party
 
     def create_channel(self, name: str, members: list[str]) -> Channel:
@@ -221,6 +221,7 @@ class FabricNetwork(Platform):
                 )
         return first
 
+    @delivers
     def propose(
         self,
         channel_name: str,
@@ -337,6 +338,7 @@ class FabricNetwork(Platform):
             return_value=execution.return_value,
         )
 
+    @delivers
     def invoke(
         self,
         channel_name: str,
@@ -373,6 +375,7 @@ class FabricNetwork(Platform):
             )
         return result
 
+    @delivers
     def submit_batch(
         self,
         channel_name: str,
@@ -426,34 +429,30 @@ class FabricNetwork(Platform):
         proposals: list["ProposedTransaction"],
         released_at: float,
     ) -> list[InvokeResult]:
-        """Deliver one block to every member; validate and apply each tx.
+        """Validate each tx of one block, then send it to every live member.
 
         Fabric semantics: every transaction lands on the chain with a
         validation code; invalid ones do not touch state.  Validation runs
-        sequentially against the evolving state, so two proposals endorsed
-        over the same snapshot conflict on their read sets.
+        sequentially against the channel's committed versions, so a tx
+        whose read set an earlier valid tx wrote conflicts, in this block
+        or an earlier one, however far a replica lags.  Replicas apply the
+        valid writes when the ``block`` message reaches them
+        (:meth:`_on_block`).
         """
         results: list[InvokeResult] = []
-        block_txs: list[Transaction] = []
         # A crashed member misses block delivery and its replica lags —
         # that is what checkpoint + catch-up recover from later.  Live
         # members keep committing as long as the endorsement policy can
         # still be met without the crashed peer.
         crashed = self._crashed_members(channel)
+        live = [m for m in sorted(channel.members) if m not in crashed]
+        if not self.resilient_delivery:
+            # Refuse an unreachable member before anything is committed,
+            # as the block broadcast would.
+            for member in live:
+                self.network._check_link(ORDERER_NODE, member)
         for proposal in proposals:
             tx = proposal.tx
-            data_keys = {w.key for w in tx.writes} | {r.key for r in tx.reads}
-            identities = set(tx.metadata.get("participants", []))
-            for member in sorted(channel.members):
-                if member in crashed:
-                    continue
-                self.network.send(
-                    ORDERER_NODE,
-                    member,
-                    "block",
-                    {"tx_id": tx.tx_id, "channel": channel.name},
-                    exposure=Exposure.of(identities=identities, data_keys=data_keys),
-                )
             with self.telemetry.span(
                 "fabric.validate", channel=channel.name
             ) as validate_span:
@@ -465,22 +464,18 @@ class FabricNetwork(Platform):
                 contract_id = self._contract_of(channel, tx)
                 if contract_id is not None:
                     policy = channel.committed_definition(contract_id).policy
-                    validators = [
-                        m for m in sorted(channel.members) if m not in crashed
-                    ] or [None]
                     try:
-                        for __ in validators:
+                        for __ in live or [None]:
                             verify_endorsements(
                                 tx, policy, self.scheme,
                                 lambda n: self.parties[n].public_key,
                             )
                     except EndorsementError:
                         code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
-                # 2. MVCC read-set check against the evolving state.
+                # 2. MVCC read-set check against the committed versions.
                 if code is ValidationCode.VALID:
-                    reference = channel.reference_state(skip=crashed)
                     for read in tx.reads:
-                        if reference.version(read.key) != read.version:
+                        if channel.versions.get(read.key, 0) != read.version:
                             code = ValidationCode.MVCC_READ_CONFLICT
                             break
                 self.telemetry.tracer.set_attribute(
@@ -489,26 +484,37 @@ class FabricNetwork(Platform):
                 self.telemetry.metrics.counter(
                     "fabric.validation", code=code.value
                 ).inc()
-            # 3. Apply writes on every replica iff valid.
+            valid = code is ValidationCode.VALID
             with self.telemetry.span(
-                "fabric.commit", channel=channel.name, valid=code is ValidationCode.VALID
+                "fabric.commit", channel=channel.name, valid=valid
             ):
-                if code is ValidationCode.VALID:
-                    for member, state in channel.states.items():
-                        if member not in crashed:
-                            apply_writes(tx, state)
-                block_txs.append(tx)
-                channel.record_commit(tx, code is ValidationCode.VALID)
+                channel.record_commit(tx, valid)
+            self._fan_out(
+                ORDERER_NODE,
+                live,
+                "block",
+                {"tx_id": tx.tx_id, "channel": channel.name},
+                Exposure.of(
+                    identities=set(tx.metadata.get("participants", [])),
+                    data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
+                ),
+            )
             results.append(InvokeResult(
                 tx=tx,
                 return_value=proposal.return_value,
-                valid=code is ValidationCode.VALID,
+                valid=valid,
                 commit_time=released_at,
                 validation_code=code,
             ))
-        channel.chain.append(block_txs, self.clock.now)
+        channel.chain.append([p.tx for p in proposals], self.clock.now)
         self.clock.advance_to(released_at)
         return results
+
+    def _on_block(self, message) -> None:
+        """Delivery handler for ``block`` and ``catchup-block``: the
+        recipient's replica applies the transaction, in commit order."""
+        channel = self.channels[message.payload["channel"]]
+        channel.apply(message.recipient, message.payload["tx_id"])
 
     def _contract_of(self, channel: Channel, tx: Transaction) -> str | None:
         """Best-effort recovery of which committed chaincode produced *tx*."""
@@ -659,7 +665,7 @@ class FabricNetwork(Platform):
     #
     # Durable per peer: the chain (append-only, shared), PDC stores
     # (off-chain storage services), and checkpoints.  Volatile: the
-    # world-state replica and the network node's inbox/dedup memory.
+    # world-state replica and the network node's dedup memory.
     # Catch-up ships per-channel blocks only — Fabric's visibility rule:
     # a rejoining member receives its channels' transactions, with PDC
     # values reduced to their on-chain anchors (``tx.private_hashes``),
@@ -674,11 +680,13 @@ class FabricNetwork(Platform):
         ]
 
     def _checkpoint_data(self, name: str) -> dict:
+        # A channel's height here counts the ordered transactions the
+        # replica has applied, which may be fewer than the chain holds.
         heights: dict[str, int] = {}
         state_hashes: dict[str, str] = {}
         snapshots: dict[str, dict] = {}
         for channel in self._member_channels(name):
-            heights[channel.name] = channel.chain.height
+            heights[channel.name] = channel.applied[name]
             snapshots[channel.name] = channel.states[name].dump()
             state_hashes[channel.name] = hash_hex(
                 "repro/recovery/fabric-state", channel.states[name].snapshot()
@@ -686,13 +694,11 @@ class FabricNetwork(Platform):
         return {
             "heights": heights,
             "state_hashes": state_hashes,
-            "pending": {},
             "snapshots": snapshots,
         }
 
     def _drop_volatile(self, name: str) -> None:
-        for channel in self._member_channels(name):
-            channel.states[name] = WorldState()
+        self._restore_checkpoint(name, None)
 
     def _restore_checkpoint(self, name: str, checkpoint) -> None:
         for channel in self._member_channels(name):
@@ -700,53 +706,48 @@ class FabricNetwork(Platform):
                 channel.states[name] = WorldState.from_dump(
                     checkpoint.snapshots[channel.name]
                 )
+                channel.applied[name] = checkpoint.height_of(channel.name)
             else:
                 channel.states[name] = WorldState()
+                channel.applied[name] = 0
 
-    def _catch_up(self, name: str, checkpoint) -> dict:
-        items = 0
+    def _catch_up(self, name: str, checkpoint) -> int:
         blocks_behind = 0
         for channel in self._member_channels(name):
-            since = checkpoint.height_of(channel.name) if checkpoint else 0
             provider = pick_provider(self.network, channel.members, name)
             if provider is None:
                 continue  # no live peer on this channel; stays behind
-            committed = set(channel.committed_tx_ids)
-            state = channel.states[name]
-            for block in channel.chain.blocks():
-                if block.height <= since:
-                    continue
-                blocks_behind += 1
-                for tx in block.transactions:
-                    dedup = catchup_dedup_key("fabric", channel.name, name, tx.tx_id)
-                    fresh = not self.network.node(name).has_applied(dedup)
-                    delivered = ship(
-                        self.network,
-                        provider,
-                        name,
-                        "catchup-block",
-                        {
-                            "tx_id": tx.tx_id,
-                            "channel": channel.name,
-                            "height": block.height,
-                            # PDC values never travel: anchors only.
-                            "private_hashes": dict(tx.private_hashes),
-                        },
-                        exposure=Exposure.of(
-                            identities=set(tx.metadata.get("participants", [])),
-                            data_keys={w.key for w in tx.writes}
-                            | {r.key for r in tx.reads},
-                        ),
-                        dedup_key=dedup,
-                    )
-                    if not (delivered and fresh):
-                        continue
-                    items += 1
-                    if tx.tx_id not in committed:
-                        continue  # invalid txs are on-chain but never applied
-                    apply_writes(tx, state)
-        self.telemetry.metrics.counter("recovery.catchup.items").inc(items)
-        return {"items": items, "blocks_behind": blocks_behind}
+            unapplied = [
+                (block.height, tx)
+                for block in channel.chain.blocks()
+                for tx in block.transactions
+            ][channel.applied[name]:]
+            blocks_behind += len({height for height, __ in unapplied})
+            for height, tx in unapplied:
+                delivered = ship(
+                    self.network,
+                    provider,
+                    name,
+                    "catchup-block",
+                    {
+                        "tx_id": tx.tx_id,
+                        "channel": channel.name,
+                        "height": height,
+                        # PDC values never travel: anchors only.
+                        "private_hashes": dict(tx.private_hashes),
+                    },
+                    exposure=Exposure.of(
+                        identities=set(tx.metadata.get("participants", [])),
+                        data_keys={w.key for w in tx.writes}
+                        | {r.key for r in tx.reads},
+                    ),
+                    dedup_key=catchup_dedup_key(
+                        "fabric", channel.name, name, tx.tx_id
+                    ),
+                )
+                if not delivered:
+                    break  # the rest would land past the gap
+        return blocks_behind
 
     # ------------------------------------------------------------------
     # Table 1 capability probes (HLF column)
@@ -779,7 +780,6 @@ class FabricNetwork(Platform):
             self.onboard("probe-outsider")
         self.invoke(channel.name, "probe-org1", contract.contract_id, "put",
                     {"key": "k", "value": 1})
-        self.network.run()
         outsider = self.network.node("probe-outsider").observer
         leaked = outsider.seen_identities & {"probe-org1", "probe-org2"}
         level = SupportLevel.NATIVE if not leaked else SupportLevel.REWRITE
@@ -832,7 +832,6 @@ class FabricNetwork(Platform):
         channel, contract = self._probe_fixture()
         self.invoke(channel.name, "probe-org1", contract.contract_id, "put",
                     {"key": "secret-data", "value": 42})
-        self.network.run()
         if "probe-outsider" not in self.parties:
             self.onboard("probe-outsider")
         outsider = self.network.node("probe-outsider").observer

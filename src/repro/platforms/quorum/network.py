@@ -40,31 +40,25 @@ from repro.ledger.validation import apply_writes
 from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
+    delivers,
     ProbeResult,
     SupportLevel,
     TxReceipt,
     TxRequest,
 )
 from repro.platforms.quorum.txmanager import PrivateTransactionManager
-from repro.recovery.catchup import catchup_dedup_key, pick_provider, ship
+from repro.recovery.catchup import catchup_dedup_key, live_providers, pick_provider, ship
 
 SEQUENCER_NODE = "quorum-consensus"
 
 
 @dataclass
-class PendingRedelivery:
-    """A private payload owed to a currently unreachable participant."""
-
-    sender: str
-    participant: str
-    payload_hash: str
-    position: int
-    participants: tuple[str, ...]
-
-
-@dataclass
 class QuorumTxResult:
-    """Outcome of one (public or private) transaction."""
+    """Outcome of one (public or private) transaction.
+
+    ``return_values`` holds the sender's own execution result, keyed by
+    the sender; other nodes execute when the transaction reaches them.
+    """
 
     tx: Transaction
     payload_hash: str | None
@@ -91,13 +85,15 @@ class QuorumNetwork(Platform):
         self.managers: dict[str, PrivateTransactionManager] = {}
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
-        # Recovery bookkeeping: which chain positions each node has
-        # applied privately (idempotence guard for redelivery/replay),
-        # the per-node public watermark, and payloads owed to peers that
-        # were unreachable when their transaction committed.
-        self._applied_private: dict[str, set[int]] = {}
+        # Chain height of every ordered transaction, by id: how a
+        # delivery handler places the transaction its message names.
+        self._ordered: dict[str, tuple[int, Transaction]] = {}
+        # Recovery bookkeeping: the height up to which each node has
+        # applied every transaction, in chain order, and the
+        # (participant, tx id) of each payload owed to a peer that was
+        # unreachable when its transaction committed.
         self._applied_upto: dict[str, int] = {}
-        self._redelivery_queue: list[PendingRedelivery] = []
+        self._redelivery_queue: list[tuple[str, str]] = []
         self.consensus_operator = consensus_operator
         self.sequencer = OrderingService(
             SEQUENCER_NODE,
@@ -117,8 +113,12 @@ class QuorumNetwork(Platform):
         self.managers[name] = PrivateTransactionManager(
             name, rng=self.rng.fork("tm:" + name)
         )
-        self._applied_private[name] = set()
         self._applied_upto[name] = 0
+        node = self.network.node(name)
+        for kind in ("public-tx", "private-tx", "catchup-block"):
+            node.on(kind, self._on_chain_tx)
+        for kind in ("private-payload", "catchup-payload"):
+            node.on(kind, self._on_payload)
         if self.consensus_operator == "member" and len(self.parties) == 1:
             # First onboarded member operates consensus in this deployment.
             self.sequencer.operator = name
@@ -165,42 +165,8 @@ class QuorumNetwork(Platform):
             or self.network.is_partitioned(sender, target)
         )
 
-    def _broadcast_targets(self, sender: str) -> list[str]:
-        """Nodes a broadcast from *sender* can reach right now.
-
-        A crashed or partitioned peer simply misses the gossip (it would
-        be dropped at delivery anyway) — it does not veto everyone
-        else's transaction.
-        """
-        return [
-            node
-            for node in self.network.nodes()
-            if node != sender and self._reachable(sender, node)
-        ]
-
-    def _live_parties(self) -> list[str]:
-        return [
-            node for node in sorted(self.parties)
-            if not self.network.is_crashed(node)
-        ]
-
-    def _mark_applied(self, nodes: list[str], position: int) -> None:
-        for node in nodes:
-            if position > self._applied_upto.get(node, 0):
-                self._applied_upto[node] = position
-
-    def _apply_private(
-        self, node: str, position: int, payload_hash: str
-    ) -> tuple[object, bool]:
-        """Resolve + execute one private payload on *node*, at most once.
-
-        The chain position (not the payload hash, which repeats for
-        byte-identical payloads) is the idempotence key, so replayed
-        catch-up blocks and queued redeliveries never double-apply.
-        """
-        applied = self._applied_private.setdefault(node, set())
-        if position in applied:
-            return None, False
+    def _apply_private(self, node: str, payload_hash: str):
+        """Resolve + execute one private payload on *node*."""
         resolved = self.managers[node].resolve(payload_hash)
         value, __ = self._execute(
             node,
@@ -209,8 +175,7 @@ class QuorumNetwork(Platform):
             resolved["args"],
             self.private_states[node],
         )
-        applied.add(position)
-        return value, True
+        return value
 
     def _execute(
         self,
@@ -245,43 +210,85 @@ class QuorumNetwork(Platform):
         self.authenticate(sender)
         if self.network.is_crashed(sender):
             raise DeliveryError(f"node {sender!r} is down")
+        if self._applied_upto[sender] < self.chain.height:
+            # It missed a delivery; its state is stale until it recovers.
+            raise DeliveryError(f"node {sender!r} is behind the chain")
         self.sequencer.require_available()
 
     def _order(self, sender: str, tx: Transaction, exposure: Exposure) -> None:
-        """Gossip *tx*, order it in a batch of its own, and append it to
-        the public chain; every live party has then applied that height."""
+        """Order *tx* in a batch of its own, append it to the public
+        chain, and gossip it; the sender has then applied that height,
+        and every other node applies it when the gossip arrives."""
         with self.telemetry.span("quorum.order"):
-            self.network.broadcast(
-                sender, f"{tx.metadata['kind']}-tx", {"tx_id": tx.tx_id},
-                exposure=exposure, recipients=self._broadcast_targets(sender),
-            )
             self.sequencer.submit(tx)
             self.sequencer.cut_batch("quorum-public", force=True)
             self.chain.append([tx], self.clock.now)
-        self._mark_applied(self._live_parties(), self.chain.height)
+            self._ordered[tx.tx_id] = (self.chain.height, tx)
+            self._applied_upto[sender] = self.chain.height
+            # A crashed or partitioned peer misses the gossip (it would be
+            # dropped at delivery anyway); it does not veto the transaction.
+            targets = [
+                node for node in self.network.nodes()
+                if node != sender and self._reachable(sender, node)
+            ]
+            self._fan_out(
+                sender, targets, f"{tx.metadata['kind']}-tx",
+                {"tx_id": tx.tx_id}, exposure,
+            )
 
+    def _on_chain_tx(self, message) -> None:
+        """Delivery handler for ``public-tx``, ``private-tx`` and
+        ``catchup-block``: the recipient applies one ordered transaction,
+        in chain order only.
+
+        A public transaction's write set applies to public state.  A
+        private one executes if the recipient is a party; the hash on the
+        chain is how a node finds the payload it was sent, and without it
+        the node stays behind.  A transaction past a gap (an earlier one
+        lost in flight) or already applied changes nothing.
+        """
+        node = message.recipient
+        height, tx = self._ordered[message.payload["tx_id"]]
+        if height != self._applied_upto[node] + 1:
+            return
+        if tx.metadata["kind"] == "public":
+            apply_writes(tx, self.public_states[node])
+        elif node in tx.metadata["participants"]:
+            payload_hash = tx.private_hashes["payload"]
+            if not self.managers[node].has_payload(payload_hash):
+                return
+            self._apply_private(node, payload_hash)
+        self._applied_upto[node] = height
+
+    def _on_payload(self, message) -> None:
+        """Delivery handler for ``private-payload`` and ``catchup-payload``:
+        the recipient's manager stores its ciphertext."""
+        self.managers[message.sender].redeliver(
+            message.payload["hash"], self.managers[message.recipient]
+        )
+
+    @delivers
     def send_public_transaction(
         self, sender: str, contract_id: str, function: str, args: dict
     ) -> QuorumTxResult:
-        """A normal Ethereum-style transaction: everyone sees everything."""
+        """A normal Ethereum-style transaction: everyone sees everything.
+
+        The sender executes it; every node the gossip reaches applies its
+        write set on delivery.  A crashed node misses the block, and
+        catch-up replays it later.
+        """
         self._check_sender(sender)
         with self.telemetry.span(
             "quorum.public_tx", sender=sender, contract=contract_id
         ):
-            # A crashed node misses the block; catch-up replays it later.
-            live = self._live_parties()
-            return_values = {}
-            view = None
-            with self.telemetry.span(
-                "quorum.execute", nodes=len(live)
-            ):
-                for node in live:
-                    value, view = self._execute(
-                        node, contract_id, function, args, self.public_states[node]
-                    )
-                    return_values[node] = value
+            with self.telemetry.span("quorum.execute"):
+                value, view = self._execute(
+                    sender, contract_id, function, args,
+                    self.public_states[sender],
+                )
             writes = tuple(
-                WriteEntry(key=k, value=v) for k, v in sorted(view.writes.items())
+                [WriteEntry(key=k, value=v) for k, v in sorted(view.writes.items())]
+                + [WriteEntry(key=k, is_delete=True) for k in sorted(view.deletes)]
             )
             tx = Transaction(
                 channel="quorum-public",
@@ -298,9 +305,10 @@ class QuorumNetwork(Platform):
             self._order(sender, tx, exposure)
         return QuorumTxResult(
             tx=tx, payload_hash=None,
-            participants=sorted(self.parties), return_values=return_values,
+            participants=sorted(self.parties), return_values={sender: value},
         )
 
+    @delivers
     def send_private_transaction(
         self,
         sender: str,
@@ -332,6 +340,12 @@ class QuorumNetwork(Platform):
             # Surface the same refusal a direct send would raise.
             self.network._check_link(sender, unavailable[0])
             raise DeliveryError(f"node {unavailable[0]!r} is unreachable")
+        # Every participant executes on delivery, so all must hold the code.
+        missing = sorted(
+            set(participants) - set(unavailable) - self.code_visible_to(contract_id)
+        )
+        if missing:
+            raise PrivacyError(f"{missing[0]!r} has no code for {contract_id!r}")
         with self.telemetry.span(
             "quorum.private_tx",
             sender=sender,
@@ -357,21 +371,11 @@ class QuorumNetwork(Platform):
                             sender, participant, "private-payload",
                             {"hash": payload_hash}, exposure=Exposure(),
                         )
-            # Participants resolve the payload and update their private
-            # state.  The transaction will land at the next chain height;
-            # applying under that position makes replay idempotent.
-            position = self.chain.height + 1
-            return_values = {}
-            with self.telemetry.span(
-                "quorum.execute", nodes=len(participants) - len(unavailable)
-            ):
-                for participant in participants:
-                    if participant in unavailable:
-                        continue
-                    value, __ = self._apply_private(
-                        participant, position, payload_hash
-                    )
-                    return_values[participant] = value
+            # The sender resolves its own copy and updates its private
+            # state; the other participants do so when the transaction
+            # reaches them.
+            with self.telemetry.span("quorum.execute"):
+                value = self._apply_private(sender, payload_hash)
             # The public transaction: hash only — but participants in the clear.
             tx = Transaction(
                 channel="quorum-public",
@@ -382,24 +386,16 @@ class QuorumNetwork(Platform):
             )
             self._order(sender, tx, Exposure.of(identities=set(participants)))
             for participant in unavailable:
-                self._redelivery_queue.append(
-                    PendingRedelivery(
-                        sender=sender,
-                        participant=participant,
-                        payload_hash=payload_hash,
-                        position=position,
-                        participants=tuple(participants),
-                    )
-                )
+                self._redelivery_queue.append((participant, tx.tx_id))
                 self.telemetry.metrics.counter("recovery.redelivery.queued").inc()
                 self.telemetry.events.emit(
                     "recovery.redelivery_queued",
                     participant=participant,
-                    position=position,
+                    position=self.chain.height,
                 )
         return QuorumTxResult(
             tx=tx, payload_hash=payload_hash,
-            participants=participants, return_values=return_values,
+            participants=participants, return_values={sender: value},
         )
 
     # ------------------------------------------------------------------
@@ -470,37 +466,32 @@ class QuorumNetwork(Platform):
             },
         }
 
+    @delivers
     def redeliver_pending(self) -> int:
         """Serve queued private payloads to now-reachable participants.
 
         The retry-until-available half of resilient private delivery: a
         participant that was crashed or partitioned when its transaction
-        committed receives the payload (entitlement re-checked by the
-        holding manager) and applies it under the original chain
-        position, so a participant that already caught up via
+        committed catches up from its watermark — the payloads it is
+        entitled to (entitlement re-checked by the holding manager), then
+        the chain in order — so one that already caught up via
         :meth:`recover` is not double-applied.  Returns how many queued
-        payloads were applied; still-unreachable ones stay queued.
+        transactions were applied; the rest stay queued.
         """
-        applied = 0
-        remaining: list[PendingRedelivery] = []
-        for item in self._redelivery_queue:
-            node = item.participant
-            if item.position in self._applied_private.get(node, set()):
-                continue  # already applied through crash catch-up
-            if self.network.is_crashed(node):
-                remaining.append(item)
-                continue
-            if not self._ensure_payload(node, item.payload_hash, item.participants):
-                remaining.append(item)
-                continue
-            __, did_apply = self._apply_private(
-                node, item.position, item.payload_hash
-            )
-            if did_apply:
-                applied += 1
-                self._mark_applied([node], item.position)
-                self.telemetry.metrics.counter("recovery.redelivery.applied").inc()
-        self._redelivery_queue = remaining
+        owed = [
+            (node, tx_id) for node, tx_id in self._redelivery_queue
+            if self._ordered[tx_id][0] > self._applied_upto[node]
+        ]
+        for node in dict.fromkeys(node for node, __ in owed):
+            if not self.network.is_crashed(node):
+                self._catch_up(node, None)
+        self._redelivery_queue = [
+            (node, tx_id) for node, tx_id in owed
+            if self._ordered[tx_id][0] > self._applied_upto[node]
+        ]
+        applied = len(owed) - len(self._redelivery_queue)
+        if applied:
+            self.telemetry.metrics.counter("recovery.redelivery.applied").inc(applied)
         return applied
 
     # ------------------------------------------------------------------
@@ -519,18 +510,12 @@ class QuorumNetwork(Platform):
         self, name: str, payload_hash: str, participants: tuple[str, ...] | list[str]
     ) -> bool:
         """Get *payload_hash* into *name*'s manager from a live holder."""
-        manager = self.managers[name]
-        if manager.has_payload(payload_hash):
+        if self.managers[name].has_payload(payload_hash):
             return True
-        for holder in sorted(participants):
-            if holder == name or holder not in self.managers:
-                continue
-            if not self._reachable(holder, name):
-                continue
+        for holder in live_providers(self.network, participants, name):
             if not self.managers[holder].has_payload(payload_hash):
                 continue
-            self.managers[holder].redeliver(payload_hash, manager)
-            ship(
+            delivered = ship(
                 self.network,
                 holder,
                 name,
@@ -539,9 +524,32 @@ class QuorumNetwork(Platform):
                 exposure=Exposure(),  # ciphertext: reveals nothing
                 dedup_key=catchup_dedup_key("quorum", "payload", name, payload_hash),
             )
-            self.telemetry.metrics.counter("recovery.redelivered").inc()
-            return True
+            if delivered:
+                self.telemetry.metrics.counter("recovery.redelivered").inc()
+            return delivered
         return False
+
+    def _replay(self, provider: str, name: str, height: int, tx: Transaction) -> bool:
+        """Ship one ordered transaction to *name* as ``catchup-block``."""
+        if tx.metadata.get("kind") == "public":
+            exposure = Exposure.of(
+                identities={tx.submitter}, data_keys={w.key for w in tx.writes}
+            )
+        else:
+            # The public chain's documented leak: the participant list
+            # travels in the clear.
+            exposure = Exposure.of(
+                identities=set(tx.metadata.get("participants", ()))
+            )
+        return ship(
+            self.network,
+            provider,
+            name,
+            "catchup-block",
+            {"tx_id": tx.tx_id, "height": height},
+            exposure=exposure,
+            dedup_key=catchup_dedup_key("quorum", "public", name, height),
+        )
 
     def _checkpoint_data(self, name: str) -> dict:
         return {
@@ -556,10 +564,6 @@ class QuorumNetwork(Platform):
                     self.private_states[name].snapshot(),
                 ),
             },
-            "pending": {
-                "payload_hashes": self.managers[name].payload_hashes(),
-                "applied_private": sorted(self._applied_private.get(name, ())),
-            },
             "snapshots": {
                 "public": self.public_states[name].dump(),
                 "private": self.private_states[name].dump(),
@@ -572,7 +576,6 @@ class QuorumNetwork(Platform):
         self.managers[name] = PrivateTransactionManager(
             name, rng=self.rng.fork("tm:" + name)
         )
-        self._applied_private[name] = set()
         self._applied_upto[name] = 0
 
     def _restore_checkpoint(self, name: str, checkpoint) -> None:
@@ -585,99 +588,29 @@ class QuorumNetwork(Platform):
             checkpoint.snapshots.get("private", {})
         )
         self._applied_upto[name] = checkpoint.height_of("public")
-        self._applied_private[name] = {
-            int(position)
-            for position in checkpoint.pending.get("applied_private", [])
-        }
 
-    def _catch_up(self, name: str, checkpoint) -> dict:
+    def _catch_up(self, name: str, checkpoint) -> int:
         provider = pick_provider(self.network, self.parties, name)
         if provider is None:
-            return {"items": 0, "blocks_behind": 0}
-        items = 0
-        blocks_behind = 0
-        # 1. Re-fetch the payloads the manager held at checkpoint time
-        #    (the durable record of the pending queue): the ciphertexts
-        #    themselves are volatile, the entitlement is not.
-        held_hashes = (
-            list(checkpoint.pending.get("payload_hashes", []))
-            if checkpoint is not None
-            else []
-        )
-        payload_participants: dict[str, tuple[str, ...]] = {}
-        for tx in self.chain.transactions():
-            if tx.metadata.get("kind") == "private":
-                payload_participants[tx.private_hashes["payload"]] = tuple(
-                    tx.metadata.get("participants", ())
-                )
-        for payload_hash in held_hashes:
-            entitled = payload_participants.get(payload_hash, ())
-            if name in entitled and self._ensure_payload(
-                name, payload_hash, entitled
-            ):
-                items += 1
-        # 2. Replay the public chain above the node's watermark: public
-        #    writes apply directly; private transactions re-execute iff
-        #    this node is in the participant list and the payload can be
-        #    re-fetched from an entitled live holder.
-        since = self._applied_upto.get(name, 0)
-        state = self.public_states[name]
+            return 0
+        # Walk the public chain.  Every payload this node is entitled to
+        # is re-fetched from a live holder (the ciphertexts are volatile,
+        # the entitlement on the chain is not), and every block above the
+        # node's watermark replays through the live delivery handler, in
+        # order, up to the first that cannot apply.
+        since = self._applied_upto[name]
+        replaying = True
         for block in self.chain.blocks():
-            if block.height <= since:
-                continue
-            blocks_behind += 1
             for tx in block.transactions:
-                kind = tx.metadata.get("kind")
-                if kind == "public":
-                    ship(
-                        self.network,
-                        provider,
-                        name,
-                        "catchup-block",
-                        {"tx_id": tx.tx_id, "height": block.height},
-                        exposure=Exposure.of(
-                            identities={tx.submitter},
-                            data_keys={w.key for w in tx.writes},
-                        ),
-                        dedup_key=catchup_dedup_key(
-                            "quorum", "public", name, block.height
-                        ),
+                participants = tuple(tx.metadata.get("participants", ()))
+                held = True
+                if tx.metadata.get("kind") == "private" and name in participants:
+                    held = self._ensure_payload(
+                        name, tx.private_hashes["payload"], participants
                     )
-                    apply_writes(tx, state)
-                    items += 1
-                elif kind == "private":
-                    ship(
-                        self.network,
-                        provider,
-                        name,
-                        "catchup-block",
-                        {"tx_id": tx.tx_id, "height": block.height},
-                        # The public chain's documented leak: the
-                        # participant list travels in the clear.
-                        exposure=Exposure.of(
-                            identities=set(tx.metadata.get("participants", ()))
-                        ),
-                        dedup_key=catchup_dedup_key(
-                            "quorum", "public", name, block.height
-                        ),
-                    )
-                    if name not in tx.metadata.get("participants", ()):
-                        continue
-                    payload_hash = tx.private_hashes["payload"]
-                    if self._ensure_payload(
-                        name, payload_hash,
-                        tuple(tx.metadata.get("participants", ())),
-                    ):
-                        __, did_apply = self._apply_private(
-                            name, block.height, payload_hash
-                        )
-                        if did_apply:
-                            items += 1
-            self._applied_upto[name] = max(
-                self._applied_upto.get(name, 0), block.height
-            )
-        self.telemetry.metrics.counter("recovery.catchup.items").inc(items)
-        return {"items": items, "blocks_behind": blocks_behind}
+                if replaying and block.height > since:
+                    replaying = held and self._replay(provider, name, block.height, tx)
+        return self.chain.height - since
 
     # -- the documented double-spend flaw
 
@@ -834,7 +767,6 @@ class QuorumNetwork(Platform):
             "probe-n1", contract_id, "put", {"key": "s", "value": 1},
             private_for=["probe-n2"],
         )
-        self.network.run()
         outsider = self.network.node("probe-n3").observer
         data_leaked = "s" in outsider.seen_data_keys
         # Private state separates *data*; but participant identities leak
@@ -880,7 +812,6 @@ class QuorumNetwork(Platform):
             "probe-n1", contract_id, "put", {"key": "priv-k", "value": 9},
             private_for=["probe-n2"],
         )
-        self.network.run()
         non_participant_state = self.private_states["probe-n3"]
         isolated = not non_participant_state.exists("priv-k")
         return self._result(

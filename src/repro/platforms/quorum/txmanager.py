@@ -9,10 +9,10 @@ state."
 
 Each node runs a manager holding encrypted payloads keyed by hash.  The
 sender's manager encrypts the payload once per recipient (pairwise keys
-derived from PKI) and pushes the ciphertexts; everyone else only ever sees
-the hash.  Because private *state* is reconstructed by replaying these
-payloads, deleting one breaks the node — the executable reason Quorum's
-Table 1 off-chain-data cell is '—'.
+derived from PKI) and serves each one when its payload message is
+delivered; everyone else only ever sees the hash.  Because private *state*
+is reconstructed by replaying these payloads, deleting one breaks the
+node — the executable reason Quorum's Table 1 off-chain-data cell is '—'.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class PrivateTransactionManager:
         self.owner = owner
         self._rng = rng or DeterministicRNG("txmanager:" + owner)
         self._payloads: dict[str, StoredPayload] = {}
+        # Ciphertexts encrypted for a participant whose payload message
+        # is still in flight, keyed by (payload hash, participant).
+        self._outbox: dict[tuple[str, str], StoredPayload] = {}
 
     def distribute(
         self,
@@ -57,43 +60,50 @@ class PrivateTransactionManager:
         managers: dict[str, "PrivateTransactionManager"],
         skip: tuple[str, ...] = (),
     ) -> str:
-        """Encrypt *payload* for each participant and push it to them.
+        """Encrypt *payload* for each participant.
 
         Returns the payload hash that goes into the public transaction.
-        Participants in *skip* (currently unreachable) are recorded in
-        the payload's participant list but receive nothing now; the
-        redelivery path (:meth:`redeliver`) serves them later.
+        This manager keeps its own copy; another participant's waits in
+        the outbox until its payload message arrives (:meth:`redeliver`).
+        Those in *skip* (currently unreachable) are recorded in the
+        participant list but get nothing now; :meth:`redeliver` serves
+        them later.  The outbox holds one distribution: each send delivers
+        its traffic before the next starts, so an older entry is one whose
+        message was dropped.
         """
+        self._outbox = {}
         payload_hash = hash_hex("repro/quorum/payload", payload)
         raw = canonical_bytes(payload)
         for participant in participants:
             if participant in skip:
                 continue
-            manager = managers.get(participant)
-            if manager is None:
+            if participant not in managers:
                 raise PrivacyError(f"no transaction manager for {participant!r}")
             key = _pair_key(self.owner, participant)
-            ciphertext = key.encrypt(raw, self._rng)
-            manager.receive(
-                StoredPayload(
-                    payload_hash=payload_hash,
-                    ciphertext=ciphertext,
-                    sender=self.owner,
-                    participants=tuple(participants),
-                )
+            stored = StoredPayload(
+                payload_hash=payload_hash,
+                ciphertext=key.encrypt(raw, self._rng),
+                sender=self.owner,
+                participants=tuple(participants),
             )
+            if participant == self.owner:
+                self.receive(stored)
+            else:
+                self._outbox[(payload_hash, participant)] = stored
         return payload_hash
 
     def redeliver(
         self, payload_hash: str, recipient: "PrivateTransactionManager"
     ) -> bool:
-        """Re-encrypt a held payload for an entitled, newly reachable peer.
+        """Serve a held payload to an entitled peer.
 
         The entitlement gate is the payload's own participant list — a
-        manager will never re-serve a payload to a node that was not a
+        manager will never serve a payload to a node that was not a
         party to the original transaction, which is what keeps catch-up
-        privacy-preserving.  Idempotent: returns False if the recipient
-        already holds the payload.
+        privacy-preserving.  The copy encrypted for *recipient* at
+        distribution is handed over if it is still in the outbox; else
+        the payload is re-encrypted for it.  Idempotent: returns False if
+        the recipient already holds the payload.
         """
         stored = self._payloads.get(payload_hash)
         if stored is None:
@@ -107,21 +117,22 @@ class PrivateTransactionManager:
             )
         if recipient.has_payload(payload_hash):
             return False
-        # Decrypt with the original pairwise key, re-encrypt under the
-        # redeliverer<->recipient pair so the recipient can resolve it
-        # (resolve derives the key from the stored sender, which for a
-        # redelivered copy is this manager's owner).
-        original = _pair_key(stored.sender, self.owner)
-        raw = original.decrypt(stored.ciphertext)
-        key = _pair_key(self.owner, recipient.owner)
-        recipient.receive(
-            StoredPayload(
+        fresh = self._outbox.pop((payload_hash, recipient.owner), None)
+        if fresh is None:
+            # Decrypt with the original pairwise key, re-encrypt under the
+            # redeliverer<->recipient pair so the recipient can resolve it
+            # (resolve derives the key from the stored sender, which for a
+            # redelivered copy is this manager's owner).
+            raw = _pair_key(stored.sender, self.owner).decrypt(stored.ciphertext)
+            fresh = StoredPayload(
                 payload_hash=payload_hash,
-                ciphertext=key.encrypt(raw, self._rng),
+                ciphertext=_pair_key(self.owner, recipient.owner).encrypt(
+                    raw, self._rng
+                ),
                 sender=self.owner,
                 participants=stored.participants,
             )
-        )
+        recipient.receive(fresh)
         return True
 
     def receive(self, stored: StoredPayload) -> None:

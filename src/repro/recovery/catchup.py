@@ -38,22 +38,25 @@ def catchup_dedup_key(platform: str, scope: str, node: str, item_id: Any) -> str
     return f"catchup/{platform}/{scope}/{node}/{item_id}"
 
 
+def live_providers(
+    network: SimNetwork, candidates: Iterable[str], node: str
+) -> list[str]:
+    """The live peers among *candidates* that can reach *node* now, sorted."""
+    return [
+        candidate
+        for candidate in sorted(set(candidates))
+        if candidate != node
+        and not network.is_crashed(candidate)
+        and not network.is_partitioned(candidate, node)
+    ]
+
+
 def pick_provider(
     network: SimNetwork, candidates: Iterable[str], node: str
 ) -> str | None:
-    """First live peer that can currently reach *node*, or ``None``.
-
-    Deterministic: candidates are scanned in sorted order.
-    """
-    for candidate in sorted(set(candidates)):
-        if candidate == node:
-            continue
-        if network.is_crashed(candidate):
-            continue
-        if network.is_partitioned(candidate, node):
-            continue
-        return candidate
-    return None
+    """First of :func:`live_providers`, or ``None``."""
+    providers = live_providers(network, candidates, node)
+    return providers[0] if providers else None
 
 
 def ship(

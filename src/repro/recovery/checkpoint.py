@@ -33,9 +33,9 @@ class NodeCheckpoint:
       catch-up.
     - ``state_hashes``: per-scope digests of the visible state at
       checkpoint time, for integrity checks and convergence reports.
-    - ``pending``: pending-queue contents that must survive a crash,
-      e.g. the private-payload digests a Quorum transaction manager held
-      (the ciphertexts themselves are re-fetched from entitled peers).
+    - ``pending``: pending-queue contents that must survive a crash
+      (none on the three platforms today: a Quorum node re-fetches its
+      private-payload ciphertexts from entitled peers).
     - ``snapshots``: state images (``WorldState.dump()`` style) restored
       verbatim before catch-up replays the delta.
     """

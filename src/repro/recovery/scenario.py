@@ -112,6 +112,22 @@ def _outsider_clean(network, baseline_identities, baseline_keys) -> list[str]:
     return findings
 
 
+def _result(
+    net, crashed: str, checkpoint, statuses: dict[str, str], findings: list[str]
+) -> RecoveryScenarioResult:
+    """Audit *net* for convergence and package one scenario's outcome."""
+    return RecoveryScenarioResult(
+        platform_name=net.platform_name,
+        crashed_node=crashed,
+        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
+        report=audit_convergence(net),
+        statuses=statuses,
+        leak_ok=not findings,
+        leak_findings=findings,
+        summary=_recovery_metrics(net.telemetry),
+    )
+
+
 def _run_fabric(seed: str) -> RecoveryScenarioResult:
     from repro.execution.contracts import SmartContract
     from repro.ledger.validation import EndorsementPolicy
@@ -159,9 +175,7 @@ def _run_fabric(seed: str) -> RecoveryScenarioResult:
     wf.pay(LOC_ID)
 
     checkpoint = net.recover("SellerCo")
-    net.network.run()
 
-    report = audit_convergence(net)
     statuses = {p: wf.status_of(LOC_ID, p) for p in wf.PARTIES}
 
     seller_obs = net.network.node("SellerCo").observer
@@ -173,16 +187,7 @@ def _run_fabric(seed: str) -> RecoveryScenarioResult:
         findings.append("SellerCo holds a replica of a channel it is not on")
     findings += _outsider_clean(net, base_ids, base_keys)
 
-    return RecoveryScenarioResult(
-        platform_name="fabric",
-        crashed_node="SellerCo",
-        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
-        report=report,
-        statuses=statuses,
-        leak_ok=not findings,
-        leak_findings=findings,
-        summary=_recovery_metrics(net.telemetry),
-    )
+    return _result(net, "SellerCo", checkpoint, statuses, findings)
 
 
 def _run_corda(seed: str) -> RecoveryScenarioResult:
@@ -227,9 +232,7 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
 
     wf.advance("SellerCo", LOC_ID)      # -> shipped
     wf.advance("IssuingBank", LOC_ID)   # -> paid
-    net.network.run()
 
-    report = audit_convergence(net)
     statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
 
     buyer_obs = net.network.node("BuyerCo").observer
@@ -240,16 +243,7 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
         findings.append("BuyerCo's vault holds a transaction it was not party to")
     findings += _outsider_clean(net, base_ids, base_keys)
 
-    return RecoveryScenarioResult(
-        platform_name="corda",
-        crashed_node="BuyerCo",
-        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
-        report=report,
-        statuses=statuses,
-        leak_ok=not findings,
-        leak_findings=findings,
-        summary=_recovery_metrics(net.telemetry),
-    )
+    return _result(net, "BuyerCo", checkpoint, statuses, findings)
 
 
 def _run_quorum(seed: str) -> RecoveryScenarioResult:
@@ -298,9 +292,7 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
 
     wf.advance("SellerCo", LOC_ID)      # -> shipped
     wf.advance("IssuingBank", LOC_ID)   # -> paid
-    net.network.run()
 
-    report = audit_convergence(net)
     statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
 
     findings = []
@@ -314,16 +306,7 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
     if net.private_states[OUTSIDER].keys():
         findings.append(f"{OUTSIDER} holds private state")
 
-    return RecoveryScenarioResult(
-        platform_name="quorum",
-        crashed_node="SellerCo",
-        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
-        report=report,
-        statuses=statuses,
-        leak_ok=not findings,
-        leak_findings=findings,
-        summary=_recovery_metrics(net.telemetry),
-    )
+    return _result(net, "SellerCo", checkpoint, statuses, findings)
 
 
 _SCENARIOS = {

@@ -64,9 +64,9 @@ class SpanEvent:
     attributes: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class Span:
-    """One timed operation in a trace."""
+    """One timed operation in a trace; compared by identity, not value."""
 
     name: str
     trace_id: str

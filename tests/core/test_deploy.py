@@ -152,7 +152,6 @@ class TestMpcPath:
 
 class TestEndToEndPrivacy:
     def test_outsider_learns_nothing_from_operations(self, deployment):
-        deployment.network.network.run()
         outsider = deployment.network.network.node("Outsider").observer
         assert outsider.seen_data_keys == set()
         assert not (set(PARTIES) & outsider.seen_identities)

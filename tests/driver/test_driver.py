@@ -58,10 +58,12 @@ class TestRun:
         assert snapshot["counters"]["pipeline.committed{platform=corda}"] == 5
         assert snapshot["histograms"]["driver.batch_size"]["count"] == 3
         assert snapshot["histograms"]["driver.latency"]["count"] == 5
-        # The Corda pipeline takes no simulated time, so there is no rate.
-        assert report.duration == 0.0
-        assert report.throughput_tps is None
-        assert "driver.last_throughput_tps" not in snapshot["gauges"]
+        # Each Corda flow waits for its messages to be delivered, so the
+        # run takes simulated time and reports a rate.
+        assert report.duration > 0.0
+        assert snapshot["gauges"]["driver.last_throughput_tps"] == round(
+            report.committed / report.duration, 3
+        )
 
     def test_throughput_gauge_is_committed_over_duration(self):
         scenario = kv_scenario("fabric", 6, seed="driver-metrics")
@@ -127,11 +129,24 @@ class TestReport:
 
     def test_zero_duration_reports_no_rate(self):
         scenario = kv_scenario("corda", 3, seed="driver-report")
+        report = Driver(scenario.platform, DriverConfig(batch_size=2)).run([])
+        assert report.to_dict()["throughput_tps"] is None
+        assert "  throughput    n/a" in report.render_text().splitlines()
+
+    def test_no_commits_reports_no_latency(self):
+        scenario = kv_scenario("corda", 3, seed="driver-report")
+        report = Driver(scenario.platform, DriverConfig(batch_size=2)).run([])
+        assert report.mean_latency is None
+        assert report.to_dict()["mean_latency_s"] is None
+        assert "  mean latency  n/a" in report.render_text().splitlines()
+
+    def test_committed_receipts_report_a_latency(self):
+        scenario = kv_scenario("quorum", 3, seed="driver-report")
         report = Driver(scenario.platform, DriverConfig(batch_size=2)).run(
             scenario.requests
         )
-        assert report.to_dict()["throughput_tps"] is None
-        assert "  throughput    n/a" in report.render_text().splitlines()
+        assert report.mean_latency > 0.0
+        assert report.to_dict()["mean_latency_s"] > 0.0
 
     def test_render_text_mentions_caches_and_throughput(self):
         scenario = loc_scenario("fabric", 4, seed="driver-render")

@@ -16,14 +16,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import DeliveryError, DeliveryTimeout, OrderingError
+from repro.common.errors import (
+    DeliveryError,
+    DeliveryTimeout,
+    OrderingError,
+    ValidationError,
+)
 from repro.core.audit import audit_all
+from repro.execution.contracts import SmartContract
 from repro.faults.plan import FaultPlan
 from repro.platforms.corda.network import NOTARY_NODE, CordaNetwork
 from repro.platforms.fabric.network import ORDERER_NODE, FabricNetwork
 from repro.platforms.quorum.network import SEQUENCER_NODE, QuorumNetwork
+from repro.recovery.convergence import audit_convergence
 from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 from repro.usecases.letter_of_credit_multi import (
+    PARTIES,
     CordaLetterOfCredit,
     QuorumLetterOfCredit,
 )
@@ -53,7 +61,94 @@ def quorum_workflow(**network_kwargs) -> QuorumLetterOfCredit:
     return wf
 
 
+def lagging_nodes(platform) -> set[str]:
+    """Nodes the convergence audit names in any divergence."""
+    report = audit_convergence(platform)
+    return {node for divergence in report.divergences for node in divergence.nodes}
+
+
 class TestFabricChaos:
+    def test_block_lost_in_flight_leaves_member_behind(self):
+        """A partition that opens after a block is sent drops it in
+        flight: the member's replica lags, the audit flags it, and
+        crash + recover heals it through catch-up."""
+        net = FabricNetwork(seed="chaos-fabric-inflight")
+        for org in ("A", "B", "C"):
+            net.onboard(org)
+        net.create_channel("ch", ["A", "B", "C"])
+
+        def put(view, args):
+            view.put(args["key"], args["value"])
+            return args["value"]
+
+        contract = SmartContract(
+            "cc", 1, "python-chaincode", functions={"put": put}
+        )
+        net.deploy_chaincode("ch", contract, ["A", "B"])
+        now = net.clock.now
+        net.inject_faults(
+            FaultPlan().partition_between(
+                ORDERER_NODE, "C", start=now + 0.001, end=now + 10
+            )
+        )
+        net.invoke("ch", "A", "cc", "put", {"key": "k", "value": 1})
+        channel = net.channel("ch")
+        assert net.network.stats.dropped_by_partition == 1
+        assert channel.states["A"].get("k") == 1
+        assert not channel.states["C"].exists("k")
+        assert "k" not in net.network.node("C").observer.seen_data_keys
+        assert lagging_nodes(net) == {"C"}
+
+        net.crash("C")
+        net.recover("C")
+        assert channel.states["C"].dump() == channel.states["A"].dump()
+        assert audit_convergence(net).converged
+        assert "k" in net.network.node("C").observer.seen_data_keys
+
+    def test_lagging_endorser_cannot_commit_a_lost_update(self):
+        """The first member, whose replica endorsement reads, loses a
+        block in flight.  A read-modify-write endorsed on its stale
+        replica fails MVCC against the committed versions instead of
+        overwriting the newer value; once it recovers, the write commits."""
+        net = FabricNetwork(seed="chaos-fabric-lost-update")
+        for org in ("A", "B", "C"):
+            net.onboard(org)
+        net.create_channel("ch", ["A", "B", "C"])
+
+        def put(view, args):
+            view.put(args["key"], args["value"])
+
+        def add(view, args):
+            view.put(args["key"], view.get(args["key"]) + args["by"])
+
+        contract = SmartContract(
+            "cc", 1, "python-chaincode", functions={"put": put, "add": add}
+        )
+        net.deploy_chaincode("ch", contract, ["A", "B"])
+        net.invoke("ch", "B", "cc", "put", {"key": "k", "value": 1})
+        now = net.clock.now
+        net.inject_faults(
+            FaultPlan().partition_between(
+                ORDERER_NODE, "A", start=now + 0.001, end=now + 1
+            )
+        )
+        net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
+        channel = net.channel("ch")
+        assert channel.states["A"].get("k") == 1
+        assert channel.states["B"].get("k") == 2
+        net.clock.advance_to(now + 1)
+        with pytest.raises(ValidationError, match="MVCC_READ_CONFLICT"):
+            net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
+        assert channel.states["B"].get("k") == 2
+        assert channel.states["C"].get("k") == 2
+
+        net.crash("A")
+        net.recover("A")
+        net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
+        for org in ("A", "B", "C"):
+            assert channel.states[org].get("k") == 3
+        assert audit_convergence(net).converged
+
     def test_orderer_outage_then_recovery(self):
         """Crash the orderer mid-lifecycle; work resumes after recovery."""
         wf = fabric_workflow()
@@ -134,7 +229,6 @@ class TestCordaChaos:
         wf = corda_workflow()
         wf.network.inject_faults(FaultPlan().slow_all(10.0))
         assert wf.run_full_lifecycle("LC-C3") == "paid"
-        wf.network.network.run()
         assert wf.status_of("LC-C3", "SellerCo") == "paid"
 
     def test_resilient_delivery_rides_out_transient_partition(self):
@@ -175,10 +269,31 @@ class TestQuorumChaos:
         assert wf.status_of("LC-Q2", "BuyerCo") == "issued"
 
     def test_silent_loss_does_not_corrupt_lifecycle(self):
+        """Lost messages leave a participant behind, never wrong: the
+        audit names exactly the laggards, and once they catch up the
+        lifecycle finishes everywhere."""
         wf = quorum_workflow()
-        wf.network.inject_faults(FaultPlan().set_default_loss(0.5))
-        assert wf.run_full_lifecycle("LC-Q3") == "paid"
-        for party in ("BuyerCo", "SellerCo", "IssuingBank"):
+        net = wf.network
+        net.inject_faults(FaultPlan().set_default_loss(0.5))
+        wf.apply_for_credit("LC-Q3", amount=1000)
+        behind = set()
+        for party in PARTIES:
+            held = net.private_states[party].get_or("loc/LC-Q3")
+            if held is None:
+                behind.add(party)
+            else:
+                assert held["status"] == "applied"
+        assert behind  # the loss did reach a participant
+        assert lagging_nodes(net) == behind
+        net.inject_faults(FaultPlan())
+        for party in sorted(behind):
+            net.crash(party)
+            net.recover(party)
+        assert audit_convergence(net).converged
+        wf.advance("IssuingBank", "LC-Q3")
+        wf.advance("SellerCo", "LC-Q3")
+        wf.advance("IssuingBank", "LC-Q3")
+        for party in PARTIES:
             assert wf.status_of("LC-Q3", party) == "paid"
 
     def test_timed_sequencer_outage_heals_by_window_end(self):

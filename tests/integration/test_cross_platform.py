@@ -32,7 +32,6 @@ def run_on_fabric():
     contract = SmartContract("trade-cc", 1, "python-chaincode", {"record": record})
     net.deploy_chaincode("trade", contract, list(PARTIES))
     net.invoke("trade", "Acme", "trade-cc", "record", {"trade": TRADE})
-    net.network.run()
     recorded = net.channel("trade").state_of("Globex").get("trade/1")
     outsider_knowledge = net.network.node(OUTSIDER).observer.knowledge()
     return recorded, outsider_knowledge
@@ -49,7 +48,6 @@ def run_on_corda():
         commands=[Command(name="Trade", signers=PARTIES)],
     )
     result = net.run_flow("Acme", wire)
-    net.network.run()
     recorded = net.vault("Globex").state_at(result.output_refs[0]).data
     outsider_knowledge = net.network.node(OUTSIDER).observer.knowledge()
     return recorded, outsider_knowledge
@@ -69,7 +67,6 @@ def run_on_quorum():
     net.send_private_transaction(
         "Acme", "trade-evm", "record", {"trade": TRADE}, private_for=["Globex"]
     )
-    net.network.run()
     recorded = net.private_states["Globex"].get("trade/1")
     outsider_knowledge = net.network.node(OUTSIDER).observer.knowledge()
     return recorded, outsider_knowledge

@@ -39,7 +39,6 @@ def _driver_profile(platform_name: str) -> dict:
     )
     assert report.failed == 0
     platform = scenario.platform
-    platform.network.run()
     uninvolved_identity_leak = False
     uninvolved_data_leak = False
     for org in UNINVOLVED:
@@ -101,7 +100,6 @@ def test_quorum_private_price_confined_to_participants():
         scenario.requests
     )
     platform = scenario.platform
-    platform.network.run()
     holders = {
         org for org in platform.parties
         if platform.private_states[org].exists(CONFIDENTIAL_KEY)

@@ -12,6 +12,19 @@ from repro.network.messages import Exposure
 from repro.network.simnet import LatencyModel, Observer, SimNetwork
 
 
+def received(net, name) -> int:
+    """How many messages reached *name* (its own observer counts them)."""
+    return net.node(name).observer.messages_observed
+
+
+def collect(net, name, *kinds) -> list:
+    """Register handlers on *name* that record each arriving message."""
+    arrived = []
+    for kind in kinds:
+        net.node(name).on(kind, arrived.append)
+    return arrived
+
+
 @pytest.fixture
 def net():
     network = SimNetwork(rng=DeterministicRNG("net-test"))
@@ -22,24 +35,24 @@ def net():
 
 class TestDelivery:
     def test_point_to_point(self, net):
+        messages = collect(net, "B", "ping")
         net.send("A", "B", "ping", {"x": 1})
         net.run()
-        messages = net.node("B").drain()
         assert len(messages) == 1
         assert messages[0].payload == {"x": 1}
 
     def test_broadcast_excludes_sender(self, net):
         net.broadcast("A", "announce", "hello")
         net.run()
-        assert len(net.node("B").inbox) == 1
-        assert len(net.node("C").inbox) == 1
-        assert len(net.node("A").inbox) == 0
+        assert received(net, "B") == 1
+        assert received(net, "C") == 1
+        assert received(net, "A") == 0
 
     def test_broadcast_to_explicit_recipients(self, net):
         net.broadcast("A", "announce", "hello", recipients=["B"])
         net.run()
-        assert len(net.node("B").inbox) == 1
-        assert len(net.node("C").inbox) == 0
+        assert received(net, "B") == 1
+        assert received(net, "C") == 0
 
     def test_unknown_recipient_rejected(self, net):
         with pytest.raises(DeliveryError, match="unknown recipient"):
@@ -56,11 +69,12 @@ class TestDelivery:
         )
         net.add_node("A")
         net.add_node("B")
+        arrived = collect(net, "B", "first", "second")
         net.send("A", "B", "first", 1)
         net.clock.advance(1.0)
         net.send("A", "B", "second", 2)
         net.run()
-        kinds = [m.kind for m in net.node("B").inbox]
+        kinds = [m.kind for m in arrived]
         assert kinds == ["first", "second"]
 
     def test_clock_advances_with_deliveries(self, net):
@@ -76,12 +90,30 @@ class TestDelivery:
         net.run()
         assert received == [42]
 
-    def test_drain_by_kind(self, net):
+    def test_handlers_dispatch_by_kind(self, net):
+        xs, ys = collect(net, "B", "x"), collect(net, "B", "y")
         net.send("A", "B", "x", 1)
         net.send("A", "B", "y", 2)
+        net.send("A", "B", "z", 3)  # no handler: observed, then dropped
         net.run()
-        assert [m.payload for m in net.node("B").drain("x")] == [1]
-        assert [m.payload for m in net.node("B").drain()] == [2]
+        assert [m.payload for m in xs] == [1]
+        assert [m.payload for m in ys] == [2]
+        assert received(net, "B") == 3
+
+    def test_link_delivers_in_send_order(self):
+        # Jitter larger than the gap between sends would reorder messages
+        # on an unordered network; a link is an ordered stream.
+        net = SimNetwork(
+            rng=DeterministicRNG("fifo"),
+            latency=LatencyModel(base=0.005, jitter=0.05),
+        )
+        for name in ("A", "B"):
+            net.add_node(name)
+        arrived = collect(net, "B", "n")
+        for n in range(20):
+            net.send("A", "B", "n", n)
+        net.run()
+        assert [m.payload for m in arrived] == list(range(20))
 
 
 class TestObservers:
@@ -140,14 +172,14 @@ class TestFaults:
         net.partition("A", "B")
         net.send("A", "C", "ping", {})
         net.run()
-        assert len(net.node("C").inbox) == 1
+        assert received(net, "C") == 1
 
     def test_heal_restores_link(self, net):
         net.partition("A", "B")
         net.heal("A", "B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
     def test_message_drops(self):
         net = SimNetwork(
@@ -158,7 +190,7 @@ class TestFaults:
         net.add_node("B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
         assert net.stats.messages_dropped == 1
 
     def test_partial_drop_rate(self):
@@ -171,7 +203,7 @@ class TestFaults:
         for __ in range(200):
             net.send("A", "B", "ping", {})
         net.run()
-        delivered = len(net.node("B").inbox)
+        delivered = received(net, "B")
         assert 50 < delivered < 150  # loose bounds around 100
 
 
@@ -182,7 +214,7 @@ class TestPartitionTiming:
         net.send("A", "B", "ping", {})
         net.partition("A", "B")  # created while the message is in flight
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
         assert net.stats.messages_dropped == 1
         assert net.stats.dropped_by_partition == 1
         assert net.stats.messages_delivered == 0
@@ -201,7 +233,7 @@ class TestPartitionTiming:
         net.heal("A", "B")
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
     def test_drop_vs_partition_stats_are_distinct(self):
         net = SimNetwork(
@@ -226,7 +258,7 @@ class TestPartitionTiming:
         net.clock.advance_to(1.0)
         net.send("A", "B", "ping", {})
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
     def test_message_sent_before_window_drops_inside_it(self, net):
         # Due time falls inside the partition window even though the send
@@ -235,7 +267,7 @@ class TestPartitionTiming:
         net.fault_plan = FaultPlan().partition_between("A", "B", start=0.1, end=2.0)
         net.send("A", "B", "ping", {})  # sent at t=0, due at t=0.5
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
         assert net.stats.dropped_by_partition == 1
 
 
@@ -246,8 +278,8 @@ class TestBroadcastAtomicity:
         with pytest.raises(DeliveryError, match="unknown recipient"):
             net.broadcast("A", "announce", "x", recipients=["B", "Z", "C"])
         net.run()
-        assert len(net.node("B").inbox) == 0
-        assert len(net.node("C").inbox) == 0
+        assert received(net, "B") == 0
+        assert received(net, "C") == 0
         assert net.stats.messages_sent == 0
 
     def test_partitioned_target_queues_nothing(self, net):
@@ -255,14 +287,14 @@ class TestBroadcastAtomicity:
         with pytest.raises(DeliveryError, match="partition"):
             net.broadcast("A", "announce", "x")
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
         assert net.stats.messages_sent == 0
 
     def test_crashed_target_queues_nothing(self, net):
         net.fault_plan = FaultPlan().crash_node("C", start=0.0, end=1.0)
         with pytest.raises(DeliveryError, match="down"):
             net.broadcast("A", "announce", "x")
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
 
 
 class TestPayloadSizing:
@@ -274,7 +306,7 @@ class TestPayloadSizing:
         message = net.send("A", "B", "ping", {"rate": float("nan")})
         assert message.size_bytes == 256
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
     def test_unserializable_object_falls_back(self, net):
         message = net.send("A", "B", "ping", object())
@@ -284,10 +316,10 @@ class TestPayloadSizing:
 class TestResilientDelivery:
     def test_first_attempt_ack(self, net):
         receipt = net.send_with_retry("A", "B", "ping", {"x": 1})
-        assert receipt.delivered
         assert receipt.attempts == 1
-        assert receipt.delivered_at is not None
-        assert net.was_delivered(receipt.message)
+        assert receipt.delivered_at == net.clock.now
+        assert receipt.delivered_at > receipt.message.sent_at
+        assert received(net, "B") == 1
         assert net.stats.retries == 0
 
     def test_retry_succeeds_after_partition_heals(self, net):
@@ -297,7 +329,7 @@ class TestResilientDelivery:
         receipt = net.send_with_retry(
             "A", "B", "ping", {}, timeout=0.25, max_attempts=3
         )
-        assert receipt.delivered
+        assert receipt.delivered_at >= 0.2
         assert receipt.attempts == 2
         assert net.stats.retries == 1
 
@@ -336,7 +368,7 @@ class TestResilientDelivery:
         receipt = net.send_with_retry("A", "B", "ping", {}, max_attempts=3)
         net.run()
         assert receipt.attempts == 1
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
 
 class TestFaultPlanThreading:
@@ -349,8 +381,8 @@ class TestFaultPlanThreading:
         net.send("A", "B", "ping", {})
         net.send("A", "C", "ping", {})  # unaffected link
         net.run()
-        assert len(net.node("B").inbox) == 0
-        assert len(net.node("C").inbox) == 1
+        assert received(net, "B") == 0
+        assert received(net, "C") == 1
         assert net.stats.dropped_by_loss == 1
 
     def test_latency_multiplier_slows_link(self):
@@ -375,14 +407,14 @@ class TestFaultPlanThreading:
         net.clock.advance_to(1.0)
         net.send("A", "B", "ping", {})  # recovered
         net.run()
-        assert len(net.node("B").inbox) == 1
+        assert received(net, "B") == 1
 
     def test_crash_at_delivery_time_drops_in_flight(self, net):
         net.latency = LatencyModel(base=0.5, jitter=0.0)
         net.fault_plan = FaultPlan().crash_node("B", start=0.1, end=2.0)
         net.send("A", "B", "ping", {})  # sent at t=0 while B is still up
         net.run()
-        assert len(net.node("B").inbox) == 0
+        assert received(net, "B") == 0
         assert net.stats.dropped_by_crash == 1
 
     def test_zero_loss_plan_keeps_rng_stream_identical(self):
@@ -401,19 +433,6 @@ class TestFaultPlanThreading:
             return times
 
         assert deliveries(None) == deliveries(FaultPlan())
-
-
-class TestRunUntil:
-    def test_delivers_only_due_events(self, net):
-        net.latency = LatencyModel(base=0.01, jitter=0.0)
-        net.send("A", "B", "early", 1)  # due at 0.01
-        net.latency = LatencyModel(base=2.0, jitter=0.0)
-        net.send("A", "B", "late", 2)  # due at 2.0
-        net.run_until(0.5)
-        assert [m.kind for m in net.node("B").inbox] == ["early"]
-        assert net.clock.now == pytest.approx(0.5)
-        net.run()
-        assert [m.kind for m in net.node("B").inbox] == ["early", "late"]
 
 
 class TestStats:

@@ -85,7 +85,6 @@ def _native_submit_batch(platform, requests):
 
 
 def _observer_view(platform) -> dict:
-    platform.network.run()  # drain in-flight gossip before reading
     return {
         node: platform.network.node(node).observer.knowledge()
         for node in platform.network.nodes()

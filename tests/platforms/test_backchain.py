@@ -166,7 +166,6 @@ class TestNetworkResolution:
         __, __h, hop2 = three_hop
         net.onboard("Eve")
         net.resolve_backchain("Dave", "Eve", hop2.output_refs[0])
-        net.network.run()
         observer = net.network.node("Eve").observer
         assert {"Alice", "Bob", "Carol"} <= observer.seen_identities
 

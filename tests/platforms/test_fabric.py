@@ -123,13 +123,10 @@ class TestInvoke:
         assert result.tx.tx_id in channel.committed_tx_ids
 
     def test_endorsement_acks_name_the_committed_tx(self, net, channel):
+        acks = []
+        for node in net.network.nodes():
+            net.network.node(node).on("endorsement", acks.append)
         result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
-        net.network.run()
-        acks = [
-            message
-            for node in net.network.nodes()
-            for message in net.network.node(node).drain("endorsement")
-        ]
         assert len(acks) == 2
         assert {ack.payload["tx_id"] for ack in acks} == {result.tx.tx_id}
 
@@ -137,7 +134,6 @@ class TestInvoke:
 class TestPrivacyProperties:
     def test_non_members_receive_nothing(self, net, channel):
         net.invoke("ch", "Org1", "cc", "put", {"key": "secret", "value": 1})
-        net.network.run()
         outsider = net.network.node("Org3").observer
         assert "secret" not in outsider.seen_data_keys
         assert not ({"Org1", "Org2"} & outsider.seen_identities)
@@ -153,7 +149,6 @@ class TestPrivacyProperties:
         net.deploy_chaincode("ch-b", put_cc("cc-b"), ["Org2", "Org3"])
         net.invoke("ch", "Org1", "cc", "put", {"key": "a-secret", "value": 1})
         net.invoke("ch-b", "Org3", "cc-b", "put", {"key": "b-secret", "value": 2})
-        net.network.run()
         # Org3 (only on ch-b) never learned ch's data, and vice versa.
         assert "a-secret" not in net.network.node("Org3").observer.seen_data_keys
         assert "b-secret" not in net.network.node("Org1").observer.seen_data_keys

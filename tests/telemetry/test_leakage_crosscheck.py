@@ -46,7 +46,6 @@ def run_trade_scenario() -> FabricNetwork:
     net.deploy_chaincode("trade-ab", contract, list(TRADING_PARTIES))
     net.invoke("trade-ab", "OrgA", "trade-cc", "record",
                {"price": SECRET_PRICE})
-    net.network.run()
     return net
 
 
@@ -108,7 +107,6 @@ def test_letter_of_credit_pii_never_reaches_telemetry():
     workflow = LetterOfCreditWorkflow(network=FabricNetwork(seed="loc-leak"))
     workflow.setup()
     workflow.run_full_lifecycle("LC-XC")
-    workflow.network.network.run()
     blob = telemetry_blob(workflow.network)
 
     assert "P-99887766" not in blob

@@ -110,7 +110,7 @@ def test_successful_retry_span_reports_delivery():
     receipt = net.send_with_retry(
         "A", "B", "data", {"n": 1}, max_attempts=10
     )
-    assert receipt.delivered
+    assert receipt.delivered_at > receipt.message.sent_at
     (span,) = net.telemetry.tracer.find_spans("net.send_with_retry")
     assert span.attributes["outcome"] == "delivered"
     assert span.attributes["attempts"] == receipt.attempts

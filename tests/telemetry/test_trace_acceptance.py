@@ -21,7 +21,6 @@ def traced_workflow() -> LetterOfCreditWorkflow:
     workflow = LetterOfCreditWorkflow(network=FabricNetwork(seed="trace-acc"))
     workflow.setup()
     workflow.run_full_lifecycle("LC-ACC")
-    workflow.network.network.run()  # drain in-flight block distribution
     return workflow
 
 
@@ -129,7 +128,6 @@ def test_same_seed_yields_identical_traces():
         )
         workflow.setup()
         workflow.run_full_lifecycle("LC-R")
-        workflow.network.network.run()
         return workflow.telemetry.to_dict()
 
     assert json.dumps(run(), default=str) == json.dumps(run(), default=str)

@@ -115,7 +115,6 @@ class TestWorkflow:
 
     def test_network_outsider_sees_nothing(self, workflow):
         workflow.run_full_lifecycle("LC-106")
-        workflow.network.network.run()
         outsider = workflow.network.network.node("OtherBank").observer
         assert outsider.seen_data_keys == set()
         assert not (set(workflow.PARTIES) & outsider.seen_identities)

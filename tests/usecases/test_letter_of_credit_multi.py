@@ -38,7 +38,6 @@ class TestCordaVariant:
 
     def test_outsider_sees_nothing(self, corda_loc):
         corda_loc.run_full_lifecycle("LC-C-102")
-        corda_loc.network.network.run()
         outsider = corda_loc.network.network.node("OtherBank").observer
         assert outsider.seen_data_keys == set()
         assert not (set(PARTIES) & outsider.seen_identities)
@@ -100,7 +99,6 @@ class TestQuorumVariant:
     def test_participant_list_leaks_network_wide(self, quorum_loc):
         """The design's residual on this platform (paper Section 5)."""
         quorum_loc.run_full_lifecycle("LC-Q-102")
-        quorum_loc.network.network.run()
         outsider = quorum_loc.network.network.node("OtherBank").observer
         assert set(PARTIES) & outsider.seen_identities
 

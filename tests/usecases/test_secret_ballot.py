@@ -90,7 +90,6 @@ class TestNetworkTraffic:
         workflow.vote("m-tap", {
             "M1": True, "M2": True, "M3": False, "M4": False, "M5": False,
         })
-        workflow.network.network.run()
         # Shares and partial sums expose nothing; only the committing
         # transaction's channel traffic carries the (aggregate) key name.
         assert not any("M1" == i for i in tap.seen_data_keys)
