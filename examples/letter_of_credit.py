@@ -7,8 +7,12 @@
 2. Execute the designed solution on the Fabric simulation: buyer applies,
    bank issues, seller ships, bank pays — then the buyer invokes GDPR
    erasure of their KYC record while the audit trail survives.
+3. Run the same workflow on Corda and Quorum: Corda keeps the PII in an
+   external store, Quorum refuses to hold it.
 """
 
+from repro.common.errors import PlatformError
+from repro.platforms import CordaNetwork, FabricNetwork, QuorumNetwork
 from repro.usecases.letter_of_credit import (
     LetterOfCreditWorkflow,
     design_letter_of_credit,
@@ -26,7 +30,7 @@ def main() -> None:
     print("=" * 60)
     print("Step 2: execute the designed solution (Fabric simulation)")
     print("=" * 60)
-    workflow = LetterOfCreditWorkflow()
+    workflow = LetterOfCreditWorkflow(FabricNetwork(seed="loc"))
     workflow.setup(extra_network_members=("UninvolvedBank",))
 
     loc = workflow.apply_for_credit(
@@ -56,6 +60,23 @@ def main() -> None:
     print("The trusted third-party orderer, by contrast, saw:")
     print(f"  identities: {sorted(orderer.seen_identities & set(workflow.PARTIES))}")
     print(f"  data keys:  {len(orderer.seen_data_keys)} keys")
+
+    print()
+    print("=" * 60)
+    print("Step 3: the same workflow on Corda and Quorum")
+    print("=" * 60)
+    for network in (CordaNetwork(seed="loc"), QuorumNetwork(seed="loc")):
+        other = LetterOfCreditWorkflow(network)
+        other.setup()
+        final = other.run_full_lifecycle("LC-2026-002")
+        print(f"{network.platform_name}: status -> {final.status}")
+        try:
+            other.apply_for_credit(
+                "LC-2026-003", amount=1_000, buyer_passport="P-55667788"
+            )
+            print("  PII placed off the shared ledger")
+        except PlatformError as refusal:
+            print(f"  PII refused: {refusal}")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,11 @@ echo "== chaos suite (fault injection + liveness/privacy invariants) =="
 python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
 
 echo
-echo "== telemetry gate (leakage cross-check + strict lint of repro.telemetry) =="
+echo "== telemetry gate (leakage cross-check + traced LoC workflow per platform + strict lint of repro.telemetry) =="
 python -m pytest -x -q tests/telemetry/test_leakage_crosscheck.py
+for platform in fabric corda quorum; do
+    python -m repro trace --platform "$platform" > /dev/null
+done
 python -m repro lint --strict src/repro/telemetry
 
 echo

@@ -165,18 +165,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _traced_lifecycle(platform: str):
     """Run one letter-of-credit lifecycle on *platform*; return its
     telemetry bundle (spans + metrics + events, all simulated-time)."""
-    if platform == "fabric":
-        from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
+    from repro.platforms import CordaNetwork, FabricNetwork, QuorumNetwork
+    from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
-        workflow = LetterOfCreditWorkflow()
-    elif platform == "corda":
-        from repro.usecases.letter_of_credit_multi import CordaLetterOfCredit
-
-        workflow = CordaLetterOfCredit()
-    else:
-        from repro.usecases.letter_of_credit_multi import QuorumLetterOfCredit
-
-        workflow = QuorumLetterOfCredit()
+    network_types = {
+        "fabric": FabricNetwork, "corda": CordaNetwork, "quorum": QuorumNetwork,
+    }
+    workflow = LetterOfCreditWorkflow(network_types[platform](seed="loc"))
     workflow.setup()
     workflow.run_full_lifecycle()
     return workflow.network.telemetry

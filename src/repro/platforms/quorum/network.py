@@ -28,6 +28,7 @@ from repro.common.errors import (
     PrivacyError,
     ValidationError,
 )
+from repro.common.serialization import canonical_json, from_canonical_json
 from repro.core.mechanisms import Mechanism
 from repro.crypto.hashing import hash_hex
 from repro.crypto.symmetric import SymmetricKey
@@ -195,12 +196,16 @@ class QuorumNetwork(Platform):
         """Run a contract over *state*, then apply its writes and deletes."""
         view = StateView(state)
         value = self.contracts[contract_id].invoke(function, view, args)
+        self._apply_view(view, state)
+        return value, view
+
+    @staticmethod
+    def _apply_view(view: StateView, state: WorldState) -> None:
         for key, val in view.writes.items():
             state.put(key, val)
         for key in view.deletes:
             if state.exists(key):
                 state.delete(key)
-        return value, view
 
     def _check_sender(self, sender: str) -> None:
         """Refuse a transaction before any state mutation, so a failed one
@@ -353,10 +358,18 @@ class QuorumNetwork(Platform):
             participants=len(participants),
         ):
             payload = {"contract": contract_id, "function": function, "args": args}
+            # The sender executes first, on the arguments as its peers
+            # will decode them, so a contract that raises encrypts and
+            # sends nothing.  Its writes apply after the sends: no
+            # private state moves before them.
+            with self.telemetry.span("quorum.execute"):
+                view = StateView(self.private_states[sender])
+                value = self.contracts[contract_id].invoke(
+                    function, view, from_canonical_json(canonical_json(args))
+                )
             # The encrypted payload crosses the wire once per reachable
             # recipient; the ciphertext itself exposes nothing (empty
-            # exposure).  These sends precede every private-state
-            # mutation (distribution itself is idempotent).
+            # exposure).  Distribution itself is idempotent.
             with self.telemetry.span("quorum.distribute"):
                 payload_hash = self.managers[sender].distribute(
                     payload, participants, self.managers,
@@ -371,11 +384,9 @@ class QuorumNetwork(Platform):
                             sender, participant, "private-payload",
                             {"hash": payload_hash}, exposure=Exposure(),
                         )
-            # The sender resolves its own copy and updates its private
-            # state; the other participants do so when the transaction
+            # The other participants execute when the transaction
             # reaches them.
-            with self.telemetry.span("quorum.execute"):
-                value = self._apply_private(sender, payload_hash)
+            self._apply_view(view, self.private_states[sender])
             # The public transaction: hash only — but participants in the clear.
             tx = Transaction(
                 channel="quorum-public",

@@ -1,11 +1,11 @@
 """The canonical crash/recover/converge scenario.
 
-One reusable script per platform, all telling the same story: a
-letter-of-credit lifecycle is underway when one of the three parties
-crashes mid-flow under an adverse fault plan (message loss, a congestion
-window, a timed partition against an uninvolved outsider).  While the
-node is down, business continues without it — including a *side
-interaction it is not a party to*.  The node then checkpoints-recovers,
+One runner over the shared letter-of-credit workflow, telling the same
+story on every platform: a lifecycle is underway when one of the three
+parties crashes mid-flow under an adverse fault plan (message loss, a
+congestion window, a timed partition against an uninvolved outsider).
+While the node is down, business continues without it — including a
+*side interaction it is not a party to*.  The node then checkpoints-recovers,
 catches up through the visibility-filtered protocol, and the scenario
 asserts three things:
 
@@ -23,10 +23,17 @@ convergence gate pins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.errors import PlatformError
+from repro.execution.contracts import SmartContract
 from repro.faults import FaultPlan
+from repro.ledger.validation import EndorsementPolicy
+from repro.platforms.corda import Command, ContractState, CordaNetwork
+from repro.platforms.fabric import FabricNetwork
+from repro.platforms.quorum import QuorumNetwork
 from repro.recovery.convergence import ConvergenceReport, audit_convergence
+from repro.usecases.letter_of_credit import PARTIES, LetterOfCreditWorkflow
 
 CANONICAL_SEED = "recovery-scenario"
 LOC_ID = "LC-R-001"
@@ -97,126 +104,28 @@ def _recovery_metrics(telemetry) -> dict:
     }
 
 
-def _outsider_clean(network, baseline_identities, baseline_keys) -> list[str]:
-    """Findings if the uninvolved outsider learned anything new."""
-    observer = network.network.node(OUTSIDER).observer
-    findings = []
-    new_identities = observer.seen_identities - baseline_identities
-    new_keys = observer.seen_data_keys - baseline_keys
-    if new_identities:
-        findings.append(
-            f"{OUTSIDER} learned identities {sorted(new_identities)}"
-        )
-    if new_keys:
-        findings.append(f"{OUTSIDER} learned data keys {sorted(new_keys)}")
-    return findings
-
-
-def _result(
-    net, crashed: str, checkpoint, statuses: dict[str, str], findings: list[str]
-) -> RecoveryScenarioResult:
-    """Audit *net* for convergence and package one scenario's outcome."""
-    return RecoveryScenarioResult(
-        platform_name=net.platform_name,
-        crashed_node=crashed,
-        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
-        report=audit_convergence(net),
-        statuses=statuses,
-        leak_ok=not findings,
-        leak_findings=findings,
-        summary=_recovery_metrics(net.telemetry),
-    )
-
-
-def _run_fabric(seed: str) -> RecoveryScenarioResult:
-    from repro.execution.contracts import SmartContract
-    from repro.ledger.validation import EndorsementPolicy
-    from repro.platforms.fabric import FabricNetwork
-    from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
-
-    net = FabricNetwork(seed=seed, resilient_delivery=True)
-    wf = LetterOfCreditWorkflow(network=net)
-    wf.setup(
-        extra_network_members=(OUTSIDER,),
-        # 2-of-3 so the lifecycle survives one crashed member.
-        endorsement_policy=EndorsementPolicy.k_of(2, list(wf.PARTIES)),
-    )
-    net.inject_faults(canonical_fault_plan())
-    outsider_obs = net.network.node(OUTSIDER).observer
-    base_ids = set(outsider_obs.seen_identities)
-    base_keys = set(outsider_obs.seen_data_keys)
-
-    wf.apply_for_credit(LOC_ID, amount=100_000, buyer_passport="P-R-42")
-    wf.issue(LOC_ID)
-    wf.ship(LOC_ID)
-
-    net.checkpoint_node("SellerCo")
-    net.crash("SellerCo")
-
-    # A side channel the crashed party is not a member of: its traffic and
-    # state must stay invisible to SellerCo through recovery.
+def _fabric_side(net: FabricNetwork) -> dict:
+    """A side channel SellerCo is not a member of."""
     side = net.create_channel("side-channel", ["BuyerCo", "IssuingBank"])
-
-    def put(view, args):
-        view.put(args["key"], args["value"])
-        return args["value"]
-
     side_cc = SmartContract(
         contract_id="side-cc", version=1, language="python-chaincode",
-        functions={"put": put},
+        functions={"put": _put},
     )
     net.deploy_chaincode("side-channel", side_cc, ["BuyerCo", "IssuingBank"])
     net.invoke(
         "side-channel", "BuyerCo", "side-cc", "put",
         {"key": SIDE_KEY, "value": 314},
     )
-
-    # Business continues: the two live endorsers satisfy the 2-of-3 policy.
-    wf.pay(LOC_ID)
-
-    checkpoint = net.recover("SellerCo")
-
-    statuses = {p: wf.status_of(LOC_ID, p) for p in wf.PARTIES}
-
-    seller_obs = net.network.node("SellerCo").observer
-    findings = []
-    if SIDE_KEY in seller_obs.seen_data_keys:
-        findings.append("SellerCo learned the side-channel data key")
-    side_state = side.states.get("SellerCo")
-    if side_state is not None:
-        findings.append("SellerCo holds a replica of a channel it is not on")
-    findings += _outsider_clean(net, base_ids, base_keys)
-
-    return _result(net, "SellerCo", checkpoint, statuses, findings)
+    return {
+        "SellerCo holds a replica of a channel it is not on":
+            lambda: side.states.get("SellerCo") is not None,
+    }
 
 
-def _run_corda(seed: str) -> RecoveryScenarioResult:
-    from repro.platforms.corda import Command, ContractState, CordaNetwork
-    from repro.usecases.letter_of_credit_multi import (
-        PARTIES,
-        CordaLetterOfCredit,
-    )
-
-    net = CordaNetwork(seed=seed, resilient_delivery=True)
-    wf = CordaLetterOfCredit(network=net)
-    wf.setup(extra_network_members=(OUTSIDER,))
-    net.inject_faults(canonical_fault_plan())
-    outsider_obs = net.network.node(OUTSIDER).observer
-    base_ids = set(outsider_obs.seen_identities)
-    base_keys = set(outsider_obs.seen_data_keys)
-
-    wf.apply_for_credit(LOC_ID, amount=100_000, buyer_passport="P-R-43")
-    wf.advance("IssuingBank", LOC_ID)  # -> issued
-
-    net.checkpoint_node("BuyerCo")
-    net.crash("BuyerCo")
-
-    # A two-party trade the crashed node is not entitled to: catch-up must
-    # not re-ship this chain to BuyerCo.
-    def verify_side(wire):
-        return None
-
-    net.register_contract("side-trade", verify_side, language="kotlin")
+def _corda_side(net: CordaNetwork) -> dict:
+    """A two-party trade BuyerCo is not entitled to: catch-up must not
+    re-ship this chain to BuyerCo."""
+    net.register_contract("side-trade", lambda wire: None, language="kotlin")
     side_state = ContractState(
         contract_id="side-trade",
         participants=("SellerCo", "IssuingBank"),
@@ -227,57 +136,17 @@ def _run_corda(seed: str) -> RecoveryScenarioResult:
         commands=[Command(name="Trade", signers=("SellerCo", "IssuingBank"))],
     )
     net.run_flow("SellerCo", side_wire)
-
-    checkpoint = net.recover("BuyerCo")
-
-    wf.advance("SellerCo", LOC_ID)      # -> shipped
-    wf.advance("IssuingBank", LOC_ID)   # -> paid
-
-    statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
-
-    buyer_obs = net.network.node("BuyerCo").observer
-    findings = []
-    if SIDE_KEY in buyer_obs.seen_data_keys:
-        findings.append("BuyerCo learned the side-trade data key")
-    if net.vault("BuyerCo").knows_transaction(side_wire.tx_id):
-        findings.append("BuyerCo's vault holds a transaction it was not party to")
-    findings += _outsider_clean(net, base_ids, base_keys)
-
-    return _result(net, "BuyerCo", checkpoint, statuses, findings)
+    return {
+        "BuyerCo's vault holds a transaction it was not party to":
+            lambda: net.vault("BuyerCo").knows_transaction(side_wire.tx_id),
+    }
 
 
-def _run_quorum(seed: str) -> RecoveryScenarioResult:
-    from repro.execution.contracts import SmartContract
-    from repro.platforms.quorum import QuorumNetwork
-    from repro.usecases.letter_of_credit_multi import (
-        PARTIES,
-        QuorumLetterOfCredit,
-    )
-
-    net = QuorumNetwork(seed=seed, resilient_delivery=True)
-    wf = QuorumLetterOfCredit(network=net)
-    wf.setup(extra_network_members=(OUTSIDER,))
-    net.inject_faults(canonical_fault_plan())
-    outsider_obs = net.network.node(OUTSIDER).observer
-    base_keys = set(outsider_obs.seen_data_keys)
-
-    wf.apply_for_credit(LOC_ID, amount=100_000)  # applied
-
-    net.checkpoint_node("SellerCo")
-    net.crash("SellerCo")
-
-    # Advance while SellerCo is down: the resilient txmanager queues the
-    # payload for redelivery instead of failing the whole transaction.
-    wf.advance("IssuingBank", LOC_ID)  # -> issued (SellerCo owed a payload)
-
-    # A side private transaction SellerCo is not entitled to.
-    def put(view, args):
-        view.put(args["key"], args["value"])
-        return args["value"]
-
+def _quorum_side(net: QuorumNetwork) -> dict:
+    """A side private transaction SellerCo is not entitled to."""
     side_cc = SmartContract(
         contract_id="side-evm", version=1, language="evm-solidity",
-        functions={"put": put},
+        functions={"put": _put},
     )
     net.deploy_contract(
         "BuyerCo", side_cc, private_for=["BuyerCo", "IssuingBank"]
@@ -286,47 +155,129 @@ def _run_quorum(seed: str) -> RecoveryScenarioResult:
         "BuyerCo", "side-evm", "put", {"key": SIDE_KEY, "value": 9},
         private_for=["IssuingBank"],
     )
+    return {
+        "SellerCo's private state holds the side-tx key":
+            lambda: net.private_states["SellerCo"].exists(SIDE_KEY),
+        "SellerCo's manager was re-served a payload it was not entitled to":
+            lambda: net.managers["SellerCo"].has_payload(side.payload_hash),
+        f"{OUTSIDER} holds private state":
+            lambda: bool(net.private_states[OUTSIDER].keys()),
+    }
 
-    checkpoint = net.recover("SellerCo")
-    net.redeliver_pending()
 
-    wf.advance("SellerCo", LOC_ID)      # -> shipped
-    wf.advance("IssuingBank", LOC_ID)   # -> paid
+def _put(view, args):
+    view.put(args["key"], args["value"])
+    return args["value"]
 
-    statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
 
-    findings = []
-    if net.private_states["SellerCo"].exists(SIDE_KEY):
-        findings.append("SellerCo's private state holds the side-tx key")
-    if net.managers["SellerCo"].has_payload(side.payload_hash):
-        findings.append("SellerCo's manager was re-served a payload it "
-                        "was not entitled to")
-    if SIDE_KEY in outsider_obs.seen_data_keys - base_keys:
-        findings.append(f"{OUTSIDER} learned the side-tx data key")
-    if net.private_states[OUTSIDER].keys():
-        findings.append(f"{OUTSIDER} holds private state")
+@dataclass(frozen=True)
+class _Script:
+    """The per-platform parts of the canonical scenario.
 
-    return _result(net, "SellerCo", checkpoint, statuses, findings)
+    Of the four lifecycle stages, the first ``crash_after`` run before
+    ``crashed`` goes down and the next ``while_down`` while it is down;
+    the rest run after it recovers.  ``side`` runs the side interaction
+    while the node is down and returns its leak checks (finding ->
+    predicate, evaluated after recovery).
+    """
+
+    network: type
+    crashed: str
+    passport: str | None
+    crash_after: int
+    while_down: int
+    side: Callable[[object], dict]
+    # 2-of-3 on Fabric, so the lifecycle survives one crashed member.
+    endorsement_policy: EndorsementPolicy | None = None
+    # Quorum names every private transaction's parties to the whole
+    # network: a platform leak, not a recovery one.
+    outsider_sees_parties: bool = False
 
 
 _SCENARIOS = {
-    "fabric": _run_fabric,
-    "corda": _run_corda,
-    "quorum": _run_quorum,
+    "fabric": _Script(
+        FabricNetwork, "SellerCo", "P-R-42", crash_after=3, while_down=1,
+        side=_fabric_side,
+        endorsement_policy=EndorsementPolicy.k_of(2, list(PARTIES)),
+    ),
+    "corda": _Script(
+        CordaNetwork, "BuyerCo", "P-R-43", crash_after=2, while_down=0,
+        side=_corda_side,
+    ),
+    # Quorum runs a stage while SellerCo is down: the resilient txmanager
+    # queues its payload for redelivery instead of failing it.
+    "quorum": _Script(
+        QuorumNetwork, "SellerCo", None, crash_after=1, while_down=1,
+        side=_quorum_side, outsider_sees_parties=True,
+    ),
 }
+
+
+def _run(script: _Script, seed: str) -> RecoveryScenarioResult:
+    net = script.network(seed=seed, resilient_delivery=True)
+    wf = LetterOfCreditWorkflow(net)
+    wf.setup(
+        extra_network_members=(OUTSIDER,),
+        endorsement_policy=script.endorsement_policy,
+    )
+    net.inject_faults(canonical_fault_plan())
+    outsider = net.network.node(OUTSIDER).observer
+    base_ids = set(outsider.seen_identities)
+    base_keys = set(outsider.seen_data_keys)
+
+    stages = [
+        lambda: wf.apply_for_credit(
+            LOC_ID, amount=100_000, buyer_passport=script.passport
+        ),
+        lambda: wf.issue(LOC_ID),
+        lambda: wf.ship(LOC_ID),
+        lambda: wf.pay(LOC_ID),
+    ]
+    down_until = script.crash_after + script.while_down
+    for stage in stages[:script.crash_after]:
+        stage()
+    net.checkpoint_node(script.crashed)
+    net.crash(script.crashed)
+    for stage in stages[script.crash_after:down_until]:
+        stage()
+    leak_checks = script.side(net)
+    checkpoint = net.recover(script.crashed)
+    for stage in stages[down_until:]:
+        stage()
+
+    statuses = {p: wf.status_of(LOC_ID, p) for p in PARTIES}
+    findings = [finding for finding, leaked in leak_checks.items() if leaked()]
+    if SIDE_KEY in net.network.node(script.crashed).observer.seen_data_keys:
+        findings.append(f"{script.crashed} learned the side data key")
+    new_identities = outsider.seen_identities - base_ids
+    if new_identities and not script.outsider_sees_parties:
+        findings.append(f"{OUTSIDER} learned identities {sorted(new_identities)}")
+    new_keys = outsider.seen_data_keys - base_keys
+    if new_keys:
+        findings.append(f"{OUTSIDER} learned data keys {sorted(new_keys)}")
+    return RecoveryScenarioResult(
+        platform_name=net.platform_name,
+        crashed_node=script.crashed,
+        checkpoint_sequence=None if checkpoint is None else checkpoint.sequence,
+        report=audit_convergence(net),
+        statuses=statuses,
+        leak_ok=not findings,
+        leak_findings=findings,
+        summary=_recovery_metrics(net.telemetry),
+    )
 
 
 def run_recovery_scenario(
     platform_name: str, seed: str = CANONICAL_SEED
 ) -> RecoveryScenarioResult:
     """Run the canonical crash/recover/converge scenario on one platform."""
-    runner = _SCENARIOS.get(platform_name)
-    if runner is None:
+    script = _SCENARIOS.get(platform_name)
+    if script is None:
         raise PlatformError(
             f"no recovery scenario for platform {platform_name!r} "
             f"(choose from {sorted(_SCENARIOS)})"
         )
-    return runner(seed)
+    return _run(script, seed)
 
 
 def run_all_recovery_scenarios(

@@ -8,10 +8,6 @@ from repro.usecases.letter_of_credit import (
     letter_of_credit_requirements,
 )
 from repro.usecases.kyc_consortium import KycConsortium, OnboardingRecord
-from repro.usecases.letter_of_credit_multi import (
-    CordaLetterOfCredit,
-    QuorumLetterOfCredit,
-)
 from repro.usecases.oracle_attestation import AttestedTrade, OracleTradeWorkflow
 from repro.usecases.secret_ballot import BallotResult, SecretBallotWorkflow
 
@@ -23,8 +19,6 @@ __all__ = [
     "letter_of_credit_requirements",
     "AttestedTrade",
     "KycConsortium",
-    "CordaLetterOfCredit",
-    "QuorumLetterOfCredit",
     "OnboardingRecord",
     "OracleTradeWorkflow",
     "BallotResult",

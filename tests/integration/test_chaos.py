@@ -29,34 +29,14 @@ from repro.platforms.corda.network import NOTARY_NODE, CordaNetwork
 from repro.platforms.fabric.network import ORDERER_NODE, FabricNetwork
 from repro.platforms.quorum.network import SEQUENCER_NODE, QuorumNetwork
 from repro.recovery.convergence import audit_convergence
-from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
-from repro.usecases.letter_of_credit_multi import (
-    PARTIES,
-    CordaLetterOfCredit,
-    QuorumLetterOfCredit,
-)
+from repro.usecases.letter_of_credit import PARTIES, LetterOfCreditWorkflow
 
 
-def fabric_workflow(**network_kwargs) -> LetterOfCreditWorkflow:
-    wf = LetterOfCreditWorkflow(
-        network=FabricNetwork(seed="chaos-fabric", **network_kwargs)
-    )
-    wf.setup(extra_network_members=("OutsiderCo",))
-    return wf
-
-
-def corda_workflow(**network_kwargs) -> CordaLetterOfCredit:
-    wf = CordaLetterOfCredit(
-        network=CordaNetwork(seed="chaos-corda", **network_kwargs)
-    )
-    wf.setup(extra_network_members=("OutsiderCo",))
-    return wf
-
-
-def quorum_workflow(**network_kwargs) -> QuorumLetterOfCredit:
-    wf = QuorumLetterOfCredit(
-        network=QuorumNetwork(seed="chaos-quorum", **network_kwargs)
-    )
+def loc_workflow(network_type, **network_kwargs) -> LetterOfCreditWorkflow:
+    """The letter-of-credit workflow on a fresh *network_type* network,
+    with an uninvolved outsider onboarded."""
+    seed = f"chaos-{network_type.platform_name}"
+    wf = LetterOfCreditWorkflow(network_type(seed=seed, **network_kwargs))
     wf.setup(extra_network_members=("OutsiderCo",))
     return wf
 
@@ -151,7 +131,7 @@ class TestFabricChaos:
 
     def test_orderer_outage_then_recovery(self):
         """Crash the orderer mid-lifecycle; work resumes after recovery."""
-        wf = fabric_workflow()
+        wf = loc_workflow(FabricNetwork)
         wf.apply_for_credit("LC-1", amount=1000, buyer_passport="P-1")
         wf.network.crash_ordering()
         with pytest.raises(OrderingError, match="down"):
@@ -163,7 +143,7 @@ class TestFabricChaos:
 
     def test_partition_to_orderer_heals(self):
         """The submitter-to-orderer link is cut, then healed."""
-        wf = fabric_workflow()
+        wf = loc_workflow(FabricNetwork)
         wf.network.network.partition("BuyerCo", ORDERER_NODE)
         with pytest.raises(DeliveryError, match="partition"):
             wf.apply_for_credit("LC-2", amount=1000, buyer_passport="P-2")
@@ -175,7 +155,7 @@ class TestFabricChaos:
 
     def test_node_crash_window_blocks_then_recovers(self):
         """A party is down for a window; its actions resume afterwards."""
-        wf = fabric_workflow()
+        wf = loc_workflow(FabricNetwork)
         wf.apply_for_credit("LC-3", amount=1000, buyer_passport="P-3")
         wf.issue("LC-3")
         now = wf.network.clock.now
@@ -190,7 +170,7 @@ class TestFabricChaos:
 
     def test_resilient_delivery_rides_out_transient_partition(self):
         """With resilient delivery on, a timed partition is retried away."""
-        wf = fabric_workflow(resilient_delivery=True)
+        wf = loc_workflow(FabricNetwork, resilient_delivery=True)
         wf.network.inject_faults(
             FaultPlan().partition_between("BuyerCo", ORDERER_NODE, start=0.0, end=0.2)
         )
@@ -199,7 +179,7 @@ class TestFabricChaos:
         assert wf.network.network.stats.retries > 0
 
     def test_resilient_delivery_surfaces_permanent_fault_as_typed_error(self):
-        wf = fabric_workflow(resilient_delivery=True)
+        wf = loc_workflow(FabricNetwork, resilient_delivery=True)
         wf.network.network.partition("BuyerCo", ORDERER_NODE)  # never heals
         with pytest.raises(DeliveryTimeout):
             wf.apply_for_credit("LC-5", amount=1000, buyer_passport="P-5")
@@ -207,72 +187,73 @@ class TestFabricChaos:
 
 class TestCordaChaos:
     def test_notary_outage_then_recovery(self):
-        wf = corda_workflow()
+        wf = loc_workflow(CordaNetwork)
         wf.apply_for_credit("LC-C1", amount=1000, buyer_passport="P-1")
         wf.network.crash_ordering()
         with pytest.raises(OrderingError, match="down"):
-            wf.advance("IssuingBank", "LC-C1")
+            wf.issue("LC-C1")
         wf.network.recover_ordering()
-        assert wf.advance("IssuingBank", "LC-C1") == "issued"
-        wf.advance("SellerCo", "LC-C1")
-        assert wf.advance("IssuingBank", "LC-C1") == "paid"
+        assert wf.issue("LC-C1") == "issued"
+        wf.ship("LC-C1")
+        assert wf.pay("LC-C1") == "paid"
 
     def test_partition_to_notary_heals(self):
-        wf = corda_workflow()
+        wf = loc_workflow(CordaNetwork)
         wf.network.network.partition("BuyerCo", NOTARY_NODE)
         with pytest.raises(DeliveryError, match="partition"):
             wf.apply_for_credit("LC-C2", amount=1000, buyer_passport="P-2")
         wf.network.network.heal("BuyerCo", NOTARY_NODE)
-        assert wf.run_full_lifecycle("LC-C2") == "paid"
+        assert wf.run_full_lifecycle("LC-C2").status == "paid"
 
     def test_latency_spike_does_not_block_commit(self):
-        wf = corda_workflow()
+        wf = loc_workflow(CordaNetwork)
         wf.network.inject_faults(FaultPlan().slow_all(10.0))
-        assert wf.run_full_lifecycle("LC-C3") == "paid"
+        assert wf.run_full_lifecycle("LC-C3").status == "paid"
         assert wf.status_of("LC-C3", "SellerCo") == "paid"
 
     def test_resilient_delivery_rides_out_transient_partition(self):
-        wf = corda_workflow(resilient_delivery=True)
+        wf = loc_workflow(CordaNetwork, resilient_delivery=True)
         wf.network.inject_faults(
             FaultPlan().partition_between("BuyerCo", NOTARY_NODE, start=0.0, end=0.2)
         )
-        result = wf.apply_for_credit("LC-C4", amount=1000, buyer_passport="P-4")
-        assert result.receipt is not None
+        loc = wf.apply_for_credit("LC-C4", amount=1000, buyer_passport="P-4")
+        assert loc.status == "applied"
+        assert wf.status_of("LC-C4", "SellerCo") == "applied"
         assert wf.network.network.stats.retries > 0
 
 
 class TestQuorumChaos:
     def test_sequencer_crash_fails_before_state_mutation(self):
         """An outage mid-lifecycle cannot half-apply a transaction."""
-        wf = quorum_workflow()
+        wf = loc_workflow(QuorumNetwork)
         wf.apply_for_credit("LC-Q1", amount=1000)
         wf.network.crash_ordering()
         with pytest.raises(OrderingError, match="down"):
-            wf.advance("IssuingBank", "LC-Q1")
+            wf.issue("LC-Q1")
         # No participant's private state moved: the retry cannot double-apply.
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q1", party) == "applied"
         wf.network.recover_ordering()
-        wf.advance("IssuingBank", "LC-Q1")
+        wf.issue("LC-Q1")
         for party in ("BuyerCo", "SellerCo", "IssuingBank"):
             assert wf.status_of("LC-Q1", party) == "issued"
 
     def test_partition_between_parties_heals(self):
-        wf = quorum_workflow()
+        wf = loc_workflow(QuorumNetwork)
         wf.apply_for_credit("LC-Q2", amount=1000)
         wf.network.network.partition("IssuingBank", "BuyerCo")
         with pytest.raises(DeliveryError, match="partition"):
-            wf.advance("IssuingBank", "LC-Q2")
+            wf.issue("LC-Q2")
         assert wf.status_of("LC-Q2", "BuyerCo") == "applied"  # consistent
         wf.network.network.heal("IssuingBank", "BuyerCo")
-        wf.advance("IssuingBank", "LC-Q2")
+        wf.issue("LC-Q2")
         assert wf.status_of("LC-Q2", "BuyerCo") == "issued"
 
     def test_silent_loss_does_not_corrupt_lifecycle(self):
         """Lost messages leave a participant behind, never wrong: the
         audit names exactly the laggards, and once they catch up the
         lifecycle finishes everywhere."""
-        wf = quorum_workflow()
+        wf = loc_workflow(QuorumNetwork)
         net = wf.network
         net.inject_faults(FaultPlan().set_default_loss(0.5))
         wf.apply_for_credit("LC-Q3", amount=1000)
@@ -290,14 +271,14 @@ class TestQuorumChaos:
             net.crash(party)
             net.recover(party)
         assert audit_convergence(net).converged
-        wf.advance("IssuingBank", "LC-Q3")
-        wf.advance("SellerCo", "LC-Q3")
-        wf.advance("IssuingBank", "LC-Q3")
+        wf.issue("LC-Q3")
+        wf.ship("LC-Q3")
+        wf.pay("LC-Q3")
         for party in PARTIES:
             assert wf.status_of("LC-Q3", party) == "paid"
 
     def test_timed_sequencer_outage_heals_by_window_end(self):
-        wf = quorum_workflow()
+        wf = loc_workflow(QuorumNetwork)
         wf.network.inject_faults(
             FaultPlan().orderer_outage(SEQUENCER_NODE, start=0.0, end=1.0)
         )

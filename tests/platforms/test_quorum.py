@@ -126,6 +126,38 @@ class TestPrivateTransactions:
         )
         assert {"N1", "N2"} <= net.sequencer.observer.seen_identities
 
+    def test_raising_contract_encrypts_and_sends_nothing(self, net):
+        """A contract that raises on the sender leaves no payload in any
+        manager, no message on the wire and no state behind."""
+
+        def write_then_fail(view, args):
+            view.put("half", 1)
+            raise ContractError("refused")
+
+        net.deploy_contract("N1", SmartContract(
+            "failing", 1, "evm-solidity", {"go": write_then_fail}
+        ))
+        sent = net.network.stats.messages_sent
+        with pytest.raises(ContractError, match="refused"):
+            net.send_private_transaction(
+                "N1", "failing", "go", {}, private_for=["N2", "N3"]
+            )
+        assert net.chain.height == 0
+        assert net.network.stats.messages_sent == sent
+        for node in ("N1", "N2", "N3", "N4"):
+            assert net.managers[node].payload_hashes() == []
+            assert not net.private_states[node].exists("half")
+
+    def test_sender_executes_the_decoded_arguments(self, net):
+        """The sender's state holds what its peers decode, not the
+        caller's objects (a tuple arrives everywhere as a list)."""
+        net.send_private_transaction(
+            "N1", "store", "put", {"key": "pair", "value": (1, 2)},
+            private_for=["N2"],
+        )
+        assert net.private_states["N1"].get("pair") == [1, 2]
+        assert net.verify_private_state("N1")
+
 
 class TestDoubleSpend:
     def test_private_double_spend_succeeds(self, net):

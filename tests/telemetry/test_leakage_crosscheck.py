@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.audit import CONFIDENTIAL_KEY, TRADING_PARTIES, UNINVOLVED
 from repro.execution.contracts import SmartContract
+from repro.platforms.corda import CordaNetwork
 from repro.platforms.fabric import FabricNetwork
 from repro.telemetry.redaction import redacted_digest
 from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
@@ -101,17 +102,22 @@ def test_uninvolved_orgs_learn_nothing_telemetry_could_corroborate(trade_net):
         assert org not in blob
 
 
-def test_letter_of_credit_pii_never_reaches_telemetry():
+@pytest.mark.parametrize(
+    "network_type", [FabricNetwork, CordaNetwork], ids=["fabric", "corda"]
+)
+def test_letter_of_credit_pii_never_reaches_telemetry(network_type):
     """The acceptance gate: the LoC run records the passport attribute on
-    purpose, and the redaction filter must have hashed it at record time."""
-    workflow = LetterOfCreditWorkflow(network=FabricNetwork(seed="loc-leak"))
+    purpose, and the redaction filter must have hashed it at record time.
+    Both platforms that hold the PII carry it in ``loc.apply``."""
+    workflow = LetterOfCreditWorkflow(network_type(seed="loc-leak"))
     workflow.setup()
     workflow.run_full_lifecycle("LC-XC")
+    passport = workflow.host.lifecycle_passport
     blob = telemetry_blob(workflow.network)
 
-    assert "P-99887766" not in blob
+    assert passport not in blob
     # Correlatable, never invertible: the digest *is* present.
-    assert redacted_digest("P-99887766") in blob
+    assert redacted_digest(passport) in blob
     # The span that carried it still exists and is tagged as redacted.
     (apply_span,) = workflow.telemetry.tracer.find_spans("loc.apply")
     assert str(apply_span.attributes["buyer_passport"]).startswith("[REDACTED:")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.mechanisms import Mechanism
+from repro.platforms.fabric import FabricNetwork
 from repro.usecases.letter_of_credit import (
     LetterOfCreditWorkflow,
     design_letter_of_credit,
@@ -62,7 +63,7 @@ class TestDesignAgreement:
 
 @pytest.fixture(scope="module")
 def workflow():
-    wf = LetterOfCreditWorkflow()
+    wf = LetterOfCreditWorkflow(FabricNetwork(seed="loc"))
     wf.setup(extra_network_members=("OtherBank",))
     return wf
 
@@ -93,14 +94,14 @@ class TestWorkflow:
 
     def test_pii_never_on_chain(self, workflow):
         workflow.apply_for_credit("LC-103", amount=10, buyer_passport="P-SECRET-42")
-        channel = workflow.network.channel(workflow.channel_name)
+        channel = workflow.network.channel(workflow.host.channel_name)
         for tx in channel.chain.transactions():
             for write in tx.writes:
                 assert "P-SECRET-42" not in str(write.value)
 
     def test_pii_anchored_by_hash(self, workflow):
         workflow.apply_for_credit("LC-104", amount=10, buyer_passport="P-2")
-        channel = workflow.network.channel(workflow.channel_name)
+        channel = workflow.network.channel(workflow.host.channel_name)
         anchored = [
             tx for tx in channel.chain.transactions()
             if any(k.startswith("kyc-pii/") for k in tx.private_hashes)

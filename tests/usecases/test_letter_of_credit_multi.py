@@ -1,46 +1,90 @@
-"""The Section 4 design executed on Corda and Quorum."""
+"""The one Section 4 workflow, executed on Fabric, Corda and Quorum."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import DoubleSpendError, PlatformError
-from repro.usecases.letter_of_credit_multi import (
-    PARTIES,
-    CordaLetterOfCredit,
-    QuorumLetterOfCredit,
-)
+from repro.platforms.corda import CordaNetwork
+from repro.platforms.fabric import FabricNetwork
+from repro.platforms.quorum import QuorumNetwork
+from repro.usecases.letter_of_credit import PARTIES, LetterOfCreditWorkflow
+
+PLATFORMS = {"fabric": FabricNetwork, "corda": CordaNetwork, "quorum": QuorumNetwork}
+
+
+def make_workflow(platform: str) -> LetterOfCreditWorkflow:
+    workflow = LetterOfCreditWorkflow(PLATFORMS[platform](seed=f"loc-{platform}"))
+    workflow.setup(extra_network_members=("OtherBank",))
+    return workflow
+
+
+@pytest.fixture(scope="module", params=sorted(PLATFORMS))
+def any_loc(request):
+    return make_workflow(request.param)
 
 
 @pytest.fixture(scope="module")
 def corda_loc():
-    workflow = CordaLetterOfCredit()
-    workflow.setup(extra_network_members=("OtherBank",))
-    return workflow
+    return make_workflow("corda")
 
 
 @pytest.fixture(scope="module")
 def quorum_loc():
-    workflow = QuorumLetterOfCredit()
-    workflow.setup(extra_network_members=("OtherBank",))
-    return workflow
+    return make_workflow("quorum")
+
+
+def messages_observed(workflow) -> dict[str, int]:
+    net = workflow.network.network
+    return {node: net.node(node).observer.messages_observed for node in net.nodes()}
+
+
+class TestEveryPlatform:
+    def test_full_lifecycle(self, any_loc):
+        loc = any_loc.run_full_lifecycle("LC-100")
+        assert loc.status == "paid"
+        assert loc.amount == 250_000
+        assert {any_loc.status_of("LC-100", p) for p in PARTIES} == {"paid"}
+
+    def test_outsider_sees_no_letter(self, any_loc):
+        any_loc.run_full_lifecycle("LC-101")
+        assert any_loc.letter("LC-101", "OtherBank") is None
+        outsider = any_loc.network.network.node("OtherBank").observer
+        assert outsider.seen_data_keys == set()
+        # Only Quorum names the parties to everyone (its participant list).
+        leaked = set(PARTIES) & outsider.seen_identities
+        assert bool(leaked) == isinstance(any_loc.network, QuorumNetwork)
+
+    def test_reapplying_is_refused_before_anything_is_sent(self, any_loc):
+        any_loc.run_full_lifecycle("LC-102")
+        observed = messages_observed(any_loc)
+        with pytest.raises(PlatformError, match="already exists"):
+            any_loc.apply_for_credit("LC-102", amount=10)
+        assert messages_observed(any_loc) == observed
+        assert {any_loc.status_of("LC-102", p) for p in PARTIES} == {"paid"}
+
+    @pytest.mark.parametrize("stage", ["issue", "ship", "pay"])
+    def test_unknown_letter_is_refused_before_anything_is_sent(
+        self, any_loc, stage
+    ):
+        observed = messages_observed(any_loc)
+        with pytest.raises(PlatformError, match="unknown letter of credit"):
+            getattr(any_loc, stage)("LC-NEVER-APPLIED")
+        assert messages_observed(any_loc) == observed
+
+    def test_paid_letter_is_refused_before_anything_is_sent(self, any_loc):
+        any_loc.run_full_lifecycle("LC-103")
+        observed = messages_observed(any_loc)
+        with pytest.raises(PlatformError, match="already 'paid'"):
+            any_loc.pay("LC-103")
+        assert messages_observed(any_loc) == observed
 
 
 class TestCordaVariant:
-    def test_full_lifecycle(self, corda_loc):
-        assert corda_loc.run_full_lifecycle("LC-C-100") == "paid"
-        assert corda_loc.status_of("LC-C-100", "SellerCo") == "paid"
-
     def test_all_parties_hold_final_state(self, corda_loc):
         corda_loc.run_full_lifecycle("LC-C-101")
         statuses = {corda_loc.status_of("LC-C-101", p) for p in PARTIES}
         assert statuses == {"paid"}
-
-    def test_outsider_sees_nothing(self, corda_loc):
-        corda_loc.run_full_lifecycle("LC-C-102")
-        outsider = corda_loc.network.network.node("OtherBank").observer
-        assert outsider.seen_data_keys == set()
-        assert not (set(PARTIES) & outsider.seen_identities)
 
     def test_pii_off_platform_and_erasable(self, corda_loc):
         corda_loc.apply_for_credit("LC-C-103", amount=10, buyer_passport="P-X")
@@ -49,32 +93,42 @@ class TestCordaVariant:
         assert corda_loc.pii_is_erased("LC-C-103")
 
     def test_anchor_in_state_survives_erasure(self, corda_loc):
-        result = corda_loc.apply_for_credit(
-            "LC-C-104", amount=10, buyer_passport="P-Y"
-        )
+        corda_loc.apply_for_credit("LC-C-104", amount=10, buyer_passport="P-Y")
         corda_loc.erase_pii("LC-C-104")
-        recorded = corda_loc.network.vault("SellerCo").state_at(
-            result.output_refs[0]
-        )
-        assert recorded.data["kyc_anchor"]
+        assert corda_loc.letter("LC-C-104", "SellerCo")["kyc_anchor"]
 
     def test_terminal_state_cannot_advance(self, corda_loc):
         corda_loc.apply_for_credit("LC-C-105", amount=10, buyer_passport="P-Z")
-        corda_loc.advance("IssuingBank", "LC-C-105")
-        corda_loc.advance("SellerCo", "LC-C-105")
-        corda_loc.advance("IssuingBank", "LC-C-105")
+        corda_loc.issue("LC-C-105")
+        corda_loc.ship("LC-C-105")
+        corda_loc.pay("LC-C-105")
         with pytest.raises(PlatformError, match="already"):
-            corda_loc.advance("IssuingBank", "LC-C-105")
+            corda_loc.pay("LC-C-105")
+
+    def test_every_stage_consumes_the_tip_signed_by_all_three(self, corda_loc):
+        corda_loc.run_full_lifecycle("LC-C-107")
+        vault = corda_loc.network.vault("BuyerCo")
+        stages = [
+            stx.wire for stx in vault.transactions.values()
+            if any(s.data.get("loc_id") == "LC-C-107" for s in stx.wire.outputs)
+        ]
+        assert [len(wire.inputs) for wire in stages] == [0, 1, 1, 1]
+        for previous, wire in zip(stages, stages[1:]):
+            assert [ref.tx_id for ref in wire.inputs] == [previous.tx_id]
+        for wire in stages:
+            assert {s for c in wire.commands for s in c.signers} == set(PARTIES)
 
     def test_replaying_consumed_state_rejected_by_notary(self, corda_loc):
         """Advancing from a stale ref is a notary-level double spend."""
         from repro.platforms.corda import Command, ContractState
 
-        result = corda_loc.apply_for_credit(
-            "LC-C-106", amount=10, buyer_passport="P-W"
-        )
-        applied_ref = result.output_refs[0]
-        corda_loc.advance("IssuingBank", "LC-C-106")  # consumes applied_ref
+        corda_loc.apply_for_credit("LC-C-106", amount=10, buyer_passport="P-W")
+        (applied_ref,) = [
+            ref for ref, state
+            in corda_loc.network.vault("BuyerCo").unconsumed.items()
+            if state.data.get("loc_id") == "LC-C-106"
+        ]
+        corda_loc.issue("LC-C-106")  # consumes applied_ref
         replay = corda_loc.network.build_transaction(
             inputs=[applied_ref],
             outputs=[ContractState("loc", PARTIES, {"status": "issued", "amount": 10})],
@@ -85,17 +139,6 @@ class TestCordaVariant:
 
 
 class TestQuorumVariant:
-    def test_full_lifecycle(self, quorum_loc):
-        assert quorum_loc.run_full_lifecycle("LC-Q-100") == "paid"
-        for party in PARTIES:
-            assert quorum_loc.status_of("LC-Q-100", party) == "paid"
-
-    def test_outsider_has_no_private_state(self, quorum_loc):
-        quorum_loc.run_full_lifecycle("LC-Q-101")
-        assert not quorum_loc.network.private_states["OtherBank"].exists(
-            "loc/LC-Q-101"
-        )
-
     def test_participant_list_leaks_network_wide(self, quorum_loc):
         """The design's residual on this platform (paper Section 5)."""
         quorum_loc.run_full_lifecycle("LC-Q-102")
@@ -104,8 +147,14 @@ class TestQuorumVariant:
 
     def test_pii_storage_refused(self, quorum_loc):
         """The platform mismatch the design guide's scoring predicts."""
+        observed = messages_observed(quorum_loc)
         with pytest.raises(PlatformError, match="deletable PII"):
-            quorum_loc.store_pii("LC-Q-103", {"passport": "P-Q"})
+            quorum_loc.apply_for_credit(
+                "LC-Q-103", amount=10, buyer_passport="P-Q"
+            )
+        assert messages_observed(quorum_loc) == observed
+        with pytest.raises(PlatformError, match="deletable PII"):
+            quorum_loc.erase_pii("LC-Q-103")
 
     def test_private_states_replayable(self, quorum_loc):
         quorum_loc.run_full_lifecycle("LC-Q-104")
@@ -118,18 +167,22 @@ class TestQuorumVariant:
         sent = stats.messages_sent
         height = quorum_loc.network.chain.height
         with pytest.raises(PlatformError, match="already 'paid'"):
-            quorum_loc.advance("IssuingBank", "LC-Q-105")
+            quorum_loc.pay("LC-Q-105")
         assert stats.messages_sent == sent
         assert quorum_loc.network.chain.height == height
 
 
 class TestCrossPlatformAgreement:
-    def test_same_terminal_status_everywhere(self, corda_loc, quorum_loc):
-        from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
+    def test_same_terminal_status_everywhere(self):
+        statuses = {
+            make_workflow(platform).run_full_lifecycle("LC-200").status
+            for platform in PLATFORMS
+        }
+        assert statuses == {"paid"}
 
-        fabric = LetterOfCreditWorkflow()
-        fabric.setup()
-        fabric_status = fabric.run_full_lifecycle("LC-F-1").status
-        corda_status = corda_loc.run_full_lifecycle("LC-C-200")
-        quorum_status = quorum_loc.run_full_lifecycle("LC-Q-200")
-        assert fabric_status == corda_status == quorum_status == "paid"
+
+def test_workflow_refuses_an_unhosted_platform():
+    from repro.platforms.base import Platform
+
+    with pytest.raises(PlatformError, match="no letter-of-credit hosting"):
+        LetterOfCreditWorkflow(Platform(seed="bare"))
