@@ -4,7 +4,8 @@ then run the leakage audit that backs the Section 5 narrative.
 
 Every cell of the regenerated matrix is evidence from *running* the
 mechanism on the platform simulation (or demonstrating the constraint
-that blocks it) — see repro.platforms.*._probe_* for each experiment.
+that blocks it) — see the PROBES table in repro.platforms.<platform>.probes
+for each experiment, and repro.core.probe for the rows all three share.
 """
 
 from repro.core.audit import audit_all

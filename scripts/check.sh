@@ -16,6 +16,10 @@ echo "== chaos suite (fault injection + liveness/privacy invariants) =="
 python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
 
 echo
+echo "== Table 1 gate (regenerated matrix agrees with the paper and equals benchmarks/results/table1.txt) =="
+python -m repro table1 | diff - <(cat benchmarks/results/table1.txt; echo)
+
+echo
 echo "== telemetry gate (leakage cross-check + traced LoC workflow per platform + strict lint of repro.telemetry) =="
 python -m pytest -x -q tests/telemetry/test_leakage_crosscheck.py
 for platform in fabric corda quorum; do

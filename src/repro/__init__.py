@@ -12,7 +12,7 @@ Public API layers, bottom-up:
 - ``repro.offchain``  — hash-anchored off-chain stores with true deletion.
 - ``repro.execution`` — smart contracts and the three execution engines.
 - ``repro.platforms`` — behavioural simulations of Hyperledger Fabric,
-  Corda, and Quorum, each answering Table 1 capability probes.
+  Corda, and Quorum, plus each one's Table 1 column as a probe table.
 - ``repro.core``      — the paper's contribution: mechanism catalog,
   Figure 1 decision tree, the full design guide, Table 1 regeneration,
   and the leakage auditor.

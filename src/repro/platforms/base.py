@@ -1,14 +1,11 @@
 """Common platform API.
 
 Every platform simulation (Fabric, Corda, Quorum) implements this
-interface: organizations onboard through PKI, transactions run through the
-platform's native flow, and each platform answers capability probes.
-
-A probe is **executable evidence**: the platform either demonstrates the
-mechanism through its native API (``NATIVE``), demonstrates it by
-composing library crypto on top of its primitives (``IMPLEMENTABLE``), or
-demonstrates the architectural constraint that blocks it (``REWRITE``).
-The Table 1 reproduction consumes these results.
+interface: organizations onboard through PKI, and transactions run through
+the platform's native flow.  :class:`SupportLevel` and
+:class:`ProbeResult` are the vocabulary of the Table 1 capability probes,
+which live outside the platform classes (``repro.platforms.<p>.probes``,
+dispatched by :mod:`repro.core.probe`).
 
 The **unified transaction pipeline** lives here too: a
 :class:`TxRequest` describes one submission in platform-neutral terms, and
@@ -50,13 +47,17 @@ class SupportLevel(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Outcome of exercising one mechanism on one platform."""
+    """Outcome of one Table 1 cell on one platform.
+
+    ``exercised`` is False when the cell is a constant row the paper
+    rates without anything to run (see :mod:`repro.core.probe`).
+    """
 
     platform: str
     mechanism: Mechanism
     level: SupportLevel
     evidence: str
-    exercised: bool = True
+    exercised: bool
 
 
 @dataclass
@@ -163,7 +164,6 @@ class Platform:
     """Base class for the three platform simulations."""
 
     platform_name = "abstract"
-    open_source = True
 
     def __init__(
         self, seed: str = "platform", resilient_delivery: bool = False
@@ -475,110 +475,4 @@ class Platform:
         """
         raise PlatformError(
             f"{self.platform_name} does not support node recovery"
-        )
-
-    # -- capability probing (Table 1)
-
-    def probe(self, mechanism: Mechanism) -> ProbeResult:
-        """Exercise *mechanism* and classify this platform's support."""
-        handler_name = "_probe_" + mechanism.name.lower()
-        handler = getattr(self, handler_name, None)
-        if handler is None:
-            raise PlatformError(
-                f"{self.platform_name} has no probe for {mechanism.value}"
-            )
-        return handler()
-
-    def probe_all(self) -> dict[Mechanism, ProbeResult]:
-        """Run every probe; the regenerated Table 1 column."""
-        from repro.core.mechanisms import all_mechanisms
-
-        return {m: self.probe(m) for m in all_mechanisms()}
-
-    # -- probes shared by all three platforms
-    #
-    # ZKPs on data, MPC, and homomorphic encryption are '*' for every
-    # platform in Table 1: none supports them natively, all can host them
-    # as application-layer constructions.  The probes exercise the library
-    # implementations and report per-platform evidence.
-
-    def _probe_zkp_on_data(self) -> ProbeResult:
-        from repro.crypto.commitments import PedersenScheme
-        from repro.crypto.zkp import (
-            RangeProver,
-            prove_sufficient_funds,
-            verify_sufficient_funds,
-        )
-
-        rng = self.rng.fork("probe-zkp")
-        prover = RangeProver()
-        pedersen = PedersenScheme(prover.group)
-        commitment, opening = pedersen.commit(500, rng)
-        context = f"{self.platform_name}-probe".encode()
-        proof = prove_sufficient_funds(prover, 500, opening, 100, 16, context, rng)
-        ok = verify_sufficient_funds(prover, commitment, proof, context)
-        return self._result(
-            Mechanism.ZKP_ON_DATA,
-            SupportLevel.IMPLEMENTABLE if ok else SupportLevel.REWRITE,
-            f"scenario-specific range proof verified on {self.platform_name}; "
-            "no general-purpose native ZKP service (Section 2.2 maturity)",
-        )
-
-    def _probe_multiparty_computation(self) -> ProbeResult:
-        from repro.crypto.mpc import secure_sum
-
-        total, stats = secure_sum({"org1": 3, "org2": 4})
-        return self._result(
-            Mechanism.MULTIPARTY_COMPUTATION,
-            SupportLevel.IMPLEMENTABLE if total == 7 else SupportLevel.REWRITE,
-            f"additive-sharing MPC runs off-platform ({stats.rounds} rounds); "
-            f"only the agreed result reaches the {self.platform_name} ledger",
-        )
-
-    def _probe_homomorphic_encryption(self) -> ProbeResult:
-        from repro.common.errors import CryptoError
-        from repro.crypto.paillier import Paillier
-
-        paillier = Paillier(bits=256)
-        rng = self.rng.fork("probe-paillier")
-        keys = paillier.keygen(rng)
-        a = paillier.encrypt(keys.public, 20, rng)
-        b = paillier.encrypt(keys.public, 22, rng)
-        additive = paillier.decrypt(keys, paillier.add(keys.public, a, b)) == 42
-        try:
-            paillier.multiply(a, b)
-            general = True
-        except CryptoError:
-            general = False
-        return self._result(
-            Mechanism.HOMOMORPHIC_ENCRYPTION,
-            SupportLevel.IMPLEMENTABLE if additive and not general
-            else SupportLevel.REWRITE,
-            "additive (Paillier) operations work on ledger values; general "
-            "homomorphic computation remains proof-of-concept (Section 2.2)",
-        )
-
-    def _probe_open_source(self) -> ProbeResult:
-        return ProbeResult(
-            platform=self.platform_name,
-            mechanism=Mechanism.OPEN_SOURCE,
-            level=SupportLevel.NATIVE if self.open_source else SupportLevel.REWRITE,
-            evidence="platform selection criterion (a) in Section 5: all three "
-            "platforms are open source",
-            exercised=False,
-        )
-
-    def _result(
-        self,
-        mechanism: Mechanism,
-        level: SupportLevel,
-        evidence: str,
-        exercised: bool = True,
-    ) -> ProbeResult:
-        return ProbeResult(
-            platform=self.platform_name,
-            mechanism=mechanism,
-            level=level,
-            evidence=evidence,
-            exercised=exercised,
         )

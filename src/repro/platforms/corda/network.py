@@ -25,28 +25,20 @@ from repro.common.errors import (
     PlatformError,
     ValidationError,
 )
-from repro.core.mechanisms import Mechanism
 from repro.crypto.hashing import hash_hex
-from repro.crypto.merkle import MerkleTree
 from repro.crypto.onetime import OneTimeIdentity, OneTimeKeyFactory, resolve_owner
-from repro.crypto.symmetric import SymmetricKey
 from repro.network.messages import Exposure
-from repro.offchain.stores import Hosting, OffChainStore
 from repro.platforms.base import (
     Party,
     Platform,
     delivers,
-    ProbeResult,
-    SupportLevel,
     TxReceipt,
     TxRequest,
 )
 from repro.platforms.corda.notary import NotarisationReceipt, Notary
-from repro.platforms.corda.oracle import Oracle
 from repro.platforms.corda.states import Command, ContractState, StateRef
 from repro.platforms.corda.transactions import (
     ComponentGroup,
-    FilteredTransaction,
     SignedTransaction,
     WireTransaction,
 )
@@ -515,217 +507,3 @@ class CordaNetwork(Platform):
         # "Behind" for Corda is transaction-granular: how many entitled
         # transactions were re-shipped beyond the checkpointed store.
         return len([t for t in vault.transactions if t not in known_before])
-
-    # ------------------------------------------------------------------
-    # Table 1 capability probes (Corda column)
-    # ------------------------------------------------------------------
-
-    def _probe_fixture(self) -> tuple[str, str]:
-        for org in ("probe-alice", "probe-bob"):
-            if org not in self.parties:
-                self.onboard(org)
-        contract_id = "probe-iou"
-        if contract_id not in self.verifiers:
-            def verify(wire: WireTransaction) -> None:
-                for state in wire.outputs:
-                    if state.contract_id == contract_id and state.data.get("amount", 0) <= 0:
-                        raise ContractError("IOU amount must be positive")
-            self.register_contract(contract_id, verify, language="kotlin")
-        return "probe-alice", "probe-bob"
-
-    def _issue_probe_state(self, alice: str, bob: str, amount: int = 10) -> FlowResult:
-        state = ContractState(
-            contract_id="probe-iou", participants=(alice, bob),
-            data={"amount": amount},
-        )
-        wire = self.build_transaction(
-            inputs=[], outputs=[state],
-            commands=[Command(name="Issue", signers=(alice, bob))],
-        )
-        return self.run_flow(alice, wire)
-
-    def _probe_separation_of_ledgers_parties(self) -> ProbeResult:
-        alice, bob = self._probe_fixture()
-        if "probe-carol" not in self.parties:
-            self.onboard("probe-carol")
-        self._issue_probe_state(alice, bob)
-        carol = self.network.node("probe-carol").observer
-        leaked = carol.seen_identities & {alice, bob}
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_PARTIES,
-            SupportLevel.NATIVE if not leaked else SupportLevel.REWRITE,
-            "per-transaction segregation: p2p flows reach involved parties "
-            f"only; an uninvolved node observed {sorted(leaked) or 'nothing'}",
-        )
-
-    def _probe_one_time_public_keys(self) -> ProbeResult:
-        alice, bob = self._probe_fixture()
-        identity = self.create_confidential_identity(alice)
-        state = ContractState(
-            contract_id="probe-iou", participants=(alice, bob),
-            data={"amount": 5}, owner_key_y=identity.public.y,
-        )
-        wire = self.build_transaction(
-            inputs=[], outputs=[state],
-            commands=[Command(name="Issue", signers=(alice, bob))],
-        )
-        result = self.run_flow(alice, wire)
-        recorded = self.vault(bob).state_at(result.output_refs[0])
-        owner = self.reveal_owner(bob, recorded.owner_key_y)
-        return self._result(
-            Mechanism.ONE_TIME_PUBLIC_KEYS,
-            SupportLevel.NATIVE if owner == alice else SupportLevel.REWRITE,
-            "confidential identities: ownership recorded against a fresh "
-            "key, resolvable only via the off-ledger linking certificate",
-        )
-
-    def _probe_zkp_of_identity(self) -> ProbeResult:
-        # Corda flows are addressed to legal identities on the network map;
-        # there is no credential-presentation hook, so anonymous-credential
-        # identity requires rewriting the flow framework (paper: '-').
-        try:
-            self.run_flow(
-                "unknown-anonymous-party",
-                self.build_transaction(inputs=[], outputs=[], commands=[]),
-            )
-            flow_accepts_anonymous = True
-        except MembershipError:
-            flow_accepts_anonymous = False
-        return self._result(
-            Mechanism.ZKP_OF_IDENTITY,
-            SupportLevel.NATIVE if flow_accepts_anonymous
-            else SupportLevel.REWRITE,
-            "flows require onboarded legal identities; no ZKP credential "
-            "hook exists in the session layer",
-        )
-
-    def _probe_separation_of_ledgers_data(self) -> ProbeResult:
-        alice, bob = self._probe_fixture()
-        if "probe-carol" not in self.parties:
-            self.onboard("probe-carol")
-        self._issue_probe_state(alice, bob, amount=77)
-        carol = self.network.node("probe-carol").observer
-        leaked = "amount" in carol.seen_data_keys
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_DATA,
-            SupportLevel.REWRITE if leaked else SupportLevel.NATIVE,
-            "transaction data travels point-to-point to participants only",
-        )
-
-    def _probe_off_chain_peer_data(self) -> ProbeResult:
-        # No native PDC equivalent: applications attach hash references to
-        # states and keep payloads in their own stores ('*').
-        alice, bob = self._probe_fixture()
-        store = OffChainStore("corda-app-store", hosting=Hosting.EXTERNAL,
-                              authorized={alice})
-        anchor = store.put("kyc-file", {"passport": "X123"}, now=self.clock.now)
-        state = ContractState(
-            contract_id="probe-iou", participants=(alice, bob),
-            data={"amount": 1, "kyc_anchor": anchor},
-        )
-        wire = self.build_transaction(
-            inputs=[], outputs=[state],
-            commands=[Command(name="Issue", signers=(alice, bob))],
-        )
-        self.run_flow(alice, wire)
-        verified = store.verify_anchor("kyc-file", anchor, alice)
-        return self._result(
-            Mechanism.OFF_CHAIN_PEER_DATA,
-            SupportLevel.IMPLEMENTABLE if verified else SupportLevel.REWRITE,
-            "no native private-data collections; applications anchor "
-            "hashes in states and host payloads themselves",
-        )
-
-    def _probe_symmetric_encryption(self) -> ProbeResult:
-        alice, bob = self._probe_fixture()
-        key = SymmetricKey.from_seed("corda-probe-key")
-        ciphertext = key.encrypt(b"trade terms", self.rng.fork("sym"))
-        state = ContractState(
-            contract_id="probe-iou", participants=(alice, bob),
-            data={"amount": 2, "terms_enc": ciphertext.body.hex()},
-        )
-        wire = self.build_transaction(
-            inputs=[], outputs=[state],
-            commands=[Command(name="Issue", signers=(alice, bob))],
-        )
-        result = self.run_flow(alice, wire)
-        stored = self.vault(bob).state_at(result.output_refs[0])
-        ok = stored.data["terms_enc"] == ciphertext.body.hex()
-        return self._result(
-            Mechanism.SYMMETRIC_ENCRYPTION,
-            SupportLevel.NATIVE if ok else SupportLevel.REWRITE,
-            "state fields are opaque; symmetric ciphertext round-trips "
-            "through the flow unchanged",
-        )
-
-    def _probe_merkle_tear_offs(self) -> ProbeResult:
-        alice, bob = self._probe_fixture()
-        state = ContractState(
-            contract_id="probe-iou", participants=(alice, bob),
-            data={"amount": 3, "secret-margin": 9},
-        )
-        wire = self.build_transaction(
-            inputs=[], outputs=[state],
-            commands=[Command(name="Issue", signers=(alice, bob),
-                              payload={"fact": "fx", "value": 1.25})],
-        )
-        filtered = wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
-        root_matches = filtered.verify()
-        hides_outputs = not filtered.visible_of_group("outputs")
-        return self._result(
-            Mechanism.MERKLE_TEAR_OFFS,
-            SupportLevel.NATIVE if root_matches and hides_outputs
-            else SupportLevel.REWRITE,
-            "FilteredTransaction is a first-class API: a signer verifies "
-            "the root while output components stay hidden",
-        )
-
-    def _probe_install_on_involved_nodes(self) -> ProbeResult:
-        # Not applicable: contracts attach to states and travel with them;
-        # there is no separate installation step to scope (Table 1: N/A).
-        return self._result(
-            Mechanism.INSTALL_ON_INVOLVED_NODES,
-            SupportLevel.NOT_APPLICABLE,
-            "contract code is referenced by states and distributed with "
-            "them; no installation step exists to restrict",
-            exercised=False,
-        )
-
-    def _probe_off_chain_execution_engine(self) -> ProbeResult:
-        # Native: flows execute business logic outside the platform; the
-        # on-ledger contract only verifies signatures/structure (paper S5).
-        alice, bob = self._probe_fixture()
-        language = self.verifier_language.get("probe-iou", "")
-        result = self._issue_probe_state(alice, bob, amount=4)
-        return self._result(
-            Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
-            SupportLevel.NATIVE if result.receipt is not None else SupportLevel.REWRITE,
-            f"business logic ran outside the ledger (verifier language "
-            f"{language!r}); the platform only checked signatures and "
-            "uniqueness",
-        )
-
-    def _probe_trusted_execution_environment(self) -> ProbeResult:
-        # R3's SGX integration is a design document (paper ref [17]); the
-        # released platform has no enclave path.
-        return self._result(
-            Mechanism.TRUSTED_EXECUTION_ENVIRONMENT,
-            SupportLevel.REWRITE,
-            "SGX integration exists only as a design doc (ref [17]); "
-            "verification inside enclaves requires rewriting the node",
-            exercised=False,
-        )
-
-    def _probe_private_sequencing_service(self) -> ProbeResult:
-        member_notary = Notary(
-            "member-notary", self.scheme, self.clock,
-            validating=False, operator="probe-alice",
-        )
-        return self._result(
-            Mechanism.PRIVATE_SEQUENCING_SERVICE,
-            SupportLevel.NATIVE
-            if member_notary.is_member_operated({"probe-alice", "probe-bob"})
-            else SupportLevel.REWRITE,
-            "any party can run a notary cluster; combined with tear-offs "
-            "it sees only opaque state references",
-        )

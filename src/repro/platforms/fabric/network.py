@@ -15,29 +15,21 @@ import enum
 from dataclasses import dataclass
 
 from repro.common.errors import (
-    ContractError,
     EndorsementError,
     MembershipError,
     PlatformError,
     ReproError,
     ValidationError,
 )
-from repro.core.mechanisms import Mechanism
 from repro.crypto.anoncred import (
     CredentialHolder,
     CredentialIssuer,
     verify_presentation,
 )
 from repro.crypto.hashing import hash_hex
-from repro.crypto.merkle import MerkleTree
-from repro.crypto.symmetric import SymmetricKey
 from repro.execution.contracts import SmartContract
-from repro.execution.engines import LedgerEngine, OffChainEngine, TEEEngine
-from repro.ledger.ordering import (
-    OrdererVisibility,
-    OrderingService,
-    make_private_orderer,
-)
+from repro.execution.engines import LedgerEngine
+from repro.ledger.ordering import OrdererVisibility, OrderingService
 from repro.ledger.transaction import (
     Endorsement,
     ReadEntry,
@@ -50,18 +42,24 @@ from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
     delivers,
-    ProbeResult,
-    SupportLevel,
     TxReceipt,
     TxRequest,
     rejection_receipt,
 )
 from repro.platforms.fabric.channel import Channel
-from repro.platforms.fabric.pdc import PrivateDataCollection
 from repro.recovery.catchup import catchup_dedup_key, pick_provider, ship
 
 ORDERER_NODE = "fabric-orderer"
 ANONYMOUS_CLIENT = "anonymous-client"
+
+
+def _tx_exposure(tx: Transaction) -> Exposure:
+    """What carrying *tx* exposes: its participants and the keys it
+    reads and writes (order submission, block and catch-up delivery)."""
+    return Exposure.of(
+        identities=set(tx.metadata.get("participants", [])),
+        data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
+    )
 
 
 class ValidationCode(enum.Enum):
@@ -413,11 +411,7 @@ class FabricNetwork(Platform):
                     ORDERER_NODE,
                     "submit",
                     {"tx_id": proposal.tx.tx_id},
-                    exposure=Exposure.of(
-                        identities=set(proposal.tx.metadata.get("participants", [])),
-                        data_keys={w.key for w in proposal.tx.writes}
-                        | {r.key for r in proposal.tx.reads},
-                    ),
+                    exposure=_tx_exposure(proposal.tx),
                 )
                 self.orderer.submit(proposal.tx)
             batch = self.orderer.cut_batch(channel_name, force=force_cut)
@@ -494,10 +488,7 @@ class FabricNetwork(Platform):
                 live,
                 "block",
                 {"tx_id": tx.tx_id, "channel": channel.name},
-                Exposure.of(
-                    identities=set(tx.metadata.get("participants", [])),
-                    data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
-                ),
+                _tx_exposure(tx),
             )
             results.append(InvokeResult(
                 tx=tx,
@@ -574,12 +565,12 @@ class FabricNetwork(Platform):
             },
         )
 
-    def _submit_one_native(self, request: TxRequest) -> TxReceipt:
+    def _run_request(self, step, request: TxRequest):
+        """Call *step* (:meth:`propose` or :meth:`invoke`) with the
+        arguments *request* maps to."""
         self._check_request(request)
-        channel_name = self._request_channel(request)
-        submitted_at = self.clock.now
-        result = self.invoke(
-            channel_name,
+        return step(
+            self._request_channel(request),
             request.submitter,
             request.contract_id,
             request.function,
@@ -588,6 +579,10 @@ class FabricNetwork(Platform):
             collection_writes=request.private_args,
             anonymous=request.options.get("anonymous", False),
         )
+
+    def _submit_one_native(self, request: TxRequest) -> TxReceipt:
+        submitted_at = self.clock.now
+        result = self._run_request(self.invoke, request)
         return self._receipt_from(request, result, submitted_at)
 
     def _submit_batch_native(
@@ -602,23 +597,13 @@ class FabricNetwork(Platform):
         for index, request in enumerate(requests):
             submitted_at = self.clock.now
             try:
-                self._check_request(request)
-                channel_name = self._request_channel(request)
-                proposal = self.propose(
-                    channel_name,
-                    request.submitter,
-                    request.contract_id,
-                    request.function,
-                    dict(request.args),
-                    endorsers=request.options.get("endorsers"),
-                    collection_writes=request.private_args,
-                    anonymous=request.options.get("anonymous", False),
-                )
+                proposal = self._run_request(self.propose, request)
             except ReproError as error:
                 receipts[index] = rejection_receipt(
                     request, self.platform_name, submitted_at, error
                 )
                 continue
+            channel_name = proposal.channel_name
             if channel_name not in by_channel:
                 channel_order.append(channel_name)
             by_channel.setdefault(channel_name, []).append(
@@ -736,11 +721,7 @@ class FabricNetwork(Platform):
                         # PDC values never travel: anchors only.
                         "private_hashes": dict(tx.private_hashes),
                     },
-                    exposure=Exposure.of(
-                        identities=set(tx.metadata.get("participants", [])),
-                        data_keys={w.key for w in tx.writes}
-                        | {r.key for r in tx.reads},
-                    ),
+                    exposure=_tx_exposure(tx),
                     dedup_key=catchup_dedup_key(
                         "fabric", channel.name, name, tx.tx_id
                     ),
@@ -748,219 +729,3 @@ class FabricNetwork(Platform):
                 if not delivered:
                     break  # the rest would land past the gap
         return blocks_behind
-
-    # ------------------------------------------------------------------
-    # Table 1 capability probes (HLF column)
-    # ------------------------------------------------------------------
-
-    def _probe_fixture(self) -> tuple[Channel, SmartContract]:
-        """A throwaway channel + chaincode for probes that need one."""
-        suffix = f"probe{len(self.channels)}"
-        for org in ("probe-org1", "probe-org2"):
-            if org not in self.parties:
-                self.onboard(org)
-        channel = self.create_channel(f"ch-{suffix}", ["probe-org1", "probe-org2"])
-
-        def put(view, args):
-            view.put(args["key"], args["value"])
-            return args["value"]
-
-        contract = SmartContract(
-            contract_id=f"cc-{suffix}",
-            version=1,
-            language="python-chaincode",
-            functions={"put": put},
-        )
-        self.deploy_chaincode(channel.name, contract, ["probe-org1", "probe-org2"])
-        return channel, contract
-
-    def _probe_separation_of_ledgers_parties(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        if "probe-outsider" not in self.parties:
-            self.onboard("probe-outsider")
-        self.invoke(channel.name, "probe-org1", contract.contract_id, "put",
-                    {"key": "k", "value": 1})
-        outsider = self.network.node("probe-outsider").observer
-        leaked = outsider.seen_identities & {"probe-org1", "probe-org2"}
-        level = SupportLevel.NATIVE if not leaked else SupportLevel.REWRITE
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_PARTIES, level,
-            "channels confine member identities: an onboarded non-member "
-            f"observed {sorted(leaked) or 'no member identities'}",
-        )
-
-    def _probe_one_time_public_keys(self) -> ProbeResult:
-        # Fabric identities must chain to an enrolled MSP certificate; a
-        # fresh uncertified key is rejected at membership, and changing
-        # that means rewriting the MSP (paper: '-').
-        channel, contract = self._probe_fixture()
-        fresh_key = self.scheme.keygen(self.rng.fork("fresh-ot"))
-        tx = Transaction(channel=channel.name, submitter="one-time-pseudonym")
-        signature = self.scheme.sign(fresh_key, tx.signing_bytes())
-        try:
-            self.membership.verify_member_signature(
-                self.scheme, "one-time-pseudonym", tx.signing_bytes(), signature
-            )
-            level = SupportLevel.NATIVE
-            evidence = "unexpected: uncertified key accepted"
-        except Exception:
-            level = SupportLevel.REWRITE
-            evidence = (
-                "a fresh key with no MSP certificate is rejected at membership; "
-                "supporting per-transaction keys requires rewriting the MSP"
-            )
-        return self._result(Mechanism.ONE_TIME_PUBLIC_KEYS, level, evidence)
-
-    def _probe_zkp_of_identity(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        result = self.invoke(
-            channel.name, "probe-org1", contract.contract_id, "put",
-            {"key": "anon", "value": 7}, anonymous=True,
-        )
-        anonymous = result.tx.submitter == ANONYMOUS_CLIENT
-        has_proof = "idemix" in result.tx.metadata
-        level = (
-            SupportLevel.NATIVE if anonymous and has_proof else SupportLevel.REWRITE
-        )
-        return self._result(
-            Mechanism.ZKP_OF_IDENTITY, level,
-            "Idemix: transaction committed with a verified anonymous "
-            "credential presentation and no client identity on the wire",
-        )
-
-    def _probe_separation_of_ledgers_data(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        self.invoke(channel.name, "probe-org1", contract.contract_id, "put",
-                    {"key": "secret-data", "value": 42})
-        if "probe-outsider" not in self.parties:
-            self.onboard("probe-outsider")
-        outsider = self.network.node("probe-outsider").observer
-        leaked = "secret-data" in outsider.seen_data_keys
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_DATA,
-            SupportLevel.REWRITE if leaked else SupportLevel.NATIVE,
-            "channel transactions are delivered to channel members only",
-        )
-
-    def _probe_off_chain_peer_data(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        collection = channel.create_collection("probe-pdc", ["probe-org1"])
-        result = self.invoke(
-            channel.name, "probe-org1", contract.contract_id, "put",
-            {"key": "public-ref", "value": "see-pdc"},
-            collection_writes={"probe-pdc": {"pii": {"ssn": "000-11-2222"}}},
-        )
-        anchored = any(k.startswith("probe-pdc/") for k in result.tx.private_hashes)
-        readable = collection.get("probe-org1", "pii") == {"ssn": "000-11-2222"}
-        members_listed = result.tx.metadata["collections"][0]["members"] == ["probe-org1"]
-        level = (
-            SupportLevel.NATIVE
-            if anchored and readable and members_listed
-            else SupportLevel.REWRITE
-        )
-        return self._result(
-            Mechanism.OFF_CHAIN_PEER_DATA, level,
-            "PDC stores data on member peers, anchors a hash on-chain, and "
-            "(per the paper's caveat) lists collection members in the tx",
-        )
-
-    def _probe_symmetric_encryption(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        key = SymmetricKey.from_seed("probe-shared-key")
-        ciphertext = key.encrypt(b"confidential payload", self.rng.fork("sym"))
-        self.invoke(
-            channel.name, "probe-org1", contract.contract_id, "put",
-            {"key": "enc-blob", "value": ciphertext.body.hex()},
-        )
-        stored = channel.reference_state().get("enc-blob")
-        roundtrip = key.decrypt(ciphertext) == b"confidential payload"
-        return self._result(
-            Mechanism.SYMMETRIC_ENCRYPTION,
-            SupportLevel.NATIVE if stored and roundtrip else SupportLevel.REWRITE,
-            "ledger values are opaque bytes; AES-style encryption of values "
-            "with PKI-shared keys needs no platform change",
-        )
-
-    def _probe_merkle_tear_offs(self) -> ProbeResult:
-        # Fabric transactions are not Merkle-structured component groups;
-        # tear-offs can be layered on by applications (library Merkle tree
-        # inside a value) but no platform API consumes them: '*'.
-        tree = MerkleTree(["amount:100", "price:42", "secret-margin:7"])
-        tear_off = tree.tear_off({0, 1})
-        works_in_library = tear_off.verify(tree.root)
-        return self._result(
-            Mechanism.MERKLE_TEAR_OFFS,
-            SupportLevel.IMPLEMENTABLE if works_in_library
-            else SupportLevel.REWRITE,
-            "no native filtered-transaction API; applications can embed "
-            "library Merkle roots in values and share tear-offs off-band",
-        )
-
-    def _probe_install_on_involved_nodes(self) -> ProbeResult:
-        channel, contract = self._probe_fixture()
-        visible = self.engine.registry.nodes_with_code_visibility(contract.contract_id)
-        outsiders = visible - set(channel.members)
-        return self._result(
-            Mechanism.INSTALL_ON_INVOLVED_NODES,
-            SupportLevel.NATIVE if not outsiders else SupportLevel.REWRITE,
-            f"chaincode visible only on endorsing peers {sorted(visible)}",
-        )
-
-    def _probe_off_chain_execution_engine(self) -> ProbeResult:
-        engine = OffChainEngine()
-
-        def business_logic(view, args):
-            view.put("result", args["x"] * 2)
-            return args["x"] * 2
-
-        contract = SmartContract(
-            contract_id="probe-external", version=1, language="kotlin",
-            functions={"run": business_logic},
-        )
-        engine.install("external-host", contract)
-        result = engine.execute("external-host", "probe-external", "run",
-                                {"x": 21}, WorldState())
-        return self._result(
-            Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
-            SupportLevel.IMPLEMENTABLE if result.return_value == 42 else SupportLevel.REWRITE,
-            "feasible via the Hyperledger transaction-execution-platform "
-            "proposal (paper ref [1]); not part of the released platform",
-        )
-
-    def _probe_trusted_execution_environment(self) -> ProbeResult:
-        # The TEE engine works standalone, but wiring it into Fabric's
-        # endorsement flow would replace peer-side chaincode execution
-        # entirely — the paper classifies this as requiring a rewrite.
-        engine = TEEEngine()
-
-        def noop(view, args):
-            return "ok"
-
-        contract = SmartContract(
-            contract_id="probe-tee", version=1, language="python-chaincode",
-            functions={"noop": noop},
-        )
-        engine.install("peer-tee", contract)
-        standalone = engine.execute("peer-tee", "probe-tee", "noop", {}, WorldState())
-        endorsement_flow_integrates_tee = isinstance(self.engine, TEEEngine)
-        level = (
-            SupportLevel.NATIVE if endorsement_flow_integrates_tee
-            else SupportLevel.REWRITE
-        )
-        return self._result(
-            Mechanism.TRUSTED_EXECUTION_ENVIRONMENT, level,
-            "enclave execution works in isolation but the peer endorsement "
-            "path has no enclave integration; replacing it is a rewrite "
-            f"(standalone attestation verified: {standalone.return_value == 'ok'})",
-        )
-
-    def _probe_private_sequencing_service(self) -> ProbeResult:
-        member_orderer = make_private_orderer("probe-org1", self.clock)
-        runs_for_member = member_orderer.is_member_operated({"probe-org1", "probe-org2"})
-        return self._result(
-            Mechanism.PRIVATE_SEQUENCING_SERVICE,
-            SupportLevel.NATIVE if runs_for_member else SupportLevel.REWRITE,
-            "channel members can operate the ordering service themselves, "
-            "containing its full visibility within the member set",
-        )
-

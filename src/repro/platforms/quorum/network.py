@@ -26,12 +26,9 @@ from repro.common.errors import (
     MembershipError,
     PlatformError,
     PrivacyError,
-    ValidationError,
 )
 from repro.common.serialization import canonical_json, from_canonical_json
-from repro.core.mechanisms import Mechanism
 from repro.crypto.hashing import hash_hex
-from repro.crypto.symmetric import SymmetricKey
 from repro.execution.contracts import SmartContract, StateView
 from repro.ledger.block import Chain
 from repro.ledger.ordering import OrdererVisibility, OrderingService
@@ -42,8 +39,6 @@ from repro.network.messages import Exposure
 from repro.platforms.base import (
     Platform,
     delivers,
-    ProbeResult,
-    SupportLevel,
     TxReceipt,
     TxRequest,
 )
@@ -749,192 +744,4 @@ class QuorumNetwork(Platform):
             keys.update(self.private_states[node].keys())
         return sorted(
             key for key in keys if not self.private_state_consistent(key)
-        )
-
-    # ------------------------------------------------------------------
-    # Table 1 capability probes (Quorum column)
-    # ------------------------------------------------------------------
-
-    def _probe_fixture(self) -> str:
-        for org in ("probe-n1", "probe-n2", "probe-n3"):
-            if org not in self.parties:
-                self.onboard(org)
-        contract_id = "probe-store"
-        if contract_id not in self.contracts:
-            def put(view: StateView, args: dict):
-                view.put(args["key"], args["value"])
-                return args["value"]
-
-            contract = SmartContract(
-                contract_id=contract_id, version=1, language="evm-solidity",
-                functions={"put": put},
-            )
-            self.deploy_contract("probe-n1", contract)
-        return contract_id
-
-    def _probe_separation_of_ledgers_parties(self) -> ProbeResult:
-        contract_id = self._probe_fixture()
-        result = self.send_private_transaction(
-            "probe-n1", contract_id, "put", {"key": "s", "value": 1},
-            private_for=["probe-n2"],
-        )
-        outsider = self.network.node("probe-n3").observer
-        data_leaked = "s" in outsider.seen_data_keys
-        # Private state separates *data*; but participant identities leak
-        # network-wide (still counts as ledger separation for parties at
-        # the data level — Table 1 rates the row '+').
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_PARTIES,
-            SupportLevel.NATIVE if not data_leaked else SupportLevel.REWRITE,
-            "private state partitions the ledger per participant group "
-            "(though the participant list itself is broadcast — see the "
-            "leakage audit)",
-        )
-
-    def _probe_one_time_public_keys(self) -> ProbeResult:
-        # Ethereum-style accounts are just key pairs: a party can mint a
-        # fresh externally-owned account at will, but linking certificates
-        # and key management are application work: '*'.
-        self._probe_fixture()
-        fresh = self.scheme.keygen(self.rng.fork("quorum-fresh-account"))
-        account_address = fresh.public.fingerprint()
-        acceptable = len(account_address) == 16  # any key maps to an address
-        return self._result(
-            Mechanism.ONE_TIME_PUBLIC_KEYS,
-            SupportLevel.IMPLEMENTABLE if acceptable else SupportLevel.REWRITE,
-            "account-model addresses are derivable from any fresh key; the "
-            "identity-linking layer must be built by the application",
-        )
-
-    def _probe_zkp_of_identity(self) -> ProbeResult:
-        # Node-level permissioning with known identities; no anonymous
-        # credential layer exists in the protocol: '-'.
-        return self._result(
-            Mechanism.ZKP_OF_IDENTITY,
-            SupportLevel.REWRITE,
-            "the permissioned node list is identity-based; anonymous "
-            "credentials would require rewriting the membership layer",
-            exercised=False,
-        )
-
-    def _probe_separation_of_ledgers_data(self) -> ProbeResult:
-        contract_id = self._probe_fixture()
-        self.send_private_transaction(
-            "probe-n1", contract_id, "put", {"key": "priv-k", "value": 9},
-            private_for=["probe-n2"],
-        )
-        non_participant_state = self.private_states["probe-n3"]
-        isolated = not non_participant_state.exists("priv-k")
-        return self._result(
-            Mechanism.SEPARATION_OF_LEDGERS_DATA,
-            SupportLevel.NATIVE if isolated else SupportLevel.REWRITE,
-            "private state updates apply only at payload recipients; the "
-            "public chain carries the payload hash",
-        )
-
-    def _probe_off_chain_peer_data(self) -> ProbeResult:
-        # Private payloads must remain replayable to rebuild private state;
-        # deleting one breaks resolution, so deletable off-chain peer data
-        # conflicts with the architecture: '-'.
-        contract_id = self._probe_fixture()
-        result = self.send_private_transaction(
-            "probe-n1", contract_id, "put", {"key": "gdpr-k", "value": "pii"},
-            private_for=["probe-n2"],
-        )
-        manager = self.managers["probe-n2"]
-        manager.delete(result.payload_hash)
-        try:
-            manager.resolve(result.payload_hash)
-            still_works = True
-        except Exception:
-            still_works = False
-        return self._result(
-            Mechanism.OFF_CHAIN_PEER_DATA,
-            SupportLevel.NATIVE if still_works else SupportLevel.REWRITE,
-            "deleting a private payload breaks state replay at that node; "
-            "deletable peer data requires re-architecting private state",
-        )
-
-    def _probe_symmetric_encryption(self) -> ProbeResult:
-        contract_id = self._probe_fixture()
-        key = SymmetricKey.from_seed("quorum-probe-key")
-        ciphertext = key.encrypt(b"confidential", self.rng.fork("sym"))
-        self.send_public_transaction(
-            "probe-n1", contract_id, "put",
-            {"key": "enc", "value": ciphertext.body.hex()},
-        )
-        ok = (
-            self.public_states["probe-n2"].get("enc") == ciphertext.body.hex()
-            and key.decrypt(ciphertext) == b"confidential"
-        )
-        return self._result(
-            Mechanism.SYMMETRIC_ENCRYPTION,
-            SupportLevel.NATIVE if ok else SupportLevel.REWRITE,
-            "contract storage is opaque bytes; encrypted values round-trip",
-        )
-
-    def _probe_merkle_tear_offs(self) -> ProbeResult:
-        # Transactions are monolithic RLP payloads with no component-group
-        # Merkle structure; a participant receives all or nothing: '-'.
-        contract_id = self._probe_fixture()
-        result = self.send_private_transaction(
-            "probe-n1", contract_id, "put", {"key": "t", "value": 5},
-            private_for=["probe-n2"],
-        )
-        resolved = self.managers["probe-n2"].resolve(result.payload_hash)
-        all_or_nothing = set(resolved) == {"contract", "function", "args"}
-        return self._result(
-            Mechanism.MERKLE_TEAR_OFFS,
-            SupportLevel.REWRITE if all_or_nothing
-            else SupportLevel.IMPLEMENTABLE,
-            "payload recipients receive the full transaction payload; no "
-            "partial-visibility structure exists to tear off",
-        )
-
-    def _probe_install_on_involved_nodes(self) -> ProbeResult:
-        def noop(view: StateView, args: dict):
-            return None
-
-        contract = SmartContract(
-            contract_id="probe-private-code", version=1, language="evm-solidity",
-            functions={"noop": noop},
-        )
-        self._probe_fixture()
-        self.deploy_contract("probe-n1", contract, private_for=["probe-n2"])
-        visible = self.code_visible_to("probe-private-code")
-        return self._result(
-            Mechanism.INSTALL_ON_INVOLVED_NODES,
-            SupportLevel.NATIVE if visible == {"probe-n1", "probe-n2"}
-            else SupportLevel.REWRITE,
-            f"private contract code distributed to {sorted(visible)} only",
-        )
-
-    def _probe_off_chain_execution_engine(self) -> ProbeResult:
-        # EVM execution is the state-transition function of the chain
-        # itself; moving it off-chain breaks consensus: '-'.
-        return self._result(
-            Mechanism.OFF_CHAIN_EXECUTION_ENGINE,
-            SupportLevel.REWRITE,
-            "EVM execution *is* the consensus state-transition function; "
-            "an external engine would fork every node's state",
-            exercised=False,
-        )
-
-    def _probe_trusted_execution_environment(self) -> ProbeResult:
-        return self._result(
-            Mechanism.TRUSTED_EXECUTION_ENVIRONMENT,
-            SupportLevel.REWRITE,
-            "no enclave path in the transaction pipeline; EVM execution "
-            "inside TEEs requires rewriting the client",
-            exercised=False,
-        )
-
-    def _probe_private_sequencing_service(self) -> ProbeResult:
-        self._probe_fixture()
-        member_operated = self.sequencer.is_member_operated(set(self.parties))
-        return self._result(
-            Mechanism.PRIVATE_SEQUENCING_SERVICE,
-            SupportLevel.NATIVE if member_operated else SupportLevel.REWRITE,
-            "consortium members run the consensus (Raft/IBFT) nodes "
-            "themselves; no third-party sequencer exists",
         )

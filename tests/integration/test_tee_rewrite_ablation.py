@@ -71,11 +71,12 @@ class TestRewriteCounterfactual:
     def test_default_platform_still_reports_rewrite(self):
         """The rewrite is a counterfactual; the shipped probe stays '-'."""
         from repro.core.mechanisms import Mechanism
+        from repro.core.probe import probe
         from repro.platforms.base import SupportLevel
         from repro.platforms.fabric import FabricNetwork
 
         net = FabricNetwork(seed="tee-ablation")
-        result = net.probe(Mechanism.TRUSTED_EXECUTION_ENVIRONMENT)
+        result = probe(net, Mechanism.TRUSTED_EXECUTION_ENVIRONMENT)
         assert result.level is SupportLevel.REWRITE
 
     def test_attestation_gates_results(self):
