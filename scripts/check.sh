@@ -29,7 +29,8 @@ python -m repro lint --strict src/repro/telemetry
 
 echo
 echo "== convergence gate (crash/recover/catch-up + strict lint of repro.recovery) =="
-python -m pytest -x -q tests/recovery tests/integration/test_recovery_chaos.py
+python -m pytest -x -q tests/recovery tests/integration/test_recovery_chaos.py \
+    tests/platforms/test_quorum_redelivery.py
 python -m repro converge
 python -m repro lint --strict src/repro/recovery
 

@@ -141,10 +141,8 @@ class DriverReport:
         for cache, stats in sorted(self.cache_stats.items()):
             hits, misses = stats.get("hits", 0), stats.get("misses", 0)
             total = hits + misses
-            rate = hits / total if total else 0.0
-            lines.append(
-                f"  cache {cache:24s} {hits}/{total} hits ({rate:.0%})"
-            )
+            rate = f"{hits / total:.0%}" if total else "n/a"
+            lines.append(f"  cache {cache:24s} {hits}/{total} hits ({rate})")
         return "\n".join(lines)
 
 

@@ -355,7 +355,7 @@ class Platform:
 
         Without ``resilient_delivery`` this is one atomic broadcast.  With
         it, each copy retries through transient faults; a recipient still
-        unreachable lags until catch-up (the timeout is on its span).
+        unreachable lags until :meth:`recover` (the timeout is on its span).
         """
         if not self.resilient_delivery:
             self.network.broadcast(
@@ -371,9 +371,9 @@ class Platform:
     # -- crash recovery
     #
     # The template methods below are platform-independent; subclasses
-    # implement the four hooks to define what is durable, what a crash
-    # loses, and — critically — what a rejoining node is *entitled* to
-    # be re-sent during catch-up (its channels, its party chains, its
+    # implement the three hooks to define what is durable, what a crash
+    # loses, and — critically — what a lagging node is *entitled* to be
+    # re-sent during catch-up (its channels, its party chains, its
     # private payloads; never anyone else's).
 
     def checkpoint_node(self, name: str):
@@ -400,15 +400,14 @@ class Platform:
         """Crash party *name*: network down + volatile state lost.
 
         Durable artifacts — checkpoints, the shared chains, off-chain
-        stores — survive; everything the subclass declares volatile in
-        :meth:`_drop_volatile` (state replicas, vaults, payload caches)
-        is wiped, like process memory.
+        stores — survive; the node's in-memory state (replicas, vaults,
+        payload caches) is reset as if restored from no checkpoint.
         """
         self.party(name)
         if self.network.is_crashed(name):
             return
         self.network.crash_node(name)
-        self._drop_volatile(name)
+        self._restore_checkpoint(name, None)
         self.telemetry.metrics.counter("recovery.crashes").inc()
         self.telemetry.events.emit(
             "recovery.crash", node=name, platform=self.platform_name
@@ -416,24 +415,28 @@ class Platform:
 
     @delivers
     def recover(self, name: str):
-        """Bring *name* back: restore its checkpoint, then catch up.
+        """Bring *name* level with its peers: the one catch-up path.
 
-        Idempotent — recovering a node that is already up is a no-op.
-        Catch-up is visibility-filtered by the platform hook: live peers
-        re-send only what *name* is entitled to see.  Returns the
-        checkpoint used (``None`` if the node never checkpointed and
-        rebuilt from genesis).
+        A node that was down restarts from its latest checkpoint; any
+        node, down or live, then catches up.  Catch-up is
+        visibility-filtered by the platform hook: live peers re-send only
+        what *name* is entitled to see, and a node already level is
+        shipped nothing.  A node still inside a fault-plan crash window
+        is left untouched.  Returns the latest checkpoint (``None`` if
+        the node never checkpointed).
         """
         self.party(name)
-        if not self.network.recover_node(name):
-            return self.checkpoints.latest(name)
+        restarted = self.network.recover_node(name)
         checkpoint = self.checkpoints.latest(name)
+        if not restarted and self.network.is_crashed(name):
+            return checkpoint
         metrics = self.telemetry.metrics
         shipped = metrics.counter("recovery.catchup.shipped")
         with self.telemetry.span(
             "recovery.catchup", node=name, platform=self.platform_name
         ) as span:
-            self._restore_checkpoint(name, checkpoint)
+            if restarted:
+                self._restore_checkpoint(name, checkpoint)
             before = shipped.value
             blocks_behind = self._catch_up(name, checkpoint)
             # Items apply in the recipient's delivery handlers, so the
@@ -442,26 +445,25 @@ class Platform:
             metrics.counter("recovery.catchup.items").inc(items)
             self.telemetry.tracer.set_attribute(span, "blocks_behind", blocks_behind)
             self.telemetry.tracer.set_attribute(span, "items", items)
-        metrics.counter("recovery.recoveries").inc()
-        self.telemetry.events.emit(
-            "recovery.recover",
-            node=name,
-            platform=self.platform_name,
-            from_sequence=None if checkpoint is None else checkpoint.sequence,
-        )
+        if restarted:
+            metrics.counter("recovery.recoveries").inc()
+            self.telemetry.events.emit(
+                "recovery.recover",
+                node=name,
+                platform=self.platform_name,
+                from_sequence=None if checkpoint is None else checkpoint.sequence,
+            )
         return checkpoint
 
     def _checkpoint_data(self, name: str) -> dict:
-        """Subclass hook: heights/state_hashes/pending/snapshots for *name*."""
+        """Subclass hook: heights/snapshots for *name*."""
         raise PlatformError(
             f"{self.platform_name} does not support node checkpoints"
         )
 
-    def _drop_volatile(self, name: str) -> None:
-        """Subclass hook: wipe *name*'s in-memory state on crash."""
-
     def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        """Subclass hook: reload *name*'s state images from *checkpoint*."""
+        """Subclass hook: reset *name*'s in-memory state to *checkpoint*'s
+        images, or to empty when *checkpoint* is ``None`` (a crash)."""
         raise PlatformError(
             f"{self.platform_name} does not support node recovery"
         )

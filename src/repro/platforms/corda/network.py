@@ -25,7 +25,6 @@ from repro.common.errors import (
     PlatformError,
     ValidationError,
 )
-from repro.crypto.hashing import hash_hex
 from repro.crypto.onetime import OneTimeIdentity, OneTimeKeyFactory, resolve_owner
 from repro.network.messages import Exposure
 from repro.platforms.base import (
@@ -74,7 +73,6 @@ class CordaNetwork(Platform):
         self,
         seed: str = "corda",
         validating_notary: bool = False,
-        notary_operator: str = "third-party",
         resilient_delivery: bool = False,
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
@@ -84,7 +82,7 @@ class CordaNetwork(Platform):
             self.scheme,
             self.clock,
             validating=validating_notary,
-            operator=notary_operator,
+            operator="third-party",
             contract_verifier=self._verify_contracts,
             telemetry=self.telemetry,
         )
@@ -432,7 +430,7 @@ class CordaNetwork(Platform):
     # Durable per node: checkpoints only — the vault IS the node's store,
     # and it is volatile here (the crash wipes it).  Catch-up therefore
     # re-ships transaction chains, and the visibility rule is Corda's own:
-    # a peer serves a rejoining node exactly the transactions that node
+    # a peer serves a lagging node exactly the transactions that node
     # was a party to (output participant or command signer), never the
     # rest of its vault.  The unconsumed-state view is then rebuilt as a
     # pure function of the recovered transaction store.
@@ -446,33 +444,22 @@ class CordaNetwork(Platform):
 
     def _checkpoint_data(self, name: str) -> dict:
         vault = self.vaults[name]
-        refs = sorted(
-            ([ref.tx_id, ref.index] for ref in vault.unconsumed),
-        )
         return {
             "heights": {"vault": len(vault.transactions)},
-            "state_hashes": {
-                "vault": hash_hex("repro/recovery/corda-vault", refs)
-            },
             "snapshots": {"tx_ids": sorted(vault.transactions)},
         }
-
-    def _drop_volatile(self, name: str) -> None:
-        self.vaults[name] = Vault(owner=name)
 
     def _restore_checkpoint(self, name: str, checkpoint) -> None:
         # The checkpoint records *which* transactions the vault held, not
         # their content (that would defeat the point of measuring
         # catch-up); the store is repopulated by entitled re-shipping.
-        return None
+        self.vaults[name] = Vault(owner=name)
 
     def _catch_up(self, name: str, checkpoint) -> int:
         vault = self.vaults[name]
-        known_before = (
-            set(checkpoint.snapshots.get("tx_ids", []))
-            if checkpoint is not None
-            else set()
-        )
+        known_before = set(vault.transactions)
+        if checkpoint is not None:
+            known_before.update(checkpoint.snapshots.get("tx_ids", []))
         for provider in live_providers(self.network, self.parties, name):
             provider_vault = self.vaults[provider]
             for tx_id in sorted(provider_vault.transactions):
@@ -482,7 +469,7 @@ class CordaNetwork(Platform):
                 entitled = self._entitled_parties(stx)
                 if name not in entitled:
                     # The privacy filter: a peer never re-serves a
-                    # transaction the rejoining node was not party to.
+                    # transaction the lagging node was not party to.
                     continue
                 ship(
                     self.network,
@@ -505,5 +492,6 @@ class CordaNetwork(Platform):
                 )
         vault.rebuild_unconsumed()
         # "Behind" for Corda is transaction-granular: how many entitled
-        # transactions were re-shipped beyond the checkpointed store.
+        # transactions were re-shipped beyond the checkpointed and
+        # already-held store.
         return len([t for t in vault.transactions if t not in known_before])

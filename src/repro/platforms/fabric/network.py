@@ -26,7 +26,6 @@ from repro.crypto.anoncred import (
     CredentialIssuer,
     verify_presentation,
 )
-from repro.crypto.hashing import hash_hex
 from repro.execution.contracts import SmartContract
 from repro.execution.engines import LedgerEngine
 from repro.ledger.ordering import OrdererVisibility, OrderingService
@@ -652,7 +651,7 @@ class FabricNetwork(Platform):
     # (off-chain storage services), and checkpoints.  Volatile: the
     # world-state replica and the network node's dedup memory.
     # Catch-up ships per-channel blocks only — Fabric's visibility rule:
-    # a rejoining member receives its channels' transactions, with PDC
+    # a lagging member receives its channels' transactions, with PDC
     # values reduced to their on-chain anchors (``tx.private_hashes``),
     # never another channel's traffic.
     # ------------------------------------------------------------------
@@ -668,22 +667,11 @@ class FabricNetwork(Platform):
         # A channel's height here counts the ordered transactions the
         # replica has applied, which may be fewer than the chain holds.
         heights: dict[str, int] = {}
-        state_hashes: dict[str, str] = {}
         snapshots: dict[str, dict] = {}
         for channel in self._member_channels(name):
             heights[channel.name] = channel.applied[name]
             snapshots[channel.name] = channel.states[name].dump()
-            state_hashes[channel.name] = hash_hex(
-                "repro/recovery/fabric-state", channel.states[name].snapshot()
-            )
-        return {
-            "heights": heights,
-            "state_hashes": state_hashes,
-            "snapshots": snapshots,
-        }
-
-    def _drop_volatile(self, name: str) -> None:
-        self._restore_checkpoint(name, None)
+        return {"heights": heights, "snapshots": snapshots}
 
     def _restore_checkpoint(self, name: str, checkpoint) -> None:
         for channel in self._member_channels(name):

@@ -28,7 +28,6 @@ from repro.common.errors import (
     PrivacyError,
 )
 from repro.common.serialization import canonical_json, from_canonical_json
-from repro.crypto.hashing import hash_hex
 from repro.execution.contracts import SmartContract, StateView
 from repro.ledger.block import Chain
 from repro.ledger.ordering import OrdererVisibility, OrderingService
@@ -70,7 +69,6 @@ class QuorumNetwork(Platform):
     def __init__(
         self,
         seed: str = "quorum",
-        consensus_operator: str = "member",
         resilient_delivery: bool = False,
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
@@ -84,18 +82,14 @@ class QuorumNetwork(Platform):
         # Chain height of every ordered transaction, by id: how a
         # delivery handler places the transaction its message names.
         self._ordered: dict[str, tuple[int, Transaction]] = {}
-        # Recovery bookkeeping: the height up to which each node has
-        # applied every transaction, in chain order, and the
-        # (participant, tx id) of each payload owed to a peer that was
-        # unreachable when its transaction committed.
+        # The height up to which each node has applied every
+        # transaction, in chain order: what catch-up replays above.
         self._applied_upto: dict[str, int] = {}
-        self._redelivery_queue: list[tuple[str, str]] = []
-        self.consensus_operator = consensus_operator
         self.sequencer = OrderingService(
             SEQUENCER_NODE,
             self.clock,
             visibility=OrdererVisibility.FULL,
-            operator=consensus_operator,
+            operator="member",
             telemetry=self.telemetry,
         )
         self.ordering = self.sequencer
@@ -104,19 +98,15 @@ class QuorumNetwork(Platform):
 
     def onboard(self, name: str, attributes: dict | None = None):
         party = super().onboard(name, attributes=attributes)
-        self.public_states[name] = WorldState()
-        self.private_states[name] = WorldState()
-        self.managers[name] = PrivateTransactionManager(
-            name, rng=self.rng.fork("tm:" + name)
-        )
-        self._applied_upto[name] = 0
+        # A new node starts empty, like one restored from no checkpoint.
+        self._restore_checkpoint(name, None)
         node = self.network.node(name)
         for kind in ("public-tx", "private-tx", "catchup-block"):
             node.on(kind, self._on_chain_tx)
         for kind in ("private-payload", "catchup-payload"):
             node.on(kind, self._on_payload)
-        if self.consensus_operator == "member" and len(self.parties) == 1:
-            # First onboarded member operates consensus in this deployment.
+        if len(self.parties) == 1:
+            # The first onboarded member operates consensus.
             self.sequencer.operator = name
         return party
 
@@ -324,11 +314,11 @@ class QuorumNetwork(Platform):
         spend check because non-participants cannot validate.
 
         Unreachable recipients: with ``resilient_delivery`` the
-        transaction proceeds for the reachable participants and the
-        payload is queued for redelivery-until-available
-        (:meth:`redeliver_pending`); without it, the transaction fails
-        fast with a typed refusal *before* any state mutation, so a
-        retry after heal cannot double-apply.
+        transaction proceeds for the reachable participants, and each
+        unreachable one lags until :meth:`recover` re-fetches its payload
+        from a live holder; without it, the transaction fails fast with a
+        typed refusal *before* any state mutation, so a retry after heal
+        cannot double-apply.
         """
         self._check_sender(sender)
         participants = sorted(set(private_for) | {sender})
@@ -391,14 +381,6 @@ class QuorumNetwork(Platform):
                 timestamp=self.clock.now,
             )
             self._order(sender, tx, Exposure.of(identities=set(participants)))
-            for participant in unavailable:
-                self._redelivery_queue.append((participant, tx.tx_id))
-                self.telemetry.metrics.counter("recovery.redelivery.queued").inc()
-                self.telemetry.events.emit(
-                    "recovery.redelivery_queued",
-                    participant=participant,
-                    position=self.chain.height,
-                )
         return QuorumTxResult(
             tx=tx, payload_hash=payload_hash,
             participants=participants, return_values={sender: value},
@@ -472,34 +454,6 @@ class QuorumNetwork(Platform):
             },
         }
 
-    @delivers
-    def redeliver_pending(self) -> int:
-        """Serve queued private payloads to now-reachable participants.
-
-        The retry-until-available half of resilient private delivery: a
-        participant that was crashed or partitioned when its transaction
-        committed catches up from its watermark — the payloads it is
-        entitled to (entitlement re-checked by the holding manager), then
-        the chain in order — so one that already caught up via
-        :meth:`recover` is not double-applied.  Returns how many queued
-        transactions were applied; the rest stay queued.
-        """
-        owed = [
-            (node, tx_id) for node, tx_id in self._redelivery_queue
-            if self._ordered[tx_id][0] > self._applied_upto[node]
-        ]
-        for node in dict.fromkeys(node for node, __ in owed):
-            if not self.network.is_crashed(node):
-                self._catch_up(node, None)
-        self._redelivery_queue = [
-            (node, tx_id) for node, tx_id in owed
-            if self._ordered[tx_id][0] > self._applied_upto[node]
-        ]
-        applied = len(owed) - len(self._redelivery_queue)
-        if applied:
-            self.telemetry.metrics.counter("recovery.redelivery.applied").inc(applied)
-        return applied
-
     # ------------------------------------------------------------------
     # Crash recovery (Platform hooks)
     #
@@ -559,41 +513,26 @@ class QuorumNetwork(Platform):
 
     def _checkpoint_data(self, name: str) -> dict:
         return {
-            "heights": {"public": self._applied_upto.get(name, 0)},
-            "state_hashes": {
-                "public": hash_hex(
-                    "repro/recovery/quorum-public",
-                    self.public_states[name].snapshot(),
-                ),
-                "private": hash_hex(
-                    "repro/recovery/quorum-private",
-                    self.private_states[name].snapshot(),
-                ),
-            },
+            "heights": {"public": self._applied_upto[name]},
             "snapshots": {
                 "public": self.public_states[name].dump(),
                 "private": self.private_states[name].dump(),
             },
         }
 
-    def _drop_volatile(self, name: str) -> None:
-        self.public_states[name] = WorldState()
-        self.private_states[name] = WorldState()
+    def _restore_checkpoint(self, name: str, checkpoint) -> None:
+        # The ciphertexts are volatile: catch-up re-fetches them.
+        snapshots = {} if checkpoint is None else checkpoint.snapshots
+        self.public_states[name] = WorldState.from_dump(snapshots.get("public", {}))
+        self.private_states[name] = WorldState.from_dump(
+            snapshots.get("private", {})
+        )
         self.managers[name] = PrivateTransactionManager(
             name, rng=self.rng.fork("tm:" + name)
         )
-        self._applied_upto[name] = 0
-
-    def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        if checkpoint is None:
-            return
-        self.public_states[name] = WorldState.from_dump(
-            checkpoint.snapshots.get("public", {})
+        self._applied_upto[name] = (
+            0 if checkpoint is None else checkpoint.height_of("public")
         )
-        self.private_states[name] = WorldState.from_dump(
-            checkpoint.snapshots.get("private", {})
-        )
-        self._applied_upto[name] = checkpoint.height_of("public")
 
     def _catch_up(self, name: str, checkpoint) -> int:
         provider = pick_provider(self.network, self.parties, name)

@@ -1,12 +1,12 @@
 """Durable per-node checkpoints.
 
 A checkpoint is the write-ahead snapshot a node flushes before it can be
-trusted to survive a crash: ledger heights, a hash of its visible state,
-its pending queues, and the state images needed to restart without
-replaying from genesis.  Everything round-trips through the repo's
-canonical serialization (:mod:`repro.common.serialization`) on *every*
-save and load, so the store models an on-disk format, not a Python
-object graph — what you restore is exactly what the bytes said.
+trusted to survive a crash: its ledger heights and the state images
+needed to restart without replaying from genesis.  Everything
+round-trips through the repo's canonical serialization
+(:mod:`repro.common.serialization`) on *every* save and load, so the
+store models an on-disk format, not a Python object graph — what you
+restore is exactly what the bytes said.
 
 Checkpoints are durable across crashes by construction: the store lives
 outside the node (disk survives the process), so
@@ -31,13 +31,11 @@ class NodeCheckpoint:
     - ``heights``: per-scope ledger heights (e.g. per channel, or the
       public-chain watermark) — what "since my checkpoint" means during
       catch-up.
-    - ``state_hashes``: per-scope digests of the visible state at
-      checkpoint time, for integrity checks and convergence reports.
-    - ``pending``: pending-queue contents that must survive a crash
-      (none on the three platforms today: a Quorum node re-fetches its
-      private-payload ciphertexts from entitled peers).
     - ``snapshots``: state images (``WorldState.dump()`` style) restored
       verbatim before catch-up replays the delta.
+
+    Nothing else survives a crash: a Quorum node re-fetches its
+    private-payload ciphertexts from entitled peers during catch-up.
     """
 
     node: str
@@ -45,8 +43,6 @@ class NodeCheckpoint:
     sequence: int
     taken_at: float
     heights: dict[str, int] = field(default_factory=dict)
-    state_hashes: dict[str, str] = field(default_factory=dict)
-    pending: dict[str, Any] = field(default_factory=dict)
     snapshots: dict[str, Any] = field(default_factory=dict)
 
     def height_of(self, scope: str) -> int:
@@ -103,7 +99,5 @@ class CheckpointStore:
             sequence=int(data["sequence"]),
             taken_at=float(data["taken_at"]),
             heights={k: int(v) for k, v in data.get("heights", {}).items()},
-            state_hashes=dict(data.get("state_hashes", {})),
-            pending=dict(data.get("pending", {})),
             snapshots=dict(data.get("snapshots", {})),
         )

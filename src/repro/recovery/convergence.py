@@ -71,39 +71,53 @@ def _state_fingerprint(state) -> str:
     return hash_hex("repro/recovery/convergence", state.dump())
 
 
+def _flag(report: ConvergenceReport, scope: str, detail: str, nodes) -> None:
+    report.divergences.append(
+        Divergence(report.platform, scope, detail, tuple(nodes))
+    )
+
+
+def _minority(states: dict[str, object]) -> tuple[int, list[str]]:
+    """How many distinct states *states* (node -> replica) hold, and the
+    nodes outside the largest group of identical ones."""
+    groups: dict[str, list[str]] = {}
+    for name in sorted(states):
+        groups.setdefault(_state_fingerprint(states[name]), []).append(name)
+    ranked = sorted(groups.values(), key=len, reverse=True)
+    return len(groups), [name for group in ranked[1:] for name in group]
+
+
+def _live(platform, names) -> list[str]:
+    return [name for name in sorted(names) if not platform.network.is_crashed(name)]
+
+
 def _audit_fabric(platform, report: ConvergenceReport) -> None:
     for channel_name in sorted(platform.channels):
         channel = platform.channels[channel_name]
-        fingerprints: dict[str, list[str]] = {}
-        for member in sorted(channel.members):
-            if platform.network.is_crashed(member):
-                continue
-            fp = _state_fingerprint(channel.states[member])
-            fingerprints.setdefault(fp, []).append(member)
-        if len(fingerprints) > 1:
-            groups = sorted(fingerprints.values(), key=len, reverse=True)
-            minority = tuple(
-                member for group in groups[1:] for member in group
+        live = _live(platform, channel.members)
+        distinct, minority = _minority({m: channel.states[m] for m in live})
+        if minority:
+            _flag(
+                report, channel.name,
+                f"replica mismatch: {distinct} distinct states among "
+                f"{len(live)} live members",
+                minority,
             )
-            report.divergences.append(
-                Divergence(
-                    platform="fabric",
-                    scope=channel.name,
-                    detail=(
-                        f"replica mismatch: {len(fingerprints)} distinct "
-                        f"states among {sum(len(g) for g in groups)} live "
-                        "members"
-                    ),
-                    nodes=minority,
-                )
+        # A member can match its peers and still have missed a block
+        # (say, one of only invalid transactions): it is behind all the same.
+        ordered = len(channel.outcomes)
+        behind = [m for m in live if channel.applied[m] < ordered]
+        if behind:
+            _flag(
+                report, channel.name,
+                f"behind the channel: applied fewer than its {ordered} "
+                "ordered transactions",
+                behind,
             )
 
 
 def _audit_corda(platform, report: ConvergenceReport) -> None:
-    live = [
-        name for name in sorted(platform.parties)
-        if not platform.network.is_crashed(name)
-    ]
+    live = _live(platform, platform.parties)
     # 1. Transaction knowledge: every live entitled party must hold every
     # transaction it was party to.  (Backchain resolution can legitimately
     # teach a vault *extra* history — that is the mechanism's documented
@@ -112,20 +126,16 @@ def _audit_corda(platform, report: ConvergenceReport) -> None:
     for name in live:
         all_txs.update(platform.vaults[name].transactions)
     for tx_id in sorted(all_txs):
-        stx = all_txs[tx_id]
-        entitled = platform._entitled_parties(stx) & set(platform.parties)
-        missing = tuple(
-            name for name in sorted(entitled)
-            if name in live and not platform.vaults[name].knows_transaction(tx_id)
-        )
+        entitled = platform._entitled_parties(all_txs[tx_id])
+        missing = [
+            name for name in live
+            if name in entitled
+            and not platform.vaults[name].knows_transaction(tx_id)
+        ]
         if missing:
-            report.divergences.append(
-                Divergence(
-                    platform="corda",
-                    scope=tx_id,
-                    detail="entitled party missing a finalized transaction",
-                    nodes=missing,
-                )
+            _flag(
+                report, tx_id,
+                "entitled party missing a finalized transaction", missing,
             )
     # 2. Shared unconsumed states: every live participant of a state some
     # vault still holds unconsumed must hold the identical state.
@@ -136,87 +146,67 @@ def _audit_corda(platform, report: ConvergenceReport) -> None:
     for ref in sorted(shared, key=lambda r: (r.tx_id, r.index)):
         holders = shared[ref]
         sample_state = next(iter(holders.values()))
-        expected = {
-            name for name in sample_state.participants
-            if name in live
-        }
-        disagreeing = tuple(sorted(
-            set(holders) ^ expected
-        )) if set(holders) != expected else ()
+        expected = {name for name in sample_state.participants if name in live}
+        disagreeing = sorted(set(holders) ^ expected)
         values_differ = len({
             hash_hex("repro/recovery/corda-unconsumed", dict(state.data))
             for state in holders.values()
         }) > 1
         if disagreeing or values_differ:
-            report.divergences.append(
-                Divergence(
-                    platform="corda",
-                    scope=f"{ref.tx_id}:{ref.index}",
-                    detail=(
-                        "participants disagree on an unconsumed state"
-                        if values_differ
-                        else "unconsumed state not held by all live participants"
-                    ),
-                    nodes=disagreeing or tuple(sorted(holders)),
-                )
+            _flag(
+                report, f"{ref.tx_id}:{ref.index}",
+                "participants disagree on an unconsumed state"
+                if values_differ
+                else "unconsumed state not held by all live participants",
+                disagreeing or sorted(holders),
             )
 
 
 def _audit_quorum(platform, report: ConvergenceReport) -> None:
-    live = [
-        name for name in sorted(platform.parties)
-        if not platform.network.is_crashed(name)
-    ]
+    live = _live(platform, platform.parties)
     # 1. Public state: one shared ledger, every live node must agree.
-    fingerprints: dict[str, list[str]] = {}
-    for name in live:
-        fp = _state_fingerprint(platform.public_states[name])
-        fingerprints.setdefault(fp, []).append(name)
-    if len(fingerprints) > 1:
-        groups = sorted(fingerprints.values(), key=len, reverse=True)
-        minority = tuple(n for group in groups[1:] for n in group)
-        report.divergences.append(
-            Divergence(
-                platform="quorum",
-                scope="public-chain",
-                detail=(
-                    f"public state mismatch: {len(fingerprints)} distinct "
-                    "states among live nodes"
-                ),
-                nodes=minority,
-            )
+    distinct, minority = _minority(
+        {name: platform.public_states[name] for name in live}
+    )
+    if minority:
+        _flag(
+            report, "public-chain",
+            f"public state mismatch: {distinct} distinct states among live nodes",
+            minority,
         )
     # 2. Private state per key: all holders of a key must agree.  (The
     # paper's double-spend flaw produces exactly this divergence when
     # exercised — the audit makes it visible rather than impossible.)
     for key in platform.divergent_keys():
-        holders = tuple(sorted(platform.private_state_views(key)))
-        report.divergences.append(
-            Divergence(
-                platform="quorum",
-                scope=key,
-                detail="private-state holders disagree on this key",
-                nodes=holders,
-            )
+        _flag(
+            report, key, "private-state holders disagree on this key",
+            sorted(platform.private_state_views(key)),
         )
     # 3. Replayability: each live node's private state must match a fresh
     # replay of its entitled payloads; a missing payload is a divergence
     # (the node cannot prove its own state), not a crash.
     for name in live:
         try:
-            replay_ok = platform.verify_private_state(name)
-        except PrivacyError:
-            replay_ok = False
-            detail = "private state not replayable: entitled payload missing"
-        else:
-            detail = "private state does not match payload replay"
-        if not replay_ok:
-            report.divergences.append(
-                Divergence(
-                    platform="quorum", scope="private-replay",
-                    detail=detail, nodes=(name,),
+            if not platform.verify_private_state(name):
+                _flag(
+                    report, "private-replay",
+                    "private state does not match payload replay", [name],
                 )
+        except PrivacyError:
+            _flag(
+                report, "private-replay",
+                "private state not replayable: entitled payload missing", [name],
             )
+    # 4. Watermark: a node that missed a transaction in flight is behind
+    # even where its state matches (a non-participant that lost a private
+    # transaction's gossip holds the same public state as everyone).
+    height = platform.chain.height
+    behind = [name for name in live if platform._applied_upto[name] < height]
+    if behind:
+        _flag(
+            report, "public-chain",
+            f"behind the chain: applied below height {height}", behind,
+        )
 
 
 _AUDITS = {

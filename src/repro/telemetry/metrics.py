@@ -90,8 +90,9 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+    def mean(self) -> float | None:
+        """Mean observation, or ``None`` when nothing was observed."""
+        return self.total / self.count if self.count else None
 
     def bucket_dict(self) -> dict[str, int]:
         labels = [f"le={b:g}" for b in self.bounds] + ["le=+Inf"]
@@ -186,9 +187,10 @@ class MetricsRegistry:
         if snap["histograms"]:
             lines.append("histograms:")
             for name, h in snap["histograms"].items():
+                mean = "n/a" if h["mean"] is None else f"{h['mean']:.6f}"
                 lines.append(
                     f"  {name:<48s} count={h['count']} sum={h['sum']:.6f} "
-                    f"mean={h['mean']:.6f}"
+                    f"mean={mean}"
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"
 

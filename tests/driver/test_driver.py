@@ -14,6 +14,7 @@ from repro.driver import (
     trade_scenario,
 )
 from repro.platforms.base import TxRequest
+from repro.platforms.quorum import QuorumNetwork
 
 
 class TestConfig:
@@ -139,6 +140,12 @@ class TestReport:
         assert report.mean_latency is None
         assert report.to_dict()["mean_latency_s"] is None
         assert "  mean latency  n/a" in report.render_text().splitlines()
+
+    def test_cache_without_lookups_reports_no_rate(self):
+        report = Driver(QuorumNetwork(seed="driver-report")).run([])
+        assert report.cache_stats["signature_verify"]["hits"] == 0
+        lines = report.render_text().splitlines()
+        assert f"  cache {'signature_verify':24s} 0/0 hits (n/a)" in lines
 
     def test_committed_receipts_report_a_latency(self):
         scenario = kv_scenario("quorum", 3, seed="driver-report")

@@ -25,6 +25,7 @@ from repro.common.errors import (
 from repro.core.audit import audit_all
 from repro.execution.contracts import SmartContract
 from repro.faults.plan import FaultPlan
+from repro.platforms.corda import Command, ContractState
 from repro.platforms.corda.network import NOTARY_NODE, CordaNetwork
 from repro.platforms.fabric.network import ORDERER_NODE, FabricNetwork
 from repro.platforms.quorum.network import SEQUENCER_NODE, QuorumNetwork
@@ -51,7 +52,8 @@ class TestFabricChaos:
     def test_block_lost_in_flight_leaves_member_behind(self):
         """A partition that opens after a block is sent drops it in
         flight: the member's replica lags, the audit flags it, and
-        crash + recover heals it through catch-up."""
+        ``recover`` heals the live member through catch-up; a later
+        crash + recover changes nothing."""
         net = FabricNetwork(seed="chaos-fabric-inflight")
         for org in ("A", "B", "C"):
             net.onboard(org)
@@ -79,11 +81,15 @@ class TestFabricChaos:
         assert "k" not in net.network.node("C").observer.seen_data_keys
         assert lagging_nodes(net) == {"C"}
 
-        net.crash("C")
         net.recover("C")
         assert channel.states["C"].dump() == channel.states["A"].dump()
         assert audit_convergence(net).converged
         assert "k" in net.network.node("C").observer.seen_data_keys
+
+        net.crash("C")
+        net.recover("C")
+        assert channel.states["C"].dump() == channel.states["A"].dump()
+        assert audit_convergence(net).converged
 
     def test_lagging_endorser_cannot_commit_a_lost_update(self):
         """The first member, whose replica endorsement reads, loses a
@@ -222,6 +228,37 @@ class TestCordaChaos:
         assert wf.network.network.stats.retries > 0
 
 
+    def test_finalise_lost_in_flight_leaves_party_behind(self):
+        """A partition that opens after the initiator sends ``finalise``
+        drops it in flight: that party's vault lacks the transaction, the
+        audit flags it, and ``recover`` heals the live party from another
+        participant."""
+        net = CordaNetwork(seed="chaos-corda-inflight")
+        for org in ("A", "B", "C"):
+            net.onboard(org)
+        net.register_contract("deal", lambda wire: None, language="kotlin")
+        state = ContractState(
+            contract_id="deal", participants=("A", "B", "C"), data={"k": 1}
+        )
+        wire = net.build_transaction(
+            inputs=[], outputs=[state],
+            commands=[Command(name="Deal", signers=("A",))],
+        )
+        now = net.clock.now
+        net.inject_faults(
+            FaultPlan().partition_between("A", "C", start=now + 0.001, end=now + 10)
+        )
+        net.run_flow("A", wire)
+        assert net.vault("B").knows_transaction(wire.tx_id)
+        assert not net.vault("C").knows_transaction(wire.tx_id)
+        assert lagging_nodes(net) == {"C"}
+
+        net.recover("C")
+        assert net.vault("C").knows_transaction(wire.tx_id)
+        assert net.vault("C").unconsumed == net.vault("B").unconsumed
+        assert audit_convergence(net).converged
+
+
 class TestQuorumChaos:
     def test_sequencer_crash_fails_before_state_mutation(self):
         """An outage mid-lifecycle cannot half-apply a transaction."""
@@ -276,6 +313,41 @@ class TestQuorumChaos:
         wf.pay("LC-Q3")
         for party in PARTIES:
             assert wf.status_of("LC-Q3", party) == "paid"
+
+    def test_gossip_lost_in_flight_leaves_non_participant_behind(self):
+        """A partition that opens after a private transaction is sent
+        drops its gossip to a non-participant.  Its state matches the
+        others (it holds no private state), yet it is behind the chain:
+        the audit names it, it refuses to send, and ``recover`` heals it
+        without handing it the payload."""
+        net = QuorumNetwork(seed="chaos-quorum-inflight")
+        for org in ("N1", "N2", "N3"):
+            net.onboard(org)
+
+        def put(view, args):
+            view.put(args["key"], args["value"])
+
+        net.deploy_contract(
+            "N1", SmartContract("cc", 1, "evm-solidity", functions={"put": put})
+        )
+        now = net.clock.now
+        net.inject_faults(
+            FaultPlan().partition_between("N1", "N3", start=now + 0.001, end=now + 10)
+        )
+        result = net.send_private_transaction(
+            "N1", "cc", "put", {"key": "k", "value": 1}, private_for=["N2"]
+        )
+        assert net.network.stats.dropped_by_partition == 1
+        assert net.private_states["N2"].get("k") == 1
+        assert lagging_nodes(net) == {"N3"}
+        with pytest.raises(DeliveryError, match="behind the chain"):
+            net.send_public_transaction("N3", "cc", "put", {"key": "p", "value": 2})
+
+        net.recover("N3")
+        assert audit_convergence(net).converged
+        assert not net.managers["N3"].has_payload(result.payload_hash)
+        net.send_public_transaction("N3", "cc", "put", {"key": "p", "value": 2})
+        assert net.public_states["N2"].get("p") == 2  # N1 is still cut off
 
     def test_timed_sequencer_outage_heals_by_window_end(self):
         wf = loc_workflow(QuorumNetwork)

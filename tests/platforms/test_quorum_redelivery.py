@@ -1,9 +1,11 @@
-"""Resilient private-payload redelivery: retry-until-available (satellite).
+"""Resilient private-payload delivery: an unreachable participant heals
+through ``recover``.
 
 Default mode keeps the fail-fast refusal (no state moves before every
 recipient is reachable); resilient mode lets the transaction proceed for
-the reachable participants and queues the payload for redelivery, with
-entitlement re-checked by the holding manager at redelivery time.
+the reachable participants, and a participant left behind is re-served
+its payload by ``recover``, with entitlement re-checked by the holding
+manager.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 from repro.common.errors import DeliveryError, PrivacyError
 from repro.execution.contracts import SmartContract
 from repro.platforms.quorum import QuorumNetwork
+from repro.recovery.convergence import audit_convergence
 
 ORGS = ("N1", "N2", "N3")
 
@@ -26,6 +29,16 @@ def store_cc(cid="store"):
         contract_id=cid, version=1, language="evm-solidity",
         functions={"put": put},
     )
+
+
+def catchup_shipped(net) -> float:
+    counters = net.telemetry.metrics.snapshot()["counters"]
+    return counters.get("recovery.catchup.shipped", 0)
+
+
+def lagging_nodes(net) -> set[str]:
+    report = audit_convergence(net)
+    return {node for divergence in report.divergences for node in divergence.nodes}
 
 
 def make_net(**kwargs) -> QuorumNetwork:
@@ -79,12 +92,15 @@ class TestResilientRedelivery:
             "N1", "store", "put", {"key": "k", "value": 1},
             private_for=["N2"],
         )
-        assert net.redeliver_pending() == 0  # still partitioned: stays queued
+        net.recover("N2")  # still partitioned from the only holder
+        assert not net.private_states["N2"].exists("k")
+        assert "N2" in lagging_nodes(net)
         net.network.heal("N1", "N2")
-        assert net.redeliver_pending() == 1
+        net.recover("N2")
         assert net.private_states["N2"].get("k") == 1
         assert net.managers["N2"].has_payload(result.payload_hash)
         assert net.verify_private_state("N2")
+        assert audit_convergence(net).converged
 
     def test_redelivery_is_idempotent(self):
         net = make_net(resilient_delivery=True)
@@ -93,13 +109,16 @@ class TestResilientRedelivery:
             "N1", "store", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
         net.network.heal("N1", "N2")
-        assert net.redeliver_pending() == 1
-        assert net.redeliver_pending() == 0  # a second drain finds nothing
+        net.recover("N2")
+        shipped = catchup_shipped(net)
+        net.recover("N2")  # a second pass finds nothing to ship
+        assert catchup_shipped(net) == shipped
         assert net.private_states["N2"].get("k") == 1
 
     def test_recovery_first_then_redelivery_does_not_double_apply(self):
-        """A node that caught up via recover() skips its queued payloads:
-        idempotence is keyed on the durable chain position."""
+        """A node that caught up after a crash is level: recovering it
+        again applies nothing twice, since catch-up is keyed on the
+        durable chain position."""
         net = make_net(resilient_delivery=True)
         net.crash("N2")
         net.send_private_transaction(
@@ -107,20 +126,25 @@ class TestResilientRedelivery:
         )
         net.recover("N2")  # catch-up already applies the private tx
         assert net.private_states["N2"].get("k") == 1
-        assert net.redeliver_pending() == 0
+        shipped = catchup_shipped(net)
+        net.recover("N2")
+        assert catchup_shipped(net) == shipped
         assert net.verify_private_state("N2")
 
     def test_redelivery_counters_recorded(self):
+        """Healing a live node ships its payload and the transaction, and
+        counts no restart."""
         net = make_net(resilient_delivery=True)
         net.network.partition("N1", "N2")
         net.send_private_transaction(
             "N1", "store", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
         net.network.heal("N1", "N2")
-        net.redeliver_pending()
+        net.recover("N2")
         counters = net.telemetry.metrics.snapshot()["counters"]
-        assert counters["recovery.redelivery.queued"] == 1
-        assert counters["recovery.redelivery.applied"] == 1
+        assert counters["recovery.redelivered"] == 1
+        assert counters["recovery.catchup.items"] == 2
+        assert "recovery.recoveries" not in counters
 
 
 class TestEntitlement:

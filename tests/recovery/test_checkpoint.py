@@ -16,8 +16,6 @@ def make_checkpoint(node="OrgA", sequence=1, **overrides) -> NodeCheckpoint:
         "sequence": sequence,
         "taken_at": 1.5,
         "heights": {"ch": 3},
-        "state_hashes": {"ch": "ab" * 32},
-        "pending": {"queue": ["h1"]},
         "snapshots": {"ch": {"values": {"k": 1}, "versions": {"k": 2}}},
     }
     fields.update(overrides)

@@ -6,8 +6,10 @@ import pytest
 
 from repro.common.errors import PlatformError
 from repro.execution.contracts import SmartContract
+from repro.faults import FaultPlan
 from repro.platforms.corda import Command, ContractState, CordaNetwork
 from repro.platforms.fabric import FabricNetwork
+from repro.platforms.fabric.network import ORDERER_NODE
 from repro.platforms.quorum import QuorumNetwork
 from repro.recovery import audit_convergence
 
@@ -112,6 +114,38 @@ class TestDivergenceDetection:
         state.put("k", state.get("k"))  # value unchanged, version bumped
         report = audit_convergence(fabric)
         assert not report.converged
+
+    def test_fabric_member_behind_an_invalid_block_detected(self, fabric):
+        """A lost block whose only transaction was invalid leaves the
+        replica identical to its peers', but the member is still behind
+        the channel until it recovers."""
+
+        def bump(view, args):
+            view.put("k", view.get("k") + 1)
+
+        fabric.deploy_chaincode(
+            "ch",
+            SmartContract("bump", 1, "python-chaincode", functions={"bump": bump}),
+            list(ORGS),
+        )
+        stale = fabric.propose("ch", "OrgA", "bump", "bump", {})
+        fabric.invoke("ch", "OrgA", "bump", "bump", {})
+        now = fabric.clock.now
+        fabric.inject_faults(
+            FaultPlan().partition_between(
+                ORDERER_NODE, "OrgC", start=now + 0.001, end=now + 10
+            )
+        )
+        [result] = fabric.submit_batch("ch", [stale])
+        assert not result.valid
+        channel = fabric.channel("ch")
+        assert channel.states["OrgC"].dump() == channel.states["OrgA"].dump()
+        report = audit_convergence(fabric)
+        assert [(d.scope, d.nodes) for d in report.divergences] == [
+            ("ch", ("OrgC",))
+        ]
+        fabric.recover("OrgC")
+        assert audit_convergence(fabric).converged
 
     def test_corda_missing_entitled_transaction_detected(self, corda):
         net, wire, __ = corda

@@ -27,6 +27,11 @@ def put_contract(cid="store", language="python-chaincode"):
     )
 
 
+def catchup_shipped(net) -> float:
+    counters = net.telemetry.metrics.snapshot()["counters"]
+    return counters.get("recovery.catchup.shipped", 0)
+
+
 # ---------------------------------------------------------------------------
 # Fabric
 # ---------------------------------------------------------------------------
@@ -118,6 +123,31 @@ class TestFabricRecovery:
         assert channel.states["OrgC"].dump() == channel.states["OrgA"].dump()
         assert audit_convergence(net).converged
 
+    def test_recover_of_a_level_live_node_ships_nothing(self, fabric):
+        net, _ = fabric
+        net.invoke("ch", "OrgA", "store", "put", {"key": "k1", "value": 1})
+        before = net.state_fingerprint()
+        net.recover("OrgB")
+        assert catchup_shipped(net) == 0
+        assert net.state_fingerprint() == before
+
+    def test_node_still_down_is_left_untouched(self, fabric):
+        """A node inside a fault-plan crash window is still down after
+        ``recover``: nothing is shipped to it and its replica is kept."""
+        net, channel = fabric
+        net.inject_faults(FaultPlan().crash_node("OrgC", start=0.0, end=10.0))
+        net.invoke(
+            "ch", "OrgA", "store", "put", {"key": "k1", "value": 1},
+            endorsers=["OrgA", "OrgB"],
+        )
+        assert not channel.states["OrgC"].exists("k1")
+        assert net.recover("OrgC") is None
+        assert catchup_shipped(net) == 0
+        assert not channel.states["OrgC"].exists("k1")
+        net.clock.advance_to(10.0)
+        net.recover("OrgC")
+        assert channel.states["OrgC"].get("k1") == 1
+
     def test_catchup_stays_inside_channel_membership(self, fabric):
         net, _ = fabric
         side = net.create_channel("side", ["OrgA", "OrgC"])
@@ -182,6 +212,14 @@ class TestCordaRecovery:
         assert ref not in net.vault("OrgB").unconsumed
         net.recover("OrgB")
         assert ref in net.vault("OrgB").unconsumed
+
+    def test_recover_of_a_level_live_node_ships_nothing(self, corda):
+        net = corda
+        corda_deal(net, ("OrgA", "OrgB"), {"amount": 10})
+        before = net.state_fingerprint()
+        net.recover("OrgB")
+        assert catchup_shipped(net) == 0
+        assert net.state_fingerprint() == before
 
     def test_recovery_survives_no_live_provider(self, corda):
         net = corda
@@ -286,6 +324,17 @@ class TestQuorumRecovery:
         net.recover("OrgB")
         assert not net.private_states["OrgB"].exists("s2")
         assert not net.managers["OrgB"].has_payload(result.payload_hash)
+
+    def test_recover_of_a_level_live_node_ships_nothing(self, quorum):
+        net = quorum
+        net.send_public_transaction("OrgA", "evm", "put", {"key": "p", "value": 1})
+        net.send_private_transaction(
+            "OrgA", "evm", "put", {"key": "s", "value": 2}, private_for=["OrgB"]
+        )
+        before = net.state_fingerprint()
+        net.recover("OrgB")
+        assert catchup_shipped(net) == 0
+        assert net.state_fingerprint() == before
 
     def test_catchup_is_position_idempotent(self, quorum):
         net = quorum

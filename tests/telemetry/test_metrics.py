@@ -58,6 +58,15 @@ def test_histogram_buckets_are_cumulative_style():
     assert hist.mean() == pytest.approx(5.555 / 4)
 
 
+def test_empty_histogram_reports_no_mean():
+    """No observations means no mean: ``None`` in the snapshot, not 0."""
+    registry = MetricsRegistry()
+    hist = registry.histogram("latency")
+    assert hist.mean() is None
+    assert registry.snapshot()["histograms"]["latency"]["mean"] is None
+    assert "count=0 sum=0.000000 mean=n/a" in registry.render_text()
+
+
 def test_default_buckets_span_substrate_latencies():
     assert DEFAULT_BUCKETS[0] <= 0.001
     assert DEFAULT_BUCKETS[-1] >= 5.0

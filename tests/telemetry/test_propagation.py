@@ -135,5 +135,7 @@ def test_reset_stats_zeroes_counters_but_keeps_spans():
     assert one.stats.bytes_transferred == 0
     snap = one.telemetry.metrics.snapshot()
     assert snap["histograms"]["net.delivery_latency"]["count"] == 0
+    assert snap["histograms"]["net.delivery_latency"]["mean"] is None
+    assert "mean=n/a" in one.telemetry.metrics.render_text()
     # Spans carry their own timestamps and survive the counter reset.
     assert len(one.telemetry.tracer.spans) == spans_before
