@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, the perf-harness smoke run,
-# then the strict self-lint.
+# Repo health gate: tier-1 tests, the chaos suite, the paper-output gates
+# (Table 1, L1 audit, Figure 1, letter-of-credit design), the telemetry,
+# convergence and pipeline gates, the perf-harness smoke run, then the strict
+# self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -18,6 +20,13 @@ python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults
 echo
 echo "== Table 1 gate (regenerated matrix agrees with the paper and equals benchmarks/results/table1.txt) =="
 python -m repro table1 | diff - <(cat benchmarks/results/table1.txt; echo)
+
+echo
+echo "== paper-outputs gate (regenerated L1 audit, Figure 1 and letter-of-credit design equal the committed results) =="
+python -m pytest -x -q benchmarks/test_leakage_audit.py benchmarks/test_figure1.py \
+    benchmarks/test_letter_of_credit.py --benchmark-disable
+git diff --exit-code -- benchmarks/results/l1_leakage_audit.txt \
+    benchmarks/results/figure1.txt benchmarks/results/letter_of_credit_design.txt
 
 echo
 echo "== telemetry gate (leakage cross-check + traced LoC workflow per platform + strict lint of repro.telemetry) =="

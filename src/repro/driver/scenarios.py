@@ -54,8 +54,8 @@ def _make_platform(platform_name: str, seed: str) -> Platform:
     raise PlatformError(f"unknown platform {platform_name!r}")
 
 
-def _onboard(platform: Platform, orgs: tuple[str, ...] = BENCH_ORGS) -> None:
-    for org in orgs:
+def _onboard(platform: Platform) -> None:
+    for org in BENCH_ORGS:
         platform.onboard(org)
 
 
@@ -91,13 +91,12 @@ def kv_scenario(
     operations: int,
     skew: float = 0.0,
     key_count: int = 64,
-    workers: int = 3,
     seed: str = "bench",
 ) -> BenchScenario:
     """Key-value updates with configurable Zipfian contention."""
     platform = _make_platform(platform_name, f"{seed}-{platform_name}-kv")
     _onboard(platform)
-    submitters = list(BENCH_ORGS[: max(1, min(workers, len(BENCH_ORGS)))])
+    submitters = list(BENCH_ORGS[:3])
     contract = SmartContract(
         contract_id="kv-store",
         version=1,

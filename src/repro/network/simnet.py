@@ -465,10 +465,10 @@ class SimNetwork:
         *,
         timeout: float = 0.25,
         max_attempts: int = 3,
-        backoff: float = 2.0,
         dedup_key: str | None = None,
     ) -> DeliveryReceipt:
-        """Send until acknowledged, with timeout and exponential backoff.
+        """Send until acknowledged, with timeout and exponential backoff
+        (each attempt waits twice as long as the one before).
 
         Each attempt sends a fresh copy (same exposure — retransmission
         never widens what an observer can learn, it only repeats it) and
@@ -543,7 +543,7 @@ class SimNetwork:
                         )
                 # Wait out the ack timeout before the next attempt.
                 self.clock.advance_to(deadline)
-                wait *= backoff
+                wait *= 2
             tracer.set_attribute(span, "attempts", max_attempts)
             tracer.set_attribute(span, "outcome", "DeliveryTimeout")
             detail = f" (last refusal: {last_refusal})" if last_refusal else ""

@@ -108,7 +108,6 @@ class CordaNetwork(Platform):
         node = self.network.node(name)
         node.on("finalise", self._on_finalise)
         node.on("backchain-tx", self._on_backchain_tx)
-        node.on("catchup-tx", self._on_backchain_tx)
         return party
 
     def vault(self, name: str) -> Vault:
@@ -185,6 +184,17 @@ class CordaNetwork(Platform):
             participants |= set(state.participants)
         return participants
 
+    def _flow_exposure(self, wire: WireTransaction) -> Exposure:
+        """What carrying *wire* exposes: its participants and legal
+        signers, its output data keys and its contracts (the flow's
+        messages, and the catch-up that re-sends it)."""
+        return Exposure.of(
+            identities=self._participants_of(wire)
+            | (self._signers_of(wire) & set(self.parties)),
+            data_keys={k for state in wire.outputs for k in state.data},
+            code_ids={state.contract_id for state in wire.outputs},
+        )
+
     def build_transaction(
         self,
         inputs: list[StateRef],
@@ -225,11 +235,7 @@ class CordaNetwork(Platform):
         # re-run cleanly after the notary recovers.
         self.notary.require_available()
 
-        exposure = Exposure.of(
-            identities=participants | legal_signers,
-            data_keys={k for state in wire.outputs for k in state.data},
-            code_ids={state.contract_id for state in wire.outputs},
-        )
+        exposure = self._flow_exposure(wire)
 
         with self.telemetry.span(
             "corda.flow", initiator=initiator, outputs=len(wire.outputs)
@@ -381,7 +387,8 @@ class CordaNetwork(Platform):
         self.vaults[message.recipient].record(stx)
 
     def _on_backchain_tx(self, message) -> None:
-        """``backchain-tx`` and ``catchup-tx``: store the shipped history."""
+        """``backchain-tx``, in transaction resolution or catch-up: store
+        the shipped history."""
         tx_id = message.payload["tx_id"]
         stx = self.vaults[message.sender].transactions[tx_id]
         self.vaults[message.recipient].transactions.setdefault(tx_id, stx)
@@ -457,17 +464,16 @@ class CordaNetwork(Platform):
 
     def _catch_up(self, name: str, checkpoint) -> int:
         vault = self.vaults[name]
-        known_before = set(vault.transactions)
+        already_held = set(vault.transactions)
         if checkpoint is not None:
-            known_before.update(checkpoint.snapshots.get("tx_ids", []))
+            already_held.update(checkpoint.snapshots.get("tx_ids", []))
         for provider in live_providers(self.network, self.parties, name):
             provider_vault = self.vaults[provider]
             for tx_id in sorted(provider_vault.transactions):
                 if vault.knows_transaction(tx_id):
                     continue
                 stx = provider_vault.transactions[tx_id]
-                entitled = self._entitled_parties(stx)
-                if name not in entitled:
+                if name not in self._entitled_parties(stx):
                     # The privacy filter: a peer never re-serves a
                     # transaction the lagging node was not party to.
                     continue
@@ -475,23 +481,13 @@ class CordaNetwork(Platform):
                     self.network,
                     provider,
                     name,
-                    "catchup-tx",
-                    {"tx_id": tx_id, "known_before": tx_id in known_before},
-                    exposure=Exposure.of(
-                        identities=entitled & set(self.parties),
-                        data_keys={
-                            k
-                            for state in stx.wire.outputs
-                            for k in state.data
-                        },
-                        code_ids={
-                            state.contract_id for state in stx.wire.outputs
-                        },
-                    ),
+                    "backchain-tx",
+                    {"tx_id": tx_id},
+                    exposure=self._flow_exposure(stx.wire),
                     dedup_key=catchup_dedup_key("corda", "vault", name, tx_id),
                 )
         vault.rebuild_unconsumed()
         # "Behind" for Corda is transaction-granular: how many entitled
         # transactions were re-shipped beyond the checkpointed and
         # already-held store.
-        return len([t for t in vault.transactions if t not in known_before])
+        return len([t for t in vault.transactions if t not in already_held])

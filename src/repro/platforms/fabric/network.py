@@ -54,7 +54,7 @@ ANONYMOUS_CLIENT = "anonymous-client"
 
 def _tx_exposure(tx: Transaction) -> Exposure:
     """What carrying *tx* exposes: its participants and the keys it
-    reads and writes (order submission, block and catch-up delivery)."""
+    reads and writes (order submission and ``block``, live or re-sent)."""
     return Exposure.of(
         identities=set(tx.metadata.get("participants", [])),
         data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
@@ -71,10 +71,15 @@ class ValidationCode(enum.Enum):
 
 @dataclass
 class ProposedTransaction:
-    """An endorsed transaction awaiting ordering (propose-phase output)."""
+    """An endorsed transaction awaiting ordering (propose-phase output).
 
-    channel_name: str
+    ``contract_id`` names the chaincode it was endorsed for: validation
+    checks that chaincode's endorsement policy.  The channel is
+    ``tx.channel``.
+    """
+
     tx: Transaction
+    contract_id: str
     return_value: object
 
 
@@ -102,6 +107,9 @@ class FabricNetwork(Platform):
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.network.add_node(ORDERER_NODE)
+        # The Idemix client: anonymous proposals and their order
+        # submission come from here, and its endorsements come back here.
+        self.network.add_node(ANONYMOUS_CLIENT)
         self.orderer = OrderingService(
             ORDERER_NODE,
             self.clock,
@@ -128,9 +136,7 @@ class FabricNetwork(Platform):
         self._idemix_holders[name] = CredentialHolder(
             name, self.idemix_issuer, rng=self.rng.fork("holder:" + name)
         )
-        node = self.network.node(name)
-        node.on("block", self._on_block)
-        node.on("catchup-block", self._on_block)
+        self.network.node(name).on("block", self._on_block)
         return party
 
     def create_channel(self, name: str, members: list[str]) -> Channel:
@@ -179,45 +185,6 @@ class FabricNetwork(Platform):
         """Members whose peers are currently down (miss blocks, lag state)."""
         return {m for m in channel.members if self.network.is_crashed(m)}
 
-    def _endorse(
-        self,
-        channel: Channel,
-        submitter_label: str,
-        contract_id: str,
-        function: str,
-        args: dict,
-        endorsers: list[str],
-        proposal_exposure: Exposure,
-    ):
-        """Send proposals, execute on each endorser, check agreement."""
-        reference = channel.reference_state(skip=self._crashed_members(channel))
-        results = []
-        with self.telemetry.span(
-            "fabric.endorse",
-            channel=channel.name,
-            contract=contract_id,
-            endorsers=len(endorsers),
-        ):
-            for endorser in endorsers:
-                self.network.send(
-                    submitter_label if submitter_label in self.parties else endorsers[0],
-                    endorser,
-                    "proposal",
-                    {"contract": contract_id, "function": function, "args": args},
-                    exposure=proposal_exposure,
-                )
-                result = self.engine.execute(
-                    endorser, contract_id, function, args, reference
-                )
-                results.append((endorser, result))
-        first = results[0][1]
-        for endorser, result in results[1:]:
-            if result.writes != first.writes or result.deletes != first.deletes:
-                raise EndorsementError(
-                    f"endorser {endorser!r} produced a divergent write set"
-                )
-        return first
-
     @delivers
     def propose(
         self,
@@ -265,18 +232,40 @@ class FabricNetwork(Platform):
                 "disclosed": presentation.disclosed,
                 "nonce": presentation.nonce.hex(),
             }
-            submitter_label = ANONYMOUS_CLIENT
+            client = ANONYMOUS_CLIENT
         else:
             visible_identities.add(submitter)
-            submitter_label = submitter
+            client = submitter
 
+        # Send the proposals, execute on each endorser, check agreement.
         proposal_exposure = Exposure.of(
             identities=visible_identities, code_ids={contract_id}
         )
-        execution = self._endorse(
-            channel, submitter_label, contract_id, function, args, endorsers,
-            proposal_exposure,
-        )
+        reference = channel.reference_state(skip=self._crashed_members(channel))
+        results = []
+        with self.telemetry.span(
+            "fabric.endorse",
+            channel=channel.name,
+            contract=contract_id,
+            endorsers=len(endorsers),
+        ):
+            for endorser in endorsers:
+                self.network.send(
+                    client,
+                    endorser,
+                    "proposal",
+                    {"contract": contract_id, "function": function, "args": args},
+                    exposure=proposal_exposure,
+                )
+                results.append(self.engine.execute(
+                    endorser, contract_id, function, args, reference
+                ))
+        execution = results[0]
+        for endorser, result in zip(endorsers[1:], results[1:]):
+            if result.writes != execution.writes or result.deletes != execution.deletes:
+                raise EndorsementError(
+                    f"endorser {endorser!r} produced a divergent write set"
+                )
 
         private_hashes: dict = {}
         if collection_writes:
@@ -285,7 +274,7 @@ class FabricNetwork(Platform):
                 collection = channel.collection(collection_name)
                 for key, value in writes.items():
                     anchor = collection.put(
-                        endorsers[0] if submitter_label == ANONYMOUS_CLIENT else submitter,
+                        endorsers[0] if anonymous else submitter,
                         key,
                         value,
                         now=self.clock.now,
@@ -299,12 +288,10 @@ class FabricNetwork(Platform):
 
         # The participant list the orderer will see (paper Section 5) is
         # part of the content every endorser signs.
-        metadata["participants"] = sorted(
-            visible_identities if not anonymous else set(endorsers)
-        )
+        metadata["participants"] = sorted(visible_identities)
         tx = Transaction(
             channel=channel_name,
-            submitter=submitter_label,
+            submitter=client,
             reads=tuple(ReadEntry(key=k, version=v) for k, v in sorted(execution.reads.items())),
             writes=tuple(
                 [WriteEntry(key=k, value=v) for k, v in sorted(execution.writes.items())]
@@ -323,15 +310,15 @@ class FabricNetwork(Platform):
             endorsements.append(Endorsement(endorser=endorser, signature=signature))
             self.network.send(
                 endorser,
-                submitter_label if submitter_label in self.parties else endorser,
+                client,
                 "endorsement",
                 {"tx_id": tx.tx_id},
                 exposure=Exposure.of(identities={endorser}),
             )
         tx = tx.with_endorsements(endorsements)
         return ProposedTransaction(
-            channel_name=channel_name,
             tx=tx,
+            contract_id=contract_id,
             return_value=execution.return_value,
         )
 
@@ -401,12 +388,10 @@ class FabricNetwork(Platform):
             "fabric.order", channel=channel_name, batch_size=len(proposals)
         ):
             for proposal in proposals:
-                if proposal.channel_name != channel_name:
+                if proposal.tx.channel != channel_name:
                     raise PlatformError("proposal belongs to a different channel")
                 self._send_critical(
-                    proposal.tx.submitter
-                    if proposal.tx.submitter in self.parties
-                    else sorted(channel.members)[0],
+                    proposal.tx.submitter,
                     ORDERER_NODE,
                     "submit",
                     {"tx_id": proposal.tx.tx_id},
@@ -450,21 +435,19 @@ class FabricNetwork(Platform):
                 "fabric.validate", channel=channel.name
             ) as validate_span:
                 code = ValidationCode.VALID
-                # 1. Endorsement policy of the (single committed) chaincode.
-                # Every live committing peer validates independently (the
-                # honest Fabric model); the signature-verification cache
-                # turns the repeats into lookups.
-                contract_id = self._contract_of(channel, tx)
-                if contract_id is not None:
-                    policy = channel.committed_definition(contract_id).policy
-                    try:
-                        for __ in live or [None]:
-                            verify_endorsements(
-                                tx, policy, self.scheme,
-                                lambda n: self.parties[n].public_key,
-                            )
-                    except EndorsementError:
-                        code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
+                # 1. Endorsement policy of the chaincode the proposal was
+                # endorsed for.  Every live committing peer validates
+                # independently (the honest Fabric model); the signature-
+                # verification cache turns the repeats into lookups.
+                policy = channel.committed_definition(proposal.contract_id).policy
+                try:
+                    for __ in live or [None]:
+                        verify_endorsements(
+                            tx, policy, self.scheme,
+                            lambda n: self.parties[n].public_key,
+                        )
+                except EndorsementError:
+                    code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
                 # 2. MVCC read-set check against the committed versions.
                 if code is ValidationCode.VALID:
                     for read in tx.reads:
@@ -501,19 +484,11 @@ class FabricNetwork(Platform):
         return results
 
     def _on_block(self, message) -> None:
-        """Delivery handler for ``block`` and ``catchup-block``: the
-        recipient's replica applies the transaction, in commit order."""
+        """Delivery handler for ``block``, from the orderer or re-sent by a
+        peer in catch-up: the recipient's replica applies the transaction,
+        in commit order."""
         channel = self.channels[message.payload["channel"]]
         channel.apply(message.recipient, message.payload["tx_id"])
-
-    def _contract_of(self, channel: Channel, tx: Transaction) -> str | None:
-        """Best-effort recovery of which committed chaincode produced *tx*."""
-        committed = [
-            cid for cid, d in channel.definitions.items() if d.committed
-        ]
-        if len(committed) == 1:
-            return committed[0]
-        return None
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)
@@ -591,8 +566,8 @@ class FabricNetwork(Platform):
         # snapshot — this is how real Fabric clients create MVCC read
         # conflicts), then order each channel's proposals as one batch.
         receipts: list[TxReceipt | None] = [None] * len(requests)
+        # Channels are ordered in the order of their first request.
         by_channel: dict[str, list[tuple[int, ProposedTransaction, float]]] = {}
-        channel_order: list[str] = []
         for index, request in enumerate(requests):
             submitted_at = self.clock.now
             try:
@@ -602,14 +577,10 @@ class FabricNetwork(Platform):
                     request, self.platform_name, submitted_at, error
                 )
                 continue
-            channel_name = proposal.channel_name
-            if channel_name not in by_channel:
-                channel_order.append(channel_name)
-            by_channel.setdefault(channel_name, []).append(
+            by_channel.setdefault(proposal.tx.channel, []).append(
                 (index, proposal, submitted_at)
             )
-        for channel_name in channel_order:
-            entries = by_channel[channel_name]
+        for channel_name, entries in by_channel.items():
             try:
                 results = self.submit_batch(
                     channel_name,
@@ -650,10 +621,10 @@ class FabricNetwork(Platform):
     # Durable per peer: the chain (append-only, shared), PDC stores
     # (off-chain storage services), and checkpoints.  Volatile: the
     # world-state replica and the network node's dedup memory.
-    # Catch-up ships per-channel blocks only — Fabric's visibility rule:
-    # a lagging member receives its channels' transactions, with PDC
-    # values reduced to their on-chain anchors (``tx.private_hashes``),
-    # never another channel's traffic.
+    # Catch-up re-sends a channel's ``block`` messages only — Fabric's
+    # visibility rule: a lagging member receives its channels'
+    # transactions, whose PDC values are on chain as anchors only
+    # (``tx.private_hashes``), never another channel's traffic.
     # ------------------------------------------------------------------
 
     def _member_channels(self, name: str) -> list[Channel]:
@@ -696,19 +667,13 @@ class FabricNetwork(Platform):
                 for tx in block.transactions
             ][channel.applied[name]:]
             blocks_behind += len({height for height, __ in unapplied})
-            for height, tx in unapplied:
+            for __, tx in unapplied:
                 delivered = ship(
                     self.network,
                     provider,
                     name,
-                    "catchup-block",
-                    {
-                        "tx_id": tx.tx_id,
-                        "channel": channel.name,
-                        "height": height,
-                        # PDC values never travel: anchors only.
-                        "private_hashes": dict(tx.private_hashes),
-                    },
+                    "block",
+                    {"tx_id": tx.tx_id, "channel": channel.name},
                     exposure=_tx_exposure(tx),
                     dedup_key=catchup_dedup_key(
                         "fabric", channel.name, name, tx.tx_id

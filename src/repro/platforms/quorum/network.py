@@ -47,6 +47,11 @@ from repro.recovery.catchup import catchup_dedup_key, live_providers, pick_provi
 SEQUENCER_NODE = "quorum-consensus"
 
 
+def _gossip_kind(tx: Transaction) -> str:
+    """The message kind that carries *tx* to the other nodes."""
+    return f"{tx.metadata['kind']}-tx"
+
+
 @dataclass
 class QuorumTxResult:
     """Outcome of one (public or private) transaction.
@@ -79,9 +84,10 @@ class QuorumNetwork(Platform):
         self.managers: dict[str, PrivateTransactionManager] = {}
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
-        # Chain height of every ordered transaction, by id: how a
-        # delivery handler places the transaction its message names.
-        self._ordered: dict[str, tuple[int, Transaction]] = {}
+        # Chain height and gossip exposure of every ordered transaction,
+        # by id: how a delivery handler places the transaction its
+        # message names, and what catch-up re-sends it with.
+        self._ordered: dict[str, tuple[int, Transaction, Exposure]] = {}
         # The height up to which each node has applied every
         # transaction, in chain order: what catch-up replays above.
         self._applied_upto: dict[str, int] = {}
@@ -101,10 +107,9 @@ class QuorumNetwork(Platform):
         # A new node starts empty, like one restored from no checkpoint.
         self._restore_checkpoint(name, None)
         node = self.network.node(name)
-        for kind in ("public-tx", "private-tx", "catchup-block"):
+        for kind in ("public-tx", "private-tx"):
             node.on(kind, self._on_chain_tx)
-        for kind in ("private-payload", "catchup-payload"):
-            node.on(kind, self._on_payload)
+        node.on("private-payload", self._on_payload)
         if len(self.parties) == 1:
             # The first onboarded member operates consensus.
             self.sequencer.operator = name
@@ -213,7 +218,7 @@ class QuorumNetwork(Platform):
             self.sequencer.submit(tx)
             self.sequencer.cut_batch("quorum-public", force=True)
             self.chain.append([tx], self.clock.now)
-            self._ordered[tx.tx_id] = (self.chain.height, tx)
+            self._ordered[tx.tx_id] = (self.chain.height, tx, exposure)
             self._applied_upto[sender] = self.chain.height
             # A crashed or partitioned peer misses the gossip (it would be
             # dropped at delivery anyway); it does not veto the transaction.
@@ -222,14 +227,13 @@ class QuorumNetwork(Platform):
                 if node != sender and self._reachable(sender, node)
             ]
             self._fan_out(
-                sender, targets, f"{tx.metadata['kind']}-tx",
-                {"tx_id": tx.tx_id}, exposure,
+                sender, targets, _gossip_kind(tx), {"tx_id": tx.tx_id}, exposure
             )
 
     def _on_chain_tx(self, message) -> None:
-        """Delivery handler for ``public-tx``, ``private-tx`` and
-        ``catchup-block``: the recipient applies one ordered transaction,
-        in chain order only.
+        """Delivery handler for ``public-tx`` and ``private-tx``, gossiped
+        live or re-sent in catch-up: the recipient applies one ordered
+        transaction, in chain order only.
 
         A public transaction's write set applies to public state.  A
         private one executes if the recipient is a party; the hash on the
@@ -238,7 +242,7 @@ class QuorumNetwork(Platform):
         lost in flight) or already applied changes nothing.
         """
         node = message.recipient
-        height, tx = self._ordered[message.payload["tx_id"]]
+        height, tx, __ = self._ordered[message.payload["tx_id"]]
         if height != self._applied_upto[node] + 1:
             return
         if tx.metadata["kind"] == "public":
@@ -251,8 +255,9 @@ class QuorumNetwork(Platform):
         self._applied_upto[node] = height
 
     def _on_payload(self, message) -> None:
-        """Delivery handler for ``private-payload`` and ``catchup-payload``:
-        the recipient's manager stores its ciphertext."""
+        """Delivery handler for ``private-payload``, sent live or
+        re-fetched in catch-up: the recipient's manager stores its
+        ciphertext."""
         self.managers[message.sender].redeliver(
             message.payload["hash"], self.managers[message.recipient]
         )
@@ -479,7 +484,7 @@ class QuorumNetwork(Platform):
                 self.network,
                 holder,
                 name,
-                "catchup-payload",
+                "private-payload",
                 {"hash": payload_hash},
                 exposure=Exposure(),  # ciphertext: reveals nothing
                 dedup_key=catchup_dedup_key("quorum", "payload", name, payload_hash),
@@ -488,28 +493,6 @@ class QuorumNetwork(Platform):
                 self.telemetry.metrics.counter("recovery.redelivered").inc()
             return delivered
         return False
-
-    def _replay(self, provider: str, name: str, height: int, tx: Transaction) -> bool:
-        """Ship one ordered transaction to *name* as ``catchup-block``."""
-        if tx.metadata.get("kind") == "public":
-            exposure = Exposure.of(
-                identities={tx.submitter}, data_keys={w.key for w in tx.writes}
-            )
-        else:
-            # The public chain's documented leak: the participant list
-            # travels in the clear.
-            exposure = Exposure.of(
-                identities=set(tx.metadata.get("participants", ()))
-            )
-        return ship(
-            self.network,
-            provider,
-            name,
-            "catchup-block",
-            {"tx_id": tx.tx_id, "height": height},
-            exposure=exposure,
-            dedup_key=catchup_dedup_key("quorum", "public", name, height),
-        )
 
     def _checkpoint_data(self, name: str) -> dict:
         return {
@@ -540,9 +523,9 @@ class QuorumNetwork(Platform):
             return 0
         # Walk the public chain.  Every payload this node is entitled to
         # is re-fetched from a live holder (the ciphertexts are volatile,
-        # the entitlement on the chain is not), and every block above the
-        # node's watermark replays through the live delivery handler, in
-        # order, up to the first that cannot apply.
+        # the entitlement on the chain is not), and every transaction
+        # above the node's watermark is re-sent as the gossip message it
+        # was ordered with, in order, up to the first that cannot apply.
         since = self._applied_upto[name]
         replaying = True
         for block in self.chain.blocks():
@@ -554,7 +537,17 @@ class QuorumNetwork(Platform):
                         name, tx.private_hashes["payload"], participants
                     )
                 if replaying and block.height > since:
-                    replaying = held and self._replay(provider, name, block.height, tx)
+                    replaying = held and ship(
+                        self.network,
+                        provider,
+                        name,
+                        _gossip_kind(tx),
+                        {"tx_id": tx.tx_id},
+                        exposure=self._ordered[tx.tx_id][2],
+                        dedup_key=catchup_dedup_key(
+                            "quorum", "public", name, block.height
+                        ),
+                    )
         return self.chain.height - since
 
     # -- the documented double-spend flaw

@@ -65,8 +65,8 @@ def redacted_digest(value: Any) -> str:
 class RedactionFilter:
     """Decides, per attribute key, whether a value may be recorded."""
 
-    def __init__(self, extra_keys: set[str] | None = None) -> None:
-        self._marked: set[str] = set(extra_keys or ())
+    def __init__(self) -> None:
+        self._marked: set[str] = set()
         self._classified: dict[str, bool] = {}
 
     def mark(self, key: str) -> None:

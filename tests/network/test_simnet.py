@@ -359,7 +359,7 @@ class TestResilientDelivery:
         net.partition("A", "B")
         with pytest.raises(DeliveryTimeout):
             net.send_with_retry(
-                "A", "B", "ping", {}, timeout=0.1, max_attempts=3, backoff=2.0
+                "A", "B", "ping", {}, timeout=0.1, max_attempts=3
             )
         # 0.1 + 0.2 + 0.4 of simulated waiting.
         assert net.clock.now == pytest.approx(0.7)

@@ -13,7 +13,12 @@ from repro.common.errors import (
 from repro.execution.contracts import SmartContract
 from repro.ledger.validation import EndorsementPolicy
 from repro.offchain.stores import OffChainStore
-from repro.platforms.fabric import ANONYMOUS_CLIENT, FabricNetwork
+from repro.platforms.fabric import (
+    ANONYMOUS_CLIENT,
+    ORDERER_NODE,
+    FabricNetwork,
+    ValidationCode,
+)
 
 
 def put_cc(cid="cc"):
@@ -130,6 +135,18 @@ class TestInvoke:
         assert len(acks) == 2
         assert {ack.payload["tx_id"] for ack in acks} == {result.tx.tx_id}
 
+    def test_policy_checked_with_two_chaincodes_on_the_channel(self, net, channel):
+        """Validation checks the policy of the chaincode the proposal was
+        endorsed for, also when another chaincode is committed beside it."""
+        net.deploy_chaincode("ch", put_cc("cc-2"), ["Org1", "Org2"])
+        proposal = net.propose(
+            "ch", "Org1", "cc", "put", {"key": "k", "value": 1},
+            endorsers=["Org1"],
+        )
+        [result] = net.submit_batch("ch", [proposal])
+        assert result.validation_code is ValidationCode.ENDORSEMENT_POLICY_FAILURE
+        assert not channel.state_of("Org2").exists("k")
+
 
 class TestPrivacyProperties:
     def test_non_members_receive_nothing(self, net, channel):
@@ -172,6 +189,26 @@ class TestIdemix:
         gained = net.orderer.observer.seen_identities - before
         # The orderer learns the endorsers but never the submitting client.
         assert ANONYMOUS_CLIENT not in gained
+
+    def test_anonymous_invoke_sends_nothing_to_itself(self, net, channel, monkeypatch):
+        """The Idemix client is a node: it sends the proposals and the
+        order submission, and the endorsements come back to it."""
+        links = []
+        send = net.network.send
+
+        def record(sender, recipient, *args, **kwargs):
+            links.append((sender, recipient))
+            return send(sender, recipient, *args, **kwargs)
+
+        monkeypatch.setattr(net.network, "send", record)
+        net.invoke(
+            "ch", "Org1", "cc", "put", {"key": "k3", "value": 1}, anonymous=True
+        )
+        assert [link for link in links if link[0] == link[1]] == []
+        assert {r for s, r in links if s == ANONYMOUS_CLIENT} == {
+            "Org1", "Org2", ORDERER_NODE,
+        }
+        assert {s for s, r in links if r == ANONYMOUS_CLIENT} == {"Org1", "Org2"}
 
     def test_anonymous_commit_still_applies(self, net, channel):
         net.invoke(

@@ -347,3 +347,92 @@ class TestQuorumRecovery:
         net.recover("OrgB")  # replaying catch-up must not double-apply
         assert net.private_states["OrgB"].get("s3") == 1
         assert net.verify_private_state("OrgB")
+
+
+# ---------------------------------------------------------------------------
+# Catch-up parity: a re-sent entry exposes what its live delivery did
+# ---------------------------------------------------------------------------
+
+
+def knowledge(net, name) -> tuple[set, set, set]:
+    observer = net.network.node(name).observer
+    return (
+        set(observer.seen_identities),
+        set(observer.seen_data_keys),
+        set(observer.seen_code_ids),
+    )
+
+
+def assert_catch_up_parity(net, live_peer, lagging, lost_link, send) -> None:
+    """Lose one delivery to *lagging* on *lost_link*, heal it with
+    ``recover``, and compare what it learned with *live_peer*."""
+    before = {name: knowledge(net, name) for name in (live_peer, lagging)}
+    net.inject_faults(FaultPlan().set_link_loss(*lost_link, 1.0))
+    send()
+    net.inject_faults(FaultPlan())
+    assert knowledge(net, lagging) == before[lagging]  # it missed the entry
+    net.recover(lagging)
+    live = [
+        after - earlier
+        for earlier, after in zip(before[live_peer], knowledge(net, live_peer))
+    ]
+    caught_up = [
+        after - earlier
+        for earlier, after in zip(before[lagging], knowledge(net, lagging))
+    ]
+    assert any(live)  # the entry exposed something
+    assert caught_up == live
+    assert audit_convergence(net).converged
+
+
+class TestCatchUpParity:
+    """A node that missed one delivery and ran ``recover`` holds the same
+    identities, data keys and code ids for that entry as a peer that
+    received it live."""
+
+    def test_fabric_block(self):
+        net = FabricNetwork(seed="parity-fabric")
+        orgs = [*ORGS, "OrgD"]
+        for org in orgs:
+            net.onboard(org)
+        net.create_channel("ch", orgs)
+        net.deploy_chaincode(
+            "ch", put_contract(), orgs, policy=EndorsementPolicy.k_of(2, orgs)
+        )
+        assert_catch_up_parity(
+            net, "OrgC", "OrgD", (ORDERER_NODE, "OrgD"),
+            lambda: net.invoke(
+                "ch", "OrgA", "store", "put", {"key": "k", "value": 1},
+                endorsers=["OrgA", "OrgB"],
+            ),
+        )
+
+    def test_corda_finalise(self, corda):
+        assert_catch_up_parity(
+            corda, "OrgB", "OrgC", ("OrgA", "OrgC"),
+            lambda: corda_deal(corda, ("OrgA", "OrgB", "OrgC"), {"amount": 10}),
+        )
+
+    def test_quorum_public_tx(self, quorum):
+        def read_then_put(view, args):
+            view.get("r")
+            view.put("k", args["value"])
+
+        quorum.deploy_contract("OrgA", SmartContract(
+            contract_id="kv", version=1, language="evm-solidity",
+            functions={"put": read_then_put},
+        ))
+        assert_catch_up_parity(
+            quorum, "OrgB", "OrgC", ("OrgA", "OrgC"),
+            lambda: quorum.send_public_transaction("OrgA", "kv", "put", {"value": 1}),
+        )
+        assert knowledge(quorum, "OrgC")[1:] == ({"k", "r"}, {"kv"})
+
+    def test_quorum_private_tx_to_a_non_participant(self, quorum):
+        assert_catch_up_parity(
+            quorum, "OrgB", "OrgC", ("OrgA", "OrgC"),
+            lambda: quorum.send_private_transaction(
+                "OrgA", "evm", "put", {"key": "s", "value": 2},
+                private_for=["OrgB"],
+            ),
+        )
