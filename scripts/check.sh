@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, the paper-output gates
-# (Table 1, L1 audit, Figure 1, letter-of-credit design), the telemetry,
-# convergence and pipeline gates, the perf-harness smoke run, then the strict
-# self-lint.
+# Repo health gate: tier-1 tests, the chaos suite, the crypto known-answer
+# gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
+# design), the telemetry, convergence and pipeline gates, the perf-harness
+# smoke run, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -16,6 +16,12 @@ python -m pytest -x -q tests "$@"
 echo
 echo "== chaos suite (fault injection + liveness/privacy invariants) =="
 python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
+
+echo
+echo "== crypto known-answer gate (golden group/signature vectors + identity-key forgery rejected) =="
+python -m pytest -x -q tests/crypto/test_known_answers.py \
+    tests/crypto/test_signatures.py::TestIdentityKeyForgery \
+    tests/crypto/test_zkp.py::TestIdentityKeyForgery
 
 echo
 echo "== Table 1 gate (regenerated matrix agrees with the paper and equals benchmarks/results/table1.txt) =="

@@ -7,14 +7,19 @@ p = 2q + 1.  A fixed 1536-bit production-style group and a small test group
 are provided; the group is a parameter everywhere so tests can run fast while
 the defaults remain realistic.
 
-The implementation is deliberately plain modular arithmetic: the paper's
-design guide reasons about the *capabilities* of these primitives, and a
-transparent from-scratch implementation makes the trust boundaries auditable.
+The implementation is plain modular arithmetic: the paper's design guide
+reasons about the *capabilities* of these primitives, and a transparent
+from-scratch implementation makes the trust boundaries auditable.  The one
+speed-up: :meth:`SchnorrGroup.exp` answers ``g^e`` and ``h^e`` from a
+fixed-base table built lazily once per group (~290 KB per generator for the
+160-bit test group), one multiplication per exponent byte instead of a full
+``pow``, with identical results.  Every other base uses ``pow``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.rng import DeterministicRNG
 from repro.crypto.hashing import tagged_hash
@@ -58,7 +63,33 @@ class SchnorrGroup:
 
     def exp(self, base: int, exponent: int) -> int:
         """base^exponent mod p (exponent reduced mod q)."""
-        return pow(base, exponent % self.q, self.p)
+        exponent %= self.q
+        if base == self.g:
+            table = self._g_table
+        elif base == self.h:
+            table = self._h_table
+        else:
+            return pow(base, exponent, self.p)
+        p = self.p
+        result = 1
+        for row, digit in zip(table, exponent.to_bytes(len(table), "little")):
+            if digit:
+                result = result * row[digit] % p
+        return result
+
+    _g_table = cached_property(lambda self: self._comb(self.g))
+    _h_table = cached_property(lambda self: self._comb(self.h))
+
+    def _comb(self, base: int) -> list[list[int]]:
+        """One row per exponent byte i: row[d] = base^(d * 256^i) for d < 256."""
+        table = []
+        for __ in range((self.q.bit_length() + 7) // 8):
+            row = [1]
+            for __ in range(255):
+                row.append(row[-1] * base % self.p)
+            table.append(row)
+            base = row[-1] * base % self.p
+        return table
 
     def mul(self, a: int, b: int) -> int:
         """Group multiplication a*b mod p."""
@@ -78,12 +109,11 @@ class SchnorrGroup:
 
     def hash_to_scalar(self, tag: str, data: bytes) -> int:
         """Map arbitrary data to a challenge scalar in [0, q)."""
-        counter = 0
-        while True:
-            digest = tagged_hash(tag, counter.to_bytes(4, "big") + data)
-            candidate = int.from_bytes(digest + tagged_hash(tag + "/ext", digest), "big")
-            candidate %= 1 << (self.q.bit_length() + 64)
-            return candidate % self.q
+        # The four zero bytes are the counter prefix hash_to_element also uses.
+        digest = tagged_hash(tag, bytes(4) + data)
+        candidate = int.from_bytes(digest + tagged_hash(tag + "/ext", digest), "big")
+        candidate %= 1 << (self.q.bit_length() + 64)
+        return candidate % self.q
 
     def hash_to_element(self, tag: str, data: bytes) -> int:
         """Map arbitrary data to a subgroup element with unknown dlog."""

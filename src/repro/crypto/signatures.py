@@ -11,6 +11,11 @@ those repeats into dictionary hits while staying sound (a different
 signature or message can never alias an earlier entry).  Hit/miss counters
 are exposed through :meth:`SignatureScheme.cache_info` so benchmarks can
 attribute the speedup.
+
+A scheme also remembers the keys that passed the subgroup check (successes
+only, same bound, emptied by :meth:`SignatureScheme.reset_cache`), so each
+key pays that modular exponentiation once; ``g^k`` and ``g^s`` come from the
+group's fixed-base table.
 """
 
 from __future__ import annotations
@@ -22,10 +27,19 @@ from repro.crypto.groups import SchnorrGroup, cached_test_group
 from repro.crypto.hashing import tagged_hash
 from repro.common.errors import SignatureError
 
-#: Entries kept in a scheme's verification cache before the oldest half is
-#: evicted.  Large enough to hold every live endorsement in a benchmark
-#: run; bounded so long-lived processes cannot grow without limit.
+#: Entries kept in a scheme's verification cache (and in its memo of
+#: subgroup-checked keys) before the oldest half is evicted.  Large enough to
+#: hold every live endorsement in a benchmark run; bounded so long-lived
+#: processes cannot grow without limit.
 VERIFY_CACHE_MAX = 16384
+
+
+def _remember(cache: dict, key, value) -> None:
+    """Store *key* in *cache*, first evicting the oldest half if it is full."""
+    if len(cache) >= VERIFY_CACHE_MAX:
+        for stale in list(cache)[: VERIFY_CACHE_MAX // 2]:
+            del cache[stale]
+    cache[key] = value
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,7 @@ class SignatureScheme:
     def __init__(self, group: SchnorrGroup | None = None) -> None:
         self.group = group or cached_test_group()
         self._verify_cache: dict[tuple[int, bytes, int, int], bool] = {}
+        self._subgroup_keys: dict[int, None] = {}
         self._verify_hits = 0
         self._verify_misses = 0
 
@@ -112,20 +127,22 @@ class SignatureScheme:
             return cached
         self._verify_misses += 1
         result = self._verify_uncached(public, message, sig)
-        if len(self._verify_cache) >= VERIFY_CACHE_MAX:
-            for stale in list(self._verify_cache)[: VERIFY_CACHE_MAX // 2]:
-                del self._verify_cache[stale]
-        self._verify_cache[cache_key] = result
+        _remember(self._verify_cache, cache_key, result)
         return result
 
     def _verify_uncached(self, public: PublicKey, message: bytes, sig: Signature) -> bool:
         if not (0 <= sig.challenge < self.group.q and 0 <= sig.response < self.group.q):
             return False
-        if not self.group.contains(public.y):
-            return False
-        # Recompute R = g^s * y^-e and check the challenge matches.
+        if public.y not in self._subgroup_keys:
+            # The identity is in the subgroup but is no key: with y = 1 anyone
+            # can sign by choosing s = k.
+            if public.y == 1 or not self.group.contains(public.y):
+                return False
+            _remember(self._subgroup_keys, public.y, None)
+        # Recompute R = g^s * y^-e and check the challenge matches; y has
+        # order q, so exp's reduction of -e mod q yields y^-e.
         gs = self.group.exp(self.group.g, sig.response)
-        y_inv_e = self.group.inv(self.group.exp(public.y, sig.challenge))
+        y_inv_e = self.group.exp(public.y, -sig.challenge)
         commitment = self.group.mul(gs, y_inv_e)
         return self._challenge(commitment, public, message) == sig.challenge
 
@@ -138,8 +155,9 @@ class SignatureScheme:
         }
 
     def reset_cache(self) -> None:
-        """Drop memoized verifications and zero the hit/miss counters."""
+        """Drop memoized verifications and keys; zero the hit/miss counters."""
         self._verify_cache.clear()
+        self._subgroup_keys.clear()
         self._verify_hits = 0
         self._verify_misses = 0
 

@@ -94,7 +94,8 @@ class SchnorrIdentification:
 
     def verify(self, public: PublicKey, proof: DlogProof) -> bool:
         """Verify a Fiat-Shamir proof against *public* and its bound context."""
-        if not self.group.contains(public.y):
+        # y = 1 is in the subgroup but makes R = g^s a proof for any s.
+        if public.y == 1 or not self.group.contains(public.y):
             return False
         e = self.group.hash_to_scalar(
             "repro/zkp/dlog",

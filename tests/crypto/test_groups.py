@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import DeterministicRNG
 from repro.crypto.groups import (
@@ -82,6 +84,44 @@ class TestGroupOps:
         element = group.hash_to_element("t", b"data")
         assert group.contains(element)
         assert element != 1
+
+
+_SMALL_GROUP = small_group(bits=64)
+
+
+class TestFixedBaseTables:
+    """exp(g|h, e) comes from a table; it must equal plain pow for every e."""
+
+    @staticmethod
+    def _edge_exponents(group):
+        q = group.q
+        return [0, 1, 2, 255, 256, q - 1, q, q + 1, 2 * q + 7, -1, -q, -(q + 1)]
+
+    @pytest.mark.parametrize("group", [cached_test_group(), _SMALL_GROUP],
+                             ids=["test-group-160", "small-group-64"])
+    def test_edge_exponents_match_pow(self, group):
+        for base in (group.g, group.h):
+            for exponent in self._edge_exponents(group):
+                assert group.exp(base, exponent) == pow(base, exponent % group.q, group.p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.integers(min_value=-(1 << 200), max_value=1 << 200),
+           use_small=st.booleans(), use_h=st.booleans())
+    def test_random_exponents_match_pow(self, exponent, use_small, use_h):
+        group = _SMALL_GROUP if use_small else cached_test_group()
+        base = group.h if use_h else group.g
+        assert group.exp(base, exponent) == pow(base, exponent % group.q, group.p)
+
+    def test_other_bases_match_pow(self, group, rng):
+        base = group.hash_to_element("t", b"not a generator")
+        exponent = group.random_scalar(rng)
+        assert group.exp(base, exponent) == pow(base, exponent, group.p)
+
+    def test_tables_do_not_affect_equality(self):
+        a = small_group(bits=64, seed="x")
+        b = small_group(bits=64, seed="x")
+        a.exp(a.g, 5)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestGroupGeneration:

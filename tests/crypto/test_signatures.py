@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SignatureError
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import PublicKey, Signature, SignatureScheme
 
 
 @pytest.fixture
@@ -46,8 +46,6 @@ class TestSignVerify:
         assert not scheme.verify(keypair.public, b"m", bad)
 
     def test_key_outside_subgroup_rejected(self, scheme, keypair):
-        from repro.crypto.signatures import PublicKey
-
         sig = scheme.sign(keypair, b"m")
         # p-1 has order 2, not q: never a valid public key.
         assert not scheme.verify(PublicKey(y=scheme.group.p - 1), b"m", sig)
@@ -154,3 +152,77 @@ class TestVerifyCache:
         # Entries that survived (or are re-inserted) still verify correctly.
         sig = scheme.sign(keypair, b"m24")
         assert scheme.verify(keypair.public, b"m24", sig)
+
+
+def _forge_for_identity_key(scheme, message, k=12345):
+    """A 'signature' under y = 1: with y^-e = 1, R = g^s, so s = k works."""
+    commitment = scheme.group.exp(scheme.group.g, k)
+    challenge = scheme._challenge(commitment, PublicKey(y=1), message)
+    return Signature(challenge=challenge, response=k)
+
+
+class TestIdentityKeyForgery:
+    def test_identity_key_signature_rejected(self):
+        scheme = SignatureScheme()
+        message = b"pay 1000 to mallory"
+        forged = _forge_for_identity_key(scheme, message)
+        assert not scheme.verify(PublicKey(y=1), message, forged)
+
+    def test_identity_key_rejected_on_every_message(self):
+        scheme = SignatureScheme()
+        for n in range(3):
+            message = f"forged {n}".encode()
+            forged = _forge_for_identity_key(scheme, message, k=n + 1)
+            assert not scheme.verify(PublicKey(y=1), message, forged)
+        assert 1 not in scheme._subgroup_keys
+
+    def test_require_valid_raises_for_identity_key(self):
+        scheme = SignatureScheme()
+        forged = _forge_for_identity_key(scheme, b"m")
+        with pytest.raises(SignatureError):
+            scheme.require_valid(PublicKey(y=1), b"m", forged)
+
+
+class TestSubgroupMemo:
+    """Each key pays the subgroup check once; failures are never remembered."""
+
+    def test_member_key_checked_once(self, keypair, monkeypatch):
+        scheme = SignatureScheme()
+        calls = []
+        contains = type(scheme.group).contains
+        monkeypatch.setattr(type(scheme.group), "contains",
+                            lambda group, y: calls.append(y) or contains(group, y))
+        for n in range(4):
+            message = f"m{n}".encode()
+            assert scheme.verify(keypair.public, message, scheme.sign(keypair, message))
+        assert calls == [keypair.public.y]
+
+    def test_non_member_rejected_every_time_and_never_memoized(self, keypair):
+        scheme = SignatureScheme()
+        outsider = PublicKey(y=scheme.group.p - 1)  # order 2, not q
+        for n in range(4):
+            message = f"m{n}".encode()
+            sig = scheme.sign(keypair, message)
+            assert not scheme.verify(outsider, message, sig)
+            assert not scheme.verify(outsider, message, sig)  # cached False
+            assert outsider.y not in scheme._subgroup_keys
+        assert scheme._subgroup_keys == {}
+
+    def test_memo_bounded_by_verify_cache_max(self, monkeypatch):
+        import repro.crypto.signatures as signatures_module
+
+        monkeypatch.setattr(signatures_module, "VERIFY_CACHE_MAX", 4)
+        scheme = SignatureScheme()
+        for n in range(11):
+            key = scheme.keygen_from_seed(f"memo-{n}")
+            assert scheme.verify(key.public, b"m", scheme.sign(key, b"m"))
+            assert len(scheme._subgroup_keys) <= 4
+        assert key.public.y in scheme._subgroup_keys
+
+    def test_reset_cache_empties_memo(self, keypair):
+        scheme = SignatureScheme()
+        scheme.verify(keypair.public, b"m", scheme.sign(keypair, b"m"))
+        assert scheme._subgroup_keys
+        scheme.reset_cache()
+        assert scheme._subgroup_keys == {}
+        assert scheme.verify(keypair.public, b"m", scheme.sign(keypair, b"m"))

@@ -7,6 +7,7 @@ import pytest
 from repro.common.errors import ProofError
 from repro.common.rng import DeterministicRNG
 from repro.crypto.commitments import Opening, PedersenScheme
+from repro.crypto.signatures import PublicKey
 from repro.crypto.zkp import (
     ChaumPedersen,
     DlogProof,
@@ -74,6 +75,15 @@ class TestFiatShamir:
         p1 = ident.prove(keypair, b"c", rng)
         p2 = ident.prove(keypair, b"c", rng)
         assert p1.commitment != p2.commitment
+
+
+class TestIdentityKeyForgery:
+    def test_identity_key_proof_rejected(self, ident, group):
+        """With y = 1, R = g^s passes g^s == R * y^e for any s."""
+        response = 4242
+        forged = DlogProof(commitment=group.exp(group.g, response),
+                           response=response, context=b"login")
+        assert not ident.verify(PublicKey(y=1), forged)
 
 
 class TestChaumPedersen:
