@@ -18,10 +18,11 @@ echo "== chaos suite (fault injection + liveness/privacy invariants) =="
 python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
 
 echo
-echo "== crypto known-answer gate (golden group/signature vectors + identity-key forgery rejected) =="
+echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + identity-key and associated-data forgeries rejected) =="
 python -m pytest -x -q tests/crypto/test_known_answers.py \
     tests/crypto/test_signatures.py::TestIdentityKeyForgery \
-    tests/crypto/test_zkp.py::TestIdentityKeyForgery
+    tests/crypto/test_zkp.py::TestIdentityKeyForgery \
+    tests/crypto/test_symmetric.py::TestAssociatedDataFraming
 
 echo
 echo "== Table 1 gate (regenerated matrix agrees with the paper and equals benchmarks/results/table1.txt) =="

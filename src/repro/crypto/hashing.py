@@ -54,7 +54,7 @@ def hash_hex(tag: str, value: Any) -> str:
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """HMAC-SHA-256, used by the symmetric cipher and key derivation."""
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def hkdf(key_material: bytes, info: str, length: int = 32) -> bytes:

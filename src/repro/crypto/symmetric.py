@@ -4,6 +4,8 @@ Stand-in for AES-GCM (the paper's Section 2.2 "symmetric key encryption"
 mechanism).  The construction is encrypt-then-MAC over an HMAC-SHA-256
 keystream: honest in its security goals (confidentiality + integrity under a
 shared key), pure Python, and deterministic given the caller-supplied nonce.
+The tag is HMAC over ``nonce || len(ad) || ad || body`` with an 8-byte
+length.
 
 The design guide only relies on the *trust model* of symmetric encryption —
 holders of the key can read, everyone else sees ciphertext — which this
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import DecryptionError
 from repro.common.rng import DeterministicRNG
-from repro.crypto.hashing import constant_time_equal, hkdf, hmac_sha256
+from repro.crypto.hashing import DIGEST_SIZE, constant_time_equal, hkdf, hmac_sha256
 
 KEY_SIZE = 32
 NONCE_SIZE = 16
@@ -61,15 +63,23 @@ class SymmetricKey:
         """Raw key bytes (needed to wrap/share the key over PKI)."""
         return self._raw
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        stream = bytearray()
-        counter = 0
-        while len(stream) < length:
-            stream.extend(
-                hmac_sha256(self._enc_key, nonce + counter.to_bytes(8, "big"))
-            )
-            counter += 1
-        return bytes(stream[:length])
+    def _keystream_xor(self, nonce: bytes, data: bytes) -> bytes:
+        blocks = -(-len(data) // DIGEST_SIZE)
+        stream = b"".join(
+            hmac_sha256(self._enc_key, nonce + counter.to_bytes(8, "big"))
+            for counter in range(blocks)
+        )[: len(data)]
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(len(data), "big")
+
+    def _tag(self, nonce: bytes, body: bytes, associated_data: bytes) -> bytes:
+        # The associated data is length-prefixed: unframed, the last bytes
+        # of a body could be re-read as associated data, so a truncated
+        # ciphertext would authenticate under a different split.  The
+        # framing is unambiguous only for NONCE_SIZE nonces, which decrypt
+        # enforces.
+        framed = len(associated_data).to_bytes(8, "big") + associated_data
+        return hmac_sha256(self._mac_key, nonce + framed + body)
 
     def encrypt(
         self,
@@ -79,15 +89,15 @@ class SymmetricKey:
     ) -> Ciphertext:
         """Encrypt and authenticate *plaintext* (and bind associated data)."""
         nonce = rng.randbytes(NONCE_SIZE)
-        stream = self._keystream(nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
-        tag = hmac_sha256(self._mac_key, nonce + body + associated_data)
-        return Ciphertext(nonce=nonce, body=body, tag=tag)
+        body = self._keystream_xor(nonce, plaintext)
+        return Ciphertext(
+            nonce=nonce, body=body, tag=self._tag(nonce, body, associated_data)
+        )
 
     def decrypt(self, ct: Ciphertext, associated_data: bytes = b"") -> bytes:
         """Authenticate and decrypt; raises :class:`DecryptionError` on tamper."""
-        expected = hmac_sha256(self._mac_key, ct.nonce + ct.body + associated_data)
-        if not constant_time_equal(expected, ct.tag):
+        if len(ct.nonce) != NONCE_SIZE or not constant_time_equal(
+            self._tag(ct.nonce, ct.body, associated_data), ct.tag
+        ):
             raise DecryptionError("authentication tag mismatch")
-        stream = self._keystream(ct.nonce, len(ct.body))
-        return bytes(c ^ s for c, s in zip(ct.body, stream))
+        return self._keystream_xor(ct.nonce, ct.body)

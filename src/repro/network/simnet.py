@@ -396,6 +396,22 @@ class SimNetwork:
         before handlers run).
         """
         self._check_link(sender, recipient)
+        return self._queue_copy(
+            sender, recipient, kind, payload, exposure, dedup_key,
+            self._payload_size(payload),
+        )
+
+    def _queue_copy(
+        self,
+        sender: str,
+        recipient: str,
+        kind: str,
+        payload: Any,
+        exposure: Exposure | None,
+        dedup_key: str | None,
+        size_bytes: int,
+    ) -> Message:
+        """Envelope one checked copy, then drop it or schedule its delivery."""
         context = self.telemetry.tracer.current_context()
         message = Message(
             sender=sender,
@@ -403,7 +419,7 @@ class SimNetwork:
             kind=kind,
             payload=payload,
             exposure=exposure or Exposure(),
-            size_bytes=self._payload_size(payload),
+            size_bytes=size_bytes,
             sent_at=self.clock.now,
             trace=context.as_tuple() if context is not None else None,
             dedup_key=dedup_key,
@@ -439,7 +455,8 @@ class SimNetwork:
 
         Atomic: every target is validated (known, reachable, up) before
         anything is queued, so a bad target mid-list cannot leave earlier
-        recipients with a partial broadcast.
+        recipients with a partial broadcast.  The payload is sized once;
+        every copy carries that size.
         """
         targets = [
             target
@@ -448,8 +465,9 @@ class SimNetwork:
         ]
         for target in targets:
             self._check_link(sender, target)
+        size_bytes = self._payload_size(payload)
         return [
-            self.send(sender, target, kind, payload, exposure=exposure)
+            self._queue_copy(sender, target, kind, payload, exposure, None, size_bytes)
             for target in targets
         ]
 

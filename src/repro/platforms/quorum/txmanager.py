@@ -17,19 +17,13 @@ node — the executable reason Quorum's Table 1 off-chain-data cell is '—'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import OffChainError, PrivacyError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes, from_canonical_json
-from repro.crypto.hashing import hash_hex, hkdf
+from repro.crypto.hashing import hkdf, tagged_hash
 from repro.crypto.symmetric import Ciphertext, SymmetricKey
-
-
-def _pair_key(a: str, b: str) -> SymmetricKey:
-    """Deterministic pairwise key (stand-in for the ECDH-derived key)."""
-    first, second = sorted((a, b))
-    return SymmetricKey(hkdf(f"{first}|{second}".encode(), "repro/quorum/pair"))
 
 
 @dataclass
@@ -49,9 +43,23 @@ class PrivateTransactionManager:
         self.owner = owner
         self._rng = rng or DeterministicRNG("txmanager:" + owner)
         self._payloads: dict[str, StoredPayload] = {}
+        # Every pairwise key this manager uses has its owner on one side,
+        # so one key per peer, derived on first use, covers them all.
+        self._pair_keys: dict[str, SymmetricKey] = {}
         # Ciphertexts encrypted for a participant whose payload message
         # is still in flight, keyed by (payload hash, participant).
         self._outbox: dict[tuple[str, str], StoredPayload] = {}
+
+    def _pair_key(self, peer: str) -> SymmetricKey:
+        """Key shared with *peer* (stand-in for the ECDH-derived key)."""
+        key = self._pair_keys.get(peer)
+        if key is None:
+            first, second = sorted((self.owner, peer))
+            key = SymmetricKey(
+                hkdf(f"{first}|{second}".encode(), "repro/quorum/pair")
+            )
+            self._pair_keys[peer] = key
+        return key
 
     def distribute(
         self,
@@ -72,17 +80,16 @@ class PrivateTransactionManager:
         message was dropped.
         """
         self._outbox = {}
-        payload_hash = hash_hex("repro/quorum/payload", payload)
         raw = canonical_bytes(payload)
+        payload_hash = tagged_hash("repro/quorum/payload", raw).hex()
         for participant in participants:
             if participant in skip:
                 continue
             if participant not in managers:
                 raise PrivacyError(f"no transaction manager for {participant!r}")
-            key = _pair_key(self.owner, participant)
             stored = StoredPayload(
                 payload_hash=payload_hash,
-                ciphertext=key.encrypt(raw, self._rng),
+                ciphertext=self._pair_key(participant).encrypt(raw, self._rng),
                 sender=self.owner,
                 participants=tuple(participants),
             )
@@ -123,12 +130,10 @@ class PrivateTransactionManager:
             # redeliverer<->recipient pair so the recipient can resolve it
             # (resolve derives the key from the stored sender, which for a
             # redelivered copy is this manager's owner).
-            raw = _pair_key(stored.sender, self.owner).decrypt(stored.ciphertext)
+            raw = self._pair_key(stored.sender).decrypt(stored.ciphertext)
             fresh = StoredPayload(
                 payload_hash=payload_hash,
-                ciphertext=_pair_key(self.owner, recipient.owner).encrypt(
-                    raw, self._rng
-                ),
+                ciphertext=self._pair_key(recipient.owner).encrypt(raw, self._rng),
                 sender=self.owner,
                 participants=stored.participants,
             )
@@ -148,7 +153,7 @@ class PrivateTransactionManager:
             raise PrivacyError(
                 f"{self.owner!r} was not a party to payload {payload_hash!r}"
             )
-        key = _pair_key(stored.sender, self.owner)
+        key = self._pair_key(stored.sender)
         return from_canonical_json(key.decrypt(stored.ciphertext).decode("utf-8"))
 
     def delete(self, payload_hash: str) -> None:

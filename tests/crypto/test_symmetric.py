@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DecryptionError
 from repro.common.rng import DeterministicRNG
+from repro.crypto.hashing import hkdf
 from repro.crypto.symmetric import Ciphertext, SymmetricKey
+
+
+def reference_body(raw_key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """The cipher body computed block by block and byte by byte."""
+    enc_key = hkdf(raw_key, "repro/sym/enc")
+    stream = bytearray()
+    counter = 0
+    while len(stream) < len(plaintext):
+        block = nonce + counter.to_bytes(8, "big")
+        stream.extend(hmac.new(enc_key, block, hashlib.sha256).digest())
+        counter += 1
+    return bytes(p ^ s for p, s in zip(plaintext, stream))
 
 
 @pytest.fixture
@@ -69,6 +85,28 @@ class TestTamperDetection:
             other.decrypt(ct)
 
 
+class TestAssociatedDataFraming:
+    """The tag must fix where the body ends and the associated data begins."""
+
+    def test_body_suffix_cannot_pass_as_associated_data(self, key, rng):
+        ct = key.encrypt(b"pay 100 to bob", rng)
+        truncated = Ciphertext(nonce=ct.nonce, body=ct.body[:-4], tag=ct.tag)
+        with pytest.raises(DecryptionError):
+            key.decrypt(truncated, associated_data=ct.body[-4:])
+
+    def test_associated_data_cannot_pass_as_body(self, key, rng):
+        ct = key.encrypt(b"payload", rng, associated_data=b"hdr")
+        extended = Ciphertext(nonce=ct.nonce, body=ct.body + b"hdr", tag=ct.tag)
+        with pytest.raises(DecryptionError):
+            key.decrypt(extended)
+
+    def test_nonce_of_wrong_length_rejected(self, key, rng):
+        ct = key.encrypt(b"payload", rng)
+        shifted = Ciphertext(nonce=ct.nonce + ct.body[:1], body=ct.body[1:], tag=ct.tag)
+        with pytest.raises(DecryptionError):
+            key.decrypt(shifted)
+
+
 class TestKeyManagement:
     def test_key_size_enforced(self):
         with pytest.raises(ValueError):
@@ -100,3 +138,10 @@ class TestProperties:
         key = SymmetricKey.from_seed("prop")
         rng = DeterministicRNG("prop-rng")
         assert key.decrypt(key.encrypt(plaintext, rng)) == plaintext
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(max_size=512))
+    def test_body_matches_reference(self, plaintext):
+        key = SymmetricKey.from_seed("prop")
+        ct = key.encrypt(plaintext, DeterministicRNG("prop-rng"))
+        assert ct.body == reference_body(key.raw, ct.nonce, plaintext)

@@ -7,6 +7,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
+from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure
 from repro.network.simnet import LatencyModel, Observer, SimNetwork
@@ -311,6 +312,27 @@ class TestPayloadSizing:
     def test_unserializable_object_falls_back(self, net):
         message = net.send("A", "B", "ping", object())
         assert message.size_bytes == 256
+
+    def test_broadcast_sizes_payload_once(self, net, monkeypatch):
+        sized = []
+        payload_size = net._payload_size
+
+        def counting_size(payload):
+            sized.append(payload)
+            return payload_size(payload)
+
+        monkeypatch.setattr(net, "_payload_size", counting_size)
+        payload = {"block": list(range(50))}
+        messages = net.broadcast("A", "announce", payload)
+        assert sized == [payload]
+        assert [m.recipient for m in messages] == ["B", "C"]
+        assert {m.size_bytes for m in messages} == {len(canonical_bytes(payload))}
+
+    def test_unserializable_broadcast_charges_envelope_per_copy(self, net):
+        messages = net.broadcast("A", "announce", object())
+        assert [m.size_bytes for m in messages] == [256, 256]
+        net.run()
+        assert net.stats.bytes_transferred == 2 * 256
 
 
 class TestResilientDelivery:

@@ -11,8 +11,9 @@ from repro.common.errors import (
     OffChainError,
     PrivacyError,
 )
+from repro.crypto import symmetric
 from repro.execution.contracts import SmartContract
-from repro.platforms.quorum import QuorumNetwork
+from repro.platforms.quorum import QuorumNetwork, txmanager
 from repro.platforms.quorum.txmanager import PrivateTransactionManager
 
 
@@ -225,6 +226,27 @@ class TestTransactionManager:
         assert list(m1._outbox) == [(second, "b")]
         assert m1.redeliver(first, m2)  # re-encrypted from the held copy
         assert m2.resolve(first) == {"x": 1}
+
+    def test_one_pair_key_per_peer_across_distributions(self, monkeypatch):
+        derivations = []
+        real_hkdf = txmanager.hkdf
+
+        def counting_hkdf(key_material, info, *args):
+            derivations.append((key_material, info))
+            return real_hkdf(key_material, info, *args)
+
+        monkeypatch.setattr(txmanager, "hkdf", counting_hkdf)
+        monkeypatch.setattr(symmetric, "hkdf", counting_hkdf)
+        managers = {owner: PrivateTransactionManager(owner) for owner in "abc"}
+        hashes = [
+            managers["a"].distribute({"x": i}, ["a", "b", "c"], managers)
+            for i in range(10)
+        ]
+        assert managers["a"].resolve(hashes[-1]) == {"x": 9}
+        pair_keys = [m for m, info in derivations if info == "repro/quorum/pair"]
+        assert sorted(pair_keys) == [b"a|a", b"a|b", b"a|c"]
+        # Each key costs the pair derivation plus its enc and mac subkeys.
+        assert len(derivations) == 3 * 3
 
     def test_payload_encrypted_per_pair(self):
         m1 = PrivateTransactionManager("a")

@@ -156,3 +156,36 @@ class TestEntitlement:
         with pytest.raises(PrivacyError):
             net.managers["N1"].redeliver(result.payload_hash, net.managers["N3"])
         assert not net.managers["N3"].has_payload(result.payload_hash)
+
+
+class TestManagerRebuild:
+    """A restart replaces a node's manager, and with it the pair keys it
+    derived; payloads still resolve and redeliver afterwards."""
+
+    def test_resolve_and_redeliver_after_restart(self):
+        net = make_net()
+        first = net.send_private_transaction(
+            "N1", "store", "put", {"key": "k", "value": 1},
+            private_for=["N2", "N3"],
+        )
+        for node in ("N1", "N2"):
+            before = net.managers[node]
+            net.crash(node)
+            net.recover(node)
+            assert net.managers[node] is not before
+            assert net.managers[node].resolve(first.payload_hash)["args"] == {
+                "key": "k", "value": 1,
+            }
+        # The rebuilt sender distributes again; the rebuilt peer redelivers.
+        second = net.send_private_transaction(
+            "N1", "store", "put", {"key": "k2", "value": 2}, private_for=["N2"],
+        )
+        assert net.private_states["N2"].get("k2") == 2
+        assert net.managers["N2"].resolve(second.payload_hash)["args"]["value"] == 2
+        before = net.managers["N3"]
+        net.crash("N3")
+        net.recover("N3")
+        assert net.managers["N3"] is not before
+        assert net.private_states["N3"].get("k") == 1
+        assert net.verify_private_state("N3")
+        assert audit_convergence(net).converged
