@@ -11,6 +11,7 @@ symmetric crypto; TEE execution pays an attestation round-trip.
 from __future__ import annotations
 
 import itertools
+import timeit
 
 import pytest
 
@@ -192,13 +193,21 @@ class TestTEE:
 
 def test_cost_hierarchy_summary(benchmark):
     """Write the C1 summary: relative cost of each mechanism family."""
-    import time
 
-    def time_of(fn, repeats=20):
-        start = time.perf_counter()
-        for __ in range(repeats):
+    def fastest_per_call(calls, rounds=25):
+        """Seconds per call of each ``name -> (fn, repeats)`` row: the
+        fastest of *rounds* batches of *repeats* calls, after one warm-up
+        call.  Each round times every row once, so a slow stretch of a
+        shared host falls on all rows alike, and the minimum is the batch
+        that other load disturbed least."""
+        for fn, __ in calls.values():
             fn()
-        return (time.perf_counter() - start) / repeats
+        best = dict.fromkeys(calls, float("inf"))
+        for __ in range(rounds):
+            for name, (fn, repeats) in calls.items():
+                seconds = timeit.timeit(fn, number=repeats) / repeats
+                best[name] = min(best[name], seconds)
+        return best
 
     def build_summary():
         key = SymmetricKey.from_seed("sum")
@@ -210,35 +219,31 @@ def test_cost_hierarchy_summary(benchmark):
         paillier = Paillier(bits=512)
         paillier_keys = paillier.keygen(DeterministicRNG("sum"))
         tree = MerkleTree([f"c{i}" for i in range(64)])
-        rows = {
-            "symmetric-encrypt-4k": time_of(
-                lambda: key.encrypt(b"x" * 4096, RNG)
+        return fastest_per_call({
+            "symmetric-encrypt-4k": (
+                lambda: key.encrypt(b"x" * 4096, RNG), 20
             ),
-            "merkle-tearoff-64": time_of(
-                lambda: tree.tear_off({0, 1}).verify(tree.root)
+            "merkle-tearoff-64": (
+                lambda: tree.tear_off({0, 1}).verify(tree.root), 20
             ),
-            "schnorr-sign": time_of(
-                lambda: scheme.sign(signing_key, b"m")
+            "schnorr-sign": (lambda: scheme.sign(signing_key, b"m"), 20),
+            "range-proof-16bit": (
+                lambda: prover.prove_range(7, opening, 16, b"c", RNG), 3
             ),
-            "range-proof-16bit": time_of(
-                lambda: prover.prove_range(7, opening, 16, b"c", RNG), repeats=3
-            ),
-            "mpc-sum-5-parties": time_of(
+            "mpc-sum-5-parties": (
                 lambda: secure_sum(
                     {f"p{i}": i for i in range(5)},
                     rng=DeterministicRNG("sum-mpc"),
                 ),
-                repeats=3,
+                3,
             ),
-            "paillier-encrypt-512": time_of(
-                lambda: paillier.encrypt(paillier_keys.public, 1, RNG),
-                repeats=3,
+            "paillier-encrypt-512": (
+                lambda: paillier.encrypt(paillier_keys.public, 1, RNG), 3
             ),
-        }
-        return rows
+        })
 
     rows = benchmark.pedantic(build_summary, rounds=1, iterations=1)
-    lines = ["C1: mechanism cost hierarchy (mean seconds per op)"]
+    lines = ["C1: mechanism cost hierarchy (fastest batch, per op)"]
     for name, seconds in sorted(rows.items(), key=lambda kv: kv[1]):
         lines.append(f"  {name:28s} {seconds * 1e6:12.1f} us")
     write_result("c1_mechanism_costs", "\n".join(lines))

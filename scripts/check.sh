@@ -11,15 +11,15 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
-python -m pytest -x -q tests "$@"
+python -m pytest -x tests "$@"
 
 echo
 echo "== chaos suite (fault injection + liveness/privacy invariants) =="
-python -m pytest -x -q tests/integration/test_chaos.py tests/network/test_faults.py
+python -m pytest -x tests/integration/test_chaos.py tests/network/test_faults.py
 
 echo
 echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + identity-key and associated-data forgeries rejected) =="
-python -m pytest -x -q tests/crypto/test_known_answers.py \
+python -m pytest -x tests/crypto/test_known_answers.py \
     tests/crypto/test_signatures.py::TestIdentityKeyForgery \
     tests/crypto/test_zkp.py::TestIdentityKeyForgery \
     tests/crypto/test_symmetric.py::TestAssociatedDataFraming
@@ -30,14 +30,15 @@ python -m repro table1 | diff - <(cat benchmarks/results/table1.txt; echo)
 
 echo
 echo "== paper-outputs gate (regenerated L1 audit, Figure 1 and letter-of-credit design equal the committed results) =="
-python -m pytest -x -q benchmarks/test_leakage_audit.py benchmarks/test_figure1.py \
+python -m pytest -x benchmarks/test_leakage_audit.py benchmarks/test_figure1.py \
     benchmarks/test_letter_of_credit.py --benchmark-disable
 git diff --exit-code -- benchmarks/results/l1_leakage_audit.txt \
     benchmarks/results/figure1.txt benchmarks/results/letter_of_credit_design.txt
 
 echo
-echo "== telemetry gate (leakage cross-check + traced LoC workflow per platform + strict lint of repro.telemetry) =="
-python -m pytest -x -q tests/telemetry/test_leakage_crosscheck.py
+echo "== telemetry gate (leakage cross-check in both tracing modes + tracing on/off parity + traced LoC workflow per platform + strict lint of repro.telemetry) =="
+python -m pytest -x tests/telemetry/test_leakage_crosscheck.py \
+    tests/telemetry/test_tracing_modes.py
 for platform in fabric corda quorum; do
     python -m repro trace --platform "$platform" > /dev/null
 done
@@ -45,14 +46,14 @@ python -m repro lint --strict src/repro/telemetry
 
 echo
 echo "== convergence gate (crash/recover/catch-up + strict lint of repro.recovery) =="
-python -m pytest -x -q tests/recovery tests/integration/test_recovery_chaos.py \
+python -m pytest -x tests/recovery tests/integration/test_recovery_chaos.py \
     tests/platforms/test_quorum_redelivery.py
 python -m repro converge
 python -m repro lint --strict src/repro/recovery
 
 echo
 echo "== pipeline gate (submit/submit_many parity + driver + bench smoke) =="
-python -m pytest -x -q tests/pipeline tests/driver tests/integration/test_driver_leakage.py
+python -m pytest -x tests/pipeline tests/driver tests/integration/test_driver_leakage.py
 python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /dev/null
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null

@@ -163,15 +163,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _traced_lifecycle(platform: str):
-    """Run one letter-of-credit lifecycle on *platform*; return its
-    telemetry bundle (spans + metrics + events, all simulated-time)."""
+    """Run one letter-of-credit lifecycle on *platform* with tracing on;
+    return its telemetry bundle (spans + metrics + events, all
+    simulated-time)."""
     from repro.platforms import CordaNetwork, FabricNetwork, QuorumNetwork
     from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
     network_types = {
         "fabric": FabricNetwork, "corda": CordaNetwork, "quorum": QuorumNetwork,
     }
-    workflow = LetterOfCreditWorkflow(network_types[platform](seed="loc"))
+    network = network_types[platform](seed="loc")
+    network.telemetry.start_tracing()
+    workflow = LetterOfCreditWorkflow(network)
     workflow.setup()
     workflow.run_full_lifecycle()
     return workflow.network.telemetry

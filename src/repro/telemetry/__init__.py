@@ -5,7 +5,8 @@ time (never the wall clock):
 
 - **tracing** (:mod:`repro.telemetry.tracing`): spans with parent/child
   propagation that rides on network messages, so one trace follows a
-  transaction across endorsers, orderers, and notaries;
+  transaction across endorsers, orderers, and notaries.  Opt-in: a
+  bundle records spans only after :meth:`Telemetry.start_tracing`;
 - **metrics** (:mod:`repro.telemetry.metrics`): instance-scoped
   counters/gauges/histograms that the substrate's traffic stats,
   ordering batch stats, fault drop counters, and per-mechanism crypto
@@ -18,7 +19,9 @@ time (never the wall clock):
 A :class:`Telemetry` bundle ties one clock to one tracer, one registry,
 and one event log; every :class:`~repro.platforms.base.Platform` owns a
 bundle and shares it with its network, ordering principal, and
-execution engine.  CLI: ``repro trace`` / ``repro metrics``.
+execution engine.  Metrics and events are always on; the tracer is a
+:class:`~repro.telemetry.tracing.NullTracer` until ``start_tracing()``.
+CLI: ``repro trace`` / ``repro metrics``.
 """
 
 from repro.common.clock import SimClock
@@ -33,7 +36,13 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.redaction import RedactionFilter, redacted_digest
 from repro.telemetry.render import render_trace_tree, trace_json
-from repro.telemetry.tracing import Span, SpanEvent, TraceContext, Tracer
+from repro.telemetry.tracing import (
+    NullTracer,
+    Span,
+    SpanEvent,
+    TraceContext,
+    Tracer,
+)
 
 
 class Telemetry:
@@ -47,8 +56,19 @@ class Telemetry:
         self.clock = clock or SimClock()
         self.redactor = redactor or RedactionFilter()
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(clock=self.clock, redactor=self.redactor)
+        self.tracer: Tracer | NullTracer = NullTracer()
         self.events = EventLog(clock=self.clock, redactor=self.redactor)
+
+    def start_tracing(self) -> Tracer:
+        """Record spans from now on; returns the recording tracer.
+
+        Every instrumented component reads ``telemetry.tracer`` at call
+        time, so the swap reaches all of them.  Idempotent: a second call
+        returns the same tracer and keeps what it recorded.
+        """
+        if not isinstance(self.tracer, Tracer):
+            self.tracer = Tracer(clock=self.clock, redactor=self.redactor)
+        return self.tracer
 
     # Convenience pass-throughs used by instrumented call sites.
 

@@ -18,6 +18,7 @@ benchmark trajectory consume.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 #: Default histogram upper bounds, in simulated seconds — chosen to span
@@ -27,8 +28,8 @@ DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 
 def _metric_key(name: str, labels: dict[str, str]) -> str:
-    if not labels:
-        return name
+    """``name{k=v,...}`` with the labels sorted; callers pass only a
+    labelled name, since an unlabelled name is its own key."""
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
 
@@ -67,8 +68,9 @@ class Gauge:
 class Histogram:
     """A fixed-bucket histogram (cumulative buckets, like Prometheus).
 
-    ``bounds`` are inclusive upper edges; an implicit +Inf bucket catches
-    the rest.  Only ``observe`` mutates it, so snapshots stay cheap.
+    ``bounds`` are ascending inclusive upper edges; an implicit +Inf
+    bucket catches the rest.  Only ``observe`` mutates it, so snapshots
+    stay cheap.
     """
 
     name: str
@@ -84,11 +86,8 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        # The first bound >= value; past the last bound, the +Inf bucket.
+        self.counts[bisect.bisect_left(self.bounds, value)] += 1
 
     def mean(self) -> float | None:
         """Mean observation, or ``None`` when nothing was observed."""
@@ -110,24 +109,27 @@ class MetricsRegistry:
     # -- accessors (create on first use)
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = _metric_key(name, labels)
-        if key not in self._counters:
-            self._counters[key] = Counter(name=key)
-        return self._counters[key]
+        key = _metric_key(name, labels) if labels else name
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = Counter(name=key)
+        return counter
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = _metric_key(name, labels)
-        if key not in self._gauges:
-            self._gauges[key] = Gauge(name=key)
-        return self._gauges[key]
+        key = _metric_key(name, labels) if labels else name
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            gauge = self._gauges[key] = Gauge(name=key)
+        return gauge
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS, **labels: str
     ) -> Histogram:
-        key = _metric_key(name, labels)
-        if key not in self._histograms:
-            self._histograms[key] = Histogram(name=key, bounds=bounds)
-        return self._histograms[key]
+        key = _metric_key(name, labels) if labels else name
+        histogram = self._histograms.get(key)
+        if histogram is None:
+            histogram = self._histograms[key] = Histogram(name=key, bounds=bounds)
+        return histogram
 
     # -- lifecycle
 

@@ -26,6 +26,11 @@ make traces differ run to run, defeating replayability (the same reason
 the substrate bans wall clocks).  Every attribute and event recorded on
 a span first passes the tracer's
 :class:`~repro.telemetry.redaction.RedactionFilter`.
+
+Recording is opt-in: a :class:`~repro.telemetry.Telemetry` bundle starts
+with a :class:`NullTracer`, which has the same surface but keeps nothing
+(no span objects, no redaction, no context on messages), and
+``Telemetry.start_tracing()`` swaps in a recording :class:`Tracer`.
 """
 
 from __future__ import annotations
@@ -250,3 +255,67 @@ class Tracer:
 
     def to_dicts(self) -> list[dict]:
         return [span.to_dict() for span in self.spans]
+
+
+class _NullSpan:
+    """The one no-op context manager every :meth:`NullTracer.span` hands out."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False  # never swallow
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class NullTracer:
+    """:class:`Tracer`'s surface, recording nothing: the default tracer.
+
+    Nothing is recorded, so nothing is redacted and nothing can leak; the
+    current context is always ``None``, so messages carry ``trace=None``
+    and delivery records no transit span.
+    """
+
+    spans: tuple[Span, ...] = ()
+
+    def span(
+        self, name: str, parent: TraceContext | None = None, **attributes: Any
+    ) -> _NullSpan:
+        return _NULL_SPAN
+
+    def start_span(self, name: str, *args: Any, **attributes: Any) -> None:
+        return None
+
+    def end_span(self, span: Span | None, end: float | None = None) -> None:
+        pass
+
+    def record_span(self, name: str, *args: Any, **attributes: Any) -> None:
+        return None
+
+    def set_attribute(self, span: Span | None, key: str, value: Any) -> None:
+        pass
+
+    def add_event(self, span: Span | None, name: str, **attributes: Any) -> None:
+        pass
+
+    def current_span(self) -> None:
+        return None
+
+    def current_context(self) -> None:
+        return None
+
+    def trace_ids(self) -> list[str]:
+        return []
+
+    def spans_of(self, trace_id: str) -> list[Span]:
+        return []
+
+    def find_spans(self, name: str) -> list[Span]:
+        return []
+
+    def to_dicts(self) -> list[dict]:
+        return []

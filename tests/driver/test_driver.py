@@ -79,6 +79,7 @@ class TestRun:
 
     def test_run_span_wraps_submissions(self):
         scenario = kv_scenario("fabric", 2, seed="driver-span")
+        scenario.platform.telemetry.start_tracing()
         Driver(scenario.platform).run(scenario.requests)
         spans = scenario.platform.telemetry.tracer.spans
         names = [span.name for span in spans]

@@ -8,7 +8,9 @@ monitoring.  These tests pin the containment guarantee: serialized
 telemetry from the audit scenario and the letter-of-credit run contains
 none of the confidential material the audit shows *any* principal
 holding, and no identity that is not already network-visible routing
-metadata.
+metadata.  The module-level tests record spans (``start_tracing``);
+:class:`TestNullTracer` runs the same scenarios in the default mode,
+where only metrics and events are kept.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 SECRET_PRICE = 987654321
 
 
-def run_trade_scenario() -> FabricNetwork:
+def run_trade_scenario(traced: bool) -> FabricNetwork:
     """The audit_fabric scenario, with the network kept for inspection."""
     net = FabricNetwork(seed="telemetry-crosscheck")
+    if traced:
+        net.telemetry.start_tracing()
     for org in TRADING_PARTIES + UNINVOLVED:
         net.onboard(org)
     net.create_channel("trade-ab", list(TRADING_PARTIES))
@@ -52,7 +56,16 @@ def run_trade_scenario() -> FabricNetwork:
 
 @pytest.fixture(scope="module")
 def trade_net() -> FabricNetwork:
-    return run_trade_scenario()
+    return run_trade_scenario(traced=True)
+
+
+def run_letter_of_credit(network_type, traced: bool) -> LetterOfCreditWorkflow:
+    workflow = LetterOfCreditWorkflow(network_type(seed="loc-leak"))
+    if traced:
+        workflow.telemetry.start_tracing()
+    workflow.setup()
+    workflow.run_full_lifecycle("LC-XC")
+    return workflow
 
 
 def telemetry_blob(net) -> str:
@@ -109,9 +122,7 @@ def test_letter_of_credit_pii_never_reaches_telemetry(network_type):
     """The acceptance gate: the LoC run records the passport attribute on
     purpose, and the redaction filter must have hashed it at record time.
     Both platforms that hold the PII carry it in ``loc.apply``."""
-    workflow = LetterOfCreditWorkflow(network_type(seed="loc-leak"))
-    workflow.setup()
-    workflow.run_full_lifecycle("LC-XC")
+    workflow = run_letter_of_credit(network_type, traced=True)
     passport = workflow.host.lifecycle_passport
     blob = telemetry_blob(workflow.network)
 
@@ -131,3 +142,32 @@ def test_metrics_names_carry_no_state_keys(trade_net):
         for name in snapshot[family]:
             assert CONFIDENTIAL_KEY not in name
             assert str(SECRET_PRICE) not in name
+
+
+class TestNullTracer:
+    """The default mode keeps no span, so telemetry is metrics and events
+    only; those must hold back the same secrets and identities."""
+
+    @pytest.fixture(scope="class")
+    def null_net(self) -> FabricNetwork:
+        return run_trade_scenario(traced=False)
+
+    def test_telemetry_holds_back_what_the_protocol_exposes(self, null_net):
+        assert CONFIDENTIAL_KEY in null_net.orderer.observer.seen_data_keys
+        assert null_net.telemetry.tracer.spans == ()
+        blob = telemetry_blob(null_net)
+        assert null_net.telemetry.metrics.snapshot()["counters"]  # non-vacuous
+        assert CONFIDENTIAL_KEY not in blob
+        assert str(SECRET_PRICE) not in blob
+        for org in UNINVOLVED:
+            assert org not in blob
+
+    @pytest.mark.parametrize(
+        "network_type", [FabricNetwork, CordaNetwork], ids=["fabric", "corda"]
+    )
+    def test_letter_of_credit_pii_never_reaches_telemetry(self, network_type):
+        workflow = run_letter_of_credit(network_type, traced=False)
+        blob = telemetry_blob(workflow.network)
+        assert workflow.telemetry.tracer.spans == ()
+        assert workflow.host.lifecycle_passport not in blob
+        assert redacted_digest(workflow.host.lifecycle_passport) not in blob

@@ -33,6 +33,8 @@ def test_same_name_and_labels_return_same_instance():
     registry = MetricsRegistry()
     assert registry.counter("a", x="1") is registry.counter("a", x="1")
     assert registry.counter("a", x="1") is not registry.counter("a", x="2")
+    assert registry.counter("a") is registry.counter("a")
+    assert registry.counter("a") is not registry.counter("a", x="1")
 
 
 def test_gauge_moves_both_ways():
@@ -56,6 +58,15 @@ def test_histogram_buckets_are_cumulative_style():
         "le=0.01": 1, "le=0.1": 1, "le=1": 1, "le=+Inf": 1,
     }
     assert hist.mean() == pytest.approx(5.555 / 4)
+
+
+def test_histogram_bounds_are_inclusive_upper_edges():
+    hist = MetricsRegistry().histogram("latency", bounds=(0.01, 0.1, 1.0))
+    for value in (0.0, 0.01, 0.1, 1.0, 1.0000001):
+        hist.observe(value)
+    assert hist.bucket_dict() == {
+        "le=0.01": 2, "le=0.1": 1, "le=1": 1, "le=+Inf": 1,
+    }
 
 
 def test_empty_histogram_reports_no_mean():

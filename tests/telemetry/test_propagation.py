@@ -4,6 +4,8 @@ One trace must follow a message from the sender's span through the
 simulated wire (transit spans) — and under fault plans the span must
 stay honest: retries land as span events and an exhausted resilient
 send closes the span in error status with the ``DeliveryTimeout``.
+Every network here records spans (``start_tracing``); the null default
+is pinned in ``test_tracing_modes.py``.
 """
 
 import pytest
@@ -24,6 +26,7 @@ def fresh_net(seed: str, fault_plan: FaultPlan | None = None) -> SimNetwork:
     )
     net.add_node("A")
     net.add_node("B")
+    net.telemetry.start_tracing()
     return net
 
 

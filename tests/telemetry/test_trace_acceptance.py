@@ -19,6 +19,7 @@ from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 @pytest.fixture(scope="module")
 def traced_workflow() -> LetterOfCreditWorkflow:
     workflow = LetterOfCreditWorkflow(network=FabricNetwork(seed="trace-acc"))
+    workflow.telemetry.start_tracing()
     workflow.setup()
     workflow.run_full_lifecycle("LC-ACC")
     return workflow
@@ -126,6 +127,7 @@ def test_same_seed_yields_identical_traces():
         workflow = LetterOfCreditWorkflow(
             network=FabricNetwork(seed="trace-replay")
         )
+        workflow.telemetry.start_tracing()
         workflow.setup()
         workflow.run_full_lifecycle("LC-R")
         return workflow.telemetry.to_dict()
