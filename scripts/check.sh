@@ -18,8 +18,9 @@ echo "== chaos suite (fault injection + liveness/privacy invariants) =="
 python -m pytest -x tests/integration/test_chaos.py tests/network/test_faults.py
 
 echo
-echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + identity-key and associated-data forgeries rejected) =="
+echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="
 python -m pytest -x tests/crypto/test_known_answers.py \
+    tests/crypto/test_signatures.py::TestKeyTables \
     tests/crypto/test_signatures.py::TestIdentityKeyForgery \
     tests/crypto/test_zkp.py::TestIdentityKeyForgery \
     tests/crypto/test_symmetric.py::TestAssociatedDataFraming

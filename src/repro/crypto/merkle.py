@@ -18,6 +18,7 @@ Three artifacts:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,6 +34,20 @@ _EMPTY_TAG = "repro/merkle/empty"
 def leaf_digest(value: Any) -> bytes:
     """Digest of one leaf (canonical serialization, domain separated)."""
     return tagged_hash(_LEAF_TAG, canonical_bytes(value))
+
+
+def encoded_merkle_root(encoded_leaves: Iterable[bytes]) -> bytes:
+    """Root over leaves that are already canonical bytes.
+
+    ``encoded_merkle_root(canonical_bytes(v) for v in values)`` equals
+    ``MerkleTree(values).root``; callers that hold the encodings skip
+    re-encoding them.
+    """
+    return _build_levels(_leaf_digests(encoded_leaves))[-1][0]
+
+
+def _leaf_digests(encoded_leaves: Iterable[bytes]) -> list[bytes]:
+    return [tagged_hash(_LEAF_TAG, data) for data in encoded_leaves]
 
 
 def _node_digest(left: bytes, right: bytes) -> bytes:
@@ -141,7 +156,9 @@ class MerkleTree:
 
     def __init__(self, values: list[Any]) -> None:
         self._values = list(values)
-        self._levels = _build_levels([leaf_digest(v) for v in self._values])
+        self._levels = _build_levels(
+            _leaf_digests(canonical_bytes(v) for v in self._values)
+        )
 
     @property
     def root(self) -> bytes:

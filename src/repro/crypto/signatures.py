@@ -12,10 +12,12 @@ signature or message can never alias an earlier entry).  Hit/miss counters
 are exposed through :meth:`SignatureScheme.cache_info` so benchmarks can
 attribute the speedup.
 
-A scheme also remembers the keys that passed the subgroup check (successes
-only, same bound, emptied by :meth:`SignatureScheme.reset_cache`), so each
-key pays that modular exponentiation once; ``g^k`` and ``g^s`` come from the
-group's fixed-base table.
+A scheme also keeps a 4-bit comb table (:meth:`SchnorrGroup.comb`) for each
+key that passed the subgroup check (successes only, at most
+:data:`KEY_TABLE_MAX` keys, emptied by :meth:`SignatureScheme.reset_cache`).
+A key pays that check and the table build (~0.3 ms for the 160-bit group)
+once; after that ``y^-e`` costs ~40 multiplications instead of a full
+``pow``, and ``g^k`` and ``g^s`` come from the group's own tables.
 """
 
 from __future__ import annotations
@@ -27,17 +29,25 @@ from repro.crypto.groups import SchnorrGroup, cached_test_group
 from repro.crypto.hashing import tagged_hash
 from repro.common.errors import SignatureError
 
-#: Entries kept in a scheme's verification cache (and in its memo of
-#: subgroup-checked keys) before the oldest half is evicted.  Large enough to
-#: hold every live endorsement in a benchmark run; bounded so long-lived
-#: processes cannot grow without limit.
+#: Entries kept in a scheme's verification cache before the oldest half is
+#: evicted.  Large enough to hold every live endorsement in a benchmark run;
+#: bounded so long-lived processes cannot grow without limit.
 VERIFY_CACHE_MAX = 16384
 
+#: Keys whose comb tables a scheme keeps before the oldest half is evicted.
+#: A table is ~35 KB for the 160-bit group, so this caps the memo at ~9 MB;
+#: a channel verifies a handful of long-lived endorser keys.
+KEY_TABLE_MAX = 256
 
-def _remember(cache: dict, key, value) -> None:
-    """Store *key* in *cache*, first evicting the oldest half if it is full."""
-    if len(cache) >= VERIFY_CACHE_MAX:
-        for stale in list(cache)[: VERIFY_CACHE_MAX // 2]:
+#: Digit width of a key's comb table.  An 8-bit table would cost ~2 ms and
+#: ~290 KB per key, which a key verified only a few times never earns back.
+KEY_TABLE_WIDTH = 4
+
+
+def _remember(cache: dict, key, value, limit: int) -> None:
+    """Store *key* in *cache*, first evicting the oldest half if it holds *limit*."""
+    if len(cache) >= limit:
+        for stale in list(cache)[: limit // 2]:
             del cache[stale]
     cache[key] = value
 
@@ -76,7 +86,7 @@ class SignatureScheme:
     def __init__(self, group: SchnorrGroup | None = None) -> None:
         self.group = group or cached_test_group()
         self._verify_cache: dict[tuple[int, bytes, int, int], bool] = {}
-        self._subgroup_keys: dict[int, None] = {}
+        self._key_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._verify_hits = 0
         self._verify_misses = 0
 
@@ -127,22 +137,24 @@ class SignatureScheme:
             return cached
         self._verify_misses += 1
         result = self._verify_uncached(public, message, sig)
-        _remember(self._verify_cache, cache_key, result)
+        _remember(self._verify_cache, cache_key, result, VERIFY_CACHE_MAX)
         return result
 
     def _verify_uncached(self, public: PublicKey, message: bytes, sig: Signature) -> bool:
         if not (0 <= sig.challenge < self.group.q and 0 <= sig.response < self.group.q):
             return False
-        if public.y not in self._subgroup_keys:
+        table = self._key_tables.get(public.y)
+        if table is None:
             # The identity is in the subgroup but is no key: with y = 1 anyone
             # can sign by choosing s = k.
             if public.y == 1 or not self.group.contains(public.y):
                 return False
-            _remember(self._subgroup_keys, public.y, None)
+            table = self.group.comb(public.y, KEY_TABLE_WIDTH)
+            _remember(self._key_tables, public.y, table, KEY_TABLE_MAX)
         # Recompute R = g^s * y^-e and check the challenge matches; y has
-        # order q, so exp's reduction of -e mod q yields y^-e.
+        # order q, so comb_exp's reduction of -e mod q yields y^-e.
         gs = self.group.exp(self.group.g, sig.response)
-        y_inv_e = self.group.exp(public.y, -sig.challenge)
+        y_inv_e = self.group.comb_exp(table, -sig.challenge)
         commitment = self.group.mul(gs, y_inv_e)
         return self._challenge(commitment, public, message) == sig.challenge
 
@@ -155,9 +167,9 @@ class SignatureScheme:
         }
 
     def reset_cache(self) -> None:
-        """Drop memoized verifications and keys; zero the hit/miss counters."""
+        """Drop memoized verifications and key tables; zero the hit/miss counters."""
         self._verify_cache.clear()
-        self._subgroup_keys.clear()
+        self._key_tables.clear()
         self._verify_hits = 0
         self._verify_misses = 0
 

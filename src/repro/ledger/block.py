@@ -10,11 +10,12 @@ query on request.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.common.errors import ValidationError
 from repro.crypto.hashing import hash_value
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import encoded_merkle_root
 from repro.ledger.transaction import Transaction
 
 GENESIS_DIGEST = b"\x00" * 32
@@ -56,6 +57,15 @@ class Block:
         return self.header.digest()
 
 
+def _transactions_root(transactions: Iterable[Transaction]) -> bytes:
+    """Merkle root over the transactions' core content.
+
+    The leaves are each transaction's signing bytes, the canonical encoding
+    of its core content it already holds, so no transaction is re-encoded.
+    """
+    return encoded_merkle_root(tx.signing_bytes() for tx in transactions)
+
+
 def build_block(
     height: int,
     previous_digest: bytes,
@@ -63,11 +73,10 @@ def build_block(
     timestamp: float,
 ) -> Block:
     """Assemble a block, computing the transaction Merkle root."""
-    tree = MerkleTree([tx.core_content() for tx in transactions])
     header = BlockHeader(
         height=height,
         previous_digest=previous_digest,
-        tx_root=tree.root,
+        tx_root=_transactions_root(transactions),
         timestamp=timestamp,
     )
     return Block(header=header, transactions=tuple(transactions))
@@ -126,8 +135,7 @@ class Chain:
             )
         if block.header.previous_digest != self.tip_digest():
             raise ValidationError("block does not link to the current tip")
-        tree = MerkleTree([tx.core_content() for tx in block.transactions])
-        if tree.root != block.header.tx_root:
+        if _transactions_root(block.transactions) != block.header.tx_root:
             raise ValidationError("block transaction root mismatch")
         self._blocks.append(block)
 
@@ -153,8 +161,7 @@ class Chain:
                 raise ValidationError(f"height gap at block {block.height}")
             if block.header.previous_digest != previous:
                 raise ValidationError(f"broken link at height {block.height}")
-            tree = MerkleTree([tx.core_content() for tx in block.transactions])
-            if tree.root != block.header.tx_root:
+            if _transactions_root(block.transactions) != block.header.tx_root:
                 raise ValidationError(f"tx root mismatch at height {block.height}")
             previous = block.digest()
 

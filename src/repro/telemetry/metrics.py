@@ -105,18 +105,27 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._labelled_keys: dict[tuple, str] = {}
 
     # -- accessors (create on first use)
 
+    def _labelled_key(self, name: str, labels: dict[str, str]) -> str:
+        """The metric key of *name* with *labels*, built once per series."""
+        series = (name, tuple(labels.items()))
+        key = self._labelled_keys.get(series)
+        if key is None:
+            key = self._labelled_keys[series] = _metric_key(name, labels)
+        return key
+
     def counter(self, name: str, **labels: str) -> Counter:
-        key = _metric_key(name, labels) if labels else name
+        key = self._labelled_key(name, labels) if labels else name
         counter = self._counters.get(key)
         if counter is None:
             counter = self._counters[key] = Counter(name=key)
         return counter
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = _metric_key(name, labels) if labels else name
+        key = self._labelled_key(name, labels) if labels else name
         gauge = self._gauges.get(key)
         if gauge is None:
             gauge = self._gauges[key] = Gauge(name=key)
@@ -125,7 +134,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_BUCKETS, **labels: str
     ) -> Histogram:
-        key = _metric_key(name, labels) if labels else name
+        key = self._labelled_key(name, labels) if labels else name
         histogram = self._histograms.get(key)
         if histogram is None:
             histogram = self._histograms[key] = Histogram(name=key, bounds=bounds)

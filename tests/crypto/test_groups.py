@@ -112,6 +112,16 @@ class TestFixedBaseTables:
         base = group.h if use_h else group.g
         assert group.exp(base, exponent) == pow(base, exponent % group.q, group.p)
 
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("bits", [160, 64, 62])
+    def test_comb_tables_match_pow_for_any_base(self, bits, width):
+        group = cached_test_group() if bits == 160 else small_group(bits=bits)
+        base = group.hash_to_element("t", b"comb base")
+        table = group.comb(base, width)
+        assert len(table) == -(-group.q.bit_length() // width)
+        for exponent in self._edge_exponents(group) + [15, 16, 17]:
+            assert group.comb_exp(table, exponent) == pow(base, exponent % group.q, group.p)
+
     def test_other_bases_match_pow(self, group, rng):
         base = group.hash_to_element("t", b"not a generator")
         exponent = group.random_scalar(rng)

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ProofError
-from repro.crypto.merkle import InclusionProof, MerkleTree, TearOff, leaf_digest
+from repro.common.serialization import canonical_bytes
+from repro.crypto.merkle import (
+    InclusionProof,
+    MerkleTree,
+    TearOff,
+    encoded_merkle_root,
+    leaf_digest,
+)
 
 
 @pytest.fixture
@@ -39,6 +46,13 @@ class TestTree:
         tree = MerkleTree(["only"])
         assert tree.leaf_count == 1
         assert tree.inclusion_proof(0).verify("only", tree.root)
+
+    @pytest.mark.parametrize("count", range(8))
+    def test_encoded_root_equals_tree_root(self, values, count):
+        leaves = (values * 2)[:count]
+        encoded = [canonical_bytes(v) for v in leaves]
+        assert encoded_merkle_root(encoded) == MerkleTree(leaves).root
+        assert encoded_merkle_root(iter(encoded)) == MerkleTree(leaves).root
 
     def test_leaf_digest_domain_separated(self):
         # A leaf equal to an inner-node digest must not collide.

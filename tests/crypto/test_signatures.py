@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.crypto.signatures as signatures_module
 from repro.common.errors import SignatureError
+from repro.common.rng import DeterministicRNG
 from repro.crypto.signatures import PublicKey, Signature, SignatureScheme
 
 
@@ -142,8 +146,6 @@ class TestVerifyCache:
         assert scheme.cache_info()["misses"] == 1
 
     def test_eviction_keeps_cache_bounded(self, scheme, keypair, monkeypatch):
-        import repro.crypto.signatures as signatures_module
-
         monkeypatch.setattr(signatures_module, "VERIFY_CACHE_MAX", 8)
         for n in range(25):
             message = f"m{n}".encode()
@@ -174,7 +176,7 @@ class TestIdentityKeyForgery:
             message = f"forged {n}".encode()
             forged = _forge_for_identity_key(scheme, message, k=n + 1)
             assert not scheme.verify(PublicKey(y=1), message, forged)
-        assert 1 not in scheme._subgroup_keys
+        assert 1 not in scheme._key_tables
 
     def test_require_valid_raises_for_identity_key(self):
         scheme = SignatureScheme()
@@ -196,6 +198,7 @@ class TestSubgroupMemo:
             message = f"m{n}".encode()
             assert scheme.verify(keypair.public, message, scheme.sign(keypair, message))
         assert calls == [keypair.public.y]
+        assert list(scheme._key_tables) == [keypair.public.y]
 
     def test_non_member_rejected_every_time_and_never_memoized(self, keypair):
         scheme = SignatureScheme()
@@ -205,24 +208,92 @@ class TestSubgroupMemo:
             sig = scheme.sign(keypair, message)
             assert not scheme.verify(outsider, message, sig)
             assert not scheme.verify(outsider, message, sig)  # cached False
-            assert outsider.y not in scheme._subgroup_keys
-        assert scheme._subgroup_keys == {}
-
-    def test_memo_bounded_by_verify_cache_max(self, monkeypatch):
-        import repro.crypto.signatures as signatures_module
-
-        monkeypatch.setattr(signatures_module, "VERIFY_CACHE_MAX", 4)
-        scheme = SignatureScheme()
-        for n in range(11):
-            key = scheme.keygen_from_seed(f"memo-{n}")
-            assert scheme.verify(key.public, b"m", scheme.sign(key, b"m"))
-            assert len(scheme._subgroup_keys) <= 4
-        assert key.public.y in scheme._subgroup_keys
+            assert outsider.y not in scheme._key_tables
+        assert scheme._key_tables == {}
 
     def test_reset_cache_empties_memo(self, keypair):
         scheme = SignatureScheme()
         scheme.verify(keypair.public, b"m", scheme.sign(keypair, b"m"))
-        assert scheme._subgroup_keys
+        assert scheme._key_tables
         scheme.reset_cache()
-        assert scheme._subgroup_keys == {}
+        assert scheme._key_tables == {}
         assert scheme.verify(keypair.public, b"m", scheme.sign(keypair, b"m"))
+
+
+class TestKeyTables:
+    """A checked key's 4-bit comb table replaces pow for y^-e, exactly."""
+
+    def test_table_exponent_matches_pow(self, keypair):
+        group = SignatureScheme().group
+        q, p, y = group.q, group.p, keypair.public.y
+        table = group.comb(y, signatures_module.KEY_TABLE_WIDTH)
+        exponents = [0, 1, 2, 15, 16, 17, q - 1, q, q + 1, 2 * q + 7,
+                     -1, -2, -(q - 1), -q, -(q + 1)]
+        draws = DeterministicRNG("key-table-exponents")
+        exponents += [draws.randint_below(1 << 200) - (1 << 199) for __ in range(40)]
+        for exponent in exponents:
+            assert group.comb_exp(table, exponent) == pow(y, exponent % q, p)
+
+    def test_table_shape_and_size(self, keypair):
+        group = SignatureScheme().group
+        table = group.comb(keypair.public.y, signatures_module.KEY_TABLE_WIDTH)
+        assert len(table) == 40 and {len(row) for row in table} == {16}
+        size = sys.getsizeof(table) + sum(
+            sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row[1:]) for row in table
+        )
+        assert size <= 36 * 1024
+
+    def test_comb_rejects_other_widths(self, keypair):
+        group = SignatureScheme().group
+        for width in (0, 3, 5, 16):
+            with pytest.raises(ValueError):
+                group.comb(keypair.public.y, width)
+
+    def test_table_only_after_subgroup_check(self, keypair):
+        scheme = SignatureScheme()
+        group = scheme.group
+        sig = scheme.sign(keypair, b"m")
+        identity_forgery = _forge_for_identity_key(scheme, b"m")
+        assert not scheme.verify(PublicKey(y=1), b"m", identity_forgery)
+        assert not scheme.verify(PublicKey(y=group.p - 1), b"m", sig)
+        assert scheme._key_tables == {}
+        assert scheme.verify(keypair.public, b"m", sig)
+        assert scheme._key_tables == {
+            keypair.public.y: group.comb(keypair.public.y, signatures_module.KEY_TABLE_WIDTH)
+        }
+
+    def test_table_built_once_per_key(self, keypair, monkeypatch):
+        scheme = SignatureScheme()
+        builds = []
+        comb = type(scheme.group).comb
+        monkeypatch.setattr(type(scheme.group), "comb",
+                            lambda group, base, width: builds.append(base) or comb(group, base, width))
+        for n in range(4):
+            message = f"m{n}".encode()
+            assert scheme.verify(keypair.public, message, scheme.sign(keypair, message))
+        assert builds == [keypair.public.y]
+
+    def test_memo_bounded_by_key_table_max(self, monkeypatch):
+        monkeypatch.setattr(signatures_module, "KEY_TABLE_MAX", 4)
+        scheme = SignatureScheme()
+        for n in range(11):
+            key = scheme.keygen_from_seed(f"memo-{n}")
+            assert scheme.verify(key.public, b"m", scheme.sign(key, b"m"))
+            assert len(scheme._key_tables) <= 4
+        assert key.public.y in scheme._key_tables
+        # The verify cache keeps its own, larger bound.
+        assert scheme.cache_info()["size"] == 11
+
+    def test_tampered_signature_rejected_on_tabled_key(self, keypair):
+        scheme = SignatureScheme()
+        q = scheme.group.q
+        sig = scheme.sign(keypair, b"message")
+        assert scheme.verify(keypair.public, b"message", sig)
+        assert keypair.public.y in scheme._key_tables
+        for forged in (
+            Signature(challenge=(sig.challenge + 1) % q, response=sig.response),
+            Signature(challenge=sig.challenge, response=(sig.response + 1) % q),
+            Signature(challenge=sig.response, response=sig.challenge),
+        ):
+            assert not scheme.verify(keypair.public, b"message", forged)
+        assert not scheme.verify(keypair.public, b"other", sig)

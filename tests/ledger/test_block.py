@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.crypto.merkle import MerkleTree
+from repro.crypto.signatures import Signature
 from repro.ledger.block import Chain, build_block
-from repro.ledger.transaction import Transaction, WriteEntry
+from repro.ledger.transaction import Endorsement, Transaction, WriteEntry
 
 
 def make_tx(n: int) -> Transaction:
@@ -37,6 +39,15 @@ class TestAppend:
 
     def test_verify_accepts_valid_chain(self, chain):
         chain.verify()
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_tx_root_is_merkle_root_of_core_content(self, count):
+        txs = [make_tx(n) for n in range(count)]
+        txs += [make_tx(7).with_endorsements(
+            [Endorsement(endorser="org7", signature=Signature(challenge=1, response=2))]
+        )]
+        block = build_block(1, b"\x00" * 32, txs, timestamp=1.0)
+        assert block.header.tx_root == MerkleTree([tx.core_content() for tx in txs]).root
 
     def test_transactions_flattened(self, chain):
         assert len(chain.transactions()) == 5

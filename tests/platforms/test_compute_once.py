@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 import repro.common.serialization as serialization
-import repro.crypto.merkle as merkle
 import repro.platforms.corda.transactions as corda_transactions
 from repro.execution.contracts import SmartContract
 from repro.ledger.transaction import Transaction
@@ -64,28 +63,18 @@ def test_fabric_invoke_encodes_each_transaction_content_once(monkeypatch):
         ["Org1", "Org2"],
     )
 
-    # Block Merkle leaves re-encode each transaction's core content as a
-    # leaf value; those encodes belong to the block, not the transaction.
+    # Block Merkle leaves are the transactions' signing bytes, so building,
+    # appending and verifying blocks adds no encode of the core content.
     encodes: dict[str, int] = {}
     encode = serialization.canonical_json
-    leaf_digest = merkle.leaf_digest
-    in_leaf = []
 
     def counted_encode(value):
         text = encode(value)
-        if not in_leaf and isinstance(value, dict) and set(value) == CORE_KEYS:
+        if isinstance(value, dict) and set(value) == CORE_KEYS:
             encodes[text] = encodes.get(text, 0) + 1
         return text
 
-    def leaf(value):
-        in_leaf.append(value)
-        try:
-            return leaf_digest(value)
-        finally:
-            in_leaf.pop()
-
     monkeypatch.setattr(serialization, "canonical_json", counted_encode)
-    monkeypatch.setattr(merkle, "leaf_digest", leaf)
     for value in (1, 2):
         net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": value})
 

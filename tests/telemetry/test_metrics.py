@@ -37,6 +37,27 @@ def test_same_name_and_labels_return_same_instance():
     assert registry.counter("a") is not registry.counter("a", x="1")
 
 
+def test_labelled_key_built_once_per_series_in_any_label_order(monkeypatch):
+    import repro.telemetry.metrics as metrics_module
+
+    built = []
+    metric_key = metrics_module._metric_key
+    monkeypatch.setattr(metrics_module, "_metric_key",
+                        lambda name, labels: built.append(name) or metric_key(name, labels))
+    registry = MetricsRegistry()
+    for __ in range(3):
+        registry.counter("a", x="1", y="2").inc()
+        registry.gauge("g", x="1").inc()
+        registry.histogram("h", x="1").observe(0.5)
+    assert registry.counter("a", y="2", x="1") is registry.counter("a", x="1", y="2")
+    assert registry.counter("a", x="1", z="2") is not registry.counter("a", x="1", y="2")
+    assert built == ["a", "g", "h", "a", "a"]
+    snap = registry.snapshot()
+    assert snap["counters"] == {"a{x=1,y=2}": 3, "a{x=1,z=2}": 0}
+    assert snap["gauges"] == {"g{x=1}": 3}
+    assert snap["histograms"]["h{x=1}"]["count"] == 3
+
+
 def test_gauge_moves_both_ways():
     registry = MetricsRegistry()
     gauge = registry.gauge("ordering.pending", channel="ch1")
