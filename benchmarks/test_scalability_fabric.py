@@ -225,45 +225,47 @@ def test_batch_timeout_series(benchmark):
 
 
 class TestPrivateOrderingCluster:
-    """Ablation: running your own ordering as a replicated Raft cluster.
+    """Ablation: running your own ordering as a replicated cluster.
 
-    Section 3.4's mitigation in its realistic form: a member-run cluster
-    survives minority crashes, but every replica operator sees the data —
-    visibility is contained to the consortium, not eliminated.
+    Section 3.4's mitigation in its realistic form: a member-run orderer
+    replicated over the channel members survives a leader crash, but every
+    replica operator sees the data — visibility is contained to the
+    consortium, not eliminated.
     """
 
     def test_cluster_orders_under_crash(self, benchmark):
-        from repro.common.rng import DeterministicRNG
-        from repro.ledger.raft import RaftCluster
-        from repro.ledger.transaction import Transaction, WriteEntry
-
+        members = ("Org1", "Org2", "Org3")
         counter = itertools.count()
 
         def run_with_crash():
-            cluster = RaftCluster(
-                ["Org1", "Org2", "Org3"],
-                rng=DeterministicRNG(f"s1-raft-{next(counter)}"),
+            net = FabricNetwork(
+                seed=f"s1-cluster-{next(counter)}", orderer_operators=members
             )
-            leader = cluster.elect("raft-Org1")
+            for org in members:
+                net.onboard(org)
+            net.create_channel("ch", list(members))
+            net.deploy_chaincode("ch", put_contract(), ["Org1", "Org2"])
             for n in range(20):
-                cluster.submit(Transaction(
-                    channel="ch", submitter="Org1",
-                    writes=(WriteEntry(key=f"k{n}", value=n),),
-                ))
-            cluster.crash("Org1")
-            cluster.elect("raft-Org2")
+                net.invoke("ch", "Org1", "cc", "put", {"key": f"k{n}", "value": n})
+            net.network.crash_node("fabric-orderer@Org1")
             for n in range(20, 40):
-                cluster.submit(Transaction(
-                    channel="ch", submitter="Org2",
-                    writes=(WriteEntry(key=f"k{n}", value=n),),
-                ))
-            return cluster
+                net.invoke("ch", "Org2", "cc", "put", {"key": f"k{n}", "value": n})
+            return net
 
-        cluster = benchmark(run_with_crash)
-        assert len(cluster.committed_transactions()) == 40
-        assert cluster.logs_consistent()
+        net = benchmark(run_with_crash)
+        orderer = net.orderer
+        leader_log = orderer.logs[orderer.require_available()]
+        assert len(leader_log) == 40
+        # Every live replica holds the same committed log.
+        live = [r for r in orderer.replicas if not net.network.is_crashed(r)]
+        assert all(orderer.logs[r] == leader_log for r in live)
         # Visibility is multiplied across member operators, not removed.
-        assert cluster.operators_with_visibility() == {"Org1", "Org2", "Org3"}
+        seen = {
+            operator
+            for operator, observer in zip(orderer.operators, orderer.observers())
+            if observer.messages_observed
+        }
+        assert seen == set(members)
 
 
 @pytest.mark.parametrize("skew", [0.0, 1.5])

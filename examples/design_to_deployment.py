@@ -54,7 +54,7 @@ def main() -> None:
         extra_network_members=["CuriousBank"], seed="otc",
     )
     print(f"deployment built: channel {deployment.channel_name!r}, "
-          f"orderer operated by {deployment.network.orderer.operator!r}")
+          f"orderer operated by {', '.join(deployment.network.orderer.operators)}")
     print(f"per-class mechanisms: "
           f"{ {k: v.value for k, v in deployment.data_class_mechanisms.items()} }")
     print()

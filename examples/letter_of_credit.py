@@ -56,7 +56,7 @@ def main() -> None:
     print("Privacy check for the uninvolved network member:")
     print(f"  identities observed: {sorted(outsider.seen_identities) or 'none'}")
     print(f"  data keys observed:  {sorted(outsider.seen_data_keys) or 'none'}")
-    orderer = workflow.network.orderer.observer
+    orderer = workflow.network.network.node(workflow.network.orderer.name).observer
     print("The trusted third-party orderer, by contrast, saw:")
     print(f"  identities: {sorted(orderer.seen_identities & set(workflow.PARTIES))}")
     print(f"  data keys:  {len(orderer.seen_data_keys)} keys")

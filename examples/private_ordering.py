@@ -3,10 +3,10 @@
 
 Two mitigations for ordering-service visibility, composed:
 
-1. A member-run Raft cluster replaces the third-party orderer — its full
-   visibility is contained to the consortium (and survives a leader
-   crash), but note how replication *multiplies* which operators see the
-   data.
+1. The channel members run the Fabric orderer themselves, replicated over
+   one node each — its full visibility is contained to the consortium
+   (and survives a leader crash), but note how replication *multiplies*
+   which operators see the data.
 2. For the data itself, the parties share only ciphertext: one symmetric
    encryption of the payload plus an ElGamal key-wrap per authorized
    reader, the PKI sharing pattern Section 2.2 describes.
@@ -14,16 +14,26 @@ Two mitigations for ordering-service visibility, composed:
 
 from repro.common.rng import DeterministicRNG
 from repro.crypto.elgamal import receive_encrypted, share_encrypted
-from repro.crypto.signatures import SignatureScheme
-from repro.ledger.raft import RaftCluster
-from repro.ledger.transaction import Transaction, WriteEntry
+from repro.execution.contracts import SmartContract
+from repro.platforms.fabric import FabricNetwork
+
+
+def record(view, args):
+    view.put(args["key"], args["value"])
 
 
 def main() -> None:
     rng = DeterministicRNG("private-ordering-example")
-    scheme = SignatureScheme()
-    members = ["BankA", "BankB", "BankC"]
-    keys = {name: scheme.keygen_from_seed(name) for name in members}
+    members = ("BankA", "BankB", "BankC")
+    net = FabricNetwork(seed="private-ordering", orderer_operators=members)
+    for name in members:
+        net.onboard(name)
+    net.create_channel("fx", list(members))
+    net.deploy_chaincode("fx", SmartContract(
+        contract_id="fx-cc", version=1, language="python-chaincode",
+        functions={"record": record},
+    ), ["BankA", "BankB"])
+    keys = {name: net.party(name).key for name in members}
 
     print("1. encrypt the trade payload; wrap the key to BankA and BankB only")
     payload = b'{"instrument": "FX-SWAP", "notional": 25000000}'
@@ -35,32 +45,31 @@ def main() -> None:
     print(f"   ciphertext: {ciphertext.size()} bytes, "
           f"{len(wraps)} key wraps")
 
-    print("2. order the (encrypted) transaction on a member-run Raft cluster")
-    cluster = RaftCluster(members, rng=rng.fork("raft"))
-    leader = cluster.elect("raft-BankA")
-    print(f"   elected leader: {leader}")
-    tx = Transaction(
-        channel="fx", submitter="BankA",
-        writes=(WriteEntry(key="trade/enc", value=ciphertext.body.hex()),),
-        metadata={"participants": ["BankA", "BankB"]},
-    )
-    cluster.submit(tx)
+    print("2. order the (encrypted) transaction on the member-run orderer")
+    orderer = net.orderer
+    print(f"   replicas: {', '.join(orderer.replicas)}")
+    print(f"   leader: {orderer.require_available()}")
+    net.invoke("fx", "BankA", "fx-cc", "record",
+               {"key": "trade/enc", "value": ciphertext.body.hex()})
 
     print("3. crash the leader mid-stream; the cluster keeps ordering")
-    cluster.crash("BankA")
-    new_leader = cluster.elect()
-    print(f"   new leader: {new_leader}")
-    cluster.submit(Transaction(
-        channel="fx", submitter="BankB",
-        writes=(WriteEntry(key="trade2/enc", value="..."),),
-        metadata={"participants": ["BankA", "BankB"]},
-    ))
-    print(f"   committed entries: {len(cluster.committed_transactions())}, "
-          f"logs consistent: {cluster.logs_consistent()}")
+    net.network.crash_node(orderer.require_available())
+    print(f"   new leader: {orderer.require_available()}")
+    net.invoke("fx", "BankB", "fx-cc", "record",
+               {"key": "trade2/enc", "value": "..."})
+    leader_log = orderer.logs[orderer.require_available()]
+    live = [r for r in orderer.replicas if not net.network.is_crashed(r)]
+    print(f"   committed entries: {len(leader_log)}, logs consistent: "
+          f"{all(orderer.logs[r] == leader_log for r in live)}")
 
     print("4. who learned what?")
-    print(f"   replica operators with visibility: "
-          f"{sorted(cluster.operators_with_visibility())}")
+    seen = [
+        operator
+        for operator, observer in zip(orderer.operators, orderer.observers())
+        if observer.messages_observed
+    ]
+    print(f"   replica operators with visibility: {seen}")
+    print(f"   together they saw: {orderer.knowledge()['data_keys']}")
     print("   (the cluster sees participants and ciphertext keys — "
           "contained to the consortium, not eliminated)")
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo health gate: tier-1 tests, the chaos suite, the crypto known-answer
-# gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
+# Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
+# the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
 # design), the telemetry, convergence and pipeline gates, the perf-harness
 # smoke run, then the strict self-lint.
 #
@@ -14,8 +14,22 @@ echo "== tier-1 tests =="
 python -m pytest -x tests "$@"
 
 echo
-echo "== chaos suite (fault injection + liveness/privacy invariants) =="
-python -m pytest -x tests/integration/test_chaos.py tests/network/test_faults.py
+echo "== chaos suite (fault injection + liveness/privacy invariants + replicated-orderer partitions) =="
+python -m pytest -x tests/integration/test_chaos.py tests/network/test_faults.py \
+    tests/integration/test_ordering_partition.py
+
+echo
+echo "== one-account gate (observe_exposure( only under src/repro/network/, and in the host-admin observer of execution/engines.py: a host administrator is not a network principal) =="
+side_accounts=$(grep -rn --include='*.py' 'observe_exposure(' src/repro \
+    | grep -v '^src/repro/network/' \
+    | grep -v '^src/repro/execution/engines\.py:[0-9]*: *self\._admin_observer(node)\.observe_exposure($' \
+    || true)
+if [ -n "$side_accounts" ]; then
+    echo "observe_exposure( called outside the network substrate:"
+    echo "$side_accounts"
+    exit 1
+fi
+echo "one account per principal: ok"
 
 echo
 echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="

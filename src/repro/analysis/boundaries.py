@@ -8,8 +8,7 @@ documented in Section 5 of the paper:
   network-wide;
 - B303: every transaction touching a Fabric private data collection
   discloses the collection's member list on-chain;
-- B304: a validating notary or full-visibility ordering service sees the
-  entire transaction content.
+- B304: a validating notary sees the entire transaction content.
 
 These are INFO findings: the mechanism may be exactly what the design
 calls for (e.g. interaction privacy not required), but the author should
@@ -58,13 +57,5 @@ def run_boundary_pass(index: ModuleIndex) -> list[Finding]:
                     index, findings, "ordering-full-visibility", node,
                     "validating_notary=True gives the notary full "
                     "transaction contents",
-                )
-            elif kw.arg == "visibility" and (
-                isinstance(kw.value, ast.Attribute) and kw.value.attr == "FULL"
-            ):
-                report(
-                    index, findings, "ordering-full-visibility", node,
-                    "OrdererVisibility.FULL exposes submitted transactions "
-                    "to the ordering operator",
                 )
     return findings

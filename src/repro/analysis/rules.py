@@ -166,10 +166,9 @@ _RULES = [
         severity=Severity.INFO,
         summary="ordering principal configured with full transaction "
         "visibility",
-        hint="a validating notary / full-visibility orderer sees every "
-        "transaction; use a non-validating notary with tear-offs or a "
-        "member-operated sequencing service if that trust is not "
-        "warranted",
+        hint="a validating notary sees every transaction; use a "
+        "non-validating notary with tear-offs or a member-operated "
+        "sequencing service if that trust is not warranted",
         paper="Section 3.4 (third-party ordering visibility); Section 2.1 "
         "(private sequencing service)",
     ),

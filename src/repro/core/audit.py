@@ -7,7 +7,8 @@ learned:
 
 - each uninvolved organization (should be: nothing, ideally),
 - the ordering principal (Fabric orderer / Corda notary / Quorum
-  consensus), exercising the Section 3.4 visibility discussion,
+  consensus), exercising the Section 3.4 visibility discussion: the union
+  of what its replica nodes were delivered,
 - the network as a whole for Quorum's participant-list broadcast.
 
 Also reproduces the Section 5 double-spend claims: Quorum's private-state
@@ -87,18 +88,19 @@ class AuditReport:
         }
 
 
-def _knowledge_of(name: str, observer) -> PrincipalKnowledge:
-    return PrincipalKnowledge(
-        principal=name,
-        identities=set(observer.seen_identities),
-        data_keys=set(observer.seen_data_keys),
-        code_ids=set(observer.seen_code_ids),
-    )
+def _knowledge_of(name: str, observers) -> PrincipalKnowledge:
+    """What the nodes behind one principal learned, together."""
+    knowledge = PrincipalKnowledge(principal=name)
+    for observer in observers:
+        knowledge.identities |= observer.seen_identities
+        knowledge.data_keys |= observer.seen_data_keys
+        knowledge.code_ids |= observer.seen_code_ids
+    return knowledge
 
 
 def _uninvolved_knowledge(net) -> list[PrincipalKnowledge]:
     return [
-        _knowledge_of(org, net.network.node(org).observer) for org in UNINVOLVED
+        _knowledge_of(org, [net.network.node(org).observer]) for org in UNINVOLVED
     ]
 
 
@@ -130,7 +132,7 @@ def audit_fabric(seed: str = "audit-fabric", fault_plan=None) -> AuditReport:
     net.invoke("trade-ab", "OrgA", "trade-cc", "record", {"price": 1234})
 
     report = AuditReport(platform="fabric", uninvolved=_uninvolved_knowledge(net))
-    report.ordering_principal = _knowledge_of("orderer", net.orderer.observer)
+    report.ordering_principal = _knowledge_of("orderer", net.orderer.observers())
     report.participant_list_broadcast = False
     # Fabric channels validate reads against shared channel state: a
     # validated (MVCC) ledger rejects conflicting spends by construction.
@@ -181,7 +183,7 @@ def audit_corda(seed: str = "audit-corda", fault_plan=None) -> AuditReport:
         rejected = True
 
     report = AuditReport(platform="corda", uninvolved=_uninvolved_knowledge(net))
-    report.ordering_principal = _knowledge_of("notary", net.notary.observer)
+    report.ordering_principal = _knowledge_of("notary", net.notary.observers())
     report.participant_list_broadcast = False
     report.validated_double_spend_rejected = rejected
     report.private_double_spend_succeeded = False
@@ -215,7 +217,7 @@ def audit_quorum(seed: str = "audit-quorum", fault_plan=None) -> AuditReport:
 
     report = AuditReport(platform="quorum", uninvolved=_uninvolved_knowledge(net))
     report.ordering_principal = _knowledge_of(
-        "consensus", net.sequencer.observer
+        "consensus", net.sequencer.observers()
     )
     report.participant_list_broadcast = any(
         knowledge.learned_trading_identities for knowledge in report.uninvolved

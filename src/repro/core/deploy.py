@@ -262,10 +262,10 @@ def build_deployment(
         raise GuideError("a deployment needs at least two parties")
     network = FabricNetwork(
         seed=seed,
-        orderer_operator=(
-            parties[0]
+        orderer_operators=(
+            (parties[0],)
             if not requirements.deployment.ordering_service_trusted
-            else "third-party"
+            else ("third-party",)
         ),
     )
     for party in list(parties) + list(extra_network_members or []):

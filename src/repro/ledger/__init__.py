@@ -17,11 +17,8 @@ from repro.ledger.block import (
 from repro.ledger.ordering import (
     OrderedBatch,
     OrdererProfile,
-    OrdererVisibility,
     OrderingService,
-    make_private_orderer,
 )
-from repro.ledger.raft import LogEntry, RaftCluster, RaftNode, Role
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import (
     Endorsement,

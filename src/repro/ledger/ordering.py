@@ -8,45 +8,42 @@ a DLT for suitability, architects must consider whether the ordering
 service meets privacy and confidentiality requirements and if parties can
 feasibly run their own service to mitigate leaks."
 
-This module makes that analysis executable.  Every orderer carries an
-:class:`Observer` recording exactly what it saw; orderers differ in
+This module makes that analysis executable.  An ordering principal (a
+Fabric orderer, a Corda notary, Quorum's consensus) is a replica set of
+network nodes, one per operator.  What it learned is what its nodes were
+delivered, so the leakage audit reads the nodes' observers and nothing
+else.  Operators may be a third party or the transacting organizations
+themselves ("private sequencing service", Table 1's Misc row); running a
+replica set contains the leak within its operators and multiplies who
+holds it.
 
-- **visibility**: FULL (sees parties and payloads, like a Fabric ordering
-  node or a Corda validating notary) vs HASH_ONLY (sees only digests, like
-  a Corda non-validating notary);
-- **operator**: a third party, or one of the transacting organizations
-  ("private sequencing service", Table 1's Misc row).
+The leader, the first live replica by rank holding the committed log,
+sends each ordered item to the other replicas as an ``append`` message,
+and a replica changes its log only in its ``append`` handler.  The
+principal refuses work unless a majority of replicas is live and
+reachable from the leader, so a minority crash or partition is tolerated
+and the lagging replica catches up on a later append.
 
 A simple service-time model (capacity in tx/s, batch cutting by size or
 timeout) supports the S1-S3 scalability benchmarks: ordering is the shared
-bottleneck whose saturation the benches demonstrate.
-
-The service also models crash/recovery (mirroring ``RaftCluster.crash`` /
-``recover``): a crashed orderer refuses submissions and batch cuts, and its
-pending queues either survive the crash (``durable=True``, a write-ahead
-log) or are lost with it.  Scheduled outages come from an attached
-:class:`repro.faults.FaultPlan`.
+bottleneck whose saturation the benches demonstrate.  The service also
+models crash/recovery of the principal as a whole: a crashed orderer
+refuses submissions and batch cuts, and its pending queues either survive
+the crash (``durable=True``, a write-ahead log) or are lost with it.
+Scheduled outages come from an attached :class:`repro.faults.FaultPlan`.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.clock import SimClock
 from repro.common.errors import OrderingError
 from repro.faults.plan import FaultPlan
 from repro.ledger.transaction import Transaction
 from repro.network.messages import Exposure
-from repro.network.simnet import Observer
+from repro.network.simnet import Observer, SimNetwork
 from repro.telemetry import Telemetry
-
-
-class OrdererVisibility(enum.Enum):
-    """How much of each transaction the ordering service can read."""
-
-    FULL = "full"
-    HASH_ONLY = "hash_only"
 
 
 @dataclass
@@ -68,15 +65,23 @@ class OrderedBatch:
     sequence: int
 
 
+#: One replicated log entry: the id of the ordered transaction, what was
+#: ordered (a transaction, or the refs a notarisation consumed), and the
+#: exposure the leader saw when it ordered it.
+LogEntry = tuple[str, object, Exposure]
+
+
 class OrderingPrincipal:
     """The Section 3.4 principal that "sees all DLT events" it orders.
 
     Shared by the Fabric/Quorum :class:`OrderingService` and the Corda
-    notary: an observer of what it saw, the operator who runs it, and
+    notary: a replica set of nodes on *network*, ranked by *operators*
+    (one node named *name* by default, else ``name@operator`` each), and
     availability (a crash, or an outage scheduled on the attached
-    :class:`repro.faults.FaultPlan` under the principal's name).
-    Subclasses set :attr:`kind`, the noun in the "is down" error, and
-    own their crash/recover events and durability rule.
+    :class:`repro.faults.FaultPlan` under the principal's name).  Without
+    a network the principal is a bare service-time model with nodes
+    nobody can reach.  Subclasses set :attr:`kind`, the noun in the
+    errors, and own their crash/recover events and durability rule.
     """
 
     kind = "ordering service"
@@ -85,18 +90,33 @@ class OrderingPrincipal:
         self,
         name: str,
         clock: SimClock,
-        operator: str,
+        operators: tuple[str, ...] = ("third-party",),
+        network: SimNetwork | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
+        if len(operators) % 2 == 0 or len(set(operators)) != len(operators):
+            raise OrderingError(
+                f"{self.kind} {name!r} needs an odd number of distinct operators"
+            )
         self.name = name
         self.clock = clock
-        self.operator = operator
+        self.operators = tuple(operators)
+        self.network = network
         self.fault_plan = fault_plan
         self.crashed = False
-        self.observer = Observer(name)
+        self.replicas = (
+            (name,) if len(operators) == 1
+            else tuple(f"{name}@{operator}" for operator in operators)
+        )
+        self.logs: dict[str, list[LogEntry]] = {r: [] for r in self.replicas}
+        self._committed = 0
+        if network is not None:
+            for replica in self.replicas:
+                network.add_node(replica).on("append", self._on_append)
 
     def available(self, now: float | None = None) -> bool:
-        """Whether the service accepts work at *now* (default: clock time)."""
+        """Whether the service as a whole is up at *now* (default: clock
+        time); replica liveness is :meth:`require_available`'s concern."""
         if self.crashed:
             return False
         if self.fault_plan is None:
@@ -104,25 +124,109 @@ class OrderingPrincipal:
         when = self.clock.now if now is None else now
         return not self.fault_plan.orderer_down(self.name, when)
 
-    def require_available(self) -> None:
+    def _live(self, replica: str) -> bool:
+        return self.network is None or not self.network.is_crashed(replica)
+
+    def _reachable(self, leader: str, replica: str) -> bool:
+        """Whether *leader* can send to *replica* now."""
+        if replica == leader:
+            return True
+        network = self.network
+        return (
+            network is not None
+            and not network.is_crashed(replica)
+            and not network.is_partitioned(leader, replica)
+        )
+
+    def require_available(self) -> str:
+        """Return the leader, or raise :class:`OrderingError` before
+        anything is sent: the service is down, no live replica holds the
+        committed log, or fewer than a majority of replicas are live and
+        reachable from the leader."""
         if not self.available():
             raise OrderingError(f"{self.kind} {self.name!r} is down")
+        for leader in self.replicas:
+            if self._live(leader) and len(self.logs[leader]) >= self._committed:
+                break
+        else:
+            raise OrderingError(
+                f"{self.kind} {self.name!r}: no live replica holds the committed log"
+            )
+        reachable = sum(self._reachable(leader, r) for r in self.replicas)
+        if reachable <= len(self.replicas) // 2:
+            raise OrderingError(
+                f"{self.kind} {self.name!r} lost its majority "
+                f"({reachable} of {len(self.replicas)} replicas reachable)"
+            )
+        return leader
+
+    def _replicate(self, leader: str, entries: list[LogEntry]) -> None:
+        """Append *entries* to *leader*'s log, then send every live,
+        reachable follower the suffix its log lacks, one ``append`` per
+        entry.  No acks: the follower's log length stands in for the
+        match index an ack would report, and a copy that arrives twice
+        applies once.  A lone replica has nobody to ship to, so it
+        keeps no log."""
+        if len(self.replicas) == 1:
+            for entry in entries:
+                self._apply(leader, entry)
+            return
+        log = self.logs[leader]
+        for entry in entries:
+            log.append(entry)
+            self._apply(leader, entry)
+        self._committed = len(log)
+        for follower in self.replicas:
+            if follower == leader or not self._reachable(leader, follower):
+                continue
+            for index in range(len(self.logs[follower]), len(log)):
+                tx_id, __, exposure = log[index]
+                self.network.send(
+                    leader, follower, "append",
+                    {"index": index, "tx_id": tx_id}, exposure=exposure,
+                )
+
+    def _on_append(self, message) -> None:
+        """Delivery handler for ``append``: the follower copies the
+        leader's entry at the next index of its own log."""
+        log = self.logs[message.recipient]
+        index = message.payload["index"]
+        if index == len(log):
+            entry = self.logs[message.sender][index]
+            log.append(entry)
+            self._apply(message.recipient, entry)
+
+    def _apply(self, replica: str, entry: LogEntry) -> None:
+        """Subclass hook: what a replica derives from a new log entry."""
 
     def is_member_operated(self, members: set[str]) -> bool:
-        """True if a transacting organization runs this service itself —
-        the paper's mitigation for ordering-service visibility."""
-        return self.operator in members
+        """True if the transacting organizations run every replica
+        themselves: the paper's mitigation for ordering-service
+        visibility."""
+        return set(self.operators) <= set(members)
+
+    def observers(self) -> list[Observer]:
+        """The replica nodes' observers: the principal's only account."""
+        if self.network is None:
+            return []
+        return [self.network.node(r).observer for r in self.replicas]
 
     def knowledge(self) -> dict:
-        """What this principal has learned (for the L1 leakage audit)."""
-        return self.observer.knowledge()
+        """What the replicas learned, together (for the L1 leakage audit)."""
+        observers = self.observers()
+        return {
+            "identities": sorted(set().union(*(o.seen_identities for o in observers))),
+            "data_keys": sorted(set().union(*(o.seen_data_keys for o in observers))),
+            "code_ids": sorted(set().union(*(o.seen_code_ids for o in observers))),
+            "messages_observed": sum(o.messages_observed for o in observers),
+        }
 
 
 class OrderingService(OrderingPrincipal):
     """A single logical ordering service (possibly multi-channel).
 
     Fabric deployments share one ordering service across channels, which is
-    why the orderer's observer accumulates knowledge across confidentiality
+    why the orderer's nodes accumulate knowledge across confidentiality
     boundaries — the exact §3.4 concern.
     """
 
@@ -130,19 +234,18 @@ class OrderingService(OrderingPrincipal):
         self,
         name: str,
         clock: SimClock,
-        visibility: OrdererVisibility = OrdererVisibility.FULL,
-        operator: str = "third-party",
+        operators: tuple[str, ...] = ("third-party",),
+        network: SimNetwork | None = None,
         profile: OrdererProfile | None = None,
         durable: bool = True,
         fault_plan: FaultPlan | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        super().__init__(name, clock, operator, fault_plan)
-        self.visibility = visibility
+        super().__init__(name, clock, operators, network, fault_plan)
         self.profile = profile or OrdererProfile()
         self.durable = durable
         self.telemetry = telemetry or Telemetry(clock=clock)
-        self._pending: dict[str, list[tuple[Transaction, float]]] = {}
+        self._pending: dict[str, list[tuple[Transaction, float, Exposure]]] = {}
         self._sequence = 0
         self._busy_until = 0.0
         self.total_ordered = 0
@@ -164,28 +267,13 @@ class OrderingService(OrderingPrincipal):
         self.crashed = False
         self.telemetry.events.emit("ordering.recover", service=self.name)
 
-    def _record_visibility(self, tx: Transaction) -> None:
-        if self.visibility is OrdererVisibility.FULL:
-            identities = {e.endorser for e in tx.endorsements}
-            # A pseudonymous submitter (e.g. an Idemix client) is not an
-            # identity observation — the orderer sees only the pseudonym.
-            if not tx.metadata.get("anonymous"):
-                identities.add(tx.submitter)
-            if "participants" in tx.metadata:
-                identities |= set(tx.metadata["participants"])
-            data_keys = {w.key for w in tx.writes} | {r.key for r in tx.reads}
-            exposure = Exposure.of(identities=identities, data_keys=data_keys)
-        else:
-            # Hash-only orderers learn that *a* transaction exists, nothing else.
-            exposure = Exposure()
-        self.observer.observe_exposure(exposure)
-
-    def submit(self, tx: Transaction) -> None:
-        """Accept a transaction for ordering on its channel."""
+    def submit(self, tx: Transaction, exposure: Exposure = Exposure()) -> None:
+        """Accept a transaction for ordering on its channel; *exposure* is
+        what its submission showed the leader, and what replication shows
+        the followers."""
         self.require_available()
-        self._record_visibility(tx)
         arrival = self.clock.now
-        self._pending.setdefault(tx.channel, []).append((tx, arrival))
+        self._pending.setdefault(tx.channel, []).append((tx, arrival, exposure))
         self.telemetry.metrics.counter("ordering.submitted").inc()
         self.telemetry.metrics.gauge("ordering.pending", channel=tx.channel).inc()
 
@@ -223,26 +311,30 @@ class OrderingService(OrderingPrincipal):
         immediately regardless (an explicit operator flush, used by the
         platform simulations' synchronous submit paths).
         """
-        self.require_available()
+        leader = self.require_available()
         queue = self._pending.get(channel, [])
         if not queue:
             raise OrderingError(f"no pending transactions on channel {channel!r}")
         batch_items = queue[: self.profile.max_batch_size]
         self._pending[channel] = queue[self.profile.max_batch_size :]
-        transactions = [tx for tx, __ in batch_items]
-        latest_arrival = max(arrival for __, arrival in batch_items)
+        transactions = [tx for tx, __, __ in batch_items]
+        latest_arrival = max(arrival for __, arrival, __ in batch_items)
         service_time = len(transactions) / self.profile.capacity_tps
         start = max(self._busy_until, latest_arrival)
         if not force and len(batch_items) < self.profile.max_batch_size:
             # Partial batch: the timeout timer starts at the *oldest*
             # arrival, so the batch is released once that tx has waited
             # batch_timeout (or immediately if it already has).
-            oldest_arrival = min(arrival for __, arrival in batch_items)
+            oldest_arrival = min(arrival for __, arrival, __ in batch_items)
             start = max(start, oldest_arrival + self.profile.batch_timeout)
         released_at = start + service_time
         self._busy_until = released_at
         self._sequence += 1
         self.total_ordered += len(transactions)
+        self._replicate(
+            leader,
+            [(tx.tx_id, tx, exposure) for tx, __, exposure in batch_items],
+        )
         metrics = self.telemetry.metrics
         metrics.counter("ordering.batches_cut").inc()
         metrics.counter("ordering.txs_ordered").inc(len(transactions))
@@ -280,23 +372,3 @@ class OrderingService(OrderingPrincipal):
             batches.append(self.cut_batch(channel, force=force))
         return batches
 
-
-def make_private_orderer(
-    operator: str,
-    clock: SimClock,
-    visibility: OrdererVisibility = OrdererVisibility.FULL,
-    profile: OrdererProfile | None = None,
-) -> OrderingService:
-    """An ordering service run by one of the transacting organizations.
-
-    Visibility is unchanged — the *operator* changes, which converts the
-    leak from 'third party sees everything' to 'a member sees everything',
-    the trade-off §3.4 describes.
-    """
-    return OrderingService(
-        name=f"orderer@{operator}",
-        clock=clock,
-        visibility=visibility,
-        operator=operator,
-        profile=profile,
-    )

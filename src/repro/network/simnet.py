@@ -40,7 +40,7 @@ from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure, Message
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import TraceContext
 
 
@@ -225,6 +225,13 @@ class SimNetwork:
         self._down: set[str] = set()
         self._dedup_sequence = itertools.count(1)
         self._in_flow = False
+        # Hot-path metrics, bound on first use so that a network that
+        # never sent adds no zero-valued series: ``net.messages_sent``
+        # with each kind's ``net.sent_by_kind`` counter, and the
+        # delivered / bytes counters with the latency histogram.
+        # ``reset_stats`` zeroes them in place.
+        self._sent_counters: dict[str, tuple[Counter, Counter]] = {}
+        self._delivery_metrics: tuple[Counter, Counter, Histogram] | None = None
 
     # -- topology
 
@@ -424,8 +431,15 @@ class SimNetwork:
             trace=context.as_tuple() if context is not None else None,
             dedup_key=dedup_key,
         )
-        self._count("net.messages_sent")
-        self.telemetry.metrics.counter("net.sent_by_kind", kind=kind).inc()
+        counters = self._sent_counters.get(kind)
+        if counters is None:
+            metrics = self.telemetry.metrics
+            counters = self._sent_counters[kind] = (
+                metrics.counter("net.messages_sent"),
+                metrics.counter("net.sent_by_kind", kind=kind),
+            )
+        counters[0].inc()
+        counters[1].inc()
         loss = self._loss_probability(sender, recipient)
         if loss > 0 and self.rng.uniform(0, 1) < loss:
             self._record_drop(message, "loss", at=self.clock.now)
@@ -600,11 +614,17 @@ class SimNetwork:
             return False
         for tap in self._taps:
             tap.observe(message)
-        self._count("net.messages_delivered")
-        self._count("net.bytes_transferred", message.size_bytes)
-        self.telemetry.metrics.histogram("net.delivery_latency").observe(
-            event.due - message.sent_at
-        )
+        if self._delivery_metrics is None:
+            metrics = self.telemetry.metrics
+            self._delivery_metrics = (
+                metrics.counter("net.messages_delivered"),
+                metrics.counter("net.bytes_transferred"),
+                metrics.histogram("net.delivery_latency"),
+            )
+        delivered, transferred, latency = self._delivery_metrics
+        delivered.inc()
+        transferred.inc(message.size_bytes)
+        latency.observe(event.due - message.sent_at)
         context = TraceContext.from_tuple(message.trace)
         if context is not None:
             self.telemetry.tracer.record_span(

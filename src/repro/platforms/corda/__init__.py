@@ -12,7 +12,6 @@ from repro.platforms.corda.network import (
     FlowResult,
 )
 from repro.platforms.corda.notary import NotarisationReceipt, Notary
-from repro.platforms.corda.notary_cluster import NotaryCluster, QuorumReceipt
 from repro.platforms.corda.oracle import Oracle, OracleAttestation
 from repro.platforms.corda.states import Command, ContractState, StateRef
 from repro.platforms.corda.transactions import (
@@ -32,8 +31,6 @@ __all__ = [
     "FlowResult",
     "NOTARY_NODE",
     "Notary",
-    "NotaryCluster",
-    "QuorumReceipt",
     "NotarisationReceipt",
     "Oracle",
     "OracleAttestation",

@@ -73,16 +73,17 @@ class CordaNetwork(Platform):
         self,
         seed: str = "corda",
         validating_notary: bool = False,
+        notary_operators: tuple[str, ...] = ("third-party",),
         resilient_delivery: bool = False,
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
-        self.network.add_node(NOTARY_NODE)
         self.notary = Notary(
             NOTARY_NODE,
             self.scheme,
             self.clock,
             validating=validating_notary,
-            operator="third-party",
+            operators=notary_operators,
+            network=self.network,
             contract_verifier=self._verify_contracts,
             telemetry=self.telemetry,
         )
@@ -233,7 +234,7 @@ class CordaNetwork(Platform):
         self.authenticate(initiator)
         # Fail before proposals go out or vaults change so the flow can be
         # re-run cleanly after the notary recovers.
-        self.notary.require_available()
+        leader = self.notary.require_available()
 
         exposure = self._flow_exposure(wire)
 
@@ -283,10 +284,10 @@ class CordaNetwork(Platform):
             ):
                 if self.notary.validating:
                     self._send_critical(
-                        initiator, NOTARY_NODE, "notarise-full",
+                        initiator, leader, "notarise-full",
                         {"tx_id": wire.tx_id}, exposure=exposure,
                     )
-                    receipt = self.notary.notarise_full(stx)
+                    receipt = self.notary.notarise_full(stx, exposure)
                 else:
                     filtered = wire.filtered(
                         [ComponentGroup.INPUTS, ComponentGroup.NOTARY]
@@ -295,7 +296,7 @@ class CordaNetwork(Platform):
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
                     self._send_critical(
-                        initiator, NOTARY_NODE, "notarise-filtered",
+                        initiator, leader, "notarise-filtered",
                         {"tx_id": wire.tx_id}, exposure=Exposure(),
                     )
                     receipt = self.notary.notarise_filtered(filtered)

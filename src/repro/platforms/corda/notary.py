@@ -6,10 +6,14 @@ spends by tracking consumed state refs.  Two flavors matter for privacy
 events" *for validating notaries*):
 
 - **validating**: receives the full transaction, re-runs contract
-  verification — sees parties and data (FULL visibility);
+  verification — sees parties and data;
 - **non-validating**: receives a :class:`FilteredTransaction` exposing only
-  the input refs and notary component — sees almost nothing (HASH_ONLY
-  visibility), which is the tear-off mechanism earning its keep.
+  the input refs and notary component — sees almost nothing, which is the
+  tear-off mechanism earning its keep.
+
+What the notary learned is what its nodes were delivered: the
+``notarise-*`` request to the leader and the ``append`` copies to the
+other replicas (see :class:`~repro.ledger.ordering.OrderingPrincipal`).
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from typing import Callable
 from repro.common.clock import SimClock
 from repro.common.errors import DoubleSpendError, ProofError, ValidationError
 from repro.crypto.signatures import Signature, SignatureScheme
-from repro.ledger.ordering import OrderingPrincipal
+from repro.ledger.ordering import LogEntry, OrderingPrincipal
 from repro.network.messages import Exposure
+from repro.network.simnet import SimNetwork
 from repro.platforms.corda.states import StateRef
 from repro.platforms.corda.transactions import (
     ComponentGroup,
@@ -41,7 +46,7 @@ class NotarisationReceipt:
 
 
 class Notary(OrderingPrincipal):
-    """A (cluster of) uniqueness service(s) with a spent-ref map."""
+    """A uniqueness service: a replica set with one spent-ref map each."""
 
     kind = "notary"
 
@@ -51,19 +56,21 @@ class Notary(OrderingPrincipal):
         scheme: SignatureScheme,
         clock: SimClock,
         validating: bool,
-        operator: str = "third-party",
+        operators: tuple[str, ...] = ("third-party",),
+        network: SimNetwork | None = None,
         contract_verifier: Callable | None = None,
         capacity_tps: float = 500.0,
         telemetry: Telemetry | None = None,
     ) -> None:
-        super().__init__(name, clock, operator)
+        super().__init__(name, clock, operators, network)
         self.scheme = scheme
         self.telemetry = telemetry or Telemetry(clock=clock)
         self.validating = validating
         self.contract_verifier = contract_verifier
         self.capacity_tps = capacity_tps
         self.key = scheme.keygen_from_seed("notary:" + name)
-        self._spent: dict[StateRef, str] = {}
+        # Each replica's spent-ref map: input ref -> consuming tx id.
+        self.spent: dict[str, dict[StateRef, str]] = {r: {} for r in self.replicas}
         self._busy_until = 0.0
         self.total_notarised = 0
 
@@ -80,14 +87,22 @@ class Notary(OrderingPrincipal):
         self.crashed = False
         self.telemetry.events.emit("notary.recover", notary=self.name)
 
-    def _consume(self, refs: list[StateRef], tx_id: str) -> None:
+    def _consume(
+        self, leader: str, refs: list[StateRef], tx_id: str, exposure: Exposure
+    ) -> None:
+        """Check *refs* against the leader's map, then replicate the spend."""
+        spent = self.spent[leader]
         for ref in refs:
-            if ref in self._spent and self._spent[ref] != tx_id:
+            if ref in spent and spent[ref] != tx_id:
                 raise DoubleSpendError(
-                    f"input {ref} already consumed by {self._spent[ref]}"
+                    f"input {ref} already consumed by {spent[ref]}"
                 )
+        self._replicate(leader, [(tx_id, tuple(refs), exposure)])
+
+    def _apply(self, replica: str, entry: LogEntry) -> None:
+        tx_id, refs, __ = entry
         for ref in refs:
-            self._spent[ref] = tx_id
+            self.spent[replica][ref] = tx_id
 
     def _release(
         self, mode: str, tx_id: str, inputs: int, payload: bytes
@@ -107,33 +122,27 @@ class Notary(OrderingPrincipal):
             signature=self.scheme.sign(self.key, payload),
         )
 
-    def notarise_full(self, stx: SignedTransaction) -> NotarisationReceipt:
-        """Validating path: full visibility, contract re-verification."""
-        self.require_available()
+    def notarise_full(
+        self, stx: SignedTransaction, exposure: Exposure
+    ) -> NotarisationReceipt:
+        """Validating path: contract re-verification over the full
+        transaction, whose *exposure* the leader was sent."""
+        leader = self.require_available()
         if not self.validating:
             raise ValidationError(
                 f"notary {self.name!r} is non-validating; send a filtered tx"
             )
         wire = stx.wire
-        # Full visibility: the notary learns parties and data.
-        identities = set()
-        data_keys = set()
-        for state in wire.outputs:
-            identities |= set(state.participants)
-            data_keys |= set(state.data)
-        self.observer.observe_exposure(
-            Exposure.of(identities=identities, data_keys=data_keys)
-        )
         if self.contract_verifier is not None:
             self.contract_verifier(wire)
-        self._consume(list(wire.inputs), wire.tx_id)
+        self._consume(leader, list(wire.inputs), wire.tx_id, exposure)
         return self._release(
             "full", wire.tx_id, len(wire.inputs), wire.signing_payload()
         )
 
     def notarise_filtered(self, ftx: FilteredTransaction) -> NotarisationReceipt:
         """Non-validating path: only input refs and notary name visible."""
-        self.require_available()
+        leader = self.require_available()
         if self.validating:
             raise ValidationError(
                 f"notary {self.name!r} is validating; send the full tx"
@@ -142,12 +151,11 @@ class Notary(OrderingPrincipal):
             raise ProofError("filtered transaction does not match its root")
         visible_inputs = ftx.visible_of_group("inputs")
         refs = [StateRef(tx_id=c["tx_id"], index=c["index"]) for c in visible_inputs]
-        # The notary learns only opaque references — no identities, no data.
-        self.observer.observe_exposure(Exposure())
-        self._consume(refs, ftx.tx_id)
+        # Opaque references only: no identities, no data.
+        self._consume(leader, refs, ftx.tx_id, Exposure())
         return self._release(
             "filtered", ftx.tx_id, len(refs), ftx.signing_payload()
         )
 
     def is_spent(self, ref: StateRef) -> bool:
-        return ref in self._spent
+        return any(ref in spent for spent in self.spent.values())

@@ -5,10 +5,13 @@ attest to a certain piece of data in a transaction, but the transaction
 participants do not want all the components of the transaction visible to
 the oracle."
 
-The oracle receives a :class:`FilteredTransaction` whose only visible
-component is the command carrying the fact to attest.  It verifies the
-tear-off against the root, checks the fact against its own data source,
-and signs the root — a signature valid for the full transaction.
+The oracle is a node on the platform's network.  A request reaches it as
+an ``attest`` message carrying a :class:`FilteredTransaction` whose only
+visible component is the command with the fact to attest, and what that
+message exposes is all the oracle learns: its node's observer is the one
+account.  It verifies the tear-off against the root, checks the fact
+against its own data source, and signs the root — a signature valid for
+the full transaction.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ProofError, ValidationError
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import Signature
 from repro.network.messages import Exposure
-from repro.network.simnet import Observer
+from repro.platforms.base import Platform
 from repro.platforms.corda.transactions import FilteredTransaction
 
 
@@ -39,14 +42,15 @@ class Oracle:
     def __init__(
         self,
         name: str,
-        scheme: SignatureScheme,
+        platform: Platform,
         facts: dict[str, object] | Callable[[str], object],
     ) -> None:
         self.name = name
-        self.scheme = scheme
+        self.scheme = platform.scheme
+        self.network = platform.network
         self._facts = facts
-        self.key = scheme.keygen_from_seed("oracle:" + name)
-        self.observer = Observer(name)
+        self.key = self.scheme.keygen_from_seed("oracle:" + name)
+        self.node = self.network.add_node(name)
 
     def _lookup(self, fact_name: str):
         if callable(self._facts):
@@ -55,12 +59,30 @@ class Oracle:
             raise ValidationError(f"oracle {self.name!r} has no fact {fact_name!r}")
         return self._facts[fact_name]
 
-    def attest(self, ftx: FilteredTransaction, fact_name: str) -> OracleAttestation:
-        """Verify the tear-off, check the claimed fact, sign the root.
+    def attest(
+        self, requester: str, ftx: FilteredTransaction, fact_name: str
+    ) -> OracleAttestation:
+        """Receive *requester*'s tear-off, check the claimed fact, sign
+        the root.
 
-        Raises if the tear-off is inconsistent, if the command is missing,
-        or if the claimed value disagrees with the oracle's source.
+        The ``attest`` request is delivered before this returns.  Raises
+        if the tear-off is inconsistent, if the command is missing, or if
+        the claimed value disagrees with the oracle's source.
         """
+        return self.network.deliver_after(self._attest, requester, ftx, fact_name)
+
+    def _attest(
+        self, requester: str, ftx: FilteredTransaction, fact_name: str
+    ) -> OracleAttestation:
+        visible_keys = set()
+        for component in ftx.visible_components():
+            if isinstance(component, dict) and component.get("group") == "outputs":
+                visible_keys |= set(component.get("data", {}))
+        self.network.send(
+            requester, self.name, "attest",
+            {"tx_id": ftx.tx_id, "fact": fact_name},
+            exposure=Exposure.of(data_keys=visible_keys),
+        )
         if not ftx.verify():
             raise ProofError("filtered transaction does not match its root")
         commands = ftx.visible_of_group("commands")
@@ -75,12 +97,6 @@ class Oracle:
             raise ValidationError(
                 f"claimed {fact_name!r}={claimed!r} but oracle says {truth!r}"
             )
-        # The oracle's knowledge: only what the tear-off exposed.
-        visible_keys = set()
-        for component in ftx.visible_components():
-            if isinstance(component, dict) and component.get("group") == "outputs":
-                visible_keys |= set(component.get("data", {}))
-        self.observer.observe_exposure(Exposure.of(data_keys=visible_keys))
         return OracleAttestation(
             tx_id=ftx.tx_id,
             oracle=self.name,

@@ -166,7 +166,7 @@ def off_chain_execution_engine(net: CordaNetwork) -> tuple[SupportLevel, str]:
 
 def private_sequencing_service(net: CordaNetwork) -> tuple[SupportLevel, str]:
     member_notary = Notary(
-        "member-notary", net.scheme, net.clock, validating=False, operator=ALICE,
+        "member-notary", net.scheme, net.clock, validating=False, operators=(ALICE,),
     )
     return (
         SupportLevel.NATIVE if member_notary.is_member_operated({ALICE, BOB})

@@ -5,8 +5,9 @@ Reproduces Fabric's privacy architecture as the paper describes it
 installed, an ordering service with full visibility of channel members and
 transactions, Idemix for zero-knowledge client identity, and private data
 collections.  The execute-order-validate flow is message-accurate: every
-proposal, endorsement, submission, and block delivery crosses the
-simulated network, so the leakage auditor can account for every exposure.
+proposal, endorsement, submission, and block delivery between two nodes
+crosses the simulated network, so the leakage auditor can account for
+every exposure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.crypto.anoncred import (
 )
 from repro.execution.contracts import SmartContract
 from repro.execution.engines import LedgerEngine
-from repro.ledger.ordering import OrdererVisibility, OrderingService
+from repro.ledger.ordering import OrderingService
 from repro.ledger.transaction import (
     Endorsement,
     ReadEntry,
@@ -95,26 +96,27 @@ class InvokeResult:
 
 
 class FabricNetwork(Platform):
-    """A Fabric network: orgs with one peer each, channels, one orderer."""
+    """A Fabric network: orgs with one peer each, channels, and one
+    ordering service, replicated over one node per ``orderer_operators``
+    entry when there are several."""
 
     platform_name = "fabric"
 
     def __init__(
         self,
         seed: str = "fabric",
-        orderer_operator: str = "third-party",
+        orderer_operators: tuple[str, ...] = ("third-party",),
         resilient_delivery: bool = False,
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
-        self.network.add_node(ORDERER_NODE)
         # The Idemix client: anonymous proposals and their order
         # submission come from here, and its endorsements come back here.
         self.network.add_node(ANONYMOUS_CLIENT)
         self.orderer = OrderingService(
             ORDERER_NODE,
             self.clock,
-            visibility=OrdererVisibility.FULL,
-            operator=orderer_operator,
+            operators=orderer_operators,
+            network=self.network,
             telemetry=self.telemetry,
         )
         self.ordering = self.orderer
@@ -250,13 +252,15 @@ class FabricNetwork(Platform):
             endorsers=len(endorsers),
         ):
             for endorser in endorsers:
-                self.network.send(
-                    client,
-                    endorser,
-                    "proposal",
-                    {"contract": contract_id, "function": function, "args": args},
-                    exposure=proposal_exposure,
-                )
+                # An endorser-submitter executes its own proposal in place.
+                if endorser != client:
+                    self.network.send(
+                        client,
+                        endorser,
+                        "proposal",
+                        {"contract": contract_id, "function": function, "args": args},
+                        exposure=proposal_exposure,
+                    )
                 results.append(self.engine.execute(
                     endorser, contract_id, function, args, reference
                 ))
@@ -308,13 +312,14 @@ class FabricNetwork(Platform):
                 "crypto.ops", mechanism="endorsement-signature"
             ).inc()
             endorsements.append(Endorsement(endorser=endorser, signature=signature))
-            self.network.send(
-                endorser,
-                client,
-                "endorsement",
-                {"tx_id": tx.tx_id},
-                exposure=Exposure.of(identities={endorser}),
-            )
+            if endorser != client:
+                self.network.send(
+                    endorser,
+                    client,
+                    "endorsement",
+                    {"tx_id": tx.tx_id},
+                    exposure=Exposure.of(identities={endorser}),
+                )
         tx = tx.with_endorsements(endorsements)
         return ProposedTransaction(
             tx=tx,
@@ -383,31 +388,34 @@ class FabricNetwork(Platform):
         channel = self.channel(channel_name)
         # Fail before any state or queue mutation so a caller can retry the
         # whole batch after recovery without double-apply.
-        self.orderer.require_available()
+        leader = self.orderer.require_available()
         with self.telemetry.span(
             "fabric.order", channel=channel_name, batch_size=len(proposals)
         ):
             for proposal in proposals:
                 if proposal.tx.channel != channel_name:
                     raise PlatformError("proposal belongs to a different channel")
+                exposure = _tx_exposure(proposal.tx)
                 self._send_critical(
                     proposal.tx.submitter,
-                    ORDERER_NODE,
+                    leader,
                     "submit",
                     {"tx_id": proposal.tx.tx_id},
-                    exposure=_tx_exposure(proposal.tx),
+                    exposure=exposure,
                 )
-                self.orderer.submit(proposal.tx)
+                self.orderer.submit(proposal.tx, exposure)
             batch = self.orderer.cut_batch(channel_name, force=force_cut)
-        return self._commit_block(channel, proposals, batch.released_at)
+        return self._commit_block(channel, leader, proposals, batch.released_at)
 
     def _commit_block(
         self,
         channel: Channel,
+        leader: str,
         proposals: list["ProposedTransaction"],
         released_at: float,
     ) -> list[InvokeResult]:
-        """Validate each tx of one block, then send it to every live member.
+        """Validate each tx of one block, then send it from the orderer's
+        *leader* to every live member.
 
         Fabric semantics: every transaction lands on the chain with a
         validation code; invalid ones do not touch state.  Validation runs
@@ -428,7 +436,7 @@ class FabricNetwork(Platform):
             # Refuse an unreachable member before anything is committed,
             # as the block broadcast would.
             for member in live:
-                self.network._check_link(ORDERER_NODE, member)
+                self.network._check_link(leader, member)
         for proposal in proposals:
             tx = proposal.tx
             with self.telemetry.span(
@@ -466,7 +474,7 @@ class FabricNetwork(Platform):
             ):
                 channel.record_commit(tx, valid)
             self._fan_out(
-                ORDERER_NODE,
+                leader,
                 live,
                 "block",
                 {"tx_id": tx.tx_id, "channel": channel.name},

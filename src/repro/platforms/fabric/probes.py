@@ -9,7 +9,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.crypto.symmetric import SymmetricKey
 from repro.execution.contracts import SmartContract
 from repro.execution.engines import OffChainEngine, TEEEngine
-from repro.ledger.ordering import make_private_orderer
+from repro.ledger.ordering import OrderingService
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction
 from repro.platforms.base import SupportLevel
@@ -206,7 +206,9 @@ def trusted_execution_environment(net: FabricNetwork) -> tuple[SupportLevel, str
 
 
 def private_sequencing_service(net: FabricNetwork) -> tuple[SupportLevel, str]:
-    member_orderer = make_private_orderer("probe-org1", net.clock)
+    member_orderer = OrderingService(
+        "orderer@probe-org1", net.clock, operators=("probe-org1",)
+    )
     return (
         SupportLevel.NATIVE if member_orderer.is_member_operated(set(MEMBERS))
         else SupportLevel.REWRITE,

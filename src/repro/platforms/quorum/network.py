@@ -30,7 +30,7 @@ from repro.common.errors import (
 from repro.common.serialization import canonical_json, from_canonical_json
 from repro.execution.contracts import SmartContract, StateView
 from repro.ledger.block import Chain
-from repro.ledger.ordering import OrdererVisibility, OrderingService
+from repro.ledger.ordering import OrderingService
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction, WriteEntry
 from repro.ledger.validation import apply_writes
@@ -77,7 +77,6 @@ class QuorumNetwork(Platform):
         resilient_delivery: bool = False,
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
-        self.network.add_node(SEQUENCER_NODE)
         self.chain = Chain("quorum-public")
         self.public_states: dict[str, WorldState] = {}
         self.private_states: dict[str, WorldState] = {}
@@ -94,8 +93,8 @@ class QuorumNetwork(Platform):
         self.sequencer = OrderingService(
             SEQUENCER_NODE,
             self.clock,
-            visibility=OrdererVisibility.FULL,
-            operator="member",
+            operators=("member",),
+            network=self.network,
             telemetry=self.telemetry,
         )
         self.ordering = self.sequencer
@@ -112,7 +111,7 @@ class QuorumNetwork(Platform):
         node.on("private-payload", self._on_payload)
         if len(self.parties) == 1:
             # The first onboarded member operates consensus.
-            self.sequencer.operator = name
+            self.sequencer.operators = (name,)
         return party
 
     # -- contract deployment
@@ -215,7 +214,7 @@ class QuorumNetwork(Platform):
         chain, and gossip it; the sender has then applied that height,
         and every other node applies it when the gossip arrives."""
         with self.telemetry.span("quorum.order"):
-            self.sequencer.submit(tx)
+            self.sequencer.submit(tx, exposure)
             self.sequencer.cut_batch("quorum-public", force=True)
             self.chain.append([tx], self.clock.now)
             self._ordered[tx.tx_id] = (self.chain.height, tx, exposure)

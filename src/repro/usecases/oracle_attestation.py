@@ -51,7 +51,7 @@ class OracleTradeWorkflow:
     def setup(self) -> None:
         for org in self.PARTIES:
             self.network.onboard(org)
-        self.oracle = Oracle(self.ORACLE_NAME, self.network.scheme, self.rates)
+        self.oracle = Oracle(self.ORACLE_NAME, self.network, self.rates)
 
         def verify(wire):
             for state in wire.outputs:
@@ -88,13 +88,7 @@ class OracleTradeWorkflow:
         )
         # Tear off everything except the rate command (and the notary).
         filtered = wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
-        attestation = self.oracle.attest(filtered, pair)
-        oracle_saw_notional = "notional" in {
-            key
-            for component in filtered.visible_components()
-            if isinstance(component, dict) and component.get("group") == "outputs"
-            for key in component.get("data", {})
-        }
+        attestation = self.oracle.attest(alpha, filtered, pair)
         flow = self.network.run_flow(
             alpha, wire,
             extra_signatures={self.ORACLE_NAME: attestation.signature},
@@ -105,6 +99,6 @@ class OracleTradeWorkflow:
         return AttestedTrade(
             flow=flow,
             oracle_signature_valid=signature_valid,
-            oracle_saw_notional=oracle_saw_notional,
+            oracle_saw_notional="notional" in self.oracle.node.observer.seen_data_keys,
             disclosure_ratio=filtered.tear_off.disclosure_ratio(),
         )

@@ -101,3 +101,54 @@ class TestCrossPlatformShape:
                 "private_double_spend_succeeded",
                 "validated_double_spend_rejected",
             }
+
+
+class TestOneAccountPerPrincipal:
+    """The L1 ordering-principal row is what the principal's own network
+    nodes were delivered, and nothing else keeps a second account."""
+
+    @pytest.mark.parametrize("platform", ["fabric", "corda", "quorum"])
+    def test_ordering_knowledge_is_the_union_of_node_observers(
+        self, monkeypatch, platform
+    ):
+        import repro.core.audit as audit
+        from repro.network.simnet import Observer
+
+        network_type = {
+            "fabric": audit.FabricNetwork,
+            "corda": audit.CordaNetwork,
+            "quorum": audit.QuorumNetwork,
+        }[platform]
+        built = []
+
+        class Capturing(network_type):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(audit, network_type.__name__, Capturing)
+        seen = {}
+        knowledge_of = audit._knowledge_of
+
+        def spy(name, observers):
+            observers = list(observers)
+            seen[name] = (
+                observers,
+                set().union(*(o.seen_identities for o in observers)),
+                set().union(*(o.seen_data_keys for o in observers)),
+            )
+            return knowledge_of(name, observers)
+
+        monkeypatch.setattr(audit, "_knowledge_of", spy)
+        report = getattr(audit, f"audit_{platform}")(seed="one-account")
+        (net,) = built
+        principal = net.ordering
+        ordering = report.ordering_principal
+        observers, identities, data_keys = seen[ordering.principal]
+        nodes = [net.network.node(name).observer for name in principal.replicas]
+        assert len(observers) == len(nodes)
+        assert all(a is b for a, b in zip(observers, nodes))
+        assert ordering.identities == identities
+        assert ordering.data_keys == data_keys
+        assert not hasattr(principal, "observer")
+        assert not any(isinstance(v, Observer) for v in vars(principal).values())

@@ -57,7 +57,7 @@ class TestConstruction:
         assert "col-pii" in channel.collections
 
     def test_untrusted_orderer_is_member_operated(self, deployment):
-        assert deployment.network.orderer.operator in PARTIES
+        assert set(deployment.network.orderer.operators) <= set(PARTIES)
 
     def test_encryption_configured_for_untrusted_orderer(self, deployment):
         assert "trade" in deployment.encrypted_classes
@@ -159,5 +159,5 @@ class TestEndToEndPrivacy:
     def test_member_orderer_sees_only_ciphertext_for_trade(self, deployment):
         # The orderer observed the key names but the value is ciphertext;
         # the encrypted classes' plaintext never crossed the wire.
-        orderer = deployment.network.orderer.observer
+        orderer = deployment.network.network.node("fabric-orderer").observer
         assert "trade/t1" in orderer.seen_data_keys

@@ -21,12 +21,6 @@ from repro.core.audit import (
 from repro.driver import Driver, DriverConfig, trade_scenario
 
 
-def _ordering_observer(platform):
-    return {
-        "fabric": lambda: platform.orderer.observer,
-        "corda": lambda: platform.notary.observer,
-        "quorum": lambda: platform.sequencer.observer,
-    }[platform.platform_name]()
 
 
 def _driver_profile(platform_name: str) -> dict:
@@ -47,14 +41,14 @@ def _driver_profile(platform_name: str) -> dict:
             uninvolved_identity_leak = True
         if CONFIDENTIAL_KEY in observer.seen_data_keys:
             uninvolved_data_leak = True
-    ordering = _ordering_observer(platform)
+    ordering = platform.ordering.knowledge()
     return {
         "uninvolved_sees_identities": uninvolved_identity_leak,
         "uninvolved_sees_data": uninvolved_data_leak,
         "orderer_sees_identities": bool(
-            ordering.seen_identities & set(TRADING_PARTIES)
+            set(ordering["identities"]) & set(TRADING_PARTIES)
         ),
-        "orderer_sees_data": CONFIDENTIAL_KEY in ordering.seen_data_keys,
+        "orderer_sees_data": CONFIDENTIAL_KEY in ordering["data_keys"],
     }
 
 

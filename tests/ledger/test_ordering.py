@@ -1,4 +1,8 @@
-"""Ordering services: visibility, batching, the service-time model."""
+"""Ordering services: visibility, batching, the service-time model.
+
+What an ordering principal sees is what its network nodes are delivered,
+so the visibility and operator tests run on platform networks.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +10,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import OrderingError
-from repro.ledger.ordering import (
-    OrdererProfile,
-    OrdererVisibility,
-    OrderingService,
-    make_private_orderer,
-)
+from repro.execution.contracts import SmartContract
+from repro.ledger.ordering import OrdererProfile, OrderingService
 from repro.ledger.transaction import Transaction, WriteEntry
+from repro.platforms.corda import Command, ContractState, CordaNetwork
+from repro.platforms.fabric import ORDERER_NODE, FabricNetwork
 
 
 def make_tx(channel="ch", submitter="alice", key="k"):
@@ -28,29 +30,61 @@ def orderer(clock):
     return OrderingService("ord", clock)
 
 
+def fabric_with(channels: dict[str, list[str]], orderer_operators=("third-party",)):
+    """A Fabric network with one ``put`` chaincode per channel, endorsed
+    by every member."""
+
+    def put(view, args):
+        view.put(args["key"], args["value"])
+
+    net = FabricNetwork(seed="ordering-test", orderer_operators=orderer_operators)
+    for org in sorted({m for members in channels.values() for m in members}):
+        net.onboard(org)
+    for name, members in channels.items():
+        net.create_channel(name, members)
+        net.deploy_chaincode(name, SmartContract(
+            contract_id=f"cc-{name}", version=1, language="python-chaincode",
+            functions={"put": put},
+        ), members)
+    return net
+
+
+def orderer_view(net):
+    return net.network.node(ORDERER_NODE).observer
+
+
 class TestVisibility:
-    def test_full_visibility_sees_parties_and_data(self, orderer):
+    def test_full_visibility_sees_parties_and_data(self):
         """Paper S3.4: the ordering service sees parties and details."""
-        orderer.submit(make_tx())
-        assert "alice" in orderer.observer.seen_identities
-        assert "bob" in orderer.observer.seen_identities
-        assert "k" in orderer.observer.seen_data_keys
+        net = fabric_with({"ch": ["alice", "bob"]})
+        net.invoke("ch", "alice", "cc-ch", "put", {"key": "k", "value": 1})
+        assert "alice" in orderer_view(net).seen_identities
+        assert "bob" in orderer_view(net).seen_identities
+        assert "k" in orderer_view(net).seen_data_keys
 
-    def test_hash_only_sees_nothing(self, clock):
-        orderer = OrderingService(
-            "blind", clock, visibility=OrdererVisibility.HASH_ONLY
-        )
-        orderer.submit(make_tx())
-        assert orderer.observer.seen_identities == set()
-        assert orderer.observer.seen_data_keys == set()
-        assert orderer.observer.messages_observed == 1
+    def test_hash_only_sees_nothing(self):
+        """A non-validating notary is sent only a tear-off of input refs."""
+        net = CordaNetwork(seed="ordering-test", validating_notary=False)
+        for org in ("alice", "bob"):
+            net.onboard(org)
+        net.register_contract("asset", lambda wire: None)
+        net.run_flow("alice", net.build_transaction(
+            inputs=[],
+            outputs=[ContractState("asset", ("alice", "bob"), {"k": 1})],
+            commands=[Command(name="Issue", signers=("alice", "bob"))],
+        ))
+        notary = net.network.node(net.notary.name).observer
+        assert notary.seen_identities == set()
+        assert notary.seen_data_keys == set()
+        assert notary.messages_observed == 1
 
-    def test_knowledge_accumulates_across_channels(self, orderer):
+    def test_knowledge_accumulates_across_channels(self):
         """The shared-orderer leak: one service, many channels."""
-        orderer.submit(make_tx(channel="ch1", submitter="org1", key="k1"))
-        orderer.submit(make_tx(channel="ch2", submitter="org2", key="k2"))
-        assert {"org1", "org2"} <= orderer.observer.seen_identities
-        assert {"k1", "k2"} <= orderer.observer.seen_data_keys
+        net = fabric_with({"ch1": ["org1", "org3"], "ch2": ["org2", "org3"]})
+        net.invoke("ch1", "org1", "cc-ch1", "put", {"key": "k1", "value": 1})
+        net.invoke("ch2", "org2", "cc-ch2", "put", {"key": "k2", "value": 2})
+        assert {"org1", "org2"} <= orderer_view(net).seen_identities
+        assert {"k1", "k2"} <= orderer_view(net).seen_data_keys
 
 
 class TestBatching:
@@ -235,20 +269,21 @@ class TestCrashRecovery:
 
 
 class TestOperators:
-    def test_third_party_not_member_operated(self, orderer):
-        assert not orderer.is_member_operated({"alice", "bob"})
+    def test_third_party_not_member_operated(self):
+        net = fabric_with({"ch": ["alice", "bob"]})
+        assert not net.orderer.is_member_operated({"alice", "bob"})
 
-    def test_private_orderer_is_member_operated(self, clock):
+    def test_private_orderer_is_member_operated(self):
         """Table 1 Misc row: private sequencing service possible."""
-        orderer = make_private_orderer("alice", clock)
-        assert orderer.is_member_operated({"alice", "bob"})
-        assert orderer.operator == "alice"
+        net = fabric_with({"ch": ["alice", "bob"]}, orderer_operators=("alice",))
+        assert net.orderer.is_member_operated({"alice", "bob"})
+        assert net.orderer.operators == ("alice",)
 
-    def test_private_orderer_still_sees_everything(self, clock):
+    def test_private_orderer_still_sees_everything(self):
         """Running it yourself contains the leak; it does not remove it."""
-        orderer = make_private_orderer("alice", clock)
-        orderer.submit(make_tx())
-        assert "bob" in orderer.observer.seen_identities
+        net = fabric_with({"ch": ["alice", "bob"]}, orderer_operators=("alice",))
+        net.invoke("ch", "alice", "cc-ch", "put", {"key": "k", "value": 1})
+        assert "bob" in orderer_view(net).seen_identities
 
 
 class TestNonDurableRecovery:

@@ -468,3 +468,53 @@ class TestStats:
 
     def test_step_returns_false_when_empty(self, net):
         assert net.step() is False
+
+
+class TestBoundCounters:
+    """The per-message metrics are bound once per network, lazily."""
+
+    HOT = (
+        "net.messages_sent",
+        "net.messages_delivered",
+        "net.bytes_transferred",
+        "net.sent_by_kind{kind=ping}",
+    )
+
+    def test_warm_sends_look_up_no_metric(self, net, monkeypatch):
+        net.send("A", "B", "ping", {"x": 1})
+        net.run()
+        registry = net.telemetry.metrics
+        lookups = []
+        for accessor in ("counter", "histogram"):
+            original = getattr(registry, accessor)
+            monkeypatch.setattr(
+                registry, accessor,
+                lambda *a, _original=original, **k: lookups.append(a) or _original(*a, **k),
+            )
+        for __ in range(5):
+            net.send("A", "B", "ping", {"x": 1})
+            net.broadcast("A", "ping", {"x": 2}, recipients=["B", "C"])
+        net.run()
+        assert lookups == []
+        counters = registry.snapshot()["counters"]
+        assert counters["net.messages_sent"] == 16
+        assert counters["net.sent_by_kind{kind=ping}"] == 16
+        assert counters["net.messages_delivered"] == 16
+        assert registry.snapshot()["histograms"]["net.delivery_latency"]["count"] == 16
+
+    def test_no_series_before_the_first_message(self, net):
+        snapshot = net.telemetry.metrics.snapshot()
+        assert not any(name.startswith("net.") for name in snapshot["counters"])
+        assert not snapshot["histograms"]
+
+    def test_reset_stats_zeroes_every_bound_series(self, net):
+        net.send("A", "B", "ping", {"x": 1})
+        net.run()
+        net.reset_stats()
+        snapshot = net.telemetry.metrics.snapshot()
+        assert [snapshot["counters"][name] for name in self.HOT] == [0, 0, 0, 0]
+        assert snapshot["histograms"]["net.delivery_latency"]["count"] == 0
+        net.send("A", "B", "ping", {"x": 1})
+        net.run()
+        counters = net.telemetry.metrics.snapshot()["counters"]
+        assert counters["net.messages_sent"] == counters["net.messages_delivered"] == 1

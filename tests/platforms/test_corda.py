@@ -119,8 +119,8 @@ class TestNotary:
 
     def test_non_validating_notary_sees_nothing(self, net):
         issue_iou(net, amount=777)
-        assert net.notary.observer.seen_identities == set()
-        assert net.notary.observer.seen_data_keys == set()
+        assert net.network.node("corda-notary").observer.seen_identities == set()
+        assert net.network.node("corda-notary").observer.seen_data_keys == set()
         assert net.notary.total_notarised == 1
 
     def test_validating_notary_sees_everything(self):
@@ -129,8 +129,8 @@ class TestNotary:
             net.onboard(org)
         net.register_contract("iou", lambda wire: None)
         issue_iou(net)
-        assert {"Alice", "Bob"} <= net.notary.observer.seen_identities
-        assert "amount" in net.notary.observer.seen_data_keys
+        assert {"Alice", "Bob"} <= net.network.node("corda-notary").observer.seen_identities
+        assert "amount" in net.network.node("corda-notary").observer.seen_data_keys
 
     def test_validating_notary_reruns_contracts(self):
         net = CordaNetwork(seed="corda-validating2", validating_notary=True)
@@ -203,40 +203,54 @@ class TestOracle:
         )
 
     def test_oracle_attests_correct_fact(self, net, rate_wire):
-        oracle = Oracle("oracle", net.scheme, {"EUR/USD": 1.25})
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.25})
         filtered = rate_wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
-        attestation = oracle.attest(filtered, "EUR/USD")
+        attestation = oracle.attest("Alice", filtered, "EUR/USD")
         assert net.scheme.verify(
             oracle.key.public, rate_wire.signing_payload(), attestation.signature
         )
 
     def test_oracle_rejects_wrong_value(self, net, rate_wire):
-        oracle = Oracle("oracle", net.scheme, {"EUR/USD": 1.30})
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.30})
         filtered = rate_wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
         with pytest.raises(ValidationError, match="oracle says"):
-            oracle.attest(filtered, "EUR/USD")
+            oracle.attest("Alice", filtered, "EUR/USD")
 
     def test_oracle_rejects_missing_fact(self, net, rate_wire):
-        oracle = Oracle("oracle", net.scheme, {"EUR/USD": 1.25})
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.25})
         filtered = rate_wire.filtered([ComponentGroup.NOTARY])
         with pytest.raises(ValidationError, match="no visible command"):
-            oracle.attest(filtered, "EUR/USD")
+            oracle.attest("Alice", filtered, "EUR/USD")
 
     def test_oracle_never_sees_torn_off_outputs(self, net, rate_wire):
-        oracle = Oracle("oracle", net.scheme, {"EUR/USD": 1.25})
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.25})
         filtered = rate_wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
-        oracle.attest(filtered, "EUR/USD")
-        assert "notional" not in oracle.observer.seen_data_keys
+        oracle.attest("Alice", filtered, "EUR/USD")
+        assert "notional" not in oracle.node.observer.seen_data_keys
 
     def test_oracle_signature_usable_in_flow(self, net, rate_wire):
-        oracle = Oracle("oracle", net.scheme, {"EUR/USD": 1.25})
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.25})
         filtered = rate_wire.filtered([ComponentGroup.COMMANDS, ComponentGroup.NOTARY])
-        attestation = oracle.attest(filtered, "EUR/USD")
+        attestation = oracle.attest("Alice", filtered, "EUR/USD")
         result = net.run_flow(
             "Alice", rate_wire,
             extra_signatures={"oracle": attestation.signature},
         )
         assert "oracle" in result.stx.signatures
+
+    def test_attest_message_is_the_oracle_account(self, net, rate_wire):
+        """The oracle learns exactly what its delivered ``attest`` request
+        exposes; a tear-off that leaves the outputs in shows it them."""
+        oracle = Oracle("oracle", net, {"EUR/USD": 1.25})
+        arrived = []
+        oracle.node.on("attest", arrived.append)
+        exposed = rate_wire.filtered([
+            ComponentGroup.OUTPUTS, ComponentGroup.COMMANDS, ComponentGroup.NOTARY,
+        ])
+        oracle.attest("Alice", exposed, "EUR/USD")
+        assert [(m.sender, m.recipient) for m in arrived] == [("Alice", "oracle")]
+        assert oracle.node.observer.seen_data_keys == {"amount", "notional"}
+        assert not hasattr(oracle, "observer")
 
 
 class TestConfidentialIdentities:

@@ -12,6 +12,7 @@ from repro.common.errors import (
 )
 from repro.execution.contracts import SmartContract
 from repro.ledger.validation import EndorsementPolicy
+from repro.network.simnet import Observer
 from repro.offchain.stores import OffChainStore
 from repro.platforms.fabric import (
     ANONYMOUS_CLIENT,
@@ -132,8 +133,27 @@ class TestInvoke:
         for node in net.network.nodes():
             net.network.node(node).on("endorsement", acks.append)
         result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
-        assert len(acks) == 2
+        # Org1 submits and endorses: only Org2's endorsement crosses the wire.
+        assert [(ack.sender, ack.recipient) for ack in acks] == [("Org2", "Org1")]
         assert {ack.payload["tx_id"] for ack in acks} == {result.tx.tx_id}
+
+    def test_endorser_submitter_sends_itself_nothing(self, net, channel):
+        """The submitter executes and signs its own endorsement in place:
+        no message of the flow has its sender as its recipient."""
+
+        class LinkRecorder(Observer):
+            def __init__(self) -> None:
+                super().__init__("link-recorder")
+                self.links: list[tuple[str, str, str]] = []
+
+            def observe(self, message) -> None:
+                self.links.append((message.kind, message.sender, message.recipient))
+
+        recorder = net.network.add_tap(LinkRecorder())
+        net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
+        kinds = {kind for kind, __, __ in recorder.links}
+        assert {"proposal", "endorsement", "submit", "block"} <= kinds
+        assert [link for link in recorder.links if link[1] == link[2]] == []
 
     def test_policy_checked_with_two_chaincodes_on_the_channel(self, net, channel):
         """Validation checks the policy of the chaincode the proposal was
@@ -158,8 +178,8 @@ class TestPrivacyProperties:
     def test_orderer_sees_members_and_data(self, net, channel):
         """The Section 5 caveat, reproduced."""
         net.invoke("ch", "Org1", "cc", "put", {"key": "secret", "value": 1})
-        assert {"Org1", "Org2"} <= net.orderer.observer.seen_identities
-        assert "secret" in net.orderer.observer.seen_data_keys
+        assert {"Org1", "Org2"} <= net.network.node(ORDERER_NODE).observer.seen_identities
+        assert "secret" in net.network.node(ORDERER_NODE).observer.seen_data_keys
 
     def test_channels_isolate_each_other(self, net, channel):
         net.create_channel("ch-b", ["Org2", "Org3"])
@@ -170,7 +190,7 @@ class TestPrivacyProperties:
         assert "a-secret" not in net.network.node("Org3").observer.seen_data_keys
         assert "b-secret" not in net.network.node("Org1").observer.seen_data_keys
         # But the shared orderer accumulated both (S3.4).
-        assert {"a-secret", "b-secret"} <= net.orderer.observer.seen_data_keys
+        assert {"a-secret", "b-secret"} <= net.network.node(ORDERER_NODE).observer.seen_data_keys
 
 
 class TestIdemix:
@@ -182,11 +202,11 @@ class TestIdemix:
         assert "idemix" in result.tx.metadata
 
     def test_anonymous_submitter_not_in_orderer_view(self, net, channel):
-        before = set(net.orderer.observer.seen_identities)
+        before = set(net.network.node(ORDERER_NODE).observer.seen_identities)
         net.invoke(
             "ch", "Org1", "cc", "put", {"key": "k2", "value": 1}, anonymous=True
         )
-        gained = net.orderer.observer.seen_identities - before
+        gained = net.network.node(ORDERER_NODE).observer.seen_identities - before
         # The orderer learns the endorsers but never the submitting client.
         assert ANONYMOUS_CLIENT not in gained
 

@@ -125,7 +125,7 @@ class TestPrivateTransactions:
         net.send_private_transaction(
             "N1", "store", "put", {"key": "priv", "value": 9}, private_for=["N2"]
         )
-        assert {"N1", "N2"} <= net.sequencer.observer.seen_identities
+        assert {"N1", "N2"} <= net.network.node("quorum-consensus").observer.seen_identities
 
     def test_raising_contract_encrypts_and_sends_nothing(self, net):
         """A contract that raises on the sender leaves no payload in any

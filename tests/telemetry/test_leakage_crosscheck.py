@@ -76,7 +76,7 @@ def test_orderer_exposure_is_the_baseline(trade_net):
     """Precondition: the audit *does* attribute the confidential data key
     to the ordering principal (the paper's §3.4 visibility problem).  The
     containment claim below is only meaningful against that baseline."""
-    assert CONFIDENTIAL_KEY in trade_net.orderer.observer.seen_data_keys
+    assert CONFIDENTIAL_KEY in trade_net.network.node("fabric-orderer").observer.seen_data_keys
 
 
 def test_telemetry_holds_back_what_the_protocol_exposes(trade_net):
@@ -153,7 +153,7 @@ class TestNullTracer:
         return run_trade_scenario(traced=False)
 
     def test_telemetry_holds_back_what_the_protocol_exposes(self, null_net):
-        assert CONFIDENTIAL_KEY in null_net.orderer.observer.seen_data_keys
+        assert CONFIDENTIAL_KEY in null_net.network.node("fabric-orderer").observer.seen_data_keys
         assert null_net.telemetry.tracer.spans == ()
         blob = telemetry_blob(null_net)
         assert null_net.telemetry.metrics.snapshot()["counters"]  # non-vacuous

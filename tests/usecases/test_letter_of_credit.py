@@ -123,4 +123,4 @@ class TestWorkflow:
     def test_orderer_sees_loc_parties(self, workflow):
         """The trusted-third-party-orderer trade-off made visible."""
         workflow.run_full_lifecycle("LC-107")
-        assert set(workflow.PARTIES) <= workflow.network.orderer.observer.seen_identities
+        assert set(workflow.PARTIES) <= workflow.network.network.node("fabric-orderer").observer.seen_identities

@@ -24,7 +24,7 @@ class TestOracleTrade:
     def test_oracle_never_sees_notional(self, workflow):
         trade = workflow.execute_trade("EUR/USD", 1.0842, 9_999_999)
         assert not trade.oracle_saw_notional
-        assert "notional" not in workflow.oracle.observer.seen_data_keys
+        assert "notional" not in workflow.oracle.node.observer.seen_data_keys
 
     def test_partial_disclosure(self, workflow):
         trade = workflow.execute_trade("EUR/USD", 1.0842, 500)
