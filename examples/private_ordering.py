@@ -42,7 +42,7 @@ def main() -> None:
         {name: keys[name].public for name in ("BankA", "BankB")},
         rng,
     )
-    print(f"   ciphertext: {ciphertext.size()} bytes, "
+    print(f"   ciphertext: {ciphertext.wire_size()} bytes, "
           f"{len(wraps)} key wraps")
 
     print("2. order the (encrypted) transaction on the member-run orderer")

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
+# the self-sufficient messages gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
 # design), the telemetry, convergence and pipeline gates, the perf-harness
 # smoke run, then the strict self-lint.
@@ -30,6 +31,16 @@ if [ -n "$side_accounts" ]; then
     exit 1
 fi
 echo "one account per principal: ok"
+
+echo
+echo "== self-sufficient messages gate (no handler reads state indexed by message.sender]: a message carries what it stands for) =="
+sender_reads=$(grep -rn --include='*.py' 'message\.sender\]' src/repro || true)
+if [ -n "$sender_reads" ]; then
+    echo "handler reads the sender's state instead of its message:"
+    echo "$sender_reads"
+    exit 1
+fi
+echo "handlers read only their message and their own replica: ok"
 
 echo
 echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="

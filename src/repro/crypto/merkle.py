@@ -108,6 +108,9 @@ class TearOff:
     leaf_count: int
     visible: dict[int, Any] = field(default_factory=dict)
     hidden: dict[int, bytes] = field(default_factory=dict)
+    # Bytes of the visible leaves' encodings, from the tree that tore
+    # this off; ``None`` encodes them when :meth:`wire_size` is asked.
+    visible_bytes: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         covered = set(self.visible) | set(self.hidden)
@@ -143,12 +146,12 @@ class TearOff:
         return len(self.visible) / self.leaf_count
 
     def wire_size(self) -> int:
-        """Approximate serialized size in bytes (for the S2 benchmark)."""
-        size = 8  # leaf_count
-        for value in self.visible.values():
-            size += len(canonical_bytes(value)) + 8
-        size += len(self.hidden) * (32 + 8)
-        return size
+        """Serialized size in bytes: the leaf count, each visible leaf's
+        encoding and each hidden digest, with an 8-byte index apiece."""
+        visible = self.visible_bytes
+        if visible is None:
+            visible = sum(len(canonical_bytes(v)) for v in self.visible.values())
+        return 8 + visible + 8 * len(self.visible) + (32 + 8) * len(self.hidden)
 
 
 class MerkleTree:
@@ -156,9 +159,9 @@ class MerkleTree:
 
     def __init__(self, values: list[Any]) -> None:
         self._values = list(values)
-        self._levels = _build_levels(
-            _leaf_digests(canonical_bytes(v) for v in self._values)
-        )
+        encoded = [canonical_bytes(v) for v in self._values]
+        self._leaf_sizes = [len(data) for data in encoded]
+        self._levels = _build_levels(_leaf_digests(encoded))
 
     @property
     def root(self) -> bytes:
@@ -169,8 +172,9 @@ class MerkleTree:
     def leaf_count(self) -> int:
         return len(self._values)
 
-    def value(self, index: int) -> Any:
-        return self._values[index]
+    def wire_size(self) -> int:
+        """Total bytes of the leaves' canonical encodings."""
+        return sum(self._leaf_sizes)
 
     def inclusion_proof(self, index: int) -> InclusionProof:
         """Audit path for the leaf at *index*."""
@@ -206,5 +210,6 @@ class MerkleTree:
             if i not in reveal_set
         }
         return TearOff(
-            leaf_count=len(self._values), visible=visible, hidden=hidden
+            leaf_count=len(self._values), visible=visible, hidden=hidden,
+            visible_bytes=sum(self._leaf_sizes[i] for i in reveal_set),
         )

@@ -79,6 +79,12 @@ class Signature:
     challenge: int
     response: int
 
+    def wire_size(self) -> int:
+        """Bytes of the two scalars, each big-endian and unpadded."""
+        return (self.challenge.bit_length() + 7) // 8 + (
+            self.response.bit_length() + 7
+        ) // 8
+
 
 class SignatureScheme:
     """Schnorr signatures over a :class:`SchnorrGroup`."""

@@ -33,7 +33,7 @@ class Ciphertext:
     body: bytes
     tag: bytes
 
-    def size(self) -> int:
+    def wire_size(self) -> int:
         """Total wire size in bytes."""
         return len(self.nonce) + len(self.body) + len(self.tag)
 

@@ -204,7 +204,7 @@ class Enclave:
         session = getattr(self, "_session_key", None)
         if session is None:
             raise CryptoError("no session key established")
-        self.host_log.append(_HostLogEntry("execute-input", encrypted_input.size()))
+        self.host_log.append(_HostLogEntry("execute-input", encrypted_input.wire_size()))
         # ---- inside the isolation boundary ---------------------------------
         from repro.common.serialization import from_canonical_json
 
@@ -233,7 +233,7 @@ class Enclave:
             output_digest=output_digest,
             signature=self._scheme.sign(self._device_key, payload),
         )
-        self.host_log.append(_HostLogEntry("execute-output", encrypted_output.size()))
+        self.host_log.append(_HostLogEntry("execute-output", encrypted_output.wire_size()))
         return encrypted_output, attestation
 
     def seal_state(self, state: Any) -> Ciphertext:
@@ -242,7 +242,7 @@ class Enclave:
             raise CryptoError("no code loaded into the enclave")
         sealed = self._sealing_key.encrypt(canonical_bytes(state), self._rng)
         self._sealed_state = sealed
-        self.host_log.append(_HostLogEntry("seal", sealed.size()))
+        self.host_log.append(_HostLogEntry("seal", sealed.wire_size()))
         return sealed
 
     def unseal_state(self, sealed: Ciphertext) -> Any:
@@ -252,7 +252,7 @@ class Enclave:
         from repro.common.serialization import from_canonical_json
 
         plaintext = self._sealing_key.decrypt(sealed)
-        self.host_log.append(_HostLogEntry("unseal", sealed.size()))
+        self.host_log.append(_HostLogEntry("unseal", sealed.wire_size()))
         return from_canonical_json(plaintext.decode("utf-8"))
 
     def host_observed_plaintext(self) -> bool:

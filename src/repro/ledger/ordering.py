@@ -36,13 +36,14 @@ Scheduled outages come from an attached :class:`repro.faults.FaultPlan`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import OrderingError
 from repro.faults.plan import FaultPlan
 from repro.ledger.transaction import Transaction
 from repro.network.messages import Exposure
-from repro.network.simnet import Observer, SimNetwork
+from repro.network.simnet import Observer, SimNetwork, payload_size
 from repro.telemetry import Telemetry
 
 
@@ -65,10 +66,18 @@ class OrderedBatch:
     sequence: int
 
 
-#: One replicated log entry: the id of the ordered transaction, what was
-#: ordered (a transaction, or the refs a notarisation consumed), and the
-#: exposure the leader saw when it ordered it.
-LogEntry = tuple[str, object, Exposure]
+class LogEntry(NamedTuple):
+    """One replicated log entry: the id of the ordered transaction, what
+    was ordered (a transaction, or the refs a notarisation consumed), and
+    the exposure the leader saw when it ordered it."""
+
+    tx_id: str
+    item: object
+    exposure: Exposure
+
+    def wire_size(self) -> int:
+        """The id and the item: the exposure is not on the wire."""
+        return payload_size((self.tx_id, self.item))
 
 
 class OrderingPrincipal:
@@ -180,19 +189,17 @@ class OrderingPrincipal:
             if follower == leader or not self._reachable(leader, follower):
                 continue
             for index in range(len(self.logs[follower]), len(log)):
-                tx_id, __, exposure = log[index]
                 self.network.send(
-                    leader, follower, "append",
-                    {"index": index, "tx_id": tx_id}, exposure=exposure,
+                    leader, follower, "append", (index, log[index]),
+                    exposure=log[index].exposure,
                 )
 
     def _on_append(self, message) -> None:
-        """Delivery handler for ``append``: the follower copies the
-        leader's entry at the next index of its own log."""
+        """Delivery handler for ``append``: the follower appends the entry
+        it carries if that is the next index of its own log."""
         log = self.logs[message.recipient]
-        index = message.payload["index"]
+        index, entry = message.payload
         if index == len(log):
-            entry = self.logs[message.sender][index]
             log.append(entry)
             self._apply(message.recipient, entry)
 
@@ -333,7 +340,7 @@ class OrderingService(OrderingPrincipal):
         self.total_ordered += len(transactions)
         self._replicate(
             leader,
-            [(tx.tx_id, tx, exposure) for tx, __, exposure in batch_items],
+            [LogEntry(tx.tx_id, tx, exposure) for tx, __, exposure in batch_items],
         )
         metrics = self.telemetry.metrics
         metrics.counter("ordering.batches_cut").inc()

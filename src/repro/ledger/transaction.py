@@ -43,6 +43,9 @@ class Endorsement:
     endorser: str
     signature: Signature
 
+    def wire_size(self) -> int:
+        return len(self.endorser) + self.signature.wire_size()
+
 
 @dataclass(frozen=True)
 class Transaction:
@@ -107,6 +110,12 @@ class Transaction:
         )
         vars(endorsed)["_core_bytes"] = self._core_bytes
         return endorsed
+
+    def wire_size(self) -> int:
+        """The signing bytes plus each endorsement."""
+        return len(self._core_bytes) + sum(
+            endorsement.wire_size() for endorsement in self.endorsements
+        )
 
     def content_hash(self) -> str:
         """Hex digest of the endorsed content (used for hash-only records)."""

@@ -17,7 +17,8 @@ The substrate every platform simulation runs on.  Provides:
   admin) that see traffic and whose accumulated knowledge the leakage
   auditor later inspects,
 - cost accounting (messages, bytes, simulated time) for the S1-S3
-  scalability benchmarks, kept on an instance-scoped
+  scalability benchmarks, where a message's bytes are the modelled size
+  of the object it carries (:func:`payload_size`), kept on an instance-scoped
   :class:`~repro.telemetry.metrics.MetricsRegistry` (reset between
   scenarios with :meth:`SimNetwork.reset_stats`),
 - telemetry: sends stamp the sender's trace context onto the message
@@ -42,6 +43,19 @@ from repro.network.messages import Exposure, Message
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import TraceContext
+
+
+def payload_size(payload: Any) -> int:
+    """Modelled wire size of *payload*, in bytes: an object's own
+    ``wire_size()`` (from an encoding it already holds), the sum of a
+    tuple's items, else the canonical JSON.  Raises ``TypeError`` or
+    ``ValueError`` for a payload none of these can size."""
+    wire_size = getattr(payload, "wire_size", None)
+    if wire_size is not None:
+        return wire_size()
+    if isinstance(payload, tuple):
+        return sum(payload_size(item) for item in payload)
+    return len(canonical_bytes(payload))
 
 
 @dataclass
@@ -101,10 +115,6 @@ class NetworkStats:
         if not isinstance(other, NetworkStats):
             return NotImplemented
         return self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"NetworkStats({inner})"
 
 
 @dataclass(frozen=True)
@@ -331,13 +341,7 @@ class SimNetwork:
 
     # -- sending
 
-    def _payload_size(self, payload: Any) -> int:
-        try:
-            return len(canonical_bytes(payload))
-        except (TypeError, ValueError):
-            # Unserializable object or unsupported value (NaN/Inf):
-            # charge a flat opaque-envelope size instead of crashing.
-            return 256
+    _payload_size = staticmethod(payload_size)
 
     def _check_link(self, sender: str, recipient: str) -> None:
         """Raise the TCP-refusal analogue if the link is unusable now."""
@@ -400,7 +404,8 @@ class SimNetwork:
         side can attach its transit span to the same trace.  A
         *dedup_key* makes the message idempotent: the recipient applies
         at most one message per key (duplicates are acked but dropped
-        before handlers run).
+        before handlers run).  A payload :func:`payload_size` cannot size
+        raises before anything is queued or counted.
         """
         self._check_link(sender, recipient)
         return self._queue_copy(

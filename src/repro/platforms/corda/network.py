@@ -34,6 +34,11 @@ from repro.platforms.base import (
     TxReceipt,
     TxRequest,
 )
+from repro.platforms.corda.backchain import (
+    collect_backchain,
+    disclosure_of,
+    verify_backchain,
+)
 from repro.platforms.corda.notary import NotarisationReceipt, Notary
 from repro.platforms.corda.states import Command, ContractState, StateRef
 from repro.platforms.corda.transactions import (
@@ -174,16 +179,10 @@ class CordaNetwork(Platform):
     # -- the flow
 
     def _signers_of(self, wire: WireTransaction) -> set[str]:
-        signers: set[str] = set()
-        for command in wire.commands:
-            signers |= set(command.signers)
-        return signers
+        return {signer for command in wire.commands for signer in command.signers}
 
     def _participants_of(self, wire: WireTransaction) -> set[str]:
-        participants: set[str] = set()
-        for state in wire.outputs:
-            participants |= set(state.participants)
-        return participants
+        return {party for state in wire.outputs for party in state.participants}
 
     def _flow_exposure(self, wire: WireTransaction) -> Exposure:
         """What carrying *wire* exposes: its participants and legal
@@ -248,8 +247,8 @@ class CordaNetwork(Platform):
             ):
                 for counterparty in sorted(counterparties - {initiator}):
                     self.network.send(
-                        initiator, counterparty, "flow-proposal",
-                        {"tx_id": wire.tx_id}, exposure=exposure,
+                        initiator, counterparty, "flow-proposal", wire,
+                        exposure=exposure,
                     )
 
             # 2. Every participant verifies contract logic locally (business
@@ -259,22 +258,22 @@ class CordaNetwork(Platform):
 
             # 3. Collect signatures over the Merkle root.
             with self.telemetry.span("corda.sign", signers=len(signers)):
-                stx = SignedTransaction(wire=wire)
+                signatures = {}
                 payload = wire.signing_payload()
                 for signer in sorted(legal_signers):
-                    stx.add_signature(
-                        signer, self.scheme.sign(self.parties[signer].key, payload)
+                    signatures[signer] = self.scheme.sign(
+                        self.parties[signer].key, payload
                     )
                     self.telemetry.metrics.counter(
                         "crypto.ops", mechanism="flow-signature"
                     ).inc()
-                for label, signature in (extra_signatures or {}).items():
-                    stx.add_signature(label, signature)
-                missing = signers - set(stx.signatures)
+                signatures.update(extra_signatures or {})
+                missing = signers - set(signatures)
                 if missing:
                     raise ValidationError(
                         f"missing signatures from {sorted(missing)}"
                     )
+                stx = SignedTransaction(wire=wire, signatures=signatures)
 
             # 4. Notarise.  Non-validating notaries get a tear-off only.  The
             # notarise hop is the flow's critical round-trip, so it is the one
@@ -284,8 +283,8 @@ class CordaNetwork(Platform):
             ):
                 if self.notary.validating:
                     self._send_critical(
-                        initiator, leader, "notarise-full",
-                        {"tx_id": wire.tx_id}, exposure=exposure,
+                        initiator, leader, "notarise-full", stx,
+                        exposure=exposure,
                     )
                     receipt = self.notary.notarise_full(stx, exposure)
                 else:
@@ -296,8 +295,8 @@ class CordaNetwork(Platform):
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
                     self._send_critical(
-                        initiator, leader, "notarise-filtered",
-                        {"tx_id": wire.tx_id}, exposure=Exposure(),
+                        initiator, leader, "notarise-filtered", filtered,
+                        exposure=Exposure(),
                     )
                     receipt = self.notary.notarise_filtered(filtered)
 
@@ -312,8 +311,7 @@ class CordaNetwork(Platform):
                     for ref in wire.inputs:
                         self.resolve_backchain(initiator, counterparty, ref)
                     self._fan_out(
-                        initiator, [counterparty], "finalise",
-                        {"tx_id": wire.tx_id}, exposure,
+                        initiator, [counterparty], "finalise", stx, exposure
                     )
         output_refs = [
             StateRef(tx_id=wire.tx_id, index=i) for i in range(len(wire.outputs))
@@ -381,18 +379,16 @@ class CordaNetwork(Platform):
         return {"platform": self.platform_name, "vaults": vaults}
 
     # -- delivery handlers: the recipient's vault takes the stx its
-    #    message names from the sender's vault
+    #    message carries
 
     def _on_finalise(self, message) -> None:
-        stx = self.vaults[message.sender].transactions[message.payload["tx_id"]]
-        self.vaults[message.recipient].record(stx)
+        self.vaults[message.recipient].record(message.payload)
 
     def _on_backchain_tx(self, message) -> None:
         """``backchain-tx``, in transaction resolution or catch-up: store
         the shipped history."""
-        tx_id = message.payload["tx_id"]
-        stx = self.vaults[message.sender].transactions[tx_id]
-        self.vaults[message.recipient].transactions.setdefault(tx_id, stx)
+        stx = message.payload
+        self.vaults[message.recipient].transactions.setdefault(stx.wire.tx_id, stx)
 
     # -- transaction resolution (backchain)
 
@@ -408,12 +404,6 @@ class CordaNetwork(Platform):
         :class:`~repro.platforms.corda.backchain.BackchainDisclosure`
         accounting for that leak (see the S2 backchain ablation).
         """
-        from repro.platforms.corda.backchain import (
-            collect_backchain,
-            disclosure_of,
-            verify_backchain,
-        )
-
         for party in (provider, requester):
             if party not in self.parties:
                 raise MembershipError(f"{party!r} is not onboarded")
@@ -423,8 +413,7 @@ class CordaNetwork(Platform):
         disclosure = disclosure_of(backchain)
         for stx in backchain:
             self._fan_out(
-                provider, [requester], "backchain-tx",
-                {"tx_id": stx.wire.tx_id},
+                provider, [requester], "backchain-tx", stx,
                 Exposure.of(
                     identities=disclosure.identities,
                     data_keys=disclosure.data_keys,
@@ -483,7 +472,7 @@ class CordaNetwork(Platform):
                     provider,
                     name,
                     "backchain-tx",
-                    {"tx_id": tx_id},
+                    stx,
                     exposure=self._flow_exposure(stx.wire),
                     dedup_key=catchup_dedup_key("corda", "vault", name, tx_id),
                 )

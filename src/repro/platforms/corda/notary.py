@@ -28,11 +28,7 @@ from repro.ledger.ordering import LogEntry, OrderingPrincipal
 from repro.network.messages import Exposure
 from repro.network.simnet import SimNetwork
 from repro.platforms.corda.states import StateRef
-from repro.platforms.corda.transactions import (
-    ComponentGroup,
-    FilteredTransaction,
-    SignedTransaction,
-)
+from repro.platforms.corda.transactions import FilteredTransaction, SignedTransaction
 from repro.telemetry import Telemetry
 
 
@@ -97,7 +93,7 @@ class Notary(OrderingPrincipal):
                 raise DoubleSpendError(
                     f"input {ref} already consumed by {spent[ref]}"
                 )
-        self._replicate(leader, [(tx_id, tuple(refs), exposure)])
+        self._replicate(leader, [LogEntry(tx_id, tuple(refs), exposure)])
 
     def _apply(self, replica: str, entry: LogEntry) -> None:
         tx_id, refs, __ = entry

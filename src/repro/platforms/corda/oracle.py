@@ -74,13 +74,11 @@ class Oracle:
     def _attest(
         self, requester: str, ftx: FilteredTransaction, fact_name: str
     ) -> OracleAttestation:
-        visible_keys = set()
-        for component in ftx.visible_components():
-            if isinstance(component, dict) and component.get("group") == "outputs":
-                visible_keys |= set(component.get("data", {}))
+        visible_keys = {
+            key for output in ftx.visible_of_group("outputs") for key in output["data"]
+        }
         self.network.send(
-            requester, self.name, "attest",
-            {"tx_id": ftx.tx_id, "fact": fact_name},
+            requester, self.name, "attest", ftx,
             exposure=Exposure.of(data_keys=visible_keys),
         )
         if not ftx.verify():

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from repro.common.errors import ProofError, ValidationError
-from repro.common.ids import content_id
 from repro.crypto.merkle import MerkleTree, TearOff
-from repro.crypto.signatures import PublicKey, Signature, SignatureScheme
+from repro.crypto.signatures import Signature
 from repro.platforms.corda.states import Command, ContractState, StateRef
 
 
@@ -116,6 +114,10 @@ class WireTransaction:
         """What every signer signs: the Merkle root."""
         return self._tree.root
 
+    def wire_size(self) -> int:
+        """The component encodings the Merkle tree was built from."""
+        return self._tree.wire_size()
+
 
 @dataclass(frozen=True)
 class FilteredTransaction:
@@ -143,29 +145,24 @@ class FilteredTransaction:
         """Signing over a tear-off commits to the same root as the full tx."""
         return self.root
 
+    def wire_size(self) -> int:
+        """The tear-off plus the root it verifies against (the id is the
+        root's prefix)."""
+        return self.tear_off.wire_size() + len(self.root)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SignedTransaction:
-    """A wire transaction plus collected signatures over its root."""
+    """A wire transaction plus the signatures collected over its root.
+
+    Built once, after every signature is in: nothing changes it after.
+    """
 
     wire: WireTransaction
     signatures: dict[str, Signature] = field(default_factory=dict)
 
-    def add_signature(self, signer: str, signature: Signature) -> None:
-        self.signatures[signer] = signature
-
-    def verify_signatures(
-        self,
-        scheme: SignatureScheme,
-        resolve_key,
-        required: set[str],
-    ) -> None:
-        """Check every required signer produced a valid root signature."""
-        payload = self.wire.signing_payload()
-        missing = required - set(self.signatures)
-        if missing:
-            raise ValidationError(f"missing signatures from {sorted(missing)}")
-        for signer in required:
-            public: PublicKey = resolve_key(signer)
-            if not scheme.verify(public, payload, self.signatures[signer]):
-                raise ValidationError(f"invalid signature from {signer!r}")
+    def wire_size(self) -> int:
+        return self.wire.wire_size() + sum(
+            len(signer) + signature.wire_size()
+            for signer, signature in self.signatures.items()
+        )

@@ -14,7 +14,7 @@ policy, committed chaincode definitions, and any private data collections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import NamedTuple
 
 from repro.common.errors import (
     ContractError,
@@ -39,6 +39,15 @@ class ChaincodeDefinition:
     committed: bool = False
 
 
+class BlockEntry(NamedTuple):
+    """One ordered transaction as a ``block`` message carries it: the
+    transaction, whether it validated, and its position in commit order."""
+
+    tx: Transaction
+    valid: bool
+    position: int
+
+
 class Channel:
     """One Fabric channel: membership boundary + ledger + lifecycle state."""
 
@@ -54,9 +63,9 @@ class Channel:
         self.applied: dict[str, int] = {m: 0 for m in members}
         self.definitions: dict[str, ChaincodeDefinition] = {}
         self.collections: dict[str, PrivateDataCollection] = {}
-        # Every ordered transaction, whether it was valid, and its
-        # position in commit order, by id.
-        self.outcomes: dict[str, tuple[Transaction, bool, int]] = {}
+        # The block entry of every ordered transaction, by id: what the
+        # orderer and catch-up providers send.
+        self.outcomes: dict[str, BlockEntry] = {}
         # The committed version of each key: what MVCC validation checks
         # reads against, since any one replica may lag.
         self.versions: dict[str, int] = {}
@@ -143,30 +152,32 @@ class Channel:
         snapshots = [state.snapshot() for state in self.states.values()]
         return all(s == snapshots[0] for s in snapshots[1:])
 
-    def record_commit(self, tx: Transaction, valid: bool) -> None:
+    def record_commit(self, tx: Transaction, valid: bool) -> BlockEntry:
+        """Record one validated transaction; returns its block entry."""
         if valid:
             for write in tx.writes:
                 self.versions[write.key] = (
                     0 if write.is_delete else self.versions.get(write.key, 0) + 1
                 )
-        self.outcomes[tx.tx_id] = (tx, valid, len(self.outcomes))
+        entry = BlockEntry(tx, valid, len(self.outcomes))
+        self.outcomes[tx.tx_id] = entry
+        return entry
 
-    def apply(self, member: str, tx_id: str) -> None:
-        """Apply one ordered transaction to *member*'s replica, in commit
-        order only: one past a gap (an earlier block lost in flight) or
-        one already applied changes nothing, so the member stays behind
-        until catch-up."""
-        tx, valid, position = self.outcomes[tx_id]
-        if position != self.applied[member]:
+    def apply(self, member: str, entry: BlockEntry) -> None:
+        """Apply one block entry to *member*'s replica, in commit order
+        only: one past a gap (an earlier block lost in flight) or one
+        already applied changes nothing, so the member stays behind until
+        catch-up."""
+        if entry.position != self.applied[member]:
             return
-        if valid:
-            apply_writes(tx, self.states[member])
-        self.applied[member] = position + 1
+        if entry.valid:
+            apply_writes(entry.tx, self.states[member])
+        self.applied[member] = entry.position + 1
 
     @property
     def committed_tx_ids(self) -> list[str]:
-        return [tx_id for tx_id, (__, valid, __) in self.outcomes.items() if valid]
+        return [tx_id for tx_id, entry in self.outcomes.items() if entry.valid]
 
     @property
     def invalid_tx_ids(self) -> list[str]:
-        return [tx_id for tx_id, (__, valid, __) in self.outcomes.items() if not valid]
+        return [tx_id for tx_id, entry in self.outcomes.items() if not entry.valid]

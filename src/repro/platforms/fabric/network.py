@@ -311,13 +311,14 @@ class FabricNetwork(Platform):
             self.telemetry.metrics.counter(
                 "crypto.ops", mechanism="endorsement-signature"
             ).inc()
-            endorsements.append(Endorsement(endorser=endorser, signature=signature))
+            endorsement = Endorsement(endorser=endorser, signature=signature)
+            endorsements.append(endorsement)
             if endorser != client:
                 self.network.send(
                     endorser,
                     client,
                     "endorsement",
-                    {"tx_id": tx.tx_id},
+                    endorsement,
                     exposure=Exposure.of(identities={endorser}),
                 )
         tx = tx.with_endorsements(endorsements)
@@ -344,7 +345,10 @@ class FabricNetwork(Platform):
         Raises :class:`ValidationError` if the transaction is invalidated
         at commit (e.g. a stale read).  For batch semantics with per-tx
         validation codes, use :meth:`propose` + :meth:`submit_batch`.
+        Raises :class:`OrderingError` before anything is endorsed or sent
+        when the ordering service cannot take the transaction.
         """
+        self.orderer.require_available()
         with self.telemetry.span(
             "fabric.invoke",
             channel=channel_name,
@@ -397,10 +401,7 @@ class FabricNetwork(Platform):
                     raise PlatformError("proposal belongs to a different channel")
                 exposure = _tx_exposure(proposal.tx)
                 self._send_critical(
-                    proposal.tx.submitter,
-                    leader,
-                    "submit",
-                    {"tx_id": proposal.tx.tx_id},
+                    proposal.tx.submitter, leader, "submit", proposal.tx,
                     exposure=exposure,
                 )
                 self.orderer.submit(proposal.tx, exposure)
@@ -472,14 +473,8 @@ class FabricNetwork(Platform):
             with self.telemetry.span(
                 "fabric.commit", channel=channel.name, valid=valid
             ):
-                channel.record_commit(tx, valid)
-            self._fan_out(
-                leader,
-                live,
-                "block",
-                {"tx_id": tx.tx_id, "channel": channel.name},
-                _tx_exposure(tx),
-            )
+                entry = channel.record_commit(tx, valid)
+            self._fan_out(leader, live, "block", entry, _tx_exposure(tx))
             results.append(InvokeResult(
                 tx=tx,
                 return_value=proposal.return_value,
@@ -493,10 +488,10 @@ class FabricNetwork(Platform):
 
     def _on_block(self, message) -> None:
         """Delivery handler for ``block``, from the orderer or re-sent by a
-        peer in catch-up: the recipient's replica applies the transaction,
-        in commit order."""
-        channel = self.channels[message.payload["channel"]]
-        channel.apply(message.recipient, message.payload["tx_id"])
+        peer in catch-up: the recipient's replica applies the block entry
+        it carries, in commit order."""
+        entry = message.payload
+        self.channels[entry.tx.channel].apply(message.recipient, entry)
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)
@@ -681,7 +676,7 @@ class FabricNetwork(Platform):
                     provider,
                     name,
                     "block",
-                    {"tx_id": tx.tx_id, "channel": channel.name},
+                    channel.outcomes[tx.tx_id],
                     exposure=_tx_exposure(tx),
                     dedup_key=catchup_dedup_key(
                         "fabric", channel.name, name, tx.tx_id

@@ -83,10 +83,9 @@ class QuorumNetwork(Platform):
         self.managers: dict[str, PrivateTransactionManager] = {}
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
-        # Chain height and gossip exposure of every ordered transaction,
-        # by id: how a delivery handler places the transaction its
-        # message names, and what catch-up re-sends it with.
-        self._ordered: dict[str, tuple[int, Transaction, Exposure]] = {}
+        # The gossip exposure of each chain height: what catch-up
+        # re-sends that height's transaction with.
+        self._gossip_exposure: dict[int, Exposure] = {}
         # The height up to which each node has applied every
         # transaction, in chain order: what catch-up replays above.
         self._applied_upto: dict[str, int] = {}
@@ -155,18 +154,6 @@ class QuorumNetwork(Platform):
             or self.network.is_partitioned(sender, target)
         )
 
-    def _apply_private(self, node: str, payload_hash: str):
-        """Resolve + execute one private payload on *node*."""
-        resolved = self.managers[node].resolve(payload_hash)
-        value, __ = self._execute(
-            node,
-            resolved["contract"],
-            resolved["function"],
-            resolved["args"],
-            self.private_states[node],
-        )
-        return value
-
     def _execute(
         self,
         node: str,
@@ -217,17 +204,16 @@ class QuorumNetwork(Platform):
             self.sequencer.submit(tx, exposure)
             self.sequencer.cut_batch("quorum-public", force=True)
             self.chain.append([tx], self.clock.now)
-            self._ordered[tx.tx_id] = (self.chain.height, tx, exposure)
-            self._applied_upto[sender] = self.chain.height
+            height = self.chain.height
+            self._gossip_exposure[height] = exposure
+            self._applied_upto[sender] = height
             # A crashed or partitioned peer misses the gossip (it would be
             # dropped at delivery anyway); it does not veto the transaction.
             targets = [
                 node for node in self.network.nodes()
                 if node != sender and self._reachable(sender, node)
             ]
-            self._fan_out(
-                sender, targets, _gossip_kind(tx), {"tx_id": tx.tx_id}, exposure
-            )
+            self._fan_out(sender, targets, _gossip_kind(tx), (height, tx), exposure)
 
     def _on_chain_tx(self, message) -> None:
         """Delivery handler for ``public-tx`` and ``private-tx``, gossiped
@@ -241,7 +227,7 @@ class QuorumNetwork(Platform):
         lost in flight) or already applied changes nothing.
         """
         node = message.recipient
-        height, tx, __ = self._ordered[message.payload["tx_id"]]
+        height, tx = message.payload
         if height != self._applied_upto[node] + 1:
             return
         if tx.metadata["kind"] == "public":
@@ -250,16 +236,18 @@ class QuorumNetwork(Platform):
             payload_hash = tx.private_hashes["payload"]
             if not self.managers[node].has_payload(payload_hash):
                 return
-            self._apply_private(node, payload_hash)
+            resolved = self.managers[node].resolve(payload_hash)
+            self._execute(
+                node, resolved["contract"], resolved["function"],
+                resolved["args"], self.private_states[node],
+            )
         self._applied_upto[node] = height
 
     def _on_payload(self, message) -> None:
         """Delivery handler for ``private-payload``, sent live or
-        re-fetched in catch-up: the recipient's manager stores its
-        ciphertext."""
-        self.managers[message.sender].redeliver(
-            message.payload["hash"], self.managers[message.recipient]
-        )
+        re-fetched in catch-up: the recipient's manager stores the copy
+        encrypted for it."""
+        self.managers[message.recipient].receive(message.payload)
 
     @delivers
     def send_public_transaction(
@@ -360,19 +348,18 @@ class QuorumNetwork(Platform):
             # recipient; the ciphertext itself exposes nothing (empty
             # exposure).  Distribution itself is idempotent.
             with self.telemetry.span("quorum.distribute"):
-                payload_hash = self.managers[sender].distribute(
+                payload_hash, copies = self.managers[sender].distribute(
                     payload, participants, self.managers,
                     skip=tuple(unavailable),
                 )
                 self.telemetry.metrics.counter(
                     "crypto.ops", mechanism="private-payload-encryption"
-                ).inc(len(participants) - 1 - len(unavailable))
-                for participant in recipients:
-                    if participant not in unavailable:
-                        self._send_critical(
-                            sender, participant, "private-payload",
-                            {"hash": payload_hash}, exposure=Exposure(),
-                        )
+                ).inc(len(copies))
+                for participant, stored in copies.items():
+                    self._send_critical(
+                        sender, participant, "private-payload", stored,
+                        exposure=Exposure(),
+                    )
             # The other participants execute when the transaction
             # reaches them.
             self._apply_view(view, self.private_states[sender])
@@ -484,7 +471,7 @@ class QuorumNetwork(Platform):
                 holder,
                 name,
                 "private-payload",
-                {"hash": payload_hash},
+                self.managers[holder].redeliver(payload_hash, name),
                 exposure=Exposure(),  # ciphertext: reveals nothing
                 dedup_key=catchup_dedup_key("quorum", "payload", name, payload_hash),
             )
@@ -541,8 +528,8 @@ class QuorumNetwork(Platform):
                         provider,
                         name,
                         _gossip_kind(tx),
-                        {"tx_id": tx.tx_id},
-                        exposure=self._ordered[tx.tx_id][2],
+                        (block.height, tx),
+                        exposure=self._gossip_exposure[block.height],
                         dedup_key=catchup_dedup_key(
                             "quorum", "public", name, block.height
                         ),

@@ -9,8 +9,8 @@ state."
 
 Each node runs a manager holding encrypted payloads keyed by hash.  The
 sender's manager encrypts the payload once per recipient (pairwise keys
-derived from PKI) and serves each one when its payload message is
-delivered; everyone else only ever sees the hash.  Because private *state*
+derived from PKI), and each copy travels in that recipient's payload
+message; everyone else only ever sees the hash.  Because private *state*
 is reconstructed by replaying these payloads, deleting one breaks the
 node — the executable reason Quorum's Table 1 off-chain-data cell is '—'.
 """
@@ -26,7 +26,7 @@ from repro.crypto.hashing import hkdf, tagged_hash
 from repro.crypto.symmetric import Ciphertext, SymmetricKey
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredPayload:
     """One encrypted private payload held by a node's manager."""
 
@@ -34,6 +34,10 @@ class StoredPayload:
     ciphertext: Ciphertext
     sender: str
     participants: tuple[str, ...]
+
+    def wire_size(self) -> int:
+        """The ciphertext plus the hash it is filed under."""
+        return self.ciphertext.wire_size() + len(self.payload_hash)
 
 
 class PrivateTransactionManager:
@@ -46,9 +50,6 @@ class PrivateTransactionManager:
         # Every pairwise key this manager uses has its owner on one side,
         # so one key per peer, derived on first use, covers them all.
         self._pair_keys: dict[str, SymmetricKey] = {}
-        # Ciphertexts encrypted for a participant whose payload message
-        # is still in flight, keyed by (payload hash, participant).
-        self._outbox: dict[tuple[str, str], StoredPayload] = {}
 
     def _pair_key(self, peer: str) -> SymmetricKey:
         """Key shared with *peer* (stand-in for the ECDH-derived key)."""
@@ -67,19 +68,17 @@ class PrivateTransactionManager:
         participants: list[str],
         managers: dict[str, "PrivateTransactionManager"],
         skip: tuple[str, ...] = (),
-    ) -> str:
+    ) -> tuple[str, dict[str, StoredPayload]]:
         """Encrypt *payload* for each participant.
 
-        Returns the payload hash that goes into the public transaction.
-        This manager keeps its own copy; another participant's waits in
-        the outbox until its payload message arrives (:meth:`redeliver`).
+        Returns the payload hash that goes into the public transaction,
+        and each other participant's copy, by participant, for its
+        payload message to carry.  This manager keeps its own copy.
         Those in *skip* (currently unreachable) are recorded in the
         participant list but get nothing now; :meth:`redeliver` serves
-        them later.  The outbox holds one distribution: each send delivers
-        its traffic before the next starts, so an older entry is one whose
-        message was dropped.
+        them later.
         """
-        self._outbox = {}
+        copies: dict[str, StoredPayload] = {}
         raw = canonical_bytes(payload)
         payload_hash = tagged_hash("repro/quorum/payload", raw).hex()
         for participant in participants:
@@ -96,49 +95,38 @@ class PrivateTransactionManager:
             if participant == self.owner:
                 self.receive(stored)
             else:
-                self._outbox[(payload_hash, participant)] = stored
-        return payload_hash
+                copies[participant] = stored
+        return payload_hash, copies
 
-    def redeliver(
-        self, payload_hash: str, recipient: "PrivateTransactionManager"
-    ) -> bool:
-        """Serve a held payload to an entitled peer.
+    def redeliver(self, payload_hash: str, recipient: str) -> StoredPayload:
+        """A fresh copy of a held payload for the entitled peer *recipient*.
 
         The entitlement gate is the payload's own participant list — a
         manager will never serve a payload to a node that was not a
         party to the original transaction, which is what keeps catch-up
-        privacy-preserving.  The copy encrypted for *recipient* at
-        distribution is handed over if it is still in the outbox; else
-        the payload is re-encrypted for it.  Idempotent: returns False if
-        the recipient already holds the payload.
+        privacy-preserving.
         """
         stored = self._payloads.get(payload_hash)
         if stored is None:
             raise OffChainError(
                 f"{self.owner!r} holds no payload {payload_hash!r}"
             )
-        if recipient.owner not in stored.participants:
+        if recipient not in stored.participants:
             raise PrivacyError(
-                f"{recipient.owner!r} was not a party to payload "
+                f"{recipient!r} was not a party to payload "
                 f"{payload_hash!r}; refusing redelivery"
             )
-        if recipient.has_payload(payload_hash):
-            return False
-        fresh = self._outbox.pop((payload_hash, recipient.owner), None)
-        if fresh is None:
-            # Decrypt with the original pairwise key, re-encrypt under the
-            # redeliverer<->recipient pair so the recipient can resolve it
-            # (resolve derives the key from the stored sender, which for a
-            # redelivered copy is this manager's owner).
-            raw = self._pair_key(stored.sender).decrypt(stored.ciphertext)
-            fresh = StoredPayload(
-                payload_hash=payload_hash,
-                ciphertext=self._pair_key(recipient.owner).encrypt(raw, self._rng),
-                sender=self.owner,
-                participants=stored.participants,
-            )
-        recipient.receive(fresh)
-        return True
+        # Decrypt with the original pairwise key, re-encrypt under the
+        # redeliverer<->recipient pair so the recipient can resolve it
+        # (resolve derives the key from the stored sender, which for a
+        # redelivered copy is this manager's owner).
+        raw = self._pair_key(stored.sender).decrypt(stored.ciphertext)
+        return StoredPayload(
+            payload_hash=payload_hash,
+            ciphertext=self._pair_key(recipient).encrypt(raw, self._rng),
+            sender=self.owner,
+            participants=stored.participants,
+        )
 
     def receive(self, stored: StoredPayload) -> None:
         self._payloads[stored.payload_hash] = stored

@@ -6,11 +6,11 @@ machinery: provider selection among live peers, stable dedup keys so a
 replayed catch-up item is applied at most once, and resilient delivery
 with ``recovery.*`` accounting.
 
-Catch-up messages follow the repo's wire convention: the payload carries
-identifiers and digests only, while the :class:`Exposure` declares what
-the transfer reveals — so the leakage auditor sees catch-up traffic with
-the same fidelity as normal operation, and an over-broad responder shows
-up as widened observer knowledge, not as silence.
+Catch-up messages follow the repo's wire convention: the payload is the
+object the live message carries, while the :class:`Exposure` declares
+what the transfer reveals — so the leakage auditor sees catch-up traffic
+with the same fidelity as normal operation, and an over-broad responder
+shows up as widened observer knowledge, not as silence.
 """
 
 from __future__ import annotations

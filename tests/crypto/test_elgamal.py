@@ -106,7 +106,7 @@ class TestSharingPattern:
         ct, wraps = share_encrypted(b"x" * 1000, recipients, rng, group=group)
         assert len(wraps) == 5
         # One payload ciphertext regardless of recipient count.
-        assert ct.size() < 1100
+        assert ct.wire_size() < 1100
 
     @settings(max_examples=15, deadline=None)
     @given(st.binary(min_size=1, max_size=256))

@@ -185,11 +185,11 @@ def test_quorum_payload_hash_and_pair_ciphertext():
     managers = {
         owner: PrivateTransactionManager(owner) for owner in ("alice", "bob")
     }
-    payload_hash = managers["alice"].distribute(
+    payload_hash, copies = managers["alice"].distribute(
         QUORUM_PAYLOAD, ["alice", "bob"], managers
     )
     assert payload_hash == QUORUM_PAYLOAD_HASH
-    managers["alice"].redeliver(payload_hash, managers["bob"])
+    managers["bob"].receive(copies["bob"])
     stored = managers["bob"]._payloads[payload_hash]
     assert (
         stored.ciphertext.nonce.hex(), stored.ciphertext.body.hex()

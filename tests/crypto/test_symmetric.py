@@ -128,7 +128,7 @@ class TestKeyManagement:
 
     def test_size_accounting(self, key, rng):
         ct = key.encrypt(b"x" * 100, rng)
-        assert ct.size() == len(ct.nonce) + 100 + len(ct.tag)
+        assert ct.wire_size() == len(ct.nonce) + 100 + len(ct.tag)
 
 
 class TestProperties:

@@ -82,3 +82,17 @@ def test_partitioned_majority_refuses_before_sending(net):
         net.submit_batch("ch", [proposal])
     assert net.network.stats.messages_sent == sent
     assert log_length(net, LEADER) == 1
+
+
+def test_invoke_refuses_before_endorsing(net):
+    """Pins: with the ordering majority cut off, ``invoke`` raises before
+    any proposal is sent or any endorser executes the chaincode."""
+    put(net, 0)
+    net.network.partition(LEADER, SECOND)
+    net.network.partition(LEADER, THIRD)
+    counters = net.telemetry.metrics.snapshot()["counters"]
+    sent = net.network.stats.messages_sent
+    with pytest.raises(OrderingError, match="majority"):
+        put(net, 1)
+    assert net.network.stats.messages_sent == sent
+    assert net.telemetry.metrics.snapshot()["counters"] == counters

@@ -299,19 +299,20 @@ class TestBroadcastAtomicity:
 
 
 class TestPayloadSizing:
-    """Regression: unsupported values must not crash send."""
+    """One sizing rule: an object's own ``wire_size()``, the sum of a
+    tuple's items, else the canonical JSON; nothing else is sized."""
 
-    def test_nan_payload_does_not_crash(self, net):
-        # canonical_bytes raises ValueError on NaN (allow_nan=False);
-        # _payload_size must fall back to the opaque-envelope size.
-        message = net.send("A", "B", "ping", {"rate": float("nan")})
-        assert message.size_bytes == 256
+    def test_nan_payload_raises_before_queueing(self, net):
+        with pytest.raises(ValueError):
+            net.send("A", "B", "ping", {"rate": float("nan")})
         net.run()
-        assert received(net, "B") == 1
+        assert received(net, "B") == 0
+        assert net.stats.messages_sent == 0
 
-    def test_unserializable_object_falls_back(self, net):
-        message = net.send("A", "B", "ping", object())
-        assert message.size_bytes == 256
+    def test_unserializable_object_raises_before_queueing(self, net):
+        with pytest.raises(TypeError):
+            net.send("A", "B", "ping", object())
+        assert net.stats.messages_sent == 0
 
     def test_broadcast_sizes_payload_once(self, net, monkeypatch):
         sized = []
@@ -328,11 +329,27 @@ class TestPayloadSizing:
         assert [m.recipient for m in messages] == ["B", "C"]
         assert {m.size_bytes for m in messages} == {len(canonical_bytes(payload))}
 
-    def test_unserializable_broadcast_charges_envelope_per_copy(self, net):
-        messages = net.broadcast("A", "announce", object())
-        assert [m.size_bytes for m in messages] == [256, 256]
+    def test_unserializable_broadcast_queues_nothing(self, net):
+        with pytest.raises(TypeError):
+            net.broadcast("A", "announce", object())
         net.run()
-        assert net.stats.bytes_transferred == 2 * 256
+        assert received(net, "B") == received(net, "C") == 0
+        assert net.stats.messages_sent == 0
+        assert net.stats.bytes_transferred == 0
+
+    def test_object_reports_its_own_wire_size(self, net):
+        class Sized:
+            def wire_size(self):
+                return 1234
+
+        message = net.send("A", "B", "ping", Sized())
+        assert message.size_bytes == 1234
+
+    def test_tuple_is_the_sum_of_its_items(self, net):
+        message = net.send("A", "B", "ping", (7, {"k": "v"}))
+        assert message.size_bytes == len(canonical_bytes(7)) + len(
+            canonical_bytes({"k": "v"})
+        )
 
 
 class TestResilientDelivery:

@@ -65,11 +65,11 @@ class TestFlows:
 
     def test_signatures_verify_over_root(self, net):
         result = issue_iou(net)
-        result.stx.verify_signatures(
-            net.scheme,
-            lambda n: net.party(n).public_key,
-            {"Alice", "Bob"},
-        )
+        root = result.stx.wire.signing_payload()
+        for signer in ("Alice", "Bob"):
+            assert net.scheme.verify(
+                net.party(signer).public_key, root, result.stx.signatures[signer]
+            )
 
     def test_contract_verification_runs(self, net):
         with pytest.raises(ContractError, match="positive"):

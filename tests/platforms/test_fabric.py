@@ -135,7 +135,15 @@ class TestInvoke:
         result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
         # Org1 submits and endorses: only Org2's endorsement crosses the wire.
         assert [(ack.sender, ack.recipient) for ack in acks] == [("Org2", "Org1")]
-        assert {ack.payload["tx_id"] for ack in acks} == {result.tx.tx_id}
+        # The message carries Org2's endorsement of the committed tx.
+        assert [ack.payload for ack in acks] == [
+            e for e in result.tx.endorsements if e.endorser == "Org2"
+        ]
+        assert net.scheme.verify(
+            net.parties["Org2"].public_key,
+            result.tx.signing_bytes(),
+            acks[0].payload.signature,
+        )
 
     def test_endorser_submitter_sends_itself_nothing(self, net, channel):
         """The submitter executes and signs its own endorsement in place:

@@ -193,17 +193,17 @@ class TestTransactionManager:
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        h1 = m1.distribute({"x": 1}, ["a", "b"], managers)
+        h1, __ = m1.distribute({"x": 1}, ["a", "b"], managers)
         # Same payload from another sender: same hash (content-addressed).
-        h2 = m2.distribute({"x": 1}, ["a", "b"], managers)
+        h2, __ = m2.distribute({"x": 1}, ["a", "b"], managers)
         assert h1 == h2
 
     def test_delete_breaks_replay(self):
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        payload_hash = m1.distribute({"x": 1}, ["a", "b"], managers)
-        m1.redeliver(payload_hash, m2)
+        payload_hash, copies = m1.distribute({"x": 1}, ["a", "b"], managers)
+        m2.receive(copies["b"])
         m2.delete(payload_hash)
         with pytest.raises(PrivacyError):
             m2.resolve(payload_hash)
@@ -217,14 +217,21 @@ class TestTransactionManager:
         with pytest.raises(PrivacyError, match="no transaction manager"):
             manager.distribute({"x": 1}, ["ghost"], {"a": manager})
 
-    def test_unserved_copy_does_not_outlive_the_next_distribution(self):
+    def test_sender_keeps_only_its_own_copy(self):
+        """Pins that a distribution leaves the sender holding nothing for
+        its peers: each peer's copy is returned for its payload message,
+        and a copy whose message was lost is re-encrypted from the
+        sender's own when it is redelivered."""
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        first = m1.distribute({"x": 1}, ["a", "b"], managers)  # never served
-        second = m1.distribute({"x": 2}, ["a", "b"], managers)
-        assert list(m1._outbox) == [(second, "b")]
-        assert m1.redeliver(first, m2)  # re-encrypted from the held copy
+        first, lost = m1.distribute({"x": 1}, ["a", "b"], managers)
+        second, copies = m1.distribute({"x": 2}, ["a", "b"], managers)
+        assert set(copies) == set(lost) == {"b"}
+        assert m1.payload_hashes() == sorted([first, second])
+        fresh = m1.redeliver(first, "b")
+        assert fresh.ciphertext != lost["b"].ciphertext
+        m2.receive(fresh)
         assert m2.resolve(first) == {"x": 1}
 
     def test_one_pair_key_per_peer_across_distributions(self, monkeypatch):
@@ -239,7 +246,7 @@ class TestTransactionManager:
         monkeypatch.setattr(symmetric, "hkdf", counting_hkdf)
         managers = {owner: PrivateTransactionManager(owner) for owner in "abc"}
         hashes = [
-            managers["a"].distribute({"x": i}, ["a", "b", "c"], managers)
+            managers["a"].distribute({"x": i}, ["a", "b", "c"], managers)[0]
             for i in range(10)
         ]
         assert managers["a"].resolve(hashes[-1]) == {"x": 9}
@@ -252,8 +259,8 @@ class TestTransactionManager:
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        payload_hash = m1.distribute({"secret": "v"}, ["a", "b"], managers)
-        assert not m2.has_payload(payload_hash)  # in flight until served
-        m1.redeliver(payload_hash, m2)
+        payload_hash, copies = m1.distribute({"secret": "v"}, ["a", "b"], managers)
+        assert not m2.has_payload(payload_hash)  # in flight until received
+        m2.receive(copies["b"])
         stored = m2._payloads[payload_hash]
         assert b"secret" not in stored.ciphertext.body

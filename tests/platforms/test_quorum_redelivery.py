@@ -154,7 +154,7 @@ class TestEntitlement:
             "N1", "store", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
         with pytest.raises(PrivacyError):
-            net.managers["N1"].redeliver(result.payload_hash, net.managers["N3"])
+            net.managers["N1"].redeliver(result.payload_hash, "N3")
         assert not net.managers["N3"].has_payload(result.payload_hash)
 
 
