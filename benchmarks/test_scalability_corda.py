@@ -60,8 +60,9 @@ def test_flow_messages_grow_with_participants(benchmark, counterparties):
         return net.network.stats.messages_sent - before
 
     messages = benchmark(flow)
-    # proposal + finalise per counterparty, one notary message.
-    assert messages == 2 * (counterparties - 1) + 1
+    # Per counterparty: the proposal, its signature reply and finalise;
+    # then the notary request and the notary's answer.
+    assert messages == 3 * (counterparties - 1) + 2
 
 
 def test_flow_cost_independent_of_network_size(benchmark):

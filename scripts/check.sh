@@ -2,8 +2,8 @@
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
 # the self-sufficient messages gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
-# design), the telemetry, convergence and pipeline gates, the perf-harness
-# smoke run, then the strict self-lint.
+# design), the telemetry, convergence and pipeline gates, the no-unhandled-
+# delivery gate, the perf-harness smoke run, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
 set -euo pipefail
@@ -78,12 +78,26 @@ python -m repro converge
 python -m repro lint --strict src/repro/recovery
 
 echo
-echo "== pipeline gate (submit/submit_many parity + driver + bench smoke) =="
+echo "== pipeline gate (submit/submit_many parity + causal flows + driver + bench smoke) =="
+# tests/pipeline holds test_causality.py: causal flows and no unhandled delivery.
 python -m pytest -x tests/pipeline tests/driver tests/integration/test_driver_leakage.py
 python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /dev/null
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null
 python -m repro lint --strict src/repro/driver
+
+echo
+echo "== no-unhandled-delivery gate (every message of the metrics workflow reaches a handler on its recipient) =="
+for platform in fabric corda quorum; do
+    python -m repro metrics --json --platform "$platform" | python3 -c '
+import json, sys
+counters = json.load(sys.stdin)["counters"]
+unhandled = counters["net.unhandled"]
+print("repro metrics {}: {} delivered, {} unhandled".format(
+    sys.argv[1], int(counters["net.messages_delivered"]), int(unhandled)))
+sys.exit(0 if counters["net.messages_delivered"] > 0 and unhandled == 0 else 1)
+' "$platform"
+done
 
 echo
 echo "== perf harness smoke (oracle correct, no failed operations, nothing left undelivered) =="

@@ -55,9 +55,6 @@ class Finding:
     context: str = ""  # dotted enclosing-function chain, "" at module level
     suppressed: bool = False
 
-    def location(self) -> str:
-        return f"{self.path}:{self.line}"
-
     def render(self) -> str:
         where = f" [in {self.context}]" if self.context else ""
         head = (

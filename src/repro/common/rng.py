@@ -60,7 +60,8 @@ class DeterministicRNG:
         """Return a float uniform in ``[low, high)`` with 53-bit resolution."""
         if high < low:
             raise ValueError("empty range")
-        frac = int.from_bytes(self.randbytes(8), "big") >> 11
+        # The first 8 bytes of the next block, as randbytes(8) would draw.
+        frac = int.from_bytes(self._block()[:8], "big") >> 11
         return low + (high - low) * (frac / float(1 << 53))
 
     def choice(self, seq):

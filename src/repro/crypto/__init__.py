@@ -25,9 +25,7 @@ from repro.crypto.elgamal import (
 )
 from repro.crypto.groups import (
     SchnorrGroup,
-    cached_default_group,
     cached_test_group,
-    default_group,
     small_group,
 )
 from repro.crypto.hashing import hash_hex, hash_value, hkdf, sha256, tagged_hash

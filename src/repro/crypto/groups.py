@@ -3,9 +3,9 @@
 All discrete-log based primitives in the library (signatures, Pedersen
 commitments, ZK proofs, anonymous credentials, one-time keys) operate in the
 same Schnorr group: the prime-order-q subgroup of Z_p* for a safe prime
-p = 2q + 1.  A fixed 1536-bit production-style group and a small test group
-are provided; the group is a parameter everywhere so tests can run fast while
-the defaults remain realistic.
+p = 2q + 1.  Groups are generated deterministically from a seed
+(:func:`small_group`); the group is a parameter everywhere, and every
+platform uses the memoised 160-bit :func:`cached_test_group`.
 
 The implementation is plain modular arithmetic: the paper's design guide
 reasons about the *capabilities* of these primitives, and a transparent
@@ -25,17 +25,6 @@ from functools import cached_property
 
 from repro.common.rng import DeterministicRNG
 from repro.crypto.hashing import tagged_hash
-
-# 1536-bit MODP group from RFC 3526 (a safe prime: p = 2q + 1).
-_RFC3526_1536_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF",
-    16,
-)
 
 # Maps the lowercase hex digits of an exponent to 4-bit digit values.
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
@@ -195,14 +184,6 @@ def _derive_generators(p: int, q: int) -> tuple[int, int]:
     return find("repro/group/g"), find("repro/group/h")
 
 
-def default_group() -> SchnorrGroup:
-    """The production-style 1536-bit group (RFC 3526 safe prime)."""
-    p = _RFC3526_1536_P
-    q = (p - 1) // 2
-    g, h = _derive_generators(p, q)
-    return SchnorrGroup(p=p, q=q, g=g, h=h)
-
-
 def small_group(bits: int = 160, seed: str = "repro-test-group") -> SchnorrGroup:
     """Generate a small safe-prime group for fast tests.
 
@@ -222,16 +203,7 @@ def small_group(bits: int = 160, seed: str = "repro-test-group") -> SchnorrGroup
             return SchnorrGroup(p=p, q=q, g=g, h=h)
 
 
-_CACHED_DEFAULT: SchnorrGroup | None = None
 _CACHED_TEST: SchnorrGroup | None = None
-
-
-def cached_default_group() -> SchnorrGroup:
-    """Memoized :func:`default_group` (generator derivation is not free)."""
-    global _CACHED_DEFAULT
-    if _CACHED_DEFAULT is None:
-        _CACHED_DEFAULT = default_group()
-    return _CACHED_DEFAULT
 
 
 def cached_test_group() -> SchnorrGroup:

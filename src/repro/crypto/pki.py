@@ -99,11 +99,6 @@ class CertificateAuthority:
         """The CA's verification key, distributed to all relying parties."""
         return self._key.public
 
-    @property
-    def signing_key(self) -> PrivateKey:
-        """The CA's signing key (exposed for the anoncred issuer to reuse)."""
-        return self._key
-
     def issue(
         self,
         subject: str,

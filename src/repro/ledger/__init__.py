@@ -30,7 +30,6 @@ from repro.ledger.validation import (
     EndorsementPolicy,
     apply_writes,
     check_read_set,
-    validate_and_apply,
     verify_endorsements,
 )
 

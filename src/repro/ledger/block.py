@@ -189,7 +189,3 @@ class Chain:
     def archived_blocks(self) -> list[Block]:
         """Archived blocks — available on request, not deleted."""
         return list(self._archive)
-
-    @property
-    def checkpoint(self) -> Checkpoint | None:
-        return self._checkpoint

@@ -19,10 +19,15 @@ holds it.
 
 The leader, the first live replica by rank holding the committed log,
 sends each ordered item to the other replicas as an ``append`` message,
-and a replica changes its log only in its ``append`` handler.  The
-principal refuses work unless a majority of replicas is live and
-reachable from the leader, so a minority crash or partition is tolerated
-and the lagging replica catches up on a later append.
+and a replica changes its log only in its ``append`` handler, which
+acknowledges with the length of its log (``append-ack``).  The acks tell
+the leader what each follower holds, and so what to send it next.  The
+committed log is everything the leader has released, acked or not: a
+receipt may already be on its way, so a replica that lacks any of it
+must not lead.  The principal refuses work unless a
+majority of replicas is live and reachable from the leader, so a
+minority crash or partition is tolerated and the lagging replica
+catches up on a later append.
 
 A simple service-time model (capacity in tx/s, batch cutting by size or
 timeout) supports the S1-S3 scalability benchmarks: ordering is the shared
@@ -118,10 +123,16 @@ class OrderingPrincipal:
             else tuple(f"{name}@{operator}" for operator in operators)
         )
         self.logs: dict[str, list[LogEntry]] = {r: [] for r in self.replicas}
+        # How many entries each follower holds as far as the leader
+        # knows: its last ``append-ack``.
+        self._match: dict[str, int] = dict.fromkeys(self.replicas, 0)
+        # The length the leader released: the bar for leading.
         self._committed = 0
         if network is not None:
             for replica in self.replicas:
-                network.add_node(replica).on("append", self._on_append)
+                node = network.add_node(replica)
+                node.on("append", self._on_append)
+                node.on("append-ack", self._on_append_ack)
 
     def available(self, now: float | None = None) -> bool:
         """Whether the service as a whole is up at *now* (default: clock
@@ -171,11 +182,9 @@ class OrderingPrincipal:
 
     def _replicate(self, leader: str, entries: list[LogEntry]) -> None:
         """Append *entries* to *leader*'s log, then send every live,
-        reachable follower the suffix its log lacks, one ``append`` per
-        entry.  No acks: the follower's log length stands in for the
-        match index an ack would report, and a copy that arrives twice
-        applies once.  A lone replica has nobody to ship to, so it
-        keeps no log."""
+        reachable follower each entry past what it last acknowledged, one
+        ``append`` per entry; a copy that arrives twice applies once.  A
+        lone replica has nobody to ship to, so it keeps no log."""
         if len(self.replicas) == 1:
             for entry in entries:
                 self._apply(leader, entry)
@@ -188,7 +197,7 @@ class OrderingPrincipal:
         for follower in self.replicas:
             if follower == leader or not self._reachable(leader, follower):
                 continue
-            for index in range(len(self.logs[follower]), len(log)):
+            for index in range(self._match[follower], len(log)):
                 self.network.send(
                     leader, follower, "append", (index, log[index]),
                     exposure=log[index].exposure,
@@ -196,12 +205,21 @@ class OrderingPrincipal:
 
     def _on_append(self, message) -> None:
         """Delivery handler for ``append``: the follower appends the entry
-        it carries if that is the next index of its own log."""
-        log = self.logs[message.recipient]
+        it carries if that is the next index of its own log, then acks
+        with its log's length."""
+        replica = message.recipient
+        log = self.logs[replica]
         index, entry = message.payload
         if index == len(log):
             log.append(entry)
-            self._apply(message.recipient, entry)
+            self._apply(replica, entry)
+        self.network.reply(message, "append-ack", (replica, len(log)))
+
+    def _on_append_ack(self, message) -> None:
+        """Delivery handler for ``append-ack``, on the leader: the follower
+        it names holds that many entries."""
+        replica, length = message.payload
+        self._match[replica] = length
 
     def _apply(self, replica: str, entry: LogEntry) -> None:
         """Subclass hook: what a replica derives from a new log entry."""

@@ -95,18 +95,3 @@ def apply_writes(tx: Transaction, state: WorldState) -> None:
         else:
             state.put(write.key, write.value)
 
-
-def validate_and_apply(
-    tx: Transaction,
-    state: WorldState,
-    policy: EndorsementPolicy | None = None,
-    scheme: SignatureScheme | None = None,
-    resolve_key: KeyResolver | None = None,
-) -> None:
-    """Full pipeline: endorsements (if a policy is given), MVCC, then apply."""
-    if policy is not None:
-        if scheme is None or resolve_key is None:
-            raise ValidationError("endorsement check needs a scheme and key resolver")
-        verify_endorsements(tx, policy, scheme, resolve_key)
-    check_read_set(tx, state)
-    apply_writes(tx, state)

@@ -8,11 +8,8 @@ about the identities and data classes they expose.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any
-
-_sequence = itertools.count(1)
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -55,9 +52,11 @@ class Exposure:
         return not (self.identities or self.data_keys or self.code_ids)
 
 
-@dataclass(frozen=True)
-class Message:
-    """One unit of simulated network traffic.
+class Message(NamedTuple):
+    """One unit of simulated network traffic, built by the network on
+    every send (a named tuple: immutable, and cheap on the hot path).
+
+    ``message_id`` is unique among one network's messages.
 
     ``trace`` carries the sender's telemetry trace context —
     ``(trace_id, span_id)`` — across the wire, the way real systems put
@@ -72,15 +71,31 @@ class Message:
     Retransmissions from ``send_with_retry`` and replayed catch-up
     blocks both rely on it.  Like ``trace`` it is an opaque label, never
     payload-derived data, so it widens no observer's knowledge.
+
+    ``caused_by`` is the id of the message whose delivery handler sent
+    this one (``None`` for the first hop of a call): the network stamps
+    it, so every flow is a tree of causes.  It is an opaque label too.
     """
 
     sender: str
     recipient: str
     kind: str
     payload: Any
-    exposure: Exposure = field(default_factory=Exposure)
+    message_id: int
+    exposure: Exposure = Exposure()
     size_bytes: int = 0
-    message_id: int = field(default_factory=lambda: next(_sequence))
     sent_at: float = 0.0
     trace: tuple[str, str] | None = None
     dedup_key: str | None = None
+    caused_by: int | None = None
+
+
+@dataclass(frozen=True)
+class Refusal:
+    """A handler's typed refusal of a request, recorded or sent back in
+    place of the answer: the call that sent the request raises *error*."""
+
+    error: Exception
+
+    def wire_size(self) -> int:
+        return len(str(self.error))

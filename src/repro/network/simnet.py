@@ -3,7 +3,13 @@
 The substrate every platform simulation runs on.  Provides:
 
 - registered nodes with per-kind message handlers: a delivery handler is
-  the only way a message changes a recipient's state,
+  the only way a message changes a recipient's state, and a delivery
+  that reaches no handler is counted (``net.unhandled``),
+- causality: a message sent from a delivery handler (or a call acting on
+  a delivered reply, :meth:`SimNetwork.acting_on`) is stamped with the id
+  of the message that caused it, and a handler's decision reaches the
+  call that sent the request as a recorded outcome
+  (:meth:`SimNetwork.outcome`),
 - point-to-point sends and broadcasts with configurable latency models;
   each link delivers in send order, like a TCP stream,
 - message loss, network partitions, and scheduled fault plans
@@ -29,9 +35,11 @@ The substrate every platform simulation runs on.  Provides:
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from repro.common.clock import SimClock
@@ -39,7 +47,7 @@ from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
-from repro.network.messages import Exposure, Message
+from repro.network.messages import Exposure, Message, Refusal
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import TraceContext
@@ -55,6 +63,11 @@ def payload_size(payload: Any) -> int:
         return wire_size()
     if isinstance(payload, tuple):
         return sum(payload_size(item) for item in payload)
+    # A string or an integer encodes as the canonical encoder would.
+    if type(payload) is str:
+        return len(encode_basestring_ascii(payload))
+    if type(payload) is int:
+        return len(repr(payload))
     return len(canonical_bytes(payload))
 
 
@@ -95,6 +108,7 @@ class NetworkStats:
         "dropped_by_crash": "net.dropped.crash",
         "retries": "net.retries",
         "deduplicated": "net.deduplicated",
+        "unhandled": "net.unhandled",
         "bytes_transferred": "net.bytes_transferred",
     }
 
@@ -168,35 +182,38 @@ class Observer:
 class Node:
     """A network endpoint: per-kind delivery handlers and an observer.
 
-    A delivered message is observed, then handed to the handler for its
-    kind; nothing else keeps it.  The node's :class:`Observer` makes
+    A delivered message is observed, then handed to every handler
+    registered for its kind, in registration order; nothing else keeps
+    it.  The node's :class:`Observer` makes
     "what did this peer learn" the same accounting as the passive taps.
     ``seen_dedup_keys`` is volatile: a crash wipes it, which is why
-    recovery re-applies from a durable checkpoint.
+    recovery re-applies from a durable checkpoint.  So is ``answers``,
+    the reply the node sent to each idempotent (dedup-keyed) request,
+    which it sends again when a retransmitted copy of that request
+    arrives.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.observer = Observer(name)
         self.seen_dedup_keys: set[str] = set()
-        self._handlers: dict[str, Callable[[Message], None]] = {}
+        self.answers: dict[str, tuple] = {}
+        self._handlers: dict[str, list[Callable[[Message], None]]] = {}
 
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        """Register a handler invoked when a message of *kind* arrives."""
-        self._handlers[kind] = handler
+        """Add a handler invoked when a message of *kind* arrives (after
+        those registered before it, so a probe can watch a kind the
+        platform handles)."""
+        self._handlers.setdefault(kind, []).append(handler)
 
-    def deliver(self, message: Message) -> None:
+    def deliver(self, message: Message) -> bool:
+        """Observe *message*, then run its kind's handlers; returns
+        whether any ran."""
         self.observer.observe(message)
-        handler = self._handlers.get(message.kind)
-        if handler is not None:
+        handlers = self._handlers.get(message.kind, ())
+        for handler in handlers:
             handler(message)
-
-
-@dataclass(order=True)
-class _ScheduledDelivery:
-    due: float
-    order: int
-    message: Message = field(compare=False)
+        return bool(handlers)
 
 
 class SimNetwork:
@@ -227,21 +244,30 @@ class SimNetwork:
         self.stats = NetworkStats(self.telemetry.metrics)
         self._nodes: dict[str, Node] = {}
         self._taps: list[Observer] = []
-        self._queue: list[_ScheduledDelivery] = []
+        # Scheduled deliveries: (due time, send order, message).
+        self._queue: list[tuple[float, int, Message]] = []
         self._order = itertools.count()
+        self._message_ids = itertools.count(1)
         self._partitions: set[frozenset[str]] = set()
         # Due time of the last message queued on each directed link.
         self._link_due: dict[tuple[str, str], float] = {}
         self._down: set[str] = set()
         self._dedup_sequence = itertools.count(1)
-        self._in_flow = False
+        # The id of the message whose handler is running (or that a call
+        # acts on): what each send is stamped ``caused_by`` with.
+        self._cause: int | None = None
+        # What handlers decided, by the id of the request they handled,
+        # until the call that sent the request takes it.
+        self._outcomes: dict[int, Any] = {}
         # Hot-path metrics, bound on first use so that a network that
         # never sent adds no zero-valued series: ``net.messages_sent``
         # with each kind's ``net.sent_by_kind`` counter, and the
-        # delivered / bytes counters with the latency histogram.
-        # ``reset_stats`` zeroes them in place.
+        # delivered / unhandled / bytes counters with the latency
+        # histogram.  ``reset_stats`` zeroes them in place.
         self._sent_counters: dict[str, tuple[Counter, Counter]] = {}
-        self._delivery_metrics: tuple[Counter, Counter, Histogram] | None = None
+        self._delivery_metrics: (
+            tuple[Counter, Counter, Counter, Histogram] | None
+        ) = None
 
     # -- topology
 
@@ -323,6 +349,7 @@ class SimNetwork:
             return
         self._down.add(name)
         node.seen_dedup_keys.clear()
+        node.answers.clear()
         self.telemetry.events.emit("net.node_crashed", node=name)
 
     def recover_node(self, name: str) -> bool:
@@ -430,11 +457,13 @@ class SimNetwork:
             recipient=recipient,
             kind=kind,
             payload=payload,
+            message_id=next(self._message_ids),
             exposure=exposure or Exposure(),
             size_bytes=size_bytes,
             sent_at=self.clock.now,
             trace=context.as_tuple() if context is not None else None,
             dedup_key=dedup_key,
+            caused_by=self._cause,
         )
         counters = self._sent_counters.get(kind)
         if counters is None:
@@ -457,9 +486,7 @@ class SimNetwork:
         link = (sender, recipient)
         due = max(self.clock.now + delay, self._link_due.get(link, 0.0))
         self._link_due[link] = due
-        heapq.heappush(
-            self._queue, _ScheduledDelivery(due=due, order=next(self._order), message=message)
-        )
+        heapq.heappush(self._queue, (due, next(self._order), message))
         return message
 
     def broadcast(
@@ -568,15 +595,13 @@ class SimNetwork:
                     last_refusal = refusal
                     tracer.add_event(span, "refused", attempt=attempt)
                 deadline = self.clock.now + wait
-                while copies and self._queue and self._queue[0].due <= deadline:
-                    event = heapq.heappop(self._queue)
-                    if self._process(event) and event.message.message_id in copies:
+                while copies and self._queue and self._queue[0][0] <= deadline:
+                    due, __, message = heapq.heappop(self._queue)
+                    if self._process(due, message) and message.message_id in copies:
                         tracer.set_attribute(span, "attempts", attempt)
                         tracer.set_attribute(span, "outcome", "delivered")
                         return DeliveryReceipt(
-                            message=event.message,
-                            attempts=attempt,
-                            delivered_at=event.due,
+                            message=message, attempts=attempt, delivered_at=due
                         )
                 # Wait out the ack timeout before the next attempt.
                 self.clock.advance_to(deadline)
@@ -600,22 +625,22 @@ class SimNetwork:
         """
         if not self._queue:
             return False
-        self._process(heapq.heappop(self._queue))
+        due, __, message = heapq.heappop(self._queue)
+        self._process(due, message)
         return True
 
-    def _process(self, event: _ScheduledDelivery) -> bool:
-        """Deliver or drop one dequeued event; returns whether it arrived.
+    def _process(self, due: float, message: Message) -> bool:
+        """Deliver or drop one dequeued message; returns whether it arrived.
 
         A duplicate of an already-applied dedup key arrives (and so
         acknowledges its send) but reaches no handler.
         """
-        self.clock.advance_to(event.due)
-        message = event.message
-        if self.is_partitioned(message.sender, message.recipient, now=event.due):
-            self._record_drop(message, "partition", at=event.due)
+        self.clock.advance_to(due)
+        if self.is_partitioned(message.sender, message.recipient, now=due):
+            self._record_drop(message, "partition", at=due)
             return False
-        if self.is_crashed(message.recipient, now=event.due):
-            self._record_drop(message, "crash", at=event.due)
+        if self.is_crashed(message.recipient, now=due):
+            self._record_drop(message, "crash", at=due)
             return False
         for tap in self._taps:
             tap.observe(message)
@@ -623,19 +648,20 @@ class SimNetwork:
             metrics = self.telemetry.metrics
             self._delivery_metrics = (
                 metrics.counter("net.messages_delivered"),
+                metrics.counter("net.unhandled"),
                 metrics.counter("net.bytes_transferred"),
                 metrics.histogram("net.delivery_latency"),
             )
-        delivered, transferred, latency = self._delivery_metrics
+        delivered, unhandled, transferred, latency = self._delivery_metrics
         delivered.inc()
         transferred.inc(message.size_bytes)
-        latency.observe(event.due - message.sent_at)
+        latency.observe(due - message.sent_at)
         context = TraceContext.from_tuple(message.trace)
         if context is not None:
             self.telemetry.tracer.record_span(
                 "net.transit",
                 start=message.sent_at,
-                end=event.due,
+                end=due,
                 parent=context,
                 kind=message.kind,
                 sender=message.sender,
@@ -651,32 +677,118 @@ class SimNetwork:
                 self._count("net.deduplicated")
                 self.telemetry.events.emit(
                     "net.dedup",
-                    time=event.due,
+                    time=due,
                     kind=message.kind,
                     sender=message.sender,
                     recipient=message.recipient,
                 )
+                answer = node.answers.get(message.dedup_key)
+                if answer is not None:
+                    # The sender asks again: its answer was lost.
+                    with self.acting_on(message):
+                        self.reply(message, *answer)
                 return True
             node.seen_dedup_keys.add(message.dedup_key)
-        node.deliver(message)
+        outer, self._cause = self._cause, message.message_id
+        try:
+            if not node.deliver(message):
+                unhandled.inc()
+        finally:
+            self._cause = outer
         return True
 
-    def deliver_after(self, flow: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Call *flow*, then deliver everything it sent before returning.
+    # -- causes and outcomes
 
-        A flow called from inside another leaves delivery to the
-        outermost one, so a whole flow's traffic is in flight together.
-        Delivery runs even when the flow raises: what was sent still
-        travels.
-        """
-        if self._in_flow:
-            return flow(*args, **kwargs)
-        self._in_flow = True
+    @contextlib.contextmanager
+    def acting_on(self, cause: Message | None):
+        """Send as the handler of *cause* would: every message sent inside
+        the block is stamped ``caused_by`` with *cause*'s id (``None``
+        marks a first hop).  A call uses it for the hop it sends from
+        what a handler recorded."""
+        outer = self._cause
+        self._cause = None if cause is None else cause.message_id
         try:
-            return flow(*args, **kwargs)
+            yield
         finally:
-            self._in_flow = False
+            self._cause = outer
+
+    def reply(
+        self, request: Message, kind: str, payload: Any,
+        exposure: Exposure | None = None,
+    ) -> None:
+        """Answer *request* from its recipient, in the recipient's delivery
+        handler.  A link that refuses the answer loses it, and the call
+        waiting for it raises (:meth:`outcome`).  The answer to an
+        idempotent request is kept, to send again if the request is."""
+        if request.dedup_key is not None:
+            self._nodes[request.recipient].answers[request.dedup_key] = (
+                kind, payload, exposure,
+            )
+        try:
+            self.send(
+                request.recipient, request.sender, kind, payload, exposure=exposure
+            )
+        except DeliveryError:
+            pass
+
+    def record(self, request: Message, outcome: Any) -> None:
+        """Keep what the handler of *request* decided (a value, or a
+        :class:`Refusal`) for the call that sent it."""
+        self._outcomes[request.message_id] = outcome
+
+    def record_reply(self, reply: Message) -> None:
+        """Delivery handler for a reply kind: keep *reply* for the call
+        that sent the request it answers."""
+        self._outcomes[reply.caused_by] = reply
+
+    def outcomes(self, requests: list[Message]) -> list[Any]:
+        """Deliver everything in flight, then take what was recorded for
+        each of *requests*: the reply to it (a :class:`Message`) or its
+        handler's decision.  Raises the error of the first
+        :class:`Refusal`, or :class:`DeliveryError` when a request has no
+        outcome because it or its answer was lost.
+
+        An idempotent request (one :meth:`send_with_retry` sent with a
+        dedup key) that has no outcome is asked again, up to
+        ``RESENDS`` times: its recipient applies it once and re-sends
+        the answer it kept."""
+        self.run()
+        taken = [self._take(request) for request in requests]
+        for request, outcome in zip(requests, taken):
+            decided = outcome.payload if isinstance(outcome, Message) else outcome
+            if isinstance(decided, Refusal):
+                raise decided.error
+            if outcome is None:
+                raise DeliveryError(
+                    f"no answer to {request.kind!r} from {request.recipient!r}"
+                )
+        return taken
+
+    # How many times a call asks again for an idempotent request's answer.
+    RESENDS = 3
+
+    def _take(self, request: Message) -> Any:
+        outcome = self._outcomes.pop(request.message_id, None)
+        for __ in range(self.RESENDS if request.dedup_key is not None else 0):
+            if outcome is not None:
+                break
+            self._count("net.retries")
+            outer, self._cause = self._cause, request.caused_by
+            try:
+                request = self.send_with_retry(
+                    request.sender, request.recipient, request.kind,
+                    request.payload, exposure=request.exposure,
+                    dedup_key=request.dedup_key,
+                ).message
+            finally:
+                self._cause = outer
             self.run()
+            outcome = self._outcomes.pop(request.message_id, None)
+        return outcome
+
+    def outcome(self, request: Message) -> Any:
+        """:meth:`outcomes` of one request."""
+        return self.outcomes([request])[0]
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Process events until quiescent; returns the number processed."""

@@ -24,14 +24,14 @@ import functools
 from dataclasses import dataclass, field
 
 from repro.common.clock import SimClock
-from repro.common.errors import DeliveryTimeout, PlatformError, ReproError
+from repro.common.errors import PlatformError, ReproError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.pki import Certificate, CertificateAuthority, MembershipService
 from repro.crypto.signatures import PrivateKey, SignatureScheme
 from repro.core.mechanisms import Mechanism
-from repro.network.messages import Exposure
+from repro.network.messages import Exposure, Message
 from repro.network.simnet import SimNetwork
 from repro.telemetry import Telemetry
 
@@ -148,20 +148,33 @@ def rejection_receipt(
 
 def delivers(flow):
     """Decorate a public platform call that sends: it returns only once
-    its messages are delivered or dropped.  Replicas other than the
-    sender's change only in delivery handlers, so the call's effects
-    are then applied exactly where its messages arrived.  Nested calls
-    deliver once, at the outermost (:meth:`SimNetwork.deliver_after`)."""
+    everything in flight is delivered or dropped, also when it raises
+    (what was sent still travels).  Replicas other than the sender's
+    change only in delivery handlers, so the call's effects are then
+    applied exactly where its messages arrived.  A call nested in
+    another delivers on its own return, so the outer call reads what its
+    handlers recorded."""
 
     @functools.wraps(flow)
     def run_and_deliver(self, *args, **kwargs):
-        return self.network.deliver_after(flow, self, *args, **kwargs)
+        try:
+            return flow(self, *args, **kwargs)
+        finally:
+            self.network.run()
 
     return run_and_deliver
 
 
 class Platform:
-    """Base class for the three platform simulations."""
+    """Base class for the three platform simulations.
+
+    A subclass implements the hooks: ``_submit_one_native`` (one request
+    through its native flow), ``_state_snapshot`` (the committed-state
+    picture :meth:`state_fingerprint` hashes), and for recovery
+    ``_checkpoint_data``, ``_restore_checkpoint`` (to a checkpoint, or to
+    empty on a crash) and ``_catch_up`` (visibility-filtered re-sync with
+    :func:`repro.recovery.catchup.ship`; returns how far behind it was).
+    """
 
     platform_name = "abstract"
 
@@ -257,12 +270,6 @@ class Platform:
             self._record_receipt(receipt)
         return receipts
 
-    def _submit_one_native(self, request: TxRequest) -> TxReceipt:
-        """Subclass hook: run *request* through the native single-tx flow."""
-        raise PlatformError(
-            f"{self.platform_name} does not implement the transaction pipeline"
-        )
-
     def _submit_batch_native(
         self, requests: list[TxRequest], force_cut: bool
     ) -> list[TxReceipt]:
@@ -305,12 +312,6 @@ class Platform:
             "repro/pipeline/state-fingerprint", canonical_bytes(snapshot)
         ).hex()
 
-    def _state_snapshot(self) -> dict:
-        """Subclass hook: JSON-serializable committed-state picture."""
-        raise PlatformError(
-            f"{self.platform_name} does not implement state fingerprints"
-        )
-
     def crypto_cache_stats(self) -> dict:
         """Hot-path crypto cache hit/miss counters for this platform."""
         return {
@@ -335,38 +336,18 @@ class Platform:
 
     def _send_critical(
         self, sender: str, recipient: str, kind: str, payload, exposure: Exposure
-    ) -> None:
-        """Send on a hop the flow cannot proceed without.
+    ) -> Message:
+        """Send on a hop the flow cannot proceed without; returns the
+        message (with ``resilient_delivery``, the copy that arrived).
 
         With ``resilient_delivery`` the hop retries through transient
         faults; otherwise it is a plain send.
         """
-        send = (
-            self.network.send_with_retry
-            if self.resilient_delivery
-            else self.network.send
-        )
-        send(sender, recipient, kind, payload, exposure=exposure)
-
-    def _fan_out(
-        self, sender: str, recipients: list[str], kind: str, payload, exposure
-    ) -> None:
-        """Send one state-carrying message to each of *recipients*.
-
-        Without ``resilient_delivery`` this is one atomic broadcast.  With
-        it, each copy retries through transient faults; a recipient still
-        unreachable lags until :meth:`recover` (the timeout is on its span).
-        """
-        if not self.resilient_delivery:
-            self.network.broadcast(
-                sender, kind, payload, exposure=exposure, recipients=recipients
-            )
-            return
-        for recipient in recipients:
-            try:
-                self._send_critical(sender, recipient, kind, payload, exposure)
-            except DeliveryTimeout:
-                continue
+        if self.resilient_delivery:
+            return self.network.send_with_retry(
+                sender, recipient, kind, payload, exposure=exposure
+            ).message
+        return self.network.send(sender, recipient, kind, payload, exposure=exposure)
 
     # -- crash recovery
     #
@@ -454,27 +435,3 @@ class Platform:
                 from_sequence=None if checkpoint is None else checkpoint.sequence,
             )
         return checkpoint
-
-    def _checkpoint_data(self, name: str) -> dict:
-        """Subclass hook: heights/snapshots for *name*."""
-        raise PlatformError(
-            f"{self.platform_name} does not support node checkpoints"
-        )
-
-    def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        """Subclass hook: reset *name*'s in-memory state to *checkpoint*'s
-        images, or to empty when *checkpoint* is ``None`` (a crash)."""
-        raise PlatformError(
-            f"{self.platform_name} does not support node recovery"
-        )
-
-    def _catch_up(self, name: str, checkpoint) -> int:
-        """Subclass hook: visibility-filtered re-sync since *checkpoint*.
-
-        Ships each item with :func:`repro.recovery.catchup.ship`, so the
-        recipient's delivery handlers apply it; returns how many blocks
-        (or, on Corda, transactions) *name* was behind.
-        """
-        raise PlatformError(
-            f"{self.platform_name} does not support node recovery"
-        )

@@ -11,7 +11,10 @@ attached contract *by executing business logic outside the platform* (the
 paper's off-chain execution characterization of Corda), all sign the
 Merkle root, the notary certifies uniqueness (validating: sees all;
 non-validating: sees a tear-off), and each participant's vault records the
-result.  No uninvolved node ever receives a byte.
+result.  No uninvolved node ever receives a byte.  Each counterparty
+verifies and signs in its own ``flow-proposal`` handler, and the notary
+decides in its ``notarise-*`` handler; their replies are what the
+initiator's call reads.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from typing import Callable
 
 from repro.common.errors import (
     ContractError,
+    DeliveryTimeout,
     MembershipError,
     PlatformError,
+    ReproError,
     ValidationError,
 )
 from repro.crypto.onetime import OneTimeIdentity, OneTimeKeyFactory, resolve_owner
-from repro.network.messages import Exposure
+from repro.crypto.signatures import Signature
+from repro.network.messages import Exposure, Refusal
 from repro.platforms.base import (
     Party,
     Platform,
@@ -112,8 +118,11 @@ class CordaNetwork(Platform):
             rng=self.rng.fork("onetime:" + name),
         )
         node = self.network.node(name)
+        node.on("flow-proposal", self._on_flow_proposal)
         node.on("finalise", self._on_finalise)
         node.on("backchain-tx", self._on_backchain_tx)
+        for reply in ("flow-signature", "notarised", "attestation"):
+            node.on(reply, self.network.record_reply)
         return party
 
     def vault(self, name: str) -> Vault:
@@ -212,6 +221,13 @@ class CordaNetwork(Platform):
             time_window=self.clock.now,
         )
 
+    def _sign(self, signer: str, wire: WireTransaction) -> Signature:
+        """*signer*'s signature over *wire*'s Merkle root."""
+        self.telemetry.metrics.counter(
+            "crypto.ops", mechanism="flow-signature"
+        ).inc()
+        return self.scheme.sign(self.parties[signer].key, wire.signing_payload())
+
     @delivers
     def run_flow(
         self,
@@ -220,6 +236,12 @@ class CordaNetwork(Platform):
         extra_signatures: dict[str, object] | None = None,
     ) -> FlowResult:
         """Execute the collect-signatures / notarise / finalise flow.
+
+        The initiator verifies the contracts and proposes *wire* to every
+        counterparty, which verifies and signs in its ``flow-proposal``
+        handler.  With the signatures in, it asks the notary, which
+        decides in its ``notarise-*`` handler; then it finalises.  A
+        counterparty's or the notary's refusal is raised here.
 
         ``extra_signatures`` maps pseudonymous signer labels to
         pre-computed signatures (used with one-time keys, where the signer
@@ -236,37 +258,38 @@ class CordaNetwork(Platform):
         leader = self.notary.require_available()
 
         exposure = self._flow_exposure(wire)
+        counterparties = sorted(
+            (participants | legal_signers) & set(self.parties) - {initiator}
+        )
 
         with self.telemetry.span(
             "corda.flow", initiator=initiator, outputs=len(wire.outputs)
         ):
-            # 1. Point-to-point proposal to every involved legal identity.
-            counterparties = (participants | legal_signers) & set(self.parties)
-            with self.telemetry.span(
-                "corda.propose", counterparties=len(counterparties) - 1
-            ):
-                for counterparty in sorted(counterparties - {initiator}):
-                    self.network.send(
-                        initiator, counterparty, "flow-proposal", wire,
-                        exposure=exposure,
-                    )
-
-            # 2. Every participant verifies contract logic locally (business
-            # logic executes outside the platform — the paper's Corda model).
+            # 1. The initiator verifies contract logic locally (business
+            # logic executes outside the platform — the paper's Corda
+            # model), then proposes to every involved legal identity,
+            # which verifies and signs on delivery.
             with self.telemetry.span("corda.verify"):
                 self._verify_contracts(wire)
-
-            # 3. Collect signatures over the Merkle root.
-            with self.telemetry.span("corda.sign", signers=len(signers)):
-                signatures = {}
-                payload = wire.signing_payload()
-                for signer in sorted(legal_signers):
-                    signatures[signer] = self.scheme.sign(
-                        self.parties[signer].key, payload
+            with self.telemetry.span(
+                "corda.propose", counterparties=len(counterparties)
+            ):
+                proposals = [
+                    self._send_critical(
+                        initiator, counterparty, "flow-proposal", wire, exposure
                     )
-                    self.telemetry.metrics.counter(
-                        "crypto.ops", mechanism="flow-signature"
-                    ).inc()
+                    for counterparty in counterparties
+                ]
+
+            # 2. Collect the signatures over the Merkle root.
+            with self.telemetry.span("corda.sign", signers=len(signers)):
+                replies = self.network.outcomes(proposals)
+                answers = {reply.sender: reply.payload for reply in replies}
+                signatures = {
+                    signer: self._sign(signer, wire) if signer == initiator
+                    else answers[signer]
+                    for signer in sorted(legal_signers)
+                }
                 signatures.update(extra_signatures or {})
                 missing = signers - set(signatures)
                 if missing:
@@ -275,48 +298,62 @@ class CordaNetwork(Platform):
                     )
                 stx = SignedTransaction(wire=wire, signatures=signatures)
 
-            # 4. Notarise.  Non-validating notaries get a tear-off only.  The
-            # notarise hop is the flow's critical round-trip, so it is the one
-            # that opts into resilient delivery.
+            # 3. Notarise.  Non-validating notaries get a tear-off only.
             with self.telemetry.span(
                 "corda.notarise", validating=self.notary.validating
             ):
                 if self.notary.validating:
-                    self._send_critical(
-                        initiator, leader, "notarise-full", stx,
-                        exposure=exposure,
-                    )
-                    receipt = self.notary.notarise_full(stx, exposure)
+                    kind, request, seen = "notarise-full", stx, exposure
                 else:
-                    filtered = wire.filtered(
+                    kind, seen = "notarise-filtered", Exposure()
+                    request = wire.filtered(
                         [ComponentGroup.INPUTS, ComponentGroup.NOTARY]
                     )
                     self.telemetry.metrics.counter(
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
-                    self._send_critical(
-                        initiator, leader, "notarise-filtered", filtered,
-                        exposure=Exposure(),
-                    )
-                    receipt = self.notary.notarise_filtered(filtered)
+                with self.network.acting_on(replies[-1] if replies else None):
+                    sent = self._send_critical(initiator, leader, kind, request, seen)
+                notarised = self.network.outcome(sent)
 
-            # 5. Finalise: record in the initiator's vault and ship to every
+            # 4. Finalise: record in the initiator's vault and ship to every
             # other involved party (recorded on delivery), preceded by the
             # backchain of every consumed input (transaction resolution) —
             # new counterparties must be able to verify provenance, which is
             # the mechanism's inherent history disclosure.
             with self.telemetry.span("corda.finalise"):
                 self.vaults[initiator].record(stx)
-                for counterparty in sorted(counterparties - {initiator}):
-                    for ref in wire.inputs:
-                        self.resolve_backchain(initiator, counterparty, ref)
-                    self._fan_out(
-                        initiator, [counterparty], "finalise", stx, exposure
-                    )
+                with self.network.acting_on(notarised):
+                    for counterparty in counterparties:
+                        for ref in wire.inputs:
+                            self.resolve_backchain(initiator, counterparty, ref)
+                        self._send_or_lag(
+                            initiator, counterparty, "finalise", stx, exposure
+                        )
         output_refs = [
             StateRef(tx_id=wire.tx_id, index=i) for i in range(len(wire.outputs))
         ]
-        return FlowResult(stx=stx, receipt=receipt, output_refs=output_refs)
+        return FlowResult(
+            stx=stx, receipt=notarised.payload, output_refs=output_refs
+        )
+
+    def _on_flow_proposal(self, message) -> None:
+        """Delivery handler for ``flow-proposal``: the counterparty verifies
+        the contracts of the wire transaction it carries, signs its root
+        if it is a required signer, and replies ``flow-signature`` with
+        the signature (``None`` from a participant that does not sign) or
+        its refusal."""
+        wire = message.payload
+        party = message.recipient
+        try:
+            self._verify_contracts(wire)
+        except ReproError as error:
+            answer = Refusal(error)
+        else:
+            answer = self._sign(party, wire) if party in self._signers_of(wire) else None
+        self.network.reply(
+            message, "flow-signature", answer, exposure=Exposure.of(identities={party})
+        )
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)
@@ -411,15 +448,20 @@ class CordaNetwork(Platform):
         if not verify_backchain(backchain, ref):
             raise ValidationError("backchain failed structural verification")
         disclosure = disclosure_of(backchain)
+        exposure = Exposure.of(
+            identities=disclosure.identities, data_keys=disclosure.data_keys
+        )
         for stx in backchain:
-            self._fan_out(
-                provider, [requester], "backchain-tx", stx,
-                Exposure.of(
-                    identities=disclosure.identities,
-                    data_keys=disclosure.data_keys,
-                ),
-            )
+            self._send_or_lag(provider, requester, "backchain-tx", stx, exposure)
         return disclosure
+
+    def _send_or_lag(self, sender, recipient, kind, stx, exposure) -> None:
+        """Send *stx*; with ``resilient_delivery`` a recipient still
+        unreachable after the retries lags until :meth:`recover`."""
+        try:
+            self._send_critical(sender, recipient, kind, stx, exposure)
+        except DeliveryTimeout:
+            pass
 
     # ------------------------------------------------------------------
     # Crash recovery (Platform hooks)

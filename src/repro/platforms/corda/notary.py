@@ -14,6 +14,8 @@ events" *for validating notaries*):
 What the notary learned is what its nodes were delivered: the
 ``notarise-*`` request to the leader and the ``append`` copies to the
 other replicas (see :class:`~repro.ledger.ordering.OrderingPrincipal`).
+The leader decides in its ``notarise-*`` handler and replies
+``notarised`` with its signed receipt or its refusal.
 """
 
 from __future__ import annotations
@@ -22,10 +24,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.clock import SimClock
-from repro.common.errors import DoubleSpendError, ProofError, ValidationError
+from repro.common.errors import (
+    DoubleSpendError,
+    ProofError,
+    ReproError,
+    ValidationError,
+)
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.ledger.ordering import LogEntry, OrderingPrincipal
-from repro.network.messages import Exposure
+from repro.network.messages import Exposure, Refusal
 from repro.network.simnet import SimNetwork
 from repro.platforms.corda.states import StateRef
 from repro.platforms.corda.transactions import FilteredTransaction, SignedTransaction
@@ -39,6 +46,9 @@ class NotarisationReceipt:
     tx_id: str
     notary: str
     signature: Signature
+
+    def wire_size(self) -> int:
+        return len(self.tx_id) + len(self.notary) + self.signature.wire_size()
 
 
 class Notary(OrderingPrincipal):
@@ -69,6 +79,24 @@ class Notary(OrderingPrincipal):
         self.spent: dict[str, dict[StateRef, str]] = {r: {} for r in self.replicas}
         self._busy_until = 0.0
         self.total_notarised = 0
+        if network is not None:
+            for replica in self.replicas:
+                node = network.node(replica)
+                node.on("notarise-full", self._on_notarise)
+                node.on("notarise-filtered", self._on_notarise)
+
+    def _on_notarise(self, message) -> None:
+        """Delivery handler for ``notarise-full`` / ``notarise-filtered``,
+        on the leader: check availability and uniqueness, sign, and reply
+        ``notarised`` with the receipt or the refusal."""
+        try:
+            if message.kind == "notarise-full":
+                answer = self.notarise_full(message.payload, message.exposure)
+            else:
+                answer = self.notarise_filtered(message.payload)
+        except ReproError as error:
+            answer = Refusal(error)
+        self.network.reply(message, "notarised", answer)
 
     # -- crash / recovery
 

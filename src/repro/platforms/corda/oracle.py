@@ -6,12 +6,13 @@ participants do not want all the components of the transaction visible to
 the oracle."
 
 The oracle is a node on the platform's network.  A request reaches it as
-an ``attest`` message carrying a :class:`FilteredTransaction` whose only
-visible component is the command with the fact to attest, and what that
-message exposes is all the oracle learns: its node's observer is the one
-account.  It verifies the tear-off against the root, checks the fact
-against its own data source, and signs the root — a signature valid for
-the full transaction.
+an ``attest`` message carrying a :class:`FilteredTransaction`, whose only
+visible component is the command with the fact to attest, and the fact's
+name; what that message exposes is all the oracle learns: its node's
+observer is the one account.  In its ``attest`` handler it verifies the
+tear-off against the root, checks the fact against its own data source,
+and signs the root — a signature valid for the full transaction — then
+replies ``attestation`` with the signature or its refusal.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.common.errors import ProofError, ValidationError
+from repro.common.errors import ProofError, ReproError, ValidationError
 from repro.crypto.signatures import Signature
-from repro.network.messages import Exposure
+from repro.network.messages import Exposure, Refusal
 from repro.platforms.base import Platform
 from repro.platforms.corda.transactions import FilteredTransaction
 
@@ -35,6 +36,12 @@ class OracleAttestation:
     fact_name: str
     signature: Signature
 
+    def wire_size(self) -> int:
+        return (
+            len(self.tx_id) + len(self.oracle) + len(self.fact_name)
+            + self.signature.wire_size()
+        )
+
 
 class Oracle:
     """Attests to facts (e.g. an FX rate) embedded in torn-off commands."""
@@ -46,11 +53,13 @@ class Oracle:
         facts: dict[str, object] | Callable[[str], object],
     ) -> None:
         self.name = name
+        self.platform = platform
         self.scheme = platform.scheme
         self.network = platform.network
         self._facts = facts
         self.key = self.scheme.keygen_from_seed("oracle:" + name)
         self.node = self.network.add_node(name)
+        self.node.on("attest", self._on_attest)
 
     def _lookup(self, fact_name: str):
         if callable(self._facts):
@@ -62,25 +71,35 @@ class Oracle:
     def attest(
         self, requester: str, ftx: FilteredTransaction, fact_name: str
     ) -> OracleAttestation:
-        """Receive *requester*'s tear-off, check the claimed fact, sign
-        the root.
+        """Send *requester*'s tear-off to the oracle; return its attestation
+        once the reply arrives.
 
-        The ``attest`` request is delivered before this returns.  Raises
-        if the tear-off is inconsistent, if the command is missing, or if
-        the claimed value disagrees with the oracle's source.
+        Raises the oracle's refusal: the tear-off is inconsistent, the
+        command is missing, or the claimed value disagrees with the
+        oracle's source.
         """
-        return self.network.deliver_after(self._attest, requester, ftx, fact_name)
-
-    def _attest(
-        self, requester: str, ftx: FilteredTransaction, fact_name: str
-    ) -> OracleAttestation:
         visible_keys = {
             key for output in ftx.visible_of_group("outputs") for key in output["data"]
         }
-        self.network.send(
-            requester, self.name, "attest", ftx,
-            exposure=Exposure.of(data_keys=visible_keys),
+        request = self.platform._send_critical(
+            requester, self.name, "attest", (ftx, fact_name),
+            Exposure.of(data_keys=visible_keys),
         )
+        return self.network.outcome(request).payload
+
+    def _on_attest(self, message) -> None:
+        """Delivery handler for ``attest``: check the tear-off and the fact,
+        sign the root, and reply ``attestation``."""
+        ftx, fact_name = message.payload
+        try:
+            answer = self._check_and_sign(ftx, fact_name)
+        except ReproError as error:
+            answer = Refusal(error)
+        self.network.reply(message, "attestation", answer)
+
+    def _check_and_sign(
+        self, ftx: FilteredTransaction, fact_name: str
+    ) -> OracleAttestation:
         if not ftx.verify():
             raise ProofError("filtered transaction does not match its root")
         commands = ftx.visible_of_group("commands")

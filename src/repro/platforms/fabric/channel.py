@@ -7,25 +7,31 @@ the wider network and transactions are only shared between channel
 members."
 
 A channel bundles: a member set, a hash-linked chain, per-member world
-state replicas (each applies blocks as they arrive), an endorsement
-policy, committed chaincode definitions, and any private data collections.
+state replicas (each validates and applies blocks as they arrive, and
+keeps each transaction's validation code), an endorsement policy,
+committed chaincode definitions, and any private data collections.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.common.errors import (
-    ContractError,
-    MembershipError,
-    ValidationError,
-)
+from repro.common.errors import ContractError, MembershipError
 from repro.ledger.block import Chain
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction
 from repro.ledger.validation import EndorsementPolicy, apply_writes
 from repro.platforms.fabric.pdc import PrivateDataCollection
+
+
+class ValidationCode(enum.Enum):
+    """Fabric-style per-transaction validation outcomes."""
+
+    VALID = "VALID"
+    MVCC_READ_CONFLICT = "MVCC_READ_CONFLICT"
+    ENDORSEMENT_POLICY_FAILURE = "ENDORSEMENT_POLICY_FAILURE"
 
 
 @dataclass
@@ -41,10 +47,11 @@ class ChaincodeDefinition:
 
 class BlockEntry(NamedTuple):
     """One ordered transaction as a ``block`` message carries it: the
-    transaction, whether it validated, and its position in commit order."""
+    transaction, the chaincode whose endorsement policy it is validated
+    against, and its position in commit order."""
 
     tx: Transaction
-    valid: bool
+    contract_id: str
     position: int
 
 
@@ -61,14 +68,14 @@ class Channel:
         # transactions it has applied; a member that misses a block lags.
         self.states: dict[str, WorldState] = {m: WorldState() for m in members}
         self.applied: dict[str, int] = {m: 0 for m in members}
+        # Each member's validation code of every transaction it applied:
+        # its ledger's record, durable like the chain.
+        self.codes: dict[str, dict[str, ValidationCode]] = {m: {} for m in members}
         self.definitions: dict[str, ChaincodeDefinition] = {}
         self.collections: dict[str, PrivateDataCollection] = {}
         # The block entry of every ordered transaction, by id: what the
         # orderer and catch-up providers send.
         self.outcomes: dict[str, BlockEntry] = {}
-        # The committed version of each key: what MVCC validation checks
-        # reads against, since any one replica may lag.
-        self.versions: dict[str, int] = {}
 
     def require_member(self, org: str) -> None:
         if org not in self.members:
@@ -132,52 +139,51 @@ class Channel:
         self.require_member(org)
         return self.states[org]
 
-    def reference_state(self, skip: frozenset[str] | set[str] = frozenset()) -> WorldState:
-        """The first live member's replica; endorsement reads from it.
-
-        *skip* excludes members whose replicas cannot be trusted right
-        now — crashed peers whose state lags until they catch up.  A live
-        member that lost a block in flight lags too; a read it serves is
-        then stale, and validation against :attr:`versions` rejects it.
-        """
-        for member, state in self.states.items():
-            if member not in skip:
-                return state
-        raise ValidationError(
-            f"channel {self.name!r} has no live replica to validate against"
-        )
+    def reference_state(self) -> WorldState:
+        """The first member's replica (for reads outside any flow)."""
+        return next(iter(self.states.values()))
 
     def replicas_consistent(self) -> bool:
         """True iff every member's replica holds the same snapshot."""
         snapshots = [state.snapshot() for state in self.states.values()]
         return all(s == snapshots[0] for s in snapshots[1:])
 
-    def record_commit(self, tx: Transaction, valid: bool) -> BlockEntry:
-        """Record one validated transaction; returns its block entry."""
-        if valid:
-            for write in tx.writes:
-                self.versions[write.key] = (
-                    0 if write.is_delete else self.versions.get(write.key, 0) + 1
-                )
-        entry = BlockEntry(tx, valid, len(self.outcomes))
+    def record_order(self, tx: Transaction, contract_id: str) -> BlockEntry:
+        """Record one ordered transaction; returns its block entry."""
+        entry = BlockEntry(tx, contract_id, len(self.outcomes))
         self.outcomes[tx.tx_id] = entry
         return entry
 
-    def apply(self, member: str, entry: BlockEntry) -> None:
-        """Apply one block entry to *member*'s replica, in commit order
-        only: one past a gap (an earlier block lost in flight) or one
-        already applied changes nothing, so the member stays behind until
-        catch-up."""
-        if entry.position != self.applied[member]:
-            return
-        if entry.valid:
+    def commit(self, member: str, entry: BlockEntry, code: ValidationCode) -> None:
+        """Commit the next block entry to *member*'s ledger with the code
+        it validated to, applying its writes iff it is valid."""
+        self.codes[member][entry.tx.tx_id] = code
+        if code is ValidationCode.VALID:
             apply_writes(entry.tx, self.states[member])
         self.applied[member] = entry.position + 1
 
+    def code_of(self, tx_id: str) -> ValidationCode | None:
+        """The code members validated *tx_id* to (``None`` if none did)."""
+        for member in sorted(self.members):
+            code = self.codes[member].get(tx_id)
+            if code is not None:
+                return code
+        return None
+
+    def _tx_ids(self, valid: bool) -> list[str]:
+        codes: dict[str, ValidationCode] = {}
+        for member in sorted(self.members):
+            for tx_id, code in self.codes[member].items():
+                codes.setdefault(tx_id, code)
+        return [
+            tx_id for tx_id, code in codes.items()
+            if (code is ValidationCode.VALID) is valid
+        ]
+
     @property
     def committed_tx_ids(self) -> list[str]:
-        return [tx_id for tx_id, entry in self.outcomes.items() if entry.valid]
+        return self._tx_ids(valid=True)
 
     @property
     def invalid_tx_ids(self) -> list[str]:
-        return [tx_id for tx_id, entry in self.outcomes.items() if not entry.valid]
+        return self._tx_ids(valid=False)

@@ -7,21 +7,26 @@ transactions, Idemix for zero-knowledge client identity, and private data
 collections.  The execute-order-validate flow is message-accurate: every
 proposal, endorsement, submission, and block delivery between two nodes
 crosses the simulated network, so the leakage auditor can account for
-every exposure.
+every exposure, and each principal decides in its own delivery handler:
+an endorser executes and signs on ``proposal``, the orderer orders on
+``submit``, and every member validates on ``block``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import (
+    DeliveryError,
     EndorsementError,
     MembershipError,
+    OrderingError,
     PlatformError,
     ReproError,
     ValidationError,
 )
+from repro.common.serialization import canonical_bytes
 from repro.crypto.anoncred import (
     CredentialHolder,
     CredentialIssuer,
@@ -37,8 +42,12 @@ from repro.ledger.transaction import (
     WriteEntry,
 )
 from repro.ledger.state import WorldState
-from repro.ledger.validation import EndorsementPolicy, verify_endorsements
-from repro.network.messages import Exposure
+from repro.ledger.validation import (
+    EndorsementPolicy,
+    check_read_set,
+    verify_endorsements,
+)
+from repro.network.messages import Exposure, Message, Refusal
 from repro.platforms.base import (
     Platform,
     delivers,
@@ -46,28 +55,74 @@ from repro.platforms.base import (
     TxRequest,
     rejection_receipt,
 )
-from repro.platforms.fabric.channel import Channel
+from repro.platforms.fabric.channel import BlockEntry, Channel, ValidationCode
 from repro.recovery.catchup import catchup_dedup_key, pick_provider, ship
 
 ORDERER_NODE = "fabric-orderer"
 ANONYMOUS_CLIENT = "anonymous-client"
 
 
-def _tx_exposure(tx: Transaction) -> Exposure:
-    """What carrying *tx* exposes: its participants and the keys it
-    reads and writes (order submission and ``block``, live or re-sent)."""
+def _tx_exposure(*txs: Transaction) -> Exposure:
+    """What carrying *txs* exposes: their participants and the keys they
+    read and write (an order submission and ``block``, live or re-sent)."""
     return Exposure.of(
-        identities=set(tx.metadata.get("participants", [])),
-        data_keys={w.key for w in tx.writes} | {r.key for r in tx.reads},
+        identities={p for tx in txs for p in tx.metadata.get("participants", [])},
+        data_keys={entry.key for tx in txs for entry in (*tx.writes, *tx.reads)},
     )
 
 
-class ValidationCode(enum.Enum):
-    """Fabric-style per-transaction validation outcomes."""
+class _ProposalFields(NamedTuple):
+    contract_id: str
+    function: str
+    args: dict
+    channel: str
+    submitter: str
+    private_hashes: dict
+    metadata: dict
+    timestamp: float
 
-    VALID = "VALID"
-    MVCC_READ_CONFLICT = "MVCC_READ_CONFLICT"
-    ENDORSEMENT_POLICY_FAILURE = "ENDORSEMENT_POLICY_FAILURE"
+
+class Proposal(_ProposalFields):
+    """What a client sends each endorser: the chaincode call, and the
+    header (channel, submitter, metadata, private-data hashes, timestamp)
+    that every endorser completes with its own execution's read and write
+    sets, so that all of them build the same transaction.
+
+    Beside its fields (all that is encoded) a proposal keeps the
+    transactions built from it: endorsers whose read and write sets agree
+    share one, so its content is encoded once, as a Corda wire
+    transaction's Merkle tree is built once."""
+
+    def transaction(self, execution) -> Transaction:
+        reads = tuple(ReadEntry(k, v) for k, v in sorted(execution.reads.items()))
+        writes = tuple(
+            [WriteEntry(k, v) for k, v in sorted(execution.writes.items())]
+            + [WriteEntry(k, is_delete=True) for k in sorted(execution.deletes)]
+        )
+        built = self.__dict__.setdefault("built", [])
+        for tx in built:
+            if (tx.reads, tx.writes) == (reads, writes):
+                return tx
+        tx = Transaction(
+            self.channel, self.submitter, reads=reads, writes=writes,
+            private_hashes=self.private_hashes,
+            metadata=self.metadata,
+            timestamp=self.timestamp,
+        )
+        built.append(tx)
+        return tx
+
+    def wire_size(self) -> int:
+        return len(canonical_bytes(self))
+
+
+class ProposalResponse(NamedTuple):
+    """An endorser's ``endorsement`` reply: the transaction it executed,
+    the chaincode's return value, and its signature over the transaction."""
+
+    tx: Transaction
+    return_value: object
+    endorsement: Endorsement
 
 
 @dataclass
@@ -76,12 +131,15 @@ class ProposedTransaction:
 
     ``contract_id`` names the chaincode it was endorsed for: validation
     checks that chaincode's endorsement policy.  The channel is
-    ``tx.channel``.
+    ``tx.channel``.  ``cause`` is the endorsement reply that completed it,
+    which its order submission acts on (``None`` when the client endorsed
+    alone).
     """
 
     tx: Transaction
     contract_id: str
     return_value: object
+    cause: Message | None = None
 
 
 @dataclass
@@ -92,7 +150,7 @@ class InvokeResult:
     return_value: object
     valid: bool
     commit_time: float
-    validation_code: "ValidationCode" = None  # set by the commit path
+    validation_code: ValidationCode
 
 
 class FabricNetwork(Platform):
@@ -111,7 +169,9 @@ class FabricNetwork(Platform):
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         # The Idemix client: anonymous proposals and their order
         # submission come from here, and its endorsements come back here.
-        self.network.add_node(ANONYMOUS_CLIENT)
+        self.network.add_node(ANONYMOUS_CLIENT).on(
+            "endorsement", self.network.record_reply
+        )
         self.orderer = OrderingService(
             ORDERER_NODE,
             self.clock,
@@ -119,6 +179,8 @@ class FabricNetwork(Platform):
             network=self.network,
             telemetry=self.telemetry,
         )
+        for replica in self.orderer.replicas:
+            self.network.node(replica).on("submit", self._on_submit)
         self.ordering = self.orderer
         self.channels: dict[str, Channel] = {}
         # contract id -> channel it is committed on; lets the pipeline
@@ -129,6 +191,10 @@ class FabricNetwork(Platform):
             "fabric-idemix-msp", scheme=self.scheme, rng=self.rng.fork("idemix")
         )
         self._idemix_holders: dict[str, CredentialHolder] = {}
+        # Per orderer leader and channel: the batch whose shares are
+        # arriving (its order, the pairs so far, and the request of each
+        # share, by the transactions it carries).
+        self._arriving: dict[tuple[str, str], tuple] = {}
 
     # -- membership & channels
 
@@ -138,7 +204,10 @@ class FabricNetwork(Platform):
         self._idemix_holders[name] = CredentialHolder(
             name, self.idemix_issuer, rng=self.rng.fork("holder:" + name)
         )
-        self.network.node(name).on("block", self._on_block)
+        node = self.network.node(name)
+        node.on("proposal", self._on_proposal)
+        node.on("endorsement", self.network.record_reply)
+        node.on("block", self._on_block)
         return party
 
     def create_channel(self, name: str, members: list[str]) -> Channel:
@@ -183,10 +252,6 @@ class FabricNetwork(Platform):
 
     # -- the execute-order-validate flow
 
-    def _crashed_members(self, channel: Channel) -> set[str]:
-        """Members whose peers are currently down (miss blocks, lag state)."""
-        return {m for m in channel.members if self.network.is_crashed(m)}
-
     @delivers
     def propose(
         self,
@@ -201,14 +266,17 @@ class FabricNetwork(Platform):
     ) -> "ProposedTransaction":
         """Run the propose/endorse phase only; returns an endorsed proposal.
 
-        Several proposals endorsed against the same snapshot can then be
-        submitted together with :meth:`submit_batch`, which is how MVCC
-        read conflicts arise in real Fabric.  ``collection_writes`` maps
-        PDC name -> {key: value}; the values go to member peer stores,
-        only hashes reach the ledger, and the PDC member list is disclosed
-        in transaction metadata (the paper's caveat).  ``anonymous=True``
-        submits with an Idemix presentation instead of the client
-        certificate.
+        The client sends each endorser a ``proposal``; the endorser
+        executes it against its own replica, signs, and replies
+        ``endorsement`` (an endorser that is the client does so in place).
+        The endorsers' write sets must agree.  Several proposals endorsed
+        against the same snapshot can then be submitted together with
+        :meth:`submit_batch`, which is how MVCC read conflicts arise in
+        real Fabric.  ``collection_writes`` maps PDC name -> {key: value};
+        the values go to member peer stores, only hashes reach the ledger,
+        and the PDC member list is disclosed in transaction metadata (the
+        paper's caveat).  ``anonymous=True`` submits with an Idemix
+        presentation instead of the client certificate.
         """
         channel = self.channel(channel_name)
         if not anonymous:
@@ -239,38 +307,6 @@ class FabricNetwork(Platform):
             visible_identities.add(submitter)
             client = submitter
 
-        # Send the proposals, execute on each endorser, check agreement.
-        proposal_exposure = Exposure.of(
-            identities=visible_identities, code_ids={contract_id}
-        )
-        reference = channel.reference_state(skip=self._crashed_members(channel))
-        results = []
-        with self.telemetry.span(
-            "fabric.endorse",
-            channel=channel.name,
-            contract=contract_id,
-            endorsers=len(endorsers),
-        ):
-            for endorser in endorsers:
-                # An endorser-submitter executes its own proposal in place.
-                if endorser != client:
-                    self.network.send(
-                        client,
-                        endorser,
-                        "proposal",
-                        {"contract": contract_id, "function": function, "args": args},
-                        exposure=proposal_exposure,
-                    )
-                results.append(self.engine.execute(
-                    endorser, contract_id, function, args, reference
-                ))
-        execution = results[0]
-        for endorser, result in zip(endorsers[1:], results[1:]):
-            if result.writes != execution.writes or result.deletes != execution.deletes:
-                raise EndorsementError(
-                    f"endorser {endorser!r} produced a divergent write set"
-                )
-
         private_hashes: dict = {}
         if collection_writes:
             disclosures = []
@@ -293,39 +329,72 @@ class FabricNetwork(Platform):
         # The participant list the orderer will see (paper Section 5) is
         # part of the content every endorser signs.
         metadata["participants"] = sorted(visible_identities)
-        tx = Transaction(
-            channel=channel_name,
-            submitter=client,
-            reads=tuple(ReadEntry(key=k, version=v) for k, v in sorted(execution.reads.items())),
-            writes=tuple(
-                [WriteEntry(key=k, value=v) for k, v in sorted(execution.writes.items())]
-                + [WriteEntry(key=k, is_delete=True) for k in sorted(execution.deletes)]
-            ),
-            private_hashes=private_hashes,
-            metadata=metadata,
-            timestamp=self.clock.now,
+        proposal = Proposal(
+            contract_id, function, args, channel_name, client,
+            private_hashes, metadata, self.clock.now,
         )
-        endorsements = []
-        for endorser in endorsers:
-            signature = self.scheme.sign(self.parties[endorser].key, tx.signing_bytes())
-            self.telemetry.metrics.counter(
-                "crypto.ops", mechanism="endorsement-signature"
-            ).inc()
-            endorsement = Endorsement(endorser=endorser, signature=signature)
-            endorsements.append(endorsement)
-            if endorser != client:
-                self.network.send(
-                    endorser,
-                    client,
-                    "endorsement",
-                    endorsement,
-                    exposure=Exposure.of(identities={endorser}),
+        with self.telemetry.span(
+            "fabric.endorse",
+            channel=channel.name,
+            contract=contract_id,
+            endorsers=len(endorsers),
+        ):
+            answers = {}
+            if client in endorsers:
+                answers[client] = self._endorse(client, proposal)
+                if isinstance(answers[client], Refusal):
+                    raise answers[client].error
+            exposure = Exposure.of(
+                identities=visible_identities, code_ids={contract_id}
+            )
+            replies = self.network.outcomes([
+                self._send_critical(client, endorser, "proposal", proposal, exposure)
+                for endorser in endorsers
+                if endorser != client
+            ])
+        answers.update((reply.sender, reply.payload) for reply in replies)
+        responses = [answers[endorser] for endorser in endorsers]
+        for endorser, response in zip(endorsers[1:], responses[1:]):
+            if response.tx.writes != responses[0].tx.writes:
+                raise EndorsementError(
+                    f"endorser {endorser!r} produced a divergent write set"
                 )
-        tx = tx.with_endorsements(endorsements)
         return ProposedTransaction(
-            tx=tx,
+            tx=responses[0].tx.with_endorsements(
+                [response.endorsement for response in responses]
+            ),
             contract_id=contract_id,
-            return_value=execution.return_value,
+            return_value=responses[0].return_value,
+            cause=replies[-1] if replies else None,
+        )
+
+    def _endorse(self, endorser: str, proposal: Proposal):
+        """*endorser* executes *proposal* against its own replica and
+        signs the transaction it yields: a :class:`ProposalResponse`, or
+        the :class:`Refusal` of what the execution raised."""
+        try:
+            execution = self.engine.execute(
+                endorser, proposal.contract_id, proposal.function, proposal.args,
+                self.channels[proposal.channel].states[endorser],
+            )
+        except ReproError as error:
+            return Refusal(error)
+        tx = proposal.transaction(execution)
+        signature = self.scheme.sign(self.parties[endorser].key, tx.signing_bytes())
+        self.telemetry.metrics.counter(
+            "crypto.ops", mechanism="endorsement-signature"
+        ).inc()
+        return ProposalResponse(
+            tx, execution.return_value,
+            Endorsement(endorser=endorser, signature=signature),
+        )
+
+    def _on_proposal(self, message) -> None:
+        """Delivery handler for ``proposal``: endorse it and reply."""
+        endorser = message.recipient
+        self.network.reply(
+            message, "endorsement", self._endorse(endorser, message.payload),
+            exposure=Exposure.of(identities={endorser}),
         )
 
     @delivers
@@ -377,6 +446,10 @@ class FabricNetwork(Platform):
     ) -> list[InvokeResult]:
         """Order several endorsed proposals into one block and commit.
 
+        Each submitter sends its own transactions to the orderer's leader
+        as one ``submit``; once the whole batch has arrived the orderer
+        orders it in its handler and sends every live member a ``block``
+        per transaction, and each member validates in its own handler.
         Mirrors Fabric's validate phase: every transaction lands on the
         chain, each carrying a validation code; only VALID transactions
         mutate state.  Proposals endorsed against the same snapshot that
@@ -393,105 +466,151 @@ class FabricNetwork(Platform):
         # Fail before any state or queue mutation so a caller can retry the
         # whole batch after recovery without double-apply.
         leader = self.orderer.require_available()
-        with self.telemetry.span(
-            "fabric.order", channel=channel_name, batch_size=len(proposals)
-        ):
-            for proposal in proposals:
-                if proposal.tx.channel != channel_name:
-                    raise PlatformError("proposal belongs to a different channel")
-                exposure = _tx_exposure(proposal.tx)
-                self._send_critical(
-                    proposal.tx.submitter, leader, "submit", proposal.tx,
-                    exposure=exposure,
-                )
-                self.orderer.submit(proposal.tx, exposure)
-            batch = self.orderer.cut_batch(channel_name, force=force_cut)
-        return self._commit_block(channel, leader, proposals, batch.released_at)
-
-    def _commit_block(
-        self,
-        channel: Channel,
-        leader: str,
-        proposals: list["ProposedTransaction"],
-        released_at: float,
-    ) -> list[InvokeResult]:
-        """Validate each tx of one block, then send it from the orderer's
-        *leader* to every live member.
-
-        Fabric semantics: every transaction lands on the chain with a
-        validation code; invalid ones do not touch state.  Validation runs
-        sequentially against the channel's committed versions, so a tx
-        whose read set an earlier valid tx wrote conflicts, in this block
-        or an earlier one, however far a replica lags.  Replicas apply the
-        valid writes when the ``block`` message reaches them
-        (:meth:`_on_block`).
-        """
-        results: list[InvokeResult] = []
-        # A crashed member misses block delivery and its replica lags —
-        # that is what checkpoint + catch-up recover from later.  Live
-        # members keep committing as long as the endorsement policy can
-        # still be met without the crashed peer.
-        crashed = self._crashed_members(channel)
-        live = [m for m in sorted(channel.members) if m not in crashed]
-        if not self.resilient_delivery:
-            # Refuse an unreachable member before anything is committed,
-            # as the block broadcast would.
-            for member in live:
-                self.network._check_link(leader, member)
         for proposal in proposals:
-            tx = proposal.tx
-            with self.telemetry.span(
-                "fabric.validate", channel=channel.name
-            ) as validate_span:
-                code = ValidationCode.VALID
-                # 1. Endorsement policy of the chaincode the proposal was
-                # endorsed for.  Every live committing peer validates
-                # independently (the honest Fabric model); the signature-
-                # verification cache turns the repeats into lookups.
-                policy = channel.committed_definition(proposal.contract_id).policy
-                try:
-                    for __ in live or [None]:
-                        verify_endorsements(
-                            tx, policy, self.scheme,
-                            lambda n: self.parties[n].public_key,
-                        )
-                except EndorsementError:
-                    code = ValidationCode.ENDORSEMENT_POLICY_FAILURE
-                # 2. MVCC read-set check against the committed versions.
-                if code is ValidationCode.VALID:
-                    for read in tx.reads:
-                        if channel.versions.get(read.key, 0) != read.version:
-                            code = ValidationCode.MVCC_READ_CONFLICT
-                            break
-                self.telemetry.tracer.set_attribute(
-                    validate_span, "validation_code", code.value
+            if proposal.tx.channel != channel_name:
+                raise PlatformError("proposal belongs to a different channel")
+        if not proposals:
+            raise OrderingError(f"no pending transactions on channel {channel_name!r}")
+        # Each submitter sends its own transactions, naming the batch's
+        # order so that the orderer can order it whole.
+        order = tuple(proposal.tx.tx_id for proposal in proposals)
+        by_submitter: dict[str, list[ProposedTransaction]] = {}
+        for proposal in proposals:
+            by_submitter.setdefault(proposal.tx.submitter, []).append(proposal)
+        requests = []
+        for submitter, group in by_submitter.items():
+            causes = [p.cause for p in group if p.cause is not None]
+            with self.network.acting_on(causes[-1] if causes else None):
+                requests.append(self._send_critical(
+                    submitter, leader, "submit",
+                    (
+                        channel_name, order,
+                        tuple((p.tx, p.contract_id) for p in group), force_cut,
+                    ),
+                    exposure=_tx_exposure(*(p.tx for p in group)),
+                ))
+        released_at = self.network.outcomes(requests)[0]
+        self.clock.advance_to(released_at)
+        results = []
+        for proposal in proposals:
+            code = channel.code_of(proposal.tx.tx_id)
+            if code is None:
+                raise DeliveryError(
+                    f"no member of {channel_name!r} received {proposal.tx.tx_id}"
                 )
-                self.telemetry.metrics.counter(
-                    "fabric.validation", code=code.value
-                ).inc()
-            valid = code is ValidationCode.VALID
-            with self.telemetry.span(
-                "fabric.commit", channel=channel.name, valid=valid
-            ):
-                entry = channel.record_commit(tx, valid)
-            self._fan_out(leader, live, "block", entry, _tx_exposure(tx))
             results.append(InvokeResult(
-                tx=tx,
+                tx=proposal.tx,
                 return_value=proposal.return_value,
-                valid=valid,
+                valid=code is ValidationCode.VALID,
                 commit_time=released_at,
                 validation_code=code,
             ))
-        channel.chain.append([p.tx for p in proposals], self.clock.now)
-        self.clock.advance_to(released_at)
         return results
+
+    def _on_submit(self, message) -> None:
+        """Delivery handler for ``submit``, on the orderer's leader: one
+        submitter's share of a batch (channel, the batch's tx ids in
+        order, its ``(tx, contract id)`` pairs, flush flag).  Once the
+        whole batch has arrived, order it, then send each live member a
+        ``block`` per transaction; the release time (or the refusal) is
+        recorded for every share's call.
+
+        A crashed member misses its blocks and lags — that is what
+        checkpoint + catch-up recover from later.  Without
+        ``resilient_delivery`` a live member the leader cannot reach
+        refuses the batch before anything is ordered, as the block
+        broadcast would; with it, that member lags too.
+        """
+        leader = message.recipient
+        channel_name, order, pairs, flush = message.payload
+        # One batch arrives at a time per channel: a share of another
+        # batch replaces what is left of an earlier, incomplete one.
+        arriving = self._arriving.get((leader, channel_name))
+        if arriving is None or arriving[0] != order:
+            arriving = self._arriving[(leader, channel_name)] = (order, {}, {})
+        __, shares, requests = arriving
+        shares.update((tx.tx_id, (tx, contract_id)) for tx, contract_id in pairs)
+        requests[tuple(tx.tx_id for tx, __ in pairs)] = message
+        if len(shares) < len(order):
+            return
+        del self._arriving[(leader, channel_name)]
+        batch = [shares[tx_id] for tx_id in order]
+        channel = self.channels[channel_name]
+        live = [m for m in sorted(channel.members) if not self.network.is_crashed(m)]
+        with self.telemetry.span(
+            "fabric.order", channel=channel_name, batch_size=len(batch)
+        ):
+            try:
+                if not self.resilient_delivery:
+                    for member in live:
+                        self.network._check_link(leader, member)
+                for tx, __ in batch:
+                    self.orderer.submit(tx, _tx_exposure(tx))
+                outcome = self.orderer.cut_batch(channel_name, force=flush).released_at
+            except ReproError as refusal:
+                outcome = Refusal(refusal)
+            else:
+                reachable = [
+                    m for m in live if not self.network.is_partitioned(leader, m)
+                ]
+                for tx, contract_id in batch:
+                    self.network.broadcast(
+                        leader, "block", channel.record_order(tx, contract_id),
+                        exposure=_tx_exposure(tx), recipients=reachable,
+                    )
+                channel.chain.append([tx for tx, __ in batch], self.clock.now)
+        for request in requests.values():
+            self.network.record(request, outcome)
 
     def _on_block(self, message) -> None:
         """Delivery handler for ``block``, from the orderer or re-sent by a
-        peer in catch-up: the recipient's replica applies the block entry
-        it carries, in commit order."""
-        entry = message.payload
-        self.channels[entry.tx.channel].apply(message.recipient, entry)
+        peer in catch-up: the member validates the entry it carries
+        against its own replica and commits it, in commit order only.  An
+        entry past a gap (an earlier block lost in flight) or already
+        applied changes nothing, so the member stays behind until
+        catch-up."""
+        entry: BlockEntry = message.payload
+        member = message.recipient
+        channel = self.channels[entry.tx.channel]
+        if entry.position != channel.applied[member]:
+            return
+        with self.telemetry.span(
+            "fabric.validate", channel=channel.name
+        ) as validate_span:
+            code = self._validate(channel, member, entry)
+            self.telemetry.tracer.set_attribute(
+                validate_span, "validation_code", code.value
+            )
+            self.telemetry.metrics.counter(
+                "fabric.validation", code=code.value
+            ).inc()
+        with self.telemetry.span(
+            "fabric.commit", channel=channel.name,
+            valid=code is ValidationCode.VALID,
+        ):
+            channel.commit(member, entry, code)
+
+    def _validate(
+        self, channel: Channel, member: str, entry: BlockEntry
+    ) -> ValidationCode:
+        """*member*'s verdict on *entry*: the endorsement policy of the
+        chaincode it was endorsed for (the signature-verification cache
+        turns every member's repeat into a lookup), then the MVCC read set
+        against the member's own replica."""
+        try:
+            verify_endorsements(
+                entry.tx,
+                channel.committed_definition(entry.contract_id).policy,
+                self.scheme,
+                lambda name: self.parties[name].public_key,
+            )
+        except EndorsementError:
+            return ValidationCode.ENDORSEMENT_POLICY_FAILURE
+        try:
+            check_read_set(entry.tx, channel.states[member])
+        except ValidationError:
+            return ValidationCode.MVCC_READ_CONFLICT
+        return ValidationCode.VALID
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)

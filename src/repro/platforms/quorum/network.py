@@ -13,6 +13,10 @@ dedicated methods: :meth:`demonstrate_private_double_spend` succeeds (the
 flaw), while the same spend on public state is rejected; and every private
 transaction broadcast exposes its participant list to all nodes (checked
 by the leakage audit).
+
+A sender executes its transaction and submits it to consensus only;
+consensus orders it, appends it to the public chain and gossips it to
+every other node, all in its ``submit`` handler.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.common.errors import (
     MembershipError,
     PlatformError,
     PrivacyError,
+    ReproError,
 )
 from repro.common.serialization import canonical_json, from_canonical_json
 from repro.execution.contracts import SmartContract, StateView
@@ -34,7 +39,7 @@ from repro.ledger.ordering import OrderingService
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction, WriteEntry
 from repro.ledger.validation import apply_writes
-from repro.network.messages import Exposure
+from repro.network.messages import Exposure, Refusal
 from repro.platforms.base import (
     Platform,
     delivers,
@@ -96,6 +101,7 @@ class QuorumNetwork(Platform):
             network=self.network,
             telemetry=self.telemetry,
         )
+        self.network.node(SEQUENCER_NODE).on("submit", self._on_submit)
         self.ordering = self.sequencer
 
     # -- membership
@@ -154,7 +160,7 @@ class QuorumNetwork(Platform):
             or self.network.is_partitioned(sender, target)
         )
 
-    def _execute(
+    def _simulate(
         self,
         node: str,
         contract_id: str,
@@ -162,9 +168,12 @@ class QuorumNetwork(Platform):
         args: dict,
         state: WorldState,
     ):
+        """*node* runs a contract over a view of *state*, leaving the state
+        as it was; returns the value and the view holding the writes."""
         if node not in self.contract_hosts[contract_id]:
             raise PrivacyError(f"{node!r} has no code for {contract_id!r}")
-        return self._run_contract(contract_id, function, args, state)
+        view = StateView(state)
+        return self.contracts[contract_id].invoke(function, view, args), view
 
     def _run_contract(
         self, contract_id: str, function: str, args: dict, state: WorldState
@@ -196,24 +205,49 @@ class QuorumNetwork(Platform):
             raise DeliveryError(f"node {sender!r} is behind the chain")
         self.sequencer.require_available()
 
-    def _order(self, sender: str, tx: Transaction, exposure: Exposure) -> None:
-        """Order *tx* in a batch of its own, append it to the public
-        chain, and gossip it; the sender has then applied that height,
-        and every other node applies it when the gossip arrives."""
+    def _order(
+        self, sender: str, tx: Transaction, exposure: Exposure, view: StateView,
+        state: WorldState,
+    ) -> None:
+        """Submit *tx* to consensus; once it is ordered, the sender applies
+        its own execution (*view* over *state*) at the height consensus
+        recorded, and every other node applies it when the gossip
+        arrives.  Raises consensus's refusal."""
         with self.telemetry.span("quorum.order"):
-            self.sequencer.submit(tx, exposure)
+            request = self._send_critical(
+                sender, SEQUENCER_NODE, "submit", tx, exposure
+            )
+            height = self.network.outcome(request)
+        self._apply_view(view, state)
+        self._applied_upto[sender] = height
+
+    def _on_submit(self, message) -> None:
+        """Delivery handler for ``submit``, on consensus: order the
+        transaction in a batch of its own, append it to the public chain
+        and gossip it to every other node; its height (or the refusal) is
+        recorded for the sender's call.  A crashed or partitioned peer
+        misses the gossip (it would be dropped at delivery anyway); it
+        does not veto the transaction."""
+        tx = message.payload
+        try:
+            self.sequencer.submit(tx, message.exposure)
             self.sequencer.cut_batch("quorum-public", force=True)
-            self.chain.append([tx], self.clock.now)
-            height = self.chain.height
-            self._gossip_exposure[height] = exposure
-            self._applied_upto[sender] = height
-            # A crashed or partitioned peer misses the gossip (it would be
-            # dropped at delivery anyway); it does not veto the transaction.
-            targets = [
-                node for node in self.network.nodes()
-                if node != sender and self._reachable(sender, node)
-            ]
-            self._fan_out(sender, targets, _gossip_kind(tx), (height, tx), exposure)
+        except ReproError as refusal:
+            self.network.record(message, Refusal(refusal))
+            return
+        self.chain.append([tx], self.clock.now)
+        height = self.chain.height
+        self._gossip_exposure[height] = message.exposure
+        targets = [
+            node for node in self.network.nodes()
+            if node not in (SEQUENCER_NODE, tx.submitter)
+            and self._reachable(SEQUENCER_NODE, node)
+        ]
+        self.network.broadcast(
+            SEQUENCER_NODE, _gossip_kind(tx), (height, tx),
+            exposure=message.exposure, recipients=targets,
+        )
+        self.network.record(message, height)
 
     def _on_chain_tx(self, message) -> None:
         """Delivery handler for ``public-tx`` and ``private-tx``, gossiped
@@ -237,10 +271,11 @@ class QuorumNetwork(Platform):
             if not self.managers[node].has_payload(payload_hash):
                 return
             resolved = self.managers[node].resolve(payload_hash)
-            self._execute(
+            __, view = self._simulate(
                 node, resolved["contract"], resolved["function"],
                 resolved["args"], self.private_states[node],
             )
+            self._apply_view(view, self.private_states[node])
         self._applied_upto[node] = height
 
     def _on_payload(self, message) -> None:
@@ -255,16 +290,17 @@ class QuorumNetwork(Platform):
     ) -> QuorumTxResult:
         """A normal Ethereum-style transaction: everyone sees everything.
 
-        The sender executes it; every node the gossip reaches applies its
-        write set on delivery.  A crashed node misses the block, and
-        catch-up replays it later.
+        The sender executes it and applies its writes once consensus has
+        ordered it; every node the gossip reaches applies its write set on
+        delivery.  A crashed node misses the block, and catch-up replays
+        it later.
         """
         self._check_sender(sender)
         with self.telemetry.span(
             "quorum.public_tx", sender=sender, contract=contract_id
         ):
             with self.telemetry.span("quorum.execute"):
-                value, view = self._execute(
+                value, view = self._simulate(
                     sender, contract_id, function, args,
                     self.public_states[sender],
                 )
@@ -284,7 +320,7 @@ class QuorumNetwork(Platform):
                 data_keys=set(view.writes) | set(view.reads),
                 code_ids={contract_id},
             )
-            self._order(sender, tx, exposure)
+            self._order(sender, tx, exposure, view, self.public_states[sender])
         return QuorumTxResult(
             tx=tx, payload_hash=None,
             participants=sorted(self.parties), return_values={sender: value},
@@ -337,12 +373,13 @@ class QuorumNetwork(Platform):
             payload = {"contract": contract_id, "function": function, "args": args}
             # The sender executes first, on the arguments as its peers
             # will decode them, so a contract that raises encrypts and
-            # sends nothing.  Its writes apply after the sends: no
-            # private state moves before them.
+            # sends nothing.  Its writes apply once consensus has ordered
+            # the transaction: no private state moves before that.
             with self.telemetry.span("quorum.execute"):
-                view = StateView(self.private_states[sender])
-                value = self.contracts[contract_id].invoke(
-                    function, view, from_canonical_json(canonical_json(args))
+                value, view = self._simulate(
+                    sender, contract_id, function,
+                    from_canonical_json(canonical_json(args)),
+                    self.private_states[sender],
                 )
             # The encrypted payload crosses the wire once per reachable
             # recipient; the ciphertext itself exposes nothing (empty
@@ -360,10 +397,8 @@ class QuorumNetwork(Platform):
                         sender, participant, "private-payload", stored,
                         exposure=Exposure(),
                     )
-            # The other participants execute when the transaction
-            # reaches them.
-            self._apply_view(view, self.private_states[sender])
-            # The public transaction: hash only — but participants in the clear.
+            # The public transaction: hash only — but participants in the
+            # clear.  The other participants execute when it reaches them.
             tx = Transaction(
                 channel="quorum-public",
                 submitter=sender,
@@ -371,7 +406,10 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "private", "participants": participants},
                 timestamp=self.clock.now,
             )
-            self._order(sender, tx, Exposure.of(identities=set(participants)))
+            self._order(
+                sender, tx, Exposure.of(identities=set(participants)), view,
+                self.private_states[sender],
+            )
         return QuorumTxResult(
             tx=tx, payload_hash=payload_hash,
             participants=participants, return_values={sender: value},

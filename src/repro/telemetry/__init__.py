@@ -78,9 +78,6 @@ class Telemetry:
     def emit(self, name: str, **attributes):
         return self.events.emit(name, **attributes)
 
-    def counter(self, name: str, **labels):
-        return self.metrics.counter(name, **labels)
-
     def to_dict(self) -> dict:
         """Everything this bundle recorded, JSON-serializable — the
         surface the leakage cross-check test sweeps for secrets."""

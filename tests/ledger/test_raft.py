@@ -154,7 +154,8 @@ class TestReplication:
         order(cluster, 1)
         leader = cluster.network.node(replica("org1")).observer
         follower = cluster.network.node(replica("org2")).observer
-        assert leader.messages_observed == 1  # the submit
+        # The submit, and each of the two followers' append-ack.
+        assert leader.messages_observed == 3
         assert follower.messages_observed == 1  # the append
 
 

@@ -18,7 +18,6 @@ from repro.ledger.validation import (
     EndorsementPolicy,
     apply_writes,
     check_read_set,
-    validate_and_apply,
     verify_endorsements,
 )
 
@@ -165,37 +164,3 @@ class TestApply:
         )
         apply_writes(tx, state)
 
-
-class TestFullPipeline:
-    def test_validate_and_apply(self, scheme, keys):
-        state = WorldState()
-        state.put("k", 1)
-        tx = Transaction(
-            channel="ch", submitter="a",
-            reads=(ReadEntry(key="k", version=1),),
-            writes=(WriteEntry(key="k", value=2),),
-        )
-        tx = endorse(scheme, keys, tx, ["a", "b"])
-        validate_and_apply(
-            tx, state,
-            policy=EndorsementPolicy.all_of(["a", "b"]),
-            scheme=scheme,
-            resolve_key=lambda n: keys[n].public,
-        )
-        assert state.get("k") == 2
-        assert state.version("k") == 2
-
-    def test_policy_without_scheme_rejected(self, keys):
-        state = WorldState()
-        tx = Transaction(channel="ch", submitter="a")
-        with pytest.raises(ValidationError, match="needs a scheme"):
-            validate_and_apply(tx, state, policy=EndorsementPolicy.any_of(["a"]))
-
-    def test_no_policy_skips_endorsement_check(self):
-        state = WorldState()
-        tx = Transaction(
-            channel="ch", submitter="a",
-            writes=(WriteEntry(key="k", value=1),),
-        )
-        validate_and_apply(tx, state)
-        assert state.get("k") == 1

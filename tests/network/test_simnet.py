@@ -10,7 +10,7 @@ from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
 from repro.network.messages import Exposure
-from repro.network.simnet import LatencyModel, Observer, SimNetwork
+from repro.network.simnet import LatencyModel, Observer, SimNetwork, payload_size
 
 
 def received(net, name) -> int:
@@ -313,6 +313,12 @@ class TestPayloadSizing:
         with pytest.raises(TypeError):
             net.send("A", "B", "ping", object())
         assert net.stats.messages_sent == 0
+
+    @pytest.mark.parametrize(
+        "payload", ["", "tx:" + "f" * 64, 'quote " and \\ é', 0, -7, 10**30]
+    )
+    def test_scalar_is_sized_as_its_canonical_json(self, payload):
+        assert payload_size(payload) == len(canonical_bytes(payload))
 
     def test_broadcast_sizes_payload_once(self, net, monkeypatch):
         sized = []

@@ -6,11 +6,20 @@ driver and pins three things captured from a known-good build:
 - ``state_fingerprint()``: every replica's committed state;
 - a digest of the receipt tx ids, in order: which transactions
   committed, with which content;
-- the final simulated time: simulated latency never reads message
-  sizes or payloads, so a change to what messages carry must not move it.
+- the final simulated time.
 
-A refactor that promises byte-identical behaviour has to leave all three
-alone; a deliberate model change updates them here and says why.
+Every transaction id embeds a simulated-clock reading (a Fabric or
+Quorum transaction's timestamp, a Corda time window), and each request
+reads the clock after the previous flow's messages arrived.  A change
+to how many hops a flow takes therefore moves all three under the
+latency model.  Run with zero latency, the clock reads only the orderer's
+service time, so ``ZERO_LATENCY`` pins the fingerprint and receipt-id
+digest independently of the hops: those values date from before flows
+became causal (each principal deciding in its own delivery handler) and
+must not move.
+
+A refactor that promises byte-identical behaviour has to leave all of
+these alone; a deliberate model change updates them here and says why.
 """
 
 from __future__ import annotations
@@ -21,59 +30,99 @@ import pytest
 
 from repro.driver import build_scenario
 from repro.driver.core import Driver, DriverConfig
+from repro.network.simnet import LatencyModel
 
 #: workload -> (operations, Zipf skew, driver batch size)
 CASES = {"kv": (24, 1.2, 4), "loc": (12, 0.0, 3), "trades": (12, 0.0, 1)}
 
 #: (platform, workload) -> (fingerprint, receipt-id digest, final sim time)
 GOLDEN = {
-    ("fabric", "kv"): (
-        "d6c48e4d3989d91c51a8bba99a2c2b23c506c078c1bcd1eb50226017c98e516a",
-        "0e52d963654a662f", "0.1963521578948752",
-    ),
-    ("fabric", "loc"): (
-        "1c41021e8d34bf01f52621edd4ec6d3e0fb21a6fd273aa03bfb370f5f1cecbd2",
-        "2a2fa93c52168bfa", "0.3141925134837963",
-    ),
-    ("fabric", "trades"): (
-        "15c61ec2f94cc1f6b98b8145f9e7cecfccc2e97eee5efd8da8c99a3425cd2e45",
-        "dcfd68afeaa002ab", "0.15054118801382102",
-    ),
     ("corda", "kv"): (
-        "84bf21a8dce5dd36fa484982eee405814c3ba6ab58334f7bd4c80a11191eb015",
-        "568c0b180a412ae0", "0.1432121967408964",
+        "58bd49bdbe9a5f49da805a59fc9057447290669196694e554a892d4b862af115",
+        "54371a2c10427499", "0.2915774609498332",
     ),
     ("corda", "loc"): (
-        "bcc133c02430d8d011f23cf608e2acee37647f926af15907cc49af067215e7bb",
-        "bc7414d6d245506f", "0.23238514246007114",
+        "336ae15ad9005b5151d7ed224a1c31af164e9c6f69fe0339bde2af1957ba9d14",
+        "de471dcc6e695a04", "1.0619872176936827",
     ),
     ("corda", "trades"): (
-        "e5293688c63f6afe41b2e138a9c6436be4de8f4a8f46d460ba9d7e736e0ee117",
-        "6990ffdacf90a5c2", "0.07728949425577875",
+        "eab9284e46821a0c5447b9ca1110190a39c3a8bb7b848c3eea9e6fbd9a74c522",
+        "37f91cacdcdad53d", "0.36183427882030367",
+    ),
+    ("fabric", "kv"): (
+        "48aa5f762263bdb0130119b4ad19761ff265ca4b37aa91e8b8863c717292ef00",
+        "70f04331401fe82d", "0.366020632470421",
+    ),
+    ("fabric", "loc"): (
+        "0bf52d4cbccbf02f570148d19b9cbf46e623615ff4c7a9ba891827f019955885",
+        "b03aaf84597523de", "0.5898779420843355",
+    ),
+    ("fabric", "trades"): (
+        "48a1dbbbc1b2de3b8c3c4294976de791193bc5a50f27464c32a4fb68adad3fda",
+        "94a0cd6687ad1962", "0.2883035462278008",
     ),
     ("quorum", "kv"): (
-        "d5736f9e352483b2789fdbe9919895a67448abbab8f7ea77ab1546f78b9e282c",
-        "57bcc2c9d4d1c245", "0.15791499418296404",
+        "55b35a344ccb07bf8f7879cda8b65a87cdf9141eca28dd3d57e72d0e04ff30ab",
+        "57af14885235fbf8", "0.29838047609230134",
     ),
     ("quorum", "loc"): (
-        "86dc2180b40d3e1b6033214219f487c44d94d8d1282e073c884bc8e33c48cc64",
-        "626e138b32cac812", "0.23537821660257904",
+        "9cdccced79124bde403322428cbd3b62de1a1f66d3edd90aa4073ac7f3f71e2d",
+        "384679a99dff9df1", "0.4395051767531631",
     ),
     ("quorum", "trades"): (
-        "6dd185b18719d3dbb8cb439b34ba1cd7e5ba984feb249dc29d39d7eb09e3cc2d",
-        "8491cf05aa2d73d4", "0.08212098138523823",
+        "98459cb3592345a16e3cda8509d07eff828e47d9809a3669f6fca5131a662553",
+        "a210e61a2fa5450a", "0.14935991956807607",
+    ),
+}
+
+#: (platform, workload) -> (fingerprint, receipt-id digest) with zero latency
+ZERO_LATENCY = {
+    ("corda", "kv"): (
+        "16c644421ef81069f85b95e6965f97ed1559c54b95e992f263d2086267dd4f16",
+        "4e56ac59a9c44250",
+    ),
+    ("corda", "loc"): (
+        "fb4ef2b2296891eb3ea8e3aee50c9b9c1fd4bc6d72fe1015afead6b7ca70b88a",
+        "911975fbb9c25081",
+    ),
+    ("corda", "trades"): (
+        "2d95c5dc99d1802b170f119b0909a6c93a3371a94b442e2ef2ee4abf7efd6af6",
+        "6a65ee73f0574115",
+    ),
+    ("fabric", "kv"): (
+        "3a638f3c5538de202a69cef736b49289f5af9ded2f5e84e072f5a7ca285c71e3",
+        "b99b30a059a75f6e",
+    ),
+    ("fabric", "loc"): (
+        "4068f10f1ab2e2b9cd9b641aec03bbb5a3baa611a704051033ad8705c31da4b6",
+        "2d6908e0c146b16a",
+    ),
+    ("fabric", "trades"): (
+        "55b352de9c062600cd7fda67428248b74c0a371c21d2d6edf0bf69eaed722c85",
+        "e15aea8661c69f9b",
+    ),
+    ("quorum", "kv"): (
+        "b5a01d74a11adff3058668ac8282f408b04ac59751b4affcc403a9c610007a1d",
+        "aa98e450e1f222bb",
+    ),
+    ("quorum", "loc"): (
+        "b8a70bd1e009f872a2d81c380eb08945a9c2d5e8e730b853af08fccc7f3e9089",
+        "e039c5f9e4ab7a92",
+    ),
+    ("quorum", "trades"): (
+        "12060eb500a7fc015efb6dedfd40e9629ce037f4acefe8188d9a6dc97ff64c51",
+        "6a28f8666ae836b2",
     ),
 }
 
 
-@pytest.mark.parametrize(
-    "platform_name,workload", sorted(GOLDEN), ids=lambda value: value
-)
-def test_seeded_run_matches_golden(platform_name, workload):
+def drive(platform_name, workload, latency=None):
     operations, skew, batch_size = CASES[workload]
     scenario = build_scenario(
         platform_name, workload, operations, skew=skew, seed="golden"
     )
+    if latency is not None:
+        scenario.platform.network.latency = latency
     report = Driver(
         scenario.platform, DriverConfig(batch_size=batch_size)
     ).run(scenario.requests)
@@ -81,8 +130,22 @@ def test_seeded_run_matches_golden(platform_name, workload):
     receipt_ids = hashlib.sha256(
         "\n".join(str(receipt.tx_id) for receipt in report.receipts).encode()
     ).hexdigest()[:16]
-    assert (
-        scenario.platform.state_fingerprint(),
-        receipt_ids,
-        repr(scenario.platform.clock.now),
-    ) == GOLDEN[(platform_name, workload)]
+    platform = scenario.platform
+    return platform.state_fingerprint(), receipt_ids, repr(platform.clock.now)
+
+
+@pytest.mark.parametrize(
+    "platform_name,workload", sorted(GOLDEN), ids=lambda value: value
+)
+def test_seeded_run_matches_golden(platform_name, workload):
+    assert drive(platform_name, workload) == GOLDEN[(platform_name, workload)]
+
+
+@pytest.mark.parametrize(
+    "platform_name,workload", sorted(ZERO_LATENCY), ids=lambda value: value
+)
+def test_zero_latency_run_matches_golden(platform_name, workload):
+    fingerprint, receipt_ids, __ = drive(
+        platform_name, workload, LatencyModel(base=0.0, jitter=0.0)
+    )
+    assert (fingerprint, receipt_ids) == ZERO_LATENCY[(platform_name, workload)]

@@ -135,14 +135,16 @@ class TestInvoke:
         result = net.invoke("ch", "Org1", "cc", "put", {"key": "k", "value": 1})
         # Org1 submits and endorses: only Org2's endorsement crosses the wire.
         assert [(ack.sender, ack.recipient) for ack in acks] == [("Org2", "Org1")]
-        # The message carries Org2's endorsement of the committed tx.
-        assert [ack.payload for ack in acks] == [
+        # The reply carries Org2's endorsement of the committed tx, and the
+        # transaction Org2 executed and signed.
+        assert [ack.payload.endorsement for ack in acks] == [
             e for e in result.tx.endorsements if e.endorser == "Org2"
         ]
+        assert acks[0].payload.tx.tx_id == result.tx.tx_id
         assert net.scheme.verify(
             net.parties["Org2"].public_key,
             result.tx.signing_bytes(),
-            acks[0].payload.signature,
+            acks[0].payload.endorsement.signature,
         )
 
     def test_endorser_submitter_sends_itself_nothing(self, net, channel):

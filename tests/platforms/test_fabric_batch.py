@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import PlatformError
+from repro.common.errors import DeliveryError, PlatformError
 from repro.execution.contracts import SmartContract
-from repro.platforms.fabric import FabricNetwork, ValidationCode
+from repro.platforms.fabric import ORDERER_NODE, FabricNetwork, ValidationCode
 
 
 @pytest.fixture
@@ -108,3 +108,38 @@ class TestMVCCConflicts:
         b = net.propose("ch", "Org2", "cc", "put", {"key": "y", "value": 2})
         results = net.submit_batch("ch", [a, b])
         assert all(r.valid for r in results)
+
+
+class TestMixedSubmitters:
+    """A batch of several submitters' transactions: each submitter sends
+    its own share, and the orderer orders the batch once all of it has
+    arrived, in the order the client gave."""
+
+    def test_each_share_travels_from_its_submitter(self, net):
+        proposals = [
+            net.propose("ch", org, "cc", "put", {"key": f"k{n}", "value": n})
+            for n, org in enumerate(("Org1", "Org2", "Org1"))
+        ]
+        shares = []
+        net.network.node(ORDERER_NODE).on("submit", shares.append)
+        results = net.submit_batch("ch", proposals)
+        assert sorted(
+            (m.sender, [tx.submitter for tx, __ in m.payload[2]]) for m in shares
+        ) == [("Org1", ["Org1", "Org1"]), ("Org2", ["Org2"])]
+        assert [r.tx.tx_id for r in results] == [p.tx.tx_id for p in proposals]
+        block = net.channel("ch").chain.blocks()[-1]
+        assert [tx.tx_id for tx in block.transactions] == [
+            p.tx.tx_id for p in proposals
+        ]
+
+    def test_unreachable_submitter_orders_nothing(self, net):
+        first = net.propose("ch", "Org1", "cc", "put", {"key": "a", "value": 1})
+        second = net.propose("ch", "Org2", "cc", "put", {"key": "b", "value": 2})
+        net.network.partition("Org2", ORDERER_NODE)
+        height = net.channel("ch").chain.height
+        with pytest.raises(DeliveryError, match="partition"):
+            net.submit_batch("ch", [first, second])
+        assert net.channel("ch").chain.height == height
+        assert net.orderer.total_ordered == 0
+        net.network.heal("Org2", ORDERER_NODE)
+        assert all(r.valid for r in net.submit_batch("ch", [first, second]))

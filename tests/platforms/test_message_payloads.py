@@ -50,19 +50,38 @@ def _leaves(values) -> int:
     return sum(len(canonical_bytes(value)) for value in values)
 
 
+def _scalars(signature) -> int:
+    return sum(
+        len(scalar.to_bytes((scalar.bit_length() + 7) // 8, "big"))
+        for scalar in (signature.challenge, signature.response)
+    )
+
+
 def encoded_size(kind: str, payload) -> int:
     """The encoded size of the object a *kind* message stands for,
     computed independently of the payload's own ``wire_size()``."""
     if kind == "proposal":
         return len(canonical_bytes(payload))
     if kind == "endorsement":
-        signature = payload.signature
-        return len(payload.endorser) + sum(
-            len(scalar.to_bytes((scalar.bit_length() + 7) // 8, "big"))
-            for scalar in (signature.challenge, signature.response)
+        endorsement = payload.endorsement
+        return (
+            len(payload.tx.signing_bytes())
+            + len(canonical_bytes(payload.return_value))
+            + len(endorsement.endorser) + _scalars(endorsement.signature)
         )
-    if kind == "submit":
+    if kind == "submit" and isinstance(payload, Transaction):
         return len(payload.signing_bytes())
+    if kind == "submit":
+        __, order, batch, __ = payload
+        return sum(len(tx_id) for tx_id in order) + sum(
+            len(tx.signing_bytes()) for tx, __ in batch
+        )
+    if kind == "append-ack":
+        return _leaves(payload)
+    if kind == "flow-signature":
+        return len(b"null") if payload is None else _scalars(payload)
+    if kind in ("notarised", "attestation"):
+        return len(payload.tx_id) + _scalars(payload.signature)
     if kind == "block":
         return len(payload.tx.signing_bytes())
     if kind in ("public-tx", "private-tx"):
@@ -77,7 +96,10 @@ def encoded_size(kind: str, payload) -> int:
         return _leaves(payload._components())
     if kind in ("notarise-full", "finalise", "backchain-tx"):
         return _leaves(payload.wire._components())
-    if kind in ("notarise-filtered", "attest"):
+    if kind == "attest":
+        ftx, fact_name = payload
+        return encoded_size("notarise-filtered", ftx) + len(fact_name)
+    if kind == "notarise-filtered":
         return _leaves(payload.visible_components()) + 32 * len(
             payload.tear_off.hidden
         )
@@ -156,7 +178,9 @@ class TestModelledSize:
         net = fabric_net()
         sent = record_sends(net.network, monkeypatch)
         net.invoke("ch", "Org3", "cc", "put", {"key": "k", "value": 1})
-        check_sizes(sent, ["proposal", "endorsement", "submit", "block", "append"])
+        check_sizes(sent, [
+            "proposal", "endorsement", "submit", "block", "append", "append-ack",
+        ])
         block = next(m for m in sent if m.kind == "block")
         # More than the transaction's signing bytes: the endorsements too.
         assert block.size_bytes > len(block.payload.tx.signing_bytes())
@@ -170,15 +194,19 @@ class TestModelledSize:
         wire = first.stx.wire
         oracle.attest("Alice", wire.filtered([ComponentGroup.COMMANDS]), "fx")
         check_sizes(sent, [
-            "flow-proposal", "notarise-filtered", "finalise", "backchain-tx",
-            "append", "attest",
+            "flow-proposal", "flow-signature", "notarise-filtered", "notarised",
+            "finalise", "backchain-tx", "append", "append-ack", "attest",
+            "attestation",
         ])
 
     def test_corda_validating(self, monkeypatch):
         net = corda_net(validating=True)
         sent = record_sends(net.network, monkeypatch)
         issue(net)
-        check_sizes(sent, ["flow-proposal", "notarise-full", "finalise", "append"])
+        check_sizes(sent, [
+            "flow-proposal", "flow-signature", "notarise-full", "notarised",
+            "finalise", "append", "append-ack",
+        ])
 
     def test_quorum(self, monkeypatch):
         net = quorum_net()
@@ -187,7 +215,7 @@ class TestModelledSize:
             "N1", "cc", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
         net.send_public_transaction("N1", "cc", "put", {"key": "p", "value": 2})
-        check_sizes(sent, ["private-payload", "private-tx", "public-tx"])
+        check_sizes(sent, ["private-payload", "submit", "private-tx", "public-tx"])
 
 
 class TestSenderCopyCleared:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import DoubleSpendError, OrderingError
+from repro.faults import FaultPlan
 from repro.platforms.corda import (
     NOTARY_NODE,
     Command,
@@ -101,6 +102,25 @@ class TestQuorumNotarisation:
         crash(cluster, 0)
         assert cluster.notary.require_available() == replica(1)
         with pytest.raises(DoubleSpendError):
+            move(cluster, inputs=genesis.output_refs, tag=3)
+
+    def test_unacked_spend_bars_failover(self, cluster):
+        """Every append of a spend is lost, so no follower holds it when
+        the leader crashes after sending its receipt: no follower may
+        lead, and the conflicting spend is refused instead of notarised."""
+        genesis = move(cluster, tag=1)
+        plan = FaultPlan()
+        for index in (1, 2):
+            plan.set_link_loss(replica(0), replica(index), 1.0)
+        cluster.inject_faults(plan)
+        spent = move(cluster, inputs=genesis.output_refs, tag=2)
+        assert spent.receipt.tx_id == spent.stx.wire.tx_id
+        assert all(
+            genesis.output_refs[0] not in cluster.notary.spent[replica(index)]
+            for index in (1, 2)
+        )
+        crash(cluster, 0)
+        with pytest.raises(OrderingError, match="committed log"):
             move(cluster, inputs=genesis.output_refs, tag=3)
 
     def test_survives_minority_crash(self, cluster):

@@ -115,7 +115,9 @@ class TestDivergenceDetection:
         report = audit_convergence(fabric)
         assert not report.converged
 
-    def test_fabric_member_behind_an_invalid_block_detected(self, fabric):
+    def test_fabric_member_behind_an_invalid_block_detected(
+        self, fabric, fault_after
+    ):
         """A lost block whose only transaction was invalid leaves the
         replica identical to its peers', but the member is still behind
         the channel until it recovers."""
@@ -130,11 +132,11 @@ class TestDivergenceDetection:
         )
         stale = fabric.propose("ch", "OrgA", "bump", "bump", {})
         fabric.invoke("ch", "OrgA", "bump", "bump", {})
-        now = fabric.clock.now
-        fabric.inject_faults(
-            FaultPlan().partition_between(
-                ORDERER_NODE, "OrgC", start=now + 0.001, end=now + 10
-            )
+        fault_after(
+            fabric, ORDERER_NODE, "submit",
+            lambda at: FaultPlan().partition_between(
+                ORDERER_NODE, "OrgC", start=at + 0.001, end=at + 10
+            ),
         )
         [result] = fabric.submit_batch("ch", [stale])
         assert not result.valid

@@ -12,6 +12,7 @@ from repro.platforms.corda import Command, ContractState, CordaNetwork
 from repro.platforms.fabric import FabricNetwork
 from repro.platforms.fabric.network import ORDERER_NODE
 from repro.platforms.quorum import QuorumNetwork
+from repro.platforms.quorum.network import SEQUENCER_NODE
 from repro.recovery.convergence import audit_convergence
 
 ORGS = ("OrgA", "OrgB", "OrgC")
@@ -278,7 +279,7 @@ class TestQuorumRecovery:
         before the gap: it refuses to send on stale state, checkpoints
         that height, and recovering from it replays the rest."""
         net = quorum
-        net.inject_faults(FaultPlan().set_link_loss("OrgA", "OrgC", 1.0))
+        net.inject_faults(FaultPlan().set_link_loss(SEQUENCER_NODE, "OrgC", 1.0))
         net.send_public_transaction("OrgA", "evm", "put", {"key": "p", "value": 1})
         net.inject_faults(FaultPlan())
         net.send_public_transaction("OrgB", "evm", "put", {"key": "q", "value": 2})
@@ -363,14 +364,28 @@ def knowledge(net, name) -> tuple[set, set, set]:
     )
 
 
-def assert_catch_up_parity(net, live_peer, lagging, lost_link, send) -> None:
+def assert_catch_up_parity(
+    net, live_peer, lagging, lost_link, send, arm=None
+) -> None:
     """Lose one delivery to *lagging* on *lost_link*, heal it with
-    ``recover``, and compare what it learned with *live_peer*."""
+    ``recover``, and compare what it learned with *live_peer*.  *arm*
+    opens the loss given its plan builder (default: before *send*, so
+    *lagging* learns nothing from the send)."""
     before = {name: knowledge(net, name) for name in (live_peer, lagging)}
-    net.inject_faults(FaultPlan().set_link_loss(*lost_link, 1.0))
+
+    def loss(at):
+        return FaultPlan().set_link_loss(*lost_link, 1.0)
+
+    if arm is None:
+        net.inject_faults(loss(net.clock.now))
+    else:
+        arm(loss)
     send()
     net.inject_faults(FaultPlan())
-    assert knowledge(net, lagging) == before[lagging]  # it missed the entry
+    if arm is None:
+        assert knowledge(net, lagging) == before[lagging]  # it missed the entry
+    behind = {node for d in audit_convergence(net).divergences for node in d.nodes}
+    assert lagging in behind
     net.recover(lagging)
     live = [
         after - earlier
@@ -407,10 +422,13 @@ class TestCatchUpParity:
             ),
         )
 
-    def test_corda_finalise(self, corda):
+    def test_corda_finalise(self, corda, fault_after):
+        # OrgC signs on the flow's proposal; the link fails once OrgA holds
+        # the notary's answer, so only ``finalise`` is lost.
         assert_catch_up_parity(
             corda, "OrgB", "OrgC", ("OrgA", "OrgC"),
             lambda: corda_deal(corda, ("OrgA", "OrgB", "OrgC"), {"amount": 10}),
+            arm=lambda loss: fault_after(corda, "OrgA", "notarised", loss),
         )
 
     def test_quorum_public_tx(self, quorum):
@@ -423,14 +441,14 @@ class TestCatchUpParity:
             functions={"put": read_then_put},
         ))
         assert_catch_up_parity(
-            quorum, "OrgB", "OrgC", ("OrgA", "OrgC"),
+            quorum, "OrgB", "OrgC", (SEQUENCER_NODE, "OrgC"),
             lambda: quorum.send_public_transaction("OrgA", "kv", "put", {"value": 1}),
         )
         assert knowledge(quorum, "OrgC")[1:] == ({"k", "r"}, {"kv"})
 
     def test_quorum_private_tx_to_a_non_participant(self, quorum):
         assert_catch_up_parity(
-            quorum, "OrgB", "OrgC", ("OrgA", "OrgC"),
+            quorum, "OrgB", "OrgC", (SEQUENCER_NODE, "OrgC"),
             lambda: quorum.send_private_transaction(
                 "OrgA", "evm", "put", {"key": "s", "value": 2},
                 private_for=["OrgB"],
