@@ -50,12 +50,6 @@ class DeterministicRNG:
             if candidate < bound:
                 return candidate
 
-    def randint_range(self, low: int, high: int) -> int:
-        """Return a uniform integer in ``[low, high]`` inclusive."""
-        if high < low:
-            raise ValueError("empty range")
-        return low + self.randint_below(high - low + 1)
-
     def uniform(self, low: float, high: float) -> float:
         """Return a float uniform in ``[low, high)`` with 53-bit resolution."""
         if high < low:
@@ -69,14 +63,6 @@ class DeterministicRNG:
         if not seq:
             raise ValueError("cannot choose from an empty sequence")
         return seq[self.randint_below(len(seq))]
-
-    def shuffle(self, items: list) -> list:
-        """Return a new list with the items in a random order (Fisher-Yates)."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.randint_below(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
 
     def fork(self, label: str) -> "DeterministicRNG":
         """Derive an independent child generator keyed by *label*.

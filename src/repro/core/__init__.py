@@ -60,7 +60,6 @@ _LAZY = {
     "Asset": "repro.core.threats",
     "ThreatAssessment": "repro.core.threats",
     "evaluate_design": "repro.core.threats",
-    "mechanisms_covering": "repro.core.threats",
     "render_markdown": "repro.core.report",
     "compare_with_paper": "repro.core.probe",
     "regenerate_matrix": "repro.core.probe",

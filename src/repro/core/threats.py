@@ -199,12 +199,3 @@ def evaluate_design(design: SolutionDesign) -> ThreatAssessment:
         assessment.covered |= coverage
     assessment.residual = set(ALL_EXPOSURES) - assessment.covered
     return assessment
-
-
-def mechanisms_covering(adversary: Adversary, asset: Asset) -> list[Mechanism]:
-    """All catalog mechanisms that defend one exposure (for what-if UIs)."""
-    return [
-        mechanism
-        for mechanism, coverage in COVERAGE.items()
-        if (adversary, asset) in coverage
-    ]

@@ -18,7 +18,6 @@ from repro.crypto.anoncred import (
 from repro.crypto.commitments import Commitment, Opening, PedersenScheme
 from repro.crypto.elgamal import (
     ElGamal,
-    ElGamalCiphertext,
     WrappedKey,
     receive_encrypted,
     share_encrypted,

@@ -117,9 +117,6 @@ class CredentialIssuer:
             raise MembershipError(f"{identity!r} is not enrolled")
         self._revoked.add(identity)
 
-    def is_revoked(self, identity: str) -> bool:
-        return identity in self._revoked
-
     def template_public_key(self, template: dict) -> PublicKey:
         """Publicly derivable verification key for a disclosure template."""
         shift = self.group.exp(self.group.g, _template_scalar(self.group, template))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import ProofError
 from repro.common.rng import DeterministicRNG
 from repro.crypto.groups import SchnorrGroup, cached_test_group
 
@@ -57,20 +56,9 @@ class PedersenScheme:
         expected = self.group.commit(opening.value, opening.blinding)
         return expected == commitment.element
 
-    def require_valid(self, commitment: Commitment, opening: Opening) -> None:
-        if not self.verify(commitment, opening):
-            raise ProofError("commitment opening mismatch")
-
     def add(self, a: Commitment, b: Commitment) -> Commitment:
         """Homomorphic addition: commits to (value_a + value_b)."""
         return Commitment(element=self.group.mul(a.element, b.element))
-
-    def add_openings(self, a: Opening, b: Opening) -> Opening:
-        """Opening for the homomorphic sum of two commitments."""
-        return Opening(
-            value=(a.value + b.value) % self.group.q,
-            blinding=(a.blinding + b.blinding) % self.group.q,
-        )
 
     def scale(self, c: Commitment, factor: int) -> Commitment:
         """Homomorphic scalar multiplication: commits to factor*value."""

@@ -2,34 +2,22 @@
 
 Section 2.2: symmetric keys "commonly get shared over the network using
 PKI"; Section 3.2: "transaction data can be encrypted through symmetric or
-asymmetric cryptography".  This module provides both halves:
-
-- :class:`ElGamal` — textbook ElGamal over the shared Schnorr group, used
-  directly for small values (group elements), and
-- hybrid **key wrapping**: a fresh symmetric key is encapsulated to a
-  recipient's public key (hashed-ElGamal KEM) so bulk data rides the
-  symmetric cipher while only the key travels asymmetrically — exactly
-  the sharing pattern the paper describes.
+asymmetric cryptography".  This module combines the two in hybrid **key
+wrapping**: a fresh symmetric key is encapsulated to a recipient's public
+key (hashed-ElGamal KEM over the shared Schnorr group) so bulk data rides
+the symmetric cipher while only the key travels asymmetrically — exactly
+the sharing pattern the paper describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.errors import DecryptionError
 from repro.common.rng import DeterministicRNG
 from repro.crypto.groups import SchnorrGroup, cached_test_group
 from repro.crypto.hashing import hkdf
 from repro.crypto.signatures import PrivateKey, PublicKey
 from repro.crypto.symmetric import Ciphertext, SymmetricKey
-
-
-@dataclass(frozen=True)
-class ElGamalCiphertext:
-    """(c1, c2) = (g^k, m * y^k): an encrypted group element."""
-
-    c1: int
-    c2: int
 
 
 @dataclass(frozen=True)
@@ -51,40 +39,6 @@ class ElGamal:
 
     def __init__(self, group: SchnorrGroup | None = None) -> None:
         self.group = group or cached_test_group()
-
-    # -- raw ElGamal on group elements
-
-    def encrypt_element(
-        self, public: PublicKey, element: int, rng: DeterministicRNG
-    ) -> ElGamalCiphertext:
-        """Encrypt a group element to *public*."""
-        if not self.group.contains(element):
-            raise DecryptionError("plaintext must be a subgroup element")
-        k = self.group.random_scalar(rng)
-        c1 = self.group.exp(self.group.g, k)
-        shared = self.group.exp(public.y, k)
-        c2 = self.group.mul(element, shared)
-        return ElGamalCiphertext(c1=c1, c2=c2)
-
-    def decrypt_element(self, key: PrivateKey, ct: ElGamalCiphertext) -> int:
-        """Recover the group element with the matching private key."""
-        shared = self.group.exp(ct.c1, key.x)
-        return self.group.mul(ct.c2, self.group.inv(shared))
-
-    def rerandomize(
-        self, public: PublicKey, ct: ElGamalCiphertext, rng: DeterministicRNG
-    ) -> ElGamalCiphertext:
-        """Produce an unlinkable ciphertext of the same plaintext.
-
-        Multiplicative homomorphism with the identity: useful when a relay
-        must forward a ciphertext without letting observers correlate the
-        inbound and outbound messages.
-        """
-        k = self.group.random_scalar(rng)
-        return ElGamalCiphertext(
-            c1=self.group.mul(ct.c1, self.group.exp(self.group.g, k)),
-            c2=self.group.mul(ct.c2, self.group.exp(public.y, k)),
-        )
 
     # -- hybrid key transport (hashed-ElGamal KEM + the symmetric cipher)
 

@@ -133,12 +133,6 @@ class TearOff:
         """True iff this tear-off reconstructs *root*."""
         return self.computed_root() == root
 
-    def require_visible(self, index: int) -> Any:
-        """Return the visible leaf at *index* or raise :class:`ProofError`."""
-        if index not in self.visible:
-            raise ProofError(f"leaf {index} was torn off")
-        return self.visible[index]
-
     def disclosure_ratio(self) -> float:
         """Fraction of leaves disclosed — the audit metric for tear-offs."""
         if self.leaf_count == 0:

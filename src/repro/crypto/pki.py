@@ -150,9 +150,6 @@ class CertificateAuthority:
             raise CertificateError(f"unknown serial {serial}")
         self._revoked.add(serial)
 
-    def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
-
     def verify(self, cert: Certificate, at: float | None = None) -> None:
         """Raise :class:`CertificateError` unless *cert* is currently valid."""
         if cert.signature is None:
@@ -202,14 +199,6 @@ class CertificateAuthority:
         self._chain_cache.clear()
         self._chain_hits = 0
         self._chain_misses = 0
-
-    def is_valid(self, cert: Certificate, at: float | None = None) -> bool:
-        """Boolean form of :meth:`verify`."""
-        try:
-            self.verify(cert, at=at)
-        except CertificateError:
-            return False
-        return True
 
 
 class MembershipService:

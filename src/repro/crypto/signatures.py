@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from repro.common.rng import DeterministicRNG
 from repro.crypto.groups import SchnorrGroup, cached_test_group
 from repro.crypto.hashing import tagged_hash
-from repro.common.errors import SignatureError
 
 #: Entries kept in a scheme's verification cache before the oldest half is
 #: evicted.  Large enough to hold every live endorsement in a benchmark run;
@@ -178,8 +177,3 @@ class SignatureScheme:
         self._key_tables.clear()
         self._verify_hits = 0
         self._verify_misses = 0
-
-    def require_valid(self, public: PublicKey, message: bytes, sig: Signature) -> None:
-        """Raise :class:`SignatureError` unless *sig* verifies."""
-        if not self.verify(public, message, sig):
-            raise SignatureError("signature verification failed")

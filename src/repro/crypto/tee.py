@@ -254,13 +254,3 @@ class Enclave:
         plaintext = self._sealing_key.decrypt(sealed)
         self.host_log.append(_HostLogEntry("unseal", sealed.wire_size()))
         return from_canonical_json(plaintext.decode("utf-8"))
-
-    def host_observed_plaintext(self) -> bool:
-        """Always False by construction — asserted by the leakage auditor.
-
-        The host log contains only operation names and byte counts; if any
-        future change leaked plaintext into it, the audit tests fail.
-        """
-        return any(
-            not isinstance(entry.visible_bytes, int) for entry in self.host_log
-        )

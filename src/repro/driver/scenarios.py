@@ -31,7 +31,6 @@ BENCH_ORGS = ("OrgA", "OrgB", "OrgC", "OrgD", "OrgE")
 TRADERS = ("OrgA", "OrgB")
 
 PLATFORM_NAMES = ("fabric", "corda", "quorum")
-WORKLOAD_NAMES = ("kv", "trades", "loc")
 
 
 @dataclass

@@ -74,19 +74,6 @@ class StateView:
         self.writes.pop(key, None)
         self.deletes.add(key)
 
-    def get_range(self, start: str, end: str) -> dict[str, Any]:
-        """All visible keys in [start, end), reads recorded per key.
-
-        Mirrors Fabric's GetStateByRange: results reflect committed state
-        plus this invocation's own writes and deletes.
-        """
-        keys = set(self._state.keys()) | set(self.writes)
-        out: dict[str, Any] = {}
-        for key in sorted(keys):
-            if start <= key < end and key not in self.deletes:
-                out[key] = self.get(key)
-        return out
-
 
 @dataclass(frozen=True)
 class SmartContract:
@@ -165,27 +152,14 @@ class SmartContract:
 
 
 class ContractRegistry:
-    """Tracks which node has which contract version installed.
+    """Tracks which node has which contract version installed."""
 
-    ``enforce_consistency=True`` models ledger-managed lifecycles (Fabric
-    chaincode commit): execution refuses to proceed unless all executing
-    nodes hold the same version.  ``False`` models external engines where
-    version control "will need to be managed outside the DLT layer".
-    """
-
-    def __init__(self, enforce_consistency: bool = True) -> None:
-        self.enforce_consistency = enforce_consistency
+    def __init__(self) -> None:
         self._installed: dict[str, dict[str, SmartContract]] = {}
 
     def install(self, node: str, contract: SmartContract) -> None:
         """Install a contract version on one node."""
         self._installed.setdefault(node, {})[contract.contract_id] = contract
-
-    def installed_on(self, node: str) -> list[str]:
-        return sorted(self._installed.get(node, {}))
-
-    def has_contract(self, node: str, contract_id: str) -> bool:
-        return contract_id in self._installed.get(node, {})
 
     def lookup(self, node: str, contract_id: str) -> SmartContract:
         contract = self._installed.get(node, {}).get(contract_id)
@@ -194,22 +168,6 @@ class ContractRegistry:
                 f"node {node!r} does not have contract {contract_id!r} installed"
             )
         return contract
-
-    def check_version_consistency(self, nodes: list[str], contract_id: str) -> int:
-        """Return the common version, or raise if nodes disagree.
-
-        Only meaningful when the registry enforces consistency; external
-        engines skip this check, which is exactly their versioning hazard.
-        """
-        versions = {}
-        for node in nodes:
-            versions[node] = self.lookup(node, contract_id).version
-        distinct = set(versions.values())
-        if self.enforce_consistency and len(distinct) > 1:
-            raise ContractError(
-                f"version drift for {contract_id!r}: {versions}"
-            )
-        return max(distinct)
 
     def nodes_with_code_visibility(self, contract_id: str) -> set[str]:
         """Which nodes can read this contract's logic (Section 2.3).

@@ -161,9 +161,7 @@ class LedgerEngine(CleartextEngine):
         registry: ContractRegistry | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        super().__init__(
-            registry or ContractRegistry(enforce_consistency=True), telemetry
-        )
+        super().__init__(registry or ContractRegistry(), telemetry)
 
     def properties(self) -> EngineProperties:
         return EngineProperties(
@@ -185,16 +183,15 @@ class OffChainEngine(CleartextEngine):
     """Business logic runs outside the DLT layer (paper ref [1]).
 
     The ledger only sees read/write stubs.  Any language is accepted;
-    versioning is not enforced (``ContractRegistry(enforce_consistency=
-    False)``), so two hosts can drift — call :meth:`detect_drift` to model
-    the paper's warning about "additional challenges to enforce
-    simultaneous updates across all engines".
+    versioning is not enforced, so two hosts can drift — call
+    :meth:`detect_drift` to model the paper's warning about "additional
+    challenges to enforce simultaneous updates across all engines".
     """
 
     name = "offchain"
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
-        super().__init__(ContractRegistry(enforce_consistency=False), telemetry)
+        super().__init__(ContractRegistry(), telemetry)
 
     def properties(self) -> EngineProperties:
         return EngineProperties(
@@ -273,9 +270,6 @@ class TEEEngine(ExecutionEngine):
         self._enclaves[key] = enclave
         self._measurements[key] = measurement
         self._contracts[key] = contract
-
-    def measurement_of(self, node: str, contract_id: str) -> bytes:
-        return self._measurements[(node, contract_id)]
 
     def execute(
         self,

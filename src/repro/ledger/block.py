@@ -127,18 +127,6 @@ class Chain:
         self._blocks.append(block)
         return block
 
-    def append_block(self, block: Block) -> None:
-        """Append a block received from an orderer, verifying linkage."""
-        if block.height != self.height + 1:
-            raise ValidationError(
-                f"block height {block.height} does not extend height {self.height}"
-            )
-        if block.header.previous_digest != self.tip_digest():
-            raise ValidationError("block does not link to the current tip")
-        if _transactions_root(block.transactions) != block.header.tx_root:
-            raise ValidationError("block transaction root mismatch")
-        self._blocks.append(block)
-
     def blocks(self) -> list[Block]:
         """Live (non-archived) blocks, oldest first."""
         return list(self._blocks)

@@ -305,23 +305,6 @@ class OrderingService(OrderingPrincipal):
     def pending_count(self, channel: str) -> int:
         return len(self._pending.get(channel, []))
 
-    def oldest_wait(self, channel: str, now: float | None = None) -> float:
-        """How long the oldest pending tx on *channel* has been waiting."""
-        queue = self._pending.get(channel, [])
-        if not queue:
-            return 0.0
-        when = self.clock.now if now is None else now
-        return max(0.0, when - queue[0][1])
-
-    def ready_to_cut(self, channel: str, now: float | None = None) -> bool:
-        """Whether a batch would be cut at *now*: full, or timeout expired."""
-        queue = self._pending.get(channel, [])
-        if not queue:
-            return False
-        if len(queue) >= self.profile.max_batch_size:
-            return True
-        return self.oldest_wait(channel, now) >= self.profile.batch_timeout
-
     def cut_batch(self, channel: str, force: bool = False) -> OrderedBatch:
         """Order the pending transactions of *channel* into one batch.
 

@@ -37,10 +37,6 @@ class EndorsementPolicy:
         return cls(required=frozenset(names), threshold=len(names))
 
     @classmethod
-    def any_of(cls, names: list[str]) -> "EndorsementPolicy":
-        return cls(required=frozenset(names), threshold=1)
-
-    @classmethod
     def k_of(cls, k: int, names: list[str]) -> "EndorsementPolicy":
         return cls(required=frozenset(names), threshold=k)
 

@@ -41,16 +41,6 @@ class Exposure:
             code_ids=frozenset(code_ids),
         )
 
-    def merge(self, other: "Exposure") -> "Exposure":
-        return Exposure(
-            identities=self.identities | other.identities,
-            data_keys=self.data_keys | other.data_keys,
-            code_ids=self.code_ids | other.code_ids,
-        )
-
-    def is_empty(self) -> bool:
-        return not (self.identities or self.data_keys or self.code_ids)
-
 
 class Message(NamedTuple):
     """One unit of simulated network traffic, built by the network on

@@ -25,8 +25,7 @@ The substrate every platform simulation runs on.  Provides:
 - cost accounting (messages, bytes, simulated time) for the S1-S3
   scalability benchmarks, where a message's bytes are the modelled size
   of the object it carries (:func:`payload_size`), kept on an instance-scoped
-  :class:`~repro.telemetry.metrics.MetricsRegistry` (reset between
-  scenarios with :meth:`SimNetwork.reset_stats`),
+  :class:`~repro.telemetry.metrics.MetricsRegistry`,
 - telemetry: sends stamp the sender's trace context onto the message
   envelope and deliveries record transit spans under it, so one trace
   follows a transaction across every principal it touches; drops and
@@ -95,8 +94,7 @@ class NetworkStats:
     The numbers live on the owning network's telemetry
     :class:`~repro.telemetry.metrics.MetricsRegistry`; this class is a
     read-only view kept for API compatibility (``net.stats.retries``
-    etc.), scoped to one :class:`SimNetwork` instance and zeroed by
-    :meth:`SimNetwork.reset_stats`.
+    etc.), scoped to one :class:`SimNetwork` instance.
     """
 
     FIELDS = {
@@ -263,7 +261,7 @@ class SimNetwork:
         # never sent adds no zero-valued series: ``net.messages_sent``
         # with each kind's ``net.sent_by_kind`` counter, and the
         # delivered / unhandled / bytes counters with the latency
-        # histogram.  ``reset_stats`` zeroes them in place.
+        # histogram.
         self._sent_counters: dict[str, tuple[Counter, Counter]] = {}
         self._delivery_metrics: (
             tuple[Counter, Counter, Counter, Histogram] | None
@@ -292,16 +290,6 @@ class SimNetwork:
         return observer
 
     # -- stats
-
-    def reset_stats(self) -> None:
-        """Zero the traffic counters (``net.*`` metrics only).
-
-        Stats are already instance-scoped; this additionally lets one
-        long-lived network run back-to-back scenarios without counts
-        accumulating across them.  Spans and events are left alone —
-        they carry their own timestamps and are cheap to slice.
-        """
-        self.telemetry.metrics.reset(prefix="net.")
 
     def _count(self, metric: str, amount: float = 1.0) -> None:
         self.telemetry.metrics.counter(metric).inc(amount)

@@ -77,9 +77,6 @@ class WireTransaction:
     def _tree(self) -> MerkleTree:
         return MerkleTree(self._components())
 
-    def merkle_tree(self) -> MerkleTree:
-        return self._tree
-
     @cached_property
     def tx_id(self) -> str:
         """The transaction id IS the Merkle root (as in Corda)."""

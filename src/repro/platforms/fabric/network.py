@@ -444,12 +444,13 @@ class FabricNetwork(Platform):
         proposals: list["ProposedTransaction"],
         force_cut: bool = True,
     ) -> list[InvokeResult]:
-        """Order several endorsed proposals into one block and commit.
+        """Order several endorsed proposals into blocks and commit.
 
         Each submitter sends its own transactions to the orderer's leader
         as one ``submit``; once the whole batch has arrived the orderer
-        orders it in its handler and sends every live member a ``block``
-        per transaction, and each member validates in its own handler.
+        orders it in its handler, one block per ``max_batch_size``
+        transactions, and sends every live member a ``block`` per
+        transaction, and each member validates in its own handler.
         Mirrors Fabric's validate phase: every transaction lands on the
         chain, each carrying a validation code; only VALID transactions
         mutate state.  Proposals endorsed against the same snapshot that
@@ -511,8 +512,9 @@ class FabricNetwork(Platform):
         """Delivery handler for ``submit``, on the orderer's leader: one
         submitter's share of a batch (channel, the batch's tx ids in
         order, its ``(tx, contract id)`` pairs, flush flag).  Once the
-        whole batch has arrived, order it, then send each live member a
-        ``block`` per transaction; the release time (or the refusal) is
+        whole batch has arrived, order it (one chain block per cut of at
+        most ``max_batch_size``), then send each live member a ``block``
+        per transaction; the last cut's release time (or the refusal) is
         recorded for every share's call.
 
         A crashed member misses its blocks and lags — that is what
@@ -546,7 +548,8 @@ class FabricNetwork(Platform):
                         self.network._check_link(leader, member)
                 for tx, __ in batch:
                     self.orderer.submit(tx, _tx_exposure(tx))
-                outcome = self.orderer.cut_batch(channel_name, force=flush).released_at
+                cuts = self.orderer.drain_channel(channel_name, force=flush)
+                outcome = cuts[-1].released_at
             except ReproError as refusal:
                 outcome = Refusal(refusal)
             else:
@@ -558,7 +561,8 @@ class FabricNetwork(Platform):
                         leader, "block", channel.record_order(tx, contract_id),
                         exposure=_tx_exposure(tx), recipients=reachable,
                     )
-                channel.chain.append([tx for tx, __ in batch], self.clock.now)
+                for cut in cuts:
+                    channel.chain.append(cut.transactions, self.clock.now)
         for request in requests.values():
             self.network.record(request, outcome)
 

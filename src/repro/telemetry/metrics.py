@@ -140,25 +140,6 @@ class MetricsRegistry:
             histogram = self._histograms[key] = Histogram(name=key, bounds=bounds)
         return histogram
 
-    # -- lifecycle
-
-    def reset(self, prefix: str | None = None) -> None:
-        """Zero metrics (optionally only those whose name starts with
-        *prefix*).  Used by ``SimNetwork.reset_stats`` between scenarios."""
-
-        def keep(key: str) -> bool:
-            return prefix is not None and not key.startswith(prefix)
-
-        for store in (self._counters, self._gauges):
-            for key in list(store):
-                if not keep(key):
-                    store[key].value = 0.0
-        for key, hist in list(self._histograms.items()):
-            if not keep(key):
-                hist.counts = [0] * (len(hist.bounds) + 1)
-                hist.total = 0.0
-                hist.count = 0
-
     # -- snapshots
 
     def snapshot(self) -> dict:

@@ -176,25 +176,3 @@ def loc_stream(
             amount=(1 + rng.randint_below(500)) * 10_000,
             stages=LOC_STAGES[:depth],
         )
-
-
-@dataclass
-class ContentionReport:
-    """How contended a KV workload actually was (for bench labels)."""
-
-    operations: int
-    distinct_keys: int
-    hottest_key_share: float
-
-
-def measure_contention(operations: list[KVOperation]) -> ContentionReport:
-    """Summarize a materialized workload's key-popularity profile."""
-    counts: dict[str, int] = {}
-    for op in operations:
-        counts[op.key] = counts.get(op.key, 0) + 1
-    hottest = max(counts.values()) if counts else 0
-    return ContentionReport(
-        operations=len(operations),
-        distinct_keys=len(counts),
-        hottest_key_share=hottest / len(operations) if operations else 0.0,
-    )

@@ -136,7 +136,6 @@ class TestRevocation:
     def test_revoked_holder_refused_new_tokens(self, issuer, alice):
         alice.obtain_presentation({"org": "BankA"})
         issuer.revoke("alice")
-        assert issuer.is_revoked("alice")
         with pytest.raises(MembershipError):
             alice.obtain_presentation({"org": "BankA"})
 
@@ -154,7 +153,6 @@ class TestRevocation:
     def test_reenrollment_clears_revocation(self, issuer, alice):
         issuer.revoke("alice")
         issuer.enroll("alice", {"org": "BankA", "role": "trader"})
-        assert not issuer.is_revoked("alice")
         presentation = alice.obtain_presentation({"org": "BankA"})
         assert verify_presentation(issuer, presentation)
 

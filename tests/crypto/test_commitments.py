@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import ProofError
 from repro.common.rng import DeterministicRNG
 from repro.crypto.commitments import Opening, PedersenScheme
 
@@ -31,12 +30,6 @@ class TestCommitOpen:
         bad = Opening(value=42, blinding=opening.blinding + 1)
         assert not pedersen.verify(commitment, bad)
 
-    def test_require_valid_raises(self, pedersen, rng):
-        commitment, opening = pedersen.commit(42, rng)
-        pedersen.require_valid(commitment, opening)
-        with pytest.raises(ProofError):
-            pedersen.require_valid(commitment, Opening(1, 1))
-
     def test_hiding_same_value_distinct_commitments(self, pedersen, rng):
         c1, __ = pedersen.commit(42, rng)
         c2, __ = pedersen.commit(42, rng)
@@ -57,7 +50,10 @@ class TestHomomorphism:
         c1, o1 = pedersen.commit(10, rng)
         c2, o2 = pedersen.commit(32, rng)
         combined = pedersen.add(c1, c2)
-        opening = pedersen.add_openings(o1, o2)
+        opening = Opening(
+            value=(o1.value + o2.value) % pedersen.group.q,
+            blinding=(o1.blinding + o2.blinding) % pedersen.group.q,
+        )
         assert opening.value == 42
         assert pedersen.verify(combined, opening)
 
@@ -78,4 +74,6 @@ class TestHomomorphism:
         rng = DeterministicRNG(f"hom-{a}-{b}")
         ca, oa = pedersen.commit(a, rng)
         cb, ob = pedersen.commit(b, rng)
-        assert pedersen.verify(pedersen.add(ca, cb), pedersen.add_openings(oa, ob))
+        q = pedersen.group.q
+        opening = Opening((oa.value + ob.value) % q, (oa.blinding + ob.blinding) % q)
+        assert pedersen.verify(pedersen.add(ca, cb), opening)

@@ -31,35 +31,6 @@ def bob(scheme):
     return scheme.keygen_from_seed("elgamal-bob")
 
 
-class TestElementEncryption:
-    def test_round_trip(self, elgamal, alice, rng):
-        element = elgamal.group.exp(elgamal.group.g, 777)
-        ct = elgamal.encrypt_element(alice.public, element, rng)
-        assert elgamal.decrypt_element(alice, ct) == element
-
-    def test_wrong_key_garbles(self, elgamal, alice, bob, rng):
-        element = elgamal.group.exp(elgamal.group.g, 777)
-        ct = elgamal.encrypt_element(alice.public, element, rng)
-        assert elgamal.decrypt_element(bob, ct) != element
-
-    def test_probabilistic(self, elgamal, alice, rng):
-        element = elgamal.group.exp(elgamal.group.g, 777)
-        a = elgamal.encrypt_element(alice.public, element, rng)
-        b = elgamal.encrypt_element(alice.public, element, rng)
-        assert (a.c1, a.c2) != (b.c1, b.c2)
-
-    def test_non_element_rejected(self, elgamal, alice, rng):
-        with pytest.raises(DecryptionError, match="subgroup"):
-            elgamal.encrypt_element(alice.public, 0, rng)
-
-    def test_rerandomize_unlinkable_same_plaintext(self, elgamal, alice, rng):
-        element = elgamal.group.exp(elgamal.group.g, 42)
-        ct = elgamal.encrypt_element(alice.public, element, rng)
-        fresh = elgamal.rerandomize(alice.public, ct, rng)
-        assert (fresh.c1, fresh.c2) != (ct.c1, ct.c2)
-        assert elgamal.decrypt_element(alice, fresh) == element
-
-
 class TestKeyTransport:
     def test_wrap_unwrap(self, elgamal, alice, rng):
         key = SymmetricKey.from_seed("transport")

@@ -108,12 +108,6 @@ class TestTearOffs:
         for digest in tear.hidden.values():
             assert isinstance(digest, bytes)
 
-    def test_require_visible(self, tree, values):
-        tear = tree.tear_off({1})
-        assert tear.require_visible(1) == values[1]
-        with pytest.raises(ProofError, match="torn off"):
-            tear.require_visible(0)
-
     def test_tampered_visible_leaf_fails(self, tree):
         tear = tree.tear_off({0})
         forged = TearOff(

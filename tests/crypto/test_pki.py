@@ -79,18 +79,11 @@ class TestVerification:
         with pytest.raises(CertificateError):
             ca.verify(cert, at=cert.not_after + 1)
 
-    def test_is_valid_boolean(self, ca, identity):
-        __, cert = identity
-        assert ca.is_valid(cert)
-        forged = Certificate(**{**cert.__dict__, "subject": "x"})
-        assert not ca.is_valid(forged)
-
 
 class TestRevocation:
     def test_revoked_cert_rejected(self, ca, identity):
         __, cert = identity
         ca.revoke(cert.serial)
-        assert ca.is_revoked(cert.serial)
         with pytest.raises(CertificateError, match="revoked"):
             ca.verify(cert)
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.crypto.signatures as signatures_module
-from repro.common.errors import SignatureError
 from repro.common.rng import DeterministicRNG
 from repro.crypto.signatures import PublicKey, Signature, SignatureScheme
 
@@ -53,12 +52,6 @@ class TestSignVerify:
         sig = scheme.sign(keypair, b"m")
         # p-1 has order 2, not q: never a valid public key.
         assert not scheme.verify(PublicKey(y=scheme.group.p - 1), b"m", sig)
-
-    def test_require_valid_raises(self, scheme, keypair):
-        sig = scheme.sign(keypair, b"message")
-        scheme.require_valid(keypair.public, b"message", sig)
-        with pytest.raises(SignatureError):
-            scheme.require_valid(keypair.public, b"other", sig)
 
     def test_empty_message(self, scheme, keypair):
         sig = scheme.sign(keypair, b"")
@@ -177,12 +170,6 @@ class TestIdentityKeyForgery:
             forged = _forge_for_identity_key(scheme, message, k=n + 1)
             assert not scheme.verify(PublicKey(y=1), message, forged)
         assert 1 not in scheme._key_tables
-
-    def test_require_valid_raises_for_identity_key(self):
-        scheme = SignatureScheme()
-        forged = _forge_for_identity_key(scheme, b"m")
-        with pytest.raises(SignatureError):
-            scheme.require_valid(PublicKey(y=1), b"m", forged)
 
 
 class TestSubgroupMemo:

@@ -89,8 +89,6 @@ class TestRegistry:
         registry = ContractRegistry()
         registry.install("peer1", contract)
         assert registry.lookup("peer1", "cc") is contract
-        assert registry.has_contract("peer1", "cc")
-        assert registry.installed_on("peer1") == ["cc"]
 
     def test_lookup_uninstalled_rejected(self, contract):
         registry = ContractRegistry()
@@ -104,49 +102,3 @@ class TestRegistry:
         registry.install("peer2", contract)
         assert registry.nodes_with_code_visibility("cc") == {"peer1", "peer2"}
         assert "peer3" not in registry.nodes_with_code_visibility("cc")
-
-    def test_version_consistency_enforced(self, contract):
-        registry = ContractRegistry(enforce_consistency=True)
-        registry.install("peer1", contract)
-        v2 = SmartContract("cc", 2, "python-chaincode", {"put": put_fn})
-        registry.install("peer2", v2)
-        with pytest.raises(ContractError, match="version drift"):
-            registry.check_version_consistency(["peer1", "peer2"], "cc")
-
-    def test_version_drift_tolerated_without_enforcement(self, contract):
-        """The off-chain engine's hazard: drift is possible, not an error."""
-        registry = ContractRegistry(enforce_consistency=False)
-        registry.install("peer1", contract)
-        v2 = SmartContract("cc", 2, "python-chaincode", {"put": put_fn})
-        registry.install("peer2", v2)
-        assert registry.check_version_consistency(["peer1", "peer2"], "cc") == 2
-
-    def test_consistent_versions_pass(self, contract):
-        registry = ContractRegistry()
-        registry.install("peer1", contract)
-        registry.install("peer2", contract)
-        assert registry.check_version_consistency(["peer1", "peer2"], "cc") == 1
-
-
-class TestRangeQueries:
-    def test_range_returns_sorted_window(self):
-        view = StateView(WorldState.from_dump({
-            "a1": {"value": 1, "version": 1},
-            "a2": {"value": 2, "version": 1},
-            "b1": {"value": 3, "version": 1},
-        }))
-        assert view.get_range("a", "b") == {"a1": 1, "a2": 2}
-
-    def test_range_sees_own_writes_and_deletes(self):
-        view = StateView(WorldState.from_dump({
-            "a1": {"value": 1, "version": 1},
-            "a2": {"value": 2, "version": 1},
-        }))
-        view.put("a3", 3)
-        view.delete("a1")
-        assert view.get_range("a", "b") == {"a2": 2, "a3": 3}
-
-    def test_range_records_reads_for_mvcc(self):
-        view = StateView(WorldState.from_dump({"a1": {"value": 1, "version": 7}}))
-        view.get_range("a", "b")
-        assert view.reads == {"a1": 7}

@@ -166,6 +166,6 @@ class TestLedgerTamperFaults:
 
         with pytest.raises(EndorsementError):
             verify_endorsements(
-                replayed, EndorsementPolicy.any_of(["a"]), scheme,
+                replayed, EndorsementPolicy.k_of(1, ["a"]), scheme,
                 lambda n: key.public,
             )

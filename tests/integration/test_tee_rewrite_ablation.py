@@ -78,24 +78,3 @@ class TestRewriteCounterfactual:
         net = FabricNetwork(seed="tee-ablation")
         result = probe(net, Mechanism.TRUSTED_EXECUTION_ENVIRONMENT)
         assert result.level is SupportLevel.REWRITE
-
-    def test_attestation_gates_results(self):
-        """The rewrite's safety property: a relying party can insist on a
-        known code measurement before trusting a result."""
-        from repro.common.errors import AttestationError
-        from repro.crypto.tee import measure_code
-
-        tee = TEEEngine()
-        tee.install("peer", make_contract())
-        honest_measurement = tee.measurement_of("peer", "settlement")
-
-        def evil(view, args):
-            view.put(f"trade/{args['id']}", {"price": 0, "status": "settled"})
-            return "settled"
-
-        evil_contract = SmartContract(
-            "settlement", 1, "python-chaincode", {"settle": evil}
-        )
-        tee2 = TEEEngine(manufacturer=tee.manufacturer)
-        tee2.install("peer", evil_contract)
-        assert tee2.measurement_of("peer", "settlement") != honest_measurement

@@ -57,31 +57,6 @@ class TestAppend:
         assert chain.height == 0
         chain.verify()
 
-    def test_append_block_from_orderer(self, chain):
-        block = build_block(
-            height=6, previous_digest=chain.tip_digest(),
-            transactions=[make_tx(6)], timestamp=6.0,
-        )
-        chain.append_block(block)
-        assert chain.height == 6
-        chain.verify()
-
-    def test_append_block_wrong_height_rejected(self, chain):
-        block = build_block(
-            height=9, previous_digest=chain.tip_digest(),
-            transactions=[make_tx(9)], timestamp=9.0,
-        )
-        with pytest.raises(ValidationError, match="height"):
-            chain.append_block(block)
-
-    def test_append_block_broken_link_rejected(self, chain):
-        block = build_block(
-            height=6, previous_digest=b"\x00" * 32,
-            transactions=[make_tx(6)], timestamp=6.0,
-        )
-        with pytest.raises(ValidationError, match="link"):
-            chain.append_block(block)
-
 
 class TestTamperDetection:
     def test_modified_transaction_detected(self, chain):

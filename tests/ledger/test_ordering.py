@@ -206,26 +206,6 @@ class TestBatchTimeout:
         batch = orderer.cut_batch("ch")
         assert batch.released_at == pytest.approx(0.5 + 1 / 100)
 
-    def test_ready_to_cut_tracks_fill_and_age(self, clock):
-        orderer = OrderingService(
-            "ord", clock,
-            profile=OrdererProfile(max_batch_size=2, batch_timeout=0.5),
-        )
-        assert not orderer.ready_to_cut("ch")  # empty
-        orderer.submit(make_tx(key="a"))
-        assert not orderer.ready_to_cut("ch")  # partial, young
-        clock.advance(0.5)
-        assert orderer.ready_to_cut("ch")  # partial, but timeout expired
-        orderer.submit(make_tx(key="b"))
-        assert orderer.ready_to_cut("ch")  # full
-
-    def test_oldest_wait(self, clock):
-        orderer = OrderingService("ord", clock)
-        assert orderer.oldest_wait("ch") == 0.0
-        orderer.submit(make_tx())
-        clock.advance(0.3)
-        assert orderer.oldest_wait("ch") == pytest.approx(0.3)
-
 
 class TestCrashRecovery:
     def test_crashed_orderer_refuses_work(self, orderer):
@@ -322,8 +302,11 @@ class TestNonDurableRecovery:
         volatile.crash()
         volatile.recover()
         volatile.submit(make_tx(key="a"))
-        assert not volatile.ready_to_cut("ch")
-        clock.advance(volatile.profile.batch_timeout + 0.01)
-        assert volatile.ready_to_cut("ch")
+        submitted_at = clock.now
         batch = volatile.cut_batch("ch")
         assert len(batch.transactions) == 1
+        # The partial batch waits out the timeout from its own arrival.
+        assert batch.released_at == pytest.approx(
+            submitted_at + volatile.profile.batch_timeout
+            + 1 / volatile.profile.capacity_tps
+        )

@@ -41,7 +41,7 @@ class TestPolicies:
         assert not policy.satisfied_by({"a"})
 
     def test_any_of(self):
-        policy = EndorsementPolicy.any_of(["a", "b"])
+        policy = EndorsementPolicy.k_of(1, ["a", "b"])
         assert policy.satisfied_by({"b"})
         assert not policy.satisfied_by({"z"})
 
@@ -87,7 +87,7 @@ class TestVerifyEndorsements:
         ])
         with pytest.raises(EndorsementError, match="invalid signature"):
             verify_endorsements(
-                forged, EndorsementPolicy.any_of(["b"]), scheme,
+                forged, EndorsementPolicy.k_of(1, ["b"]), scheme,
                 lambda n: keys[n].public,
             )
 
@@ -99,7 +99,7 @@ class TestVerifyEndorsements:
         )
         with pytest.raises(EndorsementError):
             verify_endorsements(
-                mutated, EndorsementPolicy.any_of(["a"]), scheme,
+                mutated, EndorsementPolicy.k_of(1, ["a"]), scheme,
                 lambda n: keys[n].public,
             )
 

@@ -148,15 +148,6 @@ class TestObservers:
         assert snapshot["code_ids"] == ["cc"]
         assert snapshot["messages_observed"] == 1
 
-    def test_exposure_merge(self):
-        a = Exposure.of(identities={"x"})
-        b = Exposure.of(data_keys={"k"})
-        merged = a.merge(b)
-        assert merged.identities == frozenset({"x"})
-        assert merged.data_keys == frozenset({"k"})
-        assert not merged.is_empty()
-        assert Exposure().is_empty()
-
 
 class TestFaults:
     def test_partition_blocks_send(self, net):
@@ -529,15 +520,3 @@ class TestBoundCounters:
         snapshot = net.telemetry.metrics.snapshot()
         assert not any(name.startswith("net.") for name in snapshot["counters"])
         assert not snapshot["histograms"]
-
-    def test_reset_stats_zeroes_every_bound_series(self, net):
-        net.send("A", "B", "ping", {"x": 1})
-        net.run()
-        net.reset_stats()
-        snapshot = net.telemetry.metrics.snapshot()
-        assert [snapshot["counters"][name] for name in self.HOT] == [0, 0, 0, 0]
-        assert snapshot["histograms"]["net.delivery_latency"]["count"] == 0
-        net.send("A", "B", "ping", {"x": 1})
-        net.run()
-        counters = net.telemetry.metrics.snapshot()["counters"]
-        assert counters["net.messages_sent"] == counters["net.messages_delivered"] == 1

@@ -183,7 +183,8 @@ class TestTearOffs:
         all_indices = []
         for group in ComponentGroup:
             all_indices.extend(wire.component_indices(group))
-        assert sorted(all_indices) == list(range(wire.merkle_tree().leaf_count))
+        leaf_count = wire.filtered([]).tear_off.leaf_count
+        assert sorted(all_indices) == list(range(leaf_count))
 
 
 class TestOracle:

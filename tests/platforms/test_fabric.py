@@ -75,12 +75,12 @@ class TestChaincodeLifecycle:
         contract = put_cc("cc2")
         net.install_chaincode("Org1", contract)
         channel.approve_definition(
-            "Org1", "cc2", 1, EndorsementPolicy.any_of(["Org1"])
+            "Org1", "cc2", 1, EndorsementPolicy.k_of(1, ["Org1"])
         )
         with pytest.raises(ContractError, match="majority"):
             channel.commit_definition("cc2")
         channel.approve_definition(
-            "Org2", "cc2", 1, EndorsementPolicy.any_of(["Org1"])
+            "Org2", "cc2", 1, EndorsementPolicy.k_of(1, ["Org1"])
         )
         definition = channel.commit_definition("cc2")
         assert definition.committed

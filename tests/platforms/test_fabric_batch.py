@@ -143,3 +143,25 @@ class TestMixedSubmitters:
         assert net.orderer.total_ordered == 0
         net.network.heal("Org2", ORDERER_NODE)
         assert all(r.valid for r in net.submit_batch("ch", [first, second]))
+
+
+class TestOversizedBatch:
+    def test_batch_over_max_size_is_ordered_whole(self, net):
+        """A batch larger than the orderer's ``max_batch_size`` is cut into
+        several blocks; nothing is left pending for the next batch."""
+        assert net.orderer.profile.max_batch_size == 100
+        proposals = [
+            net.propose("ch", "Org1", "cc", "put", {"key": f"k{n}", "value": n})
+            for n in range(150)
+        ]
+        chain = net.channel("ch").chain
+        height_before = chain.height
+        results = net.submit_batch("ch", proposals)
+        assert net.orderer.pending_count("ch") == 0
+        assert net.orderer.total_ordered == 150
+        assert chain.height == height_before + 2
+        assert [len(block.transactions) for block in chain.blocks()[-2:]] == [100, 50]
+        ordered = [tx.tx_id for block in chain.blocks()[-2:] for tx in block.transactions]
+        assert ordered == [proposal.tx.tx_id for proposal in proposals]
+        assert all(r.validation_code is ValidationCode.VALID for r in results)
+        chain.verify()

@@ -110,20 +110,6 @@ def test_registries_are_instance_scoped():
     assert two.counter("n").value == 0
 
 
-def test_reset_with_prefix_zeroes_only_that_family():
-    registry = MetricsRegistry()
-    registry.counter("net.messages_sent").inc(7)
-    registry.counter("ordering.submitted").inc(3)
-    registry.gauge("net.depth").set(2)
-    registry.histogram("net.delivery_latency").observe(0.5)
-    registry.reset(prefix="net.")
-    snap = registry.snapshot()
-    assert snap["counters"]["net.messages_sent"] == 0
-    assert snap["counters"]["ordering.submitted"] == 3
-    assert snap["gauges"]["net.depth"] == 0
-    assert snap["histograms"]["net.delivery_latency"]["count"] == 0
-
-
 def test_snapshot_diff_and_render():
     registry = MetricsRegistry()
     registry.counter("c").inc(2)

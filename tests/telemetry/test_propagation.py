@@ -120,25 +120,12 @@ def test_successful_retry_span_reports_delivery():
     assert span.status == "ok"
 
 
-def test_reset_stats_zeroes_counters_but_keeps_spans():
-    """Satellite: instance-scoped stats with an explicit reset."""
+def test_stats_are_instance_scoped():
     one = fresh_net("prop-reset-1")
     two = fresh_net("prop-reset-2")
-    with one.telemetry.span("batch"):
-        for n in range(3):
-            one.send("A", "B", "data", {"n": n})
+    for n in range(3):
+        one.send("A", "B", "data", {"n": n})
     one.run()
-    # Instance-scoped: traffic on `one` is invisible to `two`.
+    # Traffic on `one` is invisible to `two`.
     assert one.stats.messages_delivered == 3
     assert two.stats.messages_delivered == 0
-
-    spans_before = len(one.telemetry.tracer.spans)
-    one.reset_stats()
-    assert one.stats.messages_sent == 0
-    assert one.stats.bytes_transferred == 0
-    snap = one.telemetry.metrics.snapshot()
-    assert snap["histograms"]["net.delivery_latency"]["count"] == 0
-    assert snap["histograms"]["net.delivery_latency"]["mean"] is None
-    assert "mean=n/a" in one.telemetry.metrics.render_text()
-    # Spans carry their own timestamps and survive the counter reset.
-    assert len(one.telemetry.tracer.spans) == spans_before
