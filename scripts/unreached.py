@@ -18,7 +18,7 @@ docs and the tests first.
 Report only: exits 0 whatever it finds, and non-zero only if a run fails.
 Needs no install; takes about a minute.
 
-Usage: python scripts/unreached.py [--perf-seconds S]
+Usage: python scripts/unreached.py
 """
 
 from __future__ import annotations
@@ -82,9 +82,23 @@ REQUIREMENTS = {
 
 PLATFORMS = ("fabric", "corda", "quorum")
 
+#: Seconds per ``perfbench/run.py`` workload.
+PERF_SECONDS = 1.0
+
+
+def subcommands() -> set[str]:
+    """The subcommand names ``repro.cli`` defines."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.cli import build_parser
+
+    return {name for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for name in action.choices}
+
 
 def cli_runs(work: pathlib.Path) -> list[list[str]]:
-    """Every CLI command and output variant."""
+    """Every CLI command and output variant; fails if ``repro.cli`` has a
+    subcommand this list does not run."""
     requirements = work / "requirements.json"
     requirements.write_text(json.dumps(REQUIREMENTS))
     runs = [
@@ -122,10 +136,14 @@ def cli_runs(work: pathlib.Path) -> list[list[str]]:
         runs.append(["metrics", "--platform", platform, "--json",
                      f">{snapshot}"])
     runs.append(["metrics", "--diff", *snapshots])
+    missing = subcommands() - {args[0] for args in runs}
+    if missing:
+        raise SystemExit(f"unreached: no run for subcommand(s) "
+                         f"{', '.join(sorted(missing))}; add them to cli_runs")
     return [[sys.executable, "-m", "repro", *args] for args in runs]
 
 
-def run_all(work: pathlib.Path, env: dict, perf_seconds: float) -> None:
+def run_all(work: pathlib.Path, env: dict) -> None:
     runs = cli_runs(work)
     runs += [[sys.executable, str(script)]
              for script in sorted((work / "examples").glob("*.py"))]
@@ -133,7 +151,7 @@ def run_all(work: pathlib.Path, env: dict, perf_seconds: float) -> None:
                  "benchmarks", "--benchmark-disable"])
     for workload in ("kv", "loc"):
         runs.append([sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", "1", "--seconds", str(perf_seconds)])
+                     "--seed", "1", "--seconds", str(PERF_SECONDS)])
     for command in runs:
         target = command.pop()[1:] if command[-1].startswith(">") else None
         result = subprocess.run(command, cwd=work, env=env,
@@ -172,11 +190,7 @@ def unreached(src: pathlib.Path, entered: set[tuple[str, int]]):
         yield from walk(path, ast.parse(file.read_text(encoding="utf-8")), "")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--perf-seconds", type=float, default=1.0,
-                        help="seconds per perfbench/run.py workload")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="unreached-") as scratch:
         scratch = pathlib.Path(scratch)
         work, hook, out = scratch / "tree", scratch / "hook", scratch / "out"
@@ -198,7 +212,7 @@ def main(argv=None) -> int:
             UNREACHED_OUT=str(out),
             UNREACHED_SRC=str(work / "src") + os.sep,
         )
-        run_all(work, env, args.perf_seconds)
+        run_all(work, env)
         entered = set()
         for record in out.glob("*.txt"):
             for line in record.read_text(encoding="utf-8").splitlines():

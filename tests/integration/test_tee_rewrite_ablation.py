@@ -78,3 +78,51 @@ class TestRewriteCounterfactual:
         net = FabricNetwork(seed="tee-ablation")
         result = probe(net, Mechanism.TRUSTED_EXECUTION_ENVIRONMENT)
         assert result.level is SupportLevel.REWRITE
+
+    def test_attestation_gates_results(self):
+        """The rewrite's safety property: a relying party that insists on
+        the honest contract's measurement rejects the result of an enclave
+        that an engine loaded with swapped logic."""
+        from repro.common.errors import AttestationError
+        from repro.common.rng import DeterministicRNG
+        from repro.common.serialization import canonical_bytes
+        from repro.crypto.tee import Manufacturer
+
+        class RecordingManufacturer(Manufacturer):
+            def __init__(self):
+                super().__init__()
+                self.enclaves = []
+
+            def provision(self):
+                enclave = super().provision()
+                self.enclaves.append(enclave)
+                return enclave
+
+        def evil(view, args):
+            view.put(f"trade/{args['id']}", {"price": 0, "status": "settled"})
+            return "settled"
+
+        evil_contract = SmartContract(
+            "settlement", 1, "python-chaincode", {"settle": evil}
+        )
+        manufacturer = RecordingManufacturer()
+        for contract in (make_contract(), evil_contract):
+            TEEEngine(manufacturer=manufacturer).install("peer", contract)
+        honest, swapped = manufacturer.enclaves
+
+        def attest(enclave, nonce):
+            rng = DeterministicRNG("relying-party")
+            session = enclave.establish_session_key(rng)
+            payload = canonical_bytes({
+                "function": "settle",
+                "args": ARGS,
+                "state": {key: e["value"] for key, e in STATE.items()},
+                "versions": {key: e["version"] for key, e in STATE.items()},
+            })
+            __, attestation = enclave.execute(session.encrypt(payload, rng), nonce)
+            return attestation
+
+        expected = attest(honest, b"n1").measurement
+        manufacturer.verify_attestation(attest(honest, b"n2"), expected, b"n2")
+        with pytest.raises(AttestationError, match="measurement"):
+            manufacturer.verify_attestation(attest(swapped, b"n3"), expected, b"n3")
