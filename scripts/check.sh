@@ -2,7 +2,7 @@
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
 # the self-sufficient messages gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
-# design), the telemetry, convergence and pipeline gates, the no-unhandled-
+# design), the telemetry, convergence and pipeline (incl. one scenario compiler) gates, the no-unhandled-
 # delivery gate, the perf-harness smoke run, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
@@ -78,13 +78,23 @@ python -m repro converge
 python -m repro lint --strict src/repro/recovery
 
 echo
-echo "== pipeline gate (submit/submit_many parity + causal flows + driver + bench smoke) =="
+echo "== pipeline gate (submit/submit_many parity + causal flows + driver + bench smoke + one scenario compiler) =="
 # tests/pipeline holds test_causality.py: causal flows and no unhandled delivery.
 python -m pytest -x tests/pipeline tests/driver tests/integration/test_driver_leakage.py
 python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /dev/null
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null
 python -m repro lint --strict src/repro/driver
+# One scenario compiler: a workload is a hosting row, deployed in one place.
+for call in 'deploy_chaincode(' 'register_flow(' 'deploy_contract('; do
+    count=$(grep -rhoF --include='*.py' "$call" src/repro/driver | wc -l)
+    if [ "$count" -ne 1 ]; then
+        echo "$call appears $count times under src/repro/driver/ (one hosting function wants 1):"
+        grep -rnF --include='*.py' "$call" src/repro/driver || true
+        exit 1
+    fi
+done
+echo "one scenario compiler: ok"
 
 echo
 echo "== no-unhandled-delivery gate (every message of the metrics workflow reaches a handler on its recipient) =="

@@ -166,13 +166,10 @@ def _traced_lifecycle(platform: str):
     """Run one letter-of-credit lifecycle on *platform* with tracing on;
     return its telemetry bundle (spans + metrics + events, all
     simulated-time)."""
-    from repro.platforms import CordaNetwork, FabricNetwork, QuorumNetwork
+    from repro.platforms import PLATFORMS
     from repro.usecases.letter_of_credit import LetterOfCreditWorkflow
 
-    network_types = {
-        "fabric": FabricNetwork, "corda": CordaNetwork, "quorum": QuorumNetwork,
-    }
-    network = network_types[platform](seed="loc")
+    network = PLATFORMS[platform](seed="loc")
     network.telemetry.start_tracing()
     workflow = LetterOfCreditWorkflow(network)
     workflow.setup()
@@ -301,6 +298,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.driver.scenarios import WORKLOADS
+    from repro.platforms import PLATFORMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Design guide & platform comparison from the "
@@ -380,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every duration in simulated time.  Deterministic: the same "
         "platform always yields byte-identical output.",
     )
-    trace.add_argument(
-        "--platform", choices=("fabric", "corda", "quorum"), default="fabric"
-    )
+    trace.add_argument("--platform", choices=PLATFORMS, default="fabric")
     trace.add_argument(
         "--json", action="store_true", help="emit spans as JSON instead"
     )
@@ -396,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "With --diff BEFORE.json AFTER.json: prints per-metric deltas "
         "between two saved snapshots.",
     )
-    metrics.add_argument(
-        "--platform", choices=("fabric", "corda", "quorum"), default="fabric"
-    )
+    metrics.add_argument("--platform", choices=PLATFORMS, default="fabric")
     metrics.add_argument(
         "--diff", nargs=2, metavar=("BEFORE", "AFTER"),
         help="diff two snapshot JSON files instead of running a workload",
@@ -419,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "liveness, convergence, and catch-up privacy.  Exit 1 on any "
         "divergence or entitlement widening.",
     )
-    recover.add_argument(
-        "--platform", choices=("fabric", "corda", "quorum"), default="fabric"
-    )
+    recover.add_argument("--platform", choices=PLATFORMS, default="fabric")
     recover.add_argument(
         "--seed", default=None, help="override the canonical scenario seed"
     )
@@ -438,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         "This is the CI convergence gate: exit 0 iff every platform "
         "converges with zero divergence and no entitlement widening.",
     )
-    converge.add_argument(
-        "--platform", choices=("fabric", "corda", "quorum"), default=None
-    )
+    converge.add_argument("--platform", choices=PLATFORMS, default=None)
     converge.add_argument(
         "--seed", default=None, help="override the canonical scenario seed"
     )
@@ -458,11 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput, latency, and signature/certificate cache hit rates. "
         "Deterministic in --seed.  Exit 1 if any transaction fails.",
     )
+    bench.add_argument("--platform", choices=PLATFORMS, default="fabric")
     bench.add_argument(
-        "--platform", choices=("fabric", "corda", "quorum"), default="fabric"
-    )
-    bench.add_argument(
-        "--workload", choices=("kv", "trades", "loc"), default="kv",
+        "--workload", choices=WORKLOADS, default="kv",
         help="kv: key-value updates; trades: bilateral confidential "
         "trades; loc: letter-of-credit stage mix (ops = applications)",
     )

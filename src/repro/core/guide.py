@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.decision import (
-    DecisionStep,
     Recommendation,
     decide_data_confidentiality,
 )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.guide import SolutionDesign
-from repro.core.mechanisms import Category, Mechanism, all_mechanisms, info
+from repro.core.mechanisms import Mechanism, all_mechanisms, info
 from repro.platforms.base import ProbeResult, SupportLevel
 
 PLATFORMS = ("fabric", "corda", "quorum")

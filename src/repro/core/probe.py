@@ -30,12 +30,10 @@ from repro.crypto.zkp import (
     prove_sufficient_funds,
     verify_sufficient_funds,
 )
+from repro.platforms import PLATFORMS
 from repro.platforms.base import Platform, ProbeResult, SupportLevel
-from repro.platforms.corda import CordaNetwork
 from repro.platforms.corda.probes import PROBES as CORDA_PROBES
-from repro.platforms.fabric import FabricNetwork
 from repro.platforms.fabric.probes import PROBES as FABRIC_PROBES
-from repro.platforms.quorum import QuorumNetwork
 from repro.platforms.quorum.probes import PROBES as QUORUM_PROBES
 
 Row = tuple[SupportLevel, str]
@@ -133,11 +131,7 @@ def probe_column(net: Platform) -> dict[Mechanism, ProbeResult]:
 
 def build_platforms(seed: str = "probe") -> list[Platform]:
     """Fresh instances of the three platform simulations."""
-    return [
-        FabricNetwork(seed=f"{seed}-fabric"),
-        CordaNetwork(seed=f"{seed}-corda"),
-        QuorumNetwork(seed=f"{seed}-quorum"),
-    ]
+    return [network(seed=f"{seed}-{name}") for name, network in PLATFORMS.items()]
 
 
 def regenerate_matrix(

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.guide import SolutionDesign
-from repro.core.mechanisms import Mechanism, info
+from repro.core.mechanisms import Mechanism
 
 
 class Adversary(enum.Enum):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from repro.common.errors import MembershipError, ProofError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
-from repro.crypto.groups import SchnorrGroup, cached_test_group
-from repro.crypto.signatures import PrivateKey, PublicKey, SignatureScheme
+from repro.crypto.groups import SchnorrGroup
+from repro.crypto.signatures import PublicKey, SignatureScheme
 
 
 def _template_scalar(group: SchnorrGroup, template: dict) -> int:

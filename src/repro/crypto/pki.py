@@ -15,7 +15,6 @@ from repro.common.clock import SimClock
 from repro.common.errors import CertificateError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
-from repro.crypto.groups import SchnorrGroup
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.signatures import (
     PrivateKey,

@@ -1,11 +1,12 @@
 """Workload-to-platform scenario compilers.
 
-``repro.workloads`` streams are platform-neutral; each platform expresses
+Each workload is one :class:`HostingRow` (its contract and how that is
+hosted) plus a stream of platform-neutral
+:class:`~repro.platforms.base.TxRequest` s for the
+:class:`~repro.driver.core.Driver`.  Each platform expresses
 confidentiality differently (channels + PDCs, participants, privacy
-groups).  A scenario compiler owns that mapping: it stands up a seeded
-platform with the needed contracts/flows and turns a stream into the
-:class:`~repro.platforms.base.TxRequest` list the
-:class:`~repro.driver.core.Driver` pumps.
+groups); only :func:`_host` (deploy a row) and :func:`_scoped` (keep the
+request scoping a platform uses) tell the platforms apart.
 
 All construction is deterministic in ``seed`` — two scenarios built with
 the same parameters run identical transactions, which is what the
@@ -15,22 +16,19 @@ pipeline-parity tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common.errors import PlatformError
-from repro.execution.contracts import SmartContract
-from repro.ledger.validation import EndorsementPolicy
+from repro.execution.contracts import ContractFunction, SmartContract
+from repro.platforms import PLATFORMS
 from repro.platforms.base import Platform, TxRequest
-from repro.platforms.corda import Command, ContractState, CordaNetwork
-from repro.platforms.fabric import FabricNetwork
-from repro.platforms.quorum import QuorumNetwork
+from repro.platforms.corda import Command, ContractState
 from repro.workloads import kv_update_stream, loc_stream, trade_stream
 
 #: The benchmark consortium, aligned with the L1 leakage audit: OrgA/OrgB
 #: trade, OrgC/OrgD/OrgE are uninvolved network members.
 BENCH_ORGS = ("OrgA", "OrgB", "OrgC", "OrgD", "OrgE")
 TRADERS = ("OrgA", "OrgB")
-
-PLATFORM_NAMES = ("fabric", "corda", "quorum")
 
 
 @dataclass
@@ -43,19 +41,84 @@ class BenchScenario:
     params: dict = field(default_factory=dict)
 
 
-def _make_platform(platform_name: str, seed: str) -> Platform:
-    if platform_name == "fabric":
-        return FabricNetwork(seed=seed)
-    if platform_name == "corda":
-        return CordaNetwork(seed=seed)
-    if platform_name == "quorum":
-        return QuorumNetwork(seed=seed)
-    raise PlatformError(f"unknown platform {platform_name!r}")
+@dataclass(frozen=True)
+class HostingRow:
+    """How one workload's contract is hosted, on every platform.
+
+    - ``channel`` / ``members`` / ``endorsers``: the Fabric channel the
+      chaincode runs on and the peers that must all endorse it; Quorum
+      deploys the contract publicly from ``members[0]``.
+    - ``pdc``: an optional Fabric private data collection
+      ``(name, members)`` that the requests' ``private_args`` write to.
+    - ``refuses`` / ``refusal``: the Corda contract rule.  An output
+      state whose data ``refuses`` is rejected with ``refusal``.
+    - ``corda_data``: shapes a request's args into the data of the one
+      fresh state its Corda flow records.
+    """
+
+    contract_id: str
+    functions: dict[str, ContractFunction]
+    channel: str
+    members: tuple[str, ...]
+    endorsers: tuple[str, ...]
+    refuses: Callable[[dict], bool]
+    refusal: str
+    pdc: tuple[str, tuple[str, ...]] | None = None
+    corda_data: Callable[[dict], dict] = dict
 
 
-def _onboard(platform: Platform) -> None:
+def _host(platform_name: str, seed: str, row: HostingRow) -> Platform:
+    """A seeded *platform_name*, ``BENCH_ORGS`` onboarded, *row* deployed."""
+    if platform_name not in PLATFORMS:
+        raise PlatformError(f"unknown platform {platform_name!r}")
+    platform = PLATFORMS[platform_name](seed=seed)
     for org in BENCH_ORGS:
         platform.onboard(org)
+    if platform_name == "corda":
+        def verify(wire):
+            for state in wire.outputs:
+                if state.contract_id == row.contract_id and row.refuses(state.data):
+                    raise PlatformError(row.refusal)
+
+        def record(net, request: TxRequest):
+            state = ContractState(
+                contract_id=row.contract_id,
+                participants=(request.submitter, *(request.private_for or ())),
+                data=row.corda_data(request.args),
+            )
+            return net.build_transaction(
+                inputs=[], outputs=[state],
+                commands=[Command(name=request.function.capitalize(),
+                                  signers=(request.submitter,))],
+            )
+
+        platform.register_contract(row.contract_id, verify, language="kotlin")
+        for function in row.functions:
+            platform.register_flow(row.contract_id, function, record)
+        return platform
+    language = "python-chaincode" if platform_name == "fabric" else "evm-solidity"
+    contract = SmartContract(row.contract_id, 1, language, row.functions)
+    if platform_name == "fabric":
+        channel = platform.create_channel(row.channel, list(row.members))
+        if row.pdc is not None:
+            channel.create_collection(row.pdc[0], list(row.pdc[1]))
+        platform.deploy_chaincode(row.channel, contract, list(row.endorsers))
+    else:
+        platform.deploy_contract(row.members[0], contract)
+    return platform
+
+
+def _scoped(platform_name: str, private_for, private_args=None, **request) -> TxRequest:
+    """A neutral *request* with the part of its scoping *platform_name* uses.
+
+    A workload names both the counterparty (``private_for``) and any PII
+    write (``private_args``).  Fabric scopes by channel and PDC, so it
+    keeps only the PDC write; Corda and Quorum keep only the
+    counterparty, since neither can host deletable PII (Table 1).
+    """
+    if platform_name == "fabric":
+        return TxRequest(private_args=private_args, **request)
+    return TxRequest(private_for=private_for, **request)
 
 
 # -- contract bodies shared across platforms -------------------------------
@@ -77,12 +140,32 @@ def _record_trade(view, args):
     return args["key"]
 
 
+def _trade_state_data(args):
+    data = {"key": args["key"], "value": args["value"]}
+    if args.get("confidential"):
+        # The price stays inside the participants' states — Corda's p2p
+        # distribution is the scoping mechanism.
+        # repro: allow(flow-to-state)
+        data["trade-price"] = args["price"]
+    return data
+
+
 def _loc_advance(view, args):
     view.put(args["loc_id"], {"stage": args["stage"], "amount": args["amount"]})
     return args["stage"]
 
 
 # -- KV update workload ----------------------------------------------------
+
+KV_ROW = HostingRow(
+    contract_id="kv-store",
+    functions={"put": _kv_put},
+    channel="kv-channel",
+    members=BENCH_ORGS[:3],
+    endorsers=BENCH_ORGS[:2],
+    refuses=lambda data: data["value"] < 0,
+    refusal="kv values must be non-negative",
+)
 
 
 def kv_scenario(
@@ -93,44 +176,19 @@ def kv_scenario(
     seed: str = "bench",
 ) -> BenchScenario:
     """Key-value updates with configurable Zipfian contention."""
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-kv")
-    _onboard(platform)
-    submitters = list(BENCH_ORGS[:3])
-    contract = SmartContract(
-        contract_id="kv-store",
-        version=1,
-        language="evm-solidity" if platform_name == "quorum"
-        else "python-chaincode",
-        functions={"put": _kv_put},
-    )
-    if platform_name == "fabric":
-        platform.create_channel("kv-channel", submitters)
-        endorsers = submitters[:2]
-        platform.deploy_chaincode(
-            "kv-channel", contract, endorsers,
-            policy=EndorsementPolicy.all_of(endorsers),
-        )
-    elif platform_name == "corda":
-        def verify(wire):
-            for state in wire.outputs:
-                if state.contract_id == "kv-store" and state.data["value"] < 0:
-                    raise PlatformError("kv values must be non-negative")
-        platform.register_contract("kv-store", verify, language="kotlin")
-        platform.register_flow("kv-store", "put", _corda_kv_builder)
-    else:
-        platform.deploy_contract(submitters[0], contract)
+    platform = _host(platform_name, f"{seed}-{platform_name}-kv", KV_ROW)
     requests = [
         TxRequest(
             submitter=op.submitter,
-            contract_id="kv-store",
+            contract_id=KV_ROW.contract_id,
             function="put",
             args={"key": op.key, "value": op.value},
             metadata={"index": index},
         )
         for index, op in enumerate(
             kv_update_stream(
-                submitters, operations, key_count=key_count, skew=skew,
-                seed=f"{seed}-kv-stream",
+                list(KV_ROW.members), operations, key_count=key_count,
+                skew=skew, seed=f"{seed}-kv-stream",
             )
         )
     ]
@@ -140,25 +198,23 @@ def kv_scenario(
         label=f"kv/{platform_name}",
         params={
             "operations": operations, "skew": skew, "key_count": key_count,
-            "workers": len(submitters),
+            "workers": len(KV_ROW.members),
         },
     )
 
 
-def _corda_kv_builder(net: CordaNetwork, request: TxRequest):
-    participants = request.private_for or (request.submitter,)
-    state = ContractState(
-        contract_id="kv-store",
-        participants=tuple(participants),
-        data={"key": request.args["key"], "value": request.args["value"]},
-    )
-    return net.build_transaction(
-        inputs=[], outputs=[state],
-        commands=[Command(name="Put", signers=(request.submitter,))],
-    )
-
-
 # -- bilateral trade workload ----------------------------------------------
+
+TRADE_ROW = HostingRow(
+    contract_id="trade-contract",
+    functions={"record": _record_trade},
+    channel="trade-ab",
+    members=TRADERS,
+    endorsers=TRADERS,
+    refuses=lambda data: data.get("value", {}).get("notional", 1) <= 0,
+    refusal="trade notional must be positive",
+    corda_data=_trade_state_data,
+)
 
 
 def trade_scenario(
@@ -173,32 +229,7 @@ def trade_scenario(
     (uninvolved orgs and the ordering principal learn no more than the
     platform's documented exposure) applies to driver-generated load.
     """
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-trades")
-    _onboard(platform)
-    contract = SmartContract(
-        contract_id="trade-contract",
-        version=1,
-        language="evm-solidity" if platform_name == "quorum"
-        else "python-chaincode",
-        functions={"record": _record_trade},
-    )
-    if platform_name == "fabric":
-        platform.create_channel("trade-ab", list(TRADERS))
-        platform.deploy_chaincode(
-            "trade-ab", contract, list(TRADERS),
-            policy=EndorsementPolicy.all_of(list(TRADERS)),
-        )
-    elif platform_name == "corda":
-        def verify(wire):
-            for state in wire.outputs:
-                if state.contract_id == "trade-contract" and (
-                    state.data.get("value", {}).get("notional", 1) <= 0
-                ):
-                    raise PlatformError("trade notional must be positive")
-        platform.register_contract("trade-contract", verify, language="kotlin")
-        platform.register_flow("trade-contract", "record", _corda_trade_builder)
-    else:
-        platform.deploy_contract(TRADERS[0], contract)
+    platform = _host(platform_name, f"{seed}-{platform_name}-trades", TRADE_ROW)
     requests = []
     for index, trade in enumerate(
         trade_stream(
@@ -207,30 +238,21 @@ def trade_scenario(
             seed=f"{seed}-trade-stream",
         )
     ):
-        args = {
-            "key": f"trade-{index:05d}",
-            "value": {"instrument": trade.instrument, "seller": trade.seller},
-            "confidential": trade.confidential,
-        }
+        value = {"instrument": trade.instrument, "seller": trade.seller}
+        args = {"key": f"trade-{index:05d}", "value": value,
+                "confidential": trade.confidential}
         if trade.confidential:
             args["price"] = trade.notional
         else:
-            args["value"] = {
-                **args["value"], "notional": trade.notional,
-            }
-        private_for = None
-        if platform_name in ("corda", "quorum"):
-            # p2p participants / privacy group: always the two traders.
-            private_for = (trade.seller,)
-        requests.append(
-            TxRequest(
-                submitter=trade.buyer,
-                contract_id="trade-contract",
-                function="record",
-                args=args,
-                private_for=private_for,
-            )
-        )
+            value["notional"] = trade.notional
+        requests.append(_scoped(
+            platform_name,
+            submitter=trade.buyer,
+            contract_id=TRADE_ROW.contract_id,
+            function="record",
+            args=args,
+            private_for=(trade.seller,),
+        ))
     return BenchScenario(
         platform=platform,
         requests=requests,
@@ -242,29 +264,22 @@ def trade_scenario(
     )
 
 
-def _corda_trade_builder(net: CordaNetwork, request: TxRequest):
-    participants = (request.submitter,) + tuple(request.private_for or ())
-    data = {"key": request.args["key"], "value": request.args["value"]}
-    if request.args.get("confidential"):
-        # The price stays inside the participants' states — Corda's p2p
-        # distribution is the scoping mechanism.
-        # repro: allow(flow-to-state)
-        data["trade-price"] = request.args["price"]
-    state = ContractState(
-        contract_id="trade-contract",
-        participants=participants,
-        data=data,
-    )
-    return net.build_transaction(
-        inputs=[], outputs=[state],
-        commands=[Command(name="Record", signers=(request.submitter,))],
-    )
-
-
 # -- letter-of-credit application mix --------------------------------------
 
 LOC_APPLICANTS = ("OrgA", "OrgB")
 LOC_BENEFICIARIES = ("OrgC", "OrgD")
+
+LOC_ROW = HostingRow(
+    contract_id="loc-contract",
+    functions={stage: _loc_advance for stage in
+               ("apply", "issue", "ship", "pay")},
+    channel="loc-channel",
+    members=tuple(sorted(LOC_APPLICANTS + LOC_BENEFICIARIES)),
+    endorsers=(LOC_APPLICANTS[0], LOC_BENEFICIARIES[0]),
+    refuses=lambda data: data.get("amount", 1) <= 0,
+    refusal="credit amount must be positive",
+    pdc=("kyc-pii", LOC_APPLICANTS),
+)
 
 
 def loc_scenario(
@@ -275,84 +290,39 @@ def loc_scenario(
 ) -> BenchScenario:
     """Letter-of-credit lifecycles: apply/issue/ship/pay stage requests.
 
-    On Fabric, the application carries applicant KYC data as a PDC write
-    (``private_args``); Corda and Quorum cannot host deletable PII
-    (Table 1), so their applications reference it by anchor only.
+    Each application writes the applicant's KYC data to the ``kyc-pii``
+    PDC, which only Fabric hosts (see :func:`_scoped`).
     """
-    platform = _make_platform(platform_name, f"{seed}-{platform_name}-loc")
-    _onboard(platform)
-    members = sorted(set(LOC_APPLICANTS + LOC_BENEFICIARIES))
-    contract = SmartContract(
-        contract_id="loc-contract",
-        version=1,
-        language="evm-solidity" if platform_name == "quorum"
-        else "python-chaincode",
-        functions={stage: _loc_advance for stage in
-                   ("apply", "issue", "ship", "pay")},
-    )
-    if platform_name == "fabric":
-        channel = platform.create_channel("loc-channel", members)
-        channel.create_collection("kyc-pii", list(LOC_APPLICANTS))
-        endorsers = [LOC_APPLICANTS[0], LOC_BENEFICIARIES[0]]
-        platform.deploy_chaincode(
-            "loc-channel", contract, endorsers,
-            policy=EndorsementPolicy.all_of(endorsers),
-        )
-    elif platform_name == "corda":
-        def verify(wire):
-            for state in wire.outputs:
-                if state.contract_id == "loc-contract" and (
-                    state.data.get("amount", 1) <= 0
-                ):
-                    raise PlatformError("credit amount must be positive")
-        platform.register_contract("loc-contract", verify, language="kotlin")
-        for stage in ("apply", "issue", "ship", "pay"):
-            platform.register_flow("loc-contract", stage, _corda_loc_builder)
-    else:
-        platform.deploy_contract(LOC_APPLICANTS[0], contract)
+    platform = _host(platform_name, f"{seed}-{platform_name}-loc", LOC_ROW)
     requests = []
     for application in loc_stream(
         list(LOC_APPLICANTS), list(LOC_BENEFICIARIES), applications,
         completion_fraction=completion_fraction,
         seed=f"{seed}-loc-stream",
     ):
+        kyc = {"kyc-pii": {f"kyc-{application.loc_id}": {
+            "applicant": application.applicant, "amount": application.amount,
+        }}}
         for stage in application.stages:
-            submitter = (
-                application.applicant if stage in ("apply", "issue")
-                else application.beneficiary
+            submitter, counterparty = (
+                (application.applicant, application.beneficiary)
+                if stage in ("apply", "issue")
+                else (application.beneficiary, application.applicant)
             )
-            private_args = None
-            if platform_name == "fabric" and stage == "apply":
-                private_args = {
-                    "kyc-pii": {
-                        f"kyc-{application.loc_id}": {
-                            "applicant": application.applicant,
-                            "amount": application.amount,
-                        }
-                    }
-                }
-            private_for = None
-            if platform_name in ("corda", "quorum"):
-                counterparty = (
-                    application.beneficiary if submitter == application.applicant
-                    else application.applicant
-                )
-                private_for = (counterparty,)
-            requests.append(
-                TxRequest(
-                    submitter=submitter,
-                    contract_id="loc-contract",
-                    function=stage,
-                    args={
-                        "loc_id": application.loc_id,
-                        "stage": stage,
-                        "amount": application.amount,
-                    },
-                    private_for=private_for,
-                    private_args=private_args,
-                    metadata={"loc_id": application.loc_id},
-                )
-            )
+            requests.append(_scoped(
+                platform_name,
+                submitter=submitter,
+                contract_id=LOC_ROW.contract_id,
+                function=stage,
+                args={
+                    "loc_id": application.loc_id,
+                    "stage": stage,
+                    "amount": application.amount,
+                },
+                private_for=(counterparty,),
+                private_args=kyc if stage == "apply" else None,
+                metadata={"loc_id": application.loc_id},
+            ))
     return BenchScenario(
         platform=platform,
         requests=requests,
@@ -364,22 +334,15 @@ def loc_scenario(
     )
 
 
-def _corda_loc_builder(net: CordaNetwork, request: TxRequest):
-    participants = (request.submitter,) + tuple(request.private_for or ())
-    state = ContractState(
-        contract_id="loc-contract",
-        participants=participants,
-        data={
-            "loc_id": request.args["loc_id"],
-            "stage": request.args["stage"],
-            "amount": request.args["amount"],
-        },
-    )
-    return net.build_transaction(
-        inputs=[], outputs=[state],
-        commands=[Command(name=request.args["stage"].capitalize(),
-                          signers=(request.submitter,))],
-    )
+#: Workload name -> its scenario as ``build(platform_name, operations,
+#: skew, seed)``; only ``kv`` reads the skew.
+WORKLOADS = {
+    "kv": lambda name, ops, skew, seed: kv_scenario(
+        name, ops, skew=skew, seed=seed),
+    "trades": lambda name, ops, skew, seed: trade_scenario(
+        name, ops, seed=seed),
+    "loc": lambda name, ops, skew, seed: loc_scenario(name, ops, seed=seed),
+}
 
 
 def build_scenario(
@@ -390,12 +353,6 @@ def build_scenario(
     seed: str = "bench",
 ) -> BenchScenario:
     """CLI-facing dispatch: one scenario per (platform, workload) pair."""
-    if platform_name not in PLATFORM_NAMES:
-        raise PlatformError(f"unknown platform {platform_name!r}")
-    if workload == "kv":
-        return kv_scenario(platform_name, operations, skew=skew, seed=seed)
-    if workload == "trades":
-        return trade_scenario(platform_name, operations, seed=seed)
-    if workload == "loc":
-        return loc_scenario(platform_name, operations, seed=seed)
-    raise PlatformError(f"unknown workload {workload!r}")
+    if workload not in WORKLOADS:
+        raise PlatformError(f"unknown workload {workload!r}")
+    return WORKLOADS[workload](platform_name, operations, skew, seed)

@@ -11,7 +11,7 @@ query on request.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import ValidationError
 from repro.crypto.hashing import hash_value

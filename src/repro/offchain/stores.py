@@ -17,7 +17,7 @@ API: the anchor remains, the data is gone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import (

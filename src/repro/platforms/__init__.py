@@ -10,7 +10,15 @@ from repro.platforms.corda import CordaNetwork
 from repro.platforms.fabric import FabricNetwork
 from repro.platforms.quorum import QuorumNetwork
 
+#: Every simulated platform, by the name the CLI and the driver use.
+PLATFORMS = {
+    "fabric": FabricNetwork,
+    "corda": CordaNetwork,
+    "quorum": QuorumNetwork,
+}
+
 __all__ = [
+    "PLATFORMS",
     "Party",
     "Platform",
     "ProbeResult",

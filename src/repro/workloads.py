@@ -12,7 +12,7 @@ described by (generator, parameters, seed).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.common.rng import DeterministicRNG

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.errors import PlatformError
 from repro.driver import (
     BENCH_ORGS,
     Driver,
@@ -185,3 +188,36 @@ class TestScenarios:
 
     def test_bench_orgs_cover_the_audit_cast(self):
         assert set(("OrgA", "OrgB", "OrgC", "OrgD", "OrgE")) == set(BENCH_ORGS)
+
+    @pytest.mark.parametrize(
+        "platform_name, workload", [("nowhere", "kv"), ("fabric", "nothing")]
+    )
+    def test_unknown_platform_or_workload_is_refused(self, platform_name, workload):
+        with pytest.raises(PlatformError, match="unknown"):
+            build_scenario(platform_name, workload, 1)
+
+
+class TestCordaContractRules:
+    """Each workload's Corda contract refuses its invalid output."""
+
+    @pytest.mark.parametrize(
+        "workload, invalid, refusal",
+        [
+            ("kv", lambda args: {**args, "value": -1}, "non-negative"),
+            ("trades",
+             lambda args: {**args, "value": {**args["value"], "notional": 0}},
+             "notional must be positive"),
+            ("loc", lambda args: {**args, "amount": 0}, "amount must be positive"),
+        ],
+        ids=("kv", "trades", "loc"),
+    )
+    def test_invalid_output_is_rejected(self, workload, invalid, refusal):
+        scenario = build_scenario("corda", workload, 2, seed="corda-rules")
+        valid = scenario.requests[0]
+        receipts = scenario.platform.submit_many(
+            [replace(valid, args=invalid(valid.args)), valid]
+        )
+        assert [r.status for r in receipts] == [
+            "rejected:PlatformError", "committed",
+        ]
+        assert refusal in receipts[0].info["error"]
