@@ -43,7 +43,7 @@ fi
 echo "handlers read only their message and their own replica: ok"
 
 echo
-echo "== crypto known-answer gate (golden group/signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="
+echo "== crypto known-answer gate (pinned-group vector: small_group() derives the pinned p/q/g/h + cached_test_group() loads with no prime search and refuses a flipped bit + golden signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="
 python -m pytest -x tests/crypto/test_known_answers.py \
     tests/crypto/test_signatures.py::TestKeyTables \
     tests/crypto/test_signatures.py::TestIdentityKeyForgery \

@@ -1,44 +1,34 @@
 """The paper's contribution: mechanism catalog, design guide, Table 1, audit.
 
-The mechanism catalog, requirements model, decision tree, and guide are
-imported eagerly.  The matrix / probe / audit layers depend on the
-platform simulations (which themselves consult the mechanism catalog), so
-they are exposed lazily via module ``__getattr__`` to keep the import
-graph acyclic.
+Every name below is re-exported lazily via module ``__getattr__``.  The
+matrix / probe / audit layers depend on the platform simulations (which
+themselves consult the mechanism catalog), so loading them eagerly would
+make the import graph cyclic; and a platform that imports the mechanism
+catalog does not load the requirements model, decision tree or guide.
 """
 
-from repro.core.decision import (
-    DecisionStep,
-    Recommendation,
-    decide_data_confidentiality,
-)
-from repro.core.guide import (
-    SolutionDesign,
-    design_interaction_privacy,
-    design_logic_confidentiality,
-    design_solution,
-)
-from repro.core.mechanisms import (
-    Category,
-    Maturity,
-    Mechanism,
-    MechanismInfo,
-    all_mechanisms,
-    by_category,
-    info,
-)
-from repro.core.requirements import (
-    DataClassRequirements,
-    DeploymentContext,
-    InteractionPrivacy,
-    LogicRequirements,
-    UseCaseRequirements,
-)
-
 _LAZY = {
+    "DecisionStep": "repro.core.decision",
+    "Recommendation": "repro.core.decision",
+    "decide_data_confidentiality": "repro.core.decision",
+    "SolutionDesign": "repro.core.guide",
+    "design_interaction_privacy": "repro.core.guide",
+    "design_logic_confidentiality": "repro.core.guide",
+    "design_solution": "repro.core.guide",
+    "Category": "repro.core.mechanisms",
+    "Maturity": "repro.core.mechanisms",
+    "Mechanism": "repro.core.mechanisms",
+    "MechanismInfo": "repro.core.mechanisms",
+    "all_mechanisms": "repro.core.mechanisms",
+    "by_category": "repro.core.mechanisms",
+    "info": "repro.core.mechanisms",
+    "DataClassRequirements": "repro.core.requirements",
+    "DeploymentContext": "repro.core.requirements",
+    "InteractionPrivacy": "repro.core.requirements",
+    "LogicRequirements": "repro.core.requirements",
+    "UseCaseRequirements": "repro.core.requirements",
     # The static analyzer is correctness tooling layered over the same
-    # mechanism catalog; exposed here lazily so importing repro.core stays
-    # cheap and the import graph stays acyclic.
+    # mechanism catalog.
     "analyze_paths": "repro.analysis",
     "analyze_source": "repro.analysis",
     "Finding": "repro.analysis",
@@ -49,7 +39,6 @@ _LAZY = {
     "audit_fabric": "repro.core.audit",
     "audit_quorum": "repro.core.audit",
     "PAPER_TABLE_1": "repro.core.matrix",
-    "PLATFORMS": "repro.core.matrix",
     "MatrixComparison": "repro.core.matrix",
     "PlatformScore": "repro.core.matrix",
     "score_platforms": "repro.core.matrix",
@@ -65,28 +54,7 @@ _LAZY = {
     "regenerate_matrix": "repro.core.probe",
 }
 
-__all__ = [
-    "DecisionStep",
-    "Recommendation",
-    "decide_data_confidentiality",
-    "SolutionDesign",
-    "design_interaction_privacy",
-    "design_logic_confidentiality",
-    "design_solution",
-    "Category",
-    "Maturity",
-    "Mechanism",
-    "MechanismInfo",
-    "all_mechanisms",
-    "by_category",
-    "info",
-    "DataClassRequirements",
-    "DeploymentContext",
-    "InteractionPrivacy",
-    "LogicRequirements",
-    "UseCaseRequirements",
-    *sorted(_LAZY),
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

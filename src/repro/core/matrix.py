@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.core.guide import SolutionDesign
 from repro.core.mechanisms import Mechanism, all_mechanisms, info
-from repro.platforms.base import ProbeResult, SupportLevel
-
-PLATFORMS = ("fabric", "corda", "quorum")
+from repro.platforms import PLATFORMS, ProbeResult, SupportLevel
 
 # The published Table 1, cell for cell.  Legend: '+' native, '*' not native
 # but implementable, '-' requires substantial rewriting, 'N/A'.

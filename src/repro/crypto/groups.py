@@ -5,7 +5,11 @@ commitments, ZK proofs, anonymous credentials, one-time keys) operate in the
 same Schnorr group: the prime-order-q subgroup of Z_p* for a safe prime
 p = 2q + 1.  Groups are generated deterministically from a seed
 (:func:`small_group`); the group is a parameter everywhere, and every
-platform uses the memoised 160-bit :func:`cached_test_group`.
+platform uses the memoised 160-bit :func:`cached_test_group`.  That group's
+parameters are pinned below as the constants :func:`small_group` derives,
+so a process loads them rather than searching for a safe prime (like the
+fixed groups of RFC 3526); every load re-checks both primes and re-derives
+both generators.
 
 The implementation is plain modular arithmetic: the paper's design guide
 reasons about the *capabilities* of these primitives, and a transparent
@@ -203,12 +207,31 @@ def small_group(bits: int = 160, seed: str = "repro-test-group") -> SchnorrGroup
             return SchnorrGroup(p=p, q=q, g=g, h=h)
 
 
+# The group ``small_group()`` derives for its defaults (160 bits,
+# "repro-test-group"); a test pins that the derivation still yields them.
+TEST_GROUP_P = 0x1A4789ADE4DD9BD3B5E64E7D0E3995EC615870D07
+TEST_GROUP_Q = 0xD23C4D6F26ECDE9DAF3273E871CCAF630AC38683
+TEST_GROUP_G = 0xCA961959396C33B3EFE90BD27283B69179267929
+TEST_GROUP_H = 0x4CECE4522FA3EB975FE5270AFA908990728ECEDD
+
 _CACHED_TEST: SchnorrGroup | None = None
 
 
 def cached_test_group() -> SchnorrGroup:
-    """Memoized small group shared by the test suite and fast simulations."""
+    """Memoized small group shared by the test suite and fast simulations.
+
+    Loaded from the pinned constants.  ``SchnorrGroup`` checks
+    ``p = 2q + 1`` and that both generators lie in the subgroup; then both
+    primes are checked (~5 ms) and both generators re-derived from ``p``
+    (~0.2 ms; a flipped bit of ``g`` or ``h`` can still land in the
+    subgroup).  A corrupted constant is refused rather than used.
+    """
     global _CACHED_TEST
     if _CACHED_TEST is None:
-        _CACHED_TEST = small_group()
+        group = SchnorrGroup(p=TEST_GROUP_P, q=TEST_GROUP_Q, g=TEST_GROUP_G, h=TEST_GROUP_H)
+        if not (_is_probable_prime(group.q, rounds=20) and _is_probable_prime(group.p, rounds=20)):
+            raise ValueError("pinned test group is not a safe-prime group")
+        if _derive_generators(group.p, group.q) != (group.g, group.h):
+            raise ValueError("pinned test group's generators are not derived from p")
+        _CACHED_TEST = group
     return _CACHED_TEST

@@ -34,7 +34,6 @@ The substrate every platform simulation runs on.  Provides:
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -212,6 +211,26 @@ class Node:
         for handler in handlers:
             handler(message)
         return bool(handlers)
+
+
+class _ActingOn:
+    """The block of :meth:`SimNetwork.acting_on`: sets the network's
+    current cause on entry and restores the outer one on exit, also when
+    the block raises.  A plain class, since it is entered on every Corda
+    flow hop and every re-sent answer."""
+
+    __slots__ = ("_network", "_cause", "_outer")
+
+    def __init__(self, network: SimNetwork, cause: int | None) -> None:
+        self._network = network
+        self._cause = cause
+
+    def __enter__(self) -> None:
+        self._outer = self._network._cause
+        self._network._cause = self._cause
+
+    def __exit__(self, *exc_info) -> None:
+        self._network._cause = self._outer
 
 
 class SimNetwork:
@@ -687,18 +706,12 @@ class SimNetwork:
 
     # -- causes and outcomes
 
-    @contextlib.contextmanager
-    def acting_on(self, cause: Message | None):
+    def acting_on(self, cause: Message | None) -> _ActingOn:
         """Send as the handler of *cause* would: every message sent inside
         the block is stamped ``caused_by`` with *cause*'s id (``None``
         marks a first hop).  A call uses it for the hop it sends from
         what a handler recorded."""
-        outer = self._cause
-        self._cause = None if cause is None else cause.message_id
-        try:
-            yield
-        finally:
-            self._cause = outer
+        return _ActingOn(self, None if cause is None else cause.message_id)
 
     def reply(
         self, request: Message, kind: str, payload: Any,
@@ -761,15 +774,12 @@ class SimNetwork:
             if outcome is not None:
                 break
             self._count("net.retries")
-            outer, self._cause = self._cause, request.caused_by
-            try:
+            with _ActingOn(self, request.caused_by):
                 request = self.send_with_retry(
                     request.sender, request.recipient, request.kind,
                     request.payload, exposure=request.exposure,
                     dedup_key=request.dedup_key,
                 ).message
-            finally:
-                self._cause = outer
             self.run()
             outcome = self._outcomes.pop(request.message_id, None)
         return outcome

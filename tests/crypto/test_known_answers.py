@@ -16,13 +16,18 @@ import hashlib
 import pytest
 
 from repro.common.rng import DeterministicRNG
-from repro.crypto.groups import cached_test_group
+from repro.crypto import groups
+from repro.crypto.groups import cached_test_group, small_group
 from repro.crypto.hashing import hash_hex, hkdf
 from repro.crypto.signatures import SignatureScheme
 from repro.crypto.symmetric import SymmetricKey
 from repro.platforms.quorum.txmanager import PrivateTransactionManager
 
 TEST_GROUP_P = 0x1A4789ADE4DD9BD3B5E64E7D0E3995EC615870D07
+TEST_GROUP_Q = 0xD23C4D6F26ECDE9DAF3273E871CCAF630AC38683
+TEST_GROUP_G = 0xCA961959396C33B3EFE90BD27283B69179267929
+TEST_GROUP_H = 0x4CECE4522FA3EB975FE5270AFA908990728ECEDD
+PINNED = ("TEST_GROUP_P", "TEST_GROUP_Q", "TEST_GROUP_G", "TEST_GROUP_H")
 
 KEYGEN_PUBLIC_KEYS = {
     "alice": 0xEA8514A52D966499AE368B608FD759DC5F1FAC14,
@@ -48,6 +53,35 @@ def test_platform_group_is_the_160_bit_test_group(scheme):
     assert scheme.group is cached_test_group()
     assert scheme.group.p == TEST_GROUP_P
     assert scheme.group.q.bit_length() == 160
+
+
+def test_small_group_derives_the_pinned_group():
+    group = small_group()
+    vector = (TEST_GROUP_P, TEST_GROUP_Q, TEST_GROUP_G, TEST_GROUP_H)
+    assert (group.p, group.q, group.g, group.h) == vector
+    assert tuple(getattr(groups, name) for name in PINNED) == vector
+    assert cached_test_group() == group
+
+
+def test_cached_group_loads_without_a_prime_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("cached_test_group() searched for a prime")
+
+    monkeypatch.setattr(groups, "small_group", search)
+    monkeypatch.setattr(groups, "_CACHED_TEST", None)
+    group = cached_test_group()
+    assert (group.p, group.q, group.g, group.h) == (
+        TEST_GROUP_P, TEST_GROUP_Q, TEST_GROUP_G, TEST_GROUP_H,
+    )
+
+
+@pytest.mark.parametrize("bit", [0, 1, 80])
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_constant_with_a_flipped_bit_is_refused(monkeypatch, name, bit):
+    monkeypatch.setattr(groups, name, getattr(groups, name) ^ (1 << bit))
+    monkeypatch.setattr(groups, "_CACHED_TEST", None)
+    with pytest.raises(ValueError):
+        cached_test_group()
 
 
 @pytest.mark.parametrize("seed", sorted(KEYGEN_PUBLIC_KEYS))

@@ -520,3 +520,15 @@ class TestBoundCounters:
         snapshot = net.telemetry.metrics.snapshot()
         assert not any(name.startswith("net.") for name in snapshot["counters"])
         assert not snapshot["histograms"]
+
+
+class TestActingOn:
+    def test_outer_cause_is_restored_when_the_block_raises(self, net):
+        outer = net.send("A", "B", "ping", {})
+        inner = net.send("A", "C", "ping", {})
+        with net.acting_on(outer):
+            with pytest.raises(RuntimeError):
+                with net.acting_on(inner):
+                    raise RuntimeError("handler failed")
+            assert net.send("B", "C", "ping", {}).caused_by == outer.message_id
+        assert net.send("A", "B", "ping", {}).caused_by is None

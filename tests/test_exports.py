@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,26 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("name", sorted(repro.core._LAZY))
 def test_lazy_core_entry_resolves(name):
     assert getattr(repro.core, name) is not None
+
+
+def test_driver_import_leaves_unused_modules_unloaded():
+    """The lazy package exports keep what no platform uses out of a
+    driver process: the crypto and core re-exports load on first use."""
+    unused = [
+        "repro.crypto.elgamal",
+        "repro.crypto.mpc",
+        "repro.crypto.paillier",
+        "repro.core.decision",
+        "repro.core.guide",
+        "repro.core.requirements",
+    ]
+    probe = (
+        "import sys, repro.driver\n"
+        f"print([name for name in {unused!r} if name in sys.modules])\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout.strip()
+    assert loaded == "[]"
