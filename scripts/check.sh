@@ -15,9 +15,11 @@ echo "== tier-1 tests =="
 python -m pytest -x tests "$@"
 
 echo
-echo "== chaos suite (fault injection + liveness/privacy invariants + replicated-orderer partitions) =="
+echo "== chaos suite (fault injection + liveness/privacy invariants + replicated-orderer partitions + healthy fast path bit-identical to an empty plan) =="
 python -m pytest -x tests/integration/test_chaos.py tests/network/test_faults.py \
-    tests/integration/test_ordering_partition.py
+    tests/integration/test_ordering_partition.py \
+    benchmarks/test_fault_overhead.py::test_empty_fault_plan_changes_nothing \
+    --benchmark-disable
 
 echo
 echo "== one-account gate (observe_exposure( only under src/repro/network/, and in the host-admin observer of execution/engines.py: a host administrator is not a network principal) =="

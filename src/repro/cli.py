@@ -297,10 +297,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if report.failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.driver.scenarios import WORKLOADS
-    from repro.platforms import PLATFORMS
+# The ``--platform`` / ``--workload`` choices: the keys of
+# ``repro.platforms.PLATFORMS`` and ``repro.driver.scenarios.WORKLOADS``,
+# named here so that parsing arguments imports neither.
+PLATFORM_NAMES = ("fabric", "corda", "quorum")
+WORKLOAD_NAMES = ("kv", "trades", "loc")
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Design guide & platform comparison from the "
@@ -380,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "every duration in simulated time.  Deterministic: the same "
         "platform always yields byte-identical output.",
     )
-    trace.add_argument("--platform", choices=PLATFORMS, default="fabric")
+    trace.add_argument("--platform", choices=PLATFORM_NAMES, default="fabric")
     trace.add_argument(
         "--json", action="store_true", help="emit spans as JSON instead"
     )
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         "With --diff BEFORE.json AFTER.json: prints per-metric deltas "
         "between two saved snapshots.",
     )
-    metrics.add_argument("--platform", choices=PLATFORMS, default="fabric")
+    metrics.add_argument("--platform", choices=PLATFORM_NAMES, default="fabric")
     metrics.add_argument(
         "--diff", nargs=2, metavar=("BEFORE", "AFTER"),
         help="diff two snapshot JSON files instead of running a workload",
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "liveness, convergence, and catch-up privacy.  Exit 1 on any "
         "divergence or entitlement widening.",
     )
-    recover.add_argument("--platform", choices=PLATFORMS, default="fabric")
+    recover.add_argument("--platform", choices=PLATFORM_NAMES, default="fabric")
     recover.add_argument(
         "--seed", default=None, help="override the canonical scenario seed"
     )
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "This is the CI convergence gate: exit 0 iff every platform "
         "converges with zero divergence and no entitlement widening.",
     )
-    converge.add_argument("--platform", choices=PLATFORMS, default=None)
+    converge.add_argument("--platform", choices=PLATFORM_NAMES, default=None)
     converge.add_argument(
         "--seed", default=None, help="override the canonical scenario seed"
     )
@@ -450,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput, latency, and signature/certificate cache hit rates. "
         "Deterministic in --seed.  Exit 1 if any transaction fails.",
     )
-    bench.add_argument("--platform", choices=PLATFORMS, default="fabric")
+    bench.add_argument("--platform", choices=PLATFORM_NAMES, default="fabric")
     bench.add_argument(
-        "--workload", choices=WORKLOADS, default="kv",
+        "--workload", choices=WORKLOAD_NAMES, default="kv",
         help="kv: key-value updates; trades: bilateral confidential "
         "trades; loc: letter-of-credit stage mix (ops = applications)",
     )

@@ -18,7 +18,7 @@ software object that *enforces the same information-flow contract*:
 - Remote attestation: the manufacturer certifies each enclave's device key;
   an attestation is a signature over (measurement, nonce, output-hash).
 - Rollback protection (paper reference [6]): a monotonic counter is folded
-  into every attestation; replaying stale sealed state is detectable.
+  into every attestation; replaying a stale attestation is detectable.
 """
 
 from __future__ import annotations
@@ -164,18 +164,13 @@ class Enclave:
     _rng: DeterministicRNG
     _code: Callable | None = None
     _measurement: bytes | None = None
-    _sealing_key: SymmetricKey | None = None
     _monotonic_counter: int = 0
-    _sealed_state: Ciphertext | None = None
     host_log: list[_HostLogEntry] = field(default_factory=list)
 
     def load(self, code: Callable) -> bytes:
         """Load a program; returns its measurement for attestation checks."""
         self._code = code
         self._measurement = measure_code(code)
-        self._sealing_key = SymmetricKey(
-            tagged_hash("repro/tee/seal", self._device_key.x.to_bytes(64, "big"))
-        )
         self.host_log.append(_HostLogEntry("load", len(self._measurement)))
         return self._measurement
 
@@ -235,22 +230,3 @@ class Enclave:
         )
         self.host_log.append(_HostLogEntry("execute-output", encrypted_output.wire_size()))
         return encrypted_output, attestation
-
-    def seal_state(self, state: Any) -> Ciphertext:
-        """Persist enclave state encrypted under the sealing key."""
-        if self._sealing_key is None:
-            raise CryptoError("no code loaded into the enclave")
-        sealed = self._sealing_key.encrypt(canonical_bytes(state), self._rng)
-        self._sealed_state = sealed
-        self.host_log.append(_HostLogEntry("seal", sealed.wire_size()))
-        return sealed
-
-    def unseal_state(self, sealed: Ciphertext) -> Any:
-        """Restore sealed state (only this enclave's sealing key can)."""
-        if self._sealing_key is None:
-            raise CryptoError("no code loaded into the enclave")
-        from repro.common.serialization import from_canonical_json
-
-        plaintext = self._sealing_key.decrypt(sealed)
-        self.host_log.append(_HostLogEntry("unseal", sealed.wire_size()))
-        return from_canonical_json(plaintext.decode("utf-8"))

@@ -15,7 +15,8 @@ The substrate every platform simulation runs on.  Provides:
 - message loss, network partitions, and scheduled fault plans
   (:class:`repro.faults.FaultPlan`) consulted at both send *and* delivery
   time, so a partition created after ``send()`` still cuts in-flight
-  traffic,
+  traffic; a network with no plan, no cut link and no node down skips
+  those checks,
 - a resilient-delivery layer (:meth:`SimNetwork.send_with_retry`) with
   ack tracking, timeouts, and exponential backoff that surfaces exhausted
   retries as typed :class:`DeliveryTimeout` errors instead of silence,
@@ -49,6 +50,9 @@ from repro.network.messages import Exposure, Message, Refusal
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import TraceContext
+
+# The exposure of a message that declares none (frozen, so one serves all).
+_NO_EXPOSURE = Exposure()
 
 
 def payload_size(payload: Any) -> int:
@@ -256,6 +260,8 @@ class SimNetwork:
         self.clock = clock or SimClock()
         self.rng = (rng or DeterministicRNG("simnet")).fork("net")
         self.latency = latency or LatencyModel()
+        self._partitions: set[frozenset[str]] = set()
+        self._down: set[str] = set()
         self.fault_plan = fault_plan
         self.telemetry = telemetry or Telemetry(clock=self.clock)
         self.stats = NetworkStats(self.telemetry.metrics)
@@ -265,10 +271,8 @@ class SimNetwork:
         self._queue: list[tuple[float, int, Message]] = []
         self._order = itertools.count()
         self._message_ids = itertools.count(1)
-        self._partitions: set[frozenset[str]] = set()
         # Due time of the last message queued on each directed link.
         self._link_due: dict[tuple[str, str], float] = {}
-        self._down: set[str] = set()
         self._dedup_sequence = itertools.count(1)
         # The id of the message whose handler is running (or that a call
         # acts on): what each send is stamped ``caused_by`` with.
@@ -313,32 +317,58 @@ class SimNetwork:
     def _count(self, metric: str, amount: float = 1.0) -> None:
         self.telemetry.metrics.counter(metric).inc(amount)
 
+    # -- health
+
+    @property
+    def fault_plan(self) -> FaultPlan | None:
+        return self._fault_plan
+
+    @fault_plan.setter
+    def fault_plan(self, plan: FaultPlan | None) -> None:
+        self._fault_plan = plan
+        self._recheck_health()
+
+    def _recheck_health(self) -> None:
+        """``_healthy``: no plan, no cut link and no node down, so no link
+        or node can fail and every per-message health check is skipped.
+        Any plan, even an empty one, keeps the exact per-query path: its
+        builders may add faults after it is attached."""
+        self._healthy = (
+            self._fault_plan is None and not self._partitions and not self._down
+        )
+
     # -- partitions
 
     def partition(self, a: str, b: str) -> None:
         """Cut the link between nodes *a* and *b*."""
         self._partitions.add(frozenset((a, b)))
+        self._recheck_health()
 
     def heal(self, a: str, b: str) -> None:
         self._partitions.discard(frozenset((a, b)))
+        self._recheck_health()
 
     def is_partitioned(self, a: str, b: str, now: float | None = None) -> bool:
         """Whether the link is cut — static partition or fault-plan window."""
+        if self._healthy:
+            return False
         if frozenset((a, b)) in self._partitions:
             return True
-        if self.fault_plan is None:
+        if self._fault_plan is None:
             return False
         when = self.clock.now if now is None else now
-        return self.fault_plan.is_partitioned(a, b, when)
+        return self._fault_plan.is_partitioned(a, b, when)
 
     def is_crashed(self, name: str, now: float | None = None) -> bool:
         """Whether *name* is down — manually crashed or in a fault window."""
+        if self._healthy:
+            return False
         if name in self._down:
             return True
-        if self.fault_plan is None:
+        if self._fault_plan is None:
             return False
         when = self.clock.now if now is None else now
-        return self.fault_plan.is_crashed(name, when)
+        return self._fault_plan.is_crashed(name, when)
 
     # -- manual crash / recovery
 
@@ -355,6 +385,7 @@ class SimNetwork:
         if name in self._down:
             return
         self._down.add(name)
+        self._recheck_health()
         node.seen_dedup_keys.clear()
         node.answers.clear()
         self.telemetry.events.emit("net.node_crashed", node=name)
@@ -370,6 +401,7 @@ class SimNetwork:
         if name not in self._down:
             return False
         self._down.discard(name)
+        self._recheck_health()
         self.telemetry.events.emit("net.node_recovered", node=name)
         return True
 
@@ -381,6 +413,8 @@ class SimNetwork:
         """Raise the TCP-refusal analogue if the link is unusable now."""
         if recipient not in self._nodes:
             raise DeliveryError(f"unknown recipient {recipient!r}")
+        if self._healthy:
+            return
         if self.is_partitioned(sender, recipient):
             raise DeliveryError(
                 f"network partition between {sender!r} and {recipient!r}"
@@ -388,12 +422,6 @@ class SimNetwork:
         for endpoint in (sender, recipient):
             if self.is_crashed(endpoint):
                 raise DeliveryError(f"node {endpoint!r} is down")
-
-    def _loss_probability(self, sender: str, recipient: str) -> float:
-        """Silent-loss probability of the link under the fault plan."""
-        if self.fault_plan is None:
-            return 0.0
-        return self.fault_plan.loss_probability(sender, recipient)
 
     def _record_drop(self, message: Message, cause: str, at: float) -> None:
         """Account one dropped message: counters, event log, trace span."""
@@ -408,13 +436,12 @@ class SimNetwork:
             recipient=message.recipient,
             size_bytes=message.size_bytes,
         )
-        context = TraceContext.from_tuple(message.trace)
-        if context is not None:
+        if message.trace is not None:
             self.telemetry.tracer.record_span(
                 "net.transit",
                 start=message.sent_at,
                 end=at,
-                parent=context,
+                parent=TraceContext.from_tuple(message.trace),
                 status="error",
                 error=f"dropped:{cause}",
                 kind=message.kind,
@@ -458,19 +485,14 @@ class SimNetwork:
         size_bytes: int,
     ) -> Message:
         """Envelope one checked copy, then drop it or schedule its delivery."""
+        now = self.clock.now
         context = self.telemetry.tracer.current_context()
+        # Positional: a keyword-built named tuple costs twice as much.
         message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            message_id=next(self._message_ids),
-            exposure=exposure or Exposure(),
-            size_bytes=size_bytes,
-            sent_at=self.clock.now,
-            trace=context.as_tuple() if context is not None else None,
-            dedup_key=dedup_key,
-            caused_by=self._cause,
+            sender, recipient, kind, payload, next(self._message_ids),
+            exposure or _NO_EXPOSURE, size_bytes, now,
+            None if context is None else context.as_tuple(),
+            dedup_key, self._cause,
         )
         counters = self._sent_counters.get(kind)
         if counters is None:
@@ -481,17 +503,19 @@ class SimNetwork:
             )
         counters[0].inc()
         counters[1].inc()
-        loss = self._loss_probability(sender, recipient)
-        if loss > 0 and self.rng.uniform(0, 1) < loss:
-            self._record_drop(message, "loss", at=self.clock.now)
-            return message
-        delay = self.latency.sample(self.rng)
-        if self.fault_plan is not None:
-            delay *= self.fault_plan.latency_multiplier(
-                sender, recipient, self.clock.now
+        plan = self._fault_plan
+        if plan is None:
+            delay = self.latency.sample(self.rng)
+        else:
+            loss = plan.loss_probability(sender, recipient)
+            if loss > 0 and self.rng.uniform(0, 1) < loss:
+                self._record_drop(message, "loss", at=now)
+                return message
+            delay = self.latency.sample(self.rng) * plan.latency_multiplier(
+                sender, recipient, now
             )
         link = (sender, recipient)
-        due = max(self.clock.now + delay, self._link_due.get(link, 0.0))
+        due = max(now + delay, self._link_due.get(link, 0.0))
         self._link_due[link] = due
         heapq.heappush(self._queue, (due, next(self._order), message))
         return message
@@ -643,12 +667,13 @@ class SimNetwork:
         acknowledges its send) but reaches no handler.
         """
         self.clock.advance_to(due)
-        if self.is_partitioned(message.sender, message.recipient, now=due):
-            self._record_drop(message, "partition", at=due)
-            return False
-        if self.is_crashed(message.recipient, now=due):
-            self._record_drop(message, "crash", at=due)
-            return False
+        if not self._healthy:
+            if self.is_partitioned(message.sender, message.recipient, now=due):
+                self._record_drop(message, "partition", at=due)
+                return False
+            if self.is_crashed(message.recipient, now=due):
+                self._record_drop(message, "crash", at=due)
+                return False
         for tap in self._taps:
             tap.observe(message)
         if self._delivery_metrics is None:
@@ -663,13 +688,12 @@ class SimNetwork:
         delivered.inc()
         transferred.inc(message.size_bytes)
         latency.observe(due - message.sent_at)
-        context = TraceContext.from_tuple(message.trace)
-        if context is not None:
+        if message.trace is not None:
             self.telemetry.tracer.record_span(
                 "net.transit",
                 start=message.sent_at,
                 end=due,
-                parent=context,
+                parent=TraceContext.from_tuple(message.trace),
                 kind=message.kind,
                 sender=message.sender,
                 recipient=message.recipient,
@@ -790,9 +814,12 @@ class SimNetwork:
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Process events until quiescent; returns the number processed."""
+        queue, pop, process = self._queue, heapq.heappop, self._process
         steps = 0
-        while steps < max_steps and self.step():
+        while steps < max_steps and queue:
+            due, __, message = pop(queue)
+            process(due, message)
             steps += 1
-        if steps >= max_steps and self._queue:
+        if steps >= max_steps and queue:
             raise DeliveryError("network did not quiesce (message storm?)")
         return steps

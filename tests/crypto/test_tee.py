@@ -1,4 +1,4 @@
-"""Simulated TEEs: attestation, isolation, sealing, rollback detection."""
+"""Simulated TEEs: attestation, isolation, rollback detection."""
 
 from __future__ import annotations
 
@@ -117,27 +117,3 @@ class TestIsolation:
         run_in_enclave(enclave, {"a": 1, "b": 2})
         operations = [entry.operation for entry in enclave.host_log]
         assert operations == ["load", "key-exchange", "execute-input", "execute-output"]
-
-
-class TestSealing:
-    def test_seal_unseal_round_trip(self, enclave):
-        enclave.load(adder)
-        sealed = enclave.seal_state({"balance": 99})
-        assert enclave.unseal_state(sealed) == {"balance": 99}
-
-    def test_sealed_state_is_ciphertext(self, enclave):
-        enclave.load(adder)
-        sealed = enclave.seal_state({"balance": 99})
-        assert b"balance" not in sealed.body
-
-    def test_other_enclave_cannot_unseal(self, manufacturer, enclave):
-        enclave.load(adder)
-        sealed = enclave.seal_state({"balance": 99})
-        other = manufacturer.provision()
-        other.load(adder)
-        with pytest.raises(Exception):
-            other.unseal_state(sealed)
-
-    def test_seal_requires_loaded_code(self, enclave):
-        with pytest.raises(CryptoError):
-            enclave.seal_state({"x": 1})

@@ -1,11 +1,16 @@
-"""FaultPlan: windows, builders, and the pure queries the substrate uses."""
+"""FaultPlan: windows, builders, and the pure queries the substrate uses;
+and the substrate's healthy fast path, which must agree with them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import NetworkError
+from repro.common.errors import DeliveryError, NetworkError
+from repro.common.rng import DeterministicRNG
 from repro.faults.plan import FaultPlan, Window
+from repro.network.simnet import SimNetwork
+from repro.platforms.quorum import QuorumNetwork
+from repro.telemetry.tracing import TraceContext
 
 
 class TestWindow:
@@ -126,3 +131,151 @@ class TestDescribe:
         plan = FaultPlan()
         assert plan.set_default_loss(0.0) is plan
         assert plan.partition_between("A", "B") is plan
+
+
+def three_nodes(seed: str = "fast-path") -> SimNetwork:
+    net = SimNetwork(rng=DeterministicRNG(seed))
+    for name in ("A", "B", "C"):
+        net.add_node(name)
+    return net
+
+
+def arrival_times(net: SimNetwork, sends: int = 20) -> list[float]:
+    """Send *sends* messages A -> B and return when each arrived."""
+    arrived = []
+    net.node("B").on("data", lambda message: arrived.append(net.clock.now))
+    for n in range(sends):
+        net.send("A", "B", "data", {"n": n})
+    net.run()
+    return arrived
+
+
+def health_queries(monkeypatch, net: SimNetwork) -> list[str]:
+    """Record every link or node health query *net* makes."""
+    queries = []
+    for name in ("is_partitioned", "is_crashed"):
+        query = getattr(net, name)
+
+        def spy(*args, name=name, query=query, **kwargs):
+            queries.append(name)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(net, name, spy)
+    return queries
+
+
+class TestHealthyFastPath:
+    """A network with no plan, no cut and no crash skips its per-message
+    health checks; every change of health must reach the next message."""
+
+    def test_partition_after_send_drops_in_flight(self):
+        net = three_nodes()
+        net.send("A", "B", "data", {})
+        net.partition("A", "B")
+        net.run()
+        assert net.stats.dropped_by_partition == 1
+        assert net.node("B").observer.messages_observed == 0
+
+    def test_crash_after_send_drops_in_flight(self):
+        net = three_nodes()
+        net.send("A", "B", "data", {})
+        net.crash_node("B")
+        net.run()
+        assert net.stats.dropped_by_crash == 1
+        assert net.node("B").observer.messages_observed == 0
+
+    def test_heal_returns_to_fast_path(self, monkeypatch):
+        cut, never_cut = three_nodes(), three_nodes()
+        cut.partition("A", "C")
+        with pytest.raises(DeliveryError, match="partition"):
+            cut.send("A", "C", "data", {})
+        cut.heal("A", "C")
+        queries = health_queries(monkeypatch, cut)
+        assert arrival_times(cut) == arrival_times(never_cut)
+        assert queries == []
+        assert cut.stats == never_cut.stats
+        assert cut.rng.uniform(0, 1) == never_cut.rng.uniform(0, 1)
+
+    def test_recover_returns_to_fast_path(self, monkeypatch):
+        crashed, never_crashed = three_nodes(), three_nodes()
+        crashed.crash_node("C")
+        with pytest.raises(DeliveryError, match="down"):
+            crashed.send("A", "C", "data", {})
+        crashed.recover_node("C")
+        queries = health_queries(monkeypatch, crashed)
+        assert arrival_times(crashed) == arrival_times(never_crashed)
+        assert queries == []
+        assert crashed.stats == never_crashed.stats
+        assert crashed.rng.uniform(0, 1) == never_crashed.rng.uniform(0, 1)
+
+    def test_plan_injected_after_queueing_drops_at_delivery(self):
+        platform = QuorumNetwork(seed="late-plan")
+        platform.onboard("A")
+        platform.onboard("B")
+        net = platform.network
+        net.send("A", "B", "data", {})
+        platform.inject_faults(FaultPlan().crash_node("B"))
+        net.run()
+        assert net.stats.dropped_by_crash == 1
+        assert net.node("B").observer.messages_observed == 0
+
+    def test_builder_on_attached_plan_takes_effect_on_next_send(self):
+        net = three_nodes()
+        net.fault_plan = plan = FaultPlan()
+        net.send("A", "B", "data", {})
+        plan.crash_node("B")
+        with pytest.raises(DeliveryError, match="down"):
+            net.send("A", "B", "data", {})
+        plan.partition_between("A", "C")
+        with pytest.raises(DeliveryError, match="partition"):
+            net.send("A", "C", "data", {})
+
+
+class TestFastPathPin:
+    """On a healthy network under the default ``NullTracer``, a send and
+    its delivery consult no fault plan and decode no trace context."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list[str]:
+        calls = []
+        queries = [
+            name for name, member in vars(FaultPlan).items()
+            if callable(member) and not name.startswith("__")
+        ]
+        for name in queries:
+            method = getattr(FaultPlan, name)
+
+            def spy(*args, name=name, method=method, **kwargs):
+                calls.append(f"FaultPlan.{name}")
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(FaultPlan, name, spy)
+        from_tuple = TraceContext.from_tuple
+
+        def decode(pair):
+            calls.append("TraceContext.from_tuple")
+            return from_tuple(pair)
+
+        monkeypatch.setattr(TraceContext, "from_tuple", staticmethod(decode))
+        return calls
+
+    def test_healthy_send_and_delivery_do_no_fault_or_trace_work(self, calls):
+        net = three_nodes()
+        net.send("A", "B", "data", {})
+        assert net.run() == 1
+        assert calls == []
+
+    def test_the_spies_see_the_exact_path(self, calls):
+        net = three_nodes()
+        net.fault_plan = FaultPlan()
+        tracer = net.telemetry.start_tracing()
+        with tracer.span("call"):
+            net.send("A", "B", "data", {})
+        assert net.run() == 1
+        assert {
+            "FaultPlan.is_partitioned",
+            "FaultPlan.is_crashed",
+            "FaultPlan.loss_probability",
+            "FaultPlan.latency_multiplier",
+            "TraceContext.from_tuple",
+        } <= set(calls)

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main, requirements_from_json
+from repro.cli import (
+    PLATFORM_NAMES,
+    WORKLOAD_NAMES,
+    build_parser,
+    main,
+    requirements_from_json,
+)
 from repro.core.mechanisms import Mechanism
 from repro.core.requirements import InteractionPrivacy
 
@@ -89,6 +95,13 @@ class TestParser:
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_choices_name_every_platform_and_workload(self):
+        from repro.driver.scenarios import WORKLOADS
+        from repro.platforms import PLATFORMS
+
+        assert PLATFORM_NAMES == tuple(PLATFORMS)
+        assert WORKLOAD_NAMES == tuple(WORKLOADS)
 
 
 class TestThreatsCommand:
