@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
-# the self-sufficient messages gate,
+# the one-source-for-exposure gate, the self-sufficient messages gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
 # design), the telemetry, convergence and pipeline (incl. one scenario compiler) gates, the no-unhandled-
 # delivery gate, the perf-harness smoke run, then the strict self-lint.
@@ -33,6 +33,26 @@ if [ -n "$side_accounts" ]; then
     exit 1
 fi
 echo "one account per principal: ok"
+
+echo
+echo "== one-source-for-exposure gate (no exposure= keyword under src/repro; Exposure.of( only inside a payload type's exposure declaration, and in the host-admin observer of execution/engines.py: a message reveals what its payload carries) =="
+exposure_labels=$(grep -rn --include='*.py' 'exposure=' src/repro || true)
+if [ -n "$exposure_labels" ]; then
+    echo "exposure passed beside a payload instead of derived from it:"
+    echo "$exposure_labels"
+    exit 1
+fi
+side_declarations=$(find src/repro -name '*.py' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { fn = "" }
+    /^ *def / { fn = $2; sub(/\(.*/, "", fn) }
+    /Exposure\.of\(/ && fn != "exposure" { print FILENAME ":" FNR ": " $0 }
+' | grep -v '^src/repro/execution/engines\.py:[0-9]*: *Exposure\.of($' || true)
+if [ -n "$side_declarations" ]; then
+    echo "Exposure.of( outside a payload type's exposure declaration:"
+    echo "$side_declarations"
+    exit 1
+fi
+echo "one source for exposure: ok"
 
 echo
 echo "== self-sufficient messages gate (no handler reads state indexed by message.sender]: a message carries what it stands for) =="

@@ -47,8 +47,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import OrderingError
 from repro.faults.plan import FaultPlan
 from repro.ledger.transaction import Transaction
-from repro.network.messages import Exposure
-from repro.network.simnet import Observer, SimNetwork, payload_size
+from repro.network.simnet import Observer, SimNetwork
 from repro.telemetry import Telemetry
 
 
@@ -72,17 +71,12 @@ class OrderedBatch:
 
 
 class LogEntry(NamedTuple):
-    """One replicated log entry: the id of the ordered transaction, what
-    was ordered (a transaction, or the refs a notarisation consumed), and
-    the exposure the leader saw when it ordered it."""
+    """One replicated log entry: the id of the ordered transaction and
+    what was ordered (a transaction, or what a notarisation consumed).
+    A follower learns what the item reveals."""
 
     tx_id: str
     item: object
-    exposure: Exposure
-
-    def wire_size(self) -> int:
-        """The id and the item: the exposure is not on the wire."""
-        return payload_size((self.tx_id, self.item))
 
 
 class OrderingPrincipal:
@@ -198,10 +192,7 @@ class OrderingPrincipal:
             if follower == leader or not self._reachable(leader, follower):
                 continue
             for index in range(self._match[follower], len(log)):
-                self.network.send(
-                    leader, follower, "append", (index, log[index]),
-                    exposure=log[index].exposure,
-                )
+                self.network.send(leader, follower, "append", (index, log[index]))
 
     def _on_append(self, message) -> None:
         """Delivery handler for ``append``: the follower appends the entry
@@ -270,7 +261,7 @@ class OrderingService(OrderingPrincipal):
         self.profile = profile or OrdererProfile()
         self.durable = durable
         self.telemetry = telemetry or Telemetry(clock=clock)
-        self._pending: dict[str, list[tuple[Transaction, float, Exposure]]] = {}
+        self._pending: dict[str, list[tuple[Transaction, float]]] = {}
         self._sequence = 0
         self._busy_until = 0.0
         self.total_ordered = 0
@@ -292,13 +283,11 @@ class OrderingService(OrderingPrincipal):
         self.crashed = False
         self.telemetry.events.emit("ordering.recover", service=self.name)
 
-    def submit(self, tx: Transaction, exposure: Exposure = Exposure()) -> None:
-        """Accept a transaction for ordering on its channel; *exposure* is
-        what its submission showed the leader, and what replication shows
-        the followers."""
+    def submit(self, tx: Transaction) -> None:
+        """Accept a transaction for ordering on its channel."""
         self.require_available()
         arrival = self.clock.now
-        self._pending.setdefault(tx.channel, []).append((tx, arrival, exposure))
+        self._pending.setdefault(tx.channel, []).append((tx, arrival))
         self.telemetry.metrics.counter("ordering.submitted").inc()
         self.telemetry.metrics.gauge("ordering.pending", channel=tx.channel).inc()
 
@@ -325,24 +314,21 @@ class OrderingService(OrderingPrincipal):
             raise OrderingError(f"no pending transactions on channel {channel!r}")
         batch_items = queue[: self.profile.max_batch_size]
         self._pending[channel] = queue[self.profile.max_batch_size :]
-        transactions = [tx for tx, __, __ in batch_items]
-        latest_arrival = max(arrival for __, arrival, __ in batch_items)
+        transactions = [tx for tx, __ in batch_items]
+        latest_arrival = max(arrival for __, arrival in batch_items)
         service_time = len(transactions) / self.profile.capacity_tps
         start = max(self._busy_until, latest_arrival)
         if not force and len(batch_items) < self.profile.max_batch_size:
             # Partial batch: the timeout timer starts at the *oldest*
             # arrival, so the batch is released once that tx has waited
             # batch_timeout (or immediately if it already has).
-            oldest_arrival = min(arrival for __, arrival, __ in batch_items)
+            oldest_arrival = min(arrival for __, arrival in batch_items)
             start = max(start, oldest_arrival + self.profile.batch_timeout)
         released_at = start + service_time
         self._busy_until = released_at
         self._sequence += 1
         self.total_ordered += len(transactions)
-        self._replicate(
-            leader,
-            [LogEntry(tx.tx_id, tx, exposure) for tx, __, exposure in batch_items],
-        )
+        self._replicate(leader, [LogEntry(tx.tx_id, tx) for tx in transactions])
         metrics = self.telemetry.metrics
         metrics.counter("ordering.batches_cut").inc()
         metrics.counter("ordering.txs_ordered").inc(len(transactions))

@@ -17,6 +17,7 @@ from repro.common.ids import encoded_id
 from repro.common.serialization import canonical_bytes
 from repro.crypto.hashing import tagged_hash
 from repro.crypto.signatures import Signature
+from repro.network.messages import Exposure
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,11 @@ class Endorsement:
 
     endorser: str
     signature: Signature
+
+    @property
+    def exposure(self) -> Exposure:
+        """An endorsement names its endorser (read once, by its reply)."""
+        return Exposure.of(identities={self.endorser})
 
     def wire_size(self) -> int:
         return len(self.endorser) + self.signature.wire_size()
@@ -110,6 +116,15 @@ class Transaction:
         )
         vars(endorsed)["_core_bytes"] = self._core_bytes
         return endorsed
+
+    @cached_property
+    def exposure(self) -> Exposure:
+        """What carrying the transaction reveals: its participants (the
+        metadata list every reader sees) and the keys it reads and writes."""
+        return Exposure.of(
+            identities=self.metadata.get("participants", ()),
+            data_keys={entry.key for entry in (*self.writes, *self.reads)},
+        )
 
     def wire_size(self) -> int:
         """The signing bytes plus each endorsement."""

@@ -2,8 +2,10 @@
 
 Every byte that crosses the simulated wire is a :class:`Message`.  Privacy
 analysis is message-centric: the leakage auditor inspects exactly what each
-principal received or could observe, so messages carry explicit metadata
-about the identities and data classes they expose.
+principal received or could observe.  What a message exposes is derived
+from its payload when it is sent (:func:`payload_exposure`): each payload
+type declares what it reveals, so the account cannot disagree with what
+was carried.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 
-@dataclass(frozen=True)
-class Exposure:
-    """What a message reveals to whoever can read it.
+class Exposure(NamedTuple):
+    """What a message reveals to whoever can read it (a named tuple:
+    immutable, and cheap to build once per send).
 
     - ``identities``: party names visible in the clear.
     - ``data_keys``: business-data identifiers visible in the clear.
@@ -35,11 +37,37 @@ class Exposure:
         data_keys: set[str] | list[str] = (),
         code_ids: set[str] | list[str] = (),
     ) -> "Exposure":
-        return cls(
-            identities=frozenset(identities),
-            data_keys=frozenset(data_keys),
-            code_ids=frozenset(code_ids),
-        )
+        return cls(frozenset(identities), frozenset(data_keys), frozenset(code_ids))
+
+
+# What a payload that declares nothing reveals (immutable, so one serves all).
+NO_EXPOSURE = Exposure()
+# Payload items that reveal nothing, skipped without a call.
+_OPAQUE = frozenset({str, int, float, bool, type(None)})
+
+
+def payload_exposure(payload: Any) -> Exposure:
+    """What *payload* reveals to whoever reads it: an object's own
+    ``exposure``, the union of a tuple's items, else nothing (a string,
+    a number, ``None``, a ciphertext, a :class:`Refusal`)."""
+    exposure = getattr(payload, "exposure", None)
+    if exposure is not None:
+        return exposure
+    if not isinstance(payload, tuple):
+        return NO_EXPOSURE
+    parts = []
+    for item in payload:
+        if type(item) not in _OPAQUE:
+            part = payload_exposure(item)
+            if part is not NO_EXPOSURE:
+                parts.append(part)
+    if len(parts) < 2:
+        return parts[0] if parts else NO_EXPOSURE
+    return Exposure(
+        frozenset().union(*(part.identities for part in parts)),
+        frozenset().union(*(part.data_keys for part in parts)),
+        frozenset().union(*(part.code_ids for part in parts)),
+    )
 
 
 class Message(NamedTuple):
@@ -47,6 +75,9 @@ class Message(NamedTuple):
     every send (a named tuple: immutable, and cheap on the hot path).
 
     ``message_id`` is unique among one network's messages.
+
+    ``exposure`` is what an observer of the message learns: what its
+    payload reveals, derived once per send or broadcast.
 
     ``trace`` carries the sender's telemetry trace context —
     ``(trace_id, span_id)`` — across the wire, the way real systems put
@@ -72,7 +103,7 @@ class Message(NamedTuple):
     kind: str
     payload: Any
     message_id: int
-    exposure: Exposure = Exposure()
+    exposure: Exposure = NO_EXPOSURE
     size_bytes: int = 0
     sent_at: float = 0.0
     trace: tuple[str, str] | None = None

@@ -46,13 +46,10 @@ from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
-from repro.network.messages import Exposure, Message, Refusal
+from repro.network.messages import Exposure, Message, Refusal, payload_exposure
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.tracing import TraceContext
-
-# The exposure of a message that declares none (frozen, so one serves all).
-_NO_EXPOSURE = Exposure()
 
 
 def payload_size(payload: Any) -> int:
@@ -455,7 +452,6 @@ class SimNetwork:
         recipient: str,
         kind: str,
         payload: Any,
-        exposure: Exposure | None = None,
         dedup_key: str | None = None,
     ) -> Message:
         """Queue a point-to-point message; returns the message envelope.
@@ -465,13 +461,15 @@ class SimNetwork:
         side can attach its transit span to the same trace.  A
         *dedup_key* makes the message idempotent: the recipient applies
         at most one message per key (duplicates are acked but dropped
-        before handlers run).  A payload :func:`payload_size` cannot size
-        raises before anything is queued or counted.
+        before handlers run).  What the message exposes is derived from
+        *payload* (:func:`~repro.network.messages.payload_exposure`).  A
+        payload :func:`payload_size` cannot size raises before anything is
+        queued or counted.
         """
         self._check_link(sender, recipient)
         return self._queue_copy(
-            sender, recipient, kind, payload, exposure, dedup_key,
-            self._payload_size(payload),
+            sender, recipient, kind, payload, payload_exposure(payload),
+            dedup_key, self._payload_size(payload),
         )
 
     def _queue_copy(
@@ -480,7 +478,7 @@ class SimNetwork:
         recipient: str,
         kind: str,
         payload: Any,
-        exposure: Exposure | None,
+        exposure: Exposure,
         dedup_key: str | None,
         size_bytes: int,
     ) -> Message:
@@ -490,7 +488,7 @@ class SimNetwork:
         # Positional: a keyword-built named tuple costs twice as much.
         message = Message(
             sender, recipient, kind, payload, next(self._message_ids),
-            exposure or _NO_EXPOSURE, size_bytes, now,
+            exposure, size_bytes, now,
             None if context is None else context.as_tuple(),
             dedup_key, self._cause,
         )
@@ -525,15 +523,14 @@ class SimNetwork:
         sender: str,
         kind: str,
         payload: Any,
-        exposure: Exposure | None = None,
         recipients: list[str] | None = None,
     ) -> list[Message]:
         """Send to every node (or an explicit recipient list) except the sender.
 
         Atomic: every target is validated (known, reachable, up) before
         anything is queued, so a bad target mid-list cannot leave earlier
-        recipients with a partial broadcast.  The payload is sized once;
-        every copy carries that size.
+        recipients with a partial broadcast.  The payload is sized, and
+        its exposure derived, once; every copy carries both.
         """
         targets = [
             target
@@ -543,6 +540,7 @@ class SimNetwork:
         for target in targets:
             self._check_link(sender, target)
         size_bytes = self._payload_size(payload)
+        exposure = payload_exposure(payload)
         return [
             self._queue_copy(sender, target, kind, payload, exposure, None, size_bytes)
             for target in targets
@@ -556,7 +554,6 @@ class SimNetwork:
         recipient: str,
         kind: str,
         payload: Any,
-        exposure: Exposure | None = None,
         *,
         timeout: float = 0.25,
         max_attempts: int = 3,
@@ -565,8 +562,8 @@ class SimNetwork:
         """Send until acknowledged, with timeout and exponential backoff
         (each attempt waits twice as long as the one before).
 
-        Each attempt sends a fresh copy (same exposure — retransmission
-        never widens what an observer can learn, it only repeats it) and
+        Each attempt sends a fresh copy (same payload, so the same exposure:
+        retransmission never widens what an observer can learn) and
         drives the event loop until either the copy's delivery ack arrives
         or *timeout* simulated seconds elapse.  Transient link failures
         (partition windows, crash windows) are retried; an unknown
@@ -614,12 +611,7 @@ class SimNetwork:
                 try:
                     copies.add(
                         self.send(
-                            sender,
-                            recipient,
-                            kind,
-                            payload,
-                            exposure=exposure,
-                            dedup_key=dedup_key,
+                            sender, recipient, kind, payload, dedup_key=dedup_key
                         ).message_id
                     )
                 except DeliveryError as refusal:
@@ -737,22 +729,15 @@ class SimNetwork:
         what a handler recorded."""
         return _ActingOn(self, None if cause is None else cause.message_id)
 
-    def reply(
-        self, request: Message, kind: str, payload: Any,
-        exposure: Exposure | None = None,
-    ) -> None:
+    def reply(self, request: Message, kind: str, payload: Any) -> None:
         """Answer *request* from its recipient, in the recipient's delivery
         handler.  A link that refuses the answer loses it, and the call
         waiting for it raises (:meth:`outcome`).  The answer to an
         idempotent request is kept, to send again if the request is."""
         if request.dedup_key is not None:
-            self._nodes[request.recipient].answers[request.dedup_key] = (
-                kind, payload, exposure,
-            )
+            self._nodes[request.recipient].answers[request.dedup_key] = (kind, payload)
         try:
-            self.send(
-                request.recipient, request.sender, kind, payload, exposure=exposure
-            )
+            self.send(request.recipient, request.sender, kind, payload)
         except DeliveryError:
             pass
 
@@ -801,8 +786,7 @@ class SimNetwork:
             with _ActingOn(self, request.caused_by):
                 request = self.send_with_retry(
                     request.sender, request.recipient, request.kind,
-                    request.payload, exposure=request.exposure,
-                    dedup_key=request.dedup_key,
+                    request.payload, dedup_key=request.dedup_key,
                 ).message
             self.run()
             outcome = self._outcomes.pop(request.message_id, None)

@@ -31,7 +31,7 @@ from repro.crypto.hashing import tagged_hash
 from repro.crypto.pki import Certificate, CertificateAuthority, MembershipService
 from repro.crypto.signatures import PrivateKey, SignatureScheme
 from repro.core.mechanisms import Mechanism
-from repro.network.messages import Exposure, Message
+from repro.network.messages import Message
 from repro.network.simnet import SimNetwork
 from repro.telemetry import Telemetry
 
@@ -334,9 +334,7 @@ class Platform:
     def recover_ordering(self) -> None:
         self.ordering.recover()
 
-    def _send_critical(
-        self, sender: str, recipient: str, kind: str, payload, exposure: Exposure
-    ) -> Message:
+    def _send_critical(self, sender: str, recipient: str, kind: str, payload) -> Message:
         """Send on a hop the flow cannot proceed without; returns the
         message (with ``resilient_delivery``, the copy that arrived).
 
@@ -344,10 +342,8 @@ class Platform:
         faults; otherwise it is a plain send.
         """
         if self.resilient_delivery:
-            return self.network.send_with_retry(
-                sender, recipient, kind, payload, exposure=exposure
-            ).message
-        return self.network.send(sender, recipient, kind, payload, exposure=exposure)
+            return self.network.send_with_retry(sender, recipient, kind, payload).message
+        return self.network.send(sender, recipient, kind, payload)
 
     # -- crash recovery
     #

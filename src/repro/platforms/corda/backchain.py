@@ -67,16 +67,12 @@ def disclosure_of(backchain: list[SignedTransaction]) -> BackchainDisclosure:
     """Account for everything the backchain reveals to its recipient."""
     disclosure = BackchainDisclosure(transactions=list(backchain))
     for stx in backchain:
-        for state in stx.wire.outputs:
-            if state.owner_key_y is not None:
-                disclosure.pseudonymous_keys.add(state.owner_key_y)
-            for participant in state.participants:
-                disclosure.identities.add(participant)
-            disclosure.data_keys.update(state.data)
-        for command in stx.wire.commands:
-            disclosure.identities.update(
-                s for s in command.signers if not s.startswith("key:")
-            )
+        disclosure.identities |= stx.exposure.identities
+        disclosure.data_keys |= stx.exposure.data_keys
+        disclosure.pseudonymous_keys.update(
+            state.owner_key_y for state in stx.wire.outputs
+            if state.owner_key_y is not None
+        )
     return disclosure
 
 

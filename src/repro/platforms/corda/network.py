@@ -32,7 +32,8 @@ from repro.common.errors import (
 )
 from repro.crypto.onetime import OneTimeIdentity, OneTimeKeyFactory, resolve_owner
 from repro.crypto.signatures import Signature
-from repro.network.messages import Exposure, Refusal
+from repro.ledger.transaction import Endorsement
+from repro.network.messages import Refusal
 from repro.platforms.base import (
     Party,
     Platform,
@@ -193,17 +194,6 @@ class CordaNetwork(Platform):
     def _participants_of(self, wire: WireTransaction) -> set[str]:
         return {party for state in wire.outputs for party in state.participants}
 
-    def _flow_exposure(self, wire: WireTransaction) -> Exposure:
-        """What carrying *wire* exposes: its participants and legal
-        signers, its output data keys and its contracts (the flow's
-        messages, and the catch-up that re-sends it)."""
-        return Exposure.of(
-            identities=self._participants_of(wire)
-            | (self._signers_of(wire) & set(self.parties)),
-            data_keys={k for state in wire.outputs for k in state.data},
-            code_ids={state.contract_id for state in wire.outputs},
-        )
-
     def build_transaction(
         self,
         inputs: list[StateRef],
@@ -257,7 +247,6 @@ class CordaNetwork(Platform):
         # re-run cleanly after the notary recovers.
         leader = self.notary.require_available()
 
-        exposure = self._flow_exposure(wire)
         counterparties = sorted(
             (participants | legal_signers) & set(self.parties) - {initiator}
         )
@@ -275,9 +264,7 @@ class CordaNetwork(Platform):
                 "corda.propose", counterparties=len(counterparties)
             ):
                 proposals = [
-                    self._send_critical(
-                        initiator, counterparty, "flow-proposal", wire, exposure
-                    )
+                    self._send_critical(initiator, counterparty, "flow-proposal", wire)
                     for counterparty in counterparties
                 ]
 
@@ -287,7 +274,7 @@ class CordaNetwork(Platform):
                 answers = {reply.sender: reply.payload for reply in replies}
                 signatures = {
                     signer: self._sign(signer, wire) if signer == initiator
-                    else answers[signer]
+                    else answers[signer].signature
                     for signer in sorted(legal_signers)
                 }
                 signatures.update(extra_signatures or {})
@@ -303,9 +290,9 @@ class CordaNetwork(Platform):
                 "corda.notarise", validating=self.notary.validating
             ):
                 if self.notary.validating:
-                    kind, request, seen = "notarise-full", stx, exposure
+                    kind, request = "notarise-full", stx
                 else:
-                    kind, seen = "notarise-filtered", Exposure()
+                    kind = "notarise-filtered"
                     request = wire.filtered(
                         [ComponentGroup.INPUTS, ComponentGroup.NOTARY]
                     )
@@ -313,7 +300,7 @@ class CordaNetwork(Platform):
                         "crypto.ops", mechanism="merkle-tear-off"
                     ).inc()
                 with self.network.acting_on(replies[-1] if replies else None):
-                    sent = self._send_critical(initiator, leader, kind, request, seen)
+                    sent = self._send_critical(initiator, leader, kind, request)
                 notarised = self.network.outcome(sent)
 
             # 4. Finalise: record in the initiator's vault and ship to every
@@ -327,9 +314,7 @@ class CordaNetwork(Platform):
                     for counterparty in counterparties:
                         for ref in wire.inputs:
                             self.resolve_backchain(initiator, counterparty, ref)
-                        self._send_or_lag(
-                            initiator, counterparty, "finalise", stx, exposure
-                        )
+                        self._send_or_lag(initiator, counterparty, "finalise", stx)
         output_refs = [
             StateRef(tx_id=wire.tx_id, index=i) for i in range(len(wire.outputs))
         ]
@@ -341,8 +326,8 @@ class CordaNetwork(Platform):
         """Delivery handler for ``flow-proposal``: the counterparty verifies
         the contracts of the wire transaction it carries, signs its root
         if it is a required signer, and replies ``flow-signature`` with
-        the signature (``None`` from a participant that does not sign) or
-        its refusal."""
+        its :class:`~repro.ledger.transaction.Endorsement` (``None`` from a
+        participant that does not sign) or its refusal."""
         wire = message.payload
         party = message.recipient
         try:
@@ -350,10 +335,11 @@ class CordaNetwork(Platform):
         except ReproError as error:
             answer = Refusal(error)
         else:
-            answer = self._sign(party, wire) if party in self._signers_of(wire) else None
-        self.network.reply(
-            message, "flow-signature", answer, exposure=Exposure.of(identities={party})
-        )
+            answer = (
+                Endorsement(party, self._sign(party, wire))
+                if party in self._signers_of(wire) else None
+            )
+        self.network.reply(message, "flow-signature", answer)
 
     # ------------------------------------------------------------------
     # Unified transaction pipeline (Platform hooks)
@@ -447,19 +433,15 @@ class CordaNetwork(Platform):
         backchain = collect_backchain(self.vaults[provider], ref.tx_id)
         if not verify_backchain(backchain, ref):
             raise ValidationError("backchain failed structural verification")
-        disclosure = disclosure_of(backchain)
-        exposure = Exposure.of(
-            identities=disclosure.identities, data_keys=disclosure.data_keys
-        )
         for stx in backchain:
-            self._send_or_lag(provider, requester, "backchain-tx", stx, exposure)
-        return disclosure
+            self._send_or_lag(provider, requester, "backchain-tx", stx)
+        return disclosure_of(backchain)
 
-    def _send_or_lag(self, sender, recipient, kind, stx, exposure) -> None:
+    def _send_or_lag(self, sender, recipient, kind, stx) -> None:
         """Send *stx*; with ``resilient_delivery`` a recipient still
         unreachable after the retries lags until :meth:`recover`."""
         try:
-            self._send_critical(sender, recipient, kind, stx, exposure)
+            self._send_critical(sender, recipient, kind, stx)
         except DeliveryTimeout:
             pass
 
@@ -515,7 +497,6 @@ class CordaNetwork(Platform):
                     name,
                     "backchain-tx",
                     stx,
-                    exposure=self._flow_exposure(stx.wire),
                     dedup_key=catchup_dedup_key("corda", "vault", name, tx_id),
                 )
         vault.rebuild_unconsumed()

@@ -13,7 +13,9 @@ events" *for validating notaries*):
 
 What the notary learned is what its nodes were delivered: the
 ``notarise-*`` request to the leader and the ``append`` copies to the
-other replicas (see :class:`~repro.ledger.ordering.OrderingPrincipal`).
+other replicas (see :class:`~repro.ledger.ordering.OrderingPrincipal`),
+each of which carries what the leader checked: the signed transaction it
+validated, or the bare input refs of a tear-off.
 The leader decides in its ``notarise-*`` handler and replies
 ``notarised`` with its signed receipt or its refusal.
 """
@@ -32,7 +34,7 @@ from repro.common.errors import (
 )
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.ledger.ordering import LogEntry, OrderingPrincipal
-from repro.network.messages import Exposure, Refusal
+from repro.network.messages import Refusal
 from repro.network.simnet import SimNetwork
 from repro.platforms.corda.states import StateRef
 from repro.platforms.corda.transactions import FilteredTransaction, SignedTransaction
@@ -91,7 +93,7 @@ class Notary(OrderingPrincipal):
         ``notarised`` with the receipt or the refusal."""
         try:
             if message.kind == "notarise-full":
-                answer = self.notarise_full(message.payload, message.exposure)
+                answer = self.notarise_full(message.payload)
             else:
                 answer = self.notarise_filtered(message.payload)
         except ReproError as error:
@@ -111,22 +113,25 @@ class Notary(OrderingPrincipal):
         self.crashed = False
         self.telemetry.events.emit("notary.recover", notary=self.name)
 
-    def _consume(
-        self, leader: str, refs: list[StateRef], tx_id: str, exposure: Exposure
-    ) -> None:
-        """Check *refs* against the leader's map, then replicate the spend."""
+    @staticmethod
+    def _refs(item: SignedTransaction | tuple[StateRef, ...]) -> tuple[StateRef, ...]:
+        """The refs a log entry's item consumes."""
+        return item.wire.inputs if isinstance(item, SignedTransaction) else item
+
+    def _consume(self, leader: str, entry: LogEntry) -> None:
+        """Check the refs *entry* consumes against the leader's map, then
+        replicate the spend."""
         spent = self.spent[leader]
-        for ref in refs:
-            if ref in spent and spent[ref] != tx_id:
+        for ref in self._refs(entry.item):
+            if ref in spent and spent[ref] != entry.tx_id:
                 raise DoubleSpendError(
                     f"input {ref} already consumed by {spent[ref]}"
                 )
-        self._replicate(leader, [LogEntry(tx_id, tuple(refs), exposure)])
+        self._replicate(leader, [entry])
 
     def _apply(self, replica: str, entry: LogEntry) -> None:
-        tx_id, refs, __ = entry
-        for ref in refs:
-            self.spent[replica][ref] = tx_id
+        for ref in self._refs(entry.item):
+            self.spent[replica][ref] = entry.tx_id
 
     def _release(
         self, mode: str, tx_id: str, inputs: int, payload: bytes
@@ -146,11 +151,9 @@ class Notary(OrderingPrincipal):
             signature=self.scheme.sign(self.key, payload),
         )
 
-    def notarise_full(
-        self, stx: SignedTransaction, exposure: Exposure
-    ) -> NotarisationReceipt:
+    def notarise_full(self, stx: SignedTransaction) -> NotarisationReceipt:
         """Validating path: contract re-verification over the full
-        transaction, whose *exposure* the leader was sent."""
+        transaction, which every replica's log entry carries."""
         leader = self.require_available()
         if not self.validating:
             raise ValidationError(
@@ -159,7 +162,7 @@ class Notary(OrderingPrincipal):
         wire = stx.wire
         if self.contract_verifier is not None:
             self.contract_verifier(wire)
-        self._consume(leader, list(wire.inputs), wire.tx_id, exposure)
+        self._consume(leader, LogEntry(wire.tx_id, stx))
         return self._release(
             "full", wire.tx_id, len(wire.inputs), wire.signing_payload()
         )
@@ -176,7 +179,7 @@ class Notary(OrderingPrincipal):
         visible_inputs = ftx.visible_of_group("inputs")
         refs = [StateRef(tx_id=c["tx_id"], index=c["index"]) for c in visible_inputs]
         # Opaque references only: no identities, no data.
-        self._consume(leader, refs, ftx.tx_id, Exposure())
+        self._consume(leader, LogEntry(ftx.tx_id, tuple(refs)))
         return self._release(
             "filtered", ftx.tx_id, len(refs), ftx.signing_payload()
         )

@@ -22,7 +22,7 @@ from typing import Callable
 
 from repro.common.errors import ProofError, ReproError, ValidationError
 from repro.crypto.signatures import Signature
-from repro.network.messages import Exposure, Refusal
+from repro.network.messages import Refusal
 from repro.platforms.base import Platform
 from repro.platforms.corda.transactions import FilteredTransaction
 
@@ -78,12 +78,8 @@ class Oracle:
         command is missing, or the claimed value disagrees with the
         oracle's source.
         """
-        visible_keys = {
-            key for output in ftx.visible_of_group("outputs") for key in output["data"]
-        }
         request = self.platform._send_critical(
-            requester, self.name, "attest", (ftx, fact_name),
-            Exposure.of(data_keys=visible_keys),
+            requester, self.name, "attest", (ftx, fact_name)
         )
         return self.network.outcome(request).payload
 

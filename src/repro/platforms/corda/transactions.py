@@ -16,7 +16,24 @@ from typing import Any
 
 from repro.crypto.merkle import MerkleTree, TearOff
 from repro.crypto.signatures import Signature
+from repro.network.messages import Exposure
 from repro.platforms.corda.states import Command, ContractState, StateRef
+
+
+def _revealed(leaves: list[dict]) -> tuple[set, set, set]:
+    """The identities, data keys and contracts Merkle *leaves* reveal: an
+    output's participants, data keys and contract, and a command's signers
+    that name a party (not a ``key:`` one-time key).  Input refs, the
+    notary's name, attachments and the time window reveal nothing."""
+    identities, data_keys, code_ids = set(), set(), set()
+    for leaf in leaves:
+        if leaf["group"] == "outputs":
+            identities.update(leaf["participants"])
+            data_keys.update(leaf["data"])
+            code_ids.add(leaf["contract_id"])
+        elif leaf["group"] == "commands":
+            identities.update(s for s in leaf["signers"] if not s.startswith("key:"))
+    return identities, data_keys, code_ids
 
 
 class ComponentGroup(enum.Enum):
@@ -111,6 +128,12 @@ class WireTransaction:
         """What every signer signs: the Merkle root."""
         return self._tree.root
 
+    @cached_property
+    def exposure(self) -> Exposure:
+        """What reading the transaction reveals: its participants and
+        legal signers, its output data keys and its contracts."""
+        return Exposure.of(*_revealed(self._components()))
+
     def wire_size(self) -> int:
         """The component encodings the Merkle tree was built from."""
         return self._tree.wire_size()
@@ -142,6 +165,11 @@ class FilteredTransaction:
         """Signing over a tear-off commits to the same root as the full tx."""
         return self.root
 
+    @cached_property
+    def exposure(self) -> Exposure:
+        """Only what the visible leaves reveal."""
+        return Exposure.of(*_revealed(self.visible_components()))
+
     def wire_size(self) -> int:
         """The tear-off plus the root it verifies against (the id is the
         root's prefix)."""
@@ -157,6 +185,12 @@ class SignedTransaction:
 
     wire: WireTransaction
     signatures: dict[str, Signature] = field(default_factory=dict)
+
+    @property
+    def exposure(self) -> Exposure:
+        """What its wire transaction reveals (the signatures are keyed by
+        the same signers)."""
+        return self.wire.exposure
 
     def wire_size(self) -> int:
         return self.wire.wire_size() + sum(

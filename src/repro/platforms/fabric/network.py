@@ -15,6 +15,7 @@ an endorser executes and signs on ``proposal``, the orderer orders on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.common.errors import (
@@ -62,15 +63,6 @@ ORDERER_NODE = "fabric-orderer"
 ANONYMOUS_CLIENT = "anonymous-client"
 
 
-def _tx_exposure(*txs: Transaction) -> Exposure:
-    """What carrying *txs* exposes: their participants and the keys they
-    read and write (an order submission and ``block``, live or re-sent)."""
-    return Exposure.of(
-        identities={p for tx in txs for p in tx.metadata.get("participants", [])},
-        data_keys={entry.key for tx in txs for entry in (*tx.writes, *tx.reads)},
-    )
-
-
 class _ProposalFields(NamedTuple):
     contract_id: str
     function: str
@@ -112,6 +104,13 @@ class Proposal(_ProposalFields):
         built.append(tx)
         return tx
 
+    @cached_property
+    def exposure(self) -> Exposure:
+        """A proposal names its participants and the chaincode it calls."""
+        return Exposure.of(
+            identities=self.metadata["participants"], code_ids={self.contract_id}
+        )
+
     def wire_size(self) -> int:
         return len(canonical_bytes(self))
 
@@ -123,6 +122,11 @@ class ProposalResponse(NamedTuple):
     tx: Transaction
     return_value: object
     endorsement: Endorsement
+
+    @property
+    def exposure(self) -> Exposure:
+        """A response names its endorser."""
+        return self.endorsement.exposure
 
 
 @dataclass
@@ -344,11 +348,8 @@ class FabricNetwork(Platform):
                 answers[client] = self._endorse(client, proposal)
                 if isinstance(answers[client], Refusal):
                     raise answers[client].error
-            exposure = Exposure.of(
-                identities=visible_identities, code_ids={contract_id}
-            )
             replies = self.network.outcomes([
-                self._send_critical(client, endorser, "proposal", proposal, exposure)
+                self._send_critical(client, endorser, "proposal", proposal)
                 for endorser in endorsers
                 if endorser != client
             ])
@@ -391,10 +392,8 @@ class FabricNetwork(Platform):
 
     def _on_proposal(self, message) -> None:
         """Delivery handler for ``proposal``: endorse it and reply."""
-        endorser = message.recipient
         self.network.reply(
-            message, "endorsement", self._endorse(endorser, message.payload),
-            exposure=Exposure.of(identities={endorser}),
+            message, "endorsement", self._endorse(message.recipient, message.payload)
         )
 
     @delivers
@@ -488,7 +487,6 @@ class FabricNetwork(Platform):
                         channel_name, order,
                         tuple((p.tx, p.contract_id) for p in group), force_cut,
                     ),
-                    exposure=_tx_exposure(*(p.tx for p in group)),
                 ))
         released_at = self.network.outcomes(requests)[0]
         self.clock.advance_to(released_at)
@@ -547,7 +545,7 @@ class FabricNetwork(Platform):
                     for member in live:
                         self.network._check_link(leader, member)
                 for tx, __ in batch:
-                    self.orderer.submit(tx, _tx_exposure(tx))
+                    self.orderer.submit(tx)
                 cuts = self.orderer.drain_channel(channel_name, force=flush)
                 outcome = cuts[-1].released_at
             except ReproError as refusal:
@@ -559,7 +557,7 @@ class FabricNetwork(Platform):
                 for tx, contract_id in batch:
                     self.network.broadcast(
                         leader, "block", channel.record_order(tx, contract_id),
-                        exposure=_tx_exposure(tx), recipients=reachable,
+                        recipients=reachable,
                     )
                 for cut in cuts:
                     channel.chain.append(cut.transactions, self.clock.now)
@@ -800,7 +798,6 @@ class FabricNetwork(Platform):
                     name,
                     "block",
                     channel.outcomes[tx.tx_id],
-                    exposure=_tx_exposure(tx),
                     dedup_key=catchup_dedup_key(
                         "fabric", channel.name, name, tx.tx_id
                     ),

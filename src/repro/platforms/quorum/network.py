@@ -39,7 +39,7 @@ from repro.ledger.ordering import OrderingService
 from repro.ledger.state import WorldState
 from repro.ledger.transaction import Transaction, WriteEntry
 from repro.ledger.validation import apply_writes
-from repro.network.messages import Exposure, Refusal
+from repro.network.messages import Refusal
 from repro.platforms.base import (
     Platform,
     delivers,
@@ -88,9 +88,6 @@ class QuorumNetwork(Platform):
         self.managers: dict[str, PrivateTransactionManager] = {}
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
-        # The gossip exposure of each chain height: what catch-up
-        # re-sends that height's transaction with.
-        self._gossip_exposure: dict[int, Exposure] = {}
         # The height up to which each node has applied every
         # transaction, in chain order: what catch-up replays above.
         self._applied_upto: dict[str, int] = {}
@@ -206,17 +203,14 @@ class QuorumNetwork(Platform):
         self.sequencer.require_available()
 
     def _order(
-        self, sender: str, tx: Transaction, exposure: Exposure, view: StateView,
-        state: WorldState,
+        self, sender: str, tx: Transaction, view: StateView, state: WorldState
     ) -> None:
         """Submit *tx* to consensus; once it is ordered, the sender applies
         its own execution (*view* over *state*) at the height consensus
         recorded, and every other node applies it when the gossip
         arrives.  Raises consensus's refusal."""
         with self.telemetry.span("quorum.order"):
-            request = self._send_critical(
-                sender, SEQUENCER_NODE, "submit", tx, exposure
-            )
+            request = self._send_critical(sender, SEQUENCER_NODE, "submit", tx)
             height = self.network.outcome(request)
         self._apply_view(view, state)
         self._applied_upto[sender] = height
@@ -230,22 +224,20 @@ class QuorumNetwork(Platform):
         does not veto the transaction."""
         tx = message.payload
         try:
-            self.sequencer.submit(tx, message.exposure)
+            self.sequencer.submit(tx)
             self.sequencer.cut_batch("quorum-public", force=True)
         except ReproError as refusal:
             self.network.record(message, Refusal(refusal))
             return
         self.chain.append([tx], self.clock.now)
         height = self.chain.height
-        self._gossip_exposure[height] = message.exposure
         targets = [
             node for node in self.network.nodes()
             if node not in (SEQUENCER_NODE, tx.submitter)
             and self._reachable(SEQUENCER_NODE, node)
         ]
         self.network.broadcast(
-            SEQUENCER_NODE, _gossip_kind(tx), (height, tx),
-            exposure=message.exposure, recipients=targets,
+            SEQUENCER_NODE, _gossip_kind(tx), (height, tx), recipients=targets,
         )
         self.network.record(message, height)
 
@@ -315,12 +307,7 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "public", "participants": sorted(self.parties)},
                 timestamp=self.clock.now,
             )
-            exposure = Exposure.of(
-                identities={sender},
-                data_keys=set(view.writes) | set(view.reads),
-                code_ids={contract_id},
-            )
-            self._order(sender, tx, exposure, view, self.public_states[sender])
+            self._order(sender, tx, view, self.public_states[sender])
         return QuorumTxResult(
             tx=tx, payload_hash=None,
             participants=sorted(self.parties), return_values={sender: value},
@@ -382,8 +369,8 @@ class QuorumNetwork(Platform):
                     self.private_states[sender],
                 )
             # The encrypted payload crosses the wire once per reachable
-            # recipient; the ciphertext itself exposes nothing (empty
-            # exposure).  Distribution itself is idempotent.
+            # recipient; the ciphertext itself exposes nothing.
+            # Distribution itself is idempotent.
             with self.telemetry.span("quorum.distribute"):
                 payload_hash, copies = self.managers[sender].distribute(
                     payload, participants, self.managers,
@@ -394,8 +381,7 @@ class QuorumNetwork(Platform):
                 ).inc(len(copies))
                 for participant, stored in copies.items():
                     self._send_critical(
-                        sender, participant, "private-payload", stored,
-                        exposure=Exposure(),
+                        sender, participant, "private-payload", stored
                     )
             # The public transaction: hash only — but participants in the
             # clear.  The other participants execute when it reaches them.
@@ -406,10 +392,7 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "private", "participants": participants},
                 timestamp=self.clock.now,
             )
-            self._order(
-                sender, tx, Exposure.of(identities=set(participants)), view,
-                self.private_states[sender],
-            )
+            self._order(sender, tx, view, self.private_states[sender])
         return QuorumTxResult(
             tx=tx, payload_hash=payload_hash,
             participants=participants, return_values={sender: value},
@@ -510,7 +493,6 @@ class QuorumNetwork(Platform):
                 name,
                 "private-payload",
                 self.managers[holder].redeliver(payload_hash, name),
-                exposure=Exposure(),  # ciphertext: reveals nothing
                 dedup_key=catchup_dedup_key("quorum", "payload", name, payload_hash),
             )
             if delivered:
@@ -567,7 +549,6 @@ class QuorumNetwork(Platform):
                         name,
                         _gossip_kind(tx),
                         (block.height, tx),
-                        exposure=self._gossip_exposure[block.height],
                         dedup_key=catchup_dedup_key(
                             "quorum", "public", name, block.height
                         ),

@@ -6,11 +6,10 @@ machinery: provider selection among live peers, stable dedup keys so a
 replayed catch-up item is applied at most once, and resilient delivery
 with ``recovery.*`` accounting.
 
-Catch-up messages follow the repo's wire convention: the payload is the
-object the live message carries, while the :class:`Exposure` declares
-what the transfer reveals — so the leakage auditor sees catch-up traffic
-with the same fidelity as normal operation, and an over-broad responder
-shows up as widened observer knowledge, not as silence.
+Catch-up messages carry the object the live message carries, and reveal
+what it reveals — so the leakage auditor sees catch-up traffic with the
+same fidelity as normal operation, and an over-broad responder shows up
+as widened observer knowledge, not as silence.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.common.errors import DeliveryTimeout
-from repro.network.messages import Exposure
 from repro.network.simnet import SimNetwork
 
 # Catch-up runs while the rest of the workload is quiesced, so a short
@@ -65,7 +63,6 @@ def ship(
     node: str,
     kind: str,
     payload: Any,
-    exposure: Exposure,
     dedup_key: str,
 ) -> bool:
     """Deliver one catch-up item from *provider* to *node*, resiliently.
@@ -81,7 +78,6 @@ def ship(
             node,
             kind,
             payload,
-            exposure=exposure,
             timeout=CATCHUP_TIMEOUT,
             max_attempts=CATCHUP_ATTEMPTS,
             dedup_key=dedup_key,

@@ -65,9 +65,10 @@ class SecretBallotWorkflow:
         """Replay the MPC message pattern over the simulated network.
 
         Each share and partial sum is an individually-uniform field
-        element, so every message carries an empty exposure — which is the
-        point: the leakage audit can confirm that running the ballot
-        reveals nothing to taps or uninvolved nodes.
+        element, so its payload declares nothing and every message
+        reveals nothing — which is the point: the leakage audit can
+        confirm that running the ballot exposes nothing to taps or
+        uninvolved nodes.
         """
         net = self.network.network
         members = list(self.members)

@@ -58,17 +58,17 @@ def recover(net: FabricNetwork, operator: str) -> None:
 
 def committed(net: FabricNetwork) -> list:
     """The leader's log: every committed transaction, in order."""
-    return [tx for __, tx, __ in net.orderer.logs[net.orderer.require_available()]]
+    return [entry.item for entry in net.orderer.logs[net.orderer.require_available()]]
 
 
 def logs_consistent(net: FabricNetwork) -> bool:
     """Safety: every live replica's log is a prefix of the longest."""
     longest = max(net.orderer.logs.values(), key=len)
-    leader_log = [tx_id for tx_id, __, __ in longest]
+    leader_log = [entry.tx_id for entry in longest]
     for name in net.orderer.replicas:
         if net.network.is_crashed(name):
             continue
-        log = [tx_id for tx_id, __, __ in net.orderer.logs[name]]
+        log = [entry.tx_id for entry in net.orderer.logs[name]]
         if log != leader_log[: len(log)]:
             return False
     return True
@@ -138,7 +138,7 @@ class TestReplication:
         for n in range(5):
             order(cluster, n)
         for log in cluster.orderer.logs.values():
-            assert [tx.writes[0].key for __, tx, __ in log] == [
+            assert [entry.item.writes[0].key for entry in log] == [
                 f"k{n}" for n in range(5)
             ]
 
@@ -257,7 +257,7 @@ class TestLogTruncationOnRecovery:
         order(cluster, 2)
         recover(cluster, "org1")
         assert cluster.orderer.require_available() == replica("org2")
-        recovered = [tx_id for tx_id, __, __ in cluster.orderer.logs[replica("org1")]]
+        recovered = [entry.tx_id for entry in cluster.orderer.logs[replica("org1")]]
         leader_log = [tx.tx_id for tx in committed(cluster)]
         assert recovered == leader_log[: len(recovered)] and len(recovered) == 1
         order(cluster, 3)

@@ -9,7 +9,8 @@ from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
-from repro.network.messages import Exposure
+from repro.crypto.symmetric import Ciphertext
+from repro.network.messages import Exposure, Refusal, payload_exposure
 from repro.network.simnet import LatencyModel, Observer, SimNetwork, payload_size
 
 
@@ -117,18 +118,35 @@ class TestDelivery:
         assert [m.payload for m in arrived] == list(range(20))
 
 
+class Declared:
+    """A test payload that declares what it reveals, and counts how often
+    the network asks."""
+
+    def __init__(self, **exposure) -> None:
+        self._exposure = Exposure.of(**exposure)
+        self.asked = 0
+
+    @property
+    def exposure(self) -> Exposure:
+        self.asked += 1
+        return self._exposure
+
+    def wire_size(self) -> int:
+        return 1
+
+
 class TestObservers:
     def test_tap_sees_all_traffic(self, net):
         tap = net.add_tap(Observer("wiretap"))
-        net.send("A", "B", "tx", {}, exposure=Exposure.of(identities={"A", "B"}))
-        net.send("B", "C", "tx", {}, exposure=Exposure.of(data_keys={"price"}))
+        net.send("A", "B", "tx", Declared(identities={"A", "B"}))
+        net.send("B", "C", "tx", Declared(data_keys={"price"}))
         net.run()
         assert tap.seen_identities == {"A", "B"}
         assert tap.seen_data_keys == {"price"}
         assert tap.messages_observed == 2
 
     def test_node_observer_sees_inbound_only(self, net):
-        net.send("A", "B", "tx", {}, exposure=Exposure.of(identities={"A"}))
+        net.send("A", "B", "tx", Declared(identities={"A"}))
         net.run()
         assert net.node("B").observer.seen_identities == {"A"}
         assert net.node("C").observer.seen_identities == set()
@@ -142,11 +160,54 @@ class TestObservers:
 
     def test_knowledge_snapshot(self, net):
         tap = net.add_tap(Observer("wiretap"))
-        net.send("A", "B", "tx", {}, exposure=Exposure.of(code_ids={"cc"}))
+        net.send("A", "B", "tx", Declared(code_ids={"cc"}))
         net.run()
         snapshot = tap.knowledge()
         assert snapshot["code_ids"] == ["cc"]
         assert snapshot["messages_observed"] == 1
+
+
+class TestPayloadExposure:
+    """Pins: a message exposes what its payload declares, derived by the
+    network once per send or broadcast."""
+
+    def test_message_carries_the_payload_exposure(self, net):
+        message = net.send("A", "B", "tx", Declared(identities={"A"}))
+        assert message.exposure == Exposure.of(identities={"A"})
+
+    def test_tuple_reveals_the_union_of_its_items(self, net):
+        payload = (
+            "label", 7,
+            (Declared(identities={"A"}), Declared(data_keys={"k"})),
+            Declared(identities={"B"}, code_ids={"cc"}),
+        )
+        assert payload_exposure(payload) == Exposure.of(
+            identities={"A", "B"}, data_keys={"k"}, code_ids={"cc"}
+        )
+        assert net.send("A", "B", "tx", payload).exposure == payload_exposure(payload)
+
+    @pytest.mark.parametrize("payload", [
+        "alice", 42, None, True, {"secret": 1}, ("a", 1, None),
+        Refusal(ValueError("no")),
+        Ciphertext(nonce=b"\x00" * 16, body=b"secret", tag=b"\x01" * 32),
+    ])
+    def test_opaque_payloads_reveal_nothing(self, payload):
+        assert payload_exposure(payload) == Exposure()
+
+    def test_broadcast_derives_the_exposure_once(self, net):
+        payload = Declared(identities={"A"})
+        messages = net.broadcast("A", "tx", payload)
+        net.run()
+        assert payload.asked == 1
+        assert [m.exposure for m in messages] == [payload._exposure] * 2
+        for name in ("B", "C"):
+            assert net.node(name).observer.seen_identities == {"A"}
+
+    def test_send_derives_the_exposure_once(self, net):
+        payload = Declared(identities={"A"})
+        net.send("A", "B", "tx", payload)
+        net.run()
+        assert payload.asked == 1
 
 
 class TestFaults:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import StateError, ValidationError
+from repro.network.simnet import Observer
 from repro.platforms.corda import (
     Command,
     ContractState,
@@ -16,13 +17,17 @@ from repro.platforms.corda import (
 )
 
 
-@pytest.fixture
-def net():
+def corda_network() -> CordaNetwork:
     network = CordaNetwork(seed="backchain-test")
     for org in ("Alice", "Bob", "Carol", "Dave"):
         network.onboard(org)
     network.register_contract("asset", lambda wire: None)
     return network
+
+
+@pytest.fixture
+def net():
+    return corda_network()
 
 
 def issue(net, owner, counterparty, data=None):
@@ -175,3 +180,51 @@ class TestNetworkResolution:
         bad_tip = StateRef(tx_id=hop2.stx.wire.tx_id, index=99)
         with pytest.raises(ValidationError, match="structural"):
             net.resolve_backchain("Dave", "Eve", bad_tip)
+
+
+def round_trip(net):
+    """Alice issues with Bob, Bob moves the state to Alice, Alice back to
+    Bob: both are party to every transaction of the chain."""
+    issued = issue(net, "Alice", "Bob")
+    hop1 = transfer(net, issued.output_refs[0], "Bob", "Alice")
+    return transfer(net, hop1.output_refs[0], "Alice", "Bob")
+
+
+def arrivals(net, name) -> dict:
+    """The exposure of every ``backchain-tx`` delivered to *name*, by the
+    id of the transaction it carries (filled as they arrive)."""
+    arrived = {}
+    net.network.node(name).on(
+        "backchain-tx",
+        lambda message: arrived.setdefault(message.payload.wire.tx_id, message.exposure),
+    )
+    return arrived
+
+
+class TestOneExposurePerPayload:
+    """Pins: a transaction shipped in live resolution and the same
+    transaction re-shipped in catch-up reveal the same thing, because
+    both derive it from the transaction."""
+
+    def test_live_resolution_and_catch_up_reveal_the_same(self):
+        live_net, catch_up_net = corda_network(), corda_network()
+        tip = round_trip(live_net).output_refs[0]
+        round_trip(catch_up_net)
+
+        live_net.onboard("Eve")
+        live = arrivals(live_net, "Eve")
+        live_net.resolve_backchain("Bob", "Eve", tip)
+
+        catch_up_net.crash("Alice")
+        # A fresh account, so it holds only what catch-up re-ships.
+        catch_up_net.network.node("Alice").observer = Observer("Alice")
+        caught_up = arrivals(catch_up_net, "Alice")
+        catch_up_net.recover("Alice")
+
+        assert len(live) == 3
+        assert caught_up == live
+        assert (
+            catch_up_net.network.node("Alice").observer.knowledge()
+            == live_net.network.node("Eve").observer.knowledge()
+        )
+        assert live_net.network.node("Eve").observer.seen_code_ids == {"asset"}

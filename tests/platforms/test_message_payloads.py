@@ -23,6 +23,7 @@ from repro.platforms.corda import (
     ContractState,
     CordaNetwork,
     Oracle,
+    SignedTransaction,
     StateRef,
 )
 from repro.platforms.fabric import FabricNetwork
@@ -79,7 +80,9 @@ def encoded_size(kind: str, payload) -> int:
     if kind == "append-ack":
         return _leaves(payload)
     if kind == "flow-signature":
-        return len(b"null") if payload is None else _scalars(payload)
+        if payload is None:
+            return len(b"null")
+        return len(payload.endorser) + _scalars(payload.signature)
     if kind in ("notarised", "attestation"):
         return len(payload.tx_id) + _scalars(payload.signature)
     if kind == "block":
@@ -91,6 +94,8 @@ def encoded_size(kind: str, payload) -> int:
         __, entry = payload
         if isinstance(entry.item, Transaction):
             return len(entry.item.signing_bytes())
+        if isinstance(entry.item, SignedTransaction):
+            return encoded_size("notarise-full", entry.item)
         return _leaves(entry.item)
     if kind == "flow-proposal":
         return _leaves(payload._components())

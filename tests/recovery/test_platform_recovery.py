@@ -444,7 +444,9 @@ class TestCatchUpParity:
             quorum, "OrgB", "OrgC", (SEQUENCER_NODE, "OrgC"),
             lambda: quorum.send_public_transaction("OrgA", "kv", "put", {"value": 1}),
         )
-        assert knowledge(quorum, "OrgC")[1:] == ({"k", "r"}, {"kv"})
+        # The ordered transaction carries its write set, not the call: a
+        # node learns the written key, neither the read key nor the contract.
+        assert knowledge(quorum, "OrgC")[1:] == ({"k"}, set())
 
     def test_quorum_private_tx_to_a_non_participant(self, quorum):
         assert_catch_up_parity(
