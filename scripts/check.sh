@@ -2,7 +2,8 @@
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
 # the one-source-for-exposure gate, the self-sufficient messages gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
-# design), the telemetry, convergence and pipeline (incl. one scenario compiler) gates, the no-unhandled-
+# design), the telemetry, convergence and pipeline (incl. one scenario compiler and one Fabric block
+# per cut, tests/platforms/test_fabric_blocks.py) gates, the no-unhandled-
 # delivery gate, the perf-harness smoke run, then the strict self-lint.
 #
 # Usage: scripts/check.sh [extra pytest args]
@@ -100,9 +101,10 @@ python -m repro converge
 python -m repro lint --strict src/repro/recovery
 
 echo
-echo "== pipeline gate (submit/submit_many parity + causal flows + driver + bench smoke + one scenario compiler) =="
+echo "== pipeline gate (submit/submit_many parity + causal flows + one Fabric block per cut + driver + bench smoke + one scenario compiler) =="
 # tests/pipeline holds test_causality.py: causal flows and no unhandled delivery.
-python -m pytest -x tests/pipeline tests/driver tests/integration/test_driver_leakage.py
+python -m pytest -x tests/pipeline tests/driver tests/integration/test_driver_leakage.py \
+    tests/platforms/test_fabric_blocks.py
 python -m repro bench --platform fabric --workload loc --ops 10 --batch 25 > /dev/null
 python -m repro bench --platform corda --workload trades --ops 8 --json > /dev/null
 python -m repro bench --platform quorum --workload kv --ops 10 --batch 5 > /dev/null

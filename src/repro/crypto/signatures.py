@@ -4,11 +4,14 @@ The library's signature scheme for all platforms and identities.  Nonces are
 derived deterministically (RFC 6979 style) from the secret key and message,
 so signing is reproducible and never reuses a nonce.
 
-Verification is memoized per scheme instance, keyed on the public key, a
-digest of the message, and the signature itself.  Platform hot paths
-re-verify the same endorsements on every committing peer; the cache turns
-those repeats into dictionary hits while staying sound (a different
-signature or message can never alias an earlier entry).  Hit/miss counters
+Verification is memoized per scheme instance, keyed on the public key, the
+message bytes themselves, and the signature.  Platform hot paths re-verify
+the same endorsements on every committing peer; the cache turns those
+repeats into dictionary hits while staying sound (a different signature or
+message can never alias an earlier entry: keys compare by exact equality).
+A lookup hashes the message, which ``bytes`` does once per object, and the
+key holds a reference to the bytes the caller already keeps (a Fabric
+transaction's signed encoding), not a copy.  Hit/miss counters
 are exposed through :meth:`SignatureScheme.cache_info` so benchmarks can
 attribute the speedup.
 
@@ -130,12 +133,11 @@ class SignatureScheme:
     def verify(self, public: PublicKey, message: bytes, sig: Signature) -> bool:
         """Return True iff *sig* is a valid signature on *message*.
 
-        Results are memoized on (key, message digest, signature); the full
+        Results are memoized on (key, message, signature); the full
         signature is part of the key so a forged signature can never hit a
         cached True for the genuine one.
         """
-        digest = tagged_hash("repro/schnorr/verify-cache", message)
-        cache_key = (public.y, digest, sig.challenge, sig.response)
+        cache_key = (public.y, message, sig.challenge, sig.response)
         cached = self._verify_cache.get(cache_key)
         if cached is not None:
             self._verify_hits += 1

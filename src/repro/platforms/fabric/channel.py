@@ -46,7 +46,8 @@ class ChaincodeDefinition:
 
 
 class BlockEntry(NamedTuple):
-    """One ordered transaction as a ``block`` message carries it: the
+    """One ordered transaction in a ``block`` message (a tuple of entries:
+    a whole cut from the orderer, or one entry in catch-up): the
     transaction, the chaincode whose endorsement policy it is validated
     against, and its position in commit order."""
 

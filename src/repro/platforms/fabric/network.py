@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from repro.common.errors import (
@@ -111,8 +112,13 @@ class Proposal(_ProposalFields):
             identities=self.metadata["participants"], code_ids={self.contract_id}
         )
 
-    def wire_size(self) -> int:
+    @cached_property
+    def _encoded_size(self) -> int:
         return len(canonical_bytes(self))
+
+    def wire_size(self) -> int:
+        """Sized once: every endorser's copy is the same proposal."""
+        return self._encoded_size
 
 
 class ProposalResponse(NamedTuple):
@@ -448,8 +454,8 @@ class FabricNetwork(Platform):
         Each submitter sends its own transactions to the orderer's leader
         as one ``submit``; once the whole batch has arrived the orderer
         orders it in its handler, one block per ``max_batch_size``
-        transactions, and sends every live member a ``block`` per
-        transaction, and each member validates in its own handler.
+        transactions, and sends every live member one ``block`` per cut,
+        and each member validates its entries in its own handler.
         Mirrors Fabric's validate phase: every transaction lands on the
         chain, each carrying a validation code; only VALID transactions
         mutate state.  Proposals endorsed against the same snapshot that
@@ -511,9 +517,10 @@ class FabricNetwork(Platform):
         submitter's share of a batch (channel, the batch's tx ids in
         order, its ``(tx, contract id)`` pairs, flush flag).  Once the
         whole batch has arrived, order it (one chain block per cut of at
-        most ``max_batch_size``), then send each live member a ``block``
-        per transaction; the last cut's release time (or the refusal) is
-        recorded for every share's call.
+        most ``max_batch_size``), and send each live member one ``block``
+        per cut: the tuple of the cut's block entries, in commit
+        order.  The last cut's release time (or the refusal) is recorded
+        for every share's call.
 
         A crashed member misses its blocks and lags — that is what
         checkpoint + catch-up recover from later.  Without
@@ -554,43 +561,47 @@ class FabricNetwork(Platform):
                 reachable = [
                     m for m in live if not self.network.is_partitioned(leader, m)
                 ]
-                for tx, contract_id in batch:
-                    self.network.broadcast(
-                        leader, "block", channel.record_order(tx, contract_id),
-                        recipients=reachable,
-                    )
+                pairs = iter(batch)
                 for cut in cuts:
+                    block = tuple(
+                        channel.record_order(tx, contract_id)
+                        for tx, contract_id in islice(pairs, len(cut.transactions))
+                    )
+                    self.network.broadcast(
+                        leader, "block", block, recipients=reachable
+                    )
                     channel.chain.append(cut.transactions, self.clock.now)
         for request in requests.values():
             self.network.record(request, outcome)
 
     def _on_block(self, message) -> None:
-        """Delivery handler for ``block``, from the orderer or re-sent by a
-        peer in catch-up: the member validates the entry it carries
-        against its own replica and commits it, in commit order only.  An
-        entry past a gap (an earlier block lost in flight) or already
-        applied changes nothing, so the member stays behind until
-        catch-up."""
-        entry: BlockEntry = message.payload
+        """Delivery handler for ``block``, from the orderer (one cut's
+        entries, in commit order) or re-sent by a peer in catch-up (one
+        entry): the member validates each entry against its own replica and
+        commits it, in commit order only.  Entries it already applied are
+        skipped; an entry past a gap (an earlier block lost in flight) and
+        everything after it change nothing, so the member stays behind
+        until catch-up."""
         member = message.recipient
-        channel = self.channels[entry.tx.channel]
-        if entry.position != channel.applied[member]:
-            return
-        with self.telemetry.span(
-            "fabric.validate", channel=channel.name
-        ) as validate_span:
-            code = self._validate(channel, member, entry)
-            self.telemetry.tracer.set_attribute(
-                validate_span, "validation_code", code.value
-            )
-            self.telemetry.metrics.counter(
-                "fabric.validation", code=code.value
-            ).inc()
-        with self.telemetry.span(
-            "fabric.commit", channel=channel.name,
-            valid=code is ValidationCode.VALID,
-        ):
-            channel.commit(member, entry, code)
+        block: tuple[BlockEntry, ...] = message.payload
+        channel = self.channels[block[0].tx.channel]
+        span = self.telemetry.span
+        set_attribute = self.telemetry.tracer.set_attribute
+        counter = self.telemetry.metrics.counter
+        for entry in block:
+            if entry.position < channel.applied[member]:
+                continue
+            if entry.position > channel.applied[member]:
+                return
+            with span("fabric.validate", channel=channel.name) as validate_span:
+                code = self._validate(channel, member, entry)
+                set_attribute(validate_span, "validation_code", code.value)
+                counter("fabric.validation", code=code.value).inc()
+            with span(
+                "fabric.commit", channel=channel.name,
+                valid=code is ValidationCode.VALID,
+            ):
+                channel.commit(member, entry, code)
 
     def _validate(
         self, channel: Channel, member: str, entry: BlockEntry
@@ -745,10 +756,11 @@ class FabricNetwork(Platform):
     # Durable per peer: the chain (append-only, shared), PDC stores
     # (off-chain storage services), and checkpoints.  Volatile: the
     # world-state replica and the network node's dedup memory.
-    # Catch-up re-sends a channel's ``block`` messages only — Fabric's
-    # visibility rule: a lagging member receives its channels'
-    # transactions, whose PDC values are on chain as anchors only
-    # (``tx.private_hashes``), never another channel's traffic.
+    # Catch-up re-sends a channel's ordered transactions, each as a
+    # one-entry ``block``, and nothing else — Fabric's visibility rule: a
+    # lagging member receives its channels' transactions, whose PDC
+    # values are on chain as anchors only (``tx.private_hashes``), never
+    # another channel's traffic.
     # ------------------------------------------------------------------
 
     def _member_channels(self, name: str) -> list[Channel]:
@@ -797,7 +809,7 @@ class FabricNetwork(Platform):
                     provider,
                     name,
                     "block",
-                    channel.outcomes[tx.tx_id],
+                    (channel.outcomes[tx.tx_id],),
                     dedup_key=catchup_dedup_key(
                         "fabric", channel.name, name, tx.tx_id
                     ),

@@ -122,6 +122,15 @@ class TestVerifyCache:
                            response=(sig.response + 1) % scheme.group.q)
         assert not scheme.verify(keypair.public, b"message", forged)
 
+    def test_other_message_misses_the_cache(self, scheme, keypair):
+        """The message is in the cache key: the same key and signature
+        over different bytes is verified afresh, and fails."""
+        sig = scheme.sign(keypair, b"message")
+        assert scheme.verify(keypair.public, b"message", sig)
+        misses = scheme.cache_info()["misses"]
+        assert not scheme.verify(keypair.public, b"messagf", sig)
+        assert scheme.cache_info()["misses"] == misses + 1
+
     def test_other_key_cannot_alias_cached_true(self, scheme, keypair, rng):
         sig = scheme.sign(keypair, b"message")
         assert scheme.verify(keypair.public, b"message", sig)

@@ -50,12 +50,12 @@ GOLDEN = {
         "37f91cacdcdad53d", "0.36183427882030367",
     ),
     ("fabric", "kv"): (
-        "48aa5f762263bdb0130119b4ad19761ff265ca4b37aa91e8b8863c717292ef00",
-        "70f04331401fe82d", "0.366020632470421",
+        "a197a6890d7ca6aff39f14ecb7f207a4e611dabaa0717b09017ffdb32c32151b",
+        "14bfdaf315cf9b28", "0.36682702458497257",
     ),
     ("fabric", "loc"): (
-        "0bf52d4cbccbf02f570148d19b9cbf46e623615ff4c7a9ba891827f019955885",
-        "b03aaf84597523de", "0.5898779420843355",
+        "fe36ac8e3c22366a806dfc3c4a5f01a88bbe0dfe36ae4eaf3cbec1f2fb30370f",
+        "52f2d85363b3901c", "0.5912168235432225",
     ),
     ("fabric", "trades"): (
         "48a1dbbbc1b2de3b8c3c4294976de791193bc5a50f27464c32a4fb68adad3fda",

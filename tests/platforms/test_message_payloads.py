@@ -86,7 +86,7 @@ def encoded_size(kind: str, payload) -> int:
     if kind in ("notarised", "attestation"):
         return len(payload.tx_id) + _scalars(payload.signature)
     if kind == "block":
-        return len(payload.tx.signing_bytes())
+        return sum(len(entry.tx.signing_bytes()) for entry in payload)
     if kind in ("public-tx", "private-tx"):
         __, tx = payload
         return len(tx.signing_bytes())
@@ -188,7 +188,7 @@ class TestModelledSize:
         ])
         block = next(m for m in sent if m.kind == "block")
         # More than the transaction's signing bytes: the endorsements too.
-        assert block.size_bytes > len(block.payload.tx.signing_bytes())
+        assert block.size_bytes > len(block.payload[0].tx.signing_bytes())
 
     def test_corda_non_validating_with_backchain_and_oracle(self, monkeypatch):
         net = corda_net()
