@@ -9,13 +9,13 @@ issued here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.common.clock import SimClock
 from repro.common.errors import CertificateError
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
-from repro.crypto.hashing import tagged_hash
 from repro.crypto.signatures import (
     PrivateKey,
     PublicKey,
@@ -31,6 +31,11 @@ class Certificate:
     ``attributes`` may carry role, organization, or linking information.
     ``issuer`` is the CA's common name; the signature is over the canonical
     form of everything except the signature itself.
+
+    A certificate is immutable once issued: nothing changes its fields, or
+    the ``attributes`` dict, afterwards.  Its signed bytes are therefore
+    encoded once per object; a changed copy made with
+    :func:`dataclasses.replace` encodes its own.
     """
 
     subject: str
@@ -44,6 +49,10 @@ class Certificate:
 
     def to_be_signed(self) -> bytes:
         """Canonical bytes covered by the issuer's signature."""
+        return self._signed_bytes
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
         return canonical_bytes(
             {
                 "subject": self.subject,
@@ -87,8 +96,8 @@ class CertificateAuthority:
         self._issued: dict[int, Certificate] = {}
         # Chain-validation cache: the issuer-signature check is the costly,
         # immutable part of verify(); validity windows and revocation are
-        # time/state dependent and stay live.  Keyed on the serial, a digest
-        # of the signed bytes, and the signature so tampering cannot alias.
+        # time/state dependent and stay live.  Keyed on the serial, the
+        # signed bytes, and the signature so tampering cannot alias.
         self._chain_cache: dict[tuple[int, bytes, int, int], bool] = {}
         self._chain_hits = 0
         self._chain_misses = 0
@@ -119,7 +128,7 @@ class CertificateAuthority:
             attributes=dict(attributes or {}),
         )
         signature = self.scheme.sign(self._key, cert.to_be_signed())
-        signed = Certificate(**{**cert.__dict__, "signature": signature})
+        signed = replace(cert, signature=signature)
         self._issued[signed.serial] = signed
         return signed
 
@@ -172,7 +181,7 @@ class CertificateAuthority:
         signed = cert.to_be_signed()
         cache_key = (
             cert.serial,
-            tagged_hash("repro/pki/chain-cache", signed),
+            signed,
             cert.signature.challenge,
             cert.signature.response,
         )

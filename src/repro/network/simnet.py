@@ -62,11 +62,15 @@ def payload_size(payload: Any) -> int:
         return wire_size()
     if isinstance(payload, tuple):
         return sum(payload_size(item) for item in payload)
-    # A string or an integer encodes as the canonical encoder would.
+    # A string, an integer or a flag encodes as the canonical encoder would.
     if type(payload) is str:
         return len(encode_basestring_ascii(payload))
     if type(payload) is int:
         return len(repr(payload))
+    if payload is None or payload is True:
+        return 4  # null, true
+    if payload is False:
+        return 5  # false
     return len(canonical_bytes(payload))
 
 

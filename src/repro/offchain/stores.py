@@ -35,6 +35,11 @@ class Hosting(enum.Enum):
     EXTERNAL = "external"  # entirely separate from the DLT layer
 
 
+def record_anchor(key: str, value: Any) -> str:
+    """The hash anchor of a ``(key, value)`` record, embedded on-chain."""
+    return hash_hex("repro/offchain", {"key": key, "value": value})
+
+
 @dataclass
 class Tombstone:
     """Audit record left behind by a deletion (e.g. a GDPR erasure)."""
@@ -86,7 +91,13 @@ class OffChainStore:
 
     def put(self, key: str, value: Any, now: float = 0.0) -> str:
         """Store a record; returns the hash anchor to embed on-chain."""
-        anchor = hash_hex("repro/offchain", {"key": key, "value": value})
+        return self.put_anchored(key, value, record_anchor(key, value), now)
+
+    def put_anchored(
+        self, key: str, value: Any, anchor: str, now: float = 0.0
+    ) -> str:
+        """Store a record under *anchor*, its :func:`record_anchor`
+        already computed (one hash for every store holding the record)."""
         self._records[key] = StoredRecord(
             key=key, value=value, anchor=anchor, stored_at=now
         )
@@ -113,8 +124,7 @@ class OffChainStore:
         property: involved parties verify provenance of private data.
         """
         value = self.get(key, caller)
-        expected = hash_hex("repro/offchain", {"key": key, "value": value})
-        if expected != anchor:
+        if record_anchor(key, value) != anchor:
             raise AnchorMismatchError(
                 f"off-chain record {key!r} no longer matches its anchor"
             )

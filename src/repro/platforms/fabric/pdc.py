@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import MembershipError
-from repro.offchain.stores import Hosting, OffChainStore
+from repro.offchain.stores import Hosting, OffChainStore, record_anchor
 
 
 @dataclass
@@ -48,9 +48,9 @@ class PrivateDataCollection:
             raise MembershipError(
                 f"{writer!r} is not a member of collection {self.name!r}"
             )
-        anchor = ""
+        anchor = record_anchor(key, value)
         for store in self.stores.values():
-            anchor = store.put(key, value, now=now)
+            store.put_anchored(key, value, anchor, now=now)
         return anchor
 
     def get(self, reader: str, key: str) -> Any:

@@ -32,7 +32,7 @@ from repro.common.errors import (
     PrivacyError,
     ReproError,
 )
-from repro.common.serialization import canonical_json, from_canonical_json
+from repro.common.serialization import canonical_bytes, from_canonical_json
 from repro.execution.contracts import SmartContract, StateView
 from repro.ledger.block import Chain
 from repro.ledger.ordering import OrderingService
@@ -357,15 +357,18 @@ class QuorumNetwork(Platform):
             contract=contract_id,
             participants=len(participants),
         ):
-            payload = {"contract": contract_id, "function": function, "args": args}
+            raw = canonical_bytes(
+                {"contract": contract_id, "function": function, "args": args}
+            )
             # The sender executes first, on the arguments as its peers
-            # will decode them, so a contract that raises encrypts and
-            # sends nothing.  Its writes apply once consensus has ordered
-            # the transaction: no private state moves before that.
+            # will decode them from the same bytes, so a contract that
+            # raises encrypts and sends nothing.  Its writes apply once
+            # consensus has ordered the transaction: no private state
+            # moves before that.
             with self.telemetry.span("quorum.execute"):
                 value, view = self._simulate(
                     sender, contract_id, function,
-                    from_canonical_json(canonical_json(args)),
+                    from_canonical_json(raw.decode("utf-8"))["args"],
                     self.private_states[sender],
                 )
             # The encrypted payload crosses the wire once per reachable
@@ -373,7 +376,7 @@ class QuorumNetwork(Platform):
             # Distribution itself is idempotent.
             with self.telemetry.span("quorum.distribute"):
                 payload_hash, copies = self.managers[sender].distribute(
-                    payload, participants, self.managers,
+                    raw, participants, self.managers,
                     skip=tuple(unavailable),
                 )
                 self.telemetry.metrics.counter(

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 from repro.common.errors import OffChainError, PrivacyError
 from repro.common.rng import DeterministicRNG
-from repro.common.serialization import canonical_bytes, from_canonical_json
+from repro.common.serialization import from_canonical_json
 from repro.crypto.hashing import hkdf, tagged_hash
 from repro.crypto.symmetric import Ciphertext, SymmetricKey
+from repro.network.messages import Exposure
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,13 @@ class StoredPayload:
     ciphertext: Ciphertext
     sender: str
     participants: tuple[str, ...]
+
+    @property
+    def exposure(self) -> Exposure:
+        """The envelope names the sender and the participants in the
+        clear (as a real manager's recipient boxes do); the ciphertext
+        reveals nothing."""
+        return Exposure.of(identities={self.sender, *self.participants})
 
     def wire_size(self) -> int:
         """The ciphertext plus the hash it is filed under."""
@@ -64,12 +72,12 @@ class PrivateTransactionManager:
 
     def distribute(
         self,
-        payload: dict,
+        raw: bytes,
         participants: list[str],
         managers: dict[str, "PrivateTransactionManager"],
         skip: tuple[str, ...] = (),
     ) -> tuple[str, dict[str, StoredPayload]]:
-        """Encrypt *payload* for each participant.
+        """Encrypt the canonically encoded payload *raw* for each participant.
 
         Returns the payload hash that goes into the public transaction,
         and each other participant's copy, by participant, for its
@@ -79,7 +87,6 @@ class PrivateTransactionManager:
         them later.
         """
         copies: dict[str, StoredPayload] = {}
-        raw = canonical_bytes(payload)
         payload_hash = tagged_hash("repro/quorum/payload", raw).hex()
         for participant in participants:
             if participant in skip:

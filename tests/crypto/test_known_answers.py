@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from repro.common.rng import DeterministicRNG
+from repro.common.serialization import canonical_bytes
 from repro.crypto import groups
 from repro.crypto.groups import cached_test_group, small_group
 from repro.crypto.hashing import hash_hex, hkdf
@@ -220,7 +221,7 @@ def test_quorum_payload_hash_and_pair_ciphertext():
         owner: PrivateTransactionManager(owner) for owner in ("alice", "bob")
     }
     payload_hash, copies = managers["alice"].distribute(
-        QUORUM_PAYLOAD, ["alice", "bob"], managers
+        canonical_bytes(QUORUM_PAYLOAD), ["alice", "bob"], managers
     )
     assert payload_hash == QUORUM_PAYLOAD_HASH
     managers["bob"].receive(copies["bob"])

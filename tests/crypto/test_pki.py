@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.clock import SimClock
+import repro.common.serialization as serialization
 from repro.common.errors import CertificateError
 from repro.crypto.pki import (
     Certificate,
@@ -51,19 +54,19 @@ class TestIssuance:
 class TestVerification:
     def test_unsigned_rejected(self, ca, identity):
         __, cert = identity
-        unsigned = Certificate(**{**cert.__dict__, "signature": None})
+        unsigned = replace(cert, signature=None)
         with pytest.raises(CertificateError, match="unsigned"):
             ca.verify(unsigned)
 
     def test_wrong_issuer_rejected(self, ca, identity):
         __, cert = identity
-        forged = Certificate(**{**cert.__dict__, "issuer": "EvilCA"})
+        forged = replace(cert, issuer="EvilCA")
         with pytest.raises(CertificateError, match="issued by"):
             ca.verify(forged)
 
     def test_tampered_subject_rejected(self, ca, identity):
         __, cert = identity
-        forged = Certificate(**{**cert.__dict__, "subject": "mallory"})
+        forged = replace(cert, subject="mallory")
         with pytest.raises(CertificateError, match="signature invalid"):
             ca.verify(forged)
 
@@ -177,13 +180,53 @@ class TestChainCache:
             ca.verify(cert)
 
     def test_tampered_cert_misses_cached_true(self, ca, identity):
-        from dataclasses import replace
+        """A copy made with ``replace`` encodes its own signed bytes, so it
+        cannot alias the genuine certificate's cached verdict."""
+        __, cert = identity
+        ca.verify(cert)  # warm the chain cache
+        for change in (
+            {"subject": "mallory"},
+            {"attributes": {"org": "BankB"}},
+            {"not_after": cert.not_after + 1.0},
+        ):
+            tampered = replace(cert, **change)
+            assert tampered.to_be_signed() != cert.to_be_signed()
+            with pytest.raises(CertificateError, match="signature"):
+                ca.verify(tampered)
+        ca.verify(cert)
 
+    def test_repeat_verification_encodes_nothing(self, ca, identity, monkeypatch):
         __, cert = identity
         ca.verify(cert)
-        tampered = replace(cert, subject="mallory")
-        with pytest.raises(CertificateError):
-            ca.verify(tampered)
+        encodes = []
+        encode = serialization.canonical_json
+
+        def counted(value):
+            encodes.append(value)
+            return encode(value)
+
+        monkeypatch.setattr(serialization, "canonical_json", counted)
+        ca.verify(cert)
+        assert encodes == []
+        assert ca.cache_info()["hits"] == 1
+
+    def test_issue_after_unsigned_bytes_were_read(self, ca, scheme, monkeypatch):
+        """``issue`` reads the unsigned certificate's signed bytes, which
+        caches them on it, and then builds the signed copy from it."""
+        read = []
+        to_be_signed = Certificate.to_be_signed
+
+        def spy(cert):
+            read.append(cert.signature)
+            return to_be_signed(cert)
+
+        monkeypatch.setattr(Certificate, "to_be_signed", spy)
+        key = scheme.keygen_from_seed("late-reader")
+        cert = ca.issue("bob", key.public, attributes={"role": "peer"})
+        assert None in read
+        ca.verify(cert)
+        fresh = replace(cert, attributes=dict(cert.attributes))
+        assert fresh.to_be_signed() == cert.to_be_signed()
 
     def test_reset_cache(self, ca, identity):
         __, cert = identity

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+
 import pytest
 
 import repro.common.serialization as serialization
 import repro.platforms.corda.transactions as corda_transactions
+from repro.driver import Driver, DriverConfig, build_scenario
 from repro.execution.contracts import SmartContract
 from repro.ledger.transaction import Transaction
 from repro.platforms.corda import Command, ContractState, CordaNetwork, StateRef
@@ -81,3 +85,49 @@ def test_fabric_invoke_encodes_each_transaction_content_once(monkeypatch):
     assert net.channel("ch").state_of("Org2").get("k") == 2
     assert len(encodes) == 2
     assert set(encodes.values()) == {1}
+
+
+#: Exact ``canonical_json`` calls made while a seeded scenario is driven
+#: (batches of 10) and delivered, and the transactions it commits.
+#: Fabric encodes each transaction's core bytes and its proposal once,
+#: each private-data write's anchor once, and the header of each block
+#: a later block links to; Corda each transaction's four Merkle leaves
+#: and the one leaf its notary's tear-off check hashes; Quorum each
+#: transaction's core bytes, each private payload once, and the header
+#: of each linked block.  No certificate or flag is encoded per
+#: transaction.
+ENCODES = {
+    ("fabric", "kv"): (125, 60),
+    ("corda", "kv"): (300, 60),
+    ("quorum", "kv"): (119, 60),
+    ("fabric", "loc"): (139, 59),
+    ("corda", "loc"): (295, 59),
+    ("quorum", "loc"): (176, 59),
+}
+SIZES = {"kv": (60, 0.99), "loc": (16, 0.0)}
+
+
+@pytest.mark.parametrize(
+    "platform, workload", sorted(ENCODES), ids="-".join
+)
+def test_encodes_per_committed_transaction(platform, workload):
+    operations, skew = SIZES[workload]
+    scenario = build_scenario(
+        platform, workload, operations, skew=skew, seed="compute-once"
+    )
+    driver = Driver(scenario.platform, DriverConfig(batch_size=10))
+    # Counted by code object, as a profile counts it, so a caller that
+    # bound the function under another name is counted too.
+    profile = cProfile.Profile()
+    profile.enable()
+    report = driver.run(scenario.requests)
+    scenario.platform.network.run()
+    profile.disable()
+    code = serialization.canonical_json.__code__
+    calls = sum(
+        entry[1]
+        for (filename, line, name), entry in pstats.Stats(profile).stats.items()
+        if name == code.co_name and filename == code.co_filename
+    )
+    assert report.failed == 0
+    assert (calls, report.committed) == ENCODES[platform, workload]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.common.serialization import canonical_bytes
 from repro.execution.contracts import SmartContract
 from repro.ledger.transaction import Transaction
+from repro.network.messages import Exposure
 from repro.platforms.corda import (
     Command,
     ComponentGroup,
@@ -294,3 +295,23 @@ class TestSenderCopyCleared:
         assert not net.managers["N1"].has_payload(result.payload_hash)
         assert net.managers["N2"].has_payload(result.payload_hash)
         assert net.private_states["N2"].get("k") == 1
+
+
+class TestPrivatePayloadExposure:
+    """A Quorum ``private-payload`` reveals what its envelope carries in
+    the clear: the sender and the participants, never the contents."""
+
+    def test_names_sender_and_participants(self, monkeypatch):
+        net = quorum_net()
+        sent = record_sends(net.network, monkeypatch)
+        net.send_private_transaction(
+            "N1", "cc", "put", {"key": "k", "value": 1}, private_for=["N2"]
+        )
+        (payload,) = [m for m in sent if m.kind == "private-payload"]
+        assert payload.recipient == "N2"
+        assert payload.exposure == Exposure.of(identities={"N1", "N2"})
+        # The same names already reach every node on the private-tx gossip.
+        gossip = [m for m in sent if m.kind == "private-tx"]
+        assert {m.recipient for m in gossip} == {"N2", "N3"}
+        for message in gossip:
+            assert payload.exposure.identities <= message.exposure.identities

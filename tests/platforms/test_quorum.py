@@ -11,6 +11,7 @@ from repro.common.errors import (
     OffChainError,
     PrivacyError,
 )
+from repro.common.serialization import canonical_bytes
 from repro.crypto import symmetric
 from repro.execution.contracts import SmartContract
 from repro.platforms.quorum import QuorumNetwork, txmanager
@@ -193,16 +194,16 @@ class TestTransactionManager:
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        h1, __ = m1.distribute({"x": 1}, ["a", "b"], managers)
+        h1, __ = m1.distribute(canonical_bytes({"x": 1}), ["a", "b"], managers)
         # Same payload from another sender: same hash (content-addressed).
-        h2, __ = m2.distribute({"x": 1}, ["a", "b"], managers)
+        h2, __ = m2.distribute(canonical_bytes({"x": 1}), ["a", "b"], managers)
         assert h1 == h2
 
     def test_delete_breaks_replay(self):
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        payload_hash, copies = m1.distribute({"x": 1}, ["a", "b"], managers)
+        payload_hash, copies = m1.distribute(canonical_bytes({"x": 1}), ["a", "b"], managers)
         m2.receive(copies["b"])
         m2.delete(payload_hash)
         with pytest.raises(PrivacyError):
@@ -215,7 +216,7 @@ class TestTransactionManager:
     def test_unknown_recipient_rejected(self):
         manager = PrivateTransactionManager("a")
         with pytest.raises(PrivacyError, match="no transaction manager"):
-            manager.distribute({"x": 1}, ["ghost"], {"a": manager})
+            manager.distribute(canonical_bytes({"x": 1}), ["ghost"], {"a": manager})
 
     def test_sender_keeps_only_its_own_copy(self):
         """Pins that a distribution leaves the sender holding nothing for
@@ -225,8 +226,8 @@ class TestTransactionManager:
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        first, lost = m1.distribute({"x": 1}, ["a", "b"], managers)
-        second, copies = m1.distribute({"x": 2}, ["a", "b"], managers)
+        first, lost = m1.distribute(canonical_bytes({"x": 1}), ["a", "b"], managers)
+        second, copies = m1.distribute(canonical_bytes({"x": 2}), ["a", "b"], managers)
         assert set(copies) == set(lost) == {"b"}
         assert m1.payload_hashes() == sorted([first, second])
         fresh = m1.redeliver(first, "b")
@@ -246,7 +247,7 @@ class TestTransactionManager:
         monkeypatch.setattr(symmetric, "hkdf", counting_hkdf)
         managers = {owner: PrivateTransactionManager(owner) for owner in "abc"}
         hashes = [
-            managers["a"].distribute({"x": i}, ["a", "b", "c"], managers)[0]
+            managers["a"].distribute(canonical_bytes({"x": i}), ["a", "b", "c"], managers)[0]
             for i in range(10)
         ]
         assert managers["a"].resolve(hashes[-1]) == {"x": 9}
@@ -259,7 +260,7 @@ class TestTransactionManager:
         m1 = PrivateTransactionManager("a")
         m2 = PrivateTransactionManager("b")
         managers = {"a": m1, "b": m2}
-        payload_hash, copies = m1.distribute({"secret": "v"}, ["a", "b"], managers)
+        payload_hash, copies = m1.distribute(canonical_bytes({"secret": "v"}), ["a", "b"], managers)
         assert not m2.has_payload(payload_hash)  # in flight until received
         m2.receive(copies["b"])
         stored = m2._payloads[payload_hash]
