@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
-# the one-source-for-exposure gate, the self-sufficient messages gate,
+# the one-source-for-exposure gate, the self-sufficient messages gate, the
+# one-replica-account gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
 # design), the telemetry, convergence and pipeline (incl. one scenario compiler, one Fabric block
 # per cut, tests/platforms/test_fabric_blocks.py, and encode once: exact canonical encodings per
@@ -65,6 +66,21 @@ if [ -n "$sender_reads" ]; then
     exit 1
 fi
 echo "handlers read only their message and their own replica: ok"
+
+echo
+echo "== one-replica-account gate (.applied[, _applied_upto[ and has_payload( only inside the owning node's delivery handlers, its checkpoint hooks, its catch-up request builder, its sender checks, the has_payload definition, recovery/convergence.py and the leak checks of recovery/scenario.py: a node reads only its own replica, in recovery too) =="
+replica_owners='^src/repro/(platforms/fabric/network\.py:(_on_block|_checkpoint_data|_restore_checkpoint|_catchup_request)|platforms/fabric/channel\.py:commit|platforms/quorum/network\.py:(_on_chain_tx|_checkpoint_data|_restore_checkpoint|_catchup_request|_check_sender|_order)|platforms/quorum/txmanager\.py:has_payload|recovery/convergence\.py:[^:]*|recovery/scenario\.py:_quorum_side):'
+replica_reads=$(find src/repro -name '*.py' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { fn = "" }
+    /^ *def / { fn = $2; sub(/\(.*/, "", fn) }
+    /\.applied\[|_applied_upto\[|has_payload\(/ { print FILENAME ":" fn ":" FNR ": " $0 }
+' | grep -Ev "$replica_owners" || true)
+if [ -n "$replica_reads" ]; then
+    echo "a replica read outside the function of the node that owns it:"
+    echo "$replica_reads"
+    exit 1
+fi
+echo "one replica account: ok"
 
 echo
 echo "== crypto known-answer gate (pinned-group vector: small_group() derives the pinned p/q/g/h + cached_test_group() loads with no prime search and refuses a flipped bit + golden signature/HKDF/symmetric-cipher/Quorum-payload vectors + per-key comb tables equal pow + identity-key and associated-data forgeries rejected) =="

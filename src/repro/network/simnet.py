@@ -212,6 +212,11 @@ class Node:
         """Observe *message*, then run its kind's handlers; returns
         whether any ran."""
         self.observer.observe(message)
+        return self.handle(message)
+
+    def handle(self, message: Message) -> bool:
+        """Run *message*'s kind's handlers without observing it (an item
+        of an answer the node already observed); returns whether any ran."""
         handlers = self._handlers.get(message.kind, ())
         for handler in handlers:
             handler(message)
@@ -699,8 +704,7 @@ class SimNetwork:
         if message.dedup_key is not None:
             if message.dedup_key in node.seen_dedup_keys:
                 # Acked above (the wire did deliver it) but applied zero
-                # times past the first copy: retransmissions and replayed
-                # catch-up items are idempotent.
+                # times past the first copy: retransmissions are idempotent.
                 self._count("net.deduplicated")
                 self.telemetry.events.emit(
                     "net.dedup",

@@ -33,6 +33,7 @@ from repro.crypto.signatures import PrivateKey, SignatureScheme
 from repro.core.mechanisms import Mechanism
 from repro.network.messages import Message
 from repro.network.simnet import SimNetwork
+from repro.recovery.catchup import ask, live_providers
 from repro.telemetry import Telemetry
 
 
@@ -172,8 +173,9 @@ class Platform:
     through its native flow), ``_state_snapshot`` (the committed-state
     picture :meth:`state_fingerprint` hashes), and for recovery
     ``_checkpoint_data``, ``_restore_checkpoint`` (to a checkpoint, or to
-    empty on a crash) and ``_catch_up`` (visibility-filtered re-sync with
-    :func:`repro.recovery.catchup.ship`; returns how far behind it was).
+    empty on a crash), ``_catchup_request`` (what a lagging node asks
+    for, from its own state) and ``_catchup_answer`` (what a peer
+    serves it, from its own account).
     """
 
     platform_name = "abstract"
@@ -218,7 +220,9 @@ class Platform:
         key = self.scheme.keygen_from_seed(f"{self.platform_name}/{name}")
         certificate = self.ca.issue(name, key.public, attributes=attributes)
         self.membership.enroll(certificate)
-        self.network.add_node(name)
+        node = self.network.add_node(name)
+        node.on("catchup-request", self._on_catchup_request)
+        node.on("catchup", self._on_catchup)
         party = Party(name=name, key=key, certificate=certificate)
         self.parties[name] = party
         return party
@@ -348,9 +352,9 @@ class Platform:
     # -- crash recovery
     #
     # The template methods below are platform-independent; subclasses
-    # implement the three hooks to define what is durable, what a crash
-    # loses, and — critically — what a lagging node is *entitled* to be
-    # re-sent during catch-up (its channels, its party chains, its
+    # implement the hooks that define what is durable, what a crash
+    # loses, what a lagging node asks for and — critically — what a peer
+    # is *entitled* to serve it (its channels, its party chains, its
     # private payloads; never anyone else's).
 
     def checkpoint_node(self, name: str):
@@ -395,12 +399,13 @@ class Platform:
         """Bring *name* level with its peers: the one catch-up path.
 
         A node that was down restarts from its latest checkpoint; any
-        node, down or live, then catches up.  Catch-up is
-        visibility-filtered by the platform hook: live peers re-send only
-        what *name* is entitled to see, and a node already level is
-        shipped nothing.  A node still inside a fault-plan crash window
-        is left untouched.  Returns the latest checkpoint (``None`` if
-        the node never checkpointed).
+        node, down or live, then catches up: acting as the node, it asks
+        each live peer of a scope in rank order with one
+        ``catchup-request`` built from its own state, until it lacks
+        nothing there.  Each peer answers only what *name* is entitled
+        to see, and a node already level asks nothing.  A node still
+        inside a fault-plan crash window is left untouched.  Returns the
+        latest checkpoint (``None`` if the node never checkpointed).
         """
         self.party(name)
         restarted = self.network.recover_node(name)
@@ -408,20 +413,23 @@ class Platform:
         if not restarted and self.network.is_crashed(name):
             return checkpoint
         metrics = self.telemetry.metrics
-        shipped = metrics.counter("recovery.catchup.shipped")
         with self.telemetry.span(
             "recovery.catchup", node=name, platform=self.platform_name
         ) as span:
             if restarted:
                 self._restore_checkpoint(name, checkpoint)
-            before = shipped.value
-            blocks_behind = self._catch_up(name, checkpoint)
+            pairs: list[tuple] = []
+            for scope, peers in self._catchup_scopes(name):
+                for provider in live_providers(self.network, peers, name):
+                    request = self._catchup_request(name, scope)
+                    if request is None:
+                        break
+                    pairs.extend(ask(self.network, name, provider, request))
+            self._caught_up(name, pairs)
             # Items apply in the recipient's delivery handlers, so the
-            # items received are exactly the acknowledged shipments.
-            items = int(shipped.value - before)
-            metrics.counter("recovery.catchup.items").inc(items)
-            self.telemetry.tracer.set_attribute(span, "blocks_behind", blocks_behind)
-            self.telemetry.tracer.set_attribute(span, "items", items)
+            # items received are exactly those of the answers that arrived.
+            metrics.counter("recovery.catchup.items").inc(len(pairs))
+            self.telemetry.tracer.set_attribute(span, "items", len(pairs))
         if restarted:
             metrics.counter("recovery.recoveries").inc()
             self.telemetry.events.emit(
@@ -431,3 +439,31 @@ class Platform:
                 from_sequence=None if checkpoint is None else checkpoint.sequence,
             )
         return checkpoint
+
+    def _catchup_scopes(self, name: str) -> list[tuple[object, object]]:
+        """What *name* catches up on: ``(scope, peers that may serve it)``
+        pairs.  By default one scope, served by every other party."""
+        return [(None, self.parties)]
+
+    def _caught_up(self, name: str, pairs: list[tuple]) -> None:
+        """Subclass hook: *name* has applied every pair that arrived."""
+
+    def _on_catchup_request(self, message) -> None:
+        """Delivery handler for ``catchup-request``, on a provider: it
+        answers from its own account with one ``catchup`` reply, kept to
+        send again if the request is."""
+        self.network.reply(
+            message,
+            "catchup",
+            self._catchup_answer(message.recipient, message.sender, message.payload),
+        )
+
+    def _on_catchup(self, message) -> None:
+        """Delivery handler for ``catchup``, on the requester: each
+        ``(kind, payload)`` pair goes to the node's own handler for that
+        kind, as if it had arrived live (the answer itself was observed
+        once), then the answer is kept for the call."""
+        node = self.network.node(message.recipient)
+        for kind, payload in message.payload:
+            node.handle(message._replace(kind=kind, payload=payload))
+        self.network.record_reply(message)

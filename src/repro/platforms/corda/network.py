@@ -54,7 +54,6 @@ from repro.platforms.corda.transactions import (
     WireTransaction,
 )
 from repro.platforms.corda.vault import Vault
-from repro.recovery.catchup import catchup_dedup_key, live_providers, ship
 
 NOTARY_NODE = "corda-notary"
 
@@ -408,8 +407,8 @@ class CordaNetwork(Platform):
         self.vaults[message.recipient].record(message.payload)
 
     def _on_backchain_tx(self, message) -> None:
-        """``backchain-tx``, in transaction resolution or catch-up: store
-        the shipped history."""
+        """``backchain-tx``, in transaction resolution or a peer's catch-up
+        answer: store the shipped history."""
         stx = message.payload
         self.vaults[message.recipient].transactions.setdefault(stx.wire.tx_id, stx)
 
@@ -450,11 +449,11 @@ class CordaNetwork(Platform):
     #
     # Durable per node: checkpoints only — the vault IS the node's store,
     # and it is volatile here (the crash wipes it).  Catch-up therefore
-    # re-ships transaction chains, and the visibility rule is Corda's own:
-    # a peer serves a lagging node exactly the transactions that node
-    # was a party to (output participant or command signer), never the
-    # rest of its vault.  The unconsumed-state view is then rebuilt as a
-    # pure function of the recovered transaction store.
+    # asks every live peer for transaction chains, and the visibility
+    # rule is Corda's own: a peer serves a lagging node exactly the
+    # transactions that node was a party to (output participant or
+    # command signer), never the rest of its vault.  The unconsumed-state
+    # view is then rebuilt as a pure function of the recovered store.
     # ------------------------------------------------------------------
 
     def _entitled_parties(self, stx: SignedTransaction) -> set[str]:
@@ -476,31 +475,24 @@ class CordaNetwork(Platform):
         # catch-up); the store is repopulated by entitled re-shipping.
         self.vaults[name] = Vault(owner=name)
 
-    def _catch_up(self, name: str, checkpoint) -> int:
-        vault = self.vaults[name]
-        already_held = set(vault.transactions)
-        if checkpoint is not None:
-            already_held.update(checkpoint.snapshots.get("tx_ids", []))
-        for provider in live_providers(self.network, self.parties, name):
-            provider_vault = self.vaults[provider]
-            for tx_id in sorted(provider_vault.transactions):
-                if vault.knows_transaction(tx_id):
-                    continue
-                stx = provider_vault.transactions[tx_id]
-                if name not in self._entitled_parties(stx):
-                    # The privacy filter: a peer never re-serves a
-                    # transaction the lagging node was not party to.
-                    continue
-                ship(
-                    self.network,
-                    provider,
-                    name,
-                    "backchain-tx",
-                    stx,
-                    dedup_key=catchup_dedup_key("corda", "vault", name, tx_id),
-                )
-        vault.rebuild_unconsumed()
-        # "Behind" for Corda is transaction-granular: how many entitled
-        # transactions were re-shipped beyond the checkpointed and
-        # already-held store.
-        return len([t for t in vault.transactions if t not in already_held])
+    def _catchup_request(self, name: str, scope: None) -> tuple[str, ...]:
+        """The ids of the transactions *name*'s vault holds: it cannot know
+        what it lacks, so it asks every live peer."""
+        return tuple(sorted(self.vaults[name].transactions))
+
+    def _catchup_answer(self, provider: str, requester: str, held) -> tuple:
+        """Each transaction of *provider*'s vault the requester does not
+        hold and was a party to."""
+        held = set(held)
+        transactions = self.vaults[provider].transactions
+        return tuple(
+            ("backchain-tx", transactions[tx_id])
+            for tx_id in sorted(transactions)
+            if tx_id not in held
+            # The privacy filter: a peer never re-serves a transaction
+            # the lagging node was not party to.
+            and requester in self._entitled_parties(transactions[tx_id])
+        )
+
+    def _caught_up(self, name: str, pairs: list[tuple]) -> None:
+        self.vaults[name].rebuild_unconsumed()

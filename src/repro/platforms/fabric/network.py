@@ -58,7 +58,6 @@ from repro.platforms.base import (
     rejection_receipt,
 )
 from repro.platforms.fabric.channel import BlockEntry, Channel, ValidationCode
-from repro.recovery.catchup import catchup_dedup_key, pick_provider, ship
 
 ORDERER_NODE = "fabric-orderer"
 ANONYMOUS_CLIENT = "anonymous-client"
@@ -131,8 +130,10 @@ class ProposalResponse(NamedTuple):
 
     @property
     def exposure(self) -> Exposure:
-        """A response names its endorser."""
-        return self.endorsement.exposure
+        """A response carries the executed transaction back to the client,
+        so it reveals what the transaction does (its participants name
+        every endorser)."""
+        return self.tx.exposure
 
 
 @dataclass
@@ -576,7 +577,7 @@ class FabricNetwork(Platform):
 
     def _on_block(self, message) -> None:
         """Delivery handler for ``block``, from the orderer (one cut's
-        entries, in commit order) or re-sent by a peer in catch-up (one
+        entries, in commit order) or in a peer's catch-up answer (one
         entry): the member validates each entry against its own replica and
         commits it, in commit order only.  Entries it already applied are
         skipped; an entry past a gap (an earlier block lost in flight) and
@@ -756,11 +757,12 @@ class FabricNetwork(Platform):
     # Durable per peer: the chain (append-only, shared), PDC stores
     # (off-chain storage services), and checkpoints.  Volatile: the
     # world-state replica and the network node's dedup memory.
-    # Catch-up re-sends a channel's ordered transactions, each as a
-    # one-entry ``block``, and nothing else — Fabric's visibility rule: a
-    # lagging member receives its channels' transactions, whose PDC
-    # values are on chain as anchors only (``tx.private_hashes``), never
-    # another channel's traffic.
+    # A lagging member asks, per channel, from the height its own replica
+    # has applied; a co-member answers with the channel's ordered
+    # transactions from there, each as a one-entry ``block``, and nothing
+    # else — Fabric's visibility rule: a member receives its channels'
+    # transactions, whose PDC values are on chain as anchors only
+    # (``tx.private_hashes``), never another channel's traffic.
     # ------------------------------------------------------------------
 
     def _member_channels(self, name: str) -> list[Channel]:
@@ -791,29 +793,25 @@ class FabricNetwork(Platform):
                 channel.states[name] = WorldState()
                 channel.applied[name] = 0
 
-    def _catch_up(self, name: str, checkpoint) -> int:
-        blocks_behind = 0
-        for channel in self._member_channels(name):
-            provider = pick_provider(self.network, channel.members, name)
-            if provider is None:
-                continue  # no live peer on this channel; stays behind
-            unapplied = [
-                (block.height, tx)
-                for block in channel.chain.blocks()
-                for tx in block.transactions
-            ][channel.applied[name]:]
-            blocks_behind += len({height for height, __ in unapplied})
-            for __, tx in unapplied:
-                delivered = ship(
-                    self.network,
-                    provider,
-                    name,
-                    "block",
-                    (channel.outcomes[tx.tx_id],),
-                    dedup_key=catchup_dedup_key(
-                        "fabric", channel.name, name, tx.tx_id
-                    ),
-                )
-                if not delivered:
-                    break  # the rest would land past the gap
-        return blocks_behind
+    def _catchup_scopes(self, name: str) -> list[tuple[str, frozenset[str]]]:
+        return [
+            (channel.name, channel.members)
+            for channel in self._member_channels(name)
+        ]
+
+    def _catchup_request(self, name: str, channel_name: str):
+        """``(channel, the height *name*'s replica applied)``, or ``None``
+        once it applied every ordered transaction."""
+        channel = self.channels[channel_name]
+        height = channel.applied[name]
+        return None if height == len(channel.outcomes) else (channel_name, height)
+
+    def _catchup_answer(self, provider: str, requester: str, request) -> tuple:
+        channel_name, height = request
+        channel = self.channels[channel_name]
+        if requester not in channel.members:
+            return ()
+        return tuple(
+            ("block", (entry,))
+            for entry in islice(channel.outcomes.values(), height, None)
+        )

@@ -28,6 +28,7 @@ from repro.common.errors import (
     DeliveryError,
     DoubleSpendError,
     MembershipError,
+    OffChainError,
     PlatformError,
     PrivacyError,
     ReproError,
@@ -47,7 +48,6 @@ from repro.platforms.base import (
     TxRequest,
 )
 from repro.platforms.quorum.txmanager import PrivateTransactionManager
-from repro.recovery.catchup import catchup_dedup_key, live_providers, pick_provider, ship
 
 SEQUENCER_NODE = "quorum-consensus"
 
@@ -89,7 +89,7 @@ class QuorumNetwork(Platform):
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
         # The height up to which each node has applied every
-        # transaction, in chain order: what catch-up replays above.
+        # transaction, in chain order: what it asks to catch up from.
         self._applied_upto: dict[str, int] = {}
         self.sequencer = OrderingService(
             SEQUENCER_NODE,
@@ -243,7 +243,7 @@ class QuorumNetwork(Platform):
 
     def _on_chain_tx(self, message) -> None:
         """Delivery handler for ``public-tx`` and ``private-tx``, gossiped
-        live or re-sent in catch-up: the recipient applies one ordered
+        live or in a peer's catch-up answer: the recipient applies one ordered
         transaction, in chain order only.
 
         A public transaction's write set applies to public state.  A
@@ -271,8 +271,8 @@ class QuorumNetwork(Platform):
         self._applied_upto[node] = height
 
     def _on_payload(self, message) -> None:
-        """Delivery handler for ``private-payload``, sent live or
-        re-fetched in catch-up: the recipient's manager stores the copy
+        """Delivery handler for ``private-payload``, sent live or in a
+        peer's catch-up answer: the recipient's manager stores the copy
         encrypted for it."""
         self.managers[message.recipient].receive(message.payload)
 
@@ -481,28 +481,6 @@ class QuorumNetwork(Platform):
     # list (enforced in ``PrivateTransactionManager.redeliver``).
     # ------------------------------------------------------------------
 
-    def _ensure_payload(
-        self, name: str, payload_hash: str, participants: tuple[str, ...] | list[str]
-    ) -> bool:
-        """Get *payload_hash* into *name*'s manager from a live holder."""
-        if self.managers[name].has_payload(payload_hash):
-            return True
-        for holder in live_providers(self.network, participants, name):
-            if not self.managers[holder].has_payload(payload_hash):
-                continue
-            delivered = ship(
-                self.network,
-                holder,
-                name,
-                "private-payload",
-                self.managers[holder].redeliver(payload_hash, name),
-                dedup_key=catchup_dedup_key("quorum", "payload", name, payload_hash),
-            )
-            if delivered:
-                self.telemetry.metrics.counter("recovery.redelivered").inc()
-            return delivered
-        return False
-
     def _checkpoint_data(self, name: str) -> dict:
         return {
             "heights": {"public": self._applied_upto[name]},
@@ -526,37 +504,51 @@ class QuorumNetwork(Platform):
             0 if checkpoint is None else checkpoint.height_of("public")
         )
 
-    def _catch_up(self, name: str, checkpoint) -> int:
-        provider = pick_provider(self.network, self.parties, name)
-        if provider is None:
-            return 0
-        # Walk the public chain.  Every payload this node is entitled to
-        # is re-fetched from a live holder (the ciphertexts are volatile,
-        # the entitlement on the chain is not), and every transaction
-        # above the node's watermark is re-sent as the gossip message it
-        # was ordered with, in order, up to the first that cannot apply.
-        since = self._applied_upto[name]
-        replaying = True
+    def _catchup_request(self, name: str, scope: None):
+        """``(the height *name* applied, the payloads its own manager
+        lacks of the private transactions naming it on the chain)``, or
+        ``None`` once it is level and lacks none."""
+        manager = self.managers[name]
+        lacking = tuple(
+            tx.private_hashes["payload"]
+            for tx in self.chain.transactions()
+            if tx.metadata["kind"] == "private"
+            and name in tx.metadata["participants"]
+            and not manager.has_payload(tx.private_hashes["payload"])
+        )
+        height = self._applied_upto[name]
+        if not lacking and height == self.chain.height:
+            return None
+        return height, lacking
+
+    def _catchup_answer(self, provider: str, requester: str, request) -> tuple:
+        """The asked payloads *provider* holds (its manager re-checks the
+        entitlement), then the chain above the requester's height as the
+        gossip each transaction was ordered with, up to the first whose
+        payload the requester lacks and this provider cannot serve."""
+        height, lacking = request
+        pairs = []
+        unserved = set()
+        for payload_hash in lacking:
+            try:
+                stored = self.managers[provider].redeliver(payload_hash, requester)
+            except (OffChainError, PrivacyError):
+                unserved.add(payload_hash)
+            else:
+                pairs.append(("private-payload", stored))
         for block in self.chain.blocks():
+            if block.height <= height:
+                continue
             for tx in block.transactions:
-                participants = tuple(tx.metadata.get("participants", ()))
-                held = True
-                if tx.metadata.get("kind") == "private" and name in participants:
-                    held = self._ensure_payload(
-                        name, tx.private_hashes["payload"], participants
-                    )
-                if replaying and block.height > since:
-                    replaying = held and ship(
-                        self.network,
-                        provider,
-                        name,
-                        _gossip_kind(tx),
-                        (block.height, tx),
-                        dedup_key=catchup_dedup_key(
-                            "quorum", "public", name, block.height
-                        ),
-                    )
-        return self.chain.height - since
+                if tx.private_hashes.get("payload") in unserved:
+                    return tuple(pairs)
+                pairs.append((_gossip_kind(tx), (block.height, tx)))
+        return tuple(pairs)
+
+    def _caught_up(self, name: str, pairs: list[tuple]) -> None:
+        redelivered = sum(kind == "private-payload" for kind, __ in pairs)
+        if redelivered:
+            self.telemetry.metrics.counter("recovery.redelivered").inc(redelivered)
 
     # -- the documented double-spend flaw
 

@@ -8,8 +8,8 @@ payloads — and nothing more.  This package provides the pieces:
 
 - :mod:`repro.recovery.checkpoint` — durable per-node checkpoints
   (write-ahead snapshots serialized through the canonical format),
-- :mod:`repro.recovery.catchup` — the resilient, idempotent catch-up
-  transport over :class:`~repro.network.simnet.SimNetwork`,
+- :mod:`repro.recovery.catchup` — the requester's side of one catch-up
+  request/answer exchange over :class:`~repro.network.simnet.SimNetwork`,
 - :mod:`repro.recovery.convergence` — the reconciliation/watchdog pass
   (``audit_convergence()``) comparing every honest node's visible-state
   hash against its peer group,

@@ -315,3 +315,26 @@ class TestPrivatePayloadExposure:
         assert {m.recipient for m in gossip} == {"N2", "N3"}
         for message in gossip:
             assert payload.exposure.identities <= message.exposure.identities
+
+
+class TestProposalResponseExposure:
+    """An ``endorsement`` reply carries the executed transaction back to
+    the client, so the client learns what the transaction reveals."""
+
+    def test_client_that_did_not_endorse_learns_the_read_and_write_keys(self):
+        net = fabric_net()
+        net.deploy_chaincode("ch", SmartContract(
+            contract_id="copy", version=1, language="python-chaincode",
+            functions={"copy": lambda view, args: view.put(
+                args["to"], view.get(args["from"])
+            )},
+        ), ["Org1", "Org2"])
+        client = net.network.node("anonymous-client").observer
+        assert not {"src", "dst"} & client.seen_data_keys
+        proposed = net.propose(
+            "ch", "Org3", "copy", "copy", {"from": "src", "to": "dst"},
+            endorsers=["Org1", "Org2"], anonymous=True,
+        )
+        assert {entry.key for entry in proposed.tx.reads} == {"src"}
+        assert {"src", "dst"} <= client.seen_data_keys
+        assert {"Org1", "Org2"} <= client.seen_identities

@@ -1,11 +1,11 @@
-"""Idempotent redelivery: dedup keys on the wire, catch-up key helpers."""
+"""Idempotent redelivery: dedup keys on the wire, catch-up provider ranking."""
 
 from __future__ import annotations
 
 from repro.common.rng import DeterministicRNG
 from repro.faults.plan import FaultPlan
 from repro.network.simnet import SimNetwork
-from repro.recovery.catchup import catchup_dedup_key, pick_provider
+from repro.recovery.catchup import live_providers
 
 import pytest
 
@@ -78,30 +78,16 @@ class TestMessageDedup:
         assert len(items) == 2
 
 
-class TestCatchupKeys:
-    def test_key_is_stable_across_attempts(self):
-        first = catchup_dedup_key("fabric", "loc-channel", "SellerCo", "tx-9")
-        again = catchup_dedup_key("fabric", "loc-channel", "SellerCo", "tx-9")
-        assert first == again
-
-    def test_key_varies_by_every_component(self):
-        base = catchup_dedup_key("fabric", "ch", "A", "t1")
-        assert catchup_dedup_key("corda", "ch", "A", "t1") != base
-        assert catchup_dedup_key("fabric", "ch2", "A", "t1") != base
-        assert catchup_dedup_key("fabric", "ch", "B", "t1") != base
-        assert catchup_dedup_key("fabric", "ch", "A", "t2") != base
-
-
 class TestProviderSelection:
     def test_prefers_first_live_reachable_peer(self, net):
-        assert pick_provider(net, ["C", "B"], "A") == "B"
+        assert live_providers(net, ["C", "B"], "A") == ["B", "C"]
 
     def test_skips_the_recovering_node_itself(self, net):
-        assert pick_provider(net, ["A", "B"], "A") == "B"
+        assert live_providers(net, ["A", "B"], "A") == ["B"]
 
     def test_skips_crashed_and_partitioned_peers(self, net):
         net.crash_node("B")
         net.partition("C", "A")
-        assert pick_provider(net, ["B", "C"], "A") is None
+        assert live_providers(net, ["B", "C"], "A") == []
         net.heal("C", "A")
-        assert pick_provider(net, ["B", "C"], "A") == "C"
+        assert live_providers(net, ["B", "C"], "A") == ["C"]
