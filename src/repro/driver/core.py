@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.platforms.base import Platform, TxReceipt, TxRequest
 
-#: Histogram bounds for per-transaction simulated latency (seconds).
-LATENCY_BOUNDS = (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
-#: Histogram bounds for in-flight batch sizes.
-BATCH_BOUNDS = (1, 2, 5, 10, 25, 50, 100, 250)
+#: Histogram bounds: per-transaction simulated latency (seconds), in-flight batch sizes.
+BOUNDS = {"driver.latency": (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
+          "driver.batch_size": (1, 2, 5, 10, 25, 50, 100, 250)}
 
 
 @dataclass(frozen=True)
@@ -164,6 +163,8 @@ class Driver:
         """
         requests = list(requests)
         metrics = self.platform.telemetry.metrics
+        # Bound on first use: a run that observes nothing adds no series.
+        histograms = metrics.bind(lambda m, name: m.histogram(name, bounds=BOUNDS[name]))
         started_at = self.platform.clock.now
         receipts: list[TxReceipt] = []
         with self.platform.telemetry.span(
@@ -174,17 +175,13 @@ class Driver:
         ):
             for start in range(0, len(requests), self.config.batch_size):
                 chunk = requests[start : start + self.config.batch_size]
-                metrics.histogram(
-                    "driver.batch_size", bounds=BATCH_BOUNDS
-                ).observe(len(chunk))
+                histograms["driver.batch_size"].observe(len(chunk))
                 batch_receipts = self.platform.submit_many(
                     chunk, force_cut=self.config.force_cut
                 )
                 for receipt in batch_receipts:
                     if receipt.latency is not None:
-                        metrics.histogram(
-                            "driver.latency", bounds=LATENCY_BOUNDS
-                        ).observe(receipt.latency)
+                        histograms["driver.latency"].observe(receipt.latency)
                 receipts.extend(batch_receipts)
         finished_at = self.platform.clock.now
         report = DriverReport(

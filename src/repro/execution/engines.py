@@ -77,9 +77,12 @@ class ExecutionEngine:
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self.telemetry = telemetry or Telemetry()
+        self._invocations = self.telemetry.metrics.bind(
+            lambda m, engine: m.counter("exec.invocations", engine=engine)
+        )
 
     def _count_invocation(self) -> None:
-        self.telemetry.metrics.counter("exec.invocations", engine=self.name).inc()
+        self._invocations[self.name].inc()
 
     def properties(self) -> EngineProperties:
         raise NotImplementedError

@@ -261,6 +261,17 @@ class OrderingService(OrderingPrincipal):
         self.profile = profile or OrdererProfile()
         self.durable = durable
         self.telemetry = telemetry or Telemetry(clock=clock)
+        # Per-channel series, bound on first use (no zero-valued series).
+        metrics = self.telemetry.metrics
+        self._submit_metrics = metrics.bind(lambda m, channel: (
+            m.counter("ordering.submitted"), m.gauge("ordering.pending", channel=channel)
+        ))
+        self._cut_metrics = metrics.bind(lambda m, channel: (
+            m.counter("ordering.batches_cut"), m.counter("ordering.txs_ordered"),
+            m.gauge("ordering.pending", channel=channel),
+            m.histogram("ordering.batch_size", bounds=(1, 2, 5, 10, 25, 50, 100, 250)),
+            m.histogram("ordering.batch_latency"),
+        ))
         self._pending: dict[str, list[tuple[Transaction, float]]] = {}
         self._sequence = 0
         self._busy_until = 0.0
@@ -286,10 +297,13 @@ class OrderingService(OrderingPrincipal):
     def submit(self, tx: Transaction) -> None:
         """Accept a transaction for ordering on its channel."""
         self.require_available()
-        arrival = self.clock.now
-        self._pending.setdefault(tx.channel, []).append((tx, arrival))
-        self.telemetry.metrics.counter("ordering.submitted").inc()
-        self.telemetry.metrics.gauge("ordering.pending", channel=tx.channel).inc()
+        self._enqueue(tx)
+
+    def _enqueue(self, tx: Transaction) -> None:
+        self._pending.setdefault(tx.channel, []).append((tx, self.clock.now))
+        submitted, pending = self._submit_metrics[tx.channel]
+        submitted.inc()
+        pending.inc()
 
     def pending_count(self, channel: str) -> int:
         return len(self._pending.get(channel, []))
@@ -308,7 +322,9 @@ class OrderingService(OrderingPrincipal):
         immediately regardless (an explicit operator flush, used by the
         platform simulations' synchronous submit paths).
         """
-        leader = self.require_available()
+        return self._cut_batch(self.require_available(), channel, force)
+
+    def _cut_batch(self, leader: str, channel: str, force: bool) -> OrderedBatch:
         queue = self._pending.get(channel, [])
         if not queue:
             raise OrderingError(f"no pending transactions on channel {channel!r}")
@@ -329,16 +345,12 @@ class OrderingService(OrderingPrincipal):
         self._sequence += 1
         self.total_ordered += len(transactions)
         self._replicate(leader, [LogEntry(tx.tx_id, tx) for tx in transactions])
-        metrics = self.telemetry.metrics
-        metrics.counter("ordering.batches_cut").inc()
-        metrics.counter("ordering.txs_ordered").inc(len(transactions))
-        metrics.gauge("ordering.pending", channel=channel).dec(len(transactions))
-        metrics.histogram(
-            "ordering.batch_size", bounds=(1, 2, 5, 10, 25, 50, 100, 250)
-        ).observe(len(transactions))
-        metrics.histogram("ordering.batch_latency").observe(
-            released_at - latest_arrival
-        )
+        cut, ordered, pending, sizes, latencies = self._cut_metrics[channel]
+        cut.inc()
+        ordered.inc(len(transactions))
+        pending.dec(len(transactions))
+        sizes.observe(len(transactions))
+        latencies.observe(released_at - latest_arrival)
         # The batch's lifetime as a span: cut decision now, release at the
         # modelled service-time end.  Parentage follows the caller's
         # active span (e.g. ``fabric.order``), so orderer batches appear
@@ -361,8 +373,17 @@ class OrderingService(OrderingPrincipal):
 
     def drain_channel(self, channel: str, force: bool = False) -> list[OrderedBatch]:
         """Cut batches until the channel queue is empty."""
+        return self.order(channel, [], force) if self.pending_count(channel) else []
+
+    def order(
+        self, channel: str, transactions: list[Transaction], force: bool = False
+    ) -> list[OrderedBatch]:
+        """Accept *transactions* (all of *channel*), then cut batches until
+        its queue is empty, with one availability check before any."""
+        leader = self.require_available()
+        for tx in transactions:
+            self._enqueue(tx)
         batches = []
         while self.pending_count(channel):
-            batches.append(self.cut_batch(channel, force=force))
+            batches.append(self._cut_batch(leader, channel, force))
         return batches
-

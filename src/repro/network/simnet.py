@@ -46,9 +46,9 @@ from repro.common.errors import DeliveryError, DeliveryTimeout
 from repro.common.rng import DeterministicRNG
 from repro.common.serialization import canonical_bytes
 from repro.faults.plan import FaultPlan
-from repro.network.messages import Exposure, Message, Refusal, payload_exposure
+from repro.network.messages import NO_EXPOSURE, Exposure, Message, Refusal, payload_exposure
 from repro.telemetry import Telemetry
-from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import TraceContext
 
 
@@ -98,7 +98,8 @@ class NetworkStats:
     The numbers live on the owning network's telemetry
     :class:`~repro.telemetry.metrics.MetricsRegistry`; this class is a
     read-only view kept for API compatibility (``net.stats.retries``
-    etc.), scoped to one :class:`SimNetwork` instance.
+    etc.), scoped to one :class:`SimNetwork` instance.  Reading a field
+    creates no series: an absent counter reads 0.
     """
 
     FIELDS = {
@@ -122,7 +123,7 @@ class NetworkStats:
             metric = self.FIELDS[name]
         except KeyError:
             raise AttributeError(name) from None
-        return int(self._metrics.counter(metric).value)
+        return int(self._metrics.counter_value(metric))
 
     def as_dict(self) -> dict[str, int]:
         return {field_name: getattr(self, field_name) for field_name in self.FIELDS}
@@ -165,11 +166,18 @@ class Observer:
         self.observe_exposure(message.exposure)
 
     def observe_exposure(self, exposure: Exposure) -> None:
-        """Record knowledge gained from one observed event."""
+        """Record knowledge gained from one observed event.  Most events
+        expose nothing, or nothing of a kind, and union nothing."""
         self.messages_observed += 1
-        self.seen_identities |= exposure.identities
-        self.seen_data_keys |= exposure.data_keys
-        self.seen_code_ids |= exposure.code_ids
+        if exposure is NO_EXPOSURE:
+            return
+        identities, data_keys, code_ids = exposure
+        if identities:
+            self.seen_identities |= identities
+        if data_keys:
+            self.seen_data_keys |= data_keys
+        if code_ids:
+            self.seen_code_ids |= code_ids
 
     def knowledge(self) -> dict:
         """Snapshot of accumulated knowledge (for audit reports)."""
@@ -286,15 +294,16 @@ class SimNetwork:
         # What handlers decided, by the id of the request they handled,
         # until the call that sent the request takes it.
         self._outcomes: dict[int, Any] = {}
-        # Hot-path metrics, bound on first use so that a network that
-        # never sent adds no zero-valued series: ``net.messages_sent``
-        # with each kind's ``net.sent_by_kind`` counter, and the
-        # delivered / unhandled / bytes counters with the latency
-        # histogram.
-        self._sent_counters: dict[str, tuple[Counter, Counter]] = {}
-        self._delivery_metrics: (
-            tuple[Counter, Counter, Counter, Histogram] | None
-        ) = None
+        # Hot-path series, bound on first use (a network that never sent
+        # adds no zero-valued series): per kind sent, one delivery record.
+        metrics = self.telemetry.metrics
+        self._sent = metrics.bind(lambda m, kind: (
+            m.counter("net.messages_sent"), m.counter("net.sent_by_kind", kind=kind),
+        ))
+        self._delivered = metrics.bind(lambda m, __: (
+            m.counter("net.messages_delivered"), m.counter("net.unhandled"),
+            m.counter("net.bytes_transferred"), m.histogram("net.delivery_latency"),
+        ))
 
     # -- topology
 
@@ -501,15 +510,9 @@ class SimNetwork:
             None if context is None else context.as_tuple(),
             dedup_key, self._cause,
         )
-        counters = self._sent_counters.get(kind)
-        if counters is None:
-            metrics = self.telemetry.metrics
-            counters = self._sent_counters[kind] = (
-                metrics.counter("net.messages_sent"),
-                metrics.counter("net.sent_by_kind", kind=kind),
-            )
-        counters[0].inc()
-        counters[1].inc()
+        sent, by_kind = self._sent[kind]
+        sent.inc()
+        by_kind.inc()
         plan = self._fault_plan
         if plan is None:
             delay = self.latency.sample(self.rng)
@@ -677,15 +680,7 @@ class SimNetwork:
                 return False
         for tap in self._taps:
             tap.observe(message)
-        if self._delivery_metrics is None:
-            metrics = self.telemetry.metrics
-            self._delivery_metrics = (
-                metrics.counter("net.messages_delivered"),
-                metrics.counter("net.unhandled"),
-                metrics.counter("net.bytes_transferred"),
-                metrics.histogram("net.delivery_latency"),
-            )
-        delivered, unhandled, transferred, latency = self._delivery_metrics
+        delivered, unhandled, transferred, latency = self._delivered[None]
         delivered.inc()
         transferred.inc(message.size_bytes)
         latency.observe(due - message.sent_at)

@@ -190,6 +190,15 @@ class Platform:
         # execution engine, and use-case workflows all record into it, so a
         # single trace follows a transaction across every principal.
         self.telemetry = Telemetry(clock=self.clock)
+        # Hot-path series, bound on first use: ``crypto.ops`` by
+        # mechanism, and the pipeline's receipt counters.
+        metrics = self.telemetry.metrics
+        self._crypto_ops = metrics.bind(
+            lambda m, mechanism: m.counter("crypto.ops", mechanism=mechanism)
+        )
+        self._pipeline = metrics.bind(
+            lambda m, name: m.counter(name, platform=self.platform_name)
+        )
         self.network = SimNetwork(
             clock=self.clock, rng=self.rng.fork("net"), telemetry=self.telemetry
         )
@@ -296,12 +305,8 @@ class Platform:
         return receipts
 
     def _record_receipt(self, receipt: TxReceipt) -> None:
-        metrics = self.telemetry.metrics
-        metrics.counter("pipeline.submitted", platform=self.platform_name).inc()
-        if receipt.committed:
-            metrics.counter("pipeline.committed", platform=self.platform_name).inc()
-        else:
-            metrics.counter("pipeline.failed", platform=self.platform_name).inc()
+        self._pipeline["pipeline.submitted"].inc()
+        self._pipeline["pipeline.committed" if receipt.committed else "pipeline.failed"].inc()
 
     def state_fingerprint(self) -> str:
         """Canonical hash of all committed state, for parity checks.

@@ -167,9 +167,7 @@ class CordaNetwork(Platform):
     def create_confidential_identity(self, owner: str) -> OneTimeIdentity:
         """Mint a fresh one-time key for *owner*; certificate stays off-ledger."""
         identity = self._onetime_factories[owner].mint()
-        self.telemetry.metrics.counter(
-            "crypto.ops", mechanism="one-time-public-keys"
-        ).inc()
+        self._crypto_ops["one-time-public-keys"].inc()
         self._onetime_index[identity.public.y] = identity
         return identity
 
@@ -212,9 +210,7 @@ class CordaNetwork(Platform):
 
     def _sign(self, signer: str, wire: WireTransaction) -> Signature:
         """*signer*'s signature over *wire*'s Merkle root."""
-        self.telemetry.metrics.counter(
-            "crypto.ops", mechanism="flow-signature"
-        ).inc()
+        self._crypto_ops["flow-signature"].inc()
         return self.scheme.sign(self.parties[signer].key, wire.signing_payload())
 
     @delivers
@@ -295,9 +291,7 @@ class CordaNetwork(Platform):
                     request = wire.filtered(
                         [ComponentGroup.INPUTS, ComponentGroup.NOTARY]
                     )
-                    self.telemetry.metrics.counter(
-                        "crypto.ops", mechanism="merkle-tear-off"
-                    ).inc()
+                    self._crypto_ops["merkle-tear-off"].inc()
                 with self.network.acting_on(replies[-1] if replies else None):
                     sent = self._send_critical(initiator, leader, kind, request)
                 notarised = self.network.outcome(sent)

@@ -73,6 +73,9 @@ class Notary(OrderingPrincipal):
         super().__init__(name, clock, operators, network)
         self.scheme = scheme
         self.telemetry = telemetry or Telemetry(clock=clock)
+        self._notarised = self.telemetry.metrics.bind(
+            lambda m, mode: m.counter("notary.notarised", mode=mode)
+        )
         self.validating = validating
         self.contract_verifier = contract_verifier
         self.capacity_tps = capacity_tps
@@ -140,7 +143,7 @@ class Notary(OrderingPrincipal):
         self.total_notarised += 1
         started = self.clock.now
         self._busy_until = max(self._busy_until, started) + 1.0 / self.capacity_tps
-        self.telemetry.metrics.counter("notary.notarised", mode=mode).inc()
+        self._notarised[mode].inc()
         self.telemetry.tracer.record_span(
             "notary.notarise", start=started, end=self._busy_until,
             mode=mode, inputs=inputs,

@@ -198,6 +198,9 @@ class FabricNetwork(Platform):
         # infer the channel when TxRequest.scope is omitted.
         self.contract_channels: dict[str, str] = {}
         self.engine = LedgerEngine(telemetry=self.telemetry)
+        self._validations = self.telemetry.metrics.bind(
+            lambda m, code: m.counter("fabric.validation", code=code)
+        )
         self.idemix_issuer = CredentialIssuer(
             "fabric-idemix-msp", scheme=self.scheme, rng=self.rng.fork("idemix")
         )
@@ -307,7 +310,7 @@ class FabricNetwork(Platform):
             presentation = holder.obtain_presentation({"msp": "fabric"})
             if not verify_presentation(self.idemix_issuer, presentation):
                 raise MembershipError("Idemix presentation failed verification")
-            self.telemetry.metrics.counter("crypto.ops", mechanism="idemix").inc()
+            self._crypto_ops["idemix"].inc()
             metadata["anonymous"] = True
             metadata["idemix"] = {
                 "disclosed": presentation.disclosed,
@@ -331,9 +334,7 @@ class FabricNetwork(Platform):
                         now=self.clock.now,
                     )
                     private_hashes[f"{collection_name}/{key}"] = anchor
-                    self.telemetry.metrics.counter(
-                        "crypto.ops", mechanism="private-data-collection"
-                    ).inc()
+                    self._crypto_ops["private-data-collection"].inc()
                 disclosures.append(collection.disclosure())
             metadata["collections"] = disclosures
 
@@ -389,9 +390,7 @@ class FabricNetwork(Platform):
             return Refusal(error)
         tx = proposal.transaction(execution)
         signature = self.scheme.sign(self.parties[endorser].key, tx.signing_bytes())
-        self.telemetry.metrics.counter(
-            "crypto.ops", mechanism="endorsement-signature"
-        ).inc()
+        self._crypto_ops["endorsement-signature"].inc()
         return ProposalResponse(
             tx, execution.return_value,
             Endorsement(endorser=endorser, signature=signature),
@@ -552,9 +551,7 @@ class FabricNetwork(Platform):
                 if not self.resilient_delivery:
                     for member in live:
                         self.network._check_link(leader, member)
-                for tx, __ in batch:
-                    self.orderer.submit(tx)
-                cuts = self.orderer.drain_channel(channel_name, force=flush)
+                cuts = self.orderer.order(channel_name, [tx for tx, __ in batch], flush)
                 outcome = cuts[-1].released_at
             except ReproError as refusal:
                 outcome = Refusal(refusal)
@@ -588,7 +585,6 @@ class FabricNetwork(Platform):
         channel = self.channels[block[0].tx.channel]
         span = self.telemetry.span
         set_attribute = self.telemetry.tracer.set_attribute
-        counter = self.telemetry.metrics.counter
         for entry in block:
             if entry.position < channel.applied[member]:
                 continue
@@ -597,7 +593,7 @@ class FabricNetwork(Platform):
             with span("fabric.validate", channel=channel.name) as validate_span:
                 code = self._validate(channel, member, entry)
                 set_attribute(validate_span, "validation_code", code.value)
-                counter("fabric.validation", code=code.value).inc()
+                self._validations[code.value].inc()
             with span(
                 "fabric.commit", channel=channel.name,
                 valid=code is ValidationCode.VALID,

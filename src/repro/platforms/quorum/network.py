@@ -224,8 +224,7 @@ class QuorumNetwork(Platform):
         does not veto the transaction."""
         tx = message.payload
         try:
-            self.sequencer.submit(tx)
-            self.sequencer.cut_batch("quorum-public", force=True)
+            self.sequencer.order("quorum-public", [tx], force=True)
         except ReproError as refusal:
             self.network.record(message, Refusal(refusal))
             return
@@ -379,9 +378,7 @@ class QuorumNetwork(Platform):
                     raw, participants, self.managers,
                     skip=tuple(unavailable),
                 )
-                self.telemetry.metrics.counter(
-                    "crypto.ops", mechanism="private-payload-encryption"
-                ).inc(len(copies))
+                self._crypto_ops["private-payload-encryption"].inc(len(copies))
                 for participant, stored in copies.items():
                     self._send_critical(
                         sender, participant, "private-payload", stored

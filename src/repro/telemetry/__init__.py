@@ -57,26 +57,21 @@ class Telemetry:
         self.redactor = redactor or RedactionFilter()
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | NullTracer = NullTracer()
+        # The current tracer's own method, not a pass-through to it.
+        self.span = self.tracer.span
         self.events = EventLog(clock=self.clock, redactor=self.redactor)
 
     def start_tracing(self) -> Tracer:
         """Record spans from now on; returns the recording tracer.
 
-        Every instrumented component reads ``telemetry.tracer`` at call
-        time, so the swap reaches all of them.  Idempotent: a second call
-        returns the same tracer and keeps what it recorded.
+        Every instrumented component reads ``telemetry.tracer`` (or its
+        ``span``, rebound here) at call time, so the swap reaches all of
+        them.  Idempotent: a second call returns the same tracer, spans kept.
         """
         if not isinstance(self.tracer, Tracer):
             self.tracer = Tracer(clock=self.clock, redactor=self.redactor)
+            self.span = self.tracer.span
         return self.tracer
-
-    # Convenience pass-throughs used by instrumented call sites.
-
-    def span(self, name: str, **kwargs):
-        return self.tracer.span(name, **kwargs)
-
-    def emit(self, name: str, **attributes):
-        return self.events.emit(name, **attributes)
 
     def to_dict(self) -> dict:
         """Everything this bundle recorded, JSON-serializable — the

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 #: Default histogram upper bounds, in simulated seconds — chosen to span
 #: the latency scales the substrate produces (per-hop milliseconds up to
@@ -98,6 +100,19 @@ class Histogram:
         return dict(zip(labels, self.counts))
 
 
+class Bound(dict):
+    """Hot-path metric handles: ``bound[key]`` is ``make(key)``, made on
+    the key's first use (so no series before a touch) and then updated
+    in place.  A site where nothing varies uses the key ``None``."""
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        handles = self[key] = self.make(key)
+        return handles
+
+
 class MetricsRegistry:
     """One scope's worth of metrics; create one per simulation."""
 
@@ -139,6 +154,14 @@ class MetricsRegistry:
         if histogram is None:
             histogram = self._histograms[key] = Histogram(name=key, bounds=bounds)
         return histogram
+
+    def bind(self, make: Callable[["MetricsRegistry", Any], Any]) -> Bound:
+        """Hot-path handles, made by ``make(registry, key)`` per key."""
+        return Bound(partial(make, self))
+
+    def counter_value(self, name: str) -> float:
+        """Counter *name*'s value, 0 if absent: reading creates no series."""
+        return self._counters[name].value if name in self._counters else 0.0
 
     # -- snapshots
 

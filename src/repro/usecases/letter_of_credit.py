@@ -498,7 +498,7 @@ class LetterOfCreditWorkflow:
         """GDPR erasure of the applicant's passport record."""
         self._require_setup()
         self.host.erase_pii(loc_id)
-        self.telemetry.emit("loc.pii_erased", loc_id=loc_id)
+        self.telemetry.events.emit("loc.pii_erased", loc_id=loc_id)
 
     def pii_is_erased(self, loc_id: str) -> bool:
         return self.host.pii_is_erased(loc_id)
