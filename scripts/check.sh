@@ -3,7 +3,7 @@
 # the one-source-for-exposure gate, the self-sufficient messages gate, the
 # one-replica-account gate,
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
-# design), the telemetry (incl. golden metrics snapshots, tests/telemetry/test_metrics_golden.py, and
+# design, K1 knowledge table: benchmarks/test_knowledge_table.py), the telemetry (incl. golden metrics snapshots, tests/telemetry/test_metrics_golden.py, and
 # bound hot-path metrics: registry lookups flat in the transaction count, one ordering availability
 # check per handled submission, tests/telemetry/test_bound_metrics.py), convergence and pipeline
 # (incl. one scenario compiler, one Fabric block per cut, tests/platforms/test_fabric_blocks.py,
@@ -98,11 +98,12 @@ echo "== Table 1 gate (regenerated matrix agrees with the paper and equals bench
 python -m repro table1 | diff - <(cat benchmarks/results/table1.txt; echo)
 
 echo
-echo "== paper-outputs gate (regenerated L1 audit, Figure 1 and letter-of-credit design equal the committed results) =="
+echo "== paper-outputs gate (regenerated L1 audit, Figure 1, letter-of-credit design and K1 knowledge table equal the committed results) =="
 python -m pytest -x benchmarks/test_leakage_audit.py benchmarks/test_figure1.py \
-    benchmarks/test_letter_of_credit.py --benchmark-disable
+    benchmarks/test_letter_of_credit.py benchmarks/test_knowledge_table.py --benchmark-disable
 git diff --exit-code -- benchmarks/results/l1_leakage_audit.txt \
-    benchmarks/results/figure1.txt benchmarks/results/letter_of_credit_design.txt
+    benchmarks/results/figure1.txt benchmarks/results/letter_of_credit_design.txt \
+    benchmarks/results/k1_knowledge.txt
 
 echo
 echo "== telemetry gate (leakage cross-check in both tracing modes + tracing on/off parity + golden metrics snapshots + bound hot-path metrics + traced LoC workflow per platform + strict lint of repro.telemetry) =="
