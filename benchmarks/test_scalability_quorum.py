@@ -82,11 +82,11 @@ def test_private_fanout_cost(benchmark, parties):
     assert len(result.participants) == parties + 1
     # Every participant's manager received an encrypted copy.
     for participant in result.participants:
-        assert net.managers[participant].has_payload(result.payload_hash)
+        assert net.replicas[participant].manager.has_payload(result.payload_hash)
     # And nobody else did.
     outsiders = set(net.parties) - set(result.participants)
     for outsider in outsiders:
-        assert not net.managers[outsider].has_payload(result.payload_hash)
+        assert not net.replicas[outsider].manager.has_payload(result.payload_hash)
 
 
 def test_private_vs_public_series(benchmark):

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Repo health gate: tier-1 tests, the chaos suite, the one-account gate,
 # the one-source-for-exposure gate, the self-sufficient messages gate, the
-# one-replica-account gate,
+# one-replica-account gate (replicas[ subscripted by the acting node's name only),
 # the crypto known-answer gate, the paper-output gates (Table 1, L1 audit, Figure 1, letter-of-credit
 # design, K1 knowledge table: benchmarks/test_knowledge_table.py), the telemetry (incl. golden metrics snapshots, tests/telemetry/test_metrics_golden.py, and
 # bound hot-path metrics: registry lookups flat in the transaction count, one ordering availability
-# check per handled submission, tests/telemetry/test_bound_metrics.py), convergence and pipeline
+# check per handled submission, tests/telemetry/test_bound_metrics.py), convergence (incl. the
+# golden recovery pin, tests/recovery/test_recovery_golden.py, and replica round trips,
+# tests/recovery/test_replica.py) and pipeline
 # (incl. one scenario compiler, one Fabric block per cut, tests/platforms/test_fabric_blocks.py,
 # and encode once: exact canonical encodings per
 # committed transaction, tests/platforms/test_compute_once.py) gates, the no-unhandled-
@@ -71,15 +73,14 @@ fi
 echo "handlers read only their message and their own replica: ok"
 
 echo
-echo "== one-replica-account gate (.applied[, _applied_upto[ and has_payload( only inside the owning node's delivery handlers, its checkpoint hooks, its catch-up request builder, its sender checks, the has_payload definition, recovery/convergence.py and the leak checks of recovery/scenario.py: a node reads only its own replica, in recovery too) =="
-replica_owners='^src/repro/(platforms/fabric/network\.py:(_on_block|_checkpoint_data|_restore_checkpoint|_catchup_request)|platforms/fabric/channel\.py:commit|platforms/quorum/network\.py:(_on_chain_tx|_checkpoint_data|_restore_checkpoint|_catchup_request|_check_sender|_order)|platforms/quorum/txmanager\.py:has_payload|recovery/convergence\.py:[^:]*|recovery/scenario\.py:_quorum_side):'
-replica_reads=$(find src/repro -name '*.py' -print0 | sort -z | xargs -0 awk '
-    FNR == 1 { fn = "" }
-    /^ *def / { fn = $2; sub(/\(.*/, "", fn) }
-    /\.applied\[|_applied_upto\[|has_payload\(/ { print FILENAME ":" fn ":" FNR ": " $0 }
-' | grep -Ev "$replica_owners" || true)
+echo "== one-replica-account gate (replicas[ is subscripted only by the acting node's own name: name, node, member, org, viewer, sender, endorser, initiator, provider or message.recipient; outside readers are recovery/convergence.py, the leak-check lambdas of recovery/scenario.py and the Table 1 probes of platforms/quorum/probes.py: a node reads only its own replica, in recovery too) =="
+acting='name|node|member|org|viewer|sender|endorser|initiator|provider|message\.recipient'
+replica_reads=$(grep -rnP --include='*.py' "replicas\[(?!(?:$acting)\])" src/repro \
+    | grep -v '^src/repro/recovery/convergence\.py:' \
+    | grep -vE '^src/repro/recovery/scenario\.py:[0-9]+: +lambda: ' \
+    | grep -v '^src/repro/platforms/quorum/probes\.py:' || true)
 if [ -n "$replica_reads" ]; then
-    echo "a replica read outside the function of the node that owns it:"
+    echo "a replica read by a name other than the acting node's:"
     echo "$replica_reads"
     exit 1
 fi
@@ -116,8 +117,9 @@ done
 python -m repro lint --strict src/repro/telemetry
 
 echo
-echo "== convergence gate (crash/recover/catch-up + strict lint of repro.recovery) =="
-python -m pytest -x tests/recovery tests/integration/test_recovery_chaos.py \
+echo "== convergence gate (crash/recover/catch-up, incl. the golden recovery pin tests/recovery/test_recovery_golden.py and replica round trips tests/recovery/test_replica.py + strict lint of repro.recovery) =="
+python -m pytest -x tests/recovery tests/recovery/test_recovery_golden.py \
+    tests/recovery/test_replica.py tests/integration/test_recovery_chaos.py \
     tests/platforms/test_quorum_redelivery.py
 python -m repro converge
 python -m repro lint --strict src/repro/recovery

@@ -31,6 +31,7 @@ from repro.crypto.hashing import tagged_hash
 from repro.crypto.pki import Certificate, CertificateAuthority, MembershipService
 from repro.crypto.signatures import PrivateKey, SignatureScheme
 from repro.core.mechanisms import Mechanism
+from repro.ledger.state import WorldState
 from repro.network.messages import Message
 from repro.network.simnet import SimNetwork
 from repro.recovery.catchup import ask, live_providers
@@ -72,6 +73,40 @@ class Party:
     @property
     def public_key(self):
         return self.key.public
+
+
+class Replica:
+    """One node's account of the ledgers it may see (Fabric, Quorum): a
+    world state per scope, how many transactions of each ordered scope it
+    has applied, and Quorum's volatile payload store, made anew by
+    ``new_manager`` on every restore.  A scope the checkpoint restored
+    from lacks (a channel created after it) restarts empty, at height 0."""
+
+    __slots__ = ("states", "heights", "manager", "new_manager")
+
+    def __init__(self, scopes=(), ordered=(), new_manager=None) -> None:
+        self.states: dict[str, WorldState] = {s: WorldState() for s in scopes}
+        self.heights: dict[str, int] = dict.fromkeys(ordered, 0)
+        self.new_manager = new_manager
+        self.manager = None if new_manager is None else new_manager()
+
+    def add_scope(self, scope: str) -> None:
+        """Join an ordered scope (a channel), empty at height 0."""
+        self.states[scope] = WorldState()
+        self.heights[scope] = 0
+
+    def checkpoint(self) -> dict:
+        snapshots = {scope: state.dump() for scope, state in self.states.items()}
+        return {"heights": dict(self.heights), "snapshots": snapshots}
+
+    def restore(self, checkpoint) -> None:
+        snapshots = {} if checkpoint is None else checkpoint.snapshots
+        for scope in self.states:
+            self.states[scope] = WorldState.from_dump(snapshots.get(scope, {}))
+        for scope in self.heights:
+            self.heights[scope] = 0 if checkpoint is None else checkpoint.height_of(scope)
+        if self.new_manager is not None:
+            self.manager = self.new_manager()
 
 
 @dataclass(frozen=True)
@@ -169,13 +204,12 @@ def delivers(flow):
 class Platform:
     """Base class for the three platform simulations.
 
-    A subclass implements the hooks: ``_submit_one_native`` (one request
-    through its native flow), ``_state_snapshot`` (the committed-state
-    picture :meth:`state_fingerprint` hashes), and for recovery
-    ``_checkpoint_data``, ``_restore_checkpoint`` (to a checkpoint, or to
-    empty on a crash), ``_catchup_request`` (what a lagging node asks
-    for, from its own state) and ``_catchup_answer`` (what a peer
-    serves it, from its own account).
+    A subclass implements the hooks: ``_new_replica`` (an onboarded
+    node's empty replica), ``_submit_one_native`` (one request through
+    its native flow), ``_state_snapshot`` (the committed-state picture
+    :meth:`state_fingerprint` hashes), and for recovery
+    ``_catchup_request`` (what a lagging node asks for, from its own
+    replica) and ``_catchup_answer`` (what a peer serves it, from its own).
     """
 
     platform_name = "abstract"
@@ -209,6 +243,8 @@ class Platform:
         self.membership = MembershipService()
         self.membership.register_authority(self.ca)
         self.parties: dict[str, Party] = {}
+        # Each party's replica: the only state its own handlers touch.
+        self.replicas: dict[str, object] = {}
         self.resilient_delivery = resilient_delivery
         # The ordering principal: Fabric's orderer, Corda's notary or
         # Quorum's sequencer, set by each subclass.  Fault injection and
@@ -234,6 +270,7 @@ class Platform:
         node.on("catchup", self._on_catchup)
         party = Party(name=name, key=key, certificate=certificate)
         self.parties[name] = party
+        self.replicas[name] = self._new_replica(name)
         return party
 
     def party(self, name: str) -> Party:
@@ -356,11 +393,12 @@ class Platform:
 
     # -- crash recovery
     #
-    # The template methods below are platform-independent; subclasses
-    # implement the hooks that define what is durable, what a crash
-    # loses, what a lagging node asks for and — critically — what a peer
-    # is *entitled* to serve it (its channels, its party chains, its
-    # private payloads; never anyone else's).
+    # The template methods below are platform-independent: a node's
+    # replica saves itself (``checkpoint()``) and restarts from a saved
+    # record or from nothing (``restore``).  Subclasses implement the
+    # hooks that define what a lagging node asks for and — critically —
+    # what a peer is *entitled* to serve it (its channels, its party
+    # chains, its private payloads; never anyone else's).
 
     def checkpoint_node(self, name: str):
         """Flush *name*'s durable snapshot to the checkpoint store."""
@@ -370,13 +408,12 @@ class Platform:
         with self.telemetry.span(
             "recovery.checkpoint", node=name, platform=self.platform_name
         ) as span:
-            data = self._checkpoint_data(name)
             checkpoint = NodeCheckpoint(
                 node=name,
                 platform=self.platform_name,
                 sequence=self.checkpoints.next_sequence(name),
                 taken_at=self.clock.now,
-                **data,
+                **self.replicas[name].checkpoint(),
             )
             saved = self.checkpoints.save(checkpoint)
             self.telemetry.tracer.set_attribute(span, "sequence", saved.sequence)
@@ -386,14 +423,14 @@ class Platform:
         """Crash party *name*: network down + volatile state lost.
 
         Durable artifacts — checkpoints, the shared chains, off-chain
-        stores — survive; the node's in-memory state (replicas, vaults,
-        payload caches) is reset as if restored from no checkpoint.
+        stores — survive; the node's replica (world states, vault,
+        payload store) is reset as if restored from no checkpoint.
         """
         self.party(name)
         if self.network.is_crashed(name):
             return
         self.network.crash_node(name)
-        self._restore_checkpoint(name, None)
+        self.replicas[name].restore(None)
         self.telemetry.metrics.counter("recovery.crashes").inc()
         self.telemetry.events.emit(
             "recovery.crash", node=name, platform=self.platform_name
@@ -422,7 +459,7 @@ class Platform:
             "recovery.catchup", node=name, platform=self.platform_name
         ) as span:
             if restarted:
-                self._restore_checkpoint(name, checkpoint)
+                self.replicas[name].restore(checkpoint)
             pairs: list[tuple] = []
             for scope, peers in self._catchup_scopes(name):
                 for provider in live_providers(self.network, peers, name):
@@ -444,6 +481,11 @@ class Platform:
                 from_sequence=None if checkpoint is None else checkpoint.sequence,
             )
         return checkpoint
+
+    def _replica_groups(self) -> list[tuple[str, str, frozenset, int]]:
+        """``(reported scope, replica scope, members, ordered height)`` of
+        each group whose live members must agree and be level."""
+        return []
 
     def _catchup_scopes(self, name: str) -> list[tuple[object, object]]:
         """What *name* catches up on: ``(scope, peers that may serve it)``

@@ -99,7 +99,6 @@ class CordaNetwork(Platform):
             telemetry=self.telemetry,
         )
         self.ordering = self.notary
-        self.vaults: dict[str, Vault] = {}
         self.verifiers: dict[str, ContractVerifier] = {}
         self.verifier_language: dict[str, str] = {}
         self.flows: dict[tuple[str, str], FlowBuilder] = {}
@@ -110,7 +109,6 @@ class CordaNetwork(Platform):
 
     def onboard(self, name: str, attributes: dict | None = None) -> Party:
         party = super().onboard(name, attributes=attributes)
-        self.vaults[name] = Vault(owner=name)
         self._onetime_factories[name] = OneTimeKeyFactory(
             root_certificate=party.certificate,
             ca=self.ca,
@@ -125,10 +123,18 @@ class CordaNetwork(Platform):
             node.on(reply, self.network.record_reply)
         return party
 
+    def _new_replica(self, name: str) -> Vault:
+        return Vault(owner=name)
+
+    @property
+    def vaults(self) -> dict[str, Vault]:
+        """Each node's vault: the replicas themselves."""
+        return self.replicas
+
     def vault(self, name: str) -> Vault:
-        if name not in self.vaults:
+        if name not in self.replicas:
             raise PlatformError(f"unknown party {name!r}")
-        return self.vaults[name]
+        return self.replicas[name]
 
     # -- CorDapps: contracts travel with the states that reference them
 
@@ -302,7 +308,7 @@ class CordaNetwork(Platform):
             # new counterparties must be able to verify provenance, which is
             # the mechanism's inherent history disclosure.
             with self.telemetry.span("corda.finalise"):
-                self.vaults[initiator].record(stx)
+                self.replicas[initiator].record(stx)
                 with self.network.acting_on(notarised):
                     for counterparty in counterparties:
                         for ref in wire.inputs:
@@ -382,8 +388,7 @@ class CordaNetwork(Platform):
 
     def _state_snapshot(self) -> dict:
         vaults = {}
-        for name in sorted(self.vaults):
-            vault = self.vaults[name]
+        for name, vault in sorted(self.replicas.items()):
             # tx ids are content-derived, so listing them pins the full
             # transaction content; unconsumed refs pin the spend frontier.
             vaults[name] = {
@@ -398,13 +403,13 @@ class CordaNetwork(Platform):
     #    message carries
 
     def _on_finalise(self, message) -> None:
-        self.vaults[message.recipient].record(message.payload)
+        self.replicas[message.recipient].record(message.payload)
 
     def _on_backchain_tx(self, message) -> None:
         """``backchain-tx``, in transaction resolution or a peer's catch-up
         answer: store the shipped history."""
         stx = message.payload
-        self.vaults[message.recipient].transactions.setdefault(stx.wire.tx_id, stx)
+        self.replicas[message.recipient].transactions.setdefault(stx.wire.tx_id, stx)
 
     # -- transaction resolution (backchain)
 
@@ -423,7 +428,7 @@ class CordaNetwork(Platform):
         for party in (provider, requester):
             if party not in self.parties:
                 raise MembershipError(f"{party!r} is not onboarded")
-        backchain = collect_backchain(self.vaults[provider], ref.tx_id)
+        backchain = collect_backchain(self.replicas[provider], ref.tx_id)
         if not verify_backchain(backchain, ref):
             raise ValidationError("backchain failed structural verification")
         for stx in backchain:
@@ -456,29 +461,16 @@ class CordaNetwork(Platform):
             self._participants_of(stx.wire) | self._signers_of(stx.wire)
         )
 
-    def _checkpoint_data(self, name: str) -> dict:
-        vault = self.vaults[name]
-        return {
-            "heights": {"vault": len(vault.transactions)},
-            "snapshots": {"tx_ids": sorted(vault.transactions)},
-        }
-
-    def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        # The checkpoint records *which* transactions the vault held, not
-        # their content (that would defeat the point of measuring
-        # catch-up); the store is repopulated by entitled re-shipping.
-        self.vaults[name] = Vault(owner=name)
-
     def _catchup_request(self, name: str, scope: None) -> tuple[str, ...]:
         """The ids of the transactions *name*'s vault holds: it cannot know
         what it lacks, so it asks every live peer."""
-        return tuple(sorted(self.vaults[name].transactions))
+        return tuple(sorted(self.replicas[name].transactions))
 
     def _catchup_answer(self, provider: str, requester: str, held) -> tuple:
         """Each transaction of *provider*'s vault the requester does not
         hold and was a party to."""
         held = set(held)
-        transactions = self.vaults[provider].transactions
+        transactions = self.replicas[provider].transactions
         return tuple(
             ("backchain-tx", transactions[tx_id])
             for tx_id in sorted(transactions)
@@ -489,4 +481,4 @@ class CordaNetwork(Platform):
         )
 
     def _caught_up(self, name: str, pairs: list[tuple]) -> None:
-        self.vaults[name].rebuild_unconsumed()
+        self.replicas[name].rebuild_unconsumed()

@@ -32,6 +32,17 @@ class Vault:
             if self.owner in state.participants:
                 self.unconsumed[StateRef(tx_id=wire.tx_id, index=index)] = state
 
+    def checkpoint(self) -> dict:
+        """Which transactions the vault holds, and how many."""
+        tx_ids = sorted(self.transactions)
+        return {"heights": {"vault": len(tx_ids)}, "snapshots": {"tx_ids": tx_ids}}
+
+    def restore(self, checkpoint) -> None:
+        """Restart empty: a checkpoint names the transactions, not their
+        content, so entitled re-shipping repopulates the store."""
+        self.transactions = {}
+        self.unconsumed = {}
+
     def rebuild_unconsumed(self) -> None:
         """Recompute the unconsumed-state index from stored transactions.
 

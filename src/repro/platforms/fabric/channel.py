@@ -6,10 +6,11 @@ subset of participants.  Identities of channel members are not revealed to
 the wider network and transactions are only shared between channel
 members."
 
-A channel bundles: a member set, a hash-linked chain, per-member world
-state replicas (each validates and applies blocks as they arrive, and
-keeps each transaction's validation code), an endorsement policy,
-committed chaincode definitions, and any private data collections.
+A channel bundles: a member set, a hash-linked chain, each member's
+validation code of every transaction it applied, an endorsement policy,
+committed chaincode definitions, and any private data collections.  Each
+member's world state of the channel, and how many ordered transactions
+it has applied, live in that member's replica (one scope per channel).
 """
 
 from __future__ import annotations
@@ -59,18 +60,17 @@ class BlockEntry(NamedTuple):
 class Channel:
     """One Fabric channel: membership boundary + ledger + lifecycle state."""
 
-    def __init__(self, name: str, members: list[str]) -> None:
+    def __init__(self, name: str, members: list[str], replicas: dict) -> None:
         if len(members) < 1:
             raise MembershipError("a channel needs at least one member")
         self.name = name
         self.members: frozenset[str] = frozenset(members)
         self.chain = Chain(name)
-        # Per-member state replicas, each with how many ordered
-        # transactions it has applied; a member that misses a block lags.
-        self.states: dict[str, WorldState] = {m: WorldState() for m in members}
-        self.applied: dict[str, int] = {m: 0 for m in members}
-        # Each member's validation code of every transaction it applied:
-        # its ledger's record, durable like the chain.
+        # The platform's replicas: each member's holds this channel as a scope.
+        self.replicas = replicas
+        # Each member's validation code of every transaction it applied
+        # (keyed in member order): its ledger's record, durable like the
+        # chain.
         self.codes: dict[str, dict[str, ValidationCode]] = {m: {} for m in members}
         self.definitions: dict[str, ChaincodeDefinition] = {}
         self.collections: dict[str, PrivateDataCollection] = {}
@@ -137,16 +137,17 @@ class Channel:
     # -- state access
 
     def state_of(self, org: str) -> WorldState:
+        """*org*'s world state of this channel, from its replica."""
         self.require_member(org)
-        return self.states[org]
+        return self.replicas[org].states[self.name]
 
     def reference_state(self) -> WorldState:
-        """The first member's replica (for reads outside any flow)."""
-        return next(iter(self.states.values()))
+        """The first member's state (for reads outside any flow)."""
+        return self.state_of(next(iter(self.codes)))
 
     def replicas_consistent(self) -> bool:
         """True iff every member's replica holds the same snapshot."""
-        snapshots = [state.snapshot() for state in self.states.values()]
+        snapshots = [self.state_of(member).snapshot() for member in self.codes]
         return all(s == snapshots[0] for s in snapshots[1:])
 
     def record_order(self, tx: Transaction, contract_id: str) -> BlockEntry:
@@ -155,13 +156,14 @@ class Channel:
         self.outcomes[tx.tx_id] = entry
         return entry
 
-    def commit(self, member: str, entry: BlockEntry, code: ValidationCode) -> None:
-        """Commit the next block entry to *member*'s ledger with the code
-        it validated to, applying its writes iff it is valid."""
+    def commit(self, member: str, replica, entry: BlockEntry, code: ValidationCode) -> None:
+        """Commit the next block entry to *member*'s ledger and *replica*
+        with the code it validated to, applying its writes iff it is
+        valid."""
         self.codes[member][entry.tx.tx_id] = code
         if code is ValidationCode.VALID:
-            apply_writes(entry.tx, self.states[member])
-        self.applied[member] = entry.position + 1
+            apply_writes(entry.tx, replica.states[self.name])
+        replica.heights[self.name] = entry.position + 1
 
     def code_of(self, tx_id: str) -> ValidationCode | None:
         """The code members validated *tx_id* to (``None`` if none did)."""

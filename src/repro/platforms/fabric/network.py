@@ -43,7 +43,6 @@ from repro.ledger.transaction import (
     Transaction,
     WriteEntry,
 )
-from repro.ledger.state import WorldState
 from repro.ledger.validation import (
     EndorsementPolicy,
     check_read_set,
@@ -52,6 +51,7 @@ from repro.ledger.validation import (
 from repro.network.messages import Exposure, Message, Refusal
 from repro.platforms.base import (
     Platform,
+    Replica,
     delivers,
     TxReceipt,
     TxRequest,
@@ -224,6 +224,9 @@ class FabricNetwork(Platform):
         node.on("block", self._on_block)
         return party
 
+    def _new_replica(self, name: str) -> Replica:
+        return Replica()  # one scope per channel joined
+
     def create_channel(self, name: str, members: list[str]) -> Channel:
         """Stand up a separate ledger for *members* only."""
         for member in members:
@@ -231,7 +234,9 @@ class FabricNetwork(Platform):
                 raise MembershipError(f"{member!r} is not onboarded")
         if name in self.channels:
             raise PlatformError(f"channel {name!r} already exists")
-        channel = Channel(name, members)
+        channel = Channel(name, members, self.replicas)
+        for member in channel.members:
+            self.replicas[member].add_scope(name)
         self.channels[name] = channel
         return channel
 
@@ -384,7 +389,7 @@ class FabricNetwork(Platform):
         try:
             execution = self.engine.execute(
                 endorser, proposal.contract_id, proposal.function, proposal.args,
-                self.channels[proposal.channel].states[endorser],
+                self.replicas[endorser].states[proposal.channel],
             )
         except ReproError as error:
             return Refusal(error)
@@ -583,30 +588,31 @@ class FabricNetwork(Platform):
         member = message.recipient
         block: tuple[BlockEntry, ...] = message.payload
         channel = self.channels[block[0].tx.channel]
+        replica = self.replicas[member]
+        state = replica.states[channel.name]
         span = self.telemetry.span
         set_attribute = self.telemetry.tracer.set_attribute
         for entry in block:
-            if entry.position < channel.applied[member]:
+            applied = replica.heights[channel.name]
+            if entry.position < applied:
                 continue
-            if entry.position > channel.applied[member]:
+            if entry.position > applied:
                 return
             with span("fabric.validate", channel=channel.name) as validate_span:
-                code = self._validate(channel, member, entry)
+                code = self._validate(channel, state, entry)
                 set_attribute(validate_span, "validation_code", code.value)
                 self._validations[code.value].inc()
             with span(
                 "fabric.commit", channel=channel.name,
                 valid=code is ValidationCode.VALID,
             ):
-                channel.commit(member, entry, code)
+                channel.commit(member, replica, entry, code)
 
-    def _validate(
-        self, channel: Channel, member: str, entry: BlockEntry
-    ) -> ValidationCode:
-        """*member*'s verdict on *entry*: the endorsement policy of the
+    def _validate(self, channel: Channel, state, entry: BlockEntry) -> ValidationCode:
+        """A member's verdict on *entry*: the endorsement policy of the
         chaincode it was endorsed for (the signature-verification cache
         turns every member's repeat into a lookup), then the MVCC read set
-        against the member's own replica."""
+        against the member's own *state* of the channel."""
         try:
             verify_endorsements(
                 entry.tx,
@@ -617,7 +623,7 @@ class FabricNetwork(Platform):
         except EndorsementError:
             return ValidationCode.ENDORSEMENT_POLICY_FAILURE
         try:
-            check_read_set(entry.tx, channel.states[member])
+            check_read_set(entry.tx, state)
         except ValidationError:
             return ValidationCode.MVCC_READ_CONFLICT
         return ValidationCode.VALID
@@ -741,7 +747,7 @@ class FabricNetwork(Platform):
                 "committed": sorted(channel.committed_tx_ids),
                 "invalid": sorted(channel.invalid_tx_ids),
                 "replicas": {
-                    member: channel.states[member].snapshot()
+                    member: channel.state_of(member).snapshot()
                     for member in sorted(channel.members)
                 },
             }
@@ -750,9 +756,10 @@ class FabricNetwork(Platform):
     # ------------------------------------------------------------------
     # Crash recovery (Platform hooks)
     #
-    # Durable per peer: the chain (append-only, shared), PDC stores
-    # (off-chain storage services), and checkpoints.  Volatile: the
-    # world-state replica and the network node's dedup memory.
+    # Durable per peer: the chain (append-only, shared), the validation
+    # codes (``Channel.codes``), PDC stores (off-chain storage services),
+    # and checkpoints.  Volatile: the replica (one world state and applied
+    # height per channel) and the network node's dedup memory.
     # A lagging member asks, per channel, from the height its own replica
     # has applied; a co-member answers with the channel's ordered
     # transactions from there, each as a one-entry ``block``, and nothing
@@ -761,46 +768,21 @@ class FabricNetwork(Platform):
     # (``tx.private_hashes``), never another channel's traffic.
     # ------------------------------------------------------------------
 
-    def _member_channels(self, name: str) -> list[Channel]:
+    def _replica_groups(self) -> list[tuple[str, str, frozenset, int]]:
         return [
-            self.channels[channel_name]
-            for channel_name in sorted(self.channels)
-            if name in self.channels[channel_name].members
+            (name, name, channel.members, len(channel.outcomes))
+            for name, channel in sorted(self.channels.items())
         ]
-
-    def _checkpoint_data(self, name: str) -> dict:
-        # A channel's height here counts the ordered transactions the
-        # replica has applied, which may be fewer than the chain holds.
-        heights: dict[str, int] = {}
-        snapshots: dict[str, dict] = {}
-        for channel in self._member_channels(name):
-            heights[channel.name] = channel.applied[name]
-            snapshots[channel.name] = channel.states[name].dump()
-        return {"heights": heights, "snapshots": snapshots}
-
-    def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        for channel in self._member_channels(name):
-            if checkpoint is not None and channel.name in checkpoint.snapshots:
-                channel.states[name] = WorldState.from_dump(
-                    checkpoint.snapshots[channel.name]
-                )
-                channel.applied[name] = checkpoint.height_of(channel.name)
-            else:
-                channel.states[name] = WorldState()
-                channel.applied[name] = 0
 
     def _catchup_scopes(self, name: str) -> list[tuple[str, frozenset[str]]]:
-        return [
-            (channel.name, channel.members)
-            for channel in self._member_channels(name)
-        ]
+        return [(s, self.channels[s].members) for s in sorted(self.replicas[name].heights)]
 
     def _catchup_request(self, name: str, channel_name: str):
         """``(channel, the height *name*'s replica applied)``, or ``None``
         once it applied every ordered transaction."""
-        channel = self.channels[channel_name]
-        height = channel.applied[name]
-        return None if height == len(channel.outcomes) else (channel_name, height)
+        height = self.replicas[name].heights[channel_name]
+        ordered = len(self.channels[channel_name].outcomes)
+        return None if height == ordered else (channel_name, height)
 
     def _catchup_answer(self, provider: str, requester: str, request) -> tuple:
         channel_name, height = request

@@ -43,6 +43,7 @@ from repro.ledger.validation import apply_writes
 from repro.network.messages import Refusal
 from repro.platforms.base import (
     Platform,
+    Replica,
     delivers,
     TxReceipt,
     TxRequest,
@@ -50,6 +51,7 @@ from repro.platforms.base import (
 from repro.platforms.quorum.txmanager import PrivateTransactionManager
 
 SEQUENCER_NODE = "quorum-consensus"
+PUBLIC, PRIVATE = "public", "private"  # a node's replica scopes
 
 
 def _gossip_kind(tx: Transaction) -> str:
@@ -83,14 +85,8 @@ class QuorumNetwork(Platform):
     ) -> None:
         super().__init__(seed=seed, resilient_delivery=resilient_delivery)
         self.chain = Chain("quorum-public")
-        self.public_states: dict[str, WorldState] = {}
-        self.private_states: dict[str, WorldState] = {}
-        self.managers: dict[str, PrivateTransactionManager] = {}
         self.contracts: dict[str, SmartContract] = {}
         self.contract_hosts: dict[str, set[str]] = {}
-        # The height up to which each node has applied every
-        # transaction, in chain order: what it asks to catch up from.
-        self._applied_upto: dict[str, int] = {}
         self.sequencer = OrderingService(
             SEQUENCER_NODE,
             self.clock,
@@ -105,8 +101,6 @@ class QuorumNetwork(Platform):
 
     def onboard(self, name: str, attributes: dict | None = None):
         party = super().onboard(name, attributes=attributes)
-        # A new node starts empty, like one restored from no checkpoint.
-        self._restore_checkpoint(name, None)
         node = self.network.node(name)
         for kind in ("public-tx", "private-tx"):
             node.on(kind, self._on_chain_tx)
@@ -115,6 +109,23 @@ class QuorumNetwork(Platform):
             # The first onboarded member operates consensus.
             self.sequencer.operators = (name,)
         return party
+
+    def _new_replica(self, name: str) -> Replica:
+        # The public height: up to where the node applied the chain.
+        return Replica(
+            (PUBLIC, PRIVATE), (PUBLIC,),
+            lambda: PrivateTransactionManager(name, rng=self.rng.fork("tm:" + name)),
+        )
+
+    @property
+    def public_states(self) -> dict[str, WorldState]:
+        """Each node's public state, read from its replica."""
+        return {name: replica.states[PUBLIC] for name, replica in self.replicas.items()}
+
+    @property
+    def private_states(self) -> dict[str, WorldState]:
+        """Each node's private state, read from its replica."""
+        return {name: replica.states[PRIVATE] for name, replica in self.replicas.items()}
 
     # -- contract deployment
 
@@ -172,15 +183,6 @@ class QuorumNetwork(Platform):
         view = StateView(state)
         return self.contracts[contract_id].invoke(function, view, args), view
 
-    def _run_contract(
-        self, contract_id: str, function: str, args: dict, state: WorldState
-    ):
-        """Run a contract over *state*, then apply its writes and deletes."""
-        view = StateView(state)
-        value = self.contracts[contract_id].invoke(function, view, args)
-        self._apply_view(view, state)
-        return value, view
-
     @staticmethod
     def _apply_view(view: StateView, state: WorldState) -> None:
         for key, val in view.writes.items():
@@ -189,31 +191,33 @@ class QuorumNetwork(Platform):
             if state.exists(key):
                 state.delete(key)
 
-    def _check_sender(self, sender: str) -> None:
-        """Refuse a transaction before any state mutation, so a failed one
-        can be retried after recovery without double-applying its writes."""
+    def _check_sender(self, sender: str) -> Replica:
+        """The sender's replica, once nothing refuses the transaction: checked
+        before any state mutation, so a retry cannot double-apply."""
         if sender not in self.parties:
             raise MembershipError(f"{sender!r} is not onboarded")
         self.authenticate(sender)
         if self.network.is_crashed(sender):
             raise DeliveryError(f"node {sender!r} is down")
-        if self._applied_upto[sender] < self.chain.height:
+        replica = self.replicas[sender]
+        if replica.heights[PUBLIC] < self.chain.height:
             # It missed a delivery; its state is stale until it recovers.
             raise DeliveryError(f"node {sender!r} is behind the chain")
         self.sequencer.require_available()
+        return replica
 
     def _order(
-        self, sender: str, tx: Transaction, view: StateView, state: WorldState
+        self, replica: Replica, tx: Transaction, view: StateView, scope: str
     ) -> None:
         """Submit *tx* to consensus; once it is ordered, the sender applies
-        its own execution (*view* over *state*) at the height consensus
-        recorded, and every other node applies it when the gossip
-        arrives.  Raises consensus's refusal."""
+        its own execution (*view* over its *replica*'s *scope* state) at
+        the height consensus recorded, and every other node applies it
+        when the gossip arrives.  Raises consensus's refusal."""
         with self.telemetry.span("quorum.order"):
-            request = self._send_critical(sender, SEQUENCER_NODE, "submit", tx)
+            request = self._send_critical(tx.submitter, SEQUENCER_NODE, "submit", tx)
             height = self.network.outcome(request)
-        self._apply_view(view, state)
-        self._applied_upto[sender] = height
+        self._apply_view(view, replica.states[scope])
+        replica.heights[PUBLIC] = height
 
     def _on_submit(self, message) -> None:
         """Delivery handler for ``submit``, on consensus: order the
@@ -253,27 +257,28 @@ class QuorumNetwork(Platform):
         """
         node = message.recipient
         height, tx = message.payload
-        if height != self._applied_upto[node] + 1:
+        replica = self.replicas[node]
+        if height != replica.heights[PUBLIC] + 1:
             return
         if tx.metadata["kind"] == "public":
-            apply_writes(tx, self.public_states[node])
+            apply_writes(tx, replica.states[PUBLIC])
         elif node in tx.metadata["participants"]:
             payload_hash = tx.private_hashes["payload"]
-            if not self.managers[node].has_payload(payload_hash):
+            if not replica.manager.has_payload(payload_hash):
                 return
-            resolved = self.managers[node].resolve(payload_hash)
+            resolved = replica.manager.resolve(payload_hash)
             __, view = self._simulate(
                 node, resolved["contract"], resolved["function"],
-                resolved["args"], self.private_states[node],
+                resolved["args"], replica.states[PRIVATE],
             )
-            self._apply_view(view, self.private_states[node])
-        self._applied_upto[node] = height
+            self._apply_view(view, replica.states[PRIVATE])
+        replica.heights[PUBLIC] = height
 
     def _on_payload(self, message) -> None:
         """Delivery handler for ``private-payload``, sent live or in a
         peer's catch-up answer: the recipient's manager stores the copy
         encrypted for it."""
-        self.managers[message.recipient].receive(message.payload)
+        self.replicas[message.recipient].manager.receive(message.payload)
 
     @delivers
     def send_public_transaction(
@@ -286,14 +291,13 @@ class QuorumNetwork(Platform):
         delivery.  A crashed node misses the block, and catch-up replays
         it later.
         """
-        self._check_sender(sender)
+        replica = self._check_sender(sender)
         with self.telemetry.span(
             "quorum.public_tx", sender=sender, contract=contract_id
         ):
             with self.telemetry.span("quorum.execute"):
                 value, view = self._simulate(
-                    sender, contract_id, function, args,
-                    self.public_states[sender],
+                    sender, contract_id, function, args, replica.states[PUBLIC],
                 )
             writes = tuple(
                 [WriteEntry(key=k, value=v) for k, v in sorted(view.writes.items())]
@@ -306,7 +310,7 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "public", "participants": sorted(self.parties)},
                 timestamp=self.clock.now,
             )
-            self._order(sender, tx, view, self.public_states[sender])
+            self._order(replica, tx, view, PUBLIC)
         return QuorumTxResult(
             tx=tx, payload_hash=None,
             participants=sorted(self.parties), return_values={sender: value},
@@ -334,7 +338,7 @@ class QuorumNetwork(Platform):
         typed refusal *before* any state mutation, so a retry after heal
         cannot double-apply.
         """
-        self._check_sender(sender)
+        replica = self._check_sender(sender)
         participants = sorted(set(private_for) | {sender})
         recipients = [p for p in participants if p != sender]
         unavailable = [
@@ -368,15 +372,14 @@ class QuorumNetwork(Platform):
                 value, view = self._simulate(
                     sender, contract_id, function,
                     from_canonical_json(raw.decode("utf-8"))["args"],
-                    self.private_states[sender],
+                    replica.states[PRIVATE],
                 )
             # The encrypted payload crosses the wire once per reachable
             # recipient; the ciphertext itself exposes nothing.
             # Distribution itself is idempotent.
             with self.telemetry.span("quorum.distribute"):
-                payload_hash, copies = self.managers[sender].distribute(
-                    raw, participants, self.managers,
-                    skip=tuple(unavailable),
+                payload_hash, copies = replica.manager.distribute(
+                    raw, participants, self.replicas, skip=tuple(unavailable),
                 )
                 self._crypto_ops["private-payload-encryption"].inc(len(copies))
                 for participant, stored in copies.items():
@@ -392,7 +395,7 @@ class QuorumNetwork(Platform):
                 metadata={"kind": "private", "participants": participants},
                 timestamp=self.clock.now,
             )
-            self._order(sender, tx, view, self.private_states[sender])
+            self._order(replica, tx, view, PRIVATE)
         return QuorumTxResult(
             tx=tx, payload_hash=payload_hash,
             participants=participants, return_values={sender: value},
@@ -452,17 +455,14 @@ class QuorumNetwork(Platform):
         )
 
     def _state_snapshot(self) -> dict:
+        replicas = sorted(self.replicas.items())
         return {
             "platform": self.platform_name,
             "height": self.chain.height,
             "chain": [tx.tx_id for tx in self.chain.transactions()],
-            "public": {
-                name: self.public_states[name].snapshot()
-                for name in sorted(self.parties)
-            },
-            "private": {
-                name: self.private_states[name].snapshot()
-                for name in sorted(self.parties)
+            **{
+                scope: {name: r.states[scope].snapshot() for name, r in replicas}
+                for scope in (PUBLIC, PRIVATE)
             },
         }
 
@@ -470,50 +470,30 @@ class QuorumNetwork(Platform):
     # Crash recovery (Platform hooks)
     #
     # Durable per node: the public chain (shared, append-only) and
-    # checkpoints.  Volatile: public/private state, the transaction
-    # manager's payload store, and the applied-position bookkeeping.
+    # checkpoints.  Volatile: the replica (public/private state, the
+    # applied height, and the transaction manager's payload store).
     # Catch-up visibility rule: the public chain replays to everyone,
     # but private payloads are re-delivered only by managers that hold
     # them and only to nodes named in the payload's own participant
     # list (enforced in ``PrivateTransactionManager.redeliver``).
     # ------------------------------------------------------------------
 
-    def _checkpoint_data(self, name: str) -> dict:
-        return {
-            "heights": {"public": self._applied_upto[name]},
-            "snapshots": {
-                "public": self.public_states[name].dump(),
-                "private": self.private_states[name].dump(),
-            },
-        }
-
-    def _restore_checkpoint(self, name: str, checkpoint) -> None:
-        # The ciphertexts are volatile: catch-up re-fetches them.
-        snapshots = {} if checkpoint is None else checkpoint.snapshots
-        self.public_states[name] = WorldState.from_dump(snapshots.get("public", {}))
-        self.private_states[name] = WorldState.from_dump(
-            snapshots.get("private", {})
-        )
-        self.managers[name] = PrivateTransactionManager(
-            name, rng=self.rng.fork("tm:" + name)
-        )
-        self._applied_upto[name] = (
-            0 if checkpoint is None else checkpoint.height_of("public")
-        )
+    def _replica_groups(self) -> list[tuple[str, str, frozenset, int]]:
+        return [("public-chain", PUBLIC, frozenset(self.parties), self.chain.height)]
 
     def _catchup_request(self, name: str, scope: None):
         """``(the height *name* applied, the payloads its own manager
         lacks of the private transactions naming it on the chain)``, or
         ``None`` once it is level and lacks none."""
-        manager = self.managers[name]
+        replica = self.replicas[name]
         lacking = tuple(
             tx.private_hashes["payload"]
             for tx in self.chain.transactions()
             if tx.metadata["kind"] == "private"
             and name in tx.metadata["participants"]
-            and not manager.has_payload(tx.private_hashes["payload"])
+            and not replica.manager.has_payload(tx.private_hashes["payload"])
         )
-        height = self._applied_upto[name]
+        height = replica.heights[PUBLIC]
         if not lacking and height == self.chain.height:
             return None
         return height, lacking
@@ -528,7 +508,9 @@ class QuorumNetwork(Platform):
         unserved = set()
         for payload_hash in lacking:
             try:
-                stored = self.managers[provider].redeliver(payload_hash, requester)
+                stored = self.replicas[provider].manager.redeliver(
+                    payload_hash, requester
+                )
             except (OffChainError, PrivacyError):
                 unserved.add(payload_hash)
             else:
@@ -612,19 +594,17 @@ class QuorumNetwork(Platform):
     # -- private-state replay (node recovery)
 
     def rebuild_private_state(self, node: str) -> WorldState:
-        """Reconstruct *node*'s private state by replaying the chain.
-
-        This is how a recovering Quorum node restores its private state:
-        walk the public chain, and for every private transaction whose
-        payload this node's manager holds, re-execute it.  The procedure
-        is also the executable reason Table 1 marks Quorum's off-chain
-        peer data as requires-rewrite: if any payload was deleted (say,
-        for a GDPR request), the replay raises and the node cannot
-        recover — deletable data is incompatible with this architecture.
+        """Reconstruct *node*'s private state by replaying the chain:
+        every private transaction naming it, from the payload its manager
+        holds, as a live delivery applies it.  This is the executable
+        reason Table 1 marks Quorum's off-chain peer data as
+        requires-rewrite: if any payload was deleted (say, for a GDPR
+        request), the replay raises and the node cannot prove its state —
+        deletable data is incompatible with this architecture.
         """
         if node not in self.parties:
             raise MembershipError(f"{node!r} is not onboarded")
-        manager = self.managers[node]
+        manager = self.replicas[node].manager
         rebuilt = WorldState()
         for tx in self.chain.transactions():
             if tx.metadata.get("kind") != "private":
@@ -633,17 +613,18 @@ class QuorumNetwork(Platform):
                 continue
             payload_hash = tx.private_hashes["payload"]
             resolved = manager.resolve(payload_hash)  # raises if deleted
-            self._run_contract(
-                resolved["contract"], resolved["function"], resolved["args"],
-                rebuilt,
+            __, view = self._simulate(
+                node, resolved["contract"], resolved["function"],
+                resolved["args"], rebuilt,
             )
+            self._apply_view(view, rebuilt)
         return rebuilt
 
     def verify_private_state(self, node: str) -> bool:
         """True iff the node's live private state matches a fresh replay."""
         return (
             self.rebuild_private_state(node).snapshot()
-            == self.private_states[node].snapshot()
+            == self.replicas[node].states[PRIVATE].snapshot()
         )
 
     # -- private-state consistency checking
@@ -651,9 +632,9 @@ class QuorumNetwork(Platform):
     def private_state_views(self, key: str) -> dict[str, object]:
         """Every node's view of a private-state key (absent nodes omitted)."""
         return {
-            node: self.private_states[node].get(key)
-            for node in sorted(self.parties)
-            if self.private_states[node].exists(key)
+            node: replica.states[PRIVATE].get(key)
+            for node, replica in sorted(self.replicas.items())
+            if replica.states[PRIVATE].exists(key)
         }
 
     def private_state_consistent(self, key: str) -> bool:
@@ -669,8 +650,6 @@ class QuorumNetwork(Platform):
     def divergent_keys(self) -> list[str]:
         """All private-state keys on which some nodes disagree."""
         keys = set()
-        for node in self.parties:
-            keys.update(self.private_states[node].keys())
-        return sorted(
-            key for key in keys if not self.private_state_consistent(key)
-        )
+        for replica in self.replicas.values():
+            keys.update(replica.states[PRIVATE].keys())
+        return sorted(key for key in keys if not self.private_state_consistent(key))

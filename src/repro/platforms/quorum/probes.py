@@ -82,7 +82,7 @@ def off_chain_peer_data(net: QuorumNetwork) -> tuple[SupportLevel, str]:
     # deleting one breaks resolution, so deletable off-chain peer data
     # conflicts with the architecture: '-'.
     result = _put_private(net, "gdpr-k", "pii")
-    manager = net.managers["probe-n2"]
+    manager = net.replicas["probe-n2"].manager
     manager.delete(result.payload_hash)
     try:
         manager.resolve(result.payload_hash)
@@ -118,7 +118,7 @@ def merkle_tear_offs(net: QuorumNetwork) -> tuple[SupportLevel, str]:
     # Transactions are monolithic RLP payloads with no component-group
     # Merkle structure; a participant receives all or nothing: '-'.
     result = _put_private(net, "t", 5)
-    resolved = net.managers["probe-n2"].resolve(result.payload_hash)
+    resolved = net.replicas["probe-n2"].manager.resolve(result.payload_hash)
     all_or_nothing = set(resolved) == {"contract", "function", "args"}
     return (
         SupportLevel.REWRITE if all_or_nothing else SupportLevel.IMPLEMENTABLE,

@@ -17,6 +17,7 @@ node — the executable reason Quorum's Table 1 off-chain-data cell is '—'.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.common.errors import OffChainError, PrivacyError
@@ -74,14 +75,15 @@ class PrivateTransactionManager:
         self,
         raw: bytes,
         participants: list[str],
-        managers: dict[str, "PrivateTransactionManager"],
+        nodes: Collection[str],
         skip: tuple[str, ...] = (),
     ) -> tuple[str, dict[str, StoredPayload]]:
         """Encrypt the canonically encoded payload *raw* for each participant.
 
-        Returns the payload hash that goes into the public transaction,
-        and each other participant's copy, by participant, for its
-        payload message to carry.  This manager keeps its own copy.
+        Every participant must be one of *nodes*, those that run a
+        manager.  Returns the payload hash that goes into the public
+        transaction, and each other participant's copy, by participant,
+        for its payload message to carry.  This manager keeps its own copy.
         Those in *skip* (currently unreachable) are recorded in the
         participant list but get nothing now; :meth:`redeliver` serves
         them later.
@@ -91,7 +93,7 @@ class PrivateTransactionManager:
         for participant in participants:
             if participant in skip:
                 continue
-            if participant not in managers:
+            if participant not in nodes:
                 raise PrivacyError(f"no transaction manager for {participant!r}")
             stored = StoredPayload(
                 payload_hash=payload_hash,

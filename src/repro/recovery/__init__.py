@@ -16,10 +16,10 @@ payloads — and nothing more.  This package provides the pieces:
 - :mod:`repro.recovery.scenario` — the canonical crash/recover/converge
   scenario behind ``repro recover`` / ``repro converge`` and the CI gate.
 
-The per-platform crash, restore, and visibility-filtered responder logic
-lives with each platform simulation (hooks on
-:class:`repro.platforms.base.Platform`); this package holds the
-platform-independent machinery and the cross-platform audits.
+Each node keeps all it holds in one replica (``Platform.replicas``),
+which checkpoints and restores itself, so crash and restart are generic;
+what a lagging node asks for and what a peer may serve it stay with each
+platform.  This package holds the shared machinery and the audits.
 """
 
 from repro.recovery.checkpoint import CheckpointStore, NodeCheckpoint

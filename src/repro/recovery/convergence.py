@@ -7,7 +7,9 @@ every entitled Corda party knows every transaction it was party to, and
 every Quorum node agrees on the public state while each private
 participant group agrees internally.  There is no global state to compare
 — the paper's separation-of-ledgers design means convergence itself is
-scoped by entitlement, which is exactly what this audit checks.
+scoped by entitlement, which is exactly what this audit checks.  Each
+group a platform declares (a Fabric channel, Quorum's public chain) gets
+one check; Corda's vaults and Quorum's private state add their own.
 
 Divergence is reported as structured findings (never silently) and as the
 ``recovery.convergence.*`` metric family, so the chaos suite and the CI
@@ -91,27 +93,26 @@ def _live(platform, names) -> list[str]:
     return [name for name in sorted(names) if not platform.network.is_crashed(name)]
 
 
-def _audit_fabric(platform, report: ConvergenceReport) -> None:
-    for channel_name in sorted(platform.channels):
-        channel = platform.channels[channel_name]
-        live = _live(platform, channel.members)
-        distinct, minority = _minority({m: channel.states[m] for m in live})
+def _audit_groups(platform, report: ConvergenceReport) -> None:
+    replicas = platform.replicas
+    for label, scope, members, ordered in platform._replica_groups():
+        live = _live(platform, members)
+        distinct, minority = _minority({n: replicas[n].states[scope] for n in live})
         if minority:
             _flag(
-                report, channel.name,
+                report, label,
                 f"replica mismatch: {distinct} distinct states among "
                 f"{len(live)} live members",
                 minority,
             )
         # A member can match its peers and still have missed a block
-        # (say, one of only invalid transactions): it is behind all the same.
-        ordered = len(channel.outcomes)
-        behind = [m for m in live if channel.applied[m] < ordered]
+        # (say, one of only invalid transactions, or a private one it is
+        # not party to): it is behind all the same.
+        behind = [name for name in live if replicas[name].heights[scope] < ordered]
         if behind:
             _flag(
-                report, channel.name,
-                f"behind the channel: applied fewer than its {ordered} "
-                "ordered transactions",
+                report, label,
+                f"behind: applied fewer than the {ordered} ordered transactions",
                 behind,
             )
 
@@ -164,17 +165,7 @@ def _audit_corda(platform, report: ConvergenceReport) -> None:
 
 def _audit_quorum(platform, report: ConvergenceReport) -> None:
     live = _live(platform, platform.parties)
-    # 1. Public state: one shared ledger, every live node must agree.
-    distinct, minority = _minority(
-        {name: platform.public_states[name] for name in live}
-    )
-    if minority:
-        _flag(
-            report, "public-chain",
-            f"public state mismatch: {distinct} distinct states among live nodes",
-            minority,
-        )
-    # 2. Private state per key: all holders of a key must agree.  (The
+    # 1. Private state per key: all holders of a key must agree.  (The
     # paper's double-spend flaw produces exactly this divergence when
     # exercised — the audit makes it visible rather than impossible.)
     for key in platform.divergent_keys():
@@ -182,7 +173,7 @@ def _audit_quorum(platform, report: ConvergenceReport) -> None:
             report, key, "private-state holders disagree on this key",
             sorted(platform.private_state_views(key)),
         )
-    # 3. Replayability: each live node's private state must match a fresh
+    # 2. Replayability: each live node's private state must match a fresh
     # replay of its entitled payloads; a missing payload is a divergence
     # (the node cannot prove its own state), not a crash.
     for name in live:
@@ -197,22 +188,13 @@ def _audit_quorum(platform, report: ConvergenceReport) -> None:
                 report, "private-replay",
                 "private state not replayable: entitled payload missing", [name],
             )
-    # 4. Watermark: a node that missed a transaction in flight is behind
-    # even where its state matches (a non-participant that lost a private
-    # transaction's gossip holds the same public state as everyone).
-    height = platform.chain.height
-    behind = [name for name in live if platform._applied_upto[name] < height]
-    if behind:
-        _flag(
-            report, "public-chain",
-            f"behind the chain: applied below height {height}", behind,
-        )
 
 
+#: Each platform's checks beyond its declared visibility groups.
 _AUDITS = {
-    "fabric": _audit_fabric,
-    "corda": _audit_corda,
-    "quorum": _audit_quorum,
+    "fabric": (),
+    "corda": (_audit_corda,),
+    "quorum": (_audit_quorum,),
 }
 
 
@@ -225,8 +207,8 @@ def audit_convergence(platform) -> ConvergenceReport:
     disagreement is returned as a structured :class:`Divergence` and
     counted under ``recovery.convergence.divergences``.
     """
-    audit = _AUDITS.get(platform.platform_name)
-    if audit is None:
+    audits = _AUDITS.get(platform.platform_name)
+    if audits is None:
         raise PlatformError(
             f"no convergence audit for platform {platform.platform_name!r}"
         )
@@ -241,7 +223,9 @@ def audit_convergence(platform) -> ConvergenceReport:
     with platform.telemetry.span(
         "recovery.convergence", platform=platform.platform_name
     ) as span:
-        audit(platform, report)
+        _audit_groups(platform, report)
+        for audit in audits:
+            audit(platform, report)
         platform.telemetry.tracer.set_attribute(
             span, "divergences", len(report.divergences)
         )

@@ -120,7 +120,7 @@ def _fabric_side(net: FabricNetwork) -> dict:
     )
     return {
         "SellerCo holds a replica of a channel it is not on":
-            lambda: side.states.get("SellerCo") is not None,
+            lambda: side.name in net.replicas["SellerCo"].states,
     }
 
 
@@ -161,7 +161,7 @@ def _quorum_side(net: QuorumNetwork) -> dict:
         "SellerCo's private state holds the side-tx key":
             lambda: net.private_states["SellerCo"].exists(SIDE_KEY),
         "SellerCo's manager was re-served a payload it was not entitled to":
-            lambda: net.managers["SellerCo"].has_payload(side.payload_hash),
+            lambda: net.replicas["SellerCo"].manager.has_payload(side.payload_hash),
         f"{OUTSIDER} holds private state":
             lambda: bool(net.private_states[OUTSIDER].keys()),
     }

@@ -37,6 +37,7 @@ from repro.platforms.base import Platform, TxRequest
 from repro.platforms.corda import Command, ContractState, CordaNetwork
 from repro.platforms.fabric import FabricNetwork
 from repro.platforms.quorum import QuorumNetwork
+from repro.platforms.quorum.network import PRIVATE
 
 
 def letter_of_credit_requirements(
@@ -254,8 +255,8 @@ class FabricHost(LetterHost):
         )
 
     def letter(self, loc_id: str, viewer: str) -> dict | None:
-        """*viewer*'s channel replica; a non-member holds none."""
-        state = self.network.channel(self.channel_name).states.get(viewer)
+        """*viewer*'s state of the channel; a non-member holds none."""
+        state = self.network.replicas[viewer].states.get(self.channel_name)
         return None if state is None else state.get_or(_letter_key(loc_id))
 
     def scoped(self, request: TxRequest) -> TxRequest:
@@ -375,7 +376,8 @@ class QuorumHost(LetterHost):
     erase_pii = pii_is_erased = place_pii
 
     def letter(self, loc_id: str, viewer: str) -> dict | None:
-        return self.network.private_states[viewer].get_or(_letter_key(loc_id))
+        state = self.network.replicas[viewer].states[PRIVATE]
+        return state.get_or(_letter_key(loc_id))
 
 
 _HOSTS = (

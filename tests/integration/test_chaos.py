@@ -76,19 +76,19 @@ class TestFabricChaos:
         net.invoke("ch", "A", "cc", "put", {"key": "k", "value": 1})
         channel = net.channel("ch")
         assert net.network.stats.dropped_by_partition == 1
-        assert channel.states["A"].get("k") == 1
-        assert not channel.states["C"].exists("k")
+        assert channel.state_of("A").get("k") == 1
+        assert not channel.state_of("C").exists("k")
         assert "k" not in net.network.node("C").observer.seen_data_keys
         assert lagging_nodes(net) == {"C"}
 
         net.recover("C")
-        assert channel.states["C"].dump() == channel.states["A"].dump()
+        assert channel.state_of("C").dump() == channel.state_of("A").dump()
         assert audit_convergence(net).converged
         assert "k" in net.network.node("C").observer.seen_data_keys
 
         net.crash("C")
         net.recover("C")
-        assert channel.states["C"].dump() == channel.states["A"].dump()
+        assert channel.state_of("C").dump() == channel.state_of("A").dump()
         assert audit_convergence(net).converged
 
     def test_lagging_endorser_cannot_commit_a_lost_update(self, fault_after):
@@ -121,19 +121,19 @@ class TestFabricChaos:
         )
         net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
         channel = net.channel("ch")
-        assert channel.states["A"].get("k") == 1
-        assert channel.states["B"].get("k") == 2
+        assert channel.state_of("A").get("k") == 1
+        assert channel.state_of("B").get("k") == 2
         net.clock.advance_to(now + 1)
         with pytest.raises(EndorsementError, match="divergent write set"):
             net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
-        assert channel.states["B"].get("k") == 2
-        assert channel.states["C"].get("k") == 2
+        assert channel.state_of("B").get("k") == 2
+        assert channel.state_of("C").get("k") == 2
 
         net.crash("A")
         net.recover("A")
         net.invoke("ch", "B", "cc", "add", {"key": "k", "by": 1})
         for org in ("A", "B", "C"):
-            assert channel.states[org].get("k") == 3
+            assert channel.state_of(org).get("k") == 3
         assert audit_convergence(net).converged
 
     def test_orderer_outage_then_recovery(self):
@@ -359,7 +359,7 @@ class TestQuorumChaos:
 
         net.recover("N3")
         assert audit_convergence(net).converged
-        assert not net.managers["N3"].has_payload(result.payload_hash)
+        assert not net.replicas["N3"].manager.has_payload(result.payload_hash)
         net.clock.advance_to(now + 1)  # the cut heals
         net.send_public_transaction("N3", "cc", "put", {"key": "p", "value": 2})
         assert net.public_states["N2"].get("p") == 2
@@ -426,13 +426,13 @@ class TestLostAnswers:
         self.cut_after(fault_after, net, "B", "proposal", "A")
         with pytest.raises(DeliveryError, match="no answer to 'proposal'"):
             net.invoke("ch", "A", "cc", "put", {"key": "k", "value": 1})
-        assert not net.channel("ch").states["B"].exists("k")
+        assert not net.channel("ch").state_of("B").exists("k")
 
     def test_lost_endorsement_is_asked_again(self, fault_after):
         net = self.fabric(resilient=True)
         self.cut_after(fault_after, net, "B", "proposal", "A")
         net.invoke("ch", "A", "cc", "put", {"key": "k", "value": 1})
-        assert net.channel("ch").states["B"].get("k") == 1
+        assert net.channel("ch").state_of("B").get("k") == 1
         stats = net.network.stats
         assert stats.dropped_by_partition >= 1 and stats.deduplicated >= 1
         counters = net.telemetry.metrics.snapshot()["counters"]

@@ -69,8 +69,8 @@ class TestOneBlockPerCut:
         channel = net.channel("ch")
         assert channel.chain.height == 1
         for org in ORGS:
-            assert channel.applied[org] == 10
-            assert channel.states[org].dump() == channel.states["Org1"].dump()
+            assert net.replicas[org].heights["ch"] == 10
+            assert channel.state_of(org).dump() == channel.state_of("Org1").dump()
 
     def test_block_carries_the_cut_in_commit_order(self):
         net = fabric_net()
@@ -89,18 +89,18 @@ class TestPartialAndGappedBlocks:
         lose_blocks_to(net, "Org3")
         cut(net, 10)
         net.inject_faults(FaultPlan())
-        assert channel.applied["Org3"] == 0
+        assert net.replicas["Org3"].heights["ch"] == 0
         entries = sorted(channel.outcomes.values(), key=lambda e: e.position)
         # A one-entry catch-up block, then the whole cut's block.
         net.network.send("Org1", "Org3", "block", (entries[0],))
         net.network.run()
-        assert channel.applied["Org3"] == 1
+        assert net.replicas["Org3"].heights["ch"] == 1
         validated = counter(net, "fabric.validation", code="VALID")
         net.network.send(ORDERER_NODE, "Org3", "block", tuple(entries))
         net.network.run()
         assert counter(net, "fabric.validation", code="VALID") - validated == 9
-        assert channel.applied["Org3"] == 10
-        assert channel.states["Org3"].dump() == channel.states["Org1"].dump()
+        assert net.replicas["Org3"].heights["ch"] == 10
+        assert channel.state_of("Org3").dump() == channel.state_of("Org1").dump()
 
     def test_block_past_a_gap_applies_nothing_until_recover(self):
         net = fabric_net()
@@ -109,12 +109,12 @@ class TestPartialAndGappedBlocks:
         cut(net, 10)
         net.inject_faults(FaultPlan())
         cut(net, 10, start=10)
-        assert channel.applied["Org1"] == 20
-        assert channel.applied["Org3"] == 0
-        assert channel.states["Org3"].dump() == {}
+        assert net.replicas["Org1"].heights["ch"] == 20
+        assert net.replicas["Org3"].heights["ch"] == 0
+        assert channel.state_of("Org3").dump() == {}
         net.recover("Org3")
-        assert channel.applied["Org3"] == 20
-        assert channel.states["Org3"].dump() == channel.states["Org1"].dump()
+        assert net.replicas["Org3"].heights["ch"] == 20
+        assert channel.state_of("Org3").dump() == channel.state_of("Org1").dump()
         assert audit_convergence(net).converged
 
     def test_lost_block_leaves_member_behind_until_recover(self):
@@ -123,13 +123,13 @@ class TestPartialAndGappedBlocks:
         lose_blocks_to(net, "Org3")
         cut(net, 10)
         assert counter(net, "net.dropped.loss") == 1
-        assert channel.applied["Org3"] == 0
+        assert net.replicas["Org3"].heights["ch"] == 0
         assert not audit_convergence(net).converged
         net.inject_faults(FaultPlan())
         net.recover("Org3")
         # Catch-up ships one entry per block.
         assert counter(net, "recovery.catchup.shipped") == 10
-        assert channel.states["Org3"].dump() == channel.states["Org1"].dump()
+        assert channel.state_of("Org3").dump() == channel.state_of("Org1").dump()
         assert audit_convergence(net).converged
 
 

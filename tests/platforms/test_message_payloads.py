@@ -241,7 +241,7 @@ class TestSenderCopyCleared:
         assert not channel.outcomes
         for org in ORGS:
             assert channel.state_of(org).get("k") == 1
-            assert channel.applied[org] == 1
+            assert net.replicas[org].heights["ch"] == 1
 
     def test_ordering_append_without_the_leader_log(self, monkeypatch):
         net = fabric_net()
@@ -286,14 +286,14 @@ class TestSenderCopyCleared:
 
         def clear(message):
             if message.kind == "private-payload":
-                net.managers[message.sender]._payloads.clear()
+                net.replicas[message.sender].manager._payloads.clear()
 
         record_sends(net.network, monkeypatch, after=clear)
         result = net.send_private_transaction(
             "N1", "cc", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
-        assert not net.managers["N1"].has_payload(result.payload_hash)
-        assert net.managers["N2"].has_payload(result.payload_hash)
+        assert not net.replicas["N1"].manager.has_payload(result.payload_hash)
+        assert net.replicas["N2"].manager.has_payload(result.payload_hash)
         assert net.private_states["N2"].get("k") == 1
 
 

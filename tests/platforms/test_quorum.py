@@ -111,14 +111,14 @@ class TestPrivateTransactions:
             "N1", "store", "put", {"key": "priv", "value": 9}, private_for=["N2"]
         )
         with pytest.raises(PrivacyError, match="not a party"):
-            net.managers["N3"].resolve(result.payload_hash)
+            net.replicas["N3"].manager.resolve(result.payload_hash)
 
     def test_participants_resolve_identical_payload(self, net):
         result = net.send_private_transaction(
             "N1", "store", "put", {"key": "priv", "value": 9}, private_for=["N2"]
         )
-        p1 = net.managers["N1"].resolve(result.payload_hash)
-        p2 = net.managers["N2"].resolve(result.payload_hash)
+        p1 = net.replicas["N1"].manager.resolve(result.payload_hash)
+        p2 = net.replicas["N2"].manager.resolve(result.payload_hash)
         assert p1 == p2
         assert p1["args"] == {"key": "priv", "value": 9}
 
@@ -147,7 +147,7 @@ class TestPrivateTransactions:
         assert net.chain.height == 0
         assert net.network.stats.messages_sent == sent
         for node in ("N1", "N2", "N3", "N4"):
-            assert net.managers[node].payload_hashes() == []
+            assert net.replicas[node].manager.payload_hashes() == []
             assert not net.private_states[node].exists("half")
 
     def test_sender_executes_the_decoded_arguments(self, net):

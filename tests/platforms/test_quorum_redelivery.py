@@ -83,7 +83,7 @@ class TestResilientRedelivery:
         assert net.private_states["N1"].get("k") == 1
         assert net.private_states["N3"].get("k") == 1
         assert not net.private_states["N2"].exists("k")
-        assert not net.managers["N2"].has_payload(result.payload_hash)
+        assert not net.replicas["N2"].manager.has_payload(result.payload_hash)
 
     def test_redelivery_applies_after_node_returns(self):
         net = make_net(resilient_delivery=True)
@@ -98,7 +98,7 @@ class TestResilientRedelivery:
         net.network.heal("N1", "N2")
         net.recover("N2")
         assert net.private_states["N2"].get("k") == 1
-        assert net.managers["N2"].has_payload(result.payload_hash)
+        assert net.replicas["N2"].manager.has_payload(result.payload_hash)
         assert net.verify_private_state("N2")
         assert audit_convergence(net).converged
 
@@ -154,8 +154,8 @@ class TestEntitlement:
             "N1", "store", "put", {"key": "k", "value": 1}, private_for=["N2"]
         )
         with pytest.raises(PrivacyError):
-            net.managers["N1"].redeliver(result.payload_hash, "N3")
-        assert not net.managers["N3"].has_payload(result.payload_hash)
+            net.replicas["N1"].manager.redeliver(result.payload_hash, "N3")
+        assert not net.replicas["N3"].manager.has_payload(result.payload_hash)
 
 
 class TestManagerRebuild:
@@ -169,11 +169,11 @@ class TestManagerRebuild:
             private_for=["N2", "N3"],
         )
         for node in ("N1", "N2"):
-            before = net.managers[node]
+            before = net.replicas[node].manager
             net.crash(node)
             net.recover(node)
-            assert net.managers[node] is not before
-            assert net.managers[node].resolve(first.payload_hash)["args"] == {
+            assert net.replicas[node].manager is not before
+            assert net.replicas[node].manager.resolve(first.payload_hash)["args"] == {
                 "key": "k", "value": 1,
             }
         # The rebuilt sender distributes again; the rebuilt peer redelivers.
@@ -181,11 +181,11 @@ class TestManagerRebuild:
             "N1", "store", "put", {"key": "k2", "value": 2}, private_for=["N2"],
         )
         assert net.private_states["N2"].get("k2") == 2
-        assert net.managers["N2"].resolve(second.payload_hash)["args"]["value"] == 2
-        before = net.managers["N3"]
+        assert net.replicas["N2"].manager.resolve(second.payload_hash)["args"]["value"] == 2
+        before = net.replicas["N3"].manager
         net.crash("N3")
         net.recover("N3")
-        assert net.managers["N3"] is not before
+        assert net.replicas["N3"].manager is not before
         assert net.private_states["N3"].get("k") == 1
         assert net.verify_private_state("N3")
         assert audit_convergence(net).converged

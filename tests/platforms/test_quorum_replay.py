@@ -77,7 +77,7 @@ class TestDeletionConflict:
             "N1", "store", "put", {"key": "gdpr", "value": "pii"},
             private_for=["N2"],
         )
-        net.managers["N2"].delete(result.payload_hash)
+        net.replicas["N2"].manager.delete(result.payload_hash)
         with pytest.raises(PrivacyError):
             net.rebuild_private_state("N2")
 
@@ -86,6 +86,6 @@ class TestDeletionConflict:
             "N1", "store", "put", {"key": "gdpr", "value": "pii"},
             private_for=["N2"],
         )
-        net.managers["N2"].delete(result.payload_hash)
+        net.replicas["N2"].manager.delete(result.payload_hash)
         # N1 still holds its copy and can recover.
         assert net.verify_private_state("N1")

@@ -121,8 +121,8 @@ class TestLostAnswer:
         assert after["recovery.catchup.items"] == 3
         assert after["recovery.catchup.shipped"] == 3
         assert "recovery.catchup.failed" not in after
-        assert channel.applied["OrgB"] == 3
-        assert channel.states["OrgB"].dump() == channel.states["OrgA"].dump()
+        assert net.replicas["OrgB"].heights["ch"] == 3
+        assert channel.state_of("OrgB").dump() == channel.state_of("OrgA").dump()
         assert audit_convergence(net).converged
 
     def test_answer_lost_every_time_fails_the_exchange(self):
@@ -133,7 +133,7 @@ class TestLostAnswer:
         # OrgA's answers never arrive; OrgC, asked next, brings it level.
         assert after["recovery.catchup.failed"] == 1
         assert after["recovery.catchup.items"] == 1
-        assert net.channel("ch").applied["OrgB"] == 1
+        assert net.replicas["OrgB"].heights["ch"] == 1
 
 
 @pytest.mark.parametrize("build", [fabric_behind, corda_behind, quorum_behind])
@@ -160,7 +160,7 @@ def test_quorum_payload_held_only_by_the_second_provider():
     result = net.send_private_transaction(
         "N2", "evm", "put", {"key": "s", "value": 2}, private_for=["N3"]
     )
-    assert not net.managers["N1"].has_payload(result.payload_hash)
+    assert not net.replicas["N1"].manager.has_payload(result.payload_hash)
     answers = watch(net, "N3", "catchup")
     net.recover("N3")
     # N1 serves the chain up to the transaction whose payload it lacks;

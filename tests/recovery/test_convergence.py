@@ -99,7 +99,7 @@ class TestConvergedReports:
 class TestDivergenceDetection:
     def test_fabric_replica_mismatch_detected(self, fabric):
         channel = fabric.channel("ch")
-        channel.states["OrgB"].put("k", 999)
+        channel.state_of("OrgB").put("k", 999)
         report = audit_convergence(fabric)
         assert not report.converged
         finding = report.divergences[0]
@@ -110,7 +110,7 @@ class TestDivergenceDetection:
     def test_fabric_version_skew_counts_as_divergence(self, fabric):
         """Same values, different MVCC versions: diverges on next read."""
         channel = fabric.channel("ch")
-        state = channel.states["OrgB"]
+        state = channel.state_of("OrgB")
         state.put("k", state.get("k"))  # value unchanged, version bumped
         report = audit_convergence(fabric)
         assert not report.converged
@@ -141,7 +141,7 @@ class TestDivergenceDetection:
         [result] = fabric.submit_batch("ch", [stale])
         assert not result.valid
         channel = fabric.channel("ch")
-        assert channel.states["OrgC"].dump() == channel.states["OrgA"].dump()
+        assert channel.state_of("OrgC").dump() == channel.state_of("OrgA").dump()
         report = audit_convergence(fabric)
         assert [(d.scope, d.nodes) for d in report.divergences] == [
             ("ch", ("OrgC",))
@@ -180,7 +180,7 @@ class TestDivergenceDetection:
         assert any(d.scope == "asset/1" for d in report.divergences)
 
     def test_quorum_lost_payload_breaks_replayability(self, quorum):
-        manager = quorum.managers["OrgB"]
+        manager = quorum.replicas["OrgB"].manager
         for payload_hash in manager.payload_hashes():
             manager.delete(payload_hash)
         report = audit_convergence(quorum)
@@ -190,7 +190,7 @@ class TestDivergenceDetection:
         )
 
     def test_divergences_counted_and_emitted(self, fabric):
-        fabric.channel("ch").states["OrgB"].put("k", 999)
+        fabric.channel("ch").state_of("OrgB").put("k", 999)
         audit_convergence(fabric)
         counters = fabric.telemetry.metrics.snapshot()["counters"]
         assert counters["recovery.convergence.divergences{platform=fabric}"] == 1

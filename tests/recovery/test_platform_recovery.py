@@ -62,9 +62,9 @@ class TestFabricRecovery:
             "ch", "OrgA", "store", "put", {"key": "k2", "value": 2},
             endorsers=["OrgA", "OrgC"],
         )
-        assert channel.states["OrgB"].snapshot() == {}  # volatile state gone
+        assert channel.state_of("OrgB").snapshot() == {}  # volatile state gone
         net.recover("OrgB")
-        assert channel.states["OrgB"].dump() == channel.states["OrgA"].dump()
+        assert channel.state_of("OrgB").dump() == channel.state_of("OrgA").dump()
 
     def test_checkpoint_restores_without_reshipping_old_blocks(self, fabric):
         net, channel = fabric
@@ -91,7 +91,7 @@ class TestFabricRecovery:
         net.crash("OrgB")
         checkpoint = net.recover("OrgB")
         assert checkpoint is None
-        assert channel.states["OrgB"].get("k1") == 1
+        assert channel.state_of("OrgB").get("k1") == 1
 
     def test_recover_is_idempotent(self, fabric):
         net, _ = fabric
@@ -116,12 +116,12 @@ class TestFabricRecovery:
         net.invoke("ch", "OrgA", "store", "put", {"key": "k1", "value": 1})
         net.inject_faults(FaultPlan())
         net.invoke("ch", "OrgA", "store", "put", {"key": "k2", "value": 2})
-        assert not channel.states["OrgC"].exists("k1")
-        assert not channel.states["OrgC"].exists("k2")  # past the gap
+        assert not channel.state_of("OrgC").exists("k1")
+        assert not channel.state_of("OrgC").exists("k2")  # past the gap
         net.checkpoint_node("OrgC")
         net.crash("OrgC")
         net.recover("OrgC")
-        assert channel.states["OrgC"].dump() == channel.states["OrgA"].dump()
+        assert channel.state_of("OrgC").dump() == channel.state_of("OrgA").dump()
         assert audit_convergence(net).converged
 
     def test_recover_of_a_level_live_node_ships_nothing(self, fabric):
@@ -141,13 +141,13 @@ class TestFabricRecovery:
             "ch", "OrgA", "store", "put", {"key": "k1", "value": 1},
             endorsers=["OrgA", "OrgB"],
         )
-        assert not channel.states["OrgC"].exists("k1")
+        assert not channel.state_of("OrgC").exists("k1")
         assert net.recover("OrgC") is None
         assert catchup_shipped(net) == 0
-        assert not channel.states["OrgC"].exists("k1")
+        assert not channel.state_of("OrgC").exists("k1")
         net.clock.advance_to(10.0)
         net.recover("OrgC")
-        assert channel.states["OrgC"].get("k1") == 1
+        assert channel.state_of("OrgC").get("k1") == 1
 
     def test_catchup_stays_inside_channel_membership(self, fabric):
         net, _ = fabric
@@ -157,7 +157,7 @@ class TestFabricRecovery:
         net.crash("OrgB")
         net.invoke("side", "OrgA", "side-cc", "put", {"key": "s", "value": 5})
         net.recover("OrgB")
-        assert side.states.get("OrgB") is None
+        assert side.name not in net.replicas["OrgB"].states
         assert "s" not in net.network.node("OrgB").observer.seen_data_keys
 
 
@@ -312,7 +312,7 @@ class TestQuorumRecovery:
         )
         net.recover("OrgB")
         assert net.private_states["OrgB"].get("s1") == 7
-        assert net.managers["OrgB"].has_payload(result.payload_hash)
+        assert net.replicas["OrgB"].manager.has_payload(result.payload_hash)
         assert net.verify_private_state("OrgB")
 
     def test_unentitled_private_payload_withheld(self, quorum):
@@ -324,7 +324,7 @@ class TestQuorumRecovery:
         )
         net.recover("OrgB")
         assert not net.private_states["OrgB"].exists("s2")
-        assert not net.managers["OrgB"].has_payload(result.payload_hash)
+        assert not net.replicas["OrgB"].manager.has_payload(result.payload_hash)
 
     def test_recover_of_a_level_live_node_ships_nothing(self, quorum):
         net = quorum
