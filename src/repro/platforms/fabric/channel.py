@@ -66,7 +66,7 @@ class Channel:
         self.name = name
         self.members: frozenset[str] = frozenset(members)
         self.chain = Chain(name)
-        # The platform's replicas: each member's holds this channel as a scope.
+        # The platform's replicas: each member's has this channel as a scope.
         self.replicas = replicas
         # Each member's validation code of every transaction it applied
         # (keyed in member order): its ledger's record, durable like the

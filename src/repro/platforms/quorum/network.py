@@ -111,7 +111,7 @@ class QuorumNetwork(Platform):
         return party
 
     def _new_replica(self, name: str) -> Replica:
-        # The public height: up to where the node applied the chain.
+        # Only the public scope is ordered: how far the node applied the chain.
         return Replica(
             (PUBLIC, PRIVATE), (PUBLIC,),
             lambda: PrivateTransactionManager(name, rng=self.rng.fork("tm:" + name)),
@@ -192,8 +192,9 @@ class QuorumNetwork(Platform):
                 state.delete(key)
 
     def _check_sender(self, sender: str) -> Replica:
-        """The sender's replica, once nothing refuses the transaction: checked
-        before any state mutation, so a retry cannot double-apply."""
+        """Refuse a transaction before any state mutation, so a failed one
+        can be retried after recovery without double-applying its writes;
+        returns the sender's replica."""
         if sender not in self.parties:
             raise MembershipError(f"{sender!r} is not onboarded")
         self.authenticate(sender)
@@ -652,4 +653,6 @@ class QuorumNetwork(Platform):
         keys = set()
         for replica in self.replicas.values():
             keys.update(replica.states[PRIVATE].keys())
-        return sorted(key for key in keys if not self.private_state_consistent(key))
+        return sorted(
+            key for key in keys if not self.private_state_consistent(key)
+        )
